@@ -4,9 +4,9 @@ momentum quadrature."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConvergenceError, DegenerateConfigError, DimensionError,
-                     DomainError, EtherdriftError, InputError,
-                     SeriesOverflowError, SingularPathError)
+from .errors import (DegenerateConfigError, DimensionError, DomainError,
+                     EtherdriftError, InputError, SeriesOverflowError,
+                     SingularPathError)
 from .units import (GAUSSIAN_CONTEXT, MODERN, PAPER, SI_CONTEXT, Dimension,
                     PhysicalConstants, Quantity, UnitContext, UnitSystem,
                     convert, get_constants, inverse_length_to_mass,

@@ -252,7 +252,6 @@ def _build_parser() -> _Parser:
                     help="field spec: inline JSON {kind, params} or a file path")
     ab.add_argument("--path", required=True,
                     help="path vertices: inline JSON [[x,y,z],...] (m) or a file path")
-    ab.add_argument("--rtol", type=float, default=1e-10)
 
     proca = sub.add_parser("proca", help="massive-photon cylinder computations")
     proca_sub = proca.add_subparsers(dest="action", required=True, metavar="action")
@@ -333,8 +332,7 @@ def parse_config(argv) -> RunConfig:
                   "lambda_nm": lambda_nm, "resolution": ns.resolution, "ef": ns.ef}
     elif ns.subcommand == "abphase":
         params = {"field": _load_payload(ns.field, "field spec"),
-                  "path": _load_payload(ns.path, "path"),
-                  "rtol": ns.rtol}
+                  "path": _load_payload(ns.path, "path")}
     elif ns.subcommand == "proca":
         params = {"action": ns.action}
         if ns.action == "bound":
@@ -403,12 +401,12 @@ def _run_sensitivity(params, constants, fmt):
 
 
 def _run_abphase(params, constants, fmt):
-    field = field_from_dict(params["field"])
+    field = field_from_dict(params["field"], constants)
     try:
         path = Path(np.asarray(params["path"], dtype=float))
     except (TypeError, ValueError):
         raise InputError("path must be an array of [x, y, z] vertices") from None
-    phase = phase_line_integral(field, path, params["rtol"])
+    phase = phase_line_integral(field, path)
     return render_json({"phase_rad": phase})
 
 
@@ -430,7 +428,8 @@ def _run_proca(params, constants, fmt):
         m_gamma = 100.0 / params["m_gamma_inv_cm"]
         rows = []
         for i in range(steps):
-            rho = cfg.R * i / (steps - 1)
+            # the last row is exactly R: R * i / (steps - 1) can round above it
+            rho = cfg.R if i == steps - 1 else cfg.R * i / (steps - 1)
             rows.append((rho,
                          cylinder_potential_exact(rho, cfg, m_gamma),
                          cylinder_potential_expansion(rho, cfg, m_gamma,

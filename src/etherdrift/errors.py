@@ -32,7 +32,3 @@ class DegenerateConfigError(EtherdriftError, ValueError):
 
 class SeriesOverflowError(EtherdriftError, OverflowError):
     """A series evaluation left the range where it is reliable."""
-
-
-class ConvergenceError(EtherdriftError, RuntimeError):
-    """An iterative or quadrature routine failed to converge."""

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from etherdrift.abphase import (FresnelFlow, Path, SolenoidVectorPotential,
                                 UniformQ, field_from_dict, fresnel_momentum,
@@ -75,7 +78,7 @@ def test_phase_flips_sign_on_reversal():
     field = SolenoidVectorPotential(1.0, coupling=1.0)
     path = Path([(2.0, 0.0, 0.0), (2.0, 2.0, 0.0), (-1.0, 2.0, 0.0)])
     forward = phase_line_integral(field, path)
-    assert phase_line_integral(field, path.reversed()) == pytest.approx(-forward, rel=1e-9)
+    assert phase_line_integral(field, path.reversed()) == pytest.approx(-forward, rel=1e-13)
 
 
 def test_solenoid_loop_phase_is_coupling_times_flux():
@@ -83,7 +86,7 @@ def test_solenoid_loop_phase_is_coupling_times_flux():
     field = SolenoidVectorPotential(flux)
     expected = PAPER.charge_over_hbar * flux
     got = phase_line_integral(field, square_loop())
-    assert got == pytest.approx(expected, rel=1e-9)
+    assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_solenoid_loop_phase_shape_independent():
@@ -94,7 +97,7 @@ def test_solenoid_loop_phase_shape_independent():
         Path([(1.5, 0.0, 0.0), (-1.0, 1.2, 0.0), (-1.0, -1.2, 0.0), (1.5, 0.0, 0.0)]),
     ]
     for loop in loops:
-        assert phase_line_integral(field, loop) == pytest.approx(2.0 * math.pi, rel=1e-8)
+        assert phase_line_integral(field, loop) == pytest.approx(2.0 * math.pi, rel=1e-13)
 
 
 def test_solenoid_loop_out_of_plane_and_tilted_axis():
@@ -102,7 +105,7 @@ def test_solenoid_loop_out_of_plane_and_tilted_axis():
                                     axis_point=(0.2, -0.1, 0.0),
                                     axis_direction=(0.0, 0.0, 2.0))
     assert phase_line_integral(field, square_loop(half=2.0, z=0.7)) == pytest.approx(
-        2.0 * math.pi, rel=1e-8)
+        2.0 * math.pi, rel=1e-13)
 
 
 def test_solenoid_two_routes_differ_by_loop_total():
@@ -110,20 +113,20 @@ def test_solenoid_two_routes_differ_by_loop_total():
     upper = Path([(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (-1.0, 0.0, 0.0)])
     lower = Path([(1.0, 0.0, 0.0), (1.0, -1.0, 0.0), (-1.0, -1.0, 0.0), (-1.0, 0.0, 0.0)])
     delta = phase_line_integral(field, upper) - phase_line_integral(field, lower)
-    assert delta == pytest.approx(2.0 * math.pi, rel=1e-8)
+    assert delta == pytest.approx(2.0 * math.pi, rel=1e-13)
 
 
 def test_solenoid_double_winding_doubles_phase():
     field = SolenoidVectorPotential(2.0 * math.pi, coupling=1.0)
     once = square_loop().vertices
     twice = Path(np.vstack([once, once[1:]]))
-    assert phase_line_integral(field, twice) == pytest.approx(4.0 * math.pi, rel=1e-8)
+    assert phase_line_integral(field, twice) == pytest.approx(4.0 * math.pi, rel=1e-13)
 
 
 def test_solenoid_nonenclosing_loop_vanishes():
     field = SolenoidVectorPotential(2.0 * math.pi, coupling=1.0)
     away = square_loop(half=0.5, shift=(3.0, 0.0))
-    assert phase_line_integral(field, away) == pytest.approx(0.0, abs=1e-8)
+    assert phase_line_integral(field, away) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_solenoid_rejects_path_through_flux_line():
@@ -136,6 +139,119 @@ def test_solenoid_rejects_path_through_flux_line():
         field.q_at([(0.0, 0.0, 5.0)])
     with pytest.raises(DomainError):
         SolenoidVectorPotential(1.0, axis_direction=(0.0, 0.0, 0.0)).q_at([(1.0, 0.0, 0.0)])
+
+
+def _midpoint_doubling(field, p0, p1, rtol=1e-10, max_points=1 << 22):
+    """Independent oracle: midpoint rule on 8, 16, 32, ... points of Q . dl,
+    stopped when two successive values agree to rtol."""
+    delta = p1 - p0
+    previous = None
+    m = 8
+    while m <= max_points:
+        t = (np.arange(m) + 0.5) / m
+        integral = float(np.sum(field.q_at(p0 + t[:, None] * delta) @ delta)) / m
+        if previous is not None and abs(integral - previous) <= rtol * abs(integral) + 1e-30:
+            return integral
+        previous = integral
+        m *= 2
+    raise AssertionError("midpoint oracle did not settle")
+
+
+FIELDS = {
+    "uniform_q": UniformQ((0.3, -1.7, 2.5)),
+    "fresnel_flow": FresnelFlow(OMEGA_633, 1.33, (12.0, -5.0, 3.0)),
+    "solenoid": SolenoidVectorPotential(1.7, coupling=0.9, axis_point=(0.123, -0.456, 0.3),
+                                        axis_direction=(0.3, 0.1, 1.0)),
+}
+
+
+def _axis_distance(field, p0, p1):
+    """Smallest distance from the flux line of points sampled along p0->p1."""
+    axis = np.asarray(field.axis_direction) / np.linalg.norm(field.axis_direction)
+    rel = p0 + np.linspace(0.0, 1.0, 1001)[:, None] * (p1 - p0) - field.axis_point
+    return np.min(np.linalg.norm(np.cross(rel, axis), axis=1))
+
+
+@pytest.mark.parametrize("kind", sorted(FIELDS))
+def test_closed_forms_match_midpoint_oracle(kind):
+    field = FIELDS[kind]
+    rng = np.random.default_rng(20100524)
+    p0 = rng.uniform(-2.0, 2.0, (40, 3))
+    p1 = rng.uniform(-2.0, 2.0, (40, 3))
+    if kind == "solenoid":  # keep the midpoint rule clear of the 1/rho singularity
+        clear = [_axis_distance(field, a, b) > 0.1 for a, b in zip(p0, p1)]
+        p0, p1 = p0[clear], p1[clear]
+    assert len(p0) >= 30
+    closed = field.segment_integrals(p0, p1)
+    for value, a, b in zip(closed, p0, p1):
+        assert value == pytest.approx(_midpoint_doubling(field, a, b), rel=1e-9, abs=1e-12)
+
+
+def _polygon_loop(rng, vertices, distance, winding, center):
+    """Regular polygon about the z axis through ``center`` whose nearest edge
+    passes ``distance`` from the axis, winding -1, 0 or +1 around it."""
+    radius = max(1.0, 2.5 * distance)
+    rot = rng.uniform(0.0, 2.0 * math.pi)
+    angles = rot + 2.0 * math.pi * np.arange(vertices) / vertices
+    corners = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+    normal_angle = rot + math.pi / vertices  # foot of the edge between corners 0 and 1
+    normal = np.array([math.cos(normal_angle), math.sin(normal_angle)])
+    inradius = radius * math.cos(math.pi / vertices)
+    shift = inradius - distance if winding else inradius + distance
+    corners = corners - shift * normal
+    if winding < 0:
+        corners = corners[::-1]
+    loop = np.column_stack([corners + center[:2], center[2] + rng.uniform(-0.5, 0.5, vertices)])
+    return np.vstack([loop, loop[:1]])
+
+
+@pytest.mark.parametrize("winding", [-1, 0, 1])
+@pytest.mark.parametrize("distance", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+def test_solenoid_loop_matches_mpmath(distance, winding):
+    rng = np.random.default_rng(int(-math.log10(distance)) * 3 + winding + 1)
+    center = rng.uniform(-1.0, 1.0, 3)
+    flux = 2.067e-15 * rng.uniform(0.5, 2.0)
+    vertices = _polygon_loop(rng, int(rng.integers(3, 17)), distance, winding, center)
+    field = SolenoidVectorPotential(flux, axis_point=tuple(center))
+    got = phase_line_integral(field, Path(vertices))
+    with mpmath.workdps(50):
+        cx, cy = mpmath.mpf(center[0]), mpmath.mpf(center[1])
+        swept = mpmath.mpf(0)
+        for a, b in zip(vertices[:-1], vertices[1:]):
+            ax, ay = mpmath.mpf(a[0]) - cx, mpmath.mpf(a[1]) - cy
+            bx, by = mpmath.mpf(b[0]) - cx, mpmath.mpf(b[1]) - cy
+            swept += mpmath.atan2(ax * by - ay * bx, ax * bx + ay * by)
+        reference = mpmath.mpf(PAPER.charge_over_hbar) * mpmath.mpf(flux) * swept \
+            / (2 * mpmath.pi)
+        error = float(abs(mpmath.mpf(got) - reference))
+        assert round(float(swept / (2 * mpmath.pi))) == winding
+        if winding:
+            assert error <= 1e-14 * float(abs(reference))
+        else:
+            assert error <= 1e-14
+
+
+_coordinate = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)),
+       st.lists(st.tuples(_coordinate, _coordinate, _coordinate), min_size=3, max_size=12),
+       st.integers(min_value=0))
+def test_phase_reversal_and_split_properties(kind, vertices, split):
+    field = FIELDS[kind]
+    vertices = np.array(vertices)
+    assume(not np.any(np.all(np.diff(vertices, axis=0) == 0.0, axis=1)))
+    k = 1 + split % (len(vertices) - 2)
+    path = Path(vertices)
+    try:
+        whole = phase_line_integral(field, path)
+    except SingularPathError:
+        assume(False)
+    assert phase_line_integral(field, path.reversed()) == -whole
+    head = phase_line_integral(field, Path(vertices[:k + 1]))
+    tail = phase_line_integral(field, Path(vertices[k:]))
+    assert abs(whole - (head + tail)) <= 4.0 * np.finfo(float).eps * (abs(head) + abs(tail))
 
 
 def test_scalar_phase_frozen_microvolt_millisecond():

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from etherdrift.units import MODERN, PAPER
+
 CLI = [sys.executable, "-m", "etherdrift.cli"]
 
 
@@ -173,6 +175,21 @@ def test_abphase_solenoid_loop_is_pi():
     assert json.loads(proc.stdout)["phase_rad"] == pytest.approx(math.pi, rel=1e-9)
 
 
+def test_abphase_default_coupling_follows_profile():
+    flux = 2.067e-15
+    args = ("abphase", "--field", '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15}}',
+            "--path", "[[1,-1,0],[1,1,0],[-1,1,0],[-1,-1,0],[1,-1,0]]")
+    paper = run_cli(*args)
+    assert paper.returncode == 0
+    assert paper.stdout == '{"phase_rad":3.1415926535897931}\n'
+    assert json.loads(paper.stdout)["phase_rad"] == pytest.approx(
+        PAPER.charge_over_hbar * flux, rel=1e-15)
+    modern = run_cli("--profile", "modern", *args)
+    assert modern.returncode == 0
+    assert json.loads(modern.stdout)["phase_rad"] == pytest.approx(
+        MODERN.charge_over_hbar * flux, rel=1e-15)
+
+
 def test_abphase_field_file_and_errors(tmp_path):
     field_file = tmp_path / "field.json"
     field_file.write_text('{"kind": "uniform_q", "params": {"q": [1.0, 0.0, 0.0]}}')
@@ -238,6 +255,21 @@ def test_proca_potential_csv():
     assert float(last[1]) == 1e7
 
 
+def test_proca_potential_last_radius_is_exactly_r():
+    # R * (steps - 1) / (steps - 1) rounds above R for this R and step count
+    r_cm, steps = "15.811273409006354", 3867
+    proc = run_cli("proca", "potential", "--V-volts", "1e7", "--R-cm", r_cm,
+                   "--m-gamma-inv-cm", "100", "--steps", str(steps))
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == steps
+    radius = float(r_cm) / 100.0
+    assert [row[0] for row in rows[:-1]] == [
+        format(radius * i / (steps - 1), ".17g") for i in range(steps - 1)]
+    assert float(rows[-1][0]) == radius
+    assert float(rows[-1][1]) == 1e7
+
+
 def test_bounds_json_and_text():
     proc = run_cli("bounds")
     entries = json.loads(proc.stdout)
@@ -265,6 +297,16 @@ def test_pmomentum_inline_geometry():
     rels = [level["rel_error"] for level in out["levels"]]
     assert len(rels) == 3
     assert rels[0] > rels[1] > rels[2]
+
+
+def test_pmomentum_coarse_grid_with_growing_refinement_difference():
+    # used to exit 2 with "refinement difference grew" on this geometry
+    geometry = ('{"a_cm": 0.6480262676206137, "B_gauss": 12.248272878650218, '
+                '"d_cm": 2.0901708997646273, "q_esu": 5.787647120410555, '
+                '"lambda_cm": 200.0844256058074, "grid": [8, 16, 128]}')
+    proc = run_cli("pmomentum", "--geometry", geometry, "--levels", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["levels"]) == 4
 
 
 def test_pmomentum_geometry_errors():

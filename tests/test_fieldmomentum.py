@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,22 @@ def test_quadrature_error_estimate_brackets_truth():
     assert result.estimated_quadrature_error > 0.0
     assert actual <= 10.0 * result.estimated_quadrature_error
     assert result.estimated_quadrature_error <= 10.0 * actual
+
+
+def test_preasymptotic_halvings_widen_the_estimate_instead_of_raising():
+    # the refinement difference grows from the quarter to the half grid
+    # here (the radial and axial midpoint errors cancel unevenly on the
+    # coarse grids); the whole difference then stands as the estimate
+    geom = SolenoidChargeGeometry(a=0.6480262676206137, B=12.248272878650218,
+                                  d=2.0901708997646273, q=5.787647120410555,
+                                  truncation_halflength=200.0844256058074,
+                                  grid=(8, 16, 128))
+    result = integrate_field_momentum(geom)
+    half = integrate_field_momentum(replace(geom, grid=(4, 8, 64))).P_e
+    fine = integrate_field_momentum(replace(geom, grid=(32, 64, 1024))).P_e
+    e_fine = float(np.linalg.norm(result.P_e - half))
+    assert result.estimated_quadrature_error >= e_fine
+    assert float(np.linalg.norm(result.P_e - fine)) <= result.estimated_quadrature_error
 
 
 def test_interaction_energy_is_identically_zero():
