@@ -7,15 +7,13 @@ __version__ = "0.1.0"
 from .errors import (DegenerateConfigError, DimensionError, DomainError,
                      EtherdriftError, InputError, SeriesOverflowError,
                      SingularPathError)
-from .units import (GAUSSIAN_CONTEXT, MODERN, PAPER, SI_CONTEXT, Dimension,
-                    PhysicalConstants, Quantity, UnitContext, UnitSystem,
-                    convert, get_constants, inverse_length_to_mass,
+from .units import (MODERN, PAPER, Dimension, PhysicalConstants, Quantity,
+                    UnitSystem, convert, get_constants, inverse_length_to_mass,
                     mass_to_inverse_length)
-from .kinematics import (CompositionLaw, DragEstimate, FlowState, MediumSpec,
-                         compose_lab_speed, drag_effectiveness_estimate,
-                         effective_fresnel_speed, einstein_composed_speed,
-                         fresnel_drag_coefficient, fresnel_speed,
-                         tangherlini_composed_speed)
+from .kinematics import (CompositionLaw, DragEstimate, compose_lab_speed,
+                         drag_effectiveness_estimate, effective_fresnel_speed,
+                         einstein_composed_speed, fresnel_drag_coefficient,
+                         fresnel_speed, tangherlini_composed_speed)
 from .interferometer import (InterferometerConfig, RotationSignal, ScanRow,
                              angle_scan, arm_speed, delay_exact,
                              delay_first_order, fringe_shift,

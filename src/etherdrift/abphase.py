@@ -153,6 +153,8 @@ class Path:
             raise InputError("path vertices must be an (N, 3) array of points")
         if vertices.shape[0] < 2:
             raise InputError("a path needs at least 2 vertices")
+        if not np.all(np.isfinite(vertices)):
+            raise InputError("path vertices must be finite")
         if np.any(np.all(np.diff(vertices, axis=0) == 0.0, axis=1)):
             raise InputError("consecutive path vertices must be distinct")
         self.vertices = vertices
@@ -234,8 +236,10 @@ _register_field(
 
 
 def _scalar(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"field parameter {key!r} must be a number, got {value!r}")
+    # json.loads accepts NaN and Infinity
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise InputError(f"field parameter {key!r} must be a finite number, got {value!r}")
     return float(value)
 
 

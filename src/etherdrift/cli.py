@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .abphase import Path, field_from_dict, phase_line_integral
-from .errors import EtherdriftError, InputError
-from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
-                            convergence_study, integrate_field_momentum)
+from .errors import DomainError, EtherdriftError, InputError
+from .fieldmomentum import (REFERENCE_GRID, SolenoidChargeGeometry,
+                            analytic_solenoid_momentum, convergence_study)
 from .interferometer import (InterferometerConfig, angle_scan,
                              improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
@@ -81,14 +80,6 @@ def render_csv(header, rows) -> str:
 # ---------------------------------------------------------------------------
 # config plumbing
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict
-    constants_profile: str
-    output_format: str
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems with exit code 1.
 
@@ -135,8 +126,10 @@ _GEOMETRY_SCHEMA = {
 
 def _check_kind(key, value, kind):
     if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"config key {key!r} must be a number, got {value!r}")
+        # json.loads accepts NaN and Infinity
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise InputError(f"config key {key!r} must be a finite number, got {value!r}")
         return float(value)
     if kind == "integer":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -201,6 +194,24 @@ def _composition(name: str) -> CompositionLaw:
             f"composition must be 'einstein' or 'tangherlini', got {name!r}") from None
 
 
+def _lambda_nm(ns):
+    """Wavelength in nm from --lambda-nm or --lambda (meters); None if neither."""
+    meters = getattr(ns, "lambda")  # a keyword, hence getattr
+    if meters is None:
+        return ns.lambda_nm
+    if ns.lambda_nm is not None:
+        raise InputError("give only one of --lambda-nm and --lambda")
+    return meters * 1e9
+
+
+def _m_gamma(ns) -> float:
+    """Photon mass parameter in 1/m from the Compton range --m-gamma-inv-cm."""
+    if not ns.m_gamma_inv_cm > 0.0:
+        raise DomainError(
+            f"--m-gamma-inv-cm must be positive, got {ns.m_gamma_inv_cm}")
+    return 100.0 / ns.m_gamma_inv_cm
+
+
 # ---------------------------------------------------------------------------
 # parser construction
 
@@ -220,6 +231,7 @@ def _build_parser() -> _Parser:
     speed.add_argument("--u-mps", "--u", dest="u_mps", type=float, default=0.0,
                        help="medium speed, m/s")
     speed.add_argument("--ef", type=float, default=1.0, help="drag effectiveness")
+    speed.set_defaults(run=_run_speed)
 
     fringe = sub.add_parser("fringe", help="orientation scan of the two-arm device (CSV)")
     fringe.add_argument("--config", metavar="FILE", default=None,
@@ -230,10 +242,11 @@ def _build_parser() -> _Parser:
     fringe.add_argument("--ef", type=float, default=None)
     fringe.add_argument("--u-mps", "--u", dest="u_mps", type=float, default=None)
     fringe.add_argument("--lambda-nm", dest="lambda_nm", type=float, default=None)
-    fringe.add_argument("--lambda", dest="lambda_m", type=float, default=None,
+    fringe.add_argument("--lambda", type=float, default=None,
                         help="wavelength in meters (alternative to --lambda-nm)")
     fringe.add_argument("--composition", choices=["einstein", "tangherlini"], default=None)
     fringe.add_argument("--steps", type=int, default=None)
+    fringe.set_defaults(run=_run_fringe)
 
     sens = sub.add_parser("sensitivity", help="drift detectability of a configuration")
     sens.add_argument("--L-m", "--L", dest="L_m", type=float, required=True)
@@ -241,17 +254,19 @@ def _build_parser() -> _Parser:
     sens.add_argument("--n2", type=float, required=True)
     sens.add_argument("--u-mps", "--u", dest="u_mps", type=float, required=True)
     sens.add_argument("--lambda-nm", dest="lambda_nm", type=float, default=None)
-    sens.add_argument("--lambda", dest="lambda_m", type=float, default=None,
+    sens.add_argument("--lambda", type=float, default=None,
                       help="wavelength in meters (alternative to --lambda-nm)")
     sens.add_argument("--resolution", type=float, required=True,
                       help="smallest detectable fringe shift")
     sens.add_argument("--ef", type=float, default=0.0)
+    sens.set_defaults(run=_run_sensitivity)
 
     ab = sub.add_parser("abphase", help="phase line integral of an interaction field")
     ab.add_argument("--field", required=True,
                     help="field spec: inline JSON {kind, params} or a file path")
     ab.add_argument("--path", required=True,
                     help="path vertices: inline JSON [[x,y,z],...] (m) or a file path")
+    ab.set_defaults(run=_run_abphase)
 
     proca = sub.add_parser("proca", help="massive-photon cylinder computations")
     proca_sub = proca.add_subparsers(dest="action", required=True, metavar="action")
@@ -260,192 +275,145 @@ def _build_parser() -> _Parser:
     pb.add_argument("--tau-s", "--tau", dest="tau_s", type=float, required=True)
     pb.add_argument("--R-cm", dest="R_cm", type=float, required=True)
     pb.add_argument("--epsilon", type=float, required=True)
+    pb.set_defaults(run=_run_proca_bound)
     pp = proca_sub.add_parser("potential", help="interior potential profile (CSV)")
     pp.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
     pp.add_argument("--R-cm", dest="R_cm", type=float, required=True)
     pp.add_argument("--m-gamma-inv-cm", dest="m_gamma_inv_cm", type=float, required=True)
     pp.add_argument("--steps", type=int, default=50)
     pp.add_argument("--variant", choices=["quarter", "half"], default="quarter")
+    pp.set_defaults(run=_run_proca_potential)
     ph = proca_sub.add_parser("phase", help="mass-induced scalar phase correction")
     ph.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
     ph.add_argument("--tau-s", "--tau", dest="tau_s", type=float, required=True)
     ph.add_argument("--R-cm", dest="R_cm", type=float, required=True)
     ph.add_argument("--rho-cm", dest="rho_cm", type=float, default=0.0)
     ph.add_argument("--m-gamma-inv-cm", dest="m_gamma_inv_cm", type=float, required=True)
+    ph.set_defaults(run=_run_proca_phase)
 
     bounds = sub.add_parser("bounds", help="published photon-mass bound registry")
     bounds.add_argument("--format", choices=["json", "text"], default="json")
+    bounds.set_defaults(run=_run_bounds)
 
     pm = sub.add_parser("pmomentum", help="field momentum of charge + solenoid")
     pm.add_argument("--geometry", required=True,
                     help="geometry: inline JSON or a file path "
-                         "{a_cm, B_gauss, d_cm, q_esu, lambda_cm?, grid?}")
+                         "{a_cm, B_gauss, d_cm, q_esu, lambda_cm?, grid?}; "
+                         "grid axes >= 4")
     pm.add_argument("--levels", type=int, default=3)
+    pm.set_defaults(run=_run_pmomentum)
 
     consts = sub.add_parser("constants", help="dump the active constants profile")
     consts.add_argument("--system", choices=["si", "gaussian"], default="si")
+    consts.set_defaults(run=_run_constants)
 
     return parser
 
 
-def _fringe_params(ns) -> dict:
+def parse_config(argv) -> argparse.Namespace:
+    """Parse the argument list; ``ns.run`` is the subcommand's runner.
+
+    float() accepts 'nan' and 'inf', so every float flag is checked here.
+    """
+    ns = _build_parser().parse_args(argv)
+    for key, value in vars(ns).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    return ns
+
+
+# ---------------------------------------------------------------------------
+# subcommand runners: each takes the parsed namespace and the constants
+
+def _run_speed(ns, constants):
+    if ns.mode == "fresnel":
+        v = fresnel_speed(ns.n, ns.u_mps, constants)
+    elif ns.mode == "effective":
+        v = effective_fresnel_speed(ns.n, ns.u_mps, ns.ef, constants)
+    elif ns.mode == "einstein":
+        v = einstein_composed_speed(ns.n, ns.u_mps, constants)
+    else:
+        v = tangherlini_composed_speed(ns.n, ns.u_mps, constants)
+    return render_json({"mode": ns.mode, "n": ns.n, "u": ns.u_mps, "e_f": ns.ef, "v": v,
+                        "units": "m/s"})
+
+
+def _run_fringe(ns, constants):
     values = {}
     if ns.config is not None:
         payload = _load_json_file(ns.config)
         if not isinstance(payload, dict):
             raise InputError(f"config file {ns.config} must hold a JSON object")
         values.update(payload)
-    if ns.lambda_m is not None:
-        if ns.lambda_nm is not None:
-            raise InputError("give only one of --lambda-nm and --lambda")
-        values["lambda_nm"] = ns.lambda_m * 1e9
-    for key in ("L_m", "n1", "n2", "ef", "u_mps", "lambda_nm", "composition", "steps"):
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            values[key] = flag
-    params = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
-    _composition(params["composition"])
-    return params
-
-
-def parse_config(argv) -> RunConfig:
-    """Parse the argument list (plus any referenced config files) to a RunConfig."""
-    ns = _build_parser().parse_args(argv)
-    profile = ns.profile if ns.profile is not None else \
-        os.environ.get("ETHERDRIFT_PROFILE", "paper")
-    output_format = "json"
-    if ns.subcommand == "speed":
-        params = {"mode": ns.mode, "n": ns.n, "u_mps": ns.u_mps, "ef": ns.ef}
-    elif ns.subcommand == "fringe":
-        params = _fringe_params(ns)
-        output_format = "csv"
-    elif ns.subcommand == "sensitivity":
-        if ns.lambda_nm is not None and ns.lambda_m is not None:
-            raise InputError("give only one of --lambda-nm and --lambda")
-        if ns.lambda_nm is not None:
-            lambda_nm = ns.lambda_nm
-        elif ns.lambda_m is not None:
-            lambda_nm = ns.lambda_m * 1e9
-        else:
-            raise InputError("a wavelength is required: --lambda-nm or --lambda")
-        params = {"L_m": ns.L_m, "n1": ns.n1, "n2": ns.n2, "u_mps": ns.u_mps,
-                  "lambda_nm": lambda_nm, "resolution": ns.resolution, "ef": ns.ef}
-    elif ns.subcommand == "abphase":
-        params = {"field": _load_payload(ns.field, "field spec"),
-                  "path": _load_payload(ns.path, "path")}
-    elif ns.subcommand == "proca":
-        params = {"action": ns.action}
-        if ns.action == "bound":
-            params.update(V_volts=ns.V_volts, tau_s=ns.tau_s, R_cm=ns.R_cm,
-                          epsilon=ns.epsilon)
-        elif ns.action == "potential":
-            params.update(V_volts=ns.V_volts, R_cm=ns.R_cm,
-                          m_gamma_inv_cm=ns.m_gamma_inv_cm, steps=ns.steps,
-                          variant=ns.variant)
-        else:
-            params.update(V_volts=ns.V_volts, tau_s=ns.tau_s, R_cm=ns.R_cm,
-                          rho_cm=ns.rho_cm, m_gamma_inv_cm=ns.m_gamma_inv_cm)
-        if ns.action == "potential":
-            output_format = "csv"
-    elif ns.subcommand == "bounds":
-        params = {}
-        output_format = ns.format
-    elif ns.subcommand == "pmomentum":
-        payload = _load_payload(ns.geometry, "geometry")
-        if not isinstance(payload, dict):
-            raise InputError("geometry must be a JSON object")
-        params = {"geometry": _apply_schema(payload, _GEOMETRY_SCHEMA, "geometry"),
-                  "levels": ns.levels}
-    else:
-        params = {"system": ns.system}
-    return RunConfig(ns.subcommand, params, profile, output_format)
-
-
-# ---------------------------------------------------------------------------
-# subcommand runners
-
-def _run_speed(params, constants, fmt):
-    mode = params["mode"]
-    n, u, ef = params["n"], params["u_mps"], params["ef"]
-    if mode == "fresnel":
-        v = fresnel_speed(n, u, constants)
-    elif mode == "effective":
-        v = effective_fresnel_speed(n, u, ef, constants)
-    elif mode == "einstein":
-        v = einstein_composed_speed(n, u, constants)
-    else:
-        v = tangherlini_composed_speed(n, u, constants)
-    return render_json({"mode": mode, "n": n, "u": u, "e_f": ef, "v": v,
-                        "units": "m/s"})
-
-
-def _interferometer_config(params) -> InterferometerConfig:
-    return InterferometerConfig.from_indices(
-        params["L_m"], params["n1"], params["n2"], params["u_mps"],
-        params["lambda_nm"] * 1e-9,
-        _composition(params.get("composition", "einstein")), params["ef"])
-
-
-def _run_fringe(params, constants, fmt):
-    config = _interferometer_config(params)
-    rows = angle_scan(config, params["steps"], constants)
+    flags = dict(vars(ns), lambda_nm=_lambda_nm(ns))
+    values.update({key: flags[key] for key in _FRINGE_SCHEMA if flags[key] is not None})
+    p = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
+    config = InterferometerConfig(p["L_m"], p["n1"], p["n2"], p["u_mps"],
+                                  p["lambda_nm"] * 1e-9, _composition(p["composition"]),
+                                  p["ef"])
+    rows = angle_scan(config, p["steps"], constants)
     return render_csv(("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes"),
                       rows)
 
 
-def _run_sensitivity(params, constants, fmt):
-    config = _interferometer_config(params)
-    u_min = min_detectable_u(config, params["resolution"], constants)
-    factor = improvement_factor(params["u_mps"], params["n1"], params["n2"], constants)
+def _run_sensitivity(ns, constants):
+    lambda_nm = _lambda_nm(ns)
+    if lambda_nm is None:
+        raise InputError("a wavelength is required: --lambda-nm or --lambda")
+    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, lambda_nm * 1e-9,
+                                  e_f=ns.ef)
+    u_min = min_detectable_u(config, ns.resolution, constants)
+    factor = improvement_factor(ns.u_mps, ns.n1, ns.n2, constants)
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})
 
 
-def _run_abphase(params, constants, fmt):
-    field = field_from_dict(params["field"], constants)
+def _run_abphase(ns, constants):
+    spec = _load_payload(ns.field, "field spec")
+    vertices = _load_payload(ns.path, "path")
+    field = field_from_dict(spec, constants)
     try:
-        path = Path(np.asarray(params["path"], dtype=float))
+        path = Path(np.asarray(vertices, dtype=float))
     except (TypeError, ValueError):
         raise InputError("path must be an array of [x, y, z] vertices") from None
     phase = phase_line_integral(field, path)
     return render_json({"phase_rad": phase})
 
 
-def _run_proca(params, constants, fmt):
-    action = params["action"]
-    if action == "bound":
-        cfg = ProcaCylinderConfig(R=params["R_cm"] / 100.0, V=params["V_volts"],
-                                  tau=params["tau_s"], rho=0.0,
-                                  epsilon=params["epsilon"])
-        inv_cm = invert_bound(cfg, constants)
-        return render_json({"m_gamma_inv_cm": inv_cm,
-                            "m_ph_g": inverse_length_to_mass(inv_cm, constants)})
-    if action == "potential":
-        steps = params["steps"]
-        if steps < 2:
-            raise InputError(f"potential profile needs at least 2 steps, got {steps}")
-        # tau is irrelevant to the radial profile; any positive value works
-        cfg = ProcaCylinderConfig(R=params["R_cm"] / 100.0, V=params["V_volts"], tau=1.0)
-        m_gamma = 100.0 / params["m_gamma_inv_cm"]
-        rows = []
-        for i in range(steps):
-            # the last row is exactly R: R * i / (steps - 1) can round above it
-            rho = cfg.R if i == steps - 1 else cfg.R * i / (steps - 1)
-            rows.append((rho,
-                         cylinder_potential_exact(rho, cfg, m_gamma),
-                         cylinder_potential_expansion(rho, cfg, m_gamma,
-                                                      params["variant"])))
-        return render_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), rows)
-    cfg = ProcaCylinderConfig(R=params["R_cm"] / 100.0, V=params["V_volts"],
-                              tau=params["tau_s"], rho=params["rho_cm"] / 100.0)
-    m_gamma = 100.0 / params["m_gamma_inv_cm"]
-    return render_json({"delta_phi_rad": mass_phase_correction(cfg, m_gamma,
+def _run_proca_bound(ns, constants):
+    cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=ns.tau_s, rho=0.0,
+                              epsilon=ns.epsilon)
+    inv_cm = invert_bound(cfg, constants)
+    return render_json({"m_gamma_inv_cm": inv_cm,
+                        "m_ph_g": inverse_length_to_mass(inv_cm, constants)})
+
+
+def _run_proca_potential(ns, constants):
+    if ns.steps < 2:
+        raise InputError(f"potential profile needs at least 2 steps, got {ns.steps}")
+    # tau is irrelevant to the radial profile; any positive value works
+    cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
+    m_gamma = _m_gamma(ns)
+    rows = []
+    for i in range(ns.steps):
+        # the last row is exactly R: R * i / (steps - 1) can round above it
+        rho = cfg.R if i == ns.steps - 1 else cfg.R * i / (ns.steps - 1)
+        rows.append((rho,
+                     cylinder_potential_exact(rho, cfg, m_gamma),
+                     cylinder_potential_expansion(rho, cfg, m_gamma, ns.variant)))
+    return render_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), rows)
+
+
+def _run_proca_phase(ns, constants):
+    cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=ns.tau_s,
+                              rho=ns.rho_cm / 100.0)
+    return render_json({"delta_phi_rad": mass_phase_correction(cfg, _m_gamma(ns),
                                                                None, constants)})
 
 
-def _run_bounds(params, constants, fmt):
+def _run_bounds(ns, constants):
     entries = [{"source": b.source, "m_gamma_inv_cm": b.m_gamma_inv_cm,
                 "m_ph_g": b.m_ph_g} for b in bounds_registry()]
-    if fmt == "json":
+    if ns.format == "json":
         return render_json(entries)
     header = ("source", "m_gamma_inv_cm", "m_ph_g")
     table = [[e["source"], format_float(e["m_gamma_inv_cm"]), format_float(e["m_ph_g"])]
@@ -458,54 +426,36 @@ def _run_bounds(params, constants, fmt):
     return "\n".join(lines) + "\n"
 
 
-def _run_pmomentum(params, constants, fmt):
-    g = params["geometry"]
-    kwargs = {}
-    if "lambda_cm" in g:
-        kwargs["truncation_halflength"] = g["lambda_cm"]
-    if "grid" in g:
-        kwargs["grid"] = tuple(g["grid"])
+def _run_pmomentum(ns, constants):
+    payload = _load_payload(ns.geometry, "geometry")
+    if not isinstance(payload, dict):
+        raise InputError("geometry must be a JSON object")
+    g = _apply_schema(payload, _GEOMETRY_SCHEMA, "geometry")
     geom = SolenoidChargeGeometry(g["a_cm"], g["B_gauss"], g["d_cm"], g["q_esu"],
-                                  **kwargs)
-    result = integrate_field_momentum(geom)
-    analytic = analytic_solenoid_momentum(geom)
-    rel_error = float(np.linalg.norm(result.P_e - analytic)
-                      / np.linalg.norm(analytic))
+                                  g.get("lambda_cm"), tuple(g.get("grid", REFERENCE_GRID)))
+    # the last level is the geometry's own grid, which P_e reports
+    rows = convergence_study(geom, ns.levels)
     levels = [{"lambda_cm": row.half_length_cm, "grid": list(row.grid),
-               "P_mag": row.p_magnitude, "rel_error": row.rel_error}
-              for row in convergence_study(geom, params["levels"])]
-    return render_json({"P_e": list(result.P_e), "analytic": list(analytic),
-                        "rel_error": rel_error, "levels": levels})
+               "P_mag": row.p_magnitude, "rel_error": row.rel_error} for row in rows]
+    return render_json({"P_e": list(rows[-1].P_e),
+                        "analytic": list(analytic_solenoid_momentum(geom)),
+                        "rel_error": rows[-1].rel_error, "levels": levels})
 
 
-def _run_constants(params, constants, fmt):
-    return render_json(constants.table(UnitSystem(params["system"])))
+def _run_constants(ns, constants):
+    return render_json(constants.table(UnitSystem(ns.system)))
 
 
-_RUNNERS = {
-    "speed": _run_speed,
-    "fringe": _run_fringe,
-    "sensitivity": _run_sensitivity,
-    "abphase": _run_abphase,
-    "proca": _run_proca,
-    "bounds": _run_bounds,
-    "pmomentum": _run_pmomentum,
-    "constants": _run_constants,
-}
-
-
-def run(config: RunConfig) -> str:
-    """Execute a parsed RunConfig and return the rendered output."""
-    constants = get_constants(config.constants_profile)
-    return _RUNNERS[config.subcommand](config.params, constants, config.output_format)
+def run(ns: argparse.Namespace) -> str:
+    """Execute parsed arguments and return the rendered output."""
+    return ns.run(ns, get_constants(ns.profile))
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        config = parse_config(argv)
-        output = run(config)
+        output = run(parse_config(argv))
     except SystemExit as exc:  # argparse help/version/usage paths
         code = exc.code
         if code is None:

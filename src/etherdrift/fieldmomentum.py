@@ -12,8 +12,8 @@ off like the 1/z^2 decay of E, so the truncation error scales as 1/Lambda^2
 and dominates the (spectrally small) azimuthal and (second-order) radial
 and axial midpoint errors at practical grids.
 
-The interaction *energy* integral is also reported.  For this source pair
-it vanishes identically: the charge carries no B and the static solenoid
+The interaction *energy* is not computed: for this source pair it vanishes
+identically, because the charge carries no B and the static solenoid
 carries no E, so the cross energy density (E1.E2 + B1.B2)/4 pi is zero at
 every point even though the cross momentum is not.
 """
@@ -51,18 +51,22 @@ class SolenoidChargeGeometry:
     grid: tuple = REFERENCE_GRID
 
     def __post_init__(self):
-        if self.a <= 0.0:
+        # each check is written "not lo < x" so that NaN fails it too
+        if not 0.0 < self.a:
             raise DomainError(f"solenoid radius must be positive, got {self.a}")
-        if self.d <= self.a:
+        if not self.a < self.d:
             raise DomainError(
                 f"charge must sit outside the solenoid (d > a), got d={self.d}, a={self.a}")
-        if self.truncation_halflength is not None and self.truncation_halflength <= 0.0:
+        if self.truncation_halflength is not None and not 0.0 < self.truncation_halflength:
             raise DomainError("truncation half-length must be positive")
         if len(self.grid) != 3:
             raise InputError(f"grid must have 3 dimensions, got {self.grid!r}")
+        # the error estimate compares the grid with its half and its quarter;
+        # below 4 cells an axis cannot be halved twice, the coarser grids
+        # coincide with it and the refinement difference reads 0
         for n in self.grid:
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-                raise InputError(f"grid dimensions must be integers >= 2, got {self.grid!r}")
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 4:
+                raise InputError(f"grid dimensions must be integers >= 4, got {self.grid!r}")
 
     @property
     def half_length(self) -> float:
@@ -104,7 +108,6 @@ def _momentum_on_grid(geom: SolenoidChargeGeometry, nr: int, nphi: int, nz: int,
 @dataclass(frozen=True, eq=False)
 class MomentumResult:
     P_e: np.ndarray
-    u_em_integral: float
     estimated_quadrature_error: float
 
 
@@ -130,7 +133,7 @@ def integrate_field_momentum(geom: SolenoidChargeGeometry) -> MomentumResult:
     e_coarse = float(np.linalg.norm(p_half - p_quarter))
     richardson = e_fine / 3.0 if e_fine <= e_coarse else e_fine
     tail = scale * (math.sqrt(half_length ** 2 + geom.d ** 2) / half_length - 1.0)
-    return MomentumResult(p_fine, 0.0, richardson + tail)
+    return MomentumResult(p_fine, richardson + tail)
 
 
 def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> np.ndarray:
@@ -150,6 +153,7 @@ class ConvergenceRow(NamedTuple):
     grid: tuple
     p_magnitude: float
     rel_error: float
+    P_e: np.ndarray
 
 
 def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
@@ -173,5 +177,5 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
         p = _momentum_on_grid(geom, nr, nphi, nz_k, half_length)
         rel = float(np.linalg.norm(p - analytic)) / analytic_norm
         rows.append(ConvergenceRow(half_length, (nr, nphi, nz_k),
-                                   float(np.linalg.norm(p)), rel))
+                                   float(np.linalg.norm(p)), rel, p))
     return rows

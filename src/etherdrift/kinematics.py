@@ -16,11 +16,7 @@ observable built from inverse speeds is identical under both.
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DomainError
 from .units import PAPER, PhysicalConstants
@@ -39,98 +35,41 @@ class CompositionLaw(enum.Enum):
     TANGHERLINI = "tangherlini"
 
 
-@dataclass(frozen=True)
-class MediumSpec:
-    """A transparent medium: refractive index n and drag effectiveness e_f.
-
-    e_f defaults to 1 (full Fresnel drag, the compact-medium case); rarefied
-    gases are modeled by e_f well below 1.
-    """
-
-    n: float
-    e_f: float = 1.0
-
-    def __post_init__(self):
-        if self.n <= 0.0:
-            raise DomainError(f"refractive index must be positive, got {self.n}")
-        if not 0.0 <= self.e_f <= 1.0:
-            raise DomainError(f"drag effectiveness must lie in [0, 1], got {self.e_f}")
-
-    @property
-    def below_unity(self) -> bool:
-        return self.n < 1.0
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """Medium (or laboratory) motion relative to the preferred frame.
-
-    ``u`` is a signed scalar along the optical axis; positive means the
-    laboratory moves toward the light source.  ``direction`` lets callers
-    keep a magnitude-times-orientation split if they prefer.
-    """
-
-    u: float
-    direction: float = 1.0
-
-    def __post_init__(self):
-        if abs(self.axial()) >= PAPER.c:
-            raise DomainError(f"flow speed must satisfy |u| < c, got {self.axial()}")
-
-    def axial(self) -> float:
-        return self.u * self.direction
-
-    @classmethod
-    def from_vector(cls, velocity, axis) -> "FlowState":
-        velocity = np.asarray(velocity, dtype=float)
-        axis = np.asarray(axis, dtype=float)
-        norm = float(np.linalg.norm(axis))
-        if norm == 0.0:
-            raise DomainError("optical axis must be a nonzero vector")
-        return cls(float(np.dot(velocity, axis)) / norm, 1.0)
-
-
-def _check_index(n: float, allow_subunity: bool):
-    if n <= 0.0:
-        raise DomainError(f"refractive index must be positive, got {n}")
-    if n < 1.0:
-        if not allow_subunity:
-            raise DomainError(f"refractive index must be >= 1, got {n}")
-        warnings.warn(f"refractive index {n} < 1: outside the regime treated here", stacklevel=3)
+def _check_index(n: float):
+    if not n >= 1.0:
+        raise DomainError(f"refractive index must be >= 1, got {n}")
 
 
 def _check_speed(u: float, c: float):
-    if abs(u) >= c:
+    if not abs(u) < c:
         raise DomainError(f"medium speed must satisfy |u| < c, got {u}")
 
 
-def fresnel_drag_coefficient(n: float, *, allow_subunity: bool = False) -> float:
+def fresnel_drag_coefficient(n: float) -> float:
     """Drag coefficient 1 - 1/n^2; zero in vacuum, approaching 1 as n grows."""
-    _check_index(n, allow_subunity)
+    _check_index(n)
     return 1.0 - 1.0 / (n * n)
 
 
-def fresnel_speed(n: float, u: float, constants: PhysicalConstants = PAPER,
-                  *, allow_subunity: bool = False) -> float:
+def fresnel_speed(n: float, u: float, constants: PhysicalConstants = PAPER) -> float:
     """Fully dragged speed c/n + (1 - 1/n^2) u in the preferred frame."""
-    _check_index(n, allow_subunity)
+    _check_index(n)
     _check_speed(u, constants.c)
-    return constants.c / n + fresnel_drag_coefficient(n, allow_subunity=allow_subunity) * u
+    return constants.c / n + fresnel_drag_coefficient(n) * u
 
 
 def effective_fresnel_speed(n: float, u: float, e_f: float,
-                            constants: PhysicalConstants = PAPER,
-                            *, allow_subunity: bool = False) -> float:
+                            constants: PhysicalConstants = PAPER) -> float:
     """Partially dragged speed c/n + e_f (1 - 1/n^2) u.
 
     e_f = 1 recovers fresnel_speed, e_f = 0 the hypothesis that rarefied
     media carry light at c/n in the preferred frame regardless of motion.
     """
-    _check_index(n, allow_subunity)
+    _check_index(n)
     _check_speed(u, constants.c)
     if not 0.0 <= e_f <= 1.0:
         raise DomainError(f"drag effectiveness must lie in [0, 1], got {e_f}")
-    return constants.c / n + e_f * fresnel_drag_coefficient(n, allow_subunity=allow_subunity) * u
+    return constants.c / n + e_f * fresnel_drag_coefficient(n) * u
 
 
 class DragEstimate(NamedTuple):
@@ -168,15 +107,13 @@ def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw,
     raise DomainError(f"unknown composition law {law!r}")
 
 
-def einstein_composed_speed(n: float, u: float, constants: PhysicalConstants = PAPER,
-                            *, allow_subunity: bool = False) -> float:
+def einstein_composed_speed(n: float, u: float, constants: PhysicalConstants = PAPER) -> float:
     """One-way lab speed (c/n - u)/(1 - u/(c n)) under Einstein synchronization."""
-    _check_index(n, allow_subunity)
+    _check_index(n)
     return compose_lab_speed(constants.c / n, u, CompositionLaw.EINSTEIN, constants)
 
 
-def tangherlini_composed_speed(n: float, u: float, constants: PhysicalConstants = PAPER,
-                               *, allow_subunity: bool = False) -> float:
+def tangherlini_composed_speed(n: float, u: float, constants: PhysicalConstants = PAPER) -> float:
     """One-way lab speed (c/n - u)/(1 - u^2/c^2) under Tangherlini synchronization."""
-    _check_index(n, allow_subunity)
+    _check_index(n)
     return compose_lab_speed(constants.c / n, u, CompositionLaw.TANGHERLINI, constants)

@@ -56,7 +56,8 @@ def bessel_I0(x: float) -> float:
     I0(0) = 1; arguments above BESSEL_I0_MAX_ARGUMENT raise instead of
     returning inf.
     """
-    if x < 0.0:
+    # NaN must fail here: no term of the series would end the loop
+    if not x >= 0.0:
         raise DomainError(f"argument must be >= 0, got {x}")
     if x > BESSEL_I0_MAX_ARGUMENT:
         raise SeriesOverflowError(
@@ -81,7 +82,7 @@ def bessel_K0(x: float) -> float:
     at the origin that excludes the K0 branch from the cylinder interior;
     it is not on the bound-computation path.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"K0 diverges at the origin; argument must be > 0, got {x}")
     if x > BESSEL_K0_MAX_ARGUMENT:
         raise SeriesOverflowError(

@@ -24,17 +24,6 @@ class UnitSystem(enum.Enum):
     GAUSSIAN = "gaussian"
 
 
-@dataclass(frozen=True)
-class UnitContext:
-    """Tags a computation with the unit system its numbers live in."""
-
-    system: UnitSystem
-
-
-SI_CONTEXT = UnitContext(UnitSystem.SI)
-GAUSSIAN_CONTEXT = UnitContext(UnitSystem.GAUSSIAN)
-
-
 class Dimension(enum.Enum):
     LENGTH = "length"
     INVERSE_LENGTH = "inverse_length"
@@ -98,19 +87,16 @@ class Quantity:
         si_name, gauss_name = _UNIT_NAMES[self.dimension]
         return si_name if self.system is UnitSystem.SI else gauss_name
 
-    def to(self, target) -> "Quantity":
+    def to(self, target: UnitSystem) -> "Quantity":
         return convert(self, target)
 
 
-def convert(quantity: Quantity, target) -> Quantity:
+def convert(quantity: Quantity, target: UnitSystem) -> Quantity:
     """Convert a :class:`Quantity` between SI and Gaussian units.
 
-    ``target`` may be a :class:`UnitSystem` or a :class:`UnitContext`.
     Conversion to the system the quantity is already in returns it unchanged,
     so round trips cost at most one multiply and one divide.
     """
-    if isinstance(target, UnitContext):
-        target = target.system
     if not isinstance(target, UnitSystem):
         raise DimensionError(f"conversion target must be a unit system, got {target!r}")
     if quantity.system is target:
@@ -201,8 +187,6 @@ PAPER = PhysicalConstants(
     e_charge=1.602176634e-19,
     flux_quantum=2.067e-15,
 )
-
-DEFAULT_CONSTANTS = PAPER
 
 _PROFILES = {"modern": MODERN, "paper": PAPER}
 

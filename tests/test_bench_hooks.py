@@ -1,0 +1,38 @@
+"""The benchmark's tracer (bench/tracer.py) wraps the functions named in its
+TARGETS from outside the package.  A change that removes or moves one of
+them breaks ``bench/run.py --trace 1``; this test catches that in tier-1."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+# A fresh interpreter: the tracer looks its modules up in sys.modules after
+# ``import etherdrift.cli`` alone, and other tests import more than that.
+_CHECK = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import etherdrift.cli
+missing = []
+for _, module_name, attr in tracer.TARGETS:
+    obj = sys.modules.get(module_name)
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    if not callable(obj):
+        missing.append(module_name + ":" + attr)
+if not callable(getattr(etherdrift.cli, "main", None)):
+    missing.append("etherdrift.cli:main")
+print(json.dumps({"targets": len(tracer.TARGETS), "missing": missing}))
+"""
+
+
+def test_tracer_targets_resolve_after_importing_the_cli():
+    proc = subprocess.run([sys.executable, "-c", _CHECK, str(TRACER)],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert report["targets"] > 0
+    assert report["missing"] == []

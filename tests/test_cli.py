@@ -270,6 +270,68 @@ def test_proca_potential_last_radius_is_exactly_r():
     assert float(rows[-1][1]) == 1e7
 
 
+FRINGE = ("fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--lambda-nm", "633")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (("speed", "--mode", "einstein", "--n", "nan"), "--n"),
+    (("proca", "bound", "--V-volts", "nan", "--tau-s", "0.05", "--R-cm", "27",
+      "--epsilon", "1e-4"), "--V-volts"),
+    (FRINGE + ("--u-mps", "nan"), "--u-mps"),
+    (FRINGE + ("--u-mps", "inf"), "--u-mps"),
+    # an infinite Compton range used to print the massless profile
+    (("proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
+      "--m-gamma-inv-cm", "inf"), "--m-gamma-inv-cm"),
+])
+def test_non_finite_flags_exit_2(args, flag):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    payload = stderr_error(proc)
+    assert payload["error"] == "InputError"
+    assert payload["message"].startswith(f"{flag} must be finite, got ")
+
+
+def test_non_finite_json_numbers_exit_2(tmp_path):
+    # json.loads accepts NaN and Infinity
+    cfg = tmp_path / "fringe.json"
+    cfg.write_text('{"L_m": 1.0, "n1": 1.0006, "n2": 1.0001, "u_mps": NaN, '
+                   '"lambda_nm": 633.0}')
+    proc = run_cli("fringe", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "u_mps" in stderr_error(proc)["message"]
+
+    uniform = '{"kind": "uniform_q", "params": {"q": [1, 0, 0]}}'
+    proc = run_cli("abphase", "--field", uniform.replace("[1,", "[Infinity,"),
+                   "--path", "[[0,0,0],[1,0,0]]")
+    assert proc.returncode == 2
+    assert "'q'" in stderr_error(proc)["message"]
+
+    proc = run_cli("abphase", "--field", uniform, "--path", "[[0,0,0],[NaN,0,0]]")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+    proc = run_cli("pmomentum", "--geometry",
+                   '{"a_cm": 1.0, "B_gauss": -Infinity, "d_cm": 3.0, "q_esu": 1.0}')
+    assert proc.returncode == 2
+    assert "B_gauss" in stderr_error(proc)["message"]
+
+
+@pytest.mark.parametrize("action", ["potential", "phase"])
+def test_proca_zero_compton_range_exit_2(action):
+    # used to end in a ZeroDivisionError traceback
+    args = ("proca", action, "--V-volts", "1e7", "--R-cm", "10", "--m-gamma-inv-cm", "0")
+    if action == "phase":
+        args += ("--tau-s", "0.05")
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    payload = stderr_error(proc)
+    assert payload["error"] == "DomainError"
+    assert "--m-gamma-inv-cm" in payload["message"]
+
+
 def test_bounds_json_and_text():
     proc = run_cli("bounds")
     entries = json.loads(proc.stdout)
@@ -318,6 +380,14 @@ def test_pmomentum_geometry_errors():
                    '{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0, "R": 2}')
     assert proc.returncode == 2
     assert "'R'" in stderr_error(proc)["message"]
+
+    # halving cannot refine a 2-cell axis, so its error estimate would read 0
+    proc = run_cli("pmomentum", "--geometry",
+                   '{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0, '
+                   '"grid": [2, 2, 2]}')
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert ">= 4" in stderr_error(proc)["message"]
 
 
 def test_constants_dump():

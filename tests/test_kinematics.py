@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from etherdrift.errors import DomainError
-from etherdrift.kinematics import (CompositionLaw, FlowState, MediumSpec,
-                                   compose_lab_speed,
+from etherdrift.kinematics import (CompositionLaw, compose_lab_speed,
                                    drag_effectiveness_estimate,
                                    effective_fresnel_speed,
                                    einstein_composed_speed,
@@ -145,30 +144,4 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         einstein_composed_speed(1.0, 1.5 * C)
     with pytest.raises(DomainError):
-        fresnel_drag_coefficient(-2.0, allow_subunity=True)
-
-
-def test_subunity_index_warns_when_allowed():
-    with pytest.warns(UserWarning):
-        value = fresnel_drag_coefficient(0.9, allow_subunity=True)
-    assert value < 0.0
-
-
-def test_medium_spec_validation():
-    medium = MediumSpec(1.0003, 6.1e-3)
-    assert not medium.below_unity
-    with pytest.raises(DomainError):
-        MediumSpec(0.0)
-    with pytest.raises(DomainError):
-        MediumSpec(1.2, 1.2)
-
-
-def test_flow_state():
-    flow = FlowState(3e4, -1.0)
-    assert flow.axial() == -3e4
-    projected = FlowState.from_vector((3e4, 4e4, 0.0), (1.0, 0.0, 0.0))
-    assert projected.axial() == 3e4
-    with pytest.raises(DomainError):
-        FlowState(C, 1.0)
-    with pytest.raises(DomainError):
-        FlowState.from_vector((1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+        fresnel_drag_coefficient(-2.0)

@@ -59,6 +59,9 @@ def test_bessel_I0_range_limits():
         bessel_I0(BESSEL_I0_MAX_ARGUMENT + 1.0)
     with pytest.raises(DomainError):
         bessel_I0(-0.5)
+    # used to loop forever (proca potential with an overflowing mass)
+    with pytest.raises(DomainError):
+        bessel_I0(float("nan"))
 
 
 def test_bessel_K0_frozen_and_divergence():
@@ -71,6 +74,8 @@ def test_bessel_K0_frozen_and_divergence():
 def test_bessel_K0_range_limits():
     with pytest.raises(DomainError):
         bessel_K0(0.0)
+    with pytest.raises(DomainError):
+        bessel_K0(float("nan"))
     with pytest.raises(SeriesOverflowError):
         bessel_K0(BESSEL_K0_MAX_ARGUMENT + 1.0)
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from etherdrift.errors import DimensionError, DomainError, InputError
-from etherdrift.units import (GAUSSIAN_CONTEXT, MODERN, PAPER, SI_CONTEXT,
-                              Dimension, Quantity, UnitSystem, convert,
+from etherdrift.units import (MODERN, PAPER, Dimension, Quantity, UnitSystem, convert,
                               get_constants, inverse_length_to_mass,
                               mass_to_inverse_length)
 
@@ -27,9 +26,9 @@ def test_statvolt_to_volt_is_exact():
 
 
 def test_unit_context_target():
-    q = Quantity(2.0, Dimension.MASS).to(GAUSSIAN_CONTEXT)
+    q = Quantity(2.0, Dimension.MASS).to(UnitSystem.GAUSSIAN)
     assert q.value == 2000.0
-    assert q.to(SI_CONTEXT).system is UnitSystem.SI
+    assert q.to(UnitSystem.SI).system is UnitSystem.SI
 
 
 def test_round_trips_all_dimensions():
