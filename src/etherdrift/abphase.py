@@ -14,12 +14,13 @@ helper (magnetic_ab_phase) says so explicitly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError, SingularPathError
-from .units import PAPER, PhysicalConstants
+from .units import PhysicalConstants, c, c_cgs, e_charge, hbar, hbar_cgs
 
 
 def _dot(a, b):
@@ -27,15 +28,13 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def fresnel_momentum(omega: float, n: float, u,
-                     constants: PhysicalConstants = PAPER) -> np.ndarray:
+def fresnel_momentum(omega: float, n: float, u) -> np.ndarray:
     """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m."""
     if omega <= 0.0:
         raise DomainError(f"angular frequency must be positive, got {omega}")
     if n < 1.0:
         raise DomainError(f"refractive index must be >= 1, got {n}")
     u = np.asarray(u, dtype=float)
-    c = constants.c
     return -(omega / (c * c)) * (n * n - 1.0) * u
 
 
@@ -66,8 +65,8 @@ class FresnelFlow:
 
     kind = "fresnel_flow"
 
-    def q_vector(self, constants: PhysicalConstants = PAPER) -> np.ndarray:
-        return fresnel_momentum(self.omega, self.n, self.u, constants)
+    def q_vector(self) -> np.ndarray:
+        return fresnel_momentum(self.omega, self.n, self.u)
 
     def q_at(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -82,14 +81,15 @@ class FresnelFlow:
 class SolenoidVectorPotential:
     """Idealized flux line: A_phi = flux/(2 pi rho) off axis, Q = coupling * A.
 
-    ``coupling`` is the charge-to-action ratio (e/hbar in SI); the default
-    is the paper profile's, and field_from_dict takes it from the profile it
-    is given.  The finite-core interior belongs to the fieldmomentum module;
-    for phases only the enclosed flux matters.
+    ``coupling`` is the charge-to-action ratio (e/hbar in SI).  It has no
+    default because it depends on the constants profile (pi/Phi_0, see
+    PhysicalConstants.charge_over_hbar); field_from_dict takes it from the
+    profile it is given.  The finite-core interior belongs to the
+    fieldmomentum module; for phases only the enclosed flux matters.
     """
 
     flux: float
-    coupling: float = PAPER.charge_over_hbar
+    coupling: float
     axis_point: tuple = (0.0, 0.0, 0.0)
     axis_direction: tuple = (0.0, 0.0, 1.0)
 
@@ -174,8 +174,7 @@ def phase_line_integral(field, path: Path) -> float:
     return math.fsum(field.segment_integrals(vertices[:-1], vertices[1:]).tolist())
 
 
-def scalar_phase(potential_samples, dt: float, charge: float | None = None,
-                 constants: PhysicalConstants = PAPER) -> float:
+def scalar_phase(potential_samples, dt: float, charge: float | None = None) -> float:
     """Scalar AB phase (e/hbar) int V(t) dt from uniform samples of V."""
     samples = np.asarray(potential_samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
@@ -183,19 +182,19 @@ def scalar_phase(potential_samples, dt: float, charge: float | None = None,
     if dt <= 0.0:
         raise InputError(f"sample spacing must be positive, got {dt}")
     if charge is None:
-        charge = constants.e_charge
+        charge = e_charge
     integral = float(np.trapezoid(samples, dx=dt))
-    return charge * integral / constants.hbar
+    return charge * integral / hbar
 
 
-def magnetic_ab_phase(a_magnitude: float, l_path: float, charge_esu: float | None = None,
-                      constants: PhysicalConstants = PAPER) -> float:
+def magnetic_ab_phase(a_magnitude: float, l_path: float,
+                      charge_esu: float | None = None) -> float:
     """Magnetic AB phase e A L / (c hbar) in Gaussian units (G cm, cm, esu)."""
     if l_path <= 0.0:
         raise DomainError(f"path length must be positive, got {l_path}")
     if charge_esu is None:
-        charge_esu = constants.e_charge * 2.99792458e9
-    return charge_esu * a_magnitude * l_path / (constants.c_cgs * constants.hbar_cgs)
+        charge_esu = e_charge * 2.99792458e9
+    return charge_esu * a_magnitude * l_path / (c_cgs * hbar_cgs)
 
 
 def interference_intensity(phi1: float, phi2: float, amplitude: float) -> float:
@@ -236,9 +235,10 @@ _register_field(
 
 
 def _scalar(value, key):
-    # json.loads accepts NaN and Infinity
+    # json.loads accepts NaN, Infinity and integers beyond the float range;
+    # an int compares with a float exactly, so one bound rejects all three
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise InputError(f"field parameter {key!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -249,7 +249,7 @@ def _vector3(value, key):
     return [_scalar(v, key) for v in value]
 
 
-def field_from_dict(spec: dict, constants: PhysicalConstants = PAPER):
+def field_from_dict(spec: dict, constants: PhysicalConstants):
     """Build an interaction field from a {kind, params} mapping (CLI payloads).
 
     A solenoid without an explicit coupling gets constants.charge_over_hbar."""

@@ -36,7 +36,11 @@ from .units import UnitSystem, get_constants, inverse_length_to_mass
 # deterministic serialization
 
 def format_float(value: float) -> str:
-    return format(float(value), ".17g")
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"result is not a finite number ({value}): "
+                          "the computation left the double range")
+    return format(value, ".17g")
 
 
 def _json_value(value) -> str:
@@ -126,9 +130,10 @@ _GEOMETRY_SCHEMA = {
 
 def _check_kind(key, value, kind):
     if kind == "number":
-        # json.loads accepts NaN and Infinity
+        # json.loads accepts NaN, Infinity and integers beyond the float range;
+        # an int compares with a float exactly, so one bound rejects all three
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
+                or not abs(value) <= sys.float_info.max):
             raise InputError(f"config key {key!r} must be a finite number, got {value!r}")
         return float(value)
     if kind == "integer":
@@ -165,7 +170,7 @@ def _apply_schema(values: dict, schema: dict, origin: str) -> dict:
 def _parse_json_text(text: str, origin: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise InputError(f"malformed JSON in {origin}: {exc}") from None
 
 
@@ -209,7 +214,11 @@ def _m_gamma(ns) -> float:
     if not ns.m_gamma_inv_cm > 0.0:
         raise DomainError(
             f"--m-gamma-inv-cm must be positive, got {ns.m_gamma_inv_cm}")
-    return 100.0 / ns.m_gamma_inv_cm
+    m_gamma = 100.0 / ns.m_gamma_inv_cm
+    if not math.isfinite(m_gamma):
+        raise DomainError(f"--m-gamma-inv-cm {ns.m_gamma_inv_cm} is too small: "
+                          "the photon mass parameter 100/range overflows")
+    return m_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +333,17 @@ def parse_config(argv) -> argparse.Namespace:
 
 # ---------------------------------------------------------------------------
 # subcommand runners: each takes the parsed namespace and the constants
+# profile, which only the calls that depend on the flux quantum read
 
 def _run_speed(ns, constants):
     if ns.mode == "fresnel":
-        v = fresnel_speed(ns.n, ns.u_mps, constants)
+        v = fresnel_speed(ns.n, ns.u_mps)
     elif ns.mode == "effective":
-        v = effective_fresnel_speed(ns.n, ns.u_mps, ns.ef, constants)
+        v = effective_fresnel_speed(ns.n, ns.u_mps, ns.ef)
     elif ns.mode == "einstein":
-        v = einstein_composed_speed(ns.n, ns.u_mps, constants)
+        v = einstein_composed_speed(ns.n, ns.u_mps)
     else:
-        v = tangherlini_composed_speed(ns.n, ns.u_mps, constants)
+        v = tangherlini_composed_speed(ns.n, ns.u_mps)
     return render_json({"mode": ns.mode, "n": ns.n, "u": ns.u_mps, "e_f": ns.ef, "v": v,
                         "units": "m/s"})
 
@@ -351,7 +361,7 @@ def _run_fringe(ns, constants):
     config = InterferometerConfig(p["L_m"], p["n1"], p["n2"], p["u_mps"],
                                   p["lambda_nm"] * 1e-9, _composition(p["composition"]),
                                   p["ef"])
-    rows = angle_scan(config, p["steps"], constants)
+    rows = angle_scan(config, p["steps"])
     return render_csv(("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes"),
                       rows)
 
@@ -362,8 +372,8 @@ def _run_sensitivity(ns, constants):
         raise InputError("a wavelength is required: --lambda-nm or --lambda")
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, lambda_nm * 1e-9,
                                   e_f=ns.ef)
-    u_min = min_detectable_u(config, ns.resolution, constants)
-    factor = improvement_factor(ns.u_mps, ns.n1, ns.n2, constants)
+    u_min = min_detectable_u(config, ns.resolution)
+    factor = improvement_factor(ns.u_mps, ns.n1, ns.n2)
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})
 
 
@@ -384,7 +394,7 @@ def _run_proca_bound(ns, constants):
                               epsilon=ns.epsilon)
     inv_cm = invert_bound(cfg, constants)
     return render_json({"m_gamma_inv_cm": inv_cm,
-                        "m_ph_g": inverse_length_to_mass(inv_cm, constants)})
+                        "m_ph_g": inverse_length_to_mass(inv_cm)})
 
 
 def _run_proca_potential(ns, constants):
@@ -406,8 +416,7 @@ def _run_proca_potential(ns, constants):
 def _run_proca_phase(ns, constants):
     cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=ns.tau_s,
                               rho=ns.rho_cm / 100.0)
-    return render_json({"delta_phi_rad": mass_phase_correction(cfg, _m_gamma(ns),
-                                                               None, constants)})
+    return render_json({"delta_phi_rad": mass_phase_correction(cfg, _m_gamma(ns), constants)})
 
 
 def _run_bounds(ns, constants):
@@ -447,8 +456,12 @@ def _run_constants(ns, constants):
 
 
 def run(ns: argparse.Namespace) -> str:
-    """Execute parsed arguments and return the rendered output."""
-    return ns.run(ns, get_constants(ns.profile))
+    """Execute parsed arguments and return the rendered output.
+
+    numpy's overflow warnings are silenced: rendering refuses a non-finite
+    result, so the error is reported once, as the one stderr JSON line."""
+    with np.errstate(all="ignore"):
+        return ns.run(ns, get_constants(ns.profile))
 
 
 def main(argv=None) -> int:

@@ -27,9 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InputError
-from .units import PAPER
-
-_C_CGS = PAPER.c_cgs
+from .units import c_cgs
 
 #: default axial truncation, in units of max(a, d)
 DEFAULT_TRUNCATION_FACTOR = 50.0
@@ -81,7 +79,7 @@ def em_momentum_density(E, B) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(B))):
         raise DomainError("field values must be finite")
-    return np.cross(E, B) / (4.0 * math.pi * _C_CGS)
+    return np.cross(E, B) / (4.0 * math.pi * c_cgs)
 
 
 def _momentum_on_grid(geom: SolenoidChargeGeometry, nr: int, nphi: int, nz: int,
@@ -99,7 +97,7 @@ def _momentum_on_grid(geom: SolenoidChargeGeometry, nr: int, nphi: int, nz: int,
     s3 = (x_rel * x_rel + y * y + z * z) ** 1.5
     weight = r * dr * dphi * dz
     # (E x B) with B = B zhat: (E_y B, -E_x B, 0); E = q rvec / s^3
-    coeff = geom.q * geom.B / (4.0 * math.pi * _C_CGS)
+    coeff = geom.q * geom.B / (4.0 * math.pi * c_cgs)
     p_x = coeff * float(np.sum(y / s3 * weight))
     p_y = -coeff * float(np.sum(x_rel / s3 * weight))
     return np.array([p_x, p_y, 0.0])
@@ -144,7 +142,7 @@ def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> np.ndarray:
     """
     if geom.d <= geom.a:
         raise DomainError("closed form requires the charge outside the solenoid")
-    magnitude = geom.q * geom.B * geom.a * geom.a / (2.0 * geom.d * _C_CGS)
+    magnitude = geom.q * geom.B * geom.a * geom.a / (2.0 * geom.d * c_cgs)
     return np.array([0.0, magnitude, 0.0])
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateConfigError, DomainError, InputError
 from .kinematics import CompositionLaw, compose_lab_speed
-from .units import PAPER, PhysicalConstants
+from .units import c
 
 
 def _cos_deg(theta_deg: float) -> float:
@@ -72,7 +72,7 @@ class InterferometerConfig:
             raise DomainError(f"arm length L must be positive, got {self.L}")
         if not 0.0 < self.lambda_vac:
             raise DomainError(f"wavelength must be positive, got {self.lambda_vac}")
-        if not abs(self.u) < PAPER.c:
+        if not abs(self.u) < c:
             raise DomainError(f"drift speed must satisfy |u| < c, got {self.u}")
         if not 0.0 <= self.e_f <= 1.0:
             raise DomainError(f"e_f must lie in [0, 1], got {self.e_f}")
@@ -80,8 +80,7 @@ class InterferometerConfig:
             raise InputError(f"composition must be a CompositionLaw, got {self.composition!r}")
 
 
-def arm_speed(config: InterferometerConfig, arm: int, theta_deg: float,
-              constants: PhysicalConstants = PAPER) -> float:
+def arm_speed(config: InterferometerConfig, arm: int, theta_deg: float) -> float:
     """Lab-frame one-way light speed in one arm at orientation theta.
 
     The medium rest-frame speed c/n + e_f (1 - 1/n^2) u_eff is composed
@@ -94,22 +93,19 @@ def arm_speed(config: InterferometerConfig, arm: int, theta_deg: float,
     else:
         raise InputError(f"arm must be 1 or 2, got {arm}")
     u_eff = config.u * _cos_deg(theta_deg)
-    v_rest = constants.c / n + config.e_f * (1.0 - 1.0 / (n * n)) * u_eff
-    return compose_lab_speed(v_rest, u_eff, config.composition, constants)
+    v_rest = c / n + config.e_f * (1.0 - 1.0 / (n * n)) * u_eff
+    return compose_lab_speed(v_rest, u_eff, config.composition)
 
 
-def delay_exact(config: InterferometerConfig, theta_deg: float,
-                constants: PhysicalConstants = PAPER) -> float:
+def delay_exact(config: InterferometerConfig, theta_deg: float) -> float:
     """Arm delay difference L (1/w1 - 1/w2); positive when arm 1 is slower."""
-    w1 = arm_speed(config, 1, theta_deg, constants)
-    w2 = arm_speed(config, 2, theta_deg, constants)
+    w1 = arm_speed(config, 1, theta_deg)
+    w2 = arm_speed(config, 2, theta_deg)
     return config.L * (1.0 / w1 - 1.0 / w2)
 
 
-def delay_first_order(config: InterferometerConfig, theta_deg: float,
-                      constants: PhysicalConstants = PAPER) -> float:
+def delay_first_order(config: InterferometerConfig, theta_deg: float) -> float:
     """First-order form (L/c)(n1 - n2)[1 + (u_eff/c)(1 - e_f)(n1 + n2)]."""
-    c = constants.c
     n1 = config.n1
     n2 = config.n2
     u_eff = config.u * _cos_deg(theta_deg)
@@ -121,31 +117,27 @@ class RotationSignal(NamedTuple):
     first_order: float
 
 
-def rotation_signal(config: InterferometerConfig,
-                    constants: PhysicalConstants = PAPER) -> RotationSignal:
+def rotation_signal(config: InterferometerConfig) -> RotationSignal:
     """Delay variation on the half turn, dt = Dt(0) - Dt(180).
 
     Returns the exact difference alongside the closed first-order form
     2 (u/c)(n1^2 - n2^2)(L/c)(1 - e_f); they agree to O((u/c)^2).
     """
-    exact = delay_exact(config, 0.0, constants) - delay_exact(config, 180.0, constants)
-    c = constants.c
+    exact = delay_exact(config, 0.0) - delay_exact(config, 180.0)
     n1 = config.n1
     n2 = config.n2
     first = 2.0 * (config.u / c) * (n1 * n1 - n2 * n2) * (config.L / c) * (1.0 - config.e_f)
     return RotationSignal(exact, first)
 
 
-def fringe_shift(delta_t: float, lambda_vac: float,
-                 constants: PhysicalConstants = PAPER) -> float:
+def fringe_shift(delta_t: float, lambda_vac: float) -> float:
     """Optical-phase cycles N = c dt / lambda for a path time difference dt."""
     if lambda_vac <= 0.0:
         raise DomainError(f"wavelength must be positive, got {lambda_vac}")
-    return constants.c * delta_t / lambda_vac
+    return c * delta_t / lambda_vac
 
 
-def min_detectable_u(config: InterferometerConfig, fringe_resolution: float,
-                     constants: PhysicalConstants = PAPER) -> float:
+def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> float:
     """Smallest drift speed giving a rotation signal of fringe_resolution fringes.
 
     Inverts the first-order dt formula:
@@ -160,15 +152,14 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float,
     if config.e_f >= 1.0:
         raise DegenerateConfigError("e_f = 1 cancels the first-order signal")
     denom = 2.0 * abs(n1 * n1 - n2 * n2) * config.L * (1.0 - config.e_f)
-    return fringe_resolution * config.lambda_vac * constants.c / denom
+    return fringe_resolution * config.lambda_vac * c / denom
 
 
-def improvement_factor(u: float, n1: float, n2: float,
-                       constants: PhysicalConstants = PAPER) -> float:
+def improvement_factor(u: float, n1: float, n2: float) -> float:
     """Gain (c/u)(n1^2 - n2^2) of the two-media device over a single-medium one."""
     if u <= 0.0:
         raise DomainError(f"drift speed must be positive, got {u}")
-    return (constants.c / u) * (n1 * n1 - n2 * n2)
+    return (c / u) * (n1 * n1 - n2 * n2)
 
 
 class ScanRow(NamedTuple):
@@ -178,8 +169,7 @@ class ScanRow(NamedTuple):
     fringes: float
 
 
-def angle_scan(config: InterferometerConfig, steps: int,
-               constants: PhysicalConstants = PAPER) -> list:
+def angle_scan(config: InterferometerConfig, steps: int) -> list:
     """Uniform orientation scan over [0, 360) degrees.
 
     steps = 2 reproduces the 0/180 pair of the rotation signal.  The fringe
@@ -190,8 +180,7 @@ def angle_scan(config: InterferometerConfig, steps: int,
     rows = []
     for k in range(steps):
         theta = 360.0 * k / steps
-        exact = delay_exact(config, theta, constants)
-        first = delay_first_order(config, theta, constants)
-        rows.append(ScanRow(theta, exact, first,
-                            fringe_shift(exact, config.lambda_vac, constants)))
+        exact = delay_exact(config, theta)
+        first = delay_first_order(config, theta)
+        rows.append(ScanRow(theta, exact, first, fringe_shift(exact, config.lambda_vac)))
     return rows

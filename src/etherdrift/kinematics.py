@@ -19,7 +19,7 @@ import enum
 from typing import NamedTuple
 
 from .errors import DomainError
-from .units import PAPER, PhysicalConstants
+from .units import c
 
 #: effectiveness of air at room temperature quoted with the e_f estimate
 REFERENCE_AIR_EFFECTIVENESS = 6.1e-3
@@ -40,7 +40,7 @@ def _check_index(n: float):
         raise DomainError(f"refractive index must be >= 1, got {n}")
 
 
-def _check_speed(u: float, c: float):
+def _check_speed(u: float):
     if not abs(u) < c:
         raise DomainError(f"medium speed must satisfy |u| < c, got {u}")
 
@@ -51,25 +51,24 @@ def fresnel_drag_coefficient(n: float) -> float:
     return 1.0 - 1.0 / (n * n)
 
 
-def fresnel_speed(n: float, u: float, constants: PhysicalConstants = PAPER) -> float:
+def fresnel_speed(n: float, u: float) -> float:
     """Fully dragged speed c/n + (1 - 1/n^2) u in the preferred frame."""
     _check_index(n)
-    _check_speed(u, constants.c)
-    return constants.c / n + fresnel_drag_coefficient(n) * u
+    _check_speed(u)
+    return c / n + fresnel_drag_coefficient(n) * u
 
 
-def effective_fresnel_speed(n: float, u: float, e_f: float,
-                            constants: PhysicalConstants = PAPER) -> float:
+def effective_fresnel_speed(n: float, u: float, e_f: float) -> float:
     """Partially dragged speed c/n + e_f (1 - 1/n^2) u.
 
     e_f = 1 recovers fresnel_speed, e_f = 0 the hypothesis that rarefied
     media carry light at c/n in the preferred frame regardless of motion.
     """
     _check_index(n)
-    _check_speed(u, constants.c)
+    _check_speed(u)
     if not 0.0 <= e_f <= 1.0:
         raise DomainError(f"drag effectiveness must lie in [0, 1], got {e_f}")
-    return constants.c / n + e_f * fresnel_drag_coefficient(n) * u
+    return c / n + e_f * fresnel_drag_coefficient(n) * u
 
 
 class DragEstimate(NamedTuple):
@@ -92,14 +91,12 @@ def drag_effectiveness_estimate(number_factor: float, a_over_R_cubed: float) -> 
     return DragEstimate(value, False)
 
 
-def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw,
-                      constants: PhysicalConstants = PAPER) -> float:
+def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw) -> float:
     """Map a preferred-frame light speed to the laboratory frame.
 
     Einstein: w = (v - u)/(1 - u v/c^2).  Tangherlini: w = (v - u)/(1 - u^2/c^2).
     """
-    c = constants.c
-    _check_speed(u, c)
+    _check_speed(u)
     if law is CompositionLaw.EINSTEIN:
         return (v_rest - u) / (1.0 - u * v_rest / (c * c))
     if law is CompositionLaw.TANGHERLINI:
@@ -107,13 +104,13 @@ def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw,
     raise DomainError(f"unknown composition law {law!r}")
 
 
-def einstein_composed_speed(n: float, u: float, constants: PhysicalConstants = PAPER) -> float:
+def einstein_composed_speed(n: float, u: float) -> float:
     """One-way lab speed (c/n - u)/(1 - u/(c n)) under Einstein synchronization."""
     _check_index(n)
-    return compose_lab_speed(constants.c / n, u, CompositionLaw.EINSTEIN, constants)
+    return compose_lab_speed(c / n, u, CompositionLaw.EINSTEIN)
 
 
-def tangherlini_composed_speed(n: float, u: float, constants: PhysicalConstants = PAPER) -> float:
+def tangherlini_composed_speed(n: float, u: float) -> float:
     """One-way lab speed (c/n - u)/(1 - u^2/c^2) under Tangherlini synchronization."""
     _check_index(n)
-    return compose_lab_speed(constants.c / n, u, CompositionLaw.TANGHERLINI, constants)
+    return compose_lab_speed(c / n, u, CompositionLaw.TANGHERLINI)

@@ -5,7 +5,7 @@ side exists because the older drift and photon-mass literature quotes fluxes
 in G cm^2, charges in esu and masses in grams, and the published bounds are
 only reproducible digit for digit if the same rounded inputs are used.  The
 ``paper`` constants profile therefore keeps the rounded flux quantum
-2.067e-15 Wb, while ``modern`` pins the exact SI defining values.
+2.067e-15 Wb, while ``modern`` uses h/2e from the exact SI defining values.
 """
 
 from __future__ import annotations
@@ -109,44 +109,39 @@ def convert(quantity: Quantity, target: UnitSystem) -> Quantity:
     return Quantity(value, quantity.dimension, target)
 
 
+#: exact SI defining values (SI 2019), the same in every profile
+c = 299792458.0             # m/s
+h = 6.62607015e-34          # J s
+e_charge = 1.602176634e-19  # C
+hbar = h / (2.0 * math.pi)
+c_cgs = c * 100.0
+hbar_cgs = hbar * 1.0e7
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """The constants every formula in the package draws from.
+    """What a constants profile chooses: the flux quantum Phi_0 (Wb).
 
-    ``hbar`` is derived from ``h`` rather than stored, so h = 2*pi*hbar holds
-    by construction.  ``charge_over_hbar`` is routed through the flux quantum
-    (pi/Phi_0 == e/hbar) so that phase formulas and the inversion of the
-    cylinder bound stay mutually consistent inside either profile.
+    c, h and e are the exact SI values above in every profile, so Phi_0 is
+    all that differs: ``paper`` keeps the rounded 2.067e-15 Wb, ``modern``
+    uses h/2e.  ``charge_over_hbar`` is routed through it (pi/Phi_0 == e/hbar)
+    so that phase formulas and the inversion of the cylinder bound stay
+    mutually consistent inside either profile.
     """
 
     profile: str
-    c: float            # m/s
-    h: float            # J s
-    e_charge: float     # C
-    flux_quantum: float  # Wb, h/(2e)
-
-    @property
-    def hbar(self) -> float:
-        return self.h / (2.0 * math.pi)
+    flux_quantum: float  # Wb
 
     @property
     def charge_over_hbar(self) -> float:
         return math.pi / self.flux_quantum
 
-    @property
-    def c_cgs(self) -> float:
-        return self.c * 100.0
-
-    @property
-    def hbar_cgs(self) -> float:
-        return self.hbar * 1.0e7
-
     def as_quantities(self) -> dict:
         return {
-            "c": Quantity(self.c, Dimension.SPEED),
-            "h": Quantity(self.h, Dimension.ACTION),
-            "hbar": Quantity(self.hbar, Dimension.ACTION),
-            "e_charge": Quantity(self.e_charge, Dimension.CHARGE),
+            "c": Quantity(c, Dimension.SPEED),
+            "h": Quantity(h, Dimension.ACTION),
+            "hbar": Quantity(hbar, Dimension.ACTION),
+            "e_charge": Quantity(e_charge, Dimension.CHARGE),
             "flux_quantum": Quantity(self.flux_quantum, Dimension.MAGNETIC_FLUX),
         }
 
@@ -172,21 +167,9 @@ class PhysicalConstants:
         return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
 
-MODERN = PhysicalConstants(
-    profile="modern",
-    c=299792458.0,
-    h=6.62607015e-34,
-    e_charge=1.602176634e-19,
-    flux_quantum=6.62607015e-34 / (2.0 * 1.602176634e-19),
-)
+MODERN = PhysicalConstants(profile="modern", flux_quantum=h / (2.0 * e_charge))
 
-PAPER = PhysicalConstants(
-    profile="paper",
-    c=299792458.0,
-    h=6.62607015e-34,
-    e_charge=1.602176634e-19,
-    flux_quantum=2.067e-15,
-)
+PAPER = PhysicalConstants(profile="paper", flux_quantum=2.067e-15)
 
 _PROFILES = {"modern": MODERN, "paper": PAPER}
 
@@ -206,7 +189,7 @@ def get_constants(profile: str | None = None) -> PhysicalConstants:
         raise InputError(f"unknown constants profile {profile!r} (known: {known})") from None
 
 
-def inverse_length_to_mass(range_cm: float, constants: PhysicalConstants = PAPER) -> float:
+def inverse_length_to_mass(range_cm: float) -> float:
     """Photon mass in grams equivalent to a Yukawa range in cm.
 
     The range is the reduced Compton wavelength, so m = hbar / (c * range)
@@ -214,11 +197,11 @@ def inverse_length_to_mass(range_cm: float, constants: PhysicalConstants = PAPER
     """
     if range_cm <= 0.0:
         raise DomainError(f"Yukawa range must be positive, got {range_cm}")
-    return constants.hbar_cgs / (constants.c_cgs * range_cm)
+    return hbar_cgs / (c_cgs * range_cm)
 
 
-def mass_to_inverse_length(mass_g: float, constants: PhysicalConstants = PAPER) -> float:
+def mass_to_inverse_length(mass_g: float) -> float:
     """Yukawa range in cm equivalent to a photon mass in grams."""
     if mass_g <= 0.0:
         raise DomainError(f"photon mass must be positive, got {mass_g}")
-    return constants.hbar_cgs / (constants.c_cgs * mass_g)
+    return hbar_cgs / (c_cgs * mass_g)

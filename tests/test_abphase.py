@@ -11,9 +11,9 @@ from etherdrift.abphase import (FresnelFlow, Path, SolenoidVectorPotential,
                                 interference_intensity, magnetic_ab_phase,
                                 phase_line_integral, scalar_phase)
 from etherdrift.errors import DomainError, InputError, SingularPathError
-from etherdrift.units import MODERN, PAPER
+from etherdrift.units import PAPER, c, c_cgs, e_charge, hbar, hbar_cgs
 
-OMEGA_633 = 2.0 * math.pi * PAPER.c / 633e-9
+OMEGA_633 = 2.0 * math.pi * c / 633e-9
 
 
 def square_loop(half=1.0, z=0.0, shift=(0.0, 0.0)):
@@ -83,7 +83,7 @@ def test_phase_flips_sign_on_reversal():
 
 def test_solenoid_loop_phase_is_coupling_times_flux():
     flux = 2.067e-15
-    field = SolenoidVectorPotential(flux)
+    field = SolenoidVectorPotential(flux, PAPER.charge_over_hbar)
     expected = PAPER.charge_over_hbar * flux
     got = phase_line_integral(field, square_loop())
     assert got == pytest.approx(expected, rel=1e-13)
@@ -138,7 +138,8 @@ def test_solenoid_rejects_path_through_flux_line():
     with pytest.raises(SingularPathError):
         field.q_at([(0.0, 0.0, 5.0)])
     with pytest.raises(DomainError):
-        SolenoidVectorPotential(1.0, axis_direction=(0.0, 0.0, 0.0)).q_at([(1.0, 0.0, 0.0)])
+        SolenoidVectorPotential(1.0, PAPER.charge_over_hbar,
+                                axis_direction=(0.0, 0.0, 0.0)).q_at([(1.0, 0.0, 0.0)])
 
 
 def _midpoint_doubling(field, p0, p1, rtol=1e-10, max_points=1 << 22):
@@ -212,7 +213,7 @@ def test_solenoid_loop_matches_mpmath(distance, winding):
     center = rng.uniform(-1.0, 1.0, 3)
     flux = 2.067e-15 * rng.uniform(0.5, 2.0)
     vertices = _polygon_loop(rng, int(rng.integers(3, 17)), distance, winding, center)
-    field = SolenoidVectorPotential(flux, axis_point=tuple(center))
+    field = SolenoidVectorPotential(flux, PAPER.charge_over_hbar, axis_point=tuple(center))
     got = phase_line_integral(field, Path(vertices))
     with mpmath.workdps(50):
         cx, cy = mpmath.mpf(center[0]), mpmath.mpf(center[1])
@@ -257,7 +258,7 @@ def test_phase_reversal_and_split_properties(kind, vertices, split):
 def test_scalar_phase_frozen_microvolt_millisecond():
     samples = np.full(11, 1e-6)
     # e * 1uV * 1ms / hbar with the 2018 constants, 50-digit arithmetic
-    phase = scalar_phase(samples, 1e-4, charge=MODERN.e_charge, constants=MODERN)
+    phase = scalar_phase(samples, 1e-4, charge=e_charge)
     assert phase == pytest.approx(1519267.4478786262, rel=1e-12)
 
 
@@ -265,12 +266,12 @@ def test_scalar_phase_constant_potential():
     tau, volts = 2.5e-3, 3.0e-7
     samples = np.full(26, volts)
     phase = scalar_phase(samples, tau / 25)
-    assert phase == pytest.approx(PAPER.e_charge / PAPER.hbar * volts * tau, rel=1e-12)
+    assert phase == pytest.approx(e_charge / hbar * volts * tau, rel=1e-12)
 
 
 def test_scalar_phase_trapezoid_exact_on_ramp():
     phase = scalar_phase([0.0, 1.0], 1.0, charge=1.0)
-    assert phase == pytest.approx(0.5 / PAPER.hbar, rel=1e-15)
+    assert phase == pytest.approx(0.5 / hbar, rel=1e-15)
 
 
 def test_scalar_phase_zero_potential():
@@ -287,8 +288,8 @@ def test_scalar_phase_input_errors():
 def test_magnetic_ab_phase_matches_line_integral():
     a_gauss_cm, l_cm = 2.0e-7, 12.0
     phase = magnetic_ab_phase(a_gauss_cm, l_cm)
-    e_esu = PAPER.e_charge * 2.99792458e9
-    q_per_m = e_esu * a_gauss_cm / (PAPER.c_cgs * PAPER.hbar_cgs) * 100.0
+    e_esu = e_charge * 2.99792458e9
+    q_per_m = e_esu * a_gauss_cm / (c_cgs * hbar_cgs) * 100.0
     field = UniformQ((q_per_m, 0.0, 0.0))
     path = Path([(0.0, 0.0, 0.0), (l_cm / 100.0, 0.0, 0.0)])
     assert phase == pytest.approx(phase_line_integral(field, path), rel=1e-12)
@@ -324,37 +325,37 @@ def test_path_validation():
 
 
 def test_field_from_dict_round_trips():
-    field = field_from_dict({"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}})
+    field = field_from_dict({"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}}, PAPER)
     assert isinstance(field, UniformQ) and field.q == (1.0, 2.0, 3.0)
 
     flow = field_from_dict({"kind": "fresnel_flow",
                             "params": {"omega_rad_s": OMEGA_633, "n": 1.33,
-                                       "u_mps": [10.0, 0.0, 0.0]}})
+                                       "u_mps": [10.0, 0.0, 0.0]}}, PAPER)
     assert np.all(flow.q_vector() == fresnel_momentum(OMEGA_633, 1.33, (10.0, 0.0, 0.0)))
 
-    sol = field_from_dict({"kind": "solenoid", "params": {"flux_wb": 2.067e-15}})
+    sol = field_from_dict({"kind": "solenoid", "params": {"flux_wb": 2.067e-15}}, PAPER)
     assert sol.coupling == PAPER.charge_over_hbar
     assert sol.axis_point == (0.0, 0.0, 0.0)
 
     tilted = field_from_dict({"kind": "solenoid",
                               "params": {"flux_wb": 1.0, "coupling": 1.0,
                                          "center_m": [1.0, 0.0, 0.0],
-                                         "axis": [0.0, 1.0, 0.0]}})
+                                         "axis": [0.0, 1.0, 0.0]}}, PAPER)
     assert tilted.axis_direction == (0.0, 1.0, 0.0)
 
 
 def test_field_from_dict_strict_errors_name_offender():
     with pytest.raises(InputError, match="vortex"):
-        field_from_dict({"kind": "vortex", "params": {}})
+        field_from_dict({"kind": "vortex", "params": {}}, PAPER)
     with pytest.raises(InputError, match="extra"):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0], "extra": 1}})
+        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0], "extra": 1}}, PAPER)
     with pytest.raises(InputError, match="flux_wb"):
-        field_from_dict({"kind": "solenoid", "params": {}})
+        field_from_dict({"kind": "solenoid", "params": {}}, PAPER)
     with pytest.raises(InputError, match="comment"):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0]}, "comment": "x"})
+        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0]}, "comment": "x"}, PAPER)
     with pytest.raises(InputError):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0]}})
+        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0]}}, PAPER)
     with pytest.raises(InputError):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, "a"]}})
+        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, "a"]}}, PAPER)
     with pytest.raises(InputError):
-        field_from_dict([1, 2])
+        field_from_dict([1, 2], PAPER)

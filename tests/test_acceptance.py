@@ -30,9 +30,9 @@ from etherdrift.proca import (ProcaCylinderConfig, PhotonMassBound,
                               cylinder_potential_expansion, invert_bound,
                               mass_phase_correction, projected_bound,
                               time_of_flight)
-from etherdrift.units import MODERN, PAPER, inverse_length_to_mass
+from etherdrift.units import MODERN, PAPER, c, e_charge, hbar, inverse_length_to_mass
 
-C = PAPER.c
+C = c
 CLI = [sys.executable, "-m", "etherdrift.cli"]
 
 # independently recomputed target for the model-B bound inversion (criterion 4)
@@ -137,8 +137,8 @@ def test_criterion_06_bound_closure():
             tau=float(rng.uniform(1e-3, 10.0)),
             epsilon=float(rng.uniform(1e-6, 1e-2)),
         )
-        m_gamma = 1.0 / (invert_bound(cfg) / 100.0)
-        phase = mass_phase_correction(cfg, m_gamma)
+        m_gamma = 1.0 / (invert_bound(cfg, PAPER) / 100.0)
+        phase = mass_phase_correction(cfg, m_gamma, PAPER)
         worst = max(worst, abs(phase - cfg.epsilon) / cfg.epsilon)
     ok = worst <= 1e-10
     report(6, "bound-closure", ok,
@@ -190,7 +190,7 @@ def test_criterion_09_ab_loop_invariance():
 
     flux = MODERN.flux_quantum
     field = SolenoidVectorPotential(flux, coupling=MODERN.charge_over_hbar)
-    expected = MODERN.e_charge / MODERN.hbar * flux  # = pi exactly for this flux
+    expected = e_charge / hbar * flux  # = pi exactly for this flux
     loops = [
         Path([(1.0, -1.0, 0.0), (1.0, 1.0, 0.0), (-1.0, 1.0, 0.0),
               (-1.0, -1.0, 0.0), (1.0, -1.0, 0.0)]),

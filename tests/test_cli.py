@@ -402,3 +402,74 @@ def test_constants_dump():
     by_name = {row["name"]: row for row in gauss}
     assert by_name["e_charge"]["value"] == pytest.approx(4.8032047125702637e-10, rel=1e-12)
     assert by_name["e_charge"]["profile"] == "modern"
+
+
+# name, value in SI and in Gaussian units, SI and Gaussian unit; the flux
+# quantum is the one value a profile chooses
+_CONSTANTS_ROWS = [
+    ("c", "299792458", "29979245800", "m/s", "cm/s"),
+    ("h", "6.6260701499999998e-34", "6.6260701499999999e-27", "J s", "erg s"),
+    ("hbar", "1.0545718176461565e-34", "1.0545718176461565e-27", "J s", "erg s"),
+    ("e_charge", "1.6021766339999999e-19", "4.8032047125702634e-10", "C", "esu"),
+]
+_FLUX_QUANTUM = {"paper": ("2.0669999999999999e-15", "2.0669999999999999e-07"),
+                 "modern": ("2.0678338484619295e-15", "2.0678338484619295e-07")}
+
+
+@pytest.mark.parametrize("profile", ["paper", "modern"])
+@pytest.mark.parametrize("system", ["si", "gaussian"])
+def test_constants_dump_is_pinned(profile, system):
+    rows = _CONSTANTS_ROWS + [("flux_quantum", *_FLUX_QUANTUM[profile], "Wb", "G cm^2")]
+    objects = []
+    for name, si, gauss, si_unit, gauss_unit in rows:
+        value, unit = (gauss, gauss_unit) if system == "gaussian" else (si, si_unit)
+        objects.append(f'{{"name":"{name}","value":{value},"unit":"{unit}",'
+                       f'"system":"{system}","profile":"{profile}"}}')
+    expected = "[" + ",".join(objects) + "]\n"
+    proc = run_cli("--profile", profile, "constants", "--system", system)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+def _exit_2_with(proc, error, fragment):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    payload = stderr_error(proc)
+    assert payload["error"] == error
+    assert fragment in payload["message"]
+
+
+_HUGE = "1" + "0" * 400  # beyond the float range; float() raises OverflowError
+
+
+@pytest.mark.parametrize("geometry, key", [
+    ('{"a_cm": %s, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0}' % _HUGE, "a_cm"),
+    # json.loads itself refuses integers of more than 4300 digits
+    ('{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1%s}' % ("0" * 5000), "geometry"),
+], ids=["beyond-float-range", "beyond-4300-digits"])
+def test_pmomentum_huge_json_integer_exit_2(geometry, key):
+    _exit_2_with(run_cli("pmomentum", "--geometry", geometry), "InputError", key)
+
+
+def test_abphase_huge_json_integer_exit_2():
+    field = '{"kind": "uniform_q", "params": {"q": [%s, 0, 0]}}' % _HUGE
+    proc = run_cli("abphase", "--field", field, "--path", "[[0,0,0],[1,0,0]]")
+    _exit_2_with(proc, "InputError", "'q'")
+
+
+def test_overflowing_result_exit_2():
+    # finite inputs whose product overflows used to print "P_e":[-inf,inf,0]
+    geometry = '{"a_cm":1,"B_gauss":1e300,"d_cm":3,"q_esu":1e300,"grid":[4,4,4]}'
+    proc = run_cli("pmomentum", "--geometry", geometry)
+    _exit_2_with(proc, "DomainError", "not a finite number")
+
+
+@pytest.mark.parametrize("action", ["potential", "phase"])
+def test_proca_compton_range_overflow_names_flag(action):
+    # 100/1e-307 overflows; bessel_I0 used to report "got nan" without the flag
+    args = ("proca", action, "--V-volts", "1e7", "--R-cm", "10",
+            "--m-gamma-inv-cm", "1e-307")
+    if action == "phase":
+        args += ("--tau-s", "0.05")
+    _exit_2_with(run_cli(*args), "DomainError", "--m-gamma-inv-cm")

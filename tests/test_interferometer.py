@@ -8,9 +8,7 @@ from etherdrift.interferometer import (InterferometerConfig, angle_scan,
                                        improvement_factor, min_detectable_u,
                                        rotation_signal)
 from etherdrift.kinematics import CompositionLaw
-from etherdrift.units import PAPER
-
-C = PAPER.c
+from etherdrift.units import c as C
 
 
 def config(n1=1.0006, n2=1.0001, L=1.0, u=1e3, lam=633e-9,

@@ -8,9 +8,7 @@ from etherdrift.kinematics import (CompositionLaw, compose_lab_speed,
                                    einstein_composed_speed,
                                    fresnel_drag_coefficient, fresnel_speed,
                                    tangherlini_composed_speed)
-from etherdrift.units import PAPER
-
-C = PAPER.c
+from etherdrift.units import c as C
 
 
 def test_drag_coefficient_endpoints():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +70,16 @@ def test_bessel_K0_frozen_and_divergence():
     assert bessel_K0(1.0) == pytest.approx(0.42102443824070833, rel=1e-14)
     assert bessel_K0(1e-6) == pytest.approx(13.931442073626419, rel=1e-14)
     assert bessel_K0(1e-6) > bessel_K0(1e-3) > bessel_K0(1.0)
+
+
+def test_bessel_K0_matches_mpmath_up_to_its_limit():
+    # the stated limit must be true: 1e-12 relative on (0, BESSEL_K0_MAX_ARGUMENT]
+    grid = np.concatenate([np.logspace(-300.0, 0.0, 61),
+                           np.linspace(0.05, BESSEL_K0_MAX_ARGUMENT, 80)])
+    with mpmath.workdps(50):
+        for x in grid:
+            reference = mpmath.besselk(0, float(x))
+            assert abs(bessel_K0(float(x)) - reference) <= 1e-12 * reference, x
 
 
 def test_bessel_K0_range_limits():
@@ -144,12 +155,12 @@ def test_quarter_expansion_tracks_exact_to_fourth_order():
 
 
 def test_mass_phase_correction_basics():
-    assert mass_phase_correction(REFERENCE, 0.0) == 0.0
-    phase = mass_phase_correction(REFERENCE, 1e-7)
+    assert mass_phase_correction(REFERENCE, 0.0, PAPER) == 0.0
+    phase = mass_phase_correction(REFERENCE, 1e-7, PAPER)
     assert phase > 0.0
-    assert mass_phase_correction(REFERENCE, 2e-7) == pytest.approx(4.0 * phase, rel=1e-12)
+    assert mass_phase_correction(REFERENCE, 2e-7, PAPER) == pytest.approx(4.0 * phase, rel=1e-12)
     with pytest.raises(DomainError):
-        mass_phase_correction(REFERENCE, -1.0)
+        mass_phase_correction(REFERENCE, -1.0, PAPER)
 
 
 def test_bound_closure_round_trip():
@@ -175,17 +186,17 @@ def test_invert_bound_frozen_both_profiles():
 
 
 def test_invert_bound_scalings():
-    base = invert_bound(REFERENCE)
+    base = invert_bound(REFERENCE, PAPER)
     v_up = ProcaCylinderConfig(R=0.27, V=4e7, tau=0.05, epsilon=1e-4)
     tau_up = ProcaCylinderConfig(R=0.27, V=1e7, tau=0.20, epsilon=1e-4)
     eps_up = ProcaCylinderConfig(R=0.27, V=1e7, tau=0.05, epsilon=4e-4)
     swapped = ProcaCylinderConfig(R=0.27, V=2e7, tau=0.025, epsilon=1e-4)
-    assert invert_bound(v_up) == pytest.approx(2.0 * base, rel=1e-12)
-    assert invert_bound(tau_up) == pytest.approx(2.0 * base, rel=1e-12)
-    assert invert_bound(eps_up) == pytest.approx(0.5 * base, rel=1e-12)
-    assert invert_bound(swapped) == pytest.approx(base, rel=1e-12)
+    assert invert_bound(v_up, PAPER) == pytest.approx(2.0 * base, rel=1e-12)
+    assert invert_bound(tau_up, PAPER) == pytest.approx(2.0 * base, rel=1e-12)
+    assert invert_bound(eps_up, PAPER) == pytest.approx(0.5 * base, rel=1e-12)
+    assert invert_bound(swapped, PAPER) == pytest.approx(base, rel=1e-12)
     with pytest.raises(DomainError):
-        invert_bound(ProcaCylinderConfig(R=0.27, V=-1e7, tau=0.05))
+        invert_bound(ProcaCylinderConfig(R=0.27, V=-1e7, tau=0.05), PAPER)
 
 
 def test_time_of_flight():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from etherdrift import units
 from etherdrift.errors import DimensionError, DomainError, InputError
 from etherdrift.units import (MODERN, PAPER, Dimension, Quantity, UnitSystem, convert,
                               get_constants, inverse_length_to_mass,
@@ -51,8 +52,7 @@ def test_convert_rejects_bad_target():
 
 
 def test_hbar_derived_from_h():
-    for constants in (MODERN, PAPER):
-        assert constants.hbar == constants.h / (2.0 * math.pi)
+    assert units.hbar == units.h / (2.0 * math.pi)
 
 
 def test_modern_flux_quantum_value():
@@ -65,14 +65,14 @@ def test_charge_over_hbar_routes_through_flux_quantum():
     assert PAPER.charge_over_hbar == math.pi / PAPER.flux_quantum
     # in the modern profile pi/Phi_0 coincides with e/hbar
     assert MODERN.charge_over_hbar == pytest.approx(
-        MODERN.e_charge / MODERN.hbar, rel=1e-14)
+        units.e_charge / units.hbar, rel=1e-14)
     assert MODERN.charge_over_hbar == pytest.approx(1.5192674478786262e15, rel=1e-15)
     assert PAPER.charge_over_hbar == pytest.approx(1.5198803355538429e15, rel=1e-15)
 
 
 def test_cgs_views():
-    assert MODERN.c_cgs == 2.9979245800e10
-    assert MODERN.hbar_cgs == pytest.approx(1.0545718176461565e-27, rel=1e-15)
+    assert units.c_cgs == 2.9979245800e10
+    assert units.hbar_cgs == pytest.approx(1.0545718176461565e-27, rel=1e-15)
 
 
 def test_get_constants_profiles(monkeypatch):
@@ -115,3 +115,9 @@ def test_fingerprint_distinguishes_profiles():
     assert MODERN.fingerprint() != PAPER.fingerprint()
     assert MODERN.fingerprint() == MODERN.fingerprint()
     assert len(PAPER.fingerprint()) == 12
+
+
+def test_fingerprint_pinned_per_profile():
+    # the --version fingerprints; they hash c, h, hbar, e and the profile's Phi_0
+    assert PAPER.fingerprint() == "d269bee6c5f1"
+    assert MODERN.fingerprint() == "c84c8292ec3f"
