@@ -20,7 +20,7 @@ from .interferometer import (InterferometerConfig, RotationSignal, ScanRow,
                              improvement_factor, min_detectable_u,
                              rotation_signal)
 from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
-                      field_from_dict, fresnel_momentum, interference_intensity,
+                      fresnel_momentum, interference_intensity,
                       magnetic_ab_phase, phase_line_integral, scalar_phase)
 from .proca import (PhotonMassBound, ProcaCylinderConfig, bessel_I0, bessel_K0,
                     bounds_registry, cylinder_potential_exact,

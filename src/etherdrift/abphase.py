@@ -14,13 +14,12 @@ helper (magnetic_ab_phase) says so explicitly.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError, SingularPathError
-from .units import PhysicalConstants, c, c_cgs, e_charge, hbar, hbar_cgs
+from .units import c, c_cgs, e_charge, hbar, hbar_cgs
 
 
 def _dot(a, b):
@@ -83,9 +82,9 @@ class SolenoidVectorPotential:
 
     ``coupling`` is the charge-to-action ratio (e/hbar in SI).  It has no
     default because it depends on the constants profile (pi/Phi_0, see
-    PhysicalConstants.charge_over_hbar); field_from_dict takes it from the
-    profile it is given.  The finite-core interior belongs to the
-    fieldmomentum module; for phases only the enclosed flux matters.
+    PhysicalConstants.charge_over_hbar); the CLI takes it from the run's
+    profile.  The finite-core interior belongs to the fieldmomentum module;
+    for phases only the enclosed flux matters.
     """
 
     flux: float
@@ -202,76 +201,3 @@ def interference_intensity(phi1: float, phi2: float, amplitude: float) -> float:
     if amplitude < 0.0:
         raise DomainError(f"amplitude must be >= 0, got {amplitude}")
     return 2.0 * amplitude * amplitude * (1.0 + math.cos(phi1 - phi2))
-
-
-_FIELD_KINDS = {}
-
-
-def _register_field(kind, required, optional, builder):
-    _FIELD_KINDS[kind] = (frozenset(required), dict(optional), builder)
-
-
-_register_field(
-    "uniform_q", {"q"}, {},
-    lambda p, constants: UniformQ(tuple(_vector3(p["q"], "q"))),
-)
-_register_field(
-    "fresnel_flow", {"omega_rad_s", "n", "u_mps"}, {},
-    lambda p, constants: FresnelFlow(_scalar(p["omega_rad_s"], "omega_rad_s"),
-                                     _scalar(p["n"], "n"),
-                                     tuple(_vector3(p["u_mps"], "u_mps"))),
-)
-_register_field(
-    "solenoid", {"flux_wb"},
-    {"center_m": (0.0, 0.0, 0.0), "axis": (0.0, 0.0, 1.0), "coupling": None},
-    lambda p, constants: SolenoidVectorPotential(
-        _scalar(p["flux_wb"], "flux_wb"),
-        constants.charge_over_hbar if p["coupling"] is None
-        else _scalar(p["coupling"], "coupling"),
-        tuple(_vector3(p["center_m"], "center_m")),
-        tuple(_vector3(p["axis"], "axis")),
-    ),
-)
-
-
-def _scalar(value, key):
-    # json.loads accepts NaN, Infinity and integers beyond the float range;
-    # an int compares with a float exactly, so one bound rejects all three
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise InputError(f"field parameter {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _vector3(value, key):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise InputError(f"field parameter {key!r} must be a 3-vector")
-    return [_scalar(v, key) for v in value]
-
-
-def field_from_dict(spec: dict, constants: PhysicalConstants):
-    """Build an interaction field from a {kind, params} mapping (CLI payloads).
-
-    A solenoid without an explicit coupling gets constants.charge_over_hbar."""
-    if not isinstance(spec, dict):
-        raise InputError("field spec must be a JSON object")
-    unknown_top = set(spec) - {"kind", "params"}
-    if unknown_top:
-        raise InputError(f"unknown field spec key {sorted(unknown_top)[0]!r}")
-    kind = spec.get("kind")
-    if kind not in _FIELD_KINDS:
-        known = ", ".join(sorted(_FIELD_KINDS))
-        raise InputError(f"unknown field kind {kind!r} (known: {known})")
-    required, optional, builder = _FIELD_KINDS[kind]
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise InputError("field params must be a JSON object")
-    unknown = set(params) - required - set(optional)
-    if unknown:
-        raise InputError(f"unknown field parameter {sorted(unknown)[0]!r} for kind {kind!r}")
-    missing = required - set(params)
-    if missing:
-        raise InputError(f"missing field parameter {sorted(missing)[0]!r} for kind {kind!r}")
-    merged = dict(optional)
-    merged.update(params)
-    return builder(merged, constants)

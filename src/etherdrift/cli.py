@@ -13,14 +13,16 @@ import argparse
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .abphase import Path, field_from_dict, phase_line_integral
+from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
+                      phase_line_integral)
 from .errors import DomainError, EtherdriftError, InputError
-from .fieldmomentum import (REFERENCE_GRID, SolenoidChargeGeometry,
-                            analytic_solenoid_momentum, convergence_study)
+from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
+                            convergence_study)
 from .interferometer import (InterferometerConfig, angle_scan,
                              improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
@@ -46,13 +48,13 @@ def format_float(value: float) -> str:
 def _json_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_value(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(v)}"
@@ -66,18 +68,10 @@ def render_json(obj) -> str:
     return _json_value(obj) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, str)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(value)
-
-
 def render_csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        lines.append(",".join(format_float(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -106,65 +100,140 @@ def _version_line() -> str:
             f"constants=sha256:{constants.fingerprint()}")
 
 
-# schema entry: key -> (kind, default); default None means required
+# ---------------------------------------------------------------------------
+# JSON payloads: the fringe config, the pmomentum geometry and the abphase
+# field spec.  This module alone knows their formats.
+
+def _finite(value) -> bool:
+    """An int or float within the double range.
+
+    float() and json.loads accept NaN and the infinities, and int() and
+    json.loads integers beyond the float range; an int compares with a float
+    exactly, so one bound rejects all of them."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+
+
+#: schema kind -> what a valid value is, for the error message
+_KINDS = {"number": "a finite number", "integer": "an integer in the double range",
+          "string": "a string", "vector": "a 3-vector of finite numbers",
+          "intvector": "a 3-vector of integers in the double range"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind == "string":
+        return isinstance(value, str)
+    if kind in ("vector", "intvector"):
+        element = "number" if kind == "vector" else "integer"
+        return (isinstance(value, list) and len(value) == 3
+                and all(_is_kind(v, element) for v in value))
+    # bool is an int subclass: a JSON true must not pass for 1
+    return (not isinstance(value, bool) and _finite(value)
+            and (kind == "number" or isinstance(value, int)))
+
+
+def _as_kind(value, kind):
+    if kind == "number":
+        return float(value)
+    if kind == "vector":
+        return tuple(float(v) for v in value)
+    if kind == "intvector":
+        return tuple(value)
+    return value
+
+
+class _Key(NamedTuple):
+    """A payload key: the library keyword it feeds, its kind, whether it is
+    required, and a conversion of the checked value (unit or enum)."""
+
+    keyword: str
+    kind: str
+    required: bool = True
+    convert: object = None
+
+
+def _composition(name: str) -> CompositionLaw:
+    try:
+        return CompositionLaw(name)
+    except ValueError:
+        raise InputError(
+            f"composition must be 'einstein' or 'tangherlini', got {name!r}") from None
+
+
 _FRINGE_SCHEMA = {
-    "L_m": ("number", None),
-    "n1": ("number", None),
-    "n2": ("number", None),
-    "ef": ("number", 0.0),
-    "u_mps": ("number", None),
-    "lambda_nm": ("number", None),
-    "composition": ("string", "einstein"),
-    "steps": ("integer", 32),
+    "L_m": _Key("L", "number"),
+    "n1": _Key("n1", "number"),
+    "n2": _Key("n2", "number"),
+    "ef": _Key("e_f", "number", False),
+    "u_mps": _Key("u", "number"),
+    "lambda_nm": _Key("lambda_vac", "number", convert=lambda nm: nm * 1e-9),
+    "composition": _Key("composition", "string", False, _composition),
+    "steps": _Key("steps", "integer", False),  # angle_scan's, not the config's
 }
 
 _GEOMETRY_SCHEMA = {
-    "a_cm": ("number", None),
-    "B_gauss": ("number", None),
-    "d_cm": ("number", None),
-    "q_esu": ("number", None),
-    "lambda_cm": ("number", "omit"),
-    "grid": ("intlist", "omit"),
+    "a_cm": _Key("a", "number"),
+    "B_gauss": _Key("B", "number"),
+    "d_cm": _Key("d", "number"),
+    "q_esu": _Key("q", "number"),
+    "lambda_cm": _Key("truncation_halflength", "number", False),
+    "grid": _Key("grid", "intvector", False),
+}
+
+# field kind -> (field class, schema of its params)
+_FIELD_SCHEMAS = {
+    "uniform_q": (UniformQ, {"q": _Key("q", "vector")}),
+    "fresnel_flow": (FresnelFlow, {"omega_rad_s": _Key("omega", "number"),
+                                   "n": _Key("n", "number"),
+                                   "u_mps": _Key("u", "vector")}),
+    "solenoid": (SolenoidVectorPotential, {"flux_wb": _Key("flux", "number"),
+                                           "coupling": _Key("coupling", "number", False),
+                                           "center_m": _Key("axis_point", "vector", False),
+                                           "axis": _Key("axis_direction", "vector", False)}),
 }
 
 
-def _check_kind(key, value, kind):
-    if kind == "number":
-        # json.loads accepts NaN, Infinity and integers beyond the float range;
-        # an int compares with a float exactly, so one bound rejects all three
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not abs(value) <= sys.float_info.max):
-            raise InputError(f"config key {key!r} must be a finite number, got {value!r}")
-        return float(value)
-    if kind == "integer":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
-    if kind == "string":
-        if not isinstance(value, str):
-            raise InputError(f"config key {key!r} must be a string, got {value!r}")
-        return value
-    if kind == "intlist":
-        if (not isinstance(value, list) or len(value) != 3
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-            raise InputError(f"config key {key!r} must be a list of 3 integers, got {value!r}")
-        return value
-    raise InputError(f"unhandled schema kind {kind!r}")
+def _apply_schema(values, schema: dict, origin: str) -> dict:
+    """Library keywords from a JSON object.
 
-
-def _apply_schema(values: dict, schema: dict, origin: str) -> dict:
+    An optional key that is absent is not passed, so the library's own
+    default is the only one."""
+    if not isinstance(values, dict):
+        raise InputError(f"{origin} must be a JSON object")
     unknown = set(values) - set(schema)
     if unknown:
         raise InputError(f"unknown key {sorted(unknown)[0]!r} in {origin}")
-    out = {}
-    for key, (kind, default) in schema.items():
-        if key in values:
-            out[key] = _check_kind(key, values[key], kind)
-        elif default is None:
-            raise InputError(f"missing required key {key!r} in {origin}")
-        elif default != "omit":
-            out[key] = default
-    return out
+    kwargs = {}
+    for key, (keyword, kind, required, convert) in schema.items():
+        if key not in values:
+            if required:
+                raise InputError(f"missing required key {key!r} in {origin}")
+            continue
+        value = values[key]
+        if not _is_kind(value, kind):
+            raise InputError(f"{origin} key {key!r} must be {_KINDS[kind]}, got {value!r}")
+        value = _as_kind(value, kind)
+        kwargs[keyword] = value if convert is None else convert(value)
+    return kwargs
+
+
+def _field_from_dict(spec, constants):
+    """An interaction field from a {kind, params} spec.
+
+    A solenoid without a coupling gets the profile's charge_over_hbar."""
+    if not isinstance(spec, dict):
+        raise InputError("field spec must be a JSON object")
+    unknown = set(spec) - {"kind", "params"}
+    if unknown:
+        raise InputError(f"unknown field spec key {sorted(unknown)[0]!r}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _FIELD_SCHEMAS:
+        known = ", ".join(sorted(_FIELD_SCHEMAS))
+        raise InputError(f"unknown field kind {kind!r} (known: {known})")
+    cls, schema = _FIELD_SCHEMAS[kind]
+    kwargs = _apply_schema(spec.get("params", {}), schema, f"{kind} field params")
+    if cls is SolenoidVectorPotential:
+        kwargs.setdefault("coupling", constants.charge_over_hbar)
+    return cls(**kwargs)
 
 
 def _parse_json_text(text: str, origin: str):
@@ -189,14 +258,6 @@ def _load_payload(spec: str, what: str):
     if stripped.startswith("{") or stripped.startswith("["):
         return _parse_json_text(spec, f"inline {what}")
     return _load_json_file(spec)
-
-
-def _composition(name: str) -> CompositionLaw:
-    try:
-        return CompositionLaw(name)
-    except ValueError:
-        raise InputError(
-            f"composition must be 'einstein' or 'tangherlini', got {name!r}") from None
 
 
 def _lambda_nm(ns):
@@ -322,11 +383,12 @@ def _build_parser() -> _Parser:
 def parse_config(argv) -> argparse.Namespace:
     """Parse the argument list; ``ns.run`` is the subcommand's runner.
 
-    float() accepts 'nan' and 'inf', so every float flag is checked here.
+    float() accepts 'nan' and 'inf', and int() integers beyond the float
+    range, so every number flag is checked here.
     """
     ns = _build_parser().parse_args(argv)
     for key, value in vars(ns).items():
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (int, float)) and not _finite(value):
             raise InputError(f"--{key.replace('_', '-')} must be finite, got {value}")
     return ns
 
@@ -357,11 +419,9 @@ def _run_fringe(ns, constants):
         values.update(payload)
     flags = dict(vars(ns), lambda_nm=_lambda_nm(ns))
     values.update({key: flags[key] for key in _FRINGE_SCHEMA if flags[key] is not None})
-    p = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
-    config = InterferometerConfig(p["L_m"], p["n1"], p["n2"], p["u_mps"],
-                                  p["lambda_nm"] * 1e-9, _composition(p["composition"]),
-                                  p["ef"])
-    rows = angle_scan(config, p["steps"])
+    kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
+    steps = kwargs.pop("steps", 32)
+    rows = angle_scan(InterferometerConfig(**kwargs), steps)
     return render_csv(("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes"),
                       rows)
 
@@ -380,7 +440,7 @@ def _run_sensitivity(ns, constants):
 def _run_abphase(ns, constants):
     spec = _load_payload(ns.field, "field spec")
     vertices = _load_payload(ns.path, "path")
-    field = field_from_dict(spec, constants)
+    field = _field_from_dict(spec, constants)
     try:
         path = Path(np.asarray(vertices, dtype=float))
     except (TypeError, ValueError):
@@ -436,12 +496,8 @@ def _run_bounds(ns, constants):
 
 
 def _run_pmomentum(ns, constants):
-    payload = _load_payload(ns.geometry, "geometry")
-    if not isinstance(payload, dict):
-        raise InputError("geometry must be a JSON object")
-    g = _apply_schema(payload, _GEOMETRY_SCHEMA, "geometry")
-    geom = SolenoidChargeGeometry(g["a_cm"], g["B_gauss"], g["d_cm"], g["q_esu"],
-                                  g.get("lambda_cm"), tuple(g.get("grid", REFERENCE_GRID)))
+    geom = SolenoidChargeGeometry(**_apply_schema(
+        _load_payload(ns.geometry, "geometry"), _GEOMETRY_SCHEMA, "geometry"))
     # the last level is the geometry's own grid, which P_e reports
     rows = convergence_study(geom, ns.levels)
     levels = [{"lambda_cm": row.half_length_cm, "grid": list(row.grid),

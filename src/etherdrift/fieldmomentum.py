@@ -164,6 +164,9 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     """
     if levels < 2:
         raise InputError(f"convergence study needs at least 2 levels, got {levels}")
+    if not geom.half_length * 2.0 ** (1 - levels) > 0.0:
+        raise DomainError(f"levels={levels} halves the truncation half-length "
+                          f"{geom.half_length} to 0 at the coarsest level")
     nr, nphi, nz = geom.grid
     analytic = analytic_solenoid_momentum(geom)
     analytic_norm = float(np.linalg.norm(analytic))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etherdrift.abphase import (FresnelFlow, Path, SolenoidVectorPotential,
-                                UniformQ, field_from_dict, fresnel_momentum,
+                                UniformQ, fresnel_momentum,
                                 interference_intensity, magnetic_ab_phase,
                                 phase_line_integral, scalar_phase)
 from etherdrift.errors import DomainError, InputError, SingularPathError
@@ -322,40 +322,3 @@ def test_path_validation():
         Path([(0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(InputError):
         Path([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
-
-
-def test_field_from_dict_round_trips():
-    field = field_from_dict({"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}}, PAPER)
-    assert isinstance(field, UniformQ) and field.q == (1.0, 2.0, 3.0)
-
-    flow = field_from_dict({"kind": "fresnel_flow",
-                            "params": {"omega_rad_s": OMEGA_633, "n": 1.33,
-                                       "u_mps": [10.0, 0.0, 0.0]}}, PAPER)
-    assert np.all(flow.q_vector() == fresnel_momentum(OMEGA_633, 1.33, (10.0, 0.0, 0.0)))
-
-    sol = field_from_dict({"kind": "solenoid", "params": {"flux_wb": 2.067e-15}}, PAPER)
-    assert sol.coupling == PAPER.charge_over_hbar
-    assert sol.axis_point == (0.0, 0.0, 0.0)
-
-    tilted = field_from_dict({"kind": "solenoid",
-                              "params": {"flux_wb": 1.0, "coupling": 1.0,
-                                         "center_m": [1.0, 0.0, 0.0],
-                                         "axis": [0.0, 1.0, 0.0]}}, PAPER)
-    assert tilted.axis_direction == (0.0, 1.0, 0.0)
-
-
-def test_field_from_dict_strict_errors_name_offender():
-    with pytest.raises(InputError, match="vortex"):
-        field_from_dict({"kind": "vortex", "params": {}}, PAPER)
-    with pytest.raises(InputError, match="extra"):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0], "extra": 1}}, PAPER)
-    with pytest.raises(InputError, match="flux_wb"):
-        field_from_dict({"kind": "solenoid", "params": {}}, PAPER)
-    with pytest.raises(InputError, match="comment"):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0]}, "comment": "x"}, PAPER)
-    with pytest.raises(InputError):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0]}}, PAPER)
-    with pytest.raises(InputError):
-        field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, "a"]}}, PAPER)
-    with pytest.raises(InputError):
-        field_from_dict([1, 2], PAPER)

@@ -5,11 +5,17 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from etherdrift.units import MODERN, PAPER
+from etherdrift import cli
+from etherdrift.abphase import UniformQ, fresnel_momentum
+from etherdrift.errors import InputError
+from etherdrift.units import MODERN, PAPER, c
 
 CLI = [sys.executable, "-m", "etherdrift.cli"]
+
+OMEGA_633 = 2.0 * math.pi * c / 633e-9
 
 
 def run_cli(*args, env_extra=None):
@@ -213,6 +219,48 @@ def test_abphase_field_file_and_errors(tmp_path):
     assert proc.returncode == 2
 
 
+def test_field_from_dict_round_trips():
+    field = cli._field_from_dict({"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}}, PAPER)
+    assert isinstance(field, UniformQ) and field.q == (1.0, 2.0, 3.0)
+
+    flow = cli._field_from_dict({"kind": "fresnel_flow",
+                                 "params": {"omega_rad_s": OMEGA_633, "n": 1.33,
+                                            "u_mps": [10.0, 0.0, 0.0]}}, PAPER)
+    assert np.all(flow.q_vector() == fresnel_momentum(OMEGA_633, 1.33, (10.0, 0.0, 0.0)))
+
+    sol = cli._field_from_dict({"kind": "solenoid", "params": {"flux_wb": 2.067e-15}}, PAPER)
+    assert sol.coupling == PAPER.charge_over_hbar
+    assert sol.axis_point == (0.0, 0.0, 0.0)
+
+    tilted = cli._field_from_dict({"kind": "solenoid",
+                                   "params": {"flux_wb": 1.0, "coupling": 1.0,
+                                              "center_m": [1.0, 0.0, 0.0],
+                                              "axis": [0.0, 1.0, 0.0]}}, PAPER)
+    assert tilted.axis_direction == (0.0, 1.0, 0.0)
+
+
+def test_field_from_dict_strict_errors_name_offender():
+    with pytest.raises(InputError, match="vortex"):
+        cli._field_from_dict({"kind": "vortex", "params": {}}, PAPER)
+    with pytest.raises(InputError, match="extra"):
+        cli._field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0], "extra": 1}},
+                             PAPER)
+    with pytest.raises(InputError, match="flux_wb"):
+        cli._field_from_dict({"kind": "solenoid", "params": {}}, PAPER)
+    with pytest.raises(InputError, match="comment"):
+        cli._field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, 0]}, "comment": "x"},
+                             PAPER)
+    with pytest.raises(InputError):
+        cli._field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0]}}, PAPER)
+    with pytest.raises(InputError):
+        cli._field_from_dict({"kind": "uniform_q", "params": {"q": [0, 0, "a"]}}, PAPER)
+    with pytest.raises(InputError):
+        cli._field_from_dict([1, 2], PAPER)
+    # an unhashable kind used to raise TypeError on the registry lookup
+    with pytest.raises(InputError, match="kind"):
+        cli._field_from_dict({"kind": ["uniform_q"], "params": {"q": [0, 0, 0]}}, PAPER)
+
+
 def test_proca_bound_profiles():
     args = ("proca", "bound", "--V-volts", "1e7", "--tau-s", "0.05",
             "--R-cm", "27", "--epsilon", "1e-4")
@@ -271,6 +319,8 @@ def test_proca_potential_last_radius_is_exactly_r():
 
 
 FRINGE = ("fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--lambda-nm", "633")
+GEOMETRY = '{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0, "grid": [4, 4, 4]}'
+_HUGE = "1" + "0" * 400  # beyond the float range; float() raises OverflowError
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -282,6 +332,9 @@ FRINGE = ("fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--lambda-
     # an infinite Compton range used to print the massless profile
     (("proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
       "--m-gamma-inv-cm", "inf"), "--m-gamma-inv-cm"),
+    # int() accepts it; angle_scan and the grid code used to raise OverflowError
+    (FRINGE + ("--u-mps", "0", "--steps", _HUGE), "--steps"),
+    (("pmomentum", "--geometry", GEOMETRY, "--levels", _HUGE), "--levels"),
 ])
 def test_non_finite_flags_exit_2(args, flag):
     proc = run_cli(*args)
@@ -301,6 +354,12 @@ def test_non_finite_json_numbers_exit_2(tmp_path):
     proc = run_cli("fringe", "--config", str(cfg))
     assert proc.returncode == 2
     assert "u_mps" in stderr_error(proc)["message"]
+
+    # a JSON true must not pass for the number 1, and a count must fit a double
+    for leaf, key in (('"ef": true', "ef"), ('"steps": ' + _HUGE, "steps")):
+        cfg.write_text('{"L_m": 1.0, "n1": 1.0006, "n2": 1.0001, "u_mps": 1.0, '
+                       '"lambda_nm": 633.0, %s}' % leaf)
+        _exit_2_with(run_cli("fringe", "--config", str(cfg)), "InputError", f"'{key}'")
 
     uniform = '{"kind": "uniform_q", "params": {"q": [1, 0, 0]}}'
     proc = run_cli("abphase", "--field", uniform.replace("[1,", "[Infinity,"),
@@ -440,14 +499,16 @@ def _exit_2_with(proc, error, fragment):
     assert fragment in payload["message"]
 
 
-_HUGE = "1" + "0" * 400  # beyond the float range; float() raises OverflowError
-
 
 @pytest.mark.parametrize("geometry, key", [
     ('{"a_cm": %s, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0}' % _HUGE, "a_cm"),
     # json.loads itself refuses integers of more than 4300 digits
     ('{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1%s}' % ("0" * 5000), "geometry"),
-], ids=["beyond-float-range", "beyond-4300-digits"])
+    # a grid count used to reach the quadrature and raise OverflowError there
+    ('{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0, "grid": [4, 4, %s]}' % _HUGE,
+     "'grid'"),
+    ('{"a_cm": 1.0, "B_gauss": true, "d_cm": 3.0, "q_esu": 1.0}', "'B_gauss'"),
+], ids=["beyond-float-range", "beyond-4300-digits", "grid-beyond-float-range", "bool"])
 def test_pmomentum_huge_json_integer_exit_2(geometry, key):
     _exit_2_with(run_cli("pmomentum", "--geometry", geometry), "InputError", key)
 
@@ -456,6 +517,10 @@ def test_abphase_huge_json_integer_exit_2():
     field = '{"kind": "uniform_q", "params": {"q": [%s, 0, 0]}}' % _HUGE
     proc = run_cli("abphase", "--field", field, "--path", "[[0,0,0],[1,0,0]]")
     _exit_2_with(proc, "InputError", "'q'")
+
+    field = '{"kind": "solenoid", "params": {"flux_wb": 1.0, "coupling": true}}'
+    proc = run_cli("abphase", "--field", field, "--path", "[[1,0,0],[0,1,0]]")
+    _exit_2_with(proc, "InputError", "'coupling'")
 
 
 def test_overflowing_result_exit_2():
@@ -473,3 +538,10 @@ def test_proca_compton_range_overflow_names_flag(action):
     if action == "phase":
         args += ("--tau-s", "0.05")
     _exit_2_with(run_cli(*args), "DomainError", "--m-gamma-inv-cm")
+
+
+def test_pmomentum_levels_underflowing_truncation_exit_2():
+    # 2**-1099 underflows: the coarsest levels used to print lambda_cm 0
+    # and rel_error 1 with exit 0
+    proc = run_cli("pmomentum", "--geometry", GEOMETRY, "--levels", "1100")
+    _exit_2_with(proc, "DomainError", "levels")

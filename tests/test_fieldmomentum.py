@@ -136,3 +136,7 @@ def test_convergence_study_monotone_and_order():
 def test_convergence_study_levels_validated():
     with pytest.raises(InputError):
         convergence_study(REFERENCE, 1)
+    # 150 cm * 2**-1099 is 0: the coarsest levels would integrate over
+    # |z| <= 0 and report rel_error 1
+    with pytest.raises(DomainError, match="levels"):
+        convergence_study(replace(REFERENCE, grid=(4, 4, 4)), 1100)
