@@ -69,10 +69,18 @@ def render_json(obj) -> str:
 
 
 def render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    """CSV of float rows (tuples), one "%.17g" format per row.
+
+    A finite "%.17g" has no letter n, while inf and nan do, so one search of
+    the body checks every cell; format_float then names the offending one."""
+    head = ",".join(header)
+    row_format = ",".join(["%.17g"] * len(header))
+    text = "\n".join([head, *map(row_format.__mod__, rows), ""])
+    if text.find("n", len(head)) != -1:
+        for row in rows:
+            for value in row:
+                format_float(value)
+    return text
 
 
 # ---------------------------------------------------------------------------

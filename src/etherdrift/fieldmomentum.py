@@ -35,6 +35,9 @@ DEFAULT_TRUNCATION_FACTOR = 50.0
 #: reference grid (radial, azimuthal, axial) used by the oracle comparison
 REFERENCE_GRID = (16, 32, 512)
 
+#: most grid nodes one quadrature may allocate (each node costs 8 doubles)
+MAX_GRID_NODES = 2 ** 24
+
 
 @dataclass(frozen=True)
 class SolenoidChargeGeometry:
@@ -65,6 +68,9 @@ class SolenoidChargeGeometry:
         for n in self.grid:
             if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 4:
                 raise InputError(f"grid dimensions must be integers >= 4, got {self.grid!r}")
+        if math.prod(self.grid) > MAX_GRID_NODES:
+            raise InputError(f"grid {list(self.grid)} has {math.prod(self.grid)} nodes, "
+                             f"more than the {MAX_GRID_NODES} one quadrature may allocate")
 
     @property
     def half_length(self) -> float:
@@ -164,9 +170,13 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     """
     if levels < 2:
         raise InputError(f"convergence study needs at least 2 levels, got {levels}")
-    if not geom.half_length * 2.0 ** (1 - levels) > 0.0:
+    # below the bore radius the truncated integral is no longer near its
+    # limit, and far below it underflows to 0
+    coarsest = geom.half_length * 2.0 ** (1 - levels)
+    if not coarsest >= geom.a:
         raise DomainError(f"levels={levels} halves the truncation half-length "
-                          f"{geom.half_length} to 0 at the coarsest level")
+                          f"{geom.half_length} to {coarsest} at the coarsest level, "
+                          f"below the bore radius {geom.a}")
     nr, nphi, nz = geom.grid
     analytic = analytic_solenoid_momentum(geom)
     analytic_norm = float(np.linalg.norm(analytic))

@@ -15,34 +15,45 @@ speed; at e_f = 0 it reduces to the plain printed form, at e_f = 1 the
 drift signal cancels.  The same expression results from either composition
 law, because their inverse one-way speeds differ by the arm-independent
 synchronization term u/c^2.
+
+Every orientation-dependent quantity (arm speed, exact and first-order
+delay, scan row) comes from one numpy pass over an array of angles, so a
+scan row equals delay_exact at its angle bit for bit; numpy is imported
+only there.  A scan holds at most MAX_SCAN_STEPS rows, and a configuration
+whose drift reaches the light speed of an arm is refused.  The rotation
+signal is formed from the drift parts of the inverse speeds, not as the
+difference of two nearly equal delays.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import DegenerateConfigError, DomainError, InputError
-from .kinematics import CompositionLaw, compose_lab_speed
+from .kinematics import CompositionLaw, _compose
 from .units import c
 
+#: largest angle_scan; each row holds four floats
+MAX_SCAN_STEPS = 10 ** 7
 
-def _cos_deg(theta_deg: float) -> float:
-    """Cosine of an angle in degrees, exactly antisymmetric under +180.
 
-    The angle is folded into [0, 90] before calling cos, so quadrant pairs
-    (theta, theta+180) return exact negations and the quadrant points give
-    exact 0 / +-1.  Fringe antisymmetry tests rely on this.
+def _cos_deg(theta_deg):
+    """Cosines of a sequence of angles in degrees, as a numpy array.
+
+    Each angle is folded into [0, 90] before calling cos, so 0 and 180 give
+    exactly +1 and -1, and a pair (theta, theta + 180) gives exact negations
+    wherever theta + 180 - 180 == theta in floating point.  Fringe
+    antisymmetry tests rely on this.
     """
-    t = theta_deg % 360.0
-    if t <= 90.0:
-        return math.cos(math.radians(t))
-    if t <= 180.0:
-        return -math.cos(math.radians(180.0 - t))
-    if t <= 270.0:
-        return -math.cos(math.radians(t - 180.0))
-    return math.cos(math.radians(360.0 - t))
+    import numpy as np  # only the orientation-dependent quantities need numpy
+
+    t = np.asarray(theta_deg, dtype=float) % 360.0
+    folded = np.select([t <= 90.0, t <= 180.0, t <= 270.0],
+                       [t, 180.0 - t, t - 180.0], 360.0 - t)
+    cos = np.cos(np.radians(folded))
+    return np.where((90.0 < t) & (t <= 270.0), -cos, cos)
 
 
 @dataclass(frozen=True)
@@ -78,38 +89,65 @@ class InterferometerConfig:
             raise DomainError(f"e_f must lie in [0, 1], got {self.e_f}")
         if not isinstance(self.composition, CompositionLaw):
             raise InputError(f"composition must be a CompositionLaw, got {self.composition!r}")
+        # A lab speed's numerator is linear in u_eff and its denominator
+        # concave, and the two cannot both be negative for |u| < c; a speed
+        # positive at 0 and 180 degrees is therefore positive at every angle.
+        for arm, n in ((1, self.n1), (2, self.n2)):
+            for u_eff in (self.u, -self.u):
+                try:
+                    positive = _lab_speed(self, n, u_eff) > 0.0
+                except ZeroDivisionError:
+                    positive = False
+                if not positive:
+                    raise DomainError(f"drift speed u = {self.u} m/s reaches the light "
+                                      f"speed in arm {arm} (n{arm} = {n}): its lab speed "
+                                      "must stay positive at every orientation")
+
+
+def _lab_speed(config: InterferometerConfig, n: float, u_eff):
+    """One-way lab speed in a medium of index n at projected drift u_eff.
+
+    The medium rest-frame speed c/n + e_f (1 - 1/n^2) u_eff is composed
+    with the configured law.  u_eff is a float or a numpy array.
+    """
+    v_rest = c / n + config.e_f * (1.0 - 1.0 / (n * n)) * u_eff
+    return _compose(v_rest, u_eff, config.composition)
+
+
+def _delays(config: InterferometerConfig, theta_deg):
+    """Exact and first-order delays at each angle of a sequence, as arrays.
+
+    The one numerical path of every delay: delay_exact, delay_first_order
+    and angle_scan read their values from here.
+    """
+    n1 = config.n1
+    n2 = config.n2
+    u_eff = config.u * _cos_deg(theta_deg)
+    exact = config.L * (1.0 / _lab_speed(config, n1, u_eff)
+                        - 1.0 / _lab_speed(config, n2, u_eff))
+    first = (config.L / c) * (n1 - n2) * (1.0 + (u_eff / c) * (1.0 - config.e_f) * (n1 + n2))
+    return exact, first
 
 
 def arm_speed(config: InterferometerConfig, arm: int, theta_deg: float) -> float:
-    """Lab-frame one-way light speed in one arm at orientation theta.
-
-    The medium rest-frame speed c/n + e_f (1 - 1/n^2) u_eff is composed
-    with the configured law at the projected drift u_eff = u cos(theta).
-    """
+    """Lab-frame one-way light speed in one arm at orientation theta."""
     if arm == 1:
         n = config.n1
     elif arm == 2:
         n = config.n2
     else:
         raise InputError(f"arm must be 1 or 2, got {arm}")
-    u_eff = config.u * _cos_deg(theta_deg)
-    v_rest = c / n + config.e_f * (1.0 - 1.0 / (n * n)) * u_eff
-    return compose_lab_speed(v_rest, u_eff, config.composition)
+    return float(_lab_speed(config, n, config.u * _cos_deg([theta_deg]))[0])
 
 
 def delay_exact(config: InterferometerConfig, theta_deg: float) -> float:
     """Arm delay difference L (1/w1 - 1/w2); positive when arm 1 is slower."""
-    w1 = arm_speed(config, 1, theta_deg)
-    w2 = arm_speed(config, 2, theta_deg)
-    return config.L * (1.0 / w1 - 1.0 / w2)
+    return float(_delays(config, [theta_deg])[0][0])
 
 
 def delay_first_order(config: InterferometerConfig, theta_deg: float) -> float:
     """First-order form (L/c)(n1 - n2)[1 + (u_eff/c)(1 - e_f)(n1 + n2)]."""
-    n1 = config.n1
-    n2 = config.n2
-    u_eff = config.u * _cos_deg(theta_deg)
-    return (config.L / c) * (n1 - n2) * (1.0 + (u_eff / c) * (1.0 - config.e_f) * (n1 + n2))
+    return float(_delays(config, [theta_deg])[1][0])
 
 
 class RotationSignal(NamedTuple):
@@ -117,16 +155,37 @@ class RotationSignal(NamedTuple):
     first_order: float
 
 
+def _half_turn_swing(n: float, u: float, e_f: float) -> float:
+    """Change 1/w(u) - 1/w(-u) of an arm's inverse lab speed on the half turn.
+
+    Write the Einstein-law 1/w = n/c + delta(u); Tangherlini adds -u/c^2,
+    alike in both arms, so the arm difference is the same.  With
+    k = e_f (n^2 - 1)/n^2 and D(u) = c/n - (1 - k) u,
+    delta(u) - delta(-u) = 2u (n^2 - 1)/n^2 [(1 - e_f) - e_f (1 - k)(u/c)^2]
+    / (D(u) D(-u)).  The static n/c term cancels in closed form, and n^2 - 1
+    is formed as (n - 1)(n + 1), exact to rounding for n near 1.
+    """
+    n2m1 = (n - 1.0) * (n + 1.0)
+    k = e_f * n2m1 / (n * n)
+    drift = (1.0 - k) * u
+    bracket = (1.0 - e_f) - e_f * (1.0 - k) * (u / c) * (u / c)
+    return 2.0 * u * (n2m1 / (n * n)) * bracket / ((c / n - drift) * (c / n + drift))
+
+
 def rotation_signal(config: InterferometerConfig) -> RotationSignal:
     """Delay variation on the half turn, dt = Dt(0) - Dt(180).
 
-    Returns the exact difference alongside the closed first-order form
-    2 (u/c)(n1^2 - n2^2)(L/c)(1 - e_f); they agree to O((u/c)^2).
+    The exact value is L times the difference of the arms' half-turn
+    swings; no two nearly equal delays are subtracted, so it holds to
+    rounding for any u.  It is returned alongside the closed first-order
+    form 2 (u/c)(n1^2 - n2^2)(L/c)(1 - e_f); they agree to O((u/c)^2).
     """
-    exact = delay_exact(config, 0.0) - delay_exact(config, 180.0)
     n1 = config.n1
     n2 = config.n2
-    first = 2.0 * (config.u / c) * (n1 * n1 - n2 * n2) * (config.L / c) * (1.0 - config.e_f)
+    u = config.u
+    e_f = config.e_f
+    exact = config.L * (_half_turn_swing(n1, u, e_f) - _half_turn_swing(n2, u, e_f))
+    first = 2.0 * (u / c) * (n1 * n1 - n2 * n2) * (config.L / c) * (1.0 - e_f)
     return RotationSignal(exact, first)
 
 
@@ -170,17 +229,20 @@ class ScanRow(NamedTuple):
 
 
 def angle_scan(config: InterferometerConfig, steps: int) -> list:
-    """Uniform orientation scan over [0, 360) degrees.
+    """Uniform orientation scan over [0, 360) degrees, theta_k = 360 k/steps.
 
     steps = 2 reproduces the 0/180 pair of the rotation signal.  The fringe
     column converts the exact delay.
     """
     if steps < 2:
         raise InputError(f"angle scan needs at least 2 steps, got {steps}")
-    rows = []
-    for k in range(steps):
-        theta = 360.0 * k / steps
-        exact = delay_exact(config, theta)
-        first = delay_first_order(config, theta)
-        rows.append(ScanRow(theta, exact, first, fringe_shift(exact, config.lambda_vac)))
-    return rows
+    if steps > MAX_SCAN_STEPS:
+        raise InputError(f"angle scan takes at most {MAX_SCAN_STEPS} steps, got {steps}")
+    import numpy as np
+
+    theta = 360.0 * np.arange(steps, dtype=float) / steps
+    exact, first = _delays(config, theta)
+    fringes = fringe_shift(exact, config.lambda_vac)
+    # tuple.__new__ builds each row in C, without ScanRow's Python __new__
+    return list(map(tuple.__new__, repeat(ScanRow),
+                    zip(theta.tolist(), exact.tolist(), first.tolist(), fringes.tolist())))

@@ -97,6 +97,13 @@ def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw) -> float:
     Einstein: w = (v - u)/(1 - u v/c^2).  Tangherlini: w = (v - u)/(1 - u^2/c^2).
     """
     _check_speed(u)
+    return _compose(v_rest, u, law)
+
+
+def _compose(v_rest, u, law: CompositionLaw):
+    """compose_lab_speed without the check on u, for callers that bound |u|
+    themselves.  Only arithmetic operators, so v_rest and u may be numpy
+    arrays as well as floats."""
     if law is CompositionLaw.EINSTEIN:
         return (v_rest - u) / (1.0 - u * v_rest / (c * c))
     if law is CompositionLaw.TANGHERLINI:

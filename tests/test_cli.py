@@ -125,6 +125,44 @@ def test_fringe_csv_shape_and_determinism():
     assert proc.stdout == run_cli(*args).stdout
 
 
+# full stdout of 8-step scans with partial drag and a negative drift, as
+# the per-angle scalar implementation printed it
+FRINGE_GOLDEN = {
+    "einstein": """\
+theta_deg,delay_exact_s,delay_first_order_s,fringes
+0,-2.7488924472324795e-09,-2.7488923788013084e-09,-1399146.3897002721
+45,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
+90,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
+135,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
+180,-2.7500785810390327e-09,-2.7500785125878303e-09,-1399750.1146058468
+225,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
+270,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
+315,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
+""",
+    "tangherlini": """\
+theta_deg,delay_exact_s,delay_first_order_s,fringes
+0,-2.7488924472324811e-09,-2.7488923788013084e-09,-1399146.3897002731
+45,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
+90,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
+135,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
+180,-2.7500785810390294e-09,-2.7500785125878303e-09,-1399750.1146058452
+225,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
+270,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
+315,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
+""",
+}
+
+
+@pytest.mark.parametrize("law", sorted(FRINGE_GOLDEN))
+def test_fringe_scan_golden(law, capsys):
+    code = cli.main(["fringe", "--L-m", "2.5", "--n1", "1.00029", "--n2", "1.33",
+                     "--ef", "0.25", "--u-mps=-3.7e4", "--lambda-nm", "589",
+                     "--composition", law, "--steps", "8"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == FRINGE_GOLDEN[law]
+
+
 def test_fringe_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "fringe.json"
     cfg.write_text(json.dumps({"L_m": 1.0, "n1": 1.0006, "n2": 1.0001,
@@ -528,6 +566,10 @@ def test_overflowing_result_exit_2():
     geometry = '{"a_cm":1,"B_gauss":1e300,"d_cm":3,"q_esu":1e300,"grid":[4,4,4]}'
     proc = run_cli("pmomentum", "--geometry", geometry)
     _exit_2_with(proc, "DomainError", "not a finite number")
+    # finite delays whose fringe count c dt / lambda overflows
+    proc = run_cli("fringe", "--L-m", "1e300", "--n1", "1.0006", "--n2", "1.0001",
+                   "--u-mps", "1e3", "--lambda-nm", "1e-300")
+    _exit_2_with(proc, "DomainError", "not a finite number (inf)")
 
 
 @pytest.mark.parametrize("action", ["potential", "phase"])
@@ -545,3 +587,31 @@ def test_pmomentum_levels_underflowing_truncation_exit_2():
     # and rel_error 1 with exit 0
     proc = run_cli("pmomentum", "--geometry", GEOMETRY, "--levels", "1100")
     _exit_2_with(proc, "DomainError", "levels")
+
+
+def test_fringe_steps_beyond_cap_exit_2():
+    # used to grow a list of rows until memory ran out
+    proc = run_cli(*FRINGE, "--u-mps", "1e3", "--steps", "100000000000")
+    _exit_2_with(proc, "InputError", "steps")
+
+
+def test_fringe_drift_reaching_the_light_exit_2():
+    # u = c/1.5 stalls the light in arm 1 at theta = 0: a ZeroDivisionError
+    # traceback with exit 1, and negative delays with exit 0 beyond it
+    for u in ("199861638.66666666", "2.5e8"):
+        proc = run_cli("fringe", "--L-m", "1", "--n1", "1.5", "--n2", "1.0",
+                       "--u-mps", u, "--lambda-nm", "633")
+        _exit_2_with(proc, "DomainError", "arm 1")
+
+
+def test_pmomentum_grid_beyond_node_cap_exit_2():
+    # numpy used to refuse the allocation with a ValueError traceback
+    geometry = GEOMETRY.replace("[4, 4, 4]", "[4, 4, 100000000000000000000]")
+    _exit_2_with(run_cli("pmomentum", "--geometry", geometry), "InputError", "grid")
+
+
+def test_pmomentum_levels_below_bore_radius_exit_2():
+    # 150 cm halved 1059 times is subnormal: lambda_cm 2.4e-317 used to
+    # print with P_mag 0 and exit 0
+    proc = run_cli("pmomentum", "--geometry", GEOMETRY, "--levels", "1060")
+    _exit_2_with(proc, "DomainError", "bore radius")

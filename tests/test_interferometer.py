@@ -1,9 +1,15 @@
+import tracemalloc
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
-from etherdrift.interferometer import (InterferometerConfig, angle_scan,
-                                       arm_speed, delay_exact,
+from etherdrift.interferometer import (MAX_SCAN_STEPS, InterferometerConfig,
+                                       angle_scan, arm_speed, delay_exact,
                                        delay_first_order, fringe_shift,
                                        improvement_factor, min_detectable_u,
                                        rotation_signal)
@@ -78,9 +84,11 @@ def test_first_order_reversal_is_sign_flip_of_u():
 
 def test_rotation_signal_frozen():
     signal = rotation_signal(config())
-    # Dt(0) - Dt(180) and 2(u/c)(n1^2-n2^2)(L/c), 50-digit arithmetic
+    # 2(u/c)(n1^2-n2^2)(L/c) for the decimal indices, and Dt(0) - Dt(180) for
+    # their nearest doubles, 50-digit arithmetic; the doubles move the
+    # difference by 1.1e-13 relative
     assert signal.first_order == pytest.approx(2.2260789671464744e-17, rel=1e-14)
-    assert signal.exact == pytest.approx(2.2260789671712776e-17, rel=1e-6)
+    assert signal.exact == pytest.approx(2.2260789671710323e-17, rel=1e-13)
     assert signal.exact == pytest.approx(signal.first_order, rel=1e-6)
 
 
@@ -165,7 +173,6 @@ def test_angle_scan_two_steps_is_rotation_pair():
     assert [row.theta_deg for row in rows] == [0.0, 180.0]
     assert rows[0].delay_exact_s == delay_exact(cfg, 0.0)
     assert rows[1].delay_exact_s == delay_exact(cfg, 180.0)
-    assert rows[0].delay_exact_s - rows[1].delay_exact_s == rotation_signal(cfg).exact
 
 
 def test_angle_scan_static_is_constant():
@@ -203,3 +210,93 @@ def test_config_validation_names_offender():
         config(e_f=1.5)
     with pytest.raises(DomainError, match="n2"):
         InterferometerConfig(1.0, 1.0, float("nan"), 0.0, 633e-9)
+
+
+def _rotation_reference(cfg):
+    """Dt(0) - Dt(180) from the composed lab speeds, 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        c, L, e_f = mpmath.mpf(C), mpmath.mpf(cfg.L), mpmath.mpf(cfg.e_f)
+
+        def inverse_speed(n, u):
+            v = c / n + e_f * (1 - 1 / n ** 2) * u
+            if cfg.composition is CompositionLaw.EINSTEIN:
+                return (1 - u * v / c ** 2) / (v - u)
+            return (1 - (u / c) ** 2) / (v - u)
+
+        def delay(u):
+            return L * (inverse_speed(mpmath.mpf(cfg.n1), u)
+                        - inverse_speed(mpmath.mpf(cfg.n2), u))
+
+        u = mpmath.mpf(cfg.u)
+        return delay(u) - delay(-u)
+
+
+@pytest.mark.parametrize("law", list(CompositionLaw))
+@pytest.mark.parametrize("n1, n2", [(1.0006, 1.0001), (1.5, 1.0), (1.00029, 1.33),
+                                    (1.0003, 1.00029)])
+def test_rotation_signal_exact_matches_mpmath(law, n1, n2):
+    # relative error in units of the arm-difference condition number; the
+    # difference of two delays was 100 % off at 1 um/s
+    kappa = (n1 * n1 + n2 * n2 - 2.0) / abs(n1 * n1 - n2 * n2)
+    for e_f in (0.0, 0.5, 0.9, 0.999):
+        for magnitude in (1e-6, 1e-3, 1.0, 1e3, 1e5, 1e7):
+            for u in (magnitude, -magnitude):
+                cfg = config(n1=n1, n2=n2, L=2.0, u=u, composition=law, e_f=e_f)
+                reference = _rotation_reference(cfg)
+                got = rotation_signal(cfg).exact
+                error = float(abs((mpmath.mpf(got) - reference) / reference))
+                assert error <= 1e-14 * kappa, (e_f, u, error / kappa)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n1=st.floats(1.0, 2.5), n2=st.floats(1.0, 2.5), u=st.floats(-1e7, 1e7),
+       e_f=st.floats(0.0, 1.0), law=st.sampled_from(list(CompositionLaw)),
+       steps=st.integers(2, 300))
+def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
+    cfg = config(n1=n1, n2=n2, u=u, composition=law, e_f=e_f)
+    rows = angle_scan(cfg, steps)
+    assert len(rows) == steps
+    for k, row in enumerate(rows):
+        assert row.theta_deg == 360.0 * k / steps
+        assert row.delay_exact_s == delay_exact(cfg, row.theta_deg)
+        assert row.delay_first_order_s == delay_first_order(cfg, row.theta_deg)
+        assert row.fringes == fringe_shift(row.delay_exact_s, cfg.lambda_vac)
+    # u_eff negates exactly across a half turn wherever theta + 180 is exact
+    # in floating point: the rotated row is the row of the reversed drift
+    if steps % 2 == 0:
+        reversed_rows = angle_scan(replace(cfg, u=-u), steps)
+        half = steps // 2
+        for k in range(half):
+            if rows[k + half].theta_deg - 180.0 == rows[k].theta_deg:
+                assert rows[k + half][1:3] == reversed_rows[k][1:3]
+
+
+def test_angle_scan_caps_steps_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="steps"):
+            angle_scan(config(), MAX_SCAN_STEPS + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rows of MAX_SCAN_STEPS + 1 angles would take over 80 MB
+    assert peak < 1 << 20
+    with pytest.raises(InputError, match="steps"):
+        angle_scan(config(), 10 ** 11)
+
+
+def test_drift_reaching_the_light_in_an_arm_is_refused():
+    u = 199861638.66666666  # c/1.5 to the nearest double: arm 1 stalls at theta = 0
+    assert u == C / 1.5
+    for law in CompositionLaw:
+        for drift in (u, -u, 2.5e8):
+            with pytest.raises(DomainError, match="arm 1"):
+                config(n1=1.5, n2=1.0, u=drift, composition=law)
+        with pytest.raises(DomainError, match="arm 2"):
+            config(n1=1.0, n2=1.5, u=u, composition=law)
+        # a little slower, every orientation has a finite positive delay
+        slower = config(n1=1.5, n2=1.0, u=u * (1.0 - 1e-9), composition=law)
+        assert all(np.isfinite(row).all() for row in angle_scan(slower, 16))
+    # full drag keeps the arm's light ahead of the medium
+    dragged = config(n1=1.5, n2=1.0, u=2.5e8, e_f=1.0)
+    assert all(arm_speed(dragged, 1, theta) > 0.0 for theta in (0.0, 90.0, 180.0))
