@@ -10,8 +10,7 @@ from .errors import (DegenerateConfigError, DimensionError, DomainError,
 from .units import (MODERN, PAPER, Dimension, PhysicalConstants, Quantity,
                     UnitSystem, convert, get_constants, inverse_length_to_mass,
                     mass_to_inverse_length)
-from .kinematics import (CompositionLaw, DragEstimate, compose_lab_speed,
-                         drag_effectiveness_estimate, effective_fresnel_speed,
+from .kinematics import (CompositionLaw, compose_lab_speed, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_drag_coefficient,
                          fresnel_speed, tangherlini_composed_speed)
 from .interferometer import (InterferometerConfig, RotationSignal, ScanRow,
@@ -20,14 +19,13 @@ from .interferometer import (InterferometerConfig, RotationSignal, ScanRow,
                              improvement_factor, min_detectable_u,
                              rotation_signal)
 from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
-                      fresnel_momentum, interference_intensity,
-                      magnetic_ab_phase, phase_line_integral, scalar_phase)
-from .proca import (PhotonMassBound, ProcaCylinderConfig, bessel_I0, bessel_K0,
+                      fresnel_momentum, magnetic_ab_phase, phase_line_integral,
+                      scalar_phase)
+from .proca import (PhotonMassBound, ProcaCylinderConfig, bessel_I0,
                     bounds_registry, cylinder_potential_exact,
                     cylinder_potential_expansion, invert_bound,
-                    mass_phase_correction, projected_bound,
-                    relative_scalar_phase, time_of_flight, yukawa_potential)
+                    mass_phase_correction, projected_bound, time_of_flight,
+                    yukawa_potential)
 from .fieldmomentum import (ConvergenceRow, MomentumResult,
                             SolenoidChargeGeometry, analytic_solenoid_momentum,
-                            convergence_study, em_momentum_density,
-                            integrate_field_momentum)
+                            convergence_study, integrate_field_momentum)

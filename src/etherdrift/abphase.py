@@ -8,18 +8,21 @@ geometry).  Phases are returned unwrapped; reduce mod 2 pi at the detector
 if needed.
 
 Positions are in meters and Q in rad/m throughout; the one Gaussian-form
-helper (magnetic_ab_phase) says so explicitly.
+helper (magnetic_ab_phase) says so explicitly.  numpy is imported inside
+the functions that use arrays, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InputError, SingularPathError
 from .units import c, c_cgs, e_charge, hbar, hbar_cgs
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
 
 
 def _dot(a, b):
@@ -29,6 +32,8 @@ def _dot(a, b):
 
 def fresnel_momentum(omega: float, n: float, u) -> np.ndarray:
     """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m."""
+    import numpy as np
+
     if omega <= 0.0:
         raise DomainError(f"angular frequency must be positive, got {omega}")
     if n < 1.0:
@@ -46,11 +51,15 @@ class UniformQ:
     kind = "uniform_q"
 
     def q_at(self, points) -> np.ndarray:
+        import numpy as np
+
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(np.asarray(self.q, dtype=float), points.shape).copy()
 
     def segment_integrals(self, p0, p1) -> np.ndarray:
         """Exact int Q . dl over each segment p0[i] -> p1[i]: (p1 - p0) . q."""
+        import numpy as np
+
         return _dot(p1 - p0, np.asarray(self.q, dtype=float))
 
 
@@ -68,6 +77,8 @@ class FresnelFlow:
         return fresnel_momentum(self.omega, self.n, self.u)
 
     def q_at(self, points) -> np.ndarray:
+        import numpy as np
+
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(self.q_vector(), points.shape).copy()
 
@@ -95,6 +106,8 @@ class SolenoidVectorPotential:
     kind = "solenoid"
 
     def _axis(self):
+        import numpy as np
+
         point = np.asarray(self.axis_point, dtype=float)
         direction = np.asarray(self.axis_direction, dtype=float)
         norm = float(np.linalg.norm(direction))
@@ -104,11 +117,15 @@ class SolenoidVectorPotential:
 
     def _perp(self, points):
         """Positions relative to the axis point, axial component removed."""
+        import numpy as np
+
         point, axis = self._axis()
         rel = np.atleast_2d(np.asarray(points, dtype=float)) - point
         return rel - _dot(rel, axis)[:, None] * axis, axis
 
     def q_at(self, points) -> np.ndarray:
+        import numpy as np
+
         rel_perp, axis = self._perp(points)
         rho2 = _dot(rel_perp, rel_perp)
         if np.any(rho2 == 0.0):
@@ -119,6 +136,8 @@ class SolenoidVectorPotential:
 
     def check_segment(self, p0, p1):
         """Raise if segment p0->p1 (or any row pair of (N, 3) arrays) meets the flux line."""
+        import numpy as np
+
         r0, _ = self._perp(p0)
         r1, _ = self._perp(p1)
         seg = r1 - r0
@@ -136,6 +155,8 @@ class SolenoidVectorPotential:
         Q . dl = coupling (flux/2 pi) dphi, and a segment sweeps the signed
         angle atan2(axis . (r0 x r1), r0 . r1), r0 and r1 its endpoints'
         offsets from the axis perpendicular to it."""
+        import numpy as np
+
         self.check_segment(p0, p1)
         r0, axis = self._perp(p0)
         r1, _ = self._perp(p1)
@@ -147,6 +168,8 @@ class Path:
     """Piecewise-linear integration contour (vertices in meters)."""
 
     def __init__(self, vertices):
+        import numpy as np
+
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise InputError("path vertices must be an (N, 3) array of points")
@@ -175,6 +198,8 @@ def phase_line_integral(field, path: Path) -> float:
 
 def scalar_phase(potential_samples, dt: float, charge: float | None = None) -> float:
     """Scalar AB phase (e/hbar) int V(t) dt from uniform samples of V."""
+    import numpy as np
+
     samples = np.asarray(potential_samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
         raise InputError("need at least 2 uniformly spaced potential samples")
@@ -192,12 +217,6 @@ def magnetic_ab_phase(a_magnitude: float, l_path: float,
     if l_path <= 0.0:
         raise DomainError(f"path length must be positive, got {l_path}")
     if charge_esu is None:
-        charge_esu = e_charge * 2.99792458e9
+        charge_esu = e_charge * c_cgs / 10.0
     return charge_esu * a_magnitude * l_path / (c_cgs * hbar_cgs)
 
-
-def interference_intensity(phi1: float, phi2: float, amplitude: float) -> float:
-    """Two-beam intensity |A e^{i phi1} + A e^{i phi2}|^2 = 2A^2(1 + cos dphi)."""
-    if amplitude < 0.0:
-        raise DomainError(f"amplitude must be >= 0, got {amplitude}")
-    return 2.0 * amplitude * amplitude * (1.0 + math.cos(phi1 - phi2))

@@ -15,8 +15,6 @@ import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
                       phase_line_integral)
@@ -405,6 +403,20 @@ def parse_config(argv) -> argparse.Namespace:
 # subcommand runners: each takes the parsed namespace and the constants
 # profile, which only the calls that depend on the flux quantum read
 
+def _numpy_warnings_off(runner):
+    """A runner whose kernels use numpy, run with numpy's warnings silenced.
+
+    Rendering refuses a non-finite result, so an overflow is reported once,
+    as the one stderr JSON line.  numpy is imported here, in the call: the
+    scalar subcommands never load it."""
+    def quiet(ns, constants):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return runner(ns, constants)
+    return quiet
+
+
 def _run_speed(ns, constants):
     if ns.mode == "fresnel":
         v = fresnel_speed(ns.n, ns.u_mps)
@@ -418,6 +430,7 @@ def _run_speed(ns, constants):
                         "units": "m/s"})
 
 
+@_numpy_warnings_off
 def _run_fringe(ns, constants):
     values = {}
     if ns.config is not None:
@@ -445,12 +458,13 @@ def _run_sensitivity(ns, constants):
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})
 
 
+@_numpy_warnings_off
 def _run_abphase(ns, constants):
     spec = _load_payload(ns.field, "field spec")
     vertices = _load_payload(ns.path, "path")
     field = _field_from_dict(spec, constants)
     try:
-        path = Path(np.asarray(vertices, dtype=float))
+        path = Path(vertices)
     except (TypeError, ValueError):
         raise InputError("path must be an array of [x, y, z] vertices") from None
     phase = phase_line_integral(field, path)
@@ -503,6 +517,7 @@ def _run_bounds(ns, constants):
     return "\n".join(lines) + "\n"
 
 
+@_numpy_warnings_off
 def _run_pmomentum(ns, constants):
     geom = SolenoidChargeGeometry(**_apply_schema(
         _load_payload(ns.geometry, "geometry"), _GEOMETRY_SCHEMA, "geometry"))
@@ -520,12 +535,8 @@ def _run_constants(ns, constants):
 
 
 def run(ns: argparse.Namespace) -> str:
-    """Execute parsed arguments and return the rendered output.
-
-    numpy's overflow warnings are silenced: rendering refuses a non-finite
-    result, so the error is reported once, as the one stderr JSON line."""
-    with np.errstate(all="ignore"):
-        return ns.run(ns, get_constants(ns.profile))
+    """Execute parsed arguments and return the rendered output."""
+    return ns.run(ns, get_constants(ns.profile))
 
 
 def main(argv=None) -> int:

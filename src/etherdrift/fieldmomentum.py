@@ -16,18 +16,23 @@ The interaction *energy* is not computed: for this source pair it vanishes
 identically, because the charge carries no B and the static solenoid
 carries no E, so the cross energy density (E1.E2 + B1.B2)/4 pi is zero at
 every point even though the cross momentum is not.
+
+numpy is imported inside the quadrature functions; importing this module or
+building a geometry does not load it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InputError
 from .units import c_cgs
+
+if TYPE_CHECKING:  # annotations only
+    import numpy as np
 
 #: default axial truncation, in units of max(a, d)
 DEFAULT_TRUNCATION_FACTOR = 50.0
@@ -66,7 +71,7 @@ class SolenoidChargeGeometry:
         # below 4 cells an axis cannot be halved twice, the coarser grids
         # coincide with it and the refinement difference reads 0
         for n in self.grid:
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 4:
+            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 4:
                 raise InputError(f"grid dimensions must be integers >= 4, got {self.grid!r}")
         if math.prod(self.grid) > MAX_GRID_NODES:
             raise InputError(f"grid {list(self.grid)} has {math.prod(self.grid)} nodes, "
@@ -79,18 +84,11 @@ class SolenoidChargeGeometry:
         return DEFAULT_TRUNCATION_FACTOR * max(self.a, self.d)
 
 
-def em_momentum_density(E, B) -> np.ndarray:
-    """Momentum density g = (E x B)/(4 pi c), Gaussian units."""
-    E = np.asarray(E, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(B))):
-        raise DomainError("field values must be finite")
-    return np.cross(E, B) / (4.0 * math.pi * c_cgs)
-
-
 def _momentum_on_grid(geom: SolenoidChargeGeometry, nr: int, nphi: int, nz: int,
                       half_length: float) -> np.ndarray:
     """Midpoint product rule over the bore cylinder, |z| <= half_length."""
+    import numpy as np
+
     dr = geom.a / nr
     dphi = 2.0 * math.pi / nphi
     dz = 2.0 * half_length / nz
@@ -125,6 +123,8 @@ def integrate_field_momentum(geom: SolenoidChargeGeometry) -> MomentumResult:
     axial midpoint errors differ in sign and cancel unevenly there), and the
     whole difference stands as the estimate instead of a third of it.
     """
+    import numpy as np
+
     half_length = geom.half_length
     nr, nphi, nz = geom.grid
     grids = [(nr, nphi, nz),
@@ -146,6 +146,8 @@ def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> np.ndarray:
     With the charge on +x and B along +z the azimuthal direction at the
     charge is +y.
     """
+    import numpy as np
+
     if geom.d <= geom.a:
         raise DomainError("closed form requires the charge outside the solenoid")
     magnitude = geom.q * geom.B * geom.a * geom.a / (2.0 * geom.d * c_cgs)
@@ -168,6 +170,8 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     dominates, shrinks by about 4x per level; the last level is the
     geometry as configured.
     """
+    import numpy as np
+
     if levels < 2:
         raise InputError(f"convergence study needs at least 2 levels, got {levels}")
     # below the bore radius the truncated integral is no longer near its

@@ -22,7 +22,8 @@ scan row equals delay_exact at its angle bit for bit; numpy is imported
 only there.  A scan holds at most MAX_SCAN_STEPS rows, and a configuration
 whose drift reaches the light speed of an arm is refused.  The rotation
 signal is formed from the drift parts of the inverse speeds, not as the
-difference of two nearly equal delays.
+difference of two nearly equal delays, and every n1^2 - n2^2 as
+(n1 - n2)(n1 + n2), which does not cancel for near-vacuum indices.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def rotation_signal(config: InterferometerConfig) -> RotationSignal:
     u = config.u
     e_f = config.e_f
     exact = config.L * (_half_turn_swing(n1, u, e_f) - _half_turn_swing(n2, u, e_f))
-    first = 2.0 * (u / c) * (n1 * n1 - n2 * n2) * (config.L / c) * (1.0 - e_f)
+    first = 2.0 * (u / c) * ((n1 - n2) * (n1 + n2)) * (config.L / c) * (1.0 - e_f)
     return RotationSignal(exact, first)
 
 
@@ -210,7 +211,7 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
         raise DegenerateConfigError("identical media: no first-order signal to invert")
     if config.e_f >= 1.0:
         raise DegenerateConfigError("e_f = 1 cancels the first-order signal")
-    denom = 2.0 * abs(n1 * n1 - n2 * n2) * config.L * (1.0 - config.e_f)
+    denom = 2.0 * abs((n1 - n2) * (n1 + n2)) * config.L * (1.0 - config.e_f)
     return fringe_resolution * config.lambda_vac * c / denom
 
 
@@ -218,7 +219,7 @@ def improvement_factor(u: float, n1: float, n2: float) -> float:
     """Gain (c/u)(n1^2 - n2^2) of the two-media device over a single-medium one."""
     if u <= 0.0:
         raise DomainError(f"drift speed must be positive, got {u}")
-    return (c / u) * (n1 * n1 - n2 * n2)
+    return (c / u) * ((n1 - n2) * (n1 + n2))
 
 
 class ScanRow(NamedTuple):

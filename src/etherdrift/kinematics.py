@@ -16,18 +16,9 @@ observable built from inverse speeds is identical under both.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 from .errors import DomainError
 from .units import c
-
-#: effectiveness of air at room temperature quoted with the e_f estimate
-REFERENCE_AIR_EFFECTIVENESS = 6.1e-3
-
-#: rate constant in the e_f = N_a (a/R)^3 * 22.9 estimate; the symbols
-#: N_a, a, R are not pinned down further, so callers pass the dimensionless
-#: combination themselves.
-EFFECTIVENESS_RATE = 22.9
 
 
 class CompositionLaw(enum.Enum):
@@ -69,26 +60,6 @@ def effective_fresnel_speed(n: float, u: float, e_f: float) -> float:
     if not 0.0 <= e_f <= 1.0:
         raise DomainError(f"drag effectiveness must lie in [0, 1], got {e_f}")
     return c / n + e_f * fresnel_drag_coefficient(n) * u
-
-
-class DragEstimate(NamedTuple):
-    value: float
-    clamped: bool
-
-
-def drag_effectiveness_estimate(number_factor: float, a_over_R_cubed: float) -> DragEstimate:
-    """Rough estimate e_f = number_factor * a_over_R_cubed * 22.9.
-
-    The inputs are taken as the raw dimensionless combination; clamping to
-    the physical ceiling e_f <= 1 (a volume ratio cannot exceed 1) is
-    reported through the flag instead of raising.
-    """
-    if number_factor < 0.0 or a_over_R_cubed < 0.0:
-        raise DomainError("effectiveness estimate inputs must be >= 0")
-    value = number_factor * a_over_R_cubed * EFFECTIVENESS_RATE
-    if value > 1.0:
-        return DragEstimate(1.0, True)
-    return DragEstimate(value, False)
 
 
 def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw) -> float:

@@ -24,21 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .abphase import scalar_phase
 from .errors import DomainError, InputError, SeriesOverflowError
 from .units import PhysicalConstants, hbar, inverse_length_to_mass
 
 #: largest argument accepted by the I0 series before the sum leaves double
 #: range (I0(x) ~ e^x/sqrt(2 pi x), and e^710 overflows)
 BESSEL_I0_MAX_ARGUMENT = 700.0
-
-#: largest argument at which the K0 small-argument series holds 1e-12
-#: relative accuracy (worst 5e-13 on (0, 4] against 50-digit mpmath); the
-#: two terms cancel as K0 decays like e^-x, so the error grows to 1e-12 at
-#: x = 5, 2e-7 at 10 and 2e10 at 30
-BESSEL_K0_MAX_ARGUMENT = 4.0
 
 
 def yukawa_potential(r: float, m_gamma: float) -> float:
@@ -74,35 +65,6 @@ def bessel_I0(x: float) -> float:
         if term < 1e-16 * total:
             return total
         k += 1
-
-
-def bessel_K0(x: float) -> float:
-    """Modified Bessel function of the second kind, order zero (small x).
-
-    Series -(ln(x/2) + gamma) I0(x) + sum_k (x^2/4)^k H_k/(k!)^2 with H_k
-    the harmonic numbers.  Exists only to exhibit the logarithmic blow-up
-    at the origin that excludes the K0 branch from the cylinder interior;
-    it is not on the bound-computation path.
-    """
-    if not x > 0.0:
-        raise DomainError(f"K0 diverges at the origin; argument must be > 0, got {x}")
-    if x > BESSEL_K0_MAX_ARGUMENT:
-        raise SeriesOverflowError(
-            f"K0 series unreliable beyond {BESSEL_K0_MAX_ARGUMENT}, got {x}")
-    quarter_x2 = 0.25 * x * x
-    total = 0.0
-    term = 1.0
-    harmonic = 0.0
-    k = 1
-    while True:
-        term *= quarter_x2 / (k * k)
-        harmonic += 1.0 / k
-        contribution = term * harmonic
-        total += contribution
-        if contribution < 1e-16 * max(total, 1.0):
-            break
-        k += 1
-    return -(math.log(0.5 * x) + np.euler_gamma) * bessel_I0(x) + total
 
 
 @dataclass(frozen=True)
@@ -162,16 +124,6 @@ def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: 
         raise InputError(f"variant must be 'quarter' or 'half', got {variant!r}")
     m2 = m_gamma * m_gamma
     return cfg.V * (1.0 + scale * m2 * (rho * rho - cfg.R * cfg.R))
-
-
-def relative_scalar_phase(v1_samples, v2_samples, dt: float,
-                          charge: float | None = None) -> float:
-    """Two-beam phase difference (e/hbar) int [V1(t) - V2(t)] dt."""
-    v1 = np.asarray(v1_samples, dtype=float)
-    v2 = np.asarray(v2_samples, dtype=float)
-    if v1.shape != v2.shape:
-        raise InputError(f"sample trains differ in shape: {v1.shape} vs {v2.shape}")
-    return scalar_phase(v1, dt, charge) - scalar_phase(v2, dt, charge)
 
 
 def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,

@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from etherdrift.abphase import (FresnelFlow, Path, SolenoidVectorPotential,
-                                UniformQ, fresnel_momentum,
-                                interference_intensity, magnetic_ab_phase,
+                                UniformQ, fresnel_momentum, magnetic_ab_phase,
                                 phase_line_integral, scalar_phase)
 from etherdrift.errors import DomainError, InputError, SingularPathError
 from etherdrift.units import PAPER, c, c_cgs, e_charge, hbar, hbar_cgs
@@ -301,18 +300,6 @@ def test_magnetic_ab_phase_basics():
         2.0 * magnetic_ab_phase(1.0e-7, 10.0), rel=1e-15)
     with pytest.raises(DomainError):
         magnetic_ab_phase(1.0e-7, 0.0)
-
-
-def test_interference_intensity_values():
-    assert interference_intensity(0.3, 0.3, 2.0) == pytest.approx(16.0, rel=1e-15)
-    assert interference_intensity(0.0, math.pi, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert interference_intensity(0.0, math.pi / 2.0, 1.0) == pytest.approx(2.0, rel=1e-15)
-    assert interference_intensity(0.1, 0.7, 1.3) == pytest.approx(
-        interference_intensity(0.7, 0.1, 1.3), rel=1e-15)
-    assert interference_intensity(0.4, 0.0, 1.0) == pytest.approx(
-        interference_intensity(0.4 + 2.0 * math.pi, 0.0, 1.0), rel=1e-9)
-    with pytest.raises(DomainError):
-        interference_intensity(0.0, 0.0, -1.0)
 
 
 def test_path_validation():

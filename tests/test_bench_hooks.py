@@ -36,3 +36,37 @@ def test_tracer_targets_resolve_after_importing_the_cli():
     report = json.loads(proc.stdout)
     assert report["targets"] > 0
     assert report["missing"] == []
+
+
+# numpy loads during the first array request, after the tracer is installed;
+# the wrappers must still see the calls into the kernels that import it
+_TRACE = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import etherdrift.cli
+recorder = tracer.Tracer()
+recorder.install()
+numpy_at_install = "numpy" in sys.modules
+requests = [
+    ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
+     "--lambda-nm", "633", "--steps", "8"],
+    ["abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}}',
+     "--path", "[[0, 0, 0], [1, 0, 0], [1, 1, 0]]"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [etherdrift.cli.main(argv) for argv in requests]
+print(json.dumps({"codes": codes, "numpy_at_install": numpy_at_install,
+                  "calls": {name: stats[0] for name, stats in recorder.stats.items()}}))
+"""
+
+
+def test_tracer_records_kernels_that_load_numpy_late():
+    proc = subprocess.run([sys.executable, "-c", _TRACE, str(TRACER)],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0]
+    assert report["numpy_at_install"] is False
+    assert report["calls"]["interferometer.angle_scan"] >= 1
+    assert report["calls"]["abphase.phase_line_integral"] >= 1

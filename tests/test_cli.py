@@ -572,6 +572,24 @@ def test_overflowing_result_exit_2():
     _exit_2_with(proc, "DomainError", "not a finite number (inf)")
 
 
+@pytest.mark.parametrize("path", ["[[0, 0, 0], [1, 1]]", '[["a", 0, 0], [1, 1, 1]]',
+                                  '{"a": 1}', "[[0, 0, 0], [1, 1, null]]"])
+def test_abphase_malformed_path_exit_2(path):
+    # Path converts the vertices to a float array; what it cannot convert
+    # is reported as an input error, not a numpy traceback
+    proc = run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1, 2, 3]}}',
+                   "--path", path)
+    _exit_2_with(proc, "InputError", "path must be an array of [x, y, z] vertices")
+
+
+def test_abphase_overflowing_phase_exit_2():
+    # the segment integral (p1 - p0) . q overflows inside numpy; its warning
+    # must not reach stderr next to the error line
+    proc = run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1e300, 0, 0]}}',
+                   "--path", "[[0, 0, 0], [1e300, 0, 0]]")
+    _exit_2_with(proc, "DomainError", "not a finite number (inf)")
+
+
 @pytest.mark.parametrize("action", ["potential", "phase"])
 def test_proca_compton_range_overflow_names_flag(action):
     # 100/1e-307 overflows; bessel_I0 used to report "got nan" without the flag

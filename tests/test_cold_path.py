@@ -1,0 +1,68 @@
+"""The scalar subcommands never load numpy.
+
+numpy is imported only inside the functions that compute on arrays, so a
+cold ``speed``, ``proca`` or ``bounds`` call does not spend its start-up
+importing it.  Each case runs in a fresh interpreter, because this test
+session has numpy loaded already."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+SCALAR_COMMANDS = {
+    "speed": ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "3e4"],
+    "sensitivity": ["sensitivity", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
+                    "--u-mps", "1e3", "--lambda-nm", "633", "--resolution", "1e-3"],
+    "proca-bound": ["proca", "bound", "--V-volts", "1e7", "--tau-s", "0.05",
+                    "--R-cm", "27", "--epsilon", "1e-4"],
+    "proca-potential": ["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
+                        "--m-gamma-inv-cm", "1e3", "--steps", "5"],
+    "proca-phase": ["proca", "phase", "--V-volts", "1e7", "--tau-s", "0.05",
+                    "--R-cm", "10", "--m-gamma-inv-cm", "1e3"],
+    "bounds-json": ["bounds"],
+    "bounds-text": ["bounds", "--format", "text"],
+    "constants-si": ["constants"],
+    "constants-gaussian": ["constants", "--system", "gaussian"],
+    "version": ["--version"],
+}
+
+_RUN = """
+import contextlib, io, json, sys
+from etherdrift import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "stdout": out.getvalue(),
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _fresh(script, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_package_does_not_load_numpy():
+    assert _fresh("import json, sys, etherdrift\n"
+                  "print(json.dumps('numpy' in sys.modules))") is False
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
+def test_scalar_subcommand_does_not_load_numpy(name):
+    report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS[name]))
+    assert report["code"] == 0
+    assert report["stdout"].strip()
+    assert report["numpy"] is False
+
+
+def test_array_subcommand_loads_numpy():
+    # the check above can see numpy: a fringe scan does load it
+    report = _fresh(_RUN, json.dumps(["fringe", "--L-m", "1", "--n1", "1.0006",
+                                      "--n2", "1.0001", "--u-mps", "1e3",
+                                      "--lambda-nm", "633", "--steps", "4"]))
+    assert report["code"] == 0
+    assert report["numpy"] is True

@@ -7,26 +7,10 @@ import pytest
 from etherdrift.errors import DomainError, InputError
 from etherdrift.fieldmomentum import (REFERENCE_GRID, SolenoidChargeGeometry,
                                       analytic_solenoid_momentum,
-                                      convergence_study, em_momentum_density,
+                                      convergence_study,
                                       integrate_field_momentum)
 
 REFERENCE = SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0)
-
-
-def test_momentum_density_unit_cross():
-    g = em_momentum_density((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    # 1/(4 pi c_cgs), 50-digit arithmetic
-    assert g[2] == pytest.approx(2.6544187294380724e-12, rel=1e-14)
-    assert g[0] == 0.0 and g[1] == 0.0
-
-
-def test_momentum_density_degenerate_cases():
-    assert np.all(em_momentum_density((1.0, 2.0, 3.0), (0.0, 0.0, 0.0)) == 0.0)
-    assert np.all(em_momentum_density((1.0, 1.0, 0.0), (2.0, 2.0, 0.0)) == 0.0)
-    with pytest.raises(DomainError):
-        em_momentum_density((float("inf"), 0.0, 0.0), (0.0, 1.0, 0.0))
-    with pytest.raises(DomainError):
-        em_momentum_density((1.0, 0.0, 0.0), (0.0, float("nan"), 0.0))
 
 
 def test_geometry_validation():

@@ -130,9 +130,9 @@ def test_fringe_shift():
 
 def test_min_detectable_u_frozen_and_inverts_forward_formula():
     cfg = config()
-    # res lambda c/(2(n1^2-n2^2)L), 50-digit arithmetic
+    # res lambda c/(2(n1^2-n2^2)L), 50-digit arithmetic on the double indices
     u_min = min_detectable_u(cfg, 1e-3)
-    assert u_min == pytest.approx(94.851115066726646, rel=1e-13)
+    assert u_min == pytest.approx(94.851115066737100, rel=1e-13)
     at_threshold = config(u=u_min)
     fringes = fringe_shift(rotation_signal(at_threshold).first_order, cfg.lambda_vac)
     assert fringes == pytest.approx(1e-3, rel=1e-12)
@@ -160,11 +160,34 @@ def test_improvement_factor():
     assert improvement_factor(C, 1.0006, 1.0001) == pytest.approx(
         1.0006 ** 2 - 1.0001 ** 2, rel=1e-15)
     assert improvement_factor(1e3, 1.2, 1.2) == 0.0
-    # (c/u)(n1^2 - n2^2) for the reference pair, 50-digit arithmetic
+    # (c/u)(n1^2 - n2^2) for the reference pair, 50-digit arithmetic on the
+    # double indices
     assert improvement_factor(1e3, 1.0006, 1.0001) == pytest.approx(
-        299.89738536030, rel=1e-13)
+        299.89738536026696, rel=1e-13)
     with pytest.raises(DomainError):
         improvement_factor(0.0, 1.0006, 1.0001)
+
+
+@pytest.mark.parametrize("n1, n2", [(1.0006, 1.0001), (1.0003, 1.00029),
+                                    (1.000001, 1.0000009)])
+def test_index_square_difference_matches_mpmath(n1, n2):
+    # n1 * n1 - n2 * n2 cancels for near-vacuum indices: it was 9.3e-14,
+    # 8.9e-12 and 3.5e-10 off at these pairs
+    cfg = config(n1=n1, n2=n2, L=2.0, u=3e4, e_f=0.25)
+    got = {"improvement_factor": improvement_factor(cfg.u, n1, n2),
+           "min_detectable_u": min_detectable_u(cfg, 1e-3),
+           "first_order": rotation_signal(cfg).first_order}
+    with mpmath.workdps(50):
+        c, diff = mpmath.mpf(C), mpmath.mpf(n1) ** 2 - mpmath.mpf(n2) ** 2
+        L, u, e_f, lam = map(mpmath.mpf, (cfg.L, cfg.u, cfg.e_f, cfg.lambda_vac))
+        references = {
+            "improvement_factor": (c / u) * diff,
+            "min_detectable_u": mpmath.mpf(1e-3) * lam * c / (2 * diff * L * (1 - e_f)),
+            "first_order": 2 * (u / c) * diff * (L / c) * (1 - e_f),
+        }
+        for name, reference in references.items():
+            error = float(abs((got[name] - reference) / reference))
+            assert error <= 1e-15, (name, error)
 
 
 def test_angle_scan_two_steps_is_rotation_pair():

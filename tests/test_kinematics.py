@@ -3,7 +3,6 @@ import pytest
 
 from etherdrift.errors import DomainError
 from etherdrift.kinematics import (CompositionLaw, compose_lab_speed,
-                                   drag_effectiveness_estimate,
                                    effective_fresnel_speed,
                                    einstein_composed_speed,
                                    fresnel_drag_coefficient, fresnel_speed,
@@ -54,17 +53,6 @@ def test_effective_fresnel_speed_linear_in_ef():
     for e_f in (0.1, 0.35, 0.8):
         expected = base + e_f * (full - base)
         assert effective_fresnel_speed(1.2, 5e3, e_f) == pytest.approx(expected, rel=1e-14)
-
-
-def test_drag_effectiveness_estimate():
-    value, clamped = drag_effectiveness_estimate(1.0, 2.6637554585152838e-4)
-    assert value == pytest.approx(6.1e-3, rel=1e-12)
-    assert not clamped
-    assert drag_effectiveness_estimate(0.0, 123.0) == (0.0, False)
-    value, clamped = drag_effectiveness_estimate(1.0, 1.0)
-    assert value == 1.0 and clamped
-    with pytest.raises(DomainError):
-        drag_effectiveness_estimate(-1.0, 0.5)
 
 
 def test_einstein_composed_speed_values():

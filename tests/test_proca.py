@@ -1,18 +1,15 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
 from etherdrift.errors import DomainError, InputError, SeriesOverflowError
-from etherdrift.proca import (BESSEL_I0_MAX_ARGUMENT, BESSEL_K0_MAX_ARGUMENT,
-                              PhotonMassBound, ProcaCylinderConfig,
-                              bessel_I0, bessel_K0, bounds_registry,
+from etherdrift.proca import (BESSEL_I0_MAX_ARGUMENT, PhotonMassBound,
+                              ProcaCylinderConfig, bessel_I0, bounds_registry,
                               cylinder_potential_exact,
                               cylinder_potential_expansion, invert_bound,
                               mass_phase_correction, projected_bound,
-                              relative_scalar_phase, time_of_flight,
-                              yukawa_potential)
+                              time_of_flight, yukawa_potential)
 from etherdrift.units import MODERN, PAPER, inverse_length_to_mass
 
 REFERENCE = ProcaCylinderConfig(R=0.27, V=1e7, tau=0.05, epsilon=1e-4)
@@ -63,32 +60,6 @@ def test_bessel_I0_range_limits():
     # used to loop forever (proca potential with an overflowing mass)
     with pytest.raises(DomainError):
         bessel_I0(float("nan"))
-
-
-def test_bessel_K0_frozen_and_divergence():
-    # 50-digit series sums
-    assert bessel_K0(1.0) == pytest.approx(0.42102443824070833, rel=1e-14)
-    assert bessel_K0(1e-6) == pytest.approx(13.931442073626419, rel=1e-14)
-    assert bessel_K0(1e-6) > bessel_K0(1e-3) > bessel_K0(1.0)
-
-
-def test_bessel_K0_matches_mpmath_up_to_its_limit():
-    # the stated limit must be true: 1e-12 relative on (0, BESSEL_K0_MAX_ARGUMENT]
-    grid = np.concatenate([np.logspace(-300.0, 0.0, 61),
-                           np.linspace(0.05, BESSEL_K0_MAX_ARGUMENT, 80)])
-    with mpmath.workdps(50):
-        for x in grid:
-            reference = mpmath.besselk(0, float(x))
-            assert abs(bessel_K0(float(x)) - reference) <= 1e-12 * reference, x
-
-
-def test_bessel_K0_range_limits():
-    with pytest.raises(DomainError):
-        bessel_K0(0.0)
-    with pytest.raises(DomainError):
-        bessel_K0(float("nan"))
-    with pytest.raises(SeriesOverflowError):
-        bessel_K0(BESSEL_K0_MAX_ARGUMENT + 1.0)
 
 
 def test_config_validation():
@@ -206,17 +177,6 @@ def test_time_of_flight():
         time_of_flight(1.0, 0.0)
     with pytest.raises(DomainError):
         time_of_flight(-1.0, 2.0)
-
-
-def test_relative_scalar_phase():
-    v1 = np.full(6, 2e-6)
-    v2 = np.full(6, 5e-7)
-    dt = 1e-4
-    forward = relative_scalar_phase(v1, v2, dt)
-    assert forward == pytest.approx(-relative_scalar_phase(v2, v1, dt), rel=1e-15)
-    assert relative_scalar_phase(v1, v1, dt) == 0.0
-    with pytest.raises(InputError):
-        relative_scalar_phase(v1, v2[:-1], dt)
 
 
 def test_photon_mass_bound_pair_consistency():
