@@ -190,10 +190,16 @@ def phase_line_integral(field, path: Path) -> float:
 
     Every field kind integrates all segments in closed form in one vectorised
     pass (``segment_integrals``): exact up to rounding at any distance from a
-    flux line.  A path through a flux line raises SingularPathError.
+    flux line.  A path through a flux line raises SingularPathError, and a
+    sum that leaves the double range raises DomainError.
     """
     vertices = path.vertices
-    return math.fsum(field.segment_integrals(vertices[:-1], vertices[1:]).tolist())
+    segments = field.segment_integrals(vertices[:-1], vertices[1:]).tolist()
+    try:
+        return math.fsum(segments)
+    except (OverflowError, ValueError):  # fsum raises where sum() gives inf or nan
+        raise DomainError("the phase leaves the double range: its segment "
+                          "integrals overflow") from None
 
 
 def scalar_phase(potential_samples, dt: float, charge: float | None = None) -> float:

@@ -106,6 +106,19 @@ def _version_line() -> str:
             f"constants=sha256:{constants.fingerprint()}")
 
 
+class _Version(argparse.Action):
+    """--version, with the line (and its constants hash) formed only when
+    the flag is given, not each time the parser is built."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+                         nargs=0, help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(_version_line() + "\n")
+        parser.exit()
+
+
 # ---------------------------------------------------------------------------
 # JSON payloads: the fringe config, the pmomentum geometry and the abphase
 # field spec.  This module alone knows their formats.
@@ -295,7 +308,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="etherdrift",
                      description="Light in moving media, drift interferometry, "
                                  "AB phases and photon-mass bounds.")
-    parser.add_argument("--version", action="version", version=_version_line())
+    parser.add_argument("--version", action=_Version)
     parser.add_argument("--profile", choices=["modern", "paper"], default=None,
                         help="constants profile (default: ETHERDRIFT_PROFILE or 'paper')")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
@@ -463,11 +476,11 @@ def _run_abphase(ns, constants):
     spec = _load_payload(ns.field, "field spec")
     vertices = _load_payload(ns.path, "path")
     field = _field_from_dict(spec, constants)
-    try:
-        path = Path(vertices)
-    except (TypeError, ValueError):
-        raise InputError("path must be an array of [x, y, z] vertices") from None
-    phase = phase_line_integral(field, path)
+    # numpy would take a JSON true for 1.0 and fail on an integer beyond the
+    # float range; Path itself checks the vertex count and repeats
+    if not isinstance(vertices, list) or not all(_is_kind(v, "vector") for v in vertices):
+        raise InputError("path must be an array of [x, y, z] vertices of finite numbers")
+    phase = phase_line_integral(field, Path(vertices))
     return render_json({"phase_rad": phase})
 
 

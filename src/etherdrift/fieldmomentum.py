@@ -8,9 +8,12 @@ here exists to confirm it and to expose its own convergence behaviour.
 
 Everything in this module is Gaussian: cm, gauss, esu, erg, g cm/s.  The
 integration domain is truncated at |z| <= Lambda; the neglected tail falls
-off like the 1/z^2 decay of E, so the truncation error scales as 1/Lambda^2
-and dominates the (spectrally small) azimuthal and (second-order) radial
-and axial midpoint errors at practical grids.
+off like the 1/z^2 decay of E, so the truncation error scales as 1/Lambda^2.
+The azimuthal midpoint error is spectrally small, but the radial and axial
+ones are second order, and the axial one is large on coarse grids: for
+a = 1, d = 3 and the default Lambda the (8, 16, 128) grid is 5.2e-3 off the
+truncated integral, against a truncation error of 2.0e-4.  Truncation
+dominates only on fine grids.
 
 The interaction *energy* is not computed: for this source pair it vanishes
 identically, because the charge carries no B and the static solenoid
@@ -40,8 +43,12 @@ DEFAULT_TRUNCATION_FACTOR = 50.0
 #: reference grid (radial, azimuthal, axial) used by the oracle comparison
 REFERENCE_GRID = (16, 32, 512)
 
-#: most grid nodes one quadrature may allocate (each node costs 8 doubles)
+#: most grid nodes one quadrature may sum: a bound on its work (the sum
+#: itself runs in fixed blocks, so its memory does not grow with the grid)
 MAX_GRID_NODES = 2 ** 24
+
+#: doubles per temporary of the blocked axial sum in _momentum_on_grid
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,7 @@ class SolenoidChargeGeometry:
                 raise InputError(f"grid dimensions must be integers >= 4, got {self.grid!r}")
         if math.prod(self.grid) > MAX_GRID_NODES:
             raise InputError(f"grid {list(self.grid)} has {math.prod(self.grid)} nodes, "
-                             f"more than the {MAX_GRID_NODES} one quadrature may allocate")
+                             f"more than the {MAX_GRID_NODES} one quadrature may sum")
 
     @property
     def half_length(self) -> float:
@@ -86,25 +93,53 @@ class SolenoidChargeGeometry:
 
 def _momentum_on_grid(geom: SolenoidChargeGeometry, nr: int, nphi: int, nz: int,
                       half_length: float) -> np.ndarray:
-    """Midpoint product rule over the bore cylinder, |z| <= half_length."""
+    """Midpoint product rule over the bore cylinder, |z| <= half_length.
+
+    The nr x nphi x nz midpoint nodes are summed folded by two mirrors.
+    phi -> 2 pi - phi maps the azimuthal nodes onto each other: the disk
+    arrays hold the first ceil(nphi/2) of them, a mirrored pair weighs 2 and
+    the phi = pi node of an odd nphi weighs 1.  y is odd under this mirror,
+    so P_x cancels in pairs and is exactly 0.  z -> -z does the same for the
+    axial nodes: ceil(nz/2) of them, a pair weighs 2 and the z = 0 node of
+    an odd nz weighs 1.  For each disk node the axial sum
+    S = sum w_z (rho^2 + z^2)^(-3/2) runs in blocks of about _BLOCK doubles,
+    so no temporary grows with the grid.
+    """
     import numpy as np
 
     dr = geom.a / nr
     dphi = 2.0 * math.pi / nphi
     dz = 2.0 * half_length / nz
-    r = ((np.arange(nr) + 0.5) * dr)[:, None, None]
-    phi = ((np.arange(nphi) + 0.5) * dphi)[None, :, None]
-    z = (-half_length + (np.arange(nz) + 0.5) * dz)[None, None, :]
+    r = ((np.arange(nr) + 0.5) * dr)[:, None]
+    phi = (np.arange((nphi + 1) // 2) + 0.5) * dphi
+    w_phi = np.full(phi.size, 2.0)
+    if nphi % 2:
+        w_phi[-1] = 1.0
+    # odd nz: the offsets 0, 1, 2, ... cells from z = 0; even: 0.5, 1.5, ...
+    z = (np.arange((nz + 1) // 2) + (0.0 if nz % 2 else 0.5)) * dz
+    z2 = z * z
+    w_z = np.full(z.size, 2.0)
+    if nz % 2:
+        w_z[0] = 1.0
 
     x_rel = r * np.cos(phi) - geom.d
     y = r * np.sin(phi)
-    s3 = (x_rel * x_rel + y * y + z * z) ** 1.5
-    weight = r * dr * dphi * dz
+    rho2 = (x_rel * x_rel + y * y).ravel()
+    axial = np.zeros(rho2.size)
+    rows = max(1, _BLOCK // z.size)
+    cols = min(z.size, _BLOCK)
+    for i in range(0, rho2.size, rows):
+        for k in range(0, z.size, cols):
+            t = rho2[i:i + rows, None] + z2[k:k + cols]
+            s3 = np.sqrt(t)
+            s3 *= t
+            np.divide(w_z[k:k + cols], s3, out=s3)
+            axial[i:i + rows] += s3.sum(axis=1)
     # (E x B) with B = B zhat: (E_y B, -E_x B, 0); E = q rvec / s^3
     coeff = geom.q * geom.B / (4.0 * math.pi * c_cgs)
-    p_x = coeff * float(np.sum(y / s3 * weight))
-    p_y = -coeff * float(np.sum(x_rel / s3 * weight))
-    return np.array([p_x, p_y, 0.0])
+    weight = (r * w_phi).ravel() * (dr * dphi * dz)
+    p_y = -coeff * float(np.sum(x_rel.ravel() * axial * weight))
+    return np.array([0.0, p_y, 0.0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,6 @@ only reproducible digit for digit if the same rounded inputs are used.  The
 from __future__ import annotations
 
 import enum
-import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -161,6 +160,8 @@ class PhysicalConstants:
         return rows
 
     def fingerprint(self) -> str:
+        import hashlib  # only --version asks for it: off the cold import path
+
         payload = ",".join(
             f"{name}={q.value!r}" for name, q in sorted(self.as_quantities().items())
         )

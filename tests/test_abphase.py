@@ -254,6 +254,19 @@ def test_phase_reversal_and_split_properties(kind, vertices, split):
     assert abs(whole - (head + tail)) <= 4.0 * np.finfo(float).eps * (abs(head) + abs(tail))
 
 
+@pytest.mark.parametrize("vertices", [
+    # segments of +inf and -inf: fsum raises "-inf + inf"
+    [(0.0, 0.0, 0.0), (1e300, 0.0, 0.0), (-1e300, 0.0, 0.0)],
+    # finite segments whose sum overflows: fsum raises "intermediate overflow"
+    [(0.0, 0.0, 0.0), (1e8, 0.0, 0.0), (2e8, 0.0, 0.0)],
+])
+def test_phase_beyond_double_range_raises_domain_error(vertices):
+    field = UniformQ(q=(1e300, 0.0, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="double range"):
+            phase_line_integral(field, Path(vertices))
+
+
 def test_scalar_phase_frozen_microvolt_millisecond():
     samples = np.full(11, 1e-6)
     # e * 1uV * 1ms / hbar with the 2018 constants, 50-digit arithmetic

@@ -590,6 +590,29 @@ def test_abphase_overflowing_phase_exit_2():
     _exit_2_with(proc, "DomainError", "not a finite number (inf)")
 
 
+@pytest.mark.parametrize("path", ["[[0, 0, 0], [1e300, 0, 0], [-1e300, 0, 0]]",
+                                  "[[0, 0, 0], [1e8, 0, 0], [2e8, 0, 0]]"])
+def test_abphase_phase_sum_overflow_exit_2(path):
+    # math.fsum raises ValueError (-inf + inf) or OverflowError (intermediate
+    # overflow) where a plain sum would give nan or inf
+    proc = run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1e300, 0, 0]}}',
+                   "--path", path)
+    _exit_2_with(proc, "DomainError", "double range")
+
+
+@pytest.mark.parametrize("path, fragment", [
+    ("[[0, 0, 0]]", "a path needs at least 2 vertices"),
+    ("[[0, 0, 0], [1, 0, 0], [1, 0, 0]]", "consecutive path vertices must be distinct"),
+    # a JSON true is not the number 1, and an integer must fit a double
+    ("[[0, 0, 0], [true, 0, 0]]", "path must be an array of [x, y, z] vertices"),
+    ("[[0, 0, 0], [1%s, 0, 0]]" % ("0" * 400), "path must be an array of [x, y, z] vertices"),
+])
+def test_abphase_path_errors_name_the_fault(path, fragment):
+    proc = run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1, 2, 3]}}',
+                   "--path", path)
+    _exit_2_with(proc, "InputError", fragment)
+
+
 @pytest.mark.parametrize("action", ["potential", "phase"])
 def test_proca_compton_range_overflow_names_flag(action):
     # 100/1e-307 overflows; bessel_I0 used to report "got nan" without the flag

@@ -35,7 +35,7 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "stdout": out.getvalue(),
-                  "numpy": "numpy" in sys.modules}))
+                  "numpy": "numpy" in sys.modules, "hashlib": "hashlib" in sys.modules}))
 """
 
 
@@ -66,3 +66,13 @@ def test_array_subcommand_loads_numpy():
                                       "--lambda-nm", "633", "--steps", "4"]))
     assert report["code"] == 0
     assert report["numpy"] is True
+
+
+def test_hashlib_loads_only_for_the_version_line():
+    # the constants fingerprint is the only hash; a computing call skips it
+    report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS["speed"]))
+    assert report["code"] == 0
+    assert report["hashlib"] is False
+    report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS["version"]))
+    assert report["code"] == 0
+    assert report["hashlib"] is True
