@@ -10,6 +10,7 @@ computation error (reported as a single JSON line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -100,22 +101,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _version_line() -> str:
-    constants = get_constants(None)
+def _version_line(profile) -> str:
+    constants = get_constants(profile)
     return (f"etherdrift {__version__} profile={constants.profile} "
             f"constants=sha256:{constants.fingerprint()}")
 
 
 class _Version(argparse.Action):
     """--version, with the line (and its constants hash) formed only when
-    the flag is given, not each time the parser is built."""
+    the flag is given, for the profile parsed so far.
+
+    argparse acts on the flag where it stands in argv, so a --profile
+    counts only if it comes before --version."""
 
     def __init__(self, option_strings, dest, **kwargs):
         super().__init__(option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
-                         nargs=0, help="show program's version number and exit")
+                         nargs=0, help="show program's version number and exit "
+                                       "(give --profile before it)")
 
     def __call__(self, parser, namespace, values, option_string=None):
-        sys.stdout.write(_version_line() + "\n")
+        sys.stdout.write(_version_line(namespace.profile) + "\n")
         parser.exit()
 
 
@@ -304,6 +309,7 @@ def _m_gamma(ns) -> float:
 # ---------------------------------------------------------------------------
 # parser construction
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="etherdrift",
                      description="Light in moving media, drift interferometry, "
@@ -402,6 +408,8 @@ def _build_parser() -> _Parser:
 def parse_config(argv) -> argparse.Namespace:
     """Parse the argument list; ``ns.run`` is the subcommand's runner.
 
+    The parser is built on the first call and reused: parse_args returns a
+    fresh namespace each time, and nothing changes the parser once built.
     float() accepts 'nan' and 'inf', and int() integers beyond the float
     range, so every number flag is checked here.
     """

@@ -53,6 +53,19 @@ def test_version_reflects_env_profile():
     assert "profile=modern" in proc.stdout
 
 
+@pytest.mark.parametrize("args, env, profile", [
+    (("--profile", "modern", "--version"), None, MODERN),
+    (("--profile", "paper", "--version"), {"ETHERDRIFT_PROFILE": "modern"}, PAPER),
+    (("--version",), {"ETHERDRIFT_PROFILE": "modern"}, MODERN),
+    (("--version",), None, PAPER),
+], ids=["flag-modern", "flag-wins-over-env", "env-modern", "default-paper"])
+def test_version_follows_profile_flag_before_it(args, env, profile):
+    proc = run_cli(*args, env_extra=env)
+    assert proc.returncode == 0
+    assert proc.stdout == (f"etherdrift 0.1.0 profile={profile.profile} "
+                           f"constants=sha256:{profile.fingerprint()}\n")
+
+
 def test_domain_error_exit_2_names_offender():
     proc = run_cli("sensitivity", "--L-m", "1", "--n1", "0.5", "--n2", "1.0001",
                    "--u-mps", "1e3", "--lambda-nm", "633", "--resolution", "1e-3")

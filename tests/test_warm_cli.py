@@ -1,0 +1,204 @@
+"""One interpreter, many requests: the CLI builds its parser once and reuses it.
+
+Every call here goes through ``cli.main`` in this process, so the cached
+parser serves them all.  A warm call must match a fresh ``python -m
+etherdrift.cli`` byte for byte, in any order, and every bad number, in a
+flag or a JSON payload, must end in exit 2 with one stderr JSON line."""
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import shlex
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etherdrift import cli
+from test_readme import _cli_lines
+
+# argparse wraps --help to the terminal width; pin it on both sides
+TERMINAL = {"COLUMNS": "80", "LINES": "24"}
+
+WARM_CASES = [shlex.split(line)[1:] for line in _cli_lines()] + [
+    ["--help"],
+    ["--version"],
+    ["speed", "--help"],
+    # the usage errors of test_cli.test_usage_errors_exit_1
+    [],
+    ["nosuch"],
+    ["speed", "--mode", "einstein", "--n", "abc"],
+    ["speed", "--mode", "einstein", "--n", "1.5", "--bogus", "1"],
+    # a DomainError and an InputError
+    ["sensitivity", "--L-m", "1", "--n1", "0.5", "--n2", "1.0001", "--u-mps", "1e3",
+     "--lambda-nm", "633", "--resolution", "1e-3"],
+    ["speed", "--mode", "einstein", "--n", "nan"],
+]
+
+
+def _warm(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def _fresh(argv):
+    proc = subprocess.run([sys.executable, "-m", "etherdrift.cli", *argv], capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_warm_calls_match_fresh_processes(monkeypatch):
+    # the fresh processes inherit this environment
+    monkeypatch.delenv("ETHERDRIFT_PROFILE", raising=False)
+    for key, value in TERMINAL.items():
+        monkeypatch.setenv(key, value)
+    expected = [_fresh(argv) for argv in WARM_CASES]
+    assert {code for code, _, _ in expected} == {0, 1, 2}
+
+    cli._build_parser.cache_clear()
+    order = list(range(len(WARM_CASES)))
+    for i in order + order[::-1]:
+        assert _warm(WARM_CASES[i]) == expected[i], WARM_CASES[i]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# exit-2 fuzzing: one bad number at a time in an otherwise valid request
+
+def _number_flags(parser, prefix=()):
+    """(subcommand words, option string, type) of every int or float flag."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _number_flags(sub, prefix + (name,))
+        elif action.type in (int, float):
+            yield prefix, action.option_strings[0], action.type
+
+
+#: a valid request per subcommand; a flag it lacks is appended
+VALID = {
+    ("speed",): "--mode einstein --n 1.5 --u-mps 1e3",
+    ("fringe",): "--L-m 1 --n1 1.0006 --n2 1.0001 --u-mps 1e3 --lambda-nm 633 --steps 32",
+    ("sensitivity",): "--L-m 1 --n1 1.0006 --n2 1.0001 --u-mps 1e3 --lambda-nm 633 "
+                      "--resolution 1e-3",
+    ("proca", "bound"): "--V-volts 1e7 --tau-s 5e-2 --R-cm 27 --epsilon 1e-4",
+    ("proca", "potential"): "--V-volts 1e7 --R-cm 10 --m-gamma-inv-cm 100 --steps 50",
+    ("proca", "phase"): "--V-volts 1e7 --tau-s 5e-2 --R-cm 27 --m-gamma-inv-cm 3.72e13",
+    ("pmomentum",): """--geometry '{"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1}'""",
+}
+
+BAD_FLAG_VALUES = {float: ["nan", "inf", "-inf", "1e309"],
+                   int: [str(10 ** 400), str(-10 ** 400)]}
+
+FLAG_CASES = [(words, flag, value)
+              for words, flag, kind in _number_flags(cli._build_parser())
+              for value in BAD_FLAG_VALUES[kind]]
+
+
+def _with_flag(words, flag, value):
+    argv = shlex.split(VALID[words])
+    if flag in argv:
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    # "--flag=value": a separate "-inf" would read as an unknown option
+    return [*words, *argv, f"{flag}={value}"]
+
+
+def _assert_exit_2(argv):
+    code, out, err = _warm(argv)
+    assert code == 2, argv
+    assert out == b""
+    assert b"Traceback" not in err
+    lines = err.decode().splitlines()
+    assert len(lines) == 1, argv
+    assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+def test_every_number_flag_is_fuzzed():
+    assert {words for words, _, _ in FLAG_CASES} == set(VALID)
+    for words in VALID:
+        assert _warm([*words, *shlex.split(VALID[words])])[0] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FLAG_CASES))
+def test_bad_number_flag_exits_2(case):
+    _assert_exit_2(_with_flag(*case))
+
+
+FIELD_PARAMS = {
+    "uniform_q": {"q": [1, 2, 3]},
+    "fresnel_flow": {"omega_rad_s": 3e15, "n": 1.5, "u_mps": [10, 0, 0]},
+    "solenoid": {"flux_wb": 2.067e-15, "coupling": 1.5e15, "center_m": [0, 0, 0],
+                 "axis": [0, 0, 1]},
+}
+PATH = [[1, -1, 0], [1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]
+FRINGE_CONFIG = {"L_m": 1, "n1": 1.0006, "n2": 1.0001, "ef": 0.5, "u_mps": 1e3,
+                 "lambda_nm": 633, "composition": "einstein", "steps": 8}
+GEOMETRY = {"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1, "lambda_cm": 150,
+            "grid": [4, 4, 8]}
+
+BAD_LEAVES = [math.nan, math.inf, -math.inf, True, 10 ** 399]
+
+
+def _leaves(value, at=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, at + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, at + (index,))
+    else:
+        yield at
+
+
+def _replaced(value, at, leaf):
+    value = json.loads(json.dumps(value))
+    holder = value
+    for key in at[:-1]:
+        holder = holder[key]
+    holder[at[-1]] = leaf
+    return value
+
+
+@pytest.fixture(scope="module")
+def config_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fringe") / "config.json"
+
+
+#: each payload schema with a valid payload: the fringe config, the pmomentum
+#: geometry, the params of each abphase field kind and the abphase path
+PAYLOADS = {"fringe": FRINGE_CONFIG, "pmomentum": GEOMETRY, **FIELD_PARAMS, "path": PATH}
+
+
+def _payload_argv(name, payload, config_file):
+    if name == "fringe":
+        config_file.write_text(json.dumps(payload))
+        return ["fringe", "--config", str(config_file)]
+    if name == "pmomentum":
+        return ["pmomentum", "--geometry", json.dumps(payload)]
+    if name == "path":
+        field, path = {"kind": "uniform_q", "params": FIELD_PARAMS["uniform_q"]}, payload
+    else:
+        field, path = {"kind": name, "params": payload}, PATH
+    return ["abphase", "--field", json.dumps(field), "--path", json.dumps(path)]
+
+
+def test_every_payload_is_valid_unfuzzed(config_file):
+    for name, payload in PAYLOADS.items():
+        assert _warm(_payload_argv(name, payload, config_file))[0] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bad_json_leaf_exits_2(config_file, data):
+    name = data.draw(st.sampled_from(sorted(PAYLOADS)))
+    at = data.draw(st.sampled_from(list(_leaves(PAYLOADS[name]))))
+    leaf = data.draw(st.sampled_from(BAD_LEAVES))
+    _assert_exit_2(_payload_argv(name, _replaced(PAYLOADS[name], at, leaf), config_file))
