@@ -1,0 +1,28 @@
+"""Immutable records whose fields are checked when a record is built.
+
+The package's records are ``typing.NamedTuple`` classes: immutable, and
+cheap to define at import.  A record with constraints on its fields lists
+:class:`Checked` before its NamedTuple base and defines ``_check``.
+"""
+
+
+class Checked:
+    """Runs ``self._check()`` on every record built, before it is returned.
+
+    NamedTuple's ``_make`` builds through ``tuple.__new__``, past the
+    constructor; here it calls the constructor, and so does ``_replace``,
+    which builds through ``_make``.  Copies and unpickling call
+    ``__new__``.  Subclasses declare ``__slots__ = ()``, so that no
+    attribute can be set on a record.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

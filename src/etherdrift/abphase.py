@@ -15,8 +15,7 @@ the functions that use arrays, so importing this module does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InputError, SingularPathError
 from .units import c, c_cgs, e_charge, hbar, hbar_cgs
@@ -42,8 +41,7 @@ def fresnel_momentum(omega: float, n: float, u) -> np.ndarray:
     return -(omega / (c * c)) * (n * n - 1.0) * u
 
 
-@dataclass(frozen=True)
-class UniformQ:
+class UniformQ(NamedTuple):
     """Spatially constant interaction momentum (rad/m)."""
 
     q: tuple
@@ -63,8 +61,7 @@ class UniformQ:
         return _dot(p1 - p0, np.asarray(self.q, dtype=float))
 
 
-@dataclass(frozen=True)
-class FresnelFlow:
+class FresnelFlow(NamedTuple):
     """Uniformly moving medium of index n seen by light of frequency omega."""
 
     omega: float
@@ -87,8 +84,7 @@ class FresnelFlow:
         return _dot(p1 - p0, self.q_vector())
 
 
-@dataclass(frozen=True)
-class SolenoidVectorPotential:
+class SolenoidVectorPotential(NamedTuple):
     """Idealized flux line: A_phi = flux/(2 pi rho) off axis, Q = coupling * A.
 
     ``coupling`` is the charge-to-action ratio (e/hbar in SI).  It has no

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (InterferometerConfig, angle_scan,
+from .interferometer import (MAX_SCAN_STEPS, InterferometerConfig, angle_scan,
                              improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
@@ -85,16 +86,27 @@ def render_csv(header, rows) -> str:
 # ---------------------------------------------------------------------------
 # config plumbing
 
+#: a negative number as float() reads it: exponent forms, underscores
+#: between digits, and the infinities and NaN
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
+    r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems with exit code 1.
 
     Flag abbreviation is disabled: a prefix like --lambda must never silently
-    bind to --lambda-nm, because the two differ in unit.
+    bind to --lambda-nm, because the two differ in unit.  Any negative
+    number is a value: argparse's own pattern misses exponent forms, inf
+    and nan, and so took "--u-mps -3e4" for an unknown option "-3e4".
     """
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -503,6 +515,9 @@ def _run_proca_bound(ns, constants):
 def _run_proca_potential(ns, constants):
     if ns.steps < 2:
         raise InputError(f"potential profile needs at least 2 steps, got {ns.steps}")
+    if ns.steps > MAX_SCAN_STEPS:
+        raise InputError(f"potential profile takes at most {MAX_SCAN_STEPS} steps, "
+                         f"got {ns.steps}")
     # tau is irrelevant to the radial profile; any positive value works
     cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
     m_gamma = _m_gamma(ns)

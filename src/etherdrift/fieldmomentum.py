@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import Checked
 from .errors import DomainError, InputError
 from .units import c_cgs
 
@@ -51,11 +51,7 @@ MAX_GRID_NODES = 2 ** 24
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SolenoidChargeGeometry:
-    """Solenoid of radius a (cm) and interior field B (gauss) along +z, with
-    a point charge q (esu) at (d, 0, 0), d > a, outside the bore."""
-
+class _SolenoidChargeFields(NamedTuple):
     a: float
     B: float
     d: float
@@ -63,7 +59,14 @@ class SolenoidChargeGeometry:
     truncation_halflength: float | None = None
     grid: tuple = REFERENCE_GRID
 
-    def __post_init__(self):
+
+class SolenoidChargeGeometry(Checked, _SolenoidChargeFields):
+    """Solenoid of radius a (cm) and interior field B (gauss) along +z, with
+    a point charge q (esu) at (d, 0, 0), d > a, outside the bore."""
+
+    __slots__ = ()
+
+    def _check(self):
         # each check is written "not lo < x" so that NaN fails it too
         if not 0.0 < self.a:
             raise DomainError(f"solenoid radius must be positive, got {self.a}")
@@ -142,8 +145,7 @@ def _momentum_on_grid(geom: SolenoidChargeGeometry, nr: int, nphi: int, nz: int,
     return np.array([0.0, p_y, 0.0])
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumResult:
+class MomentumResult(NamedTuple):
     P_e: np.ndarray
     estimated_quadrature_error: float
 

@@ -28,10 +28,10 @@ difference of two nearly equal delays, and every n1^2 - n2^2 as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
+from ._record import Checked
 from .errors import DegenerateConfigError, DomainError, InputError
 from .kinematics import CompositionLaw, _compose
 from .units import c
@@ -57,15 +57,7 @@ def _cos_deg(theta_deg):
     return np.where((90.0 < t) & (t <= 270.0), -cos, cos)
 
 
-@dataclass(frozen=True)
-class InterferometerConfig:
-    """Geometry, media and motion of the two-arm device.
-
-    n1 and n2 are the refractive indices of the two arms.  e_f applies to
-    both media (they share the entrainment mechanism); the default 0 is the
-    rarefied-gas hypothesis under which the first-order signal survives.
-    """
-
+class _InterferometerFields(NamedTuple):
     L: float
     n1: float
     n2: float
@@ -74,7 +66,18 @@ class InterferometerConfig:
     composition: CompositionLaw = CompositionLaw.EINSTEIN
     e_f: float = 0.0
 
-    def __post_init__(self):
+
+class InterferometerConfig(Checked, _InterferometerFields):
+    """Geometry, media and motion of the two-arm device.
+
+    n1 and n2 are the refractive indices of the two arms.  e_f applies to
+    both media (they share the entrainment mechanism); the default 0 is the
+    rarefied-gas hypothesis under which the first-order signal survives.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         # each check is written "not lo <= x" so that NaN fails it too
         if not 1.0 <= self.n1:
             raise DomainError(f"n1 must be >= 1, got {self.n1}")

@@ -22,8 +22,9 @@ form is kept as an explicit variant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._record import Checked
 from .errors import DomainError, InputError, SeriesOverflowError
 from .units import PhysicalConstants, hbar, inverse_length_to_mass
 
@@ -67,18 +68,21 @@ def bessel_I0(x: float) -> float:
         k += 1
 
 
-@dataclass(frozen=True)
-class ProcaCylinderConfig:
-    """Scalar-AB cylinder experiment: radius R (m), wall potential V (volts),
-    interaction time tau (s), beam radius rho (m), phase resolution epsilon."""
-
+class _ProcaCylinderFields(NamedTuple):
     R: float
     V: float
     tau: float
     rho: float = 0.0
     epsilon: float = 1e-4
 
-    def __post_init__(self):
+
+class ProcaCylinderConfig(Checked, _ProcaCylinderFields):
+    """Scalar-AB cylinder experiment: radius R (m), wall potential V (volts),
+    interaction time tau (s), beam radius rho (m), phase resolution epsilon."""
+
+    __slots__ = ()
+
+    def _check(self):
         if self.R <= 0.0:
             raise DomainError(f"cylinder radius R must be positive, got {self.R}")
         if self.tau <= 0.0:
@@ -165,19 +169,22 @@ def time_of_flight(length: float, speed: float) -> float:
     return length / speed
 
 
-@dataclass(frozen=True)
-class PhotonMassBound:
+class _PhotonMassBoundFields(NamedTuple):
+    m_gamma_inv_cm: float
+    m_ph_g: float
+    source: str
+
+
+class PhotonMassBound(Checked, _PhotonMassBoundFields):
     """A Compton-range/mass pair with its provenance label.
 
     Construction cross-checks the pair against m = hbar/(c range) and
     tolerates 15% to accommodate rounded published values.
     """
 
-    m_gamma_inv_cm: float
-    m_ph_g: float
-    source: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if self.m_gamma_inv_cm <= 0.0 or self.m_ph_g <= 0.0:
             raise DomainError("bound range and mass must be positive")
         ideal = inverse_length_to_mass(self.m_gamma_inv_cm)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionError, DomainError, InputError
 
@@ -74,8 +74,7 @@ _UNIT_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """A value together with its dimension and the system it is expressed in."""
 
     value: float
@@ -117,8 +116,7 @@ c_cgs = c * 100.0
 hbar_cgs = hbar * 1.0e7
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(NamedTuple):
     """What a constants profile chooses: the flux quantum Phi_0 (Wb).
 
     c, h and e are the exact SI values above in every profile, so Phi_0 is

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from etherdrift import cli
 from etherdrift.abphase import UniformQ, fresnel_momentum
 from etherdrift.errors import InputError
+from etherdrift.interferometer import MAX_SCAN_STEPS
 from etherdrift.units import MODERN, PAPER, c
 
 CLI = [sys.executable, "-m", "etherdrift.cli"]
@@ -95,6 +97,29 @@ def test_speed_golden_values():
     out = json.loads(run_cli("speed", "--mode", "effective", "--n", "1.0003",
                              "--u-mps", "3e4", "--ef", "6.1e-3").stdout)
     assert out["v"] == pytest.approx(299702547.34557986, rel=1e-14)
+
+
+@pytest.mark.parametrize("value", ["-3e4", "-1e-3", "-1E3", "-.5e2", "-2.e+1", "-1_000"])
+def test_negative_flag_value_in_any_float_form(value, capsys):
+    # argparse's own pattern took exponent forms for unknown options: exit 1
+    argv = ["speed", "--mode", "einstein", "--n", "1.5"]
+    code = cli.main([*argv, "--u-mps", value])
+    spaced = capsys.readouterr()
+    assert (code, spaced.err) == (0, "")
+    assert json.loads(spaced.out)["u"] == float(value)
+    assert cli.main([*argv, f"--u-mps={value}"]) == 0
+    assert capsys.readouterr() == spaced
+
+
+def test_options_still_parse_as_options(capsys):
+    assert cli.main(["speed", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: etherdrift speed")
+    # a negative number stands alone: no flag takes it
+    for argv in (["speed", "--mode", "einstein", "--n", "1.5", "-x"],
+                 ["speed", "--mode", "einstein", "--n", "1.5", "-3e4"],
+                 ["speed", "--mode", "einstein", "--n", "-e3"]):
+        assert cli.main(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_speed_output_is_byte_deterministic():
@@ -386,6 +411,9 @@ _HUGE = "1" + "0" * 400  # beyond the float range; float() raises OverflowError
     # int() accepts it; angle_scan and the grid code used to raise OverflowError
     (FRINGE + ("--u-mps", "0", "--steps", _HUGE), "--steps"),
     (("pmomentum", "--geometry", GEOMETRY, "--levels", _HUGE), "--levels"),
+    # a separate -inf or -nan used to read as an unknown option: exit 1
+    (FRINGE + ("--u-mps", "-inf"), "--u-mps"),
+    (("speed", "--mode", "einstein", "--n", "-nan"), "--n"),
 ])
 def test_non_finite_flags_exit_2(args, flag):
     proc = run_cli(*args)
@@ -647,6 +675,26 @@ def test_fringe_steps_beyond_cap_exit_2():
     # used to grow a list of rows until memory ran out
     proc = run_cli(*FRINGE, "--u-mps", "1e3", "--steps", "100000000000")
     _exit_2_with(proc, "InputError", "steps")
+
+
+def test_proca_potential_caps_steps_before_allocating(capsys):
+    argv = ["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
+            "--m-gamma-inv-cm", "100", "--steps"]
+    cli._build_parser()  # the parser is built once per process, outside the peak
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, str(MAX_SCAN_STEPS + 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # MAX_SCAN_STEPS + 1 rows of three floats would take over 1 GB
+    assert code == 2
+    assert peak < 1 << 20
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InputError" and "steps" in err["message"]
+    # used to grow a list of rows until memory ran out
+    assert cli.main([*argv, "100000000000"]) == 2
+    assert "steps" in json.loads(capsys.readouterr().err)["message"]
 
 
 def test_fringe_drift_reaching_the_light_exit_2():

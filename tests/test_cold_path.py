@@ -1,10 +1,13 @@
-"""The scalar subcommands never load numpy.
+"""The scalar subcommands never load numpy, and no call loads dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
 cold ``speed``, ``proca`` or ``bounds`` call does not spend its start-up
-importing it.  Each case runs in a fresh interpreter, because this test
-session has numpy loaded already."""
+importing it.  The records are NamedTuples, so importing the package
+does not load ``dataclasses`` or the ``inspect`` it imports.  Each case
+runs in a fresh interpreter, because this test session has these modules
+loaded already."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -35,8 +38,12 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "stdout": out.getvalue(),
-                  "numpy": "numpy" in sys.modules, "hashlib": "hashlib" in sys.modules}))
+                  "loaded": [name for name in ("numpy", "hashlib", "dataclasses", "inspect")
+                             if name in sys.modules]}))
 """
+
+#: the standard-library modules the records used to pull in
+SKIPPED = ["dataclasses", "inspect"]
 
 
 def _fresh(script, *args):
@@ -46,17 +53,38 @@ def _fresh(script, *args):
     return json.loads(proc.stdout)
 
 
+@functools.cache
+def _scalar_report(name):
+    """What a fresh interpreter loads to run one scalar subcommand."""
+    report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS[name]))
+    assert report["code"] == 0
+    assert report["stdout"].strip()
+    return report
+
+
+@functools.cache
+def _imported_by_package():
+    return _fresh("import json, sys, etherdrift\n"
+                  "print(json.dumps([name for name in ('numpy', 'dataclasses', 'inspect')\n"
+                  "                  if name in sys.modules]))")
+
+
 def test_importing_the_package_does_not_load_numpy():
-    assert _fresh("import json, sys, etherdrift\n"
-                  "print(json.dumps('numpy' in sys.modules))") is False
+    assert "numpy" not in _imported_by_package()
+
+
+def test_importing_the_package_does_not_load_dataclasses():
+    assert not set(SKIPPED) & set(_imported_by_package())
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
 def test_scalar_subcommand_does_not_load_numpy(name):
-    report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS[name]))
-    assert report["code"] == 0
-    assert report["stdout"].strip()
-    assert report["numpy"] is False
+    assert "numpy" not in _scalar_report(name)["loaded"]
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
+def test_scalar_subcommand_does_not_load_dataclasses(name):
+    assert not set(SKIPPED) & set(_scalar_report(name)["loaded"])
 
 
 def test_array_subcommand_loads_numpy():
@@ -65,14 +93,10 @@ def test_array_subcommand_loads_numpy():
                                       "--n2", "1.0001", "--u-mps", "1e3",
                                       "--lambda-nm", "633", "--steps", "4"]))
     assert report["code"] == 0
-    assert report["numpy"] is True
+    assert "numpy" in report["loaded"]
 
 
 def test_hashlib_loads_only_for_the_version_line():
     # the constants fingerprint is the only hash; a computing call skips it
-    report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS["speed"]))
-    assert report["code"] == 0
-    assert report["hashlib"] is False
-    report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS["version"]))
-    assert report["code"] == 0
-    assert report["hashlib"] is True
+    assert "hashlib" not in _scalar_report("speed")["loaded"]
+    assert "hashlib" in _scalar_report("version")["loaded"]

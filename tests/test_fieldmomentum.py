@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,13 +78,11 @@ def test_preasymptotic_halvings_widen_the_estimate_instead_of_raising():
     # the refinement difference grows from the quarter to the half grid
     # here (the radial and axial midpoint errors cancel unevenly on the
     # coarse grids); the whole difference then stands as the estimate
-    geom = SolenoidChargeGeometry(a=0.6480262676206137, B=12.248272878650218,
-                                  d=2.0901708997646273, q=5.787647120410555,
-                                  truncation_halflength=200.0844256058074,
-                                  grid=(8, 16, 128))
-    result = integrate_field_momentum(geom)
-    half = integrate_field_momentum(replace(geom, grid=(4, 8, 64))).P_e
-    fine = integrate_field_momentum(replace(geom, grid=(32, 64, 1024))).P_e
+    setup = dict(a=0.6480262676206137, B=12.248272878650218, d=2.0901708997646273,
+                 q=5.787647120410555, truncation_halflength=200.0844256058074)
+    result = integrate_field_momentum(SolenoidChargeGeometry(**setup, grid=(8, 16, 128)))
+    half = integrate_field_momentum(SolenoidChargeGeometry(**setup, grid=(4, 8, 64))).P_e
+    fine = integrate_field_momentum(SolenoidChargeGeometry(**setup, grid=(32, 64, 1024))).P_e
     e_fine = float(np.linalg.norm(result.P_e - half))
     assert result.estimated_quadrature_error >= e_fine
     assert float(np.linalg.norm(result.P_e - fine)) <= result.estimated_quadrature_error
@@ -127,7 +124,8 @@ def test_convergence_study_levels_validated():
     # 150 cm * 2**-1099 is 0: the coarsest levels would integrate over
     # |z| <= 0 and report rel_error 1
     with pytest.raises(DomainError, match="levels"):
-        convergence_study(replace(REFERENCE, grid=(4, 4, 4)), 1100)
+        convergence_study(SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0,
+                                                 grid=(4, 4, 4)), 1100)
 
 
 def _unfolded_midpoint_p_y(geom, nr, nphi, nz, half_length):

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -287,7 +286,8 @@ def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
     # u_eff negates exactly across a half turn wherever theta + 180 is exact
     # in floating point: the rotated row is the row of the reversed drift
     if steps % 2 == 0:
-        reversed_rows = angle_scan(replace(cfg, u=-u), steps)
+        reversed_rows = angle_scan(config(n1=n1, n2=n2, u=-u, composition=law, e_f=e_f),
+                                   steps)
         half = steps // 2
         for k in range(half):
             if rows[k + half].theta_deg - 180.0 == rows[k].theta_deg:

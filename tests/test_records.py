@@ -1,0 +1,126 @@
+"""The package's records: fields, defaults, immutability and checks.
+
+The field names, their order and the defaults below are those of the
+records before they became NamedTuples.  A record with checks must run
+them however it is built: by the constructor, ``_make`` or ``_replace``."""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+
+from etherdrift import (MODERN, CompositionLaw, Dimension, FresnelFlow,
+                        InterferometerConfig, MomentumResult, PhotonMassBound,
+                        PhysicalConstants, ProcaCylinderConfig, Quantity,
+                        SolenoidChargeGeometry, SolenoidVectorPotential,
+                        UniformQ, UnitSystem, inverse_length_to_mass)
+from etherdrift.errors import DomainError, InputError
+
+REQUIRED = object()
+
+#: record -> (its fields in order with their defaults, a valid instance)
+RECORDS = {
+    Quantity: ({"value": REQUIRED, "dimension": REQUIRED, "system": UnitSystem.SI},
+               Quantity(1.0, Dimension.LENGTH)),
+    PhysicalConstants: ({"profile": REQUIRED, "flux_quantum": REQUIRED}, MODERN),
+    InterferometerConfig: ({"L": REQUIRED, "n1": REQUIRED, "n2": REQUIRED, "u": REQUIRED,
+                            "lambda_vac": REQUIRED, "composition": CompositionLaw.EINSTEIN,
+                            "e_f": 0.0},
+                           InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, 633e-9)),
+    UniformQ: ({"q": REQUIRED}, UniformQ((1.0, 2.0, 3.0))),
+    FresnelFlow: ({"omega": REQUIRED, "n": REQUIRED, "u": REQUIRED},
+                  FresnelFlow(3e15, 1.5, (10.0, 0.0, 0.0))),
+    SolenoidVectorPotential: ({"flux": REQUIRED, "coupling": REQUIRED,
+                               "axis_point": (0.0, 0.0, 0.0),
+                               "axis_direction": (0.0, 0.0, 1.0)},
+                              SolenoidVectorPotential(2.067e-15, 1.5e15)),
+    SolenoidChargeGeometry: ({"a": REQUIRED, "B": REQUIRED, "d": REQUIRED, "q": REQUIRED,
+                              "truncation_halflength": None, "grid": (16, 32, 512)},
+                             SolenoidChargeGeometry(1.0, 100.0, 3.0, 1.0)),
+    MomentumResult: ({"P_e": REQUIRED, "estimated_quadrature_error": REQUIRED},
+                     MomentumResult(np.array([0.0, 1.0, 0.0]), 1e-3)),
+    ProcaCylinderConfig: ({"R": REQUIRED, "V": REQUIRED, "tau": REQUIRED, "rho": 0.0,
+                           "epsilon": 1e-4},
+                          ProcaCylinderConfig(0.27, 1e7, 0.05)),
+    PhotonMassBound: ({"m_gamma_inv_cm": REQUIRED, "m_ph_g": REQUIRED, "source": REQUIRED},
+                      PhotonMassBound(1.4e7, 2.5e-45, "Boulware-Deser")),
+}
+
+RECORD_NAMES = [cls.__name__ for cls in RECORDS]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=RECORD_NAMES)
+def test_fields_order_and_defaults(cls):
+    fields, record = RECORDS[cls]
+    assert cls._fields == tuple(fields)
+    defaults = {name: value for name, value in fields.items() if value is not REQUIRED}
+    assert cls._field_defaults == defaults
+    # the defaults are what a record built from its required fields holds
+    built = cls(**{name: getattr(record, name) for name in fields if name not in defaults})
+    assert {name: getattr(built, name) for name in defaults} == defaults
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=RECORD_NAMES)
+def test_records_are_immutable(cls):
+    _, record = RECORDS[cls]
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+
+
+VALID_PHOTON_MASS = inverse_length_to_mass(1.4e7)
+
+#: a checked record, the fields of a valid one, and changes each of which
+#: its checks must refuse, with the error and a fragment of its message
+CHECKED = [
+    (InterferometerConfig, {"L": 1.0, "n1": 1.0006, "n2": 1.0001, "u": 1e3,
+                            "lambda_vac": 633e-9},
+     [({"n1": 0.5}, DomainError, "n1 must be >= 1"),
+      ({"L": float("nan")}, DomainError, "arm length"),
+      ({"e_f": 1.5}, DomainError, "e_f must lie"),
+      ({"composition": "einstein"}, InputError, "CompositionLaw"),
+      ({"n1": 1.5, "u": 2.5e8}, DomainError, "arm 1")]),
+    (SolenoidChargeGeometry, {"a": 1.0, "B": 100.0, "d": 3.0, "q": 1.0},
+     [({"d": 0.5}, DomainError, "outside the solenoid"),
+      ({"truncation_halflength": 0.0}, DomainError, "truncation"),
+      ({"grid": (4, 4)}, InputError, "3 dimensions"),
+      ({"grid": (4, 4, 3)}, InputError, "integers >= 4"),
+      ({"grid": (4096, 4096, 4096)}, InputError, "nodes")]),
+    (ProcaCylinderConfig, {"R": 0.27, "V": 1e7, "tau": 0.05},
+     [({"R": -1.0}, DomainError, "radius R"),
+      ({"tau": 0.0}, DomainError, "tau"),
+      ({"epsilon": 0.0}, DomainError, "epsilon"),
+      ({"rho": 0.27}, DomainError, "rho < R")]),
+    (PhotonMassBound, {"m_gamma_inv_cm": 1.4e7, "m_ph_g": VALID_PHOTON_MASS,
+                       "source": "x"},
+     [({"m_ph_g": 0.0}, DomainError, "positive"),
+      ({"m_ph_g": 2.0 * VALID_PHOTON_MASS}, DomainError, "inconsistent")]),
+]
+
+CHECKED_CASES = [(cls, valid, *bad) for cls, valid, bads in CHECKED for bad in bads]
+
+
+@pytest.mark.parametrize("cls, valid, change, error, fragment", CHECKED_CASES,
+                         ids=[f"{case[0].__name__}-{'-'.join(case[2])}"
+                              for case in CHECKED_CASES])
+def test_checks_run_on_every_way_to_build(cls, valid, change, error, fragment):
+    record = cls(**valid)
+    with pytest.raises(error, match=fragment):
+        cls(**{**valid, **change})
+    with pytest.raises(error, match=fragment):
+        record._replace(**change)
+    with pytest.raises(error, match=fragment):
+        cls._make({**record._asdict(), **change}.values())
+
+
+@pytest.mark.parametrize("cls, valid", [(cls, valid) for cls, valid, _ in CHECKED],
+                         ids=[cls.__name__ for cls, _, _ in CHECKED])
+def test_checked_copies_keep_their_class(cls, valid):
+    record = cls(**valid)
+    for rebuilt in (record._replace(), cls._make(record), copy.copy(record),
+                    copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(rebuilt) is cls
+        assert rebuilt == record

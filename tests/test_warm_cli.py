@@ -101,13 +101,13 @@ FLAG_CASES = [(words, flag, value)
               for value in BAD_FLAG_VALUES[kind]]
 
 
-def _with_flag(words, flag, value):
+def _with_flag(words, flag, value, spaced):
+    """The valid request with flag set to value, as "--flag value" or "--flag=value"."""
     argv = shlex.split(VALID[words])
     if flag in argv:
         at = argv.index(flag)
         del argv[at:at + 2]
-    # "--flag=value": a separate "-inf" would read as an unknown option
-    return [*words, *argv, f"{flag}={value}"]
+    return [*words, *argv, *([flag, value] if spaced else [f"{flag}={value}"])]
 
 
 def _assert_exit_2(argv):
@@ -126,10 +126,11 @@ def test_every_number_flag_is_fuzzed():
         assert _warm([*words, *shlex.split(VALID[words])])[0] == 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(FLAG_CASES))
-def test_bad_number_flag_exits_2(case):
-    _assert_exit_2(_with_flag(*case))
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FLAG_CASES), st.booleans())
+def test_bad_number_flag_exits_2(case, spaced):
+    # a separate "-inf" used to read as an unknown option: exit 1
+    _assert_exit_2(_with_flag(*case, spaced))
 
 
 FIELD_PARAMS = {
