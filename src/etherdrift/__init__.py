@@ -4,12 +4,10 @@ momentum quadrature."""
 
 __version__ = "0.1.0"
 
-from .errors import (DegenerateConfigError, DimensionError, DomainError,
-                     EtherdriftError, InputError, SeriesOverflowError,
-                     SingularPathError)
-from .units import (MODERN, PAPER, Dimension, PhysicalConstants, Quantity,
-                    UnitSystem, convert, get_constants, inverse_length_to_mass,
-                    mass_to_inverse_length)
+from .errors import (DegenerateConfigError, DomainError, EtherdriftError,
+                     InputError, SeriesOverflowError, SingularPathError)
+from .units import (MODERN, PAPER, PhysicalConstants, UnitSystem, get_constants,
+                    inverse_length_to_mass, mass_to_inverse_length)
 from .kinematics import (CompositionLaw, compose_lab_speed, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_drag_coefficient,
                          fresnel_speed, tangherlini_composed_speed)
@@ -24,8 +22,8 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .proca import (PhotonMassBound, ProcaCylinderConfig, bessel_I0,
                     bounds_registry, cylinder_potential_exact,
                     cylinder_potential_expansion, invert_bound,
-                    mass_phase_correction, projected_bound, time_of_flight,
-                    yukawa_potential)
+                    mass_phase_correction, potential_profile, projected_bound,
+                    time_of_flight, yukawa_potential)
 from .fieldmomentum import (ConvergenceRow, MomentumResult,
                             SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study, integrate_field_momentum)

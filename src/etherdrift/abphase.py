@@ -46,8 +46,6 @@ class UniformQ(NamedTuple):
 
     q: tuple
 
-    kind = "uniform_q"
-
     def q_at(self, points) -> np.ndarray:
         import numpy as np
 
@@ -67,8 +65,6 @@ class FresnelFlow(NamedTuple):
     omega: float
     n: float
     u: tuple
-
-    kind = "fresnel_flow"
 
     def q_vector(self) -> np.ndarray:
         return fresnel_momentum(self.omega, self.n, self.u)
@@ -99,8 +95,6 @@ class SolenoidVectorPotential(NamedTuple):
     axis_point: tuple = (0.0, 0.0, 0.0)
     axis_direction: tuple = (0.0, 0.0, 1.0)
 
-    kind = "solenoid"
-
     def _axis(self):
         import numpy as np
 
@@ -130,11 +124,16 @@ class SolenoidVectorPotential(NamedTuple):
         phi_hat_scaled = np.cross(axis, rel_perp) / rho2[:, None]
         return (self.coupling * self.flux / (2.0 * math.pi)) * phi_hat_scaled
 
-    def check_segment(self, p0, p1):
-        """Raise if segment p0->p1 (or any row pair of (N, 3) arrays) meets the flux line."""
+    def segment_integrals(self, p0, p1) -> np.ndarray:
+        """Exact int Q . dl over each segment p0[i] -> p1[i] (Aharonov & Bohm 1959).
+
+        Q . dl = coupling (flux/2 pi) dphi, and a segment sweeps the signed
+        angle atan2(axis . (r0 x r1), r0 . r1), r0 and r1 its endpoints'
+        offsets from the axis perpendicular to it.  A segment that meets the
+        flux line raises SingularPathError."""
         import numpy as np
 
-        r0, _ = self._perp(p0)
+        r0, axis = self._perp(p0)
         r1, _ = self._perp(p1)
         seg = r1 - r0
         seg2 = _dot(seg, seg)
@@ -144,18 +143,6 @@ class SolenoidVectorPotential(NamedTuple):
         scale = np.maximum(1.0, np.linalg.norm(np.stack([r0, r1]), axis=2).max(axis=0))
         if np.any(dist <= 1e-12 * scale):
             raise SingularPathError("integration path passes through the flux line")
-
-    def segment_integrals(self, p0, p1) -> np.ndarray:
-        """Exact int Q . dl over each segment p0[i] -> p1[i] (Aharonov & Bohm 1959).
-
-        Q . dl = coupling (flux/2 pi) dphi, and a segment sweeps the signed
-        angle atan2(axis . (r0 x r1), r0 . r1), r0 and r1 its endpoints'
-        offsets from the axis perpendicular to it."""
-        import numpy as np
-
-        self.check_segment(p0, p1)
-        r0, axis = self._perp(p0)
-        r1, _ = self._perp(p1)
         swept = np.arctan2(_dot(np.cross(r0, r1), axis), _dot(r0, r1))
         return (self.coupling * self.flux / (2.0 * math.pi)) * swept
 

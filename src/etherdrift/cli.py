@@ -23,14 +23,13 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (MAX_SCAN_STEPS, InterferometerConfig, angle_scan,
-                             improvement_factor, min_detectable_u)
+from .interferometer import (InterferometerConfig, angle_scan, improvement_factor,
+                             min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
-from .proca import (ProcaCylinderConfig, bounds_registry,
-                    cylinder_potential_exact, cylinder_potential_expansion,
-                    invert_bound, mass_phase_correction)
+from .proca import (ProcaCylinderConfig, bounds_registry, invert_bound,
+                    mass_phase_correction, potential_profile)
 from .units import UnitSystem, get_constants, inverse_length_to_mass
 
 
@@ -513,21 +512,9 @@ def _run_proca_bound(ns, constants):
 
 
 def _run_proca_potential(ns, constants):
-    if ns.steps < 2:
-        raise InputError(f"potential profile needs at least 2 steps, got {ns.steps}")
-    if ns.steps > MAX_SCAN_STEPS:
-        raise InputError(f"potential profile takes at most {MAX_SCAN_STEPS} steps, "
-                         f"got {ns.steps}")
     # tau is irrelevant to the radial profile; any positive value works
     cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
-    m_gamma = _m_gamma(ns)
-    rows = []
-    for i in range(ns.steps):
-        # the last row is exactly R: R * i / (steps - 1) can round above it
-        rho = cfg.R if i == ns.steps - 1 else cfg.R * i / (ns.steps - 1)
-        rows.append((rho,
-                     cylinder_potential_exact(rho, cfg, m_gamma),
-                     cylinder_potential_expansion(rho, cfg, m_gamma, ns.variant)))
+    rows = potential_profile(cfg, _m_gamma(ns), ns.steps, ns.variant)
     return render_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), rows)
 
 

@@ -14,10 +14,6 @@ class DomainError(EtherdriftError, ValueError):
     """A physical argument is outside the domain of the formula."""
 
 
-class DimensionError(EtherdriftError, TypeError):
-    """Quantities with incompatible dimensions were combined."""
-
-
 class InputError(EtherdriftError, ValueError):
     """Malformed user input (config files, CLI payloads)."""
 

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from ._record import Checked
 from .errors import DomainError, InputError, SeriesOverflowError
+from .interferometer import MAX_SCAN_STEPS
 from .units import PhysicalConstants, hbar, inverse_length_to_mass
 
 #: largest argument accepted by the I0 series before the sum leaves double
@@ -108,6 +109,14 @@ def cylinder_potential_exact(rho: float, cfg: ProcaCylinderConfig, m_gamma: floa
     return cfg.V * bessel_I0(m_gamma * rho) / bessel_I0(m_gamma * cfg.R)
 
 
+def _expansion_scale(variant: str) -> float:
+    if variant == "quarter":
+        return 0.25
+    if variant == "half":
+        return 0.5
+    raise InputError(f"variant must be 'quarter' or 'half', got {variant!r}")
+
+
 def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: float,
                                  variant: str = "quarter") -> float:
     """Two-term interior potential V [1 + (m_gamma^2/s)(rho^2 - R^2)], volts.
@@ -120,14 +129,36 @@ def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: 
         raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
     if m_gamma < 0.0:
         raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
-    if variant == "quarter":
-        scale = 0.25
-    elif variant == "half":
-        scale = 0.5
-    else:
-        raise InputError(f"variant must be 'quarter' or 'half', got {variant!r}")
+    scale = _expansion_scale(variant)
     m2 = m_gamma * m_gamma
     return cfg.V * (1.0 + scale * m2 * (rho * rho - cfg.R * cfg.R))
+
+
+def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
+                      variant: str = "quarter") -> list:
+    """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over [0, R].
+
+    Each row holds what cylinder_potential_exact and
+    cylinder_potential_expansion give at its radius, bit for bit; the wall
+    value I0(m_gamma R) is formed once.  The last radius is exactly R.  A
+    profile holds at most MAX_SCAN_STEPS rows.
+    """
+    if steps < 2:
+        raise InputError(f"potential profile needs at least 2 steps, got {steps}")
+    if steps > MAX_SCAN_STEPS:
+        raise InputError(f"potential profile takes at most {MAX_SCAN_STEPS} steps, "
+                         f"got {steps}")
+    if m_gamma < 0.0:
+        raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
+    R, V = cfg.R, cfg.V
+    wall = bessel_I0(m_gamma * R)
+    scale_m2 = _expansion_scale(variant) * (m_gamma * m_gamma)
+    # R * i / (steps - 1) can round above R at the last step
+    radii = [R * i / (steps - 1) for i in range(steps - 1)] + [R]
+    return [(rho,
+             V if rho == R else V * bessel_I0(m_gamma * rho) / wall,
+             V * (1.0 + scale_m2 * (rho * rho - R * R)))
+            for rho in radii]
 
 
 def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,

@@ -1,4 +1,4 @@
-"""Unit systems, conversions and physical constants.
+"""Physical constants, their profiles, and photon range/mass conversion.
 
 All formulas in the package work in SI internally.  The Gaussian (cgs-esu)
 side exists because the older drift and photon-mass literature quotes fluxes
@@ -6,6 +6,9 @@ in G cm^2, charges in esu and masses in grams, and the published bounds are
 only reproducible digit for digit if the same rounded inputs are used.  The
 ``paper`` constants profile therefore keeps the rounded flux quantum
 2.067e-15 Wb, while ``modern`` uses h/2e from the exact SI defining values.
+``PhysicalConstants.table`` lists a profile's five constants in SI or
+Gaussian units, and the photon mass converts between a Yukawa range in cm
+and grams.
 """
 
 from __future__ import annotations
@@ -15,96 +18,12 @@ import math
 import os
 from typing import NamedTuple
 
-from .errors import DimensionError, DomainError, InputError
+from .errors import DomainError, InputError
 
 
 class UnitSystem(enum.Enum):
     SI = "si"
     GAUSSIAN = "gaussian"
-
-
-class Dimension(enum.Enum):
-    LENGTH = "length"
-    INVERSE_LENGTH = "inverse_length"
-    TIME = "time"
-    SPEED = "speed"
-    MASS = "mass"
-    ENERGY = "energy"
-    ACTION = "action"
-    CHARGE = "charge"
-    POTENTIAL = "potential"
-    MAGNETIC_FIELD = "magnetic_field"
-    MAGNETIC_FLUX = "magnetic_flux"
-    MOMENTUM = "momentum"
-    DIMENSIONLESS = "dimensionless"
-
-
-# SI -> Gaussian factor stored as a ratio num/den so that whichever direction
-# has the exact decimal representation keeps it (e.g. 1 statV = 299.792458 V).
-_SI_TO_GAUSSIAN = {
-    Dimension.LENGTH: (100.0, 1.0),
-    Dimension.INVERSE_LENGTH: (1.0, 100.0),
-    Dimension.TIME: (1.0, 1.0),
-    Dimension.SPEED: (100.0, 1.0),
-    Dimension.MASS: (1000.0, 1.0),
-    Dimension.ENERGY: (1.0e7, 1.0),
-    Dimension.ACTION: (1.0e7, 1.0),
-    Dimension.CHARGE: (2.99792458e9, 1.0),
-    Dimension.POTENTIAL: (1.0, 299.792458),
-    Dimension.MAGNETIC_FIELD: (1.0e4, 1.0),
-    Dimension.MAGNETIC_FLUX: (1.0e8, 1.0),
-    Dimension.MOMENTUM: (1.0e5, 1.0),
-    Dimension.DIMENSIONLESS: (1.0, 1.0),
-}
-
-_UNIT_NAMES = {
-    Dimension.LENGTH: ("m", "cm"),
-    Dimension.INVERSE_LENGTH: ("1/m", "1/cm"),
-    Dimension.TIME: ("s", "s"),
-    Dimension.SPEED: ("m/s", "cm/s"),
-    Dimension.MASS: ("kg", "g"),
-    Dimension.ENERGY: ("J", "erg"),
-    Dimension.ACTION: ("J s", "erg s"),
-    Dimension.CHARGE: ("C", "esu"),
-    Dimension.POTENTIAL: ("V", "statV"),
-    Dimension.MAGNETIC_FIELD: ("T", "G"),
-    Dimension.MAGNETIC_FLUX: ("Wb", "G cm^2"),
-    Dimension.MOMENTUM: ("kg m/s", "g cm/s"),
-    Dimension.DIMENSIONLESS: ("1", "1"),
-}
-
-
-class Quantity(NamedTuple):
-    """A value together with its dimension and the system it is expressed in."""
-
-    value: float
-    dimension: Dimension
-    system: UnitSystem = UnitSystem.SI
-
-    def unit(self) -> str:
-        si_name, gauss_name = _UNIT_NAMES[self.dimension]
-        return si_name if self.system is UnitSystem.SI else gauss_name
-
-    def to(self, target: UnitSystem) -> "Quantity":
-        return convert(self, target)
-
-
-def convert(quantity: Quantity, target: UnitSystem) -> Quantity:
-    """Convert a :class:`Quantity` between SI and Gaussian units.
-
-    Conversion to the system the quantity is already in returns it unchanged,
-    so round trips cost at most one multiply and one divide.
-    """
-    if not isinstance(target, UnitSystem):
-        raise DimensionError(f"conversion target must be a unit system, got {target!r}")
-    if quantity.system is target:
-        return quantity
-    num, den = _SI_TO_GAUSSIAN[quantity.dimension]
-    if target is UnitSystem.GAUSSIAN:
-        value = quantity.value * num / den
-    else:
-        value = quantity.value * den / num
-    return Quantity(value, quantity.dimension, target)
 
 
 #: exact SI defining values (SI 2019), the same in every profile
@@ -114,6 +33,15 @@ e_charge = 1.602176634e-19  # C
 hbar = h / (2.0 * math.pi)
 c_cgs = c * 100.0
 hbar_cgs = hbar * 1.0e7
+
+#: constant -> (SI unit, Gaussian unit, SI -> Gaussian factor)
+_UNITS = {
+    "c": ("m/s", "cm/s", 100.0),
+    "h": ("J s", "erg s", 1.0e7),
+    "hbar": ("J s", "erg s", 1.0e7),
+    "e_charge": ("C", "esu", 2.99792458e9),
+    "flux_quantum": ("Wb", "G cm^2", 1.0e8),
+}
 
 
 class PhysicalConstants(NamedTuple):
@@ -133,36 +61,28 @@ class PhysicalConstants(NamedTuple):
     def charge_over_hbar(self) -> float:
         return math.pi / self.flux_quantum
 
-    def as_quantities(self) -> dict:
-        return {
-            "c": Quantity(c, Dimension.SPEED),
-            "h": Quantity(h, Dimension.ACTION),
-            "hbar": Quantity(hbar, Dimension.ACTION),
-            "e_charge": Quantity(e_charge, Dimension.CHARGE),
-            "flux_quantum": Quantity(self.flux_quantum, Dimension.MAGNETIC_FLUX),
-        }
+    def _si_values(self) -> dict:
+        """The five constants in SI, in table order."""
+        return {"c": c, "h": h, "hbar": hbar, "e_charge": e_charge,
+                "flux_quantum": self.flux_quantum}
 
     def table(self, system: UnitSystem = UnitSystem.SI) -> list:
+        gaussian = system is UnitSystem.GAUSSIAN
         rows = []
-        for name, quantity in self.as_quantities().items():
-            q = convert(quantity, system)
-            rows.append(
-                {
-                    "name": name,
-                    "value": q.value,
-                    "unit": q.unit(),
-                    "system": system.value,
-                    "profile": self.profile,
-                }
-            )
+        for name, value in self._si_values().items():
+            si_unit, gaussian_unit, factor = _UNITS[name]
+            rows.append({"name": name,
+                         "value": value * factor if gaussian else value,
+                         "unit": gaussian_unit if gaussian else si_unit,
+                         "system": system.value,
+                         "profile": self.profile})
         return rows
 
     def fingerprint(self) -> str:
         import hashlib  # only --version asks for it: off the cold import path
 
         payload = ",".join(
-            f"{name}={q.value!r}" for name, q in sorted(self.as_quantities().items())
-        )
+            f"{name}={value!r}" for name, value in sorted(self._si_values().items()))
         return hashlib.sha256(payload.encode("ascii")).hexdigest()[:12]
 
 

@@ -394,6 +394,24 @@ def test_proca_potential_last_radius_is_exactly_r():
     assert float(rows[-1][1]) == 1e7
 
 
+def test_proca_potential_forms_the_wall_value_once(monkeypatch, capsys):
+    # mR = 649: one I0 of the wall plus one per row below it, not two per row
+    from etherdrift import proca
+
+    bessel_I0 = proca.bessel_I0
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return bessel_I0(x)
+
+    monkeypatch.setattr(proca, "bessel_I0", counted)
+    assert cli.main(["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
+                     "--m-gamma-inv-cm", "0.0154", "--steps", "1000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1001
+    assert len(calls) <= 1000
+
+
 FRINGE = ("fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--lambda-nm", "633")
 GEOMETRY = '{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0, "grid": [4, 4, 4]}'
 _HUGE = "1" + "0" * 400  # beyond the float range; float() raises OverflowError

@@ -8,8 +8,9 @@ from etherdrift.proca import (BESSEL_I0_MAX_ARGUMENT, PhotonMassBound,
                               ProcaCylinderConfig, bessel_I0, bounds_registry,
                               cylinder_potential_exact,
                               cylinder_potential_expansion, invert_bound,
-                              mass_phase_correction, projected_bound,
-                              time_of_flight, yukawa_potential)
+                              mass_phase_correction, potential_profile,
+                              projected_bound, time_of_flight,
+                              yukawa_potential)
 from etherdrift.units import MODERN, PAPER, inverse_length_to_mass
 
 REFERENCE = ProcaCylinderConfig(R=0.27, V=1e7, tau=0.05, epsilon=1e-4)
@@ -111,6 +112,32 @@ def test_expansion_variants():
     assert half == pytest.approx(REFERENCE.V * (1.0 - 0.5 * R2), rel=1e-15)
     with pytest.raises(InputError):
         cylinder_potential_expansion(0.0, REFERENCE, m, variant="third")
+
+
+@pytest.mark.parametrize("variant", ["quarter", "half"])
+@pytest.mark.parametrize("steps, m_gamma", [(2, 1.0), (7, 40.0), (101, 2400.0)])
+def test_potential_profile_rows_are_the_pointwise_potentials(steps, m_gamma, variant):
+    rows = potential_profile(REFERENCE, m_gamma, steps, variant)
+    assert len(rows) == steps
+    radii = [REFERENCE.R * i / (steps - 1) for i in range(steps - 1)] + [REFERENCE.R]
+    assert [rho for rho, _, _ in rows] == radii
+    for rho, exact, expansion in rows:
+        assert exact == cylinder_potential_exact(rho, REFERENCE, m_gamma)
+        assert expansion == cylinder_potential_expansion(rho, REFERENCE, m_gamma, variant)
+    assert rows[-1][:2] == (REFERENCE.R, REFERENCE.V)
+
+
+def test_potential_profile_validation():
+    with pytest.raises(InputError, match="at least 2 steps"):
+        potential_profile(REFERENCE, 1.0, 1)
+    with pytest.raises(InputError, match="at most"):
+        potential_profile(REFERENCE, 1.0, 10 ** 400)
+    with pytest.raises(DomainError, match="photon mass"):
+        potential_profile(REFERENCE, -1.0, 5)
+    with pytest.raises(SeriesOverflowError):
+        potential_profile(REFERENCE, 2600.0, 5)
+    with pytest.raises(InputError, match="variant"):
+        potential_profile(REFERENCE, 1.0, 5, "third")
 
 
 def test_quarter_expansion_tracks_exact_to_fourth_order():

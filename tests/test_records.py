@@ -10,19 +10,17 @@ import pickle
 import numpy as np
 import pytest
 
-from etherdrift import (MODERN, CompositionLaw, Dimension, FresnelFlow,
+from etherdrift import (MODERN, CompositionLaw, FresnelFlow,
                         InterferometerConfig, MomentumResult, PhotonMassBound,
-                        PhysicalConstants, ProcaCylinderConfig, Quantity,
+                        PhysicalConstants, ProcaCylinderConfig,
                         SolenoidChargeGeometry, SolenoidVectorPotential,
-                        UniformQ, UnitSystem, inverse_length_to_mass)
+                        UniformQ, inverse_length_to_mass)
 from etherdrift.errors import DomainError, InputError
 
 REQUIRED = object()
 
 #: record -> (its fields in order with their defaults, a valid instance)
 RECORDS = {
-    Quantity: ({"value": REQUIRED, "dimension": REQUIRED, "system": UnitSystem.SI},
-               Quantity(1.0, Dimension.LENGTH)),
     PhysicalConstants: ({"profile": REQUIRED, "flux_quantum": REQUIRED}, MODERN),
     InterferometerConfig: ({"L": REQUIRED, "n1": REQUIRED, "n2": REQUIRED, "u": REQUIRED,
                             "lambda_vac": REQUIRED, "composition": CompositionLaw.EINSTEIN,
