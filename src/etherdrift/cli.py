@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+from itertools import chain
 from typing import NamedTuple
 
 from . import __version__
@@ -164,6 +165,23 @@ def _is_kind(value, kind) -> bool:
     # bool is an int subclass: a JSON true must not pass for 1
     return (not isinstance(value, bool) and _finite(value)
             and (kind == "number" or isinstance(value, int)))
+
+
+def _is_path(value) -> bool:
+    """_is_kind(v, "vector") for every vertex of a JSON array, in bulk.
+
+    A vertex is a list of 3 numbers, and JSON gives exact types: a true is
+    a bool, not an int, so a type outside {int, float} refuses it.  The
+    floats need only isfinite; an int beyond the float range would make
+    isfinite raise, so a path with an int is checked by _finite instead."""
+    if not (isinstance(value, list) and set(map(type, value)) <= {list}
+            and set(map(len, value)) <= {3}):
+        return False
+    flat = list(chain.from_iterable(value))
+    types = set(map(type, flat))
+    if not types <= {int, float}:
+        return False
+    return all(map(_finite if int in types else math.isfinite, flat))
 
 
 def _as_kind(value, kind):
@@ -497,7 +515,7 @@ def _run_abphase(ns, constants):
     field = _field_from_dict(spec, constants)
     # numpy would take a JSON true for 1.0 and fail on an integer beyond the
     # float range; Path itself checks the vertex count and repeats
-    if not isinstance(vertices, list) or not all(_is_kind(v, "vector") for v in vertices):
+    if not _is_path(vertices):
         raise InputError("path must be an array of [x, y, z] vertices of finite numbers")
     phase = phase_line_integral(field, Path(vertices))
     return render_json({"phase_rad": phase})

@@ -17,9 +17,11 @@ law, because their inverse one-way speeds differ by the arm-independent
 synchronization term u/c^2.
 
 Every orientation-dependent quantity (arm speed, exact and first-order
-delay, scan row) comes from one numpy pass over an array of angles, so a
-scan row equals delay_exact at its angle bit for bit; numpy is imported
-only there.  A scan holds at most MAX_SCAN_STEPS rows, and a configuration
+delay, scan row) comes from one numpy pass over an array of orientation
+cosines; numpy is imported only there.  A scan folds its angles by the
+integer step index, so rows half a turn apart have exactly negated
+cosines, and a first-quadrant row equals delay_exact at its angle bit for
+bit.  A scan holds at most MAX_SCAN_STEPS rows, and a configuration
 whose drift reaches the light speed of an arm is refused.  The rotation
 signal is formed from the drift parts of the inverse speeds, not as the
 difference of two nearly equal delays, and every n1^2 - n2^2 as
@@ -45,8 +47,9 @@ def _cos_deg(theta_deg):
 
     Each angle is folded into [0, 90] before calling cos, so 0 and 180 give
     exactly +1 and -1, and a pair (theta, theta + 180) gives exact negations
-    wherever theta + 180 - 180 == theta in floating point.  Fringe
-    antisymmetry tests rely on this.
+    wherever theta + 180 - 180 == theta in floating point.  angle_scan
+    folds its integer step index instead (_scan_cos), which makes every
+    half-turn pair of a scan exact.
     """
     import numpy as np  # only the orientation-dependent quantities need numpy
 
@@ -55,6 +58,25 @@ def _cos_deg(theta_deg):
                        [t, 180.0 - t, t - 180.0], 360.0 - t)
     cos = np.cos(np.radians(folded))
     return np.where((90.0 < t) & (t <= 270.0), -cos, cos)
+
+
+def _scan_cos(steps: int):
+    """cos(360 k/steps) for k = 0 .. steps-1, as a numpy array.
+
+    _cos_deg's fold, done on the integer j = 4k, theta_k in units of
+    90/steps degrees: m = min(r, 2 steps - r) with r = j mod 2 steps folds
+    it into [0, steps], the folded angle 90 m/steps is rounded once, and
+    the sign comes from j against steps.  Rows k and k + steps/2 fold to
+    the same m with opposite signs, so their cosines are exact negations at
+    every even step count; in the first quadrant m = j and the cosine is
+    _cos_deg's of theta_k.
+    """
+    import numpy as np
+
+    j = np.arange(0, 4 * steps, 4)
+    r = j % (2 * steps)  # j and j + 2 steps, half a turn apart, alike
+    cos = np.cos(np.radians(90.0 * np.minimum(r, 2 * steps - r) / steps))
+    return np.where((steps < j) & (j <= 3 * steps), -cos, cos)
 
 
 class _InterferometerFields(NamedTuple):
@@ -118,15 +140,15 @@ def _lab_speed(config: InterferometerConfig, n: float, u_eff):
     return _compose(v_rest, u_eff, config.composition)
 
 
-def _delays(config: InterferometerConfig, theta_deg):
-    """Exact and first-order delays at each angle of a sequence, as arrays.
+def _delays(config: InterferometerConfig, cos):
+    """Exact and first-order delays at each orientation cosine, as arrays.
 
     The one numerical path of every delay: delay_exact, delay_first_order
     and angle_scan read their values from here.
     """
     n1 = config.n1
     n2 = config.n2
-    u_eff = config.u * _cos_deg(theta_deg)
+    u_eff = config.u * cos
     exact = config.L * (1.0 / _lab_speed(config, n1, u_eff)
                         - 1.0 / _lab_speed(config, n2, u_eff))
     first = (config.L / c) * (n1 - n2) * (1.0 + (u_eff / c) * (1.0 - config.e_f) * (n1 + n2))
@@ -146,12 +168,12 @@ def arm_speed(config: InterferometerConfig, arm: int, theta_deg: float) -> float
 
 def delay_exact(config: InterferometerConfig, theta_deg: float) -> float:
     """Arm delay difference L (1/w1 - 1/w2); positive when arm 1 is slower."""
-    return float(_delays(config, [theta_deg])[0][0])
+    return float(_delays(config, _cos_deg([theta_deg]))[0][0])
 
 
 def delay_first_order(config: InterferometerConfig, theta_deg: float) -> float:
     """First-order form (L/c)(n1 - n2)[1 + (u_eff/c)(1 - e_f)(n1 + n2)]."""
-    return float(_delays(config, [theta_deg])[1][0])
+    return float(_delays(config, _cos_deg([theta_deg]))[1][0])
 
 
 class RotationSignal(NamedTuple):
@@ -236,7 +258,8 @@ def angle_scan(config: InterferometerConfig, steps: int) -> list:
     """Uniform orientation scan over [0, 360) degrees, theta_k = 360 k/steps.
 
     steps = 2 reproduces the 0/180 pair of the rotation signal.  The fringe
-    column converts the exact delay.
+    column converts the exact delay.  The cosines come from _scan_cos, so
+    at an even step count row k + steps/2 is row k of the reversed drift.
     """
     if steps < 2:
         raise InputError(f"angle scan needs at least 2 steps, got {steps}")
@@ -245,7 +268,7 @@ def angle_scan(config: InterferometerConfig, steps: int) -> list:
     import numpy as np
 
     theta = 360.0 * np.arange(steps, dtype=float) / steps
-    exact, first = _delays(config, theta)
+    exact, first = _delays(config, _scan_cos(steps))
     fringes = fringe_shift(exact, config.lambda_vac)
     # tuple.__new__ builds each row in C, without ScanRow's Python __new__
     return list(map(tuple.__new__, repeat(ScanRow),

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etherdrift import cli
 from etherdrift.abphase import UniformQ, fresnel_momentum
@@ -488,6 +490,20 @@ def test_proca_zero_compton_range_exit_2(action):
     assert "--m-gamma-inv-cm" in payload["message"]
 
 
+@pytest.mark.parametrize("field", [{"B_gauss": 0}, {"q_esu": 0}, {"a_cm": 1e-300},
+                                   {"d_cm": 1e308}])
+def test_pmomentum_zero_analytic_momentum_exit_2(field):
+    # q B a^2/(2 d c) is 0 or underflows to it: the relative error used to
+    # end in a ZeroDivisionError traceback
+    geometry = dict({"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, "q_esu": 1.0}, **field)
+    proc = run_cli("pmomentum", "--geometry", json.dumps(geometry))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    payload = stderr_error(proc)
+    assert payload["error"] == "DomainError"
+    assert "undefined for a zero momentum" in payload["message"]
+
+
 def test_bounds_json_and_text():
     proc = run_cli("bounds")
     entries = json.loads(proc.stdout)
@@ -735,3 +751,45 @@ def test_pmomentum_levels_below_bore_radius_exit_2():
     # print with P_mag 0 and exit 0
     proc = run_cli("pmomentum", "--geometry", GEOMETRY, "--levels", "1060")
     _exit_2_with(proc, "DomainError", "bore radius")
+
+
+# JSON leaves a path can hold: floats, ints up to +-10^400 (beyond the float
+# range from about 1.8e308), bools, null, strings and the non-finite floats
+# that json.loads reads from NaN and Infinity
+_JSON_ATOMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10 ** 400, 10 ** 400),
+    st.sampled_from([0, 1, -1, int(sys.float_info.max), int(sys.float_info.max) + 1,
+                     -int(sys.float_info.max) - 1]),
+    st.booleans(), st.none(), st.text(max_size=3))
+#: a vertex of finite floats and ints, the float-range edge included
+_NUMBER_VERTEX = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.integers(-10 ** 6, 10 ** 6),
+                                    st.sampled_from([int(sys.float_info.max),
+                                                     -int(sys.float_info.max)])),
+                          min_size=3, max_size=3)
+#: a vertex of JSON numbers that may leave the float range, or a bool
+_EDGE_VERTEX = st.lists(st.one_of(st.floats(), st.integers(-10 ** 400, 10 ** 400),
+                                  st.booleans()),
+                        min_size=3, max_size=3)
+_VERTEX = st.one_of(
+    _NUMBER_VERTEX,
+    _EDGE_VERTEX,
+    st.lists(_JSON_ATOMS, min_size=3, max_size=3),
+    st.lists(_JSON_ATOMS, max_size=5),
+    st.lists(st.lists(st.floats(), max_size=3), min_size=3, max_size=3),
+    _JSON_ATOMS)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(path=st.one_of(st.lists(_NUMBER_VERTEX, max_size=6),
+                      st.lists(st.one_of(_NUMBER_VERTEX, _VERTEX), max_size=6),
+                      st.lists(st.one_of(_NUMBER_VERTEX, _EDGE_VERTEX), max_size=6),
+                      _JSON_ATOMS,
+                      st.dictionaries(st.text(max_size=2), _JSON_ATOMS, max_size=2)))
+def test_bulk_path_check_matches_per_vertex_check(path):
+    # the path as the CLI reads it: through JSON, where a float is a float
+    # and an int an int, so 1.0 and 1 stay apart
+    path = json.loads(json.dumps(path))
+    expected = isinstance(path, list) and all(cli._is_kind(v, "vector") for v in path)
+    assert cli._is_path(path) == expected

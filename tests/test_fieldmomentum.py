@@ -175,3 +175,62 @@ def test_folded_kernel_any_block_size(monkeypatch, block):
         folded = _momentum_on_grid(REFERENCE, *grid, REFERENCE.half_length)
         unfolded = _unfolded_midpoint_p_y(REFERENCE, *grid, REFERENCE.half_length)
         assert folded[1] == pytest.approx(unfolded, rel=1e-13, abs=0.0)
+
+
+def _standalone_rows(geom, levels):
+    # each level on its own lattice, one kernel call per level
+    nr, nphi, nz = geom.grid
+    rows = []
+    for k in range(levels):
+        scale = 2.0 ** (k - (levels - 1))
+        nz_k = max(2, round(nz * scale))
+        rows.append((nz_k, _momentum_on_grid(geom, nr, nphi, nz_k, geom.half_length * scale)))
+    return rows
+
+
+@pytest.mark.parametrize("grid, levels, block", [
+    ((8, 16, 128), 4, None),       # even nz: every level on one lattice
+    ((5, 7, 129), 3, None),        # odd nz: levels of both parities
+    ((8, 16, 100), 3, None),       # 25 / 50 / 100: odd first level
+    ((8, 16, 100), 4, None),       # 100/8 rounds to 12: its own lattice
+    ((4, 4, 4), 4, None),          # nz_k floored at 2
+    ((9, 17, 1000), 4, 64),        # rows longer than a block
+    ((4, 4, 2 ** 18 + 8), 3, None),  # nz > 2 _BLOCK: column blocks
+])
+def test_convergence_rows_match_standalone_kernel_bit_for_bit(monkeypatch, grid, levels,
+                                                              block):
+    if block is not None:
+        monkeypatch.setattr(fieldmomentum, "_BLOCK", block)
+    for geom in (SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0, grid=grid),
+                 SolenoidChargeGeometry(a=0.7, B=-12.5, d=2.1, q=3.3, grid=grid,
+                                        truncation_halflength=40.0)):
+        rows = convergence_study(geom, levels)
+        for row, (nz_k, p) in zip(rows, _standalone_rows(geom, levels), strict=True):
+            assert row.grid == (grid[0], grid[1], nz_k)
+            assert row.P_e.tobytes() == p.tobytes()
+
+
+def test_convergence_study_sums_a_shared_lattice_once(monkeypatch):
+    calls = []
+    axial_sums = fieldmomentum._axial_sums
+
+    def counting(rho2, dz, odd, counts):
+        calls.append(sorted(counts))
+        return axial_sums(rho2, dz, odd, counts)
+
+    monkeypatch.setattr(fieldmomentum, "_axial_sums", counting)
+    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0, grid=(32, 64, 2048))
+    convergence_study(geom, 2)
+    # the 1024-cell level's folded nodes are the first 512 of the 2048-cell one
+    assert calls == [[512, 1024]]
+    calls.clear()
+    convergence_study(geom._replace(grid=(8, 16, 100)), 4)
+    # 12 cells (100/8 rounded) and the odd 25 each have their own lattice
+    assert sorted(calls) == [[6], [13], [25, 50]]
+
+
+@pytest.mark.parametrize("field", [{"B": 0.0}, {"q": 0.0}, {"a": 1e-300}, {"d": 1e308}])
+def test_convergence_study_zero_momentum_is_a_domain_error(field):
+    geom = SolenoidChargeGeometry(**dict(dict(a=1.0, B=100.0, d=3.0, q=1.0), **field))
+    with pytest.raises(DomainError, match="undefined for a zero momentum"):
+        convergence_study(geom, 2)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.interferometer import (MAX_SCAN_STEPS, InterferometerConfig,
-                                       angle_scan, arm_speed, delay_exact,
-                                       delay_first_order, fringe_shift,
+                                       _cos_deg, _scan_cos, angle_scan, arm_speed,
+                                       delay_exact, delay_first_order, fringe_shift,
                                        improvement_factor, min_detectable_u,
                                        rotation_signal)
 from etherdrift.kinematics import CompositionLaw
@@ -270,28 +270,77 @@ def test_rotation_signal_exact_matches_mpmath(law, n1, n2):
                 assert error <= 1e-14 * kappa, (e_f, u, error / kappa)
 
 
+def _folded_angle(k, steps):
+    """theta_k = 360 k/steps folded into [0, 90] on the integer j = 4k, and
+    the sign of its cosine, in _cos_deg's quadrants (t <= 90 the first)."""
+    j = 4 * k
+    if j <= steps:
+        return 90.0 * j / steps, 1
+    if j <= 2 * steps:
+        return 90.0 * (2 * steps - j) / steps, -1
+    if j <= 3 * steps:
+        return 90.0 * (j - 2 * steps) / steps, -1
+    return 90.0 * (4 * steps - j) / steps, 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n1=st.floats(1.0, 2.5), n2=st.floats(1.0, 2.5), u=st.floats(-1e7, 1e7),
        e_f=st.floats(0.0, 1.0), law=st.sampled_from(list(CompositionLaw)),
        steps=st.integers(2, 300))
 def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
     cfg = config(n1=n1, n2=n2, u=u, composition=law, e_f=e_f)
+    reversed_cfg = config(n1=n1, n2=n2, u=-u, composition=law, e_f=e_f)
     rows = angle_scan(cfg, steps)
     assert len(rows) == steps
     for k, row in enumerate(rows):
         assert row.theta_deg == 360.0 * k / steps
-        assert row.delay_exact_s == delay_exact(cfg, row.theta_deg)
-        assert row.delay_first_order_s == delay_first_order(cfg, row.theta_deg)
+        # the row's cosine is sign cos(folded): its u_eff is that of the
+        # folded angle with the drift reversed where the sign is negative
+        folded, sign = _folded_angle(k, steps)
+        at = cfg if sign > 0 else reversed_cfg
+        assert row.delay_exact_s == delay_exact(at, folded)
+        assert row.delay_first_order_s == delay_first_order(at, folded)
         assert row.fringes == fringe_shift(row.delay_exact_s, cfg.lambda_vac)
-    # u_eff negates exactly across a half turn wherever theta + 180 is exact
-    # in floating point: the rotated row is the row of the reversed drift
+    # u_eff negates exactly across a half turn: the rotated row is the row
+    # of the reversed drift
     if steps % 2 == 0:
-        reversed_rows = angle_scan(config(n1=n1, n2=n2, u=-u, composition=law, e_f=e_f),
-                                   steps)
+        reversed_rows = angle_scan(reversed_cfg, steps)
         half = steps // 2
         for k in range(half):
-            if rows[k + half].theta_deg - 180.0 == rows[k].theta_deg:
-                assert rows[k + half][1:3] == reversed_rows[k][1:3]
+            assert rows[k + half][1:3] == reversed_rows[k][1:3]
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4, 7, 8, 12, 14, 100, 360, 1001, 4096])
+def test_scan_cosines_keep_the_quadrant_conventions(steps):
+    # _cos_deg's quadrants hold: t <= 90 is the first, so 90 keeps cos's
+    # +6.1e-17 and 270 turns it negative; 0 and 180 are exactly +1 and -1.
+    # The first quadrant is _cos_deg's value; elsewhere the angle is rounded
+    # once at the folded value's ulp, not the rotated one's
+    theta = 360.0 * np.arange(steps) / steps
+    scan, ref = _scan_cos(steps), _cos_deg(theta)
+    assert (np.signbit(scan) == np.signbit(ref)).all()
+    first = theta <= 90.0
+    assert (scan[first] == ref[first]).all()
+    assert np.abs(scan - ref).max() <= 1e-15
+    assert scan[0] == 1.0
+    if steps % 2 == 0:
+        assert scan[steps // 2] == -1.0
+
+
+def test_scan_half_turn_rows_negate_exactly_at_every_even_step_count():
+    # theta_{k + steps/2} - 180 used to differ from theta_k in the last bits
+    # wherever the rotated angle has a coarser ulp, in 953 of these counts;
+    # at n1 = 1.5 and u = c/2 a one-ulp change of u_eff shows in the delays
+    cfg = config(n1=1.5, n2=1.0, u=1.5e8)
+    reversed_cfg = config(n1=1.5, n2=1.0, u=-1.5e8)
+    failing = []
+    for steps in range(2, 2000, 2):
+        rows = angle_scan(cfg, steps)
+        reversed_rows = angle_scan(reversed_cfg, steps)
+        half = steps // 2
+        if any(rows[k + half][1:3] != reversed_rows[k][1:3] for k in range(half)):
+            failing.append(steps)
+    assert failing == []
 
 
 def test_angle_scan_caps_steps_before_allocating():
