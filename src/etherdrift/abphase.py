@@ -154,10 +154,11 @@ class Path:
         import numpy as np
 
         vertices = np.asarray(vertices, dtype=float)
+        # an empty list has shape (0,): count its vertices before its shape
+        if vertices.size == 0 or (vertices.ndim == 2 and vertices.shape[0] < 2):
+            raise InputError("a path needs at least 2 vertices")
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise InputError("path vertices must be an (N, 3) array of points")
-        if vertices.shape[0] < 2:
-            raise InputError("a path needs at least 2 vertices")
         if not np.all(np.isfinite(vertices)):
             raise InputError("path vertices must be finite")
         if np.any(np.all(np.diff(vertices, axis=0) == 0.0, axis=1)):

@@ -677,6 +677,8 @@ def test_abphase_phase_sum_overflow_exit_2(path):
 
 @pytest.mark.parametrize("path, fragment", [
     ("[[0, 0, 0]]", "a path needs at least 2 vertices"),
+    # an empty path used to say "must be an (N, 3) array of points"
+    ("[]", "a path needs at least 2 vertices"),
     ("[[0, 0, 0], [1, 0, 0], [1, 0, 0]]", "consecutive path vertices must be distinct"),
     # a JSON true is not the number 1, and an integer must fit a double
     ("[[0, 0, 0], [true, 0, 0]]", "path must be an array of [x, y, z] vertices"),
@@ -743,6 +745,13 @@ def test_fringe_drift_reaching_the_light_exit_2():
 def test_pmomentum_grid_beyond_node_cap_exit_2():
     # numpy used to refuse the allocation with a ValueError traceback
     geometry = GEOMETRY.replace("[4, 4, 4]", "[4, 4, 100000000000000000000]")
+    _exit_2_with(run_cli("pmomentum", "--geometry", geometry), "InputError", "grid")
+
+
+def test_pmomentum_radial_nodes_beyond_cap_exit_2():
+    # a Gauss-Legendre rule costs O(n_r^2) to build; 2048 x 4 x 4 is
+    # within the node cap
+    geometry = GEOMETRY.replace("[4, 4, 4]", "[2048, 4, 4]")
     _exit_2_with(run_cli("pmomentum", "--geometry", geometry), "InputError", "grid")
 
 

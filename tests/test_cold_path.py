@@ -38,7 +38,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "stdout": out.getvalue(),
-                  "loaded": [name for name in ("numpy", "hashlib", "dataclasses", "inspect")
+                  "loaded": [name for name in ("numpy", "numpy.polynomial", "hashlib",
+                                               "dataclasses", "inspect")
                              if name in sys.modules]}))
 """
 
@@ -94,6 +95,17 @@ def test_array_subcommand_loads_numpy():
                                       "--lambda-nm", "633", "--steps", "4"]))
     assert report["code"] == 0
     assert "numpy" in report["loaded"]
+
+
+def test_field_momentum_does_not_load_numpy_polynomial():
+    # the Gauss-Legendre nodes are built by Newton's method on the Legendre
+    # recurrence: numpy.polynomial's leggauss would add its import to a
+    # cold pmomentum call
+    report = _fresh(_RUN, json.dumps(["pmomentum", "--geometry",
+                                      '{"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1}']))
+    assert report["code"] == 0
+    assert "numpy" in report["loaded"]
+    assert "numpy.polynomial" not in report["loaded"]
 
 
 def test_hashlib_loads_only_for_the_version_line():

@@ -1,13 +1,12 @@
-import math
-import tracemalloc
+import functools
 
+import mpmath
 import numpy as np
 import pytest
 
-from etherdrift import fieldmomentum
 from etherdrift.errors import DomainError, InputError
-from etherdrift.fieldmomentum import (REFERENCE_GRID, SolenoidChargeGeometry,
-                                      _momentum_on_grid,
+from etherdrift.fieldmomentum import (MAX_RADIAL_NODES, REFERENCE_GRID,
+                                      SolenoidChargeGeometry, _gauss_legendre,
                                       analytic_solenoid_momentum,
                                       convergence_study,
                                       integrate_field_momentum)
@@ -34,6 +33,11 @@ def test_geometry_validation():
         with pytest.raises(InputError, match=">= 4"):
             SolenoidChargeGeometry(a=1.0, B=1.0, d=2.0, q=1.0, grid=grid)
     assert SolenoidChargeGeometry(a=1.0, B=1.0, d=2.0, q=1.0, grid=(4, 4, 4)).grid == (4, 4, 4)
+    # a Gauss-Legendre rule costs O(n_r^2) to build
+    with pytest.raises(InputError, match="radial nodes"):
+        SolenoidChargeGeometry(a=1.0, B=1.0, d=2.0, q=1.0, grid=(MAX_RADIAL_NODES + 1, 4, 4))
+    assert SolenoidChargeGeometry(a=1.0, B=1.0, d=2.0, q=1.0,
+                                  grid=(MAX_RADIAL_NODES, 4, 4)).grid[0] == MAX_RADIAL_NODES
     nan = float("nan")
     for kwargs in ({"a": nan}, {"d": nan}, {"truncation_halflength": nan}):
         with pytest.raises(DomainError):
@@ -74,18 +78,28 @@ def test_quadrature_error_estimate_brackets_truth():
     assert result.estimated_quadrature_error <= 10.0 * actual
 
 
-def test_preasymptotic_halvings_widen_the_estimate_instead_of_raising():
-    # the refinement difference grows from the quarter to the half grid
-    # here (the radial and axial midpoint errors cancel unevenly on the
-    # coarse grids); the whole difference then stands as the estimate
+def test_halved_rule_estimate_covers_the_rule_error():
+    # the estimate is |rule(n_r, n_phi) - rule(n_r/2, n_phi/2)| plus the
+    # truncation share |P_e - (q/c) A|
     setup = dict(a=0.6480262676206137, B=12.248272878650218, d=2.0901708997646273,
                  q=5.787647120410555, truncation_halflength=200.0844256058074)
     result = integrate_field_momentum(SolenoidChargeGeometry(**setup, grid=(8, 16, 128)))
     half = integrate_field_momentum(SolenoidChargeGeometry(**setup, grid=(4, 8, 64))).P_e
     fine = integrate_field_momentum(SolenoidChargeGeometry(**setup, grid=(32, 64, 1024))).P_e
-    e_fine = float(np.linalg.norm(result.P_e - half))
-    assert result.estimated_quadrature_error >= e_fine
+    assert result.estimated_quadrature_error >= float(np.linalg.norm(result.P_e - half))
     assert float(np.linalg.norm(result.P_e - fine)) <= result.estimated_quadrature_error
+    # at Lambda = a with the charge beside the bore the (4, 4) rule is off
+    # the tail; its difference from the (2, 2) rule covers that error
+    # within a factor of 100, on top of the truncation share
+    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=1.05, q=1.0, truncation_halflength=1.0,
+                                  grid=(4, 4, 4))
+    result = integrate_field_momentum(geom)
+    fine = integrate_field_momentum(geom._replace(grid=(64, 128, 4))).P_e
+    rule_error = abs(result.P_e[1] - fine[1])
+    truncation = abs(result.P_e[1] - analytic_solenoid_momentum(geom)[1])
+    assert rule_error > 0.0
+    assert truncation + rule_error <= result.estimated_quadrature_error
+    assert result.estimated_quadrature_error <= truncation + 100.0 * rule_error
 
 
 def test_quadrature_linear_in_charge_and_field():
@@ -128,105 +142,88 @@ def test_convergence_study_levels_validated():
                                                  grid=(4, 4, 4)), 1100)
 
 
-def _unfolded_midpoint_p_y(geom, nr, nphi, nz, half_length):
-    """P_y from every node of the nr x nphi x nz midpoint grid, no symmetry used."""
-    dr, dphi, dz = geom.a / nr, 2.0 * math.pi / nphi, 2.0 * half_length / nz
-    r = ((np.arange(nr) + 0.5) * dr)[:, None, None]
-    phi = ((np.arange(nphi) + 0.5) * dphi)[None, :, None]
-    z = (-half_length + (np.arange(nz) + 0.5) * dz)[None, None, :]
-    x_rel, y = r * np.cos(phi) - geom.d, r * np.sin(phi)
-    s3 = (x_rel * x_rel + y * y + z * z) ** 1.5
-    weight = r * dr * dphi * dz
-    coeff = geom.q * geom.B / (4.0 * math.pi * c_cgs)
-    return -coeff * np.sum(x_rel / s3 * weight)
+@functools.cache
+def _truncated_bore(a, d, half_length):
+    """P_y / (q B / 4 pi c) over r <= a, |z| <= half_length, to 20 digits.
+
+    The z integral of (d - x)/rho_3^3 is 2 L/(rho^2 s), s = sqrt(rho^2 + L^2),
+    or 2/rho^2 - 2/(s (s + L)); the first term integrates over the disk to
+    2 pi a^2/d.  The second is integrated by tanh-sinh quadrature over
+    r in [0, a] and phi in [0, pi], doubled for the mirror half."""
+    with mpmath.workdps(20):
+        a, d, lam = mpmath.mpf(a), mpmath.mpf(d), mpmath.mpf(half_length)
+
+        def tail(r, phi):
+            ux = d - r * mpmath.cos(phi)
+            s = mpmath.sqrt(ux * ux + (r * mpmath.sin(phi)) ** 2 + lam * lam)
+            return 2 * ux / (s * (s + lam)) * r
+
+        return 2 * mpmath.pi * a * a / d - 2 * mpmath.quad(tail, [0, a], [0, mpmath.pi])
 
 
-@pytest.mark.parametrize("grid", [(4, 4, 4), (5, 7, 9), (8, 16, 128), (9, 17, 129)])
-def test_folded_kernel_matches_unfolded_midpoint_sum(grid):
-    # the mirror folds (phi -> 2 pi - phi, z -> -z) and the blocking change
-    # only the order of the sum: odd axes carry the weight-1 middle node
-    for geom in (REFERENCE, SolenoidChargeGeometry(a=0.7, B=-12.5, d=2.1, q=3.3,
-                                                   truncation_halflength=40.0)):
-        folded = _momentum_on_grid(geom, *grid, geom.half_length)
-        unfolded = _unfolded_midpoint_p_y(geom, *grid, geom.half_length)
-        assert folded[1] == pytest.approx(unfolded, rel=1e-13, abs=0.0)
-        # y is odd under the phi mirror: P_x cancels in pairs exactly
-        assert folded[0] == 0.0 and folded[2] == 0.0
+@pytest.mark.parametrize("grid", [(16, 32, 64), (17, 33, 64)])
+@pytest.mark.parametrize("d, half_length", [(1.05, 1.0), (1.2, 1.0), (3.0, 1.0),
+                                            (1.01, 5.0), (3.0, 150.0)])
+def test_levels_match_the_truncated_bore_to_rounding(d, half_length, grid):
+    # the coarsest level sits at half_length; Lambda = a is the smallest a
+    # level may have, and there the tail is hardest to sum.  An odd n_phi
+    # has a phi = pi node that weighs 1 in the mirror fold
+    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=d, q=1.0,
+                                  truncation_halflength=2.0 * half_length, grid=grid)
+    coeff = mpmath.mpf(geom.q) * geom.B / (4 * mpmath.pi * c_cgs)
+    analytic = analytic_solenoid_momentum(geom)[1]
+    rows = convergence_study(geom, 2)
+    assert [row.half_length_cm for row in rows] == [half_length, 2.0 * half_length]
+    for row in rows:
+        exact = coeff * _truncated_bore(geom.a, d, row.half_length_cm)
+        assert row.P_e[1] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+        assert row.p_magnitude == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+        assert row.rel_error == pytest.approx(float(abs(exact - analytic) / analytic),
+                                              rel=0.0, abs=1e-14)
+        assert row.P_e[0] == 0.0 and row.P_e[2] == 0.0
 
 
-def test_folded_kernel_blocks_the_axial_sum():
-    # a whole-grid temporary of (32, 64, 2048) is 32 MiB; the blocked sum
-    # keeps each temporary near 64 Ki doubles
-    tracemalloc.start()
-    try:
-        _momentum_on_grid(REFERENCE, 32, 64, 2048, REFERENCE.half_length)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+def test_coarse_grid_reports_the_truncation_share():
+    # the (4, 4, 4) midpoint lattice reported rel_error 0.987 here; the
+    # tail is smooth, so four radial and four azimuthal nodes sum it
+    rows = convergence_study(REFERENCE._replace(grid=(4, 4, 4)), 3)
+    assert rows[-1].rel_error == pytest.approx(1.9993e-4, rel=0.0, abs=1e-6)
+    assert [row.grid for row in rows] == [(4, 4, 2), (4, 4, 2), (4, 4, 4)]
 
 
-@pytest.mark.parametrize("block", [1, 3, 64])
-def test_folded_kernel_any_block_size(monkeypatch, block):
-    # blocks smaller than one disk node's axial row split that row: the
-    # node's sum then spans several blocks
-    monkeypatch.setattr(fieldmomentum, "_BLOCK", block)
-    for grid in ((5, 7, 9), (8, 16, 128)):
-        folded = _momentum_on_grid(REFERENCE, *grid, REFERENCE.half_length)
-        unfolded = _unfolded_midpoint_p_y(REFERENCE, *grid, REFERENCE.half_length)
-        assert folded[1] == pytest.approx(unfolded, rel=1e-13, abs=0.0)
+def _gauss_legendre_exact(n):
+    """Nodes and weights of the n-point rule to 30 digits: Newton on the
+    Legendre recurrence from numpy's nodes, in mpmath."""
+    nodes, weights = [], []
+    with mpmath.workdps(30):
+        for x in np.polynomial.legendre.leggauss(n)[0]:
+            x = mpmath.mpf(x)
+            for _ in range(4):
+                p_prev, p = mpmath.mpf(1), x
+                for j in range(2, n + 1):
+                    p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+                dp = n * (x * p - p_prev) / (x * x - 1)
+                x -= p / dp
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
 
 
-def _standalone_rows(geom, levels):
-    # each level on its own lattice, one kernel call per level
-    nr, nphi, nz = geom.grid
-    rows = []
-    for k in range(levels):
-        scale = 2.0 ** (k - (levels - 1))
-        nz_k = max(2, round(nz * scale))
-        rows.append((nz_k, _momentum_on_grid(geom, nr, nphi, nz_k, geom.half_length * scale)))
-    return rows
-
-
-@pytest.mark.parametrize("grid, levels, block", [
-    ((8, 16, 128), 4, None),       # even nz: every level on one lattice
-    ((5, 7, 129), 3, None),        # odd nz: levels of both parities
-    ((8, 16, 100), 3, None),       # 25 / 50 / 100: odd first level
-    ((8, 16, 100), 4, None),       # 100/8 rounds to 12: its own lattice
-    ((4, 4, 4), 4, None),          # nz_k floored at 2
-    ((9, 17, 1000), 4, 64),        # rows longer than a block
-    ((4, 4, 2 ** 18 + 8), 3, None),  # nz > 2 _BLOCK: column blocks
-])
-def test_convergence_rows_match_standalone_kernel_bit_for_bit(monkeypatch, grid, levels,
-                                                              block):
-    if block is not None:
-        monkeypatch.setattr(fieldmomentum, "_BLOCK", block)
-    for geom in (SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0, grid=grid),
-                 SolenoidChargeGeometry(a=0.7, B=-12.5, d=2.1, q=3.3, grid=grid,
-                                        truncation_halflength=40.0)):
-        rows = convergence_study(geom, levels)
-        for row, (nz_k, p) in zip(rows, _standalone_rows(geom, levels), strict=True):
-            assert row.grid == (grid[0], grid[1], nz_k)
-            assert row.P_e.tobytes() == p.tobytes()
-
-
-def test_convergence_study_sums_a_shared_lattice_once(monkeypatch):
-    calls = []
-    axial_sums = fieldmomentum._axial_sums
-
-    def counting(rho2, dz, odd, counts):
-        calls.append(sorted(counts))
-        return axial_sums(rho2, dz, odd, counts)
-
-    monkeypatch.setattr(fieldmomentum, "_axial_sums", counting)
-    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0, grid=(32, 64, 2048))
-    convergence_study(geom, 2)
-    # the 1024-cell level's folded nodes are the first 512 of the 2048-cell one
-    assert calls == [[512, 1024]]
-    calls.clear()
-    convergence_study(geom._replace(grid=(8, 16, 100)), 4)
-    # 12 cells (100/8 rounded) and the odd 25 each have their own lattice
-    assert sorted(calls) == [[6], [13], [25, 50]]
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_gauss_legendre_rule_matches_leggauss(n):
+    x, w = _gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_allclose(x, ref_x, rtol=0.0, atol=1e-15)
+    # leggauss's own weights are 2.3e-15 off the exact ones at n = 64, so
+    # there the weights are held to the exact rule alone
+    if n <= 32:
+        np.testing.assert_allclose(w, ref_w, rtol=0.0, atol=1e-15)
+    exact_x, exact_w = _gauss_legendre_exact(n)
+    np.testing.assert_allclose(x, exact_x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, exact_w, rtol=0.0, atol=1e-15)
+    # built once per n and shared, so read-only
+    assert _gauss_legendre(n) is _gauss_legendre(n)
+    assert not x.flags.writeable and not w.flags.writeable
 
 
 @pytest.mark.parametrize("field", [{"B": 0.0}, {"q": 0.0}, {"a": 1e-300}, {"d": 1e308}])
