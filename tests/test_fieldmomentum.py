@@ -1,4 +1,5 @@
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from etherdrift.errors import DomainError, InputError
 from etherdrift.fieldmomentum import (MAX_RADIAL_NODES, REFERENCE_GRID,
                                       SolenoidChargeGeometry, _gauss_legendre,
-                                      analytic_solenoid_momentum,
+                                      _momenta, analytic_solenoid_momentum,
                                       convergence_study,
                                       integrate_field_momentum)
 from etherdrift.units import c_cgs
@@ -189,6 +190,61 @@ def test_coarse_grid_reports_the_truncation_share():
     rows = convergence_study(REFERENCE._replace(grid=(4, 4, 4)), 3)
     assert rows[-1].rel_error == pytest.approx(1.9993e-4, rel=0.0, abs=1e-6)
     assert [row.grid for row in rows] == [(4, 4, 2), (4, 4, 2), (4, 4, 4)]
+
+
+def _unfolded_midpoint_p_y(geom, nr, nphi, half_length):
+    """P_y from every node of the nr x nphi disk rule, no symmetry used:
+    Gauss-Legendre in r and the midpoint nodes (k + 1/2) 2 pi/nphi in phi."""
+    t, w_t = np.polynomial.legendre.leggauss(nr)
+    r = (0.5 * geom.a * (t + 1.0))[:, None]
+    dphi = 2.0 * math.pi / nphi
+    phi = ((np.arange(nphi) + 0.5) * dphi)[None, :]
+    ux, y = geom.d - r * np.cos(phi), r * np.sin(phi)
+    s = np.sqrt(ux * ux + y * y + half_length * half_length)
+    weight = 0.5 * geom.a * w_t[:, None] * r * dphi
+    tail = np.sum(ux * 2.0 / (s * (s + half_length)) * weight)
+    coeff = geom.q * geom.B / (4.0 * math.pi * c_cgs)
+    return analytic_solenoid_momentum(geom)[1] - coeff * tail
+
+
+@pytest.mark.parametrize("grid", [(4, 4, 4), (5, 7, 9), (8, 16, 128), (9, 17, 129)])
+def test_folded_kernel_matches_unfolded_midpoint_sum(grid):
+    # the mirror fold (phi -> 2 pi - phi) changes only the order of the
+    # sum: an odd nphi carries the weight-1 node at phi = pi
+    for geom in (REFERENCE, SolenoidChargeGeometry(a=0.7, B=-12.5, d=2.1, q=3.3,
+                                                   truncation_halflength=40.0)):
+        (folded,) = _momenta(geom, grid[0], grid[1], [geom.half_length])
+        unfolded = _unfolded_midpoint_p_y(geom, grid[0], grid[1], geom.half_length)
+        assert folded[1] == pytest.approx(unfolded, rel=1e-13, abs=0.0)
+        # P_x and P_z vanish by the mirror and axial symmetries
+        assert folded[0] == 0.0 and folded[2] == 0.0
+
+
+@pytest.mark.parametrize("grid, levels, half_length", [
+    ((8, 16, 128), 4, None),       # even nz
+    ((5, 7, 129), 3, None),        # odd nz and odd nphi
+    ((8, 16, 100), 3, None),       # 25 / 50 / 100: odd first level
+    ((8, 16, 100), 4, None),       # 100/8 rounds to 12
+    ((4, 4, 4), 4, None),          # nz_k floored at 2
+    ((9, 17, 1000), 4, 64),        # explicit Lambda, halved exactly
+    ((4, 4, 2 ** 18 + 8), 3, None),  # nz far above any other axis
+])
+def test_convergence_rows_match_standalone_kernel_bit_for_bit(grid, levels, half_length):
+    # the levels share one disk rule; each row must equal the single-level
+    # result at its own half-length
+    for geom in (SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0, grid=grid,
+                                        truncation_halflength=half_length),
+                 SolenoidChargeGeometry(a=0.7, B=-12.5, d=2.1, q=3.3, grid=grid,
+                                        truncation_halflength=40.0)):
+        rows = convergence_study(geom, levels)
+        assert len(rows) == levels
+        for k, row in enumerate(rows):
+            scale = 2.0 ** (k - (levels - 1))
+            assert row.half_length_cm == geom.half_length * scale
+            assert row.grid == (grid[0], grid[1], max(2, round(grid[2] * scale)))
+            single = integrate_field_momentum(
+                geom._replace(truncation_halflength=row.half_length_cm))
+            assert row.P_e.tobytes() == single.P_e.tobytes()
 
 
 def _gauss_legendre_exact(n):
