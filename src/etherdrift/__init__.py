@@ -11,7 +11,7 @@ from .units import (MODERN, PAPER, PhysicalConstants, UnitSystem, get_constants,
 from .kinematics import (CompositionLaw, compose_lab_speed, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_drag_coefficient,
                          fresnel_speed, tangherlini_composed_speed)
-from .interferometer import (InterferometerConfig, RotationSignal, ScanRow,
+from .interferometer import (SCAN_COLUMNS, InterferometerConfig, RotationSignal,
                              angle_scan, arm_speed, delay_exact,
                              delay_first_order, fringe_shift,
                              improvement_factor, min_detectable_u,

@@ -24,8 +24,8 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (InterferometerConfig, angle_scan, improvement_factor,
-                             min_detectable_u)
+from .interferometer import (SCAN_COLUMNS, InterferometerConfig, angle_scan,
+                             improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
@@ -69,18 +69,46 @@ def render_json(obj) -> str:
 
 
 def render_csv(header, rows) -> str:
-    """CSV of float rows (tuples), one "%.17g" format per row.
+    """CSV of float rows, every cell "%.17g".
 
-    A finite "%.17g" has no letter n, while inf and nan do, so one search of
-    the body checks every cell; format_float then names the offending one."""
+    rows is a list of tuples, formatted one row at a time, or a 2-D numpy
+    table such as angle_scan's, formatted by _table_lines.  A finite
+    "%.17g" has no letter n, while inf and nan do, so one search of the
+    body checks every cell; format_float then names the offending one."""
     head = ",".join(header)
-    row_format = ",".join(["%.17g"] * len(header))
-    text = "\n".join([head, *map(row_format.__mod__, rows), ""])
+    if isinstance(rows, list):
+        row_format = ",".join(["%.17g"] * len(header))
+        text = "\n".join([head, *map(row_format.__mod__, rows), ""])
+    else:
+        text = "".join([head, *_table_lines(rows), "\n"])
     if text.find("n", len(head)) != -1:
         for row in rows:
             for value in row:
                 format_float(value)
     return text
+
+
+def _table_lines(table):
+    """The rows of a float table as text, each line led by its newline.
+
+    The first cell is formatted in every row.  The other cells of row
+    k > n//2 reuse the text of row n - k wherever the two rows hold the same
+    doubles bit for bit, one comparison over the table (in an angle scan
+    the rows at theta and 360 - theta share a cosine, except at 90 and 270
+    degrees), so each such pair is formatted once.  No per-row tuple or
+    list is kept, so the collector has nothing to scan per row."""
+    n, width = table.shape
+    half = n // 2 + 1
+    cell_format = ",".join(["%.17g"] * (width - 1))
+    columns = [table[:half, i].tolist() for i in range(1, width)]
+    cells = list(map(cell_format.__mod__, zip(*columns)))
+    bits = table[:, 1:].view("i8")  # -0.0 == 0.0, but they print differently
+    shared = (bits[half:] == bits[n - half:0:-1]).all(axis=1)
+    mirrored = cells[n - half:0:-1]  # row n - k's cells for k = half .. n-1
+    for i in (~shared).nonzero()[0].tolist():
+        mirrored[i] = cell_format % tuple(table[half + i, 1:].tolist())
+    firsts = map("\n%.17g,".__mod__, table[:, 0].tolist())
+    return chain.from_iterable(zip(firsts, chain(cells, mirrored)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +520,7 @@ def _run_fringe(ns, constants):
     values.update({key: flags[key] for key in _FRINGE_SCHEMA if flags[key] is not None})
     kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
     steps = kwargs.pop("steps", 32)
-    rows = angle_scan(InterferometerConfig(**kwargs), steps)
-    return render_csv(("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes"),
-                      rows)
+    return render_csv(SCAN_COLUMNS, angle_scan(InterferometerConfig(**kwargs), steps))
 
 
 def _run_sensitivity(ns, constants):

@@ -141,8 +141,9 @@ def _legendre(n: int, x: np.ndarray) -> tuple:
 
 def _momenta(geom: SolenoidChargeGeometry, nr: int, nphi: int,
              half_lengths: list) -> list:
-    """P_e for each truncation half-length: the closed form minus the tail
-    int_disk (d - x) 2/(s (s + Lambda)) dA on the nr x nphi disk rule.
+    """(P_e, truncation) for each truncation half-length: the truncation is
+    the tail (q B / 4 pi c) int_disk (d - x) 2/(s (s + Lambda)) dA on the
+    nr x nphi disk rule, and P_e the closed form minus it.
 
     The disk nodes are built once; each half-length changes only s.  The
     tail depends on phi through cos(phi) alone, and phi -> 2 pi - phi maps
@@ -169,8 +170,8 @@ def _momenta(geom: SolenoidChargeGeometry, nr: int, nphi: int,
     for half_length in half_lengths:
         s = np.sqrt(rho2 + half_length * half_length)
         s *= s + half_length
-        tail = 2.0 * float(np.sum(weight / s))
-        momenta.append(np.array([0.0, closed - coeff * tail, 0.0]))
+        truncation = coeff * (2.0 * float(np.sum(weight / s)))
+        momenta.append((np.array([0.0, closed - truncation, 0.0]), truncation))
     return momenta
 
 
@@ -184,16 +185,15 @@ def integrate_field_momentum(geom: SolenoidChargeGeometry) -> MomentumResult:
 
     The error estimate is the change from the rule with half the nodes on
     each disk axis, |rule(n_r, n_phi) - rule(n_r/2, n_phi/2)|, plus the
-    truncation share |P_e - (q/c) A|, which the split gives exactly.
+    truncation share, the summed tail itself rather than P_e - (q/c) A.
     """
     import numpy as np
 
     nr, nphi, _ = geom.grid
-    (p,) = _momenta(geom, nr, nphi, [geom.half_length])
-    (p_half,) = _momenta(geom, nr // 2, nphi // 2, [geom.half_length])
+    ((p, truncation),) = _momenta(geom, nr, nphi, [geom.half_length])
+    ((p_half, _),) = _momenta(geom, nr // 2, nphi // 2, [geom.half_length])
     rule = float(np.linalg.norm(p - p_half))
-    truncation = float(np.linalg.norm(p - analytic_solenoid_momentum(geom)))
-    return MomentumResult(p, rule + truncation)
+    return MomentumResult(p, rule + abs(truncation))
 
 
 def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> np.ndarray:
@@ -224,10 +224,12 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     Level k halves Lambda (levels-1-k) times, so the truncation error
     shrinks by about 4x per level; the last level is the geometry as
     configured.  Every level sums the tail on the same (n_r, n_phi) disk
-    rule, and its rel_error is its truncation share.  Each row's grid
-    echoes n_z halved with Lambda (at least 2), which no quadrature uses.
-    The relative error is undefined, a DomainError, where the closed form
-    is 0.
+    rule, and its rel_error is its truncation share |tail|/|(q/c) A|,
+    formed from the tail itself: |P_e - (q/c) A| would subtract two
+    numbers that agree to the share and lose its last digits.  Each row's
+    grid echoes n_z halved with Lambda (at least 2), which no quadrature
+    uses.  The relative error is undefined, a DomainError, where the
+    closed form is 0.
     """
     import numpy as np
 
@@ -242,17 +244,15 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
                           f"below the bore radius {geom.a}")
     nr, nphi, nz = geom.grid
     analytic = analytic_solenoid_momentum(geom)
-    analytic_norm = float(np.linalg.norm(analytic))
-    if analytic_norm == 0.0:
+    if float(np.linalg.norm(analytic)) == 0.0:
         raise DomainError(f"the closed-form momentum q B a^2/(2 d c) is 0 for q={geom.q}, "
                           f"B={geom.B}, a={geom.a}, d={geom.d}: the relative error is "
                           "undefined for a zero momentum")
     scales = [2.0 ** (k - (levels - 1)) for k in range(levels)]
     momenta = _momenta(geom, nr, nphi, [geom.half_length * scale for scale in scales])
     rows = []
-    for scale, p in zip(scales, momenta):
+    for scale, (p, truncation) in zip(scales, momenta):
         grid = (nr, nphi, max(2, round(nz * scale)))
-        rel = float(np.linalg.norm(p - analytic)) / analytic_norm
         rows.append(ConvergenceRow(geom.half_length * scale, grid,
-                                   float(np.linalg.norm(p)), rel, p))
+                                   float(np.linalg.norm(p)), abs(truncation / analytic[1]), p))
     return rows

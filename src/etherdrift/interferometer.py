@@ -17,20 +17,20 @@ law, because their inverse one-way speeds differ by the arm-independent
 synchronization term u/c^2.
 
 Every orientation-dependent quantity (arm speed, exact and first-order
-delay, scan row) comes from one numpy pass over an array of orientation
-cosines; numpy is imported only there.  A scan folds its angles by the
-integer step index, so rows half a turn apart have exactly negated
-cosines, and a first-quadrant row equals delay_exact at its angle bit for
-bit.  A scan holds at most MAX_SCAN_STEPS rows, and a configuration
-whose drift reaches the light speed of an arm is refused.  The rotation
-signal is formed from the drift parts of the inverse speeds, not as the
-difference of two nearly equal delays, and every n1^2 - n2^2 as
-(n1 - n2)(n1 + n2), which does not cancel for near-vacuum indices.
+delay, the columns of a scan table) comes from one numpy expression over
+an array of orientation cosines; numpy is imported only there.  A scan
+is one float table, a row per angle, with the columns SCAN_COLUMNS.  It
+folds its angles by the integer step index, so rows half a turn apart
+have exactly negated cosines, and a first-quadrant row equals delay_exact
+at its angle bit for bit.  A scan holds at most MAX_SCAN_STEPS rows, and
+a configuration whose drift reaches the light speed of an arm is refused.
+The rotation signal is formed from the drift parts of the inverse speeds,
+not as the difference of two nearly equal delays, and every n1^2 - n2^2
+as (n1 - n2)(n1 + n2), which does not cancel for near-vacuum indices.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple
 
 from ._record import Checked
@@ -38,8 +38,14 @@ from .errors import DegenerateConfigError, DomainError, InputError
 from .kinematics import CompositionLaw, _compose
 from .units import c
 
+#: the columns of an angle_scan table, in order
+SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
+
 #: largest angle_scan; each row holds four floats
 MAX_SCAN_STEPS = 10 ** 7
+
+#: rows per _delays call in angle_scan, so that no temporary nears the table's size
+_SCAN_BLOCK = 4096
 
 
 def _cos_deg(theta_deg):
@@ -247,19 +253,16 @@ def improvement_factor(u: float, n1: float, n2: float) -> float:
     return (c / u) * ((n1 - n2) * (n1 + n2))
 
 
-class ScanRow(NamedTuple):
-    theta_deg: float
-    delay_exact_s: float
-    delay_first_order_s: float
-    fringes: float
-
-
-def angle_scan(config: InterferometerConfig, steps: int) -> list:
+def angle_scan(config: InterferometerConfig, steps: int):
     """Uniform orientation scan over [0, 360) degrees, theta_k = 360 k/steps.
 
-    steps = 2 reproduces the 0/180 pair of the rotation signal.  The fringe
-    column converts the exact delay.  The cosines come from _scan_cos, so
-    at an even step count row k + steps/2 is row k of the reversed drift.
+    Returns a (steps, 4) float64 table whose columns are SCAN_COLUMNS:
+    theta_k, the exact and the first-order delay, and the fringe count of
+    the exact delay.  steps = 2 reproduces the 0/180 pair of the rotation
+    signal.  The cosines come from _scan_cos, so at an even step count row
+    k + steps/2 is row k of the reversed drift.  _delays runs on blocks of
+    _SCAN_BLOCK cosines, elementwise the same values as one call on all of
+    them, so the table is the only array of its size.
     """
     if steps < 2:
         raise InputError(f"angle scan needs at least 2 steps, got {steps}")
@@ -267,9 +270,13 @@ def angle_scan(config: InterferometerConfig, steps: int) -> list:
         raise InputError(f"angle scan takes at most {MAX_SCAN_STEPS} steps, got {steps}")
     import numpy as np
 
-    theta = 360.0 * np.arange(steps, dtype=float) / steps
-    exact, first = _delays(config, _scan_cos(steps))
-    fringes = fringe_shift(exact, config.lambda_vac)
-    # tuple.__new__ builds each row in C, without ScanRow's Python __new__
-    return list(map(tuple.__new__, repeat(ScanRow),
-                    zip(theta.tolist(), exact.tolist(), first.tolist(), fringes.tolist())))
+    cos = _scan_cos(steps)
+    table = np.empty((steps, len(SCAN_COLUMNS)))
+    for start in range(0, steps, _SCAN_BLOCK):
+        rows = table[start:start + _SCAN_BLOCK]
+        exact, first = _delays(config, cos[start:start + _SCAN_BLOCK])
+        rows[:, 0] = 360.0 * np.arange(start, start + len(rows), dtype=float) / steps
+        rows[:, 1] = exact
+        rows[:, 2] = first
+        rows[:, 3] = fringe_shift(exact, config.lambda_vac)
+    return table

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from etherdrift import cli
 from etherdrift.abphase import UniformQ, fresnel_momentum
-from etherdrift.errors import InputError
-from etherdrift.interferometer import MAX_SCAN_STEPS
+from etherdrift.errors import DomainError, InputError
+from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
+                                       angle_scan)
+from etherdrift.kinematics import CompositionLaw
 from etherdrift.units import MODERN, PAPER, c
 
 CLI = [sys.executable, "-m", "etherdrift.cli"]
@@ -201,6 +203,61 @@ def test_fringe_scan_golden(law, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out == FRINGE_GOLDEN[law]
+
+
+def _naive_csv(header, table):
+    """The CSV written one "%.17g" cell at a time, nothing shared."""
+    return "\n".join([",".join(header),
+                      *(",".join("%.17g" % value for value in row) for row in table.tolist()),
+                      ""])
+
+
+# (L_m, n1, n2, e_f, u_mps): the golden device, and n1 = 1.5 at u = +-c/2,
+# where one ulp of u_eff shows in the delays
+_SCAN_DEVICES = [(2.5, 1.00029, 1.33, 0.25, -3.7e4), (2.5, 1.00029, 1.33, 0.25, 1e3),
+                 (2.5, 1.5, 1.0, 0.0, 1.5e8), (2.5, 1.5, 1.0, 0.0, -1.5e8)]
+
+
+@pytest.mark.parametrize("law", sorted(FRINGE_GOLDEN))
+@pytest.mark.parametrize("device", _SCAN_DEVICES)
+def test_fringe_stdout_is_the_table_cell_by_cell(law, device, capsys):
+    # the renderer formats each mirrored pair of rows' delay cells once;
+    # the text must be what formatting every cell gives
+    L, n1, n2, e_f, u = device
+    cfg = InterferometerConfig(L, n1, n2, u, 589e-9, CompositionLaw(law), e_f)
+    for steps in (2, 3, 4, 5, 7, 8, 12, 360, 1001, 4096):
+        code = cli.main(["fringe", "--L-m", repr(L), "--n1", repr(n1), "--n2", repr(n2),
+                         "--ef", repr(e_f), f"--u-mps={u!r}", "--lambda-nm", "589",
+                         "--composition", law, "--steps", str(steps)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out == _naive_csv(SCAN_COLUMNS, angle_scan(cfg, steps)), steps
+
+
+def test_table_rows_share_text_only_where_the_doubles_are_equal():
+    # of six rows, row 5 mirrors row 1 and row 4 row 2; row 4 then differs
+    # in one cell, by one ulp or only in the sign of a zero
+    header = ("x", "a", "b", "c")
+    base = np.array([[0.0, 1.0, 2.0, 3.0],
+                     [60.0, 0.1, 0.2, 0.3],
+                     [120.0, 0.0, 5e-324, -7.25],
+                     [180.0, 4.0, 5.0, 6.0],
+                     [240.0, 0.0, 5e-324, -7.25],
+                     [300.0, 0.1, 0.2, 0.3]])
+    assert cli.render_csv(header, base) == _naive_csv(header, base)
+    for cell, value in ((2, 1e-323), (1, -0.0), (3, -7.250000000000001)):
+        table = base.copy()
+        table[4, cell] = value
+        text = cli.render_csv(header, table)
+        assert text == _naive_csv(header, table)
+        lines = text.splitlines()
+        assert lines[5].split(",")[1:] != lines[3].split(",")[1:]
+        assert lines[6].split(",")[1:] == lines[2].split(",")[1:]
+    # a mirrored row that shares an infinite cell's text is refused too
+    table = base.copy()
+    table[[1, 5], 3] = np.inf
+    with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
+        cli.render_csv(header, table)
 
 
 def test_fringe_config_file_and_flag_override(tmp_path):

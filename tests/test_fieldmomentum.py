@@ -143,23 +143,29 @@ def test_convergence_study_levels_validated():
                                                  grid=(4, 4, 4)), 1100)
 
 
+def _bore_tail(a, d, half_length):
+    """int_disk (d - x) 2/(s (s + L)) dA, s = sqrt(rho^2 + L^2), at the
+    working precision: tanh-sinh quadrature over r in [0, a] and phi in
+    [0, pi], doubled for the mirror half."""
+    a, d, lam = mpmath.mpf(a), mpmath.mpf(d), mpmath.mpf(half_length)
+
+    def tail(r, phi):
+        ux = d - r * mpmath.cos(phi)
+        s = mpmath.sqrt(ux * ux + (r * mpmath.sin(phi)) ** 2 + lam * lam)
+        return 2 * ux / (s * (s + lam)) * r
+
+    return 2 * mpmath.quad(tail, [0, a], [0, mpmath.pi])
+
+
 @functools.cache
 def _truncated_bore(a, d, half_length):
     """P_y / (q B / 4 pi c) over r <= a, |z| <= half_length, to 20 digits.
 
     The z integral of (d - x)/rho_3^3 is 2 L/(rho^2 s), s = sqrt(rho^2 + L^2),
     or 2/rho^2 - 2/(s (s + L)); the first term integrates over the disk to
-    2 pi a^2/d.  The second is integrated by tanh-sinh quadrature over
-    r in [0, a] and phi in [0, pi], doubled for the mirror half."""
+    2 pi a^2/d, the second is _bore_tail."""
     with mpmath.workdps(20):
-        a, d, lam = mpmath.mpf(a), mpmath.mpf(d), mpmath.mpf(half_length)
-
-        def tail(r, phi):
-            ux = d - r * mpmath.cos(phi)
-            s = mpmath.sqrt(ux * ux + (r * mpmath.sin(phi)) ** 2 + lam * lam)
-            return 2 * ux / (s * (s + lam)) * r
-
-        return 2 * mpmath.pi * a * a / d - 2 * mpmath.quad(tail, [0, a], [0, mpmath.pi])
+        return 2 * mpmath.pi * mpmath.mpf(a) ** 2 / d - _bore_tail(a, d, half_length)
 
 
 @pytest.mark.parametrize("grid", [(16, 32, 64), (17, 33, 64)])
@@ -192,6 +198,18 @@ def test_coarse_grid_reports_the_truncation_share():
     assert [row.grid for row in rows] == [(4, 4, 2), (4, 4, 2), (4, 4, 4)]
 
 
+def test_readme_truncation_share_holds_to_rounding():
+    # rel_error was |P_e - (q/c) A|/|(q/c) A|, two numbers that agree to
+    # 2e-4 subtracted: 1.1e-13 off at Lambda = 150.  It is formed from the
+    # summed tail now, against a 30-digit tail / (2 pi a^2/d)
+    row = convergence_study(REFERENCE, 3)[-1]
+    assert row.half_length_cm == 150.0
+    with mpmath.workdps(30):
+        share = (_bore_tail(REFERENCE.a, REFERENCE.d, row.half_length_cm) * REFERENCE.d
+                 / (2 * mpmath.pi * mpmath.mpf(REFERENCE.a) ** 2))
+    assert row.rel_error == pytest.approx(float(share), rel=1e-15, abs=0.0)
+
+
 def _unfolded_midpoint_p_y(geom, nr, nphi, half_length):
     """P_y from every node of the nr x nphi disk rule, no symmetry used:
     Gauss-Legendre in r and the midpoint nodes (k + 1/2) 2 pi/nphi in phi."""
@@ -213,7 +231,7 @@ def test_folded_kernel_matches_unfolded_midpoint_sum(grid):
     # sum: an odd nphi carries the weight-1 node at phi = pi
     for geom in (REFERENCE, SolenoidChargeGeometry(a=0.7, B=-12.5, d=2.1, q=3.3,
                                                    truncation_halflength=40.0)):
-        (folded,) = _momenta(geom, grid[0], grid[1], [geom.half_length])
+        ((folded, _),) = _momenta(geom, grid[0], grid[1], [geom.half_length])
         unfolded = _unfolded_midpoint_p_y(geom, grid[0], grid[1], geom.half_length)
         assert folded[1] == pytest.approx(unfolded, rel=1e-13, abs=0.0)
         # P_x and P_z vanish by the mirror and axial symmetries

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
-from etherdrift.interferometer import (MAX_SCAN_STEPS, InterferometerConfig,
+from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
                                        _cos_deg, _scan_cos, angle_scan, arm_speed,
                                        delay_exact, delay_first_order, fringe_shift,
                                        improvement_factor, min_detectable_u,
                                        rotation_signal)
 from etherdrift.kinematics import CompositionLaw
 from etherdrift.units import c as C
+
+
+#: angle_scan's table columns
+THETA, EXACT, FIRST, FRINGES = range(4)
 
 
 def config(n1=1.0006, n2=1.0001, L=1.0, u=1e3, lam=633e-9,
@@ -191,24 +195,26 @@ def test_index_square_difference_matches_mpmath(n1, n2):
 
 def test_angle_scan_two_steps_is_rotation_pair():
     cfg = config()
-    rows = angle_scan(cfg, 2)
-    assert [row.theta_deg for row in rows] == [0.0, 180.0]
-    assert rows[0].delay_exact_s == delay_exact(cfg, 0.0)
-    assert rows[1].delay_exact_s == delay_exact(cfg, 180.0)
+    table = angle_scan(cfg, 2)
+    assert SCAN_COLUMNS == ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
+    assert table.shape == (2, len(SCAN_COLUMNS)) and table.dtype == np.float64
+    assert table[:, THETA].tolist() == [0.0, 180.0]
+    assert table[0, EXACT] == delay_exact(cfg, 0.0)
+    assert table[1, EXACT] == delay_exact(cfg, 180.0)
 
 
 def test_angle_scan_static_is_constant():
-    rows = angle_scan(config(u=0.0), 8)
-    assert len({row.delay_exact_s for row in rows}) == 1
+    table = angle_scan(config(u=0.0), 8)
+    assert len(set(table[:, EXACT].tolist())) == 1
 
 
 def test_angle_scan_half_turn_antisymmetry():
     cfg = config(u=2e5)
-    rows = angle_scan(cfg, 12)
+    table = angle_scan(cfg, 12)
     static = (cfg.L / C) * (1.0006 - 1.0001)
     for k in range(6):
-        a = rows[k].delay_first_order_s - static
-        b = rows[k + 6].delay_first_order_s - static
+        a = table[k, FIRST] - static
+        b = table[k + 6, FIRST] - static
         assert a == pytest.approx(-b, rel=1e-12, abs=1e-40)
 
 
@@ -290,24 +296,24 @@ def _folded_angle(k, steps):
 def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
     cfg = config(n1=n1, n2=n2, u=u, composition=law, e_f=e_f)
     reversed_cfg = config(n1=n1, n2=n2, u=-u, composition=law, e_f=e_f)
-    rows = angle_scan(cfg, steps)
-    assert len(rows) == steps
-    for k, row in enumerate(rows):
-        assert row.theta_deg == 360.0 * k / steps
+    table = angle_scan(cfg, steps)
+    assert len(table) == steps
+    for k, (theta, exact, first, fringes) in enumerate(table.tolist()):
+        assert theta == 360.0 * k / steps
         # the row's cosine is sign cos(folded): its u_eff is that of the
         # folded angle with the drift reversed where the sign is negative
         folded, sign = _folded_angle(k, steps)
         at = cfg if sign > 0 else reversed_cfg
-        assert row.delay_exact_s == delay_exact(at, folded)
-        assert row.delay_first_order_s == delay_first_order(at, folded)
-        assert row.fringes == fringe_shift(row.delay_exact_s, cfg.lambda_vac)
+        assert exact == delay_exact(at, folded)
+        assert first == delay_first_order(at, folded)
+        assert fringes == fringe_shift(exact, cfg.lambda_vac)
     # u_eff negates exactly across a half turn: the rotated row is the row
     # of the reversed drift
     if steps % 2 == 0:
-        reversed_rows = angle_scan(reversed_cfg, steps)
+        reversed_table = angle_scan(reversed_cfg, steps)
         half = steps // 2
         for k in range(half):
-            assert rows[k + half][1:3] == reversed_rows[k][1:3]
+            assert (table[k + half, EXACT:FRINGES] == reversed_table[k, EXACT:FRINGES]).all()
 
 
 @pytest.mark.parametrize("steps", [2, 3, 4, 7, 8, 12, 14, 100, 360, 1001, 4096])
@@ -335,10 +341,10 @@ def test_scan_half_turn_rows_negate_exactly_at_every_even_step_count():
     reversed_cfg = config(n1=1.5, n2=1.0, u=-1.5e8)
     failing = []
     for steps in range(2, 2000, 2):
-        rows = angle_scan(cfg, steps)
-        reversed_rows = angle_scan(reversed_cfg, steps)
+        table = angle_scan(cfg, steps)
+        reversed_table = angle_scan(reversed_cfg, steps)
         half = steps // 2
-        if any(rows[k + half][1:3] != reversed_rows[k][1:3] for k in range(half)):
+        if (table[half:, EXACT:FRINGES] != reversed_table[:half, EXACT:FRINGES]).any():
             failing.append(steps)
     assert failing == []
 
@@ -355,6 +361,21 @@ def test_angle_scan_caps_steps_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(InputError, match="steps"):
         angle_scan(config(), 10 ** 11)
+
+
+@pytest.mark.parametrize("law", list(CompositionLaw))
+def test_angle_scan_allocates_little_beside_its_table(law):
+    # a row tuple per angle took about 17 MB at this size; the delays are
+    # formed in blocks, so no other array comes near the table's size
+    cfg = config(u=3e4, composition=law, e_f=0.3)
+    tracemalloc.start()
+    try:
+        table = angle_scan(cfg, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 3_200_000
+    assert peak < 1.5 * table.nbytes
 
 
 def test_drift_reaching_the_light_in_an_arm_is_refused():
