@@ -5,7 +5,7 @@ momentum quadrature."""
 __version__ = "0.1.0"
 
 from .errors import (DegenerateConfigError, DomainError, EtherdriftError,
-                     InputError, SeriesOverflowError, SingularPathError)
+                     InputError, SingularPathError)
 from .units import (MODERN, PAPER, PhysicalConstants, UnitSystem, get_constants,
                     inverse_length_to_mass, mass_to_inverse_length)
 from .kinematics import (CompositionLaw, compose_lab_speed, effective_fresnel_speed,

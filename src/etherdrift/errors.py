@@ -24,7 +24,3 @@ class SingularPathError(EtherdriftError, ValueError):
 
 class DegenerateConfigError(EtherdriftError, ValueError):
     """A geometry or run configuration is degenerate (zero-size, crossing)."""
-
-
-class SeriesOverflowError(EtherdriftError, OverflowError):
-    """A series evaluation left the range where it is reliable."""

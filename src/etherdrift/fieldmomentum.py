@@ -187,12 +187,10 @@ def integrate_field_momentum(geom: SolenoidChargeGeometry) -> MomentumResult:
     each disk axis, |rule(n_r, n_phi) - rule(n_r/2, n_phi/2)|, plus the
     truncation share, the summed tail itself rather than P_e - (q/c) A.
     """
-    import numpy as np
-
     nr, nphi, _ = geom.grid
     ((p, truncation),) = _momenta(geom, nr, nphi, [geom.half_length])
     ((p_half, _),) = _momenta(geom, nr // 2, nphi // 2, [geom.half_length])
-    rule = float(np.linalg.norm(p - p_half))
+    rule = abs(float(p[1] - p_half[1]))
     return MomentumResult(p, rule + abs(truncation))
 
 
@@ -228,8 +226,8 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     formed from the tail itself: |P_e - (q/c) A| would subtract two
     numbers that agree to the share and lose its last digits.  Each row's
     grid echoes n_z halved with Lambda (at least 2), which no quadrature
-    uses.  The relative error is undefined, a DomainError, where the
-    closed form is 0.
+    uses.  p_magnitude is |P_y|, never squared.  The relative error is
+    undefined, a DomainError, where the closed form is 0.
     """
     import numpy as np
 
@@ -244,7 +242,7 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
                           f"below the bore radius {geom.a}")
     nr, nphi, nz = geom.grid
     analytic = analytic_solenoid_momentum(geom)
-    if float(np.linalg.norm(analytic)) == 0.0:
+    if analytic[1] == 0.0:
         raise DomainError(f"the closed-form momentum q B a^2/(2 d c) is 0 for q={geom.q}, "
                           f"B={geom.B}, a={geom.a}, d={geom.d}: the relative error is "
                           "undefined for a zero momentum")
@@ -254,5 +252,5 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     for scale, (p, truncation) in zip(scales, momenta):
         grid = (nr, nphi, max(2, round(nz * scale)))
         rows.append(ConvergenceRow(geom.half_length * scale, grid,
-                                   float(np.linalg.norm(p)), abs(truncation / analytic[1]), p))
+                                   abs(float(p[1])), abs(truncation / analytic[1]), p))
     return rows

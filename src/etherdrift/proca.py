@@ -25,13 +25,9 @@ import math
 from typing import NamedTuple
 
 from ._record import Checked
-from .errors import DomainError, InputError, SeriesOverflowError
+from .errors import DomainError, InputError
 from .interferometer import MAX_SCAN_STEPS
 from .units import PhysicalConstants, hbar, inverse_length_to_mass
-
-#: largest argument accepted by the I0 series before the sum leaves double
-#: range (I0(x) ~ e^x/sqrt(2 pi x), and e^710 overflows)
-BESSEL_I0_MAX_ARGUMENT = 700.0
 
 
 def yukawa_potential(r: float, m_gamma: float) -> float:
@@ -43,30 +39,38 @@ def yukawa_potential(r: float, m_gamma: float) -> float:
     return math.exp(-m_gamma * r) / r
 
 
-def bessel_I0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series sum_k (x^2/4)^k / (k!)^2, accumulated until the next term
-    falls below 1e-16 of the running sum.  Monotone increasing with
-    I0(0) = 1; arguments above BESSEL_I0_MAX_ARGUMENT raise instead of
-    returning inf.
-    """
-    # NaN must fail here: no term of the series would end the loop
-    if not x >= 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    if x > BESSEL_I0_MAX_ARGUMENT:
-        raise SeriesOverflowError(
-            f"I0({x}) exceeds double range (threshold {BESSEL_I0_MAX_ARGUMENT})")
-    quarter_x2 = 0.25 * x * x
-    total = 1.0
-    term = 1.0
+def _scaled_I0(x: float) -> float:
+    """e^{-x} I0(x), finite for every finite x >= 0: the power series
+    sum_k (x^2/4)^k/(k!)^2 times e^{-x} up to x = 20, above it the asymptotic
+    series (Abramowitz & Stegun 9.7.1), whose smallest term there is below
+    1e-18.  Each sum stops at its first term below 1e-17 of it."""
+    # NaN would never end the series, and inf would give 0
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"I0 argument must be finite and >= 0, got {x}")
+    small = x <= 20.0
+    # term ratios (x^2/4)/k^2 and (2k - 1)^2/(8 x k)
+    c = 0.25 * x * x if small else 0.125 / x
+    total = term = 1.0
     k = 1
-    while True:
-        term *= quarter_x2 / (k * k)
+    while term >= 1e-17 * total:
+        term *= c / (k * k) if small else (2 * k - 1) ** 2 * c / k
         total += term
-        if term < 1e-16 * total:
-            return total
         k += 1
+    if small:
+        return total * math.exp(-x)
+    # 1/sqrt(2 pi) apart: 2 pi x overflows above x = 2.8e307
+    return total * (0.3989422804014327 / math.sqrt(x))
+
+
+def bessel_I0(x: float) -> float:
+    """Modified Bessel function of the first kind, order zero, as
+    e^{x/2} e^{-x} I0(x) e^{x/2}: e^x alone overflows at x = 709.8, I0 only
+    near 714, where this raises DomainError, as it does for NaN, inf, x < 0."""
+    half = math.exp(0.5 * x) if x < 1e3 else math.inf
+    value = half * _scaled_I0(x) * half
+    if value == math.inf:
+        raise DomainError(f"I0({x}) exceeds the double range")
+    return value
 
 
 class _ProcaCylinderFields(NamedTuple):
@@ -98,15 +102,15 @@ def cylinder_potential_exact(rho: float, cfg: ProcaCylinderConfig, m_gamma: floa
     """Interior potential V I0(m_gamma rho)/I0(m_gamma R), volts.
 
     The solution regular at the origin; K0 is excluded because it diverges
-    there.  Equals V on the wall exactly.
+    there.  Formed as V e^{m (rho - R)} S(m rho)/S(m R) with S(x) = e^{-x} I0(x),
+    finite for every finite m R, so exactly V on the wall.
     """
     if rho < 0.0 or rho > cfg.R:
         raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
     if m_gamma < 0.0:
         raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
-    if rho == cfg.R:
-        return cfg.V
-    return cfg.V * bessel_I0(m_gamma * rho) / bessel_I0(m_gamma * cfg.R)
+    return cfg.V * (math.exp(m_gamma * (rho - cfg.R)) * _scaled_I0(m_gamma * rho)
+                    / _scaled_I0(m_gamma * cfg.R))
 
 
 def _expansion_scale(variant: str) -> float:
@@ -139,9 +143,9 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
     """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over [0, R].
 
     Each row holds what cylinder_potential_exact and
-    cylinder_potential_expansion give at its radius, bit for bit; the wall
-    value I0(m_gamma R) is formed once.  The last radius is exactly R.  A
-    profile holds at most MAX_SCAN_STEPS rows.
+    cylinder_potential_expansion give at its radius, bit for bit; the scaled
+    wall value e^{-m_gamma R} I0(m_gamma R) is formed once.  The last radius
+    is exactly R.  A profile holds at most MAX_SCAN_STEPS rows.
     """
     if steps < 2:
         raise InputError(f"potential profile needs at least 2 steps, got {steps}")
@@ -151,12 +155,12 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
     if m_gamma < 0.0:
         raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
     R, V = cfg.R, cfg.V
-    wall = bessel_I0(m_gamma * R)
+    wall = _scaled_I0(m_gamma * R)
     scale_m2 = _expansion_scale(variant) * (m_gamma * m_gamma)
     # R * i / (steps - 1) can round above R at the last step
     radii = [R * i / (steps - 1) for i in range(steps - 1)] + [R]
     return [(rho,
-             V if rho == R else V * bessel_I0(m_gamma * rho) / wall,
+             V * (math.exp(m_gamma * (rho - R)) * _scaled_I0(m_gamma * rho) / wall),
              V * (1.0 + scale_m2 * (rho * rho - R * R)))
             for rho in radii]
 

@@ -454,21 +454,41 @@ def test_proca_potential_last_radius_is_exactly_r():
 
 
 def test_proca_potential_forms_the_wall_value_once(monkeypatch, capsys):
-    # mR = 649: one I0 of the wall plus one per row below it, not two per row
+    # mR = 649: one scaled I0 of the wall plus one per row, not two per row
     from etherdrift import proca
 
-    bessel_I0 = proca.bessel_I0
+    scaled_I0 = proca._scaled_I0
     calls = []
 
     def counted(x):
         calls.append(x)
-        return bessel_I0(x)
+        return scaled_I0(x)
 
-    monkeypatch.setattr(proca, "bessel_I0", counted)
+    monkeypatch.setattr(proca, "_scaled_I0", counted)
     assert cli.main(["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
                      "--m-gamma-inv-cm", "0.0154", "--steps", "1000"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1001
-    assert len(calls) <= 1000
+    assert len(calls) == 1001
+
+
+def test_proca_potential_beyond_the_old_series_ceiling():
+    # mR = 1000 used to exit 2 at the old series ceiling of 700
+    proc = run_cli("proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
+                   "--m-gamma-inv-cm", "0.01", "--steps", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 3
+    # V e^{-1000} sqrt(2 pi 1000) on the axis is below the smallest double
+    assert float(rows[0][1]) == 0.0
+    assert float(rows[-1][1]) == 1e7
+
+
+def test_proca_potential_infinite_mass_radius_product_exit_2():
+    # R = 1e298 m and m = 1e302 /m are finite, m R is not; a scaled I0 of
+    # inf that returned 0 would end in a ZeroDivisionError traceback
+    proc = run_cli("proca", "potential", "--V-volts", "1e7", "--R-cm", "1e300",
+                   "--m-gamma-inv-cm", "1e-300", "--steps", "3")
+    _exit_2_with(proc, "DomainError", "finite")
 
 
 FRINGE = ("fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--lambda-nm", "633")
@@ -575,6 +595,18 @@ def test_bounds_json_and_text():
     column = lines[0].index("m_gamma_inv_cm")
     for line in lines[1:]:
         assert line[column] not in (" ",)
+
+
+@pytest.mark.parametrize("q_esu", ["1e-150", "1e-170", "1e172"])
+def test_pmomentum_far_from_unit_charge(q_esu):
+    # the magnitude used to be a norm, which squares P_y: 2 % low at 1e-150,
+    # 0 ("is 0", exit 2) at 1e-170 and inf (exit 2) at 1e172
+    geometry = '{"a_cm": 1, "B_gauss": 1, "d_cm": 3, "q_esu": %s}' % q_esu
+    proc = run_cli("pmomentum", "--geometry", geometry)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["P_e"][1] == pytest.approx(out["analytic"][1], rel=3e-4)
+    assert out["levels"][-1]["P_mag"] == out["P_e"][1]
 
 
 def test_pmomentum_inline_geometry():

@@ -300,6 +300,17 @@ def test_gauss_legendre_rule_matches_leggauss(n):
     assert not x.flags.writeable and not w.flags.writeable
 
 
+@pytest.mark.parametrize("q", [1e-150, 1e-170, 1e172])
+def test_convergence_magnitude_is_the_azimuthal_component(q):
+    # a norm squares P_y: below 1.5e-154 the square is subnormal, above
+    # 1.3e154 it overflows
+    rows = convergence_study(SolenoidChargeGeometry(a=1.0, B=1.0, d=3.0, q=q), 3)
+    for row in rows:
+        assert row.P_e[0] == row.P_e[2] == 0.0
+        assert row.p_magnitude == abs(row.P_e[1]) > 0.0
+        assert math.isfinite(row.p_magnitude)
+
+
 @pytest.mark.parametrize("field", [{"B": 0.0}, {"q": 0.0}, {"a": 1e-300}, {"d": 1e308}])
 def test_convergence_study_zero_momentum_is_a_domain_error(field):
     geom = SolenoidChargeGeometry(**dict(dict(a=1.0, B=100.0, d=3.0, q=1.0), **field))

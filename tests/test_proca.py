@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from etherdrift.errors import DomainError, InputError, SeriesOverflowError
-from etherdrift.proca import (BESSEL_I0_MAX_ARGUMENT, PhotonMassBound,
-                              ProcaCylinderConfig, bessel_I0, bounds_registry,
+from etherdrift.errors import DomainError, InputError
+from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _scaled_I0,
+                              bessel_I0, bounds_registry,
                               cylinder_potential_exact,
                               cylinder_potential_expansion, invert_bound,
                               mass_phase_correction, potential_profile,
@@ -53,14 +54,38 @@ def test_bessel_I0_monotone_and_even_order_growth():
 
 
 def test_bessel_I0_range_limits():
-    assert math.isfinite(bessel_I0(BESSEL_I0_MAX_ARGUMENT))
-    with pytest.raises(SeriesOverflowError):
-        bessel_I0(BESSEL_I0_MAX_ARGUMENT + 1.0)
+    # I0(x) ~ e^x/sqrt(2 pi x) passes the largest double near x = 713.99
+    assert math.isfinite(bessel_I0(713.9))
+    for x in (714.5, 1e3, 1e308, math.inf):
+        with pytest.raises(DomainError):
+            bessel_I0(x)
     with pytest.raises(DomainError):
         bessel_I0(-0.5)
     # used to loop forever (proca potential with an overflowing mass)
     with pytest.raises(DomainError):
         bessel_I0(float("nan"))
+
+
+def _worst_error(values, oracle, args):
+    with mpmath.workdps(50):
+        return max(float(abs(mpmath.mpf(v) / oracle(mpmath.mpf(x)) - 1))
+                   for v, x in zip(values, args))
+
+
+def test_scaled_I0_matches_mpmath():
+    xs = [float(x) for x in np.geomspace(1e-3, 1e4, 4000)]
+    xs += [20.0, 1e100, 1.7976931348623157e308]  # 2 pi x overflows at the last
+    assert _worst_error([_scaled_I0(x) for x in xs],
+                        lambda x: mpmath.besseli(0, x) * mpmath.exp(-x), xs) <= 2e-15
+    for x in (-0.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            _scaled_I0(x)
+
+
+def test_bessel_I0_matches_mpmath():
+    xs = [float(x) for x in np.linspace(0.0, 700.0, 2001)]
+    assert _worst_error([bessel_I0(x) for x in xs],
+                        lambda x: mpmath.besseli(0, x), xs) <= 2e-15
 
 
 def test_config_validation():
@@ -134,10 +159,30 @@ def test_potential_profile_validation():
         potential_profile(REFERENCE, 1.0, 10 ** 400)
     with pytest.raises(DomainError, match="photon mass"):
         potential_profile(REFERENCE, -1.0, 5)
-    with pytest.raises(SeriesOverflowError):
-        potential_profile(REFERENCE, 2600.0, 5)
+    # m R = 702 used to pass the series' ceiling; only a non-finite m R fails
+    assert potential_profile(REFERENCE, 2600.0, 5)[-1][1] == REFERENCE.V
+    for m_gamma in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            potential_profile(REFERENCE, m_gamma, 5)
     with pytest.raises(InputError, match="variant"):
         potential_profile(REFERENCE, 1.0, 5, "third")
+
+
+@pytest.mark.parametrize("mR", [1e-3, 0.05, 0.3, 1.0, 3.0, 5.0, 9.0, 14.0, 19.0, 20.0,
+                                21.0, 25.0, 50.0, 120.0, 300.0, 650.0, 699.0])
+def test_potential_profile_rows_match_mpmath(mR):
+    # the oracle takes the same float m, rho and R; exp(m (rho - R)) adds
+    # the relative error of its rounded argument, m (R - rho) 2 eps
+    cfg = ProcaCylinderConfig(R=0.1, V=1e7, tau=1.0)
+    m = mR / cfg.R
+    rows = potential_profile(cfg, m, 301)
+    assert rows[-1][1] == cfg.V
+    with mpmath.workdps(50):
+        wall = mpmath.besseli(0, mpmath.mpf(m) * mpmath.mpf(cfg.R))
+        for rho, exact, _ in rows:
+            oracle = cfg.V * mpmath.besseli(0, mpmath.mpf(m) * mpmath.mpf(rho)) / wall
+            error = float(abs((mpmath.mpf(exact) - oracle) / oracle))
+            assert error <= 4e-15 + m * (cfg.R - rho) * 2.2e-16, (rho, error)
 
 
 def test_quarter_expansion_tracks_exact_to_fourth_order():
