@@ -451,7 +451,7 @@ def _build_parser() -> _Parser:
     pm.add_argument("--geometry", required=True,
                     help="geometry: inline JSON or a file path "
                          "{a_cm, B_gauss, d_cm, q_esu, lambda_cm?, grid?}; "
-                         "grid axes >= 4")
+                         "grid axes are integers >= 4, checked and echoed only")
     pm.add_argument("--levels", type=int, default=3)
     pm.set_defaults(run=_run_pmomentum)
 
@@ -558,7 +558,11 @@ def _run_proca_bound(ns, constants):
 def _run_proca_potential(ns, constants):
     # tau is irrelevant to the radial profile; any positive value works
     cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
-    rows = potential_profile(cfg, _m_gamma(ns), ns.steps, ns.variant)
+    m_gamma = _m_gamma(ns)
+    if not math.isfinite(m_gamma * cfg.R):
+        raise DomainError(f"--R-cm {ns.R_cm} and --m-gamma-inv-cm {ns.m_gamma_inv_cm} "
+                          "give a radius over Compton range m R that is not finite")
+    rows = potential_profile(cfg, m_gamma, ns.steps, ns.variant)
     return render_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), rows)
 
 
@@ -584,11 +588,10 @@ def _run_bounds(ns, constants):
     return "\n".join(lines) + "\n"
 
 
-@_numpy_warnings_off
 def _run_pmomentum(ns, constants):
     geom = SolenoidChargeGeometry(**_apply_schema(
         _load_payload(ns.geometry, "geometry"), _GEOMETRY_SCHEMA, "geometry"))
-    # the last level is the geometry's own grid, which P_e reports
+    # the last level is the geometry as configured, which P_e reports
     rows = convergence_study(geom, ns.levels)
     levels = [{"lambda_cm": row.half_length_cm, "grid": list(row.grid),
                "P_mag": row.p_magnitude, "rel_error": row.rel_error} for row in rows]

@@ -174,7 +174,7 @@ def test_criterion_08_field_momentum_oracle():
     geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0)
     result = integrate_field_momentum(geom)
     analytic = analytic_solenoid_momentum(geom)
-    rel = float(np.linalg.norm(result.P_e - analytic) / np.linalg.norm(analytic))
+    rel = float(np.linalg.norm(np.subtract(result.P_e, analytic)) / np.linalg.norm(analytic))
     rows = convergence_study(geom, 3)
     rels = [row.rel_error for row in rows]
     monotone = all(b < a for a, b in zip(rels, rels[1:]))

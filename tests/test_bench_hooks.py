@@ -54,11 +54,15 @@ requests = [
      "--lambda-nm", "633", "--steps", "8"],
     ["abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}}',
      "--path", "[[0, 0, 0], [1, 0, 0], [1, 1, 0]]"],
+    ["pmomentum", "--geometry",
+     '{"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1, "grid": [8, 16, 128]}',
+     "--levels", "2"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [etherdrift.cli.main(argv) for argv in requests]
 print(json.dumps({"codes": codes, "numpy_at_install": numpy_at_install,
-                  "calls": {name: stats[0] for name, stats in recorder.stats.items()}}))
+                  "calls": {name: stats[0] for name, stats in recorder.stats.items()},
+                  "counters": dict(recorder.counters)}))
 """
 
 
@@ -66,7 +70,10 @@ def test_tracer_records_kernels_that_load_numpy_late():
     proc = subprocess.run([sys.executable, "-c", _TRACE, str(TRACER)],
                           capture_output=True, text=True, check=True)
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     assert report["numpy_at_install"] is False
     assert report["calls"]["interferometer.angle_scan"] >= 1
     assert report["calls"]["abphase.phase_line_integral"] >= 1
+    # the tracer still reads the geometry's grid: 8 x 16 x (64 + 128) points
+    assert report["calls"]["fieldmomentum.convergence_study"] == 1
+    assert report["counters"]["fieldmomentum.grid_points"] == 8 * 16 * (64 + 128)

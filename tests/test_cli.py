@@ -567,6 +567,15 @@ def test_proca_zero_compton_range_exit_2(action):
     assert "--m-gamma-inv-cm" in payload["message"]
 
 
+def test_proca_potential_overflowing_mass_radius_names_both_flags():
+    # m = 1e302 /m and R = 1e298 m are each finite; the message used to be
+    # "I0 argument must be finite and >= 0, got inf", naming neither flag
+    proc = run_cli("proca", "potential", "--V-volts", "1e7", "--R-cm", "1e300",
+                   "--m-gamma-inv-cm", "1e-300")
+    _exit_2_with(proc, "DomainError", "--R-cm")
+    assert "--m-gamma-inv-cm" in stderr_error(proc)["message"]
+
+
 @pytest.mark.parametrize("field", [{"B_gauss": 0}, {"q_esu": 0}, {"a_cm": 1e-300},
                                    {"d_cm": 1e308}])
 def test_pmomentum_zero_analytic_momentum_exit_2(field):
@@ -831,17 +840,45 @@ def test_fringe_drift_reaching_the_light_exit_2():
         _exit_2_with(proc, "DomainError", "arm 1")
 
 
-def test_pmomentum_grid_beyond_node_cap_exit_2():
-    # numpy used to refuse the allocation with a ValueError traceback
-    geometry = GEOMETRY.replace("[4, 4, 4]", "[4, 4, 100000000000000000000]")
-    _exit_2_with(run_cli("pmomentum", "--geometry", geometry), "InputError", "grid")
+@pytest.mark.parametrize("grid", [[4, 4, 10 ** 20], [2048, 4, 4]],
+                         ids=["beyond-old-node-cap", "beyond-old-radial-cap"])
+def test_pmomentum_grid_is_echoed_whatever_its_size(grid):
+    # 2^24 nodes and 1024 radial nodes bounded the cost of a disk rule that
+    # is gone; no quadrature reads the grid, so P_e is the default grid's
+    proc = run_cli("pmomentum", "--geometry", GEOMETRY.replace("[4, 4, 4]", json.dumps(grid)))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert [level["grid"] for level in out["levels"]] == [
+        [grid[0], grid[1], max(2, round(grid[2] * 2.0 ** -k))] for k in (2, 1, 0)]
+    assert out["P_e"] == json.loads(run_cli("pmomentum", "--geometry", GEOMETRY).stdout)["P_e"]
 
 
-def test_pmomentum_radial_nodes_beyond_cap_exit_2():
-    # a Gauss-Legendre rule costs O(n_r^2) to build; 2048 x 4 x 4 is
-    # within the node cap
-    geometry = GEOMETRY.replace("[4, 4, 4]", "[2048, 4, 4]")
-    _exit_2_with(run_cli("pmomentum", "--geometry", geometry), "InputError", "grid")
+@pytest.mark.parametrize("a_cm", [1e-150, 1e150])
+def test_pmomentum_far_from_unit_scale_ends_in_json(a_cm, capsys):
+    # the edge sum is pure Python, where ** and math.* raise on overflow and
+    # math.ceil(nan) raises: each geometry must exit 0 with finite JSON or
+    # exit 2 with one typed JSON line, never with a traceback
+    codes = []
+    for d_cm in (a_cm * (1.0 + 1e-12), 3.0 * a_cm):
+        for lambda_cm in (None, a_cm, 2.0 * a_cm, 4.0 * a_cm):
+            geometry = {"a_cm": a_cm, "B_gauss": 100.0, "d_cm": d_cm, "q_esu": 1.0}
+            if lambda_cm is not None:
+                geometry["lambda_cm"] = lambda_cm
+            for levels in ("2", "3"):
+                code = cli.main(["pmomentum", "--geometry", json.dumps(geometry),
+                                 "--levels", levels])
+                out, err = capsys.readouterr()
+                if code == 0:
+                    values = json.loads(out)
+                    assert err == "" and all(map(math.isfinite, values["P_e"]))
+                    assert 0.0 < values["rel_error"] < 1.0
+                else:
+                    assert code == 2 and out == ""
+                    assert json.loads(err)["error"] == "DomainError"
+                codes.append(code)
+    # lambda_cm = a_cm at either level count, and 2 a_cm at 3 levels, halve
+    # below the bore radius
+    assert codes.count(0) == 10 and codes.count(2) == 6
 
 
 def test_pmomentum_levels_below_bore_radius_exit_2():
