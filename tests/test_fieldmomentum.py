@@ -168,18 +168,8 @@ def test_edge_integral_is_the_disk_integral(a, d, half_length):
         assert abs(edge - disk) <= mpmath.mpf(10) ** -18 * abs(disk)
 
 
-@pytest.mark.parametrize("top", [2.0, 100.0], ids=["a-2a", "a-100d"])
-@pytest.mark.parametrize("d", [1.0001, 1.05, 1.2, 3.0])
-def test_levels_match_the_truncated_bore_to_rounding(d, top):
-    # the levels halve Lambda from 2a, or from 100 d, down to at least a:
-    # Lambda = a is the smallest a level may have, and there the tail is
-    # the largest share of the momentum
-    half_length = top * (d if top == 100.0 else 1.0)
-    levels = 1 + math.floor(math.log2(half_length))
-    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=d, q=1.0,
-                                  truncation_halflength=half_length)
+def _assert_levels_match_the_truncated_bore(geom, levels):
     rows = convergence_study(geom, levels)
-    assert rows[0].half_length_cm >= 1.0 > rows[0].half_length_cm / 2.0
     for row in rows:
         exact, closed, tail = _truncated_bore(geom, row.half_length_cm)
         assert abs(row.P_e[1] - exact) <= 1e-15 * abs(exact)
@@ -188,6 +178,35 @@ def test_levels_match_the_truncated_bore_to_rounding(d, top):
         assert row.P_e[0] == 0.0 and row.P_e[2] == 0.0
         result = integrate_field_momentum(geom._replace(truncation_halflength=row.half_length_cm))
         assert abs(result.P_e[1] - exact) <= 1e-15 * abs(exact)
+    return rows
+
+
+@pytest.mark.parametrize("grid", [(16, 32, 64), (17, 33, 64)])
+@pytest.mark.parametrize("d, half_length", [(1.05, 1.0), (1.2, 1.0), (3.0, 1.0),
+                                            (1.01, 5.0), (3.0, 150.0)])
+def test_levels_match_the_truncated_bore_to_rounding(d, half_length, grid):
+    # the coarsest level sits at half_length; Lambda = a is the smallest a
+    # level may have, and there the tail is the largest share of the
+    # momentum.  No quadrature reads the grid: it is only echoed
+    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=d, q=1.0,
+                                  truncation_halflength=2.0 * half_length, grid=grid)
+    rows = _assert_levels_match_the_truncated_bore(geom, 2)
+    assert [row.half_length_cm for row in rows] == [half_length, 2.0 * half_length]
+    assert rows[-1].grid == grid
+
+
+@pytest.mark.parametrize("d, top", [(1.0001, 2.0), (1.0001, 100.0), (1.05, 100.0),
+                                    (1.2, 100.0), (3.0, 100.0)],
+                         ids=["1.0001-a-2a", "1.0001-a-100d", "1.05-a-100d", "1.2-a-100d",
+                              "3.0-a-100d"])
+def test_levels_down_to_a_match_the_truncated_bore(d, top):
+    # the levels halve Lambda from 2a, or from 100 d, down to at least a
+    half_length = top * (d if top == 100.0 else 1.0)
+    levels = 1 + math.floor(math.log2(half_length))
+    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=d, q=1.0,
+                                  truncation_halflength=half_length)
+    rows = _assert_levels_match_the_truncated_bore(geom, levels)
+    assert rows[0].half_length_cm >= 1.0 > rows[0].half_length_cm / 2.0
 
 
 def test_estimate_covers_the_true_error():
