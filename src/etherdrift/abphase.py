@@ -8,13 +8,19 @@ geometry).  Phases are returned unwrapped; reduce mod 2 pi at the detector
 if needed.
 
 Positions are in meters and Q in rad/m throughout; the one Gaussian-form
-helper (magnetic_ab_phase) says so explicitly.  numpy is imported inside
-the functions that use arrays, so importing this module does not load it.
+helper (magnetic_ab_phase) says so explicitly.  A path is a tuple of float
+3-tuples, and every segment integral is a closed form in plain floats, so
+a phase never loads numpy.  Only the field samplers (``q_at``) and
+``scalar_phase`` compute on arrays, and they import numpy inside the call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+import sys
+from itertools import chain, pairwise
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InputError, SingularPathError
@@ -24,21 +30,24 @@ if TYPE_CHECKING:  # annotations only
     import numpy as np
 
 
-def _dot(a, b):
-    """Row-wise 3-vector dot product in a fixed order: a row rounds alike anywhere."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+def _constant_q_integrals(q, vertices) -> list:
+    """int Q . dl = (p1 - p0) . q over each segment of a constant Q, the
+    products summed in the fixed x, y, z order: a segment rounds alike
+    anywhere."""
+    qx, qy, qz = q
+    return [(x1 - x0) * qx + (y1 - y0) * qy + (z1 - z0) * qz
+            for (x0, y0, z0), (x1, y1, z1) in pairwise(vertices)]
 
 
-def fresnel_momentum(omega: float, n: float, u) -> np.ndarray:
+def fresnel_momentum(omega: float, n: float, u) -> tuple:
     """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m."""
-    import numpy as np
-
     if omega <= 0.0:
         raise DomainError(f"angular frequency must be positive, got {omega}")
     if n < 1.0:
         raise DomainError(f"refractive index must be >= 1, got {n}")
-    u = np.asarray(u, dtype=float)
-    return -(omega / (c * c)) * (n * n - 1.0) * u
+    scale = -(omega / (c * c)) * (n * n - 1.0)
+    ux, uy, uz = u
+    return (scale * ux, scale * uy, scale * uz)
 
 
 class UniformQ(NamedTuple):
@@ -52,11 +61,9 @@ class UniformQ(NamedTuple):
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(np.asarray(self.q, dtype=float), points.shape).copy()
 
-    def segment_integrals(self, p0, p1) -> np.ndarray:
-        """Exact int Q . dl over each segment p0[i] -> p1[i]: (p1 - p0) . q."""
-        import numpy as np
-
-        return _dot(p1 - p0, np.asarray(self.q, dtype=float))
+    def segment_integrals(self, vertices) -> list:
+        """Exact int Q . dl over each segment between consecutive vertices."""
+        return _constant_q_integrals(map(float, self.q), vertices)
 
 
 class FresnelFlow(NamedTuple):
@@ -66,18 +73,22 @@ class FresnelFlow(NamedTuple):
     n: float
     u: tuple
 
-    def q_vector(self) -> np.ndarray:
+    def q_vector(self) -> tuple:
         return fresnel_momentum(self.omega, self.n, self.u)
 
     def q_at(self, points) -> np.ndarray:
         import numpy as np
 
         points = np.asarray(points, dtype=float)
-        return np.broadcast_to(self.q_vector(), points.shape).copy()
+        return np.broadcast_to(np.asarray(self.q_vector()), points.shape).copy()
 
-    def segment_integrals(self, p0, p1) -> np.ndarray:
-        """Exact int Q . dl over each segment p0[i] -> p1[i]: (p1 - p0) . Q."""
-        return _dot(p1 - p0, self.q_vector())
+    def segment_integrals(self, vertices) -> list:
+        """Exact int Q . dl over each segment between consecutive vertices."""
+        return _constant_q_integrals(self.q_vector(), vertices)
+
+
+#: 2 pi to 128 bits: 2 pi = _TWO_PI_128 / 2**125 within 4e-39
+_TWO_PI_128 = 0xC90FDAA22168C234C4C6628B80DC1CD1
 
 
 class SolenoidVectorPotential(NamedTuple):
@@ -95,75 +106,130 @@ class SolenoidVectorPotential(NamedTuple):
     axis_point: tuple = (0.0, 0.0, 0.0)
     axis_direction: tuple = (0.0, 0.0, 1.0)
 
-    def _axis(self):
-        import numpy as np
+    def _cross_axes(self):
+        """Unit vectors e1, e2 across the axis with e1 x e2 along it.
 
-        point = np.asarray(self.axis_point, dtype=float)
-        direction = np.asarray(self.axis_direction, dtype=float)
-        norm = float(np.linalg.norm(direction))
+        The branch-free frame of Duff et al., JCGT 6(1), 2017: for the
+        default z axis it is x and y exactly, so an offset's coordinates
+        are the vertex's own differences."""
+        dx, dy, dz = self.axis_direction
+        norm = math.hypot(dx, dy, dz)
         if norm == 0.0:
             raise DomainError("solenoid axis direction must be nonzero")
-        return point, direction / norm
+        nx, ny, nz = dx / norm, dy / norm, dz / norm
+        sign = math.copysign(1.0, nz)
+        a = -1.0 / (sign + nz)
+        b = nx * ny * a
+        return (1.0 + sign * nx * nx * a, sign * b, -sign * nx), (b, sign + ny * ny * a, -ny)
 
-    def _perp(self, points):
-        """Positions relative to the axis point, axial component removed."""
-        import numpy as np
+    def _phase_per_radian(self):
+        """coupling flux/(2 pi) as hi + lo, two doubles within 1e-32 of it.
 
-        point, axis = self._axis()
-        rel = np.atleast_2d(np.asarray(points, dtype=float)) - point
-        return rel - _dot(rel, axis)[:, None] * axis, axis
+        hi is the quotient of exact integers, rounded once; lo is the rest.
+        The three float operations round a single double by up to about
+        1.2 ulp, and every segment of a loop would carry that error.  A
+        non-finite input or a quotient beyond the double range takes the
+        float operations."""
+        try:
+            (a, b), (p, q) = (float(self.coupling).as_integer_ratio(),
+                              float(self.flux).as_integer_ratio())
+            num, den = (a * p) << 125, b * q * _TWO_PI_128
+            hi = num / den  # true division of ints is correctly rounded
+            h, g = hi.as_integer_ratio()
+            return hi, (num * g - h * den) / (den * g)
+        except (OverflowError, ValueError):
+            return self.coupling * self.flux / (2.0 * math.pi), 0.0
+
+    def _offsets(self, points) -> list:
+        """(u, v) across the axis of each point's offset from the axis point."""
+        (e1x, e1y, e1z), (e2x, e2y, e2z) = self._cross_axes()
+        px, py, pz = self.axis_point
+        offsets = []
+        for x, y, z in points:
+            x, y, z = x - px, y - py, z - pz
+            offsets.append((x * e1x + y * e1y + z * e1z, x * e2x + y * e2y + z * e2z))
+        return offsets
 
     def q_at(self, points) -> np.ndarray:
         import numpy as np
 
-        rel_perp, axis = self._perp(points)
-        rho2 = _dot(rel_perp, rel_perp)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        u, v = np.array(self._offsets(points.tolist())).T
+        rho2 = u * u + v * v
         if np.any(rho2 == 0.0):
             raise SingularPathError("field evaluated on the flux line")
-        # azimuthal direction axis x rho_hat; magnitude flux/(2 pi rho)
-        phi_hat_scaled = np.cross(axis, rel_perp) / rho2[:, None]
+        # azimuthal direction axis x rho_hat = (u e2 - v e1)/rho; magnitude flux/(2 pi rho)
+        e1, e2 = self._cross_axes()
+        phi_hat_scaled = np.outer(u / rho2, e2) - np.outer(v / rho2, e1)
         return (self.coupling * self.flux / (2.0 * math.pi)) * phi_hat_scaled
 
-    def segment_integrals(self, p0, p1) -> np.ndarray:
-        """Exact int Q . dl over each segment p0[i] -> p1[i] (Aharonov & Bohm 1959).
+    def segment_integrals(self, vertices) -> list:
+        """Exact int Q . dl over each segment between consecutive vertices
+        (Aharonov & Bohm 1959).
 
         Q . dl = coupling (flux/2 pi) dphi, and a segment sweeps the signed
-        angle atan2(axis . (r0 x r1), r0 . r1), r0 and r1 its endpoints'
-        offsets from the axis perpendicular to it.  A segment that meets the
-        flux line raises SingularPathError."""
-        import numpy as np
+        angle atan2(r0 x r1, r0 . r1), r0 and r1 its endpoints' offsets
+        across the axis, each formed once per vertex.  The angle is scaled
+        by coupling flux/(2 pi) carried in two doubles, so a closed loop's
+        phase is coupling flux times its winding to within about 1.5 ulp.
+        A segment that comes within 1e-12 max(1, |r0|, |r1|) of the flux
+        line raises SingularPathError."""
+        hi, lo = self._phase_per_radian()
+        offsets = self._offsets(vertices)
+        radii = [math.sqrt(u * u + v * v) for u, v in offsets]
+        phases = []
+        for (u0, v0), (u1, v1), r0, r1 in zip(offsets, offsets[1:], radii, radii[1:]):
+            du, dv = u1 - u0, v1 - v0
+            length2 = du * du + dv * dv
+            # parameter of the point nearest the axis; 0 for a segment along it
+            t = min(max(-(u0 * du + v0 * dv) / (length2 or 1.0), 0.0), 1.0)
+            nu, nv = u0 + t * du, v0 + t * dv
+            if math.sqrt(nu * nu + nv * nv) <= 1e-12 * max(1.0, r0, r1):
+                raise SingularPathError("integration path passes through the flux line")
+            swept = math.atan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)
+            phases.append(hi * swept + lo * swept)
+        return phases
 
-        r0, axis = self._perp(p0)
-        r1, _ = self._perp(p1)
-        seg = r1 - r0
-        seg2 = _dot(seg, seg)
-        # parameter of the point nearest the axis; 0 for a segment parallel to it
-        t = np.clip(-_dot(r0, seg) / np.where(seg2 == 0.0, 1.0, seg2), 0.0, 1.0)
-        dist = np.linalg.norm(r0 + t[:, None] * seg, axis=1)
-        scale = np.maximum(1.0, np.linalg.norm(np.stack([r0, r1]), axis=2).max(axis=0))
-        if np.any(dist <= 1e-12 * scale):
-            raise SingularPathError("integration path passes through the flux line")
-        swept = np.arctan2(_dot(np.cross(r0, r1), axis), _dot(r0, r1))
-        return (self.coupling * self.flux / (2.0 * math.pi)) * swept
+
+#: what every malformed vertex list is told
+_NOT_A_PATH = "path must be an array of [x, y, z] vertices of finite numbers"
 
 
 class Path:
-    """Piecewise-linear integration contour (vertices in meters)."""
+    """Piecewise-linear integration contour (vertices in meters).
+
+    ``vertices`` is a tuple of float 3-tuples.  Each vertex is checked and
+    converted in one pass: 3 coordinates, each a real number (never a
+    bool) within the double range."""
 
     def __init__(self, vertices):
-        import numpy as np
-
-        vertices = np.asarray(vertices, dtype=float)
-        # an empty list has shape (0,): count its vertices before its shape
-        if vertices.size == 0 or (vertices.ndim == 2 and vertices.shape[0] < 2):
+        if isinstance(vertices, (str, dict)):  # iterable, but no list of points
+            raise InputError(_NOT_A_PATH)
+        try:
+            rows = [(x, y, z) for x, y, z in vertices]
+        except (TypeError, ValueError):  # not iterable, or not 3 coordinates
+            raise InputError(_NOT_A_PATH) from None
+        flat = list(chain.from_iterable(rows))
+        kinds = set(map(type, flat))
+        if kinds <= {float}:
+            finite = all(map(math.isfinite, flat))
+        else:
+            # ints, or numpy's scalars; never a bool.  An int compares with
+            # the bound exactly, and NaN fails it
+            finite = ((kinds <= {float, int}
+                       or all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                              for x in flat))
+                      and all(abs(x) <= sys.float_info.max for x in flat))
+        if not finite:
+            raise InputError(_NOT_A_PATH)
+        if kinds != {float}:
+            coordinates = iter(map(float, flat))
+            rows = list(zip(coordinates, coordinates, coordinates))
+        if len(rows) < 2:
             raise InputError("a path needs at least 2 vertices")
-        if vertices.ndim != 2 or vertices.shape[1] != 3:
-            raise InputError("path vertices must be an (N, 3) array of points")
-        if not np.all(np.isfinite(vertices)):
-            raise InputError("path vertices must be finite")
-        if np.any(np.all(np.diff(vertices, axis=0) == 0.0, axis=1)):
+        if any(map(operator.eq, rows, rows[1:])):  # -0.0 == 0.0
             raise InputError("consecutive path vertices must be distinct")
-        self.vertices = vertices
+        self.vertices = tuple(rows)
 
     def reversed(self) -> "Path":
         return Path(self.vertices[::-1])
@@ -172,13 +238,12 @@ class Path:
 def phase_line_integral(field, path: Path) -> float:
     """Accumulated phase along the path, math.fsum over segments of int Q . dl.
 
-    Every field kind integrates all segments in closed form in one vectorised
-    pass (``segment_integrals``): exact up to rounding at any distance from a
+    Every field kind integrates each segment in closed form
+    (``segment_integrals``): exact up to rounding at any distance from a
     flux line.  A path through a flux line raises SingularPathError, and a
     sum that leaves the double range raises DomainError.
     """
-    vertices = path.vertices
-    segments = field.segment_integrals(vertices[:-1], vertices[1:]).tolist()
+    segments = field.segment_integrals(path.vertices)
     try:
         return math.fsum(segments)
     except (OverflowError, ValueError):  # fsum raises where sum() gives inf or nan
@@ -209,4 +274,3 @@ def magnetic_ab_phase(a_magnitude: float, l_path: float,
     if charge_esu is None:
         charge_esu = e_charge * c_cgs / 10.0
     return charge_esu * a_magnitude * l_path / (c_cgs * hbar_cgs)
-

@@ -195,23 +195,6 @@ def _is_kind(value, kind) -> bool:
             and (kind == "number" or isinstance(value, int)))
 
 
-def _is_path(value) -> bool:
-    """_is_kind(v, "vector") for every vertex of a JSON array, in bulk.
-
-    A vertex is a list of 3 numbers, and JSON gives exact types: a true is
-    a bool, not an int, so a type outside {int, float} refuses it.  The
-    floats need only isfinite; an int beyond the float range would make
-    isfinite raise, so a path with an int is checked by _finite instead."""
-    if not (isinstance(value, list) and set(map(type, value)) <= {list}
-            and set(map(len, value)) <= {3}):
-        return False
-    flat = list(chain.from_iterable(value))
-    types = set(map(type, flat))
-    if not types <= {int, float}:
-        return False
-    return all(map(_finite if int in types else math.isfinite, flat))
-
-
 def _as_kind(value, kind):
     if kind == "number":
         return float(value)
@@ -481,20 +464,6 @@ def parse_config(argv) -> argparse.Namespace:
 # subcommand runners: each takes the parsed namespace and the constants
 # profile, which only the calls that depend on the flux quantum read
 
-def _numpy_warnings_off(runner):
-    """A runner whose kernels use numpy, run with numpy's warnings silenced.
-
-    Rendering refuses a non-finite result, so an overflow is reported once,
-    as the one stderr JSON line.  numpy is imported here, in the call: the
-    scalar subcommands never load it."""
-    def quiet(ns, constants):
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            return runner(ns, constants)
-    return quiet
-
-
 def _run_speed(ns, constants):
     if ns.mode == "fresnel":
         v = fresnel_speed(ns.n, ns.u_mps)
@@ -508,8 +477,13 @@ def _run_speed(ns, constants):
                         "units": "m/s"})
 
 
-@_numpy_warnings_off
 def _run_fringe(ns, constants):
+    # the scan is the one numpy kernel, imported here so that no other
+    # subcommand loads it.  Its warnings are off: rendering refuses a
+    # non-finite cell, so an overflow is reported once, as the one stderr
+    # JSON line
+    import numpy as np
+
     values = {}
     if ns.config is not None:
         payload = _load_json_file(ns.config)
@@ -520,7 +494,8 @@ def _run_fringe(ns, constants):
     values.update({key: flags[key] for key in _FRINGE_SCHEMA if flags[key] is not None})
     kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
     steps = kwargs.pop("steps", 32)
-    return render_csv(SCAN_COLUMNS, angle_scan(InterferometerConfig(**kwargs), steps))
+    with np.errstate(all="ignore"):
+        return render_csv(SCAN_COLUMNS, angle_scan(InterferometerConfig(**kwargs), steps))
 
 
 def _run_sensitivity(ns, constants):
@@ -534,15 +509,10 @@ def _run_sensitivity(ns, constants):
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})
 
 
-@_numpy_warnings_off
 def _run_abphase(ns, constants):
     spec = _load_payload(ns.field, "field spec")
     vertices = _load_payload(ns.path, "path")
     field = _field_from_dict(spec, constants)
-    # numpy would take a JSON true for 1.0 and fail on an integer beyond the
-    # float range; Path itself checks the vertex count and repeats
-    if not _is_path(vertices):
-        raise InputError("path must be an array of [x, y, z] vertices of finite numbers")
     phase = phase_line_integral(field, Path(vertices))
     return render_json({"phase_rad": phase})
 

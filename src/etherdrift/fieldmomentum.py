@@ -29,6 +29,16 @@ nodes converges like e^{-sigma N} (Trefethen & Weideman, SIAM Review 56,
 2014), and N is chosen before summing.  It grows as d - a and Lambda both
 shrink beside a, and is capped.
 
+Where Lambda << d the tail is nearly all of the closed form, and their
+difference cancels.  Where the tail passes half of it, P_y is summed
+directly instead: the z-integrated integrand is d/dx of 2 asinh(Lambda/rho),
+rho the distance from the charge, and folded the same way,
+
+    P_y = (q B / 4 pi c) 4 a int_0^{pi/2} cos t asinh(4 a d Lambda cos t / (rho- rho+ (s+ + s-))) dt,
+
+rho-+ = sqrt(a^2 + d^2 -+ 2 a d cos t).  Its strip half-width is log(d/a),
+so it needs the fewest nodes exactly where the difference cancels.
+
 A geometry carries a grid (n_r, n_phi, n_z): three integers >= 4,
 checked and echoed with each convergence level (n_z halved with Lambda).
 No quadrature reads it.
@@ -107,33 +117,47 @@ class SolenoidChargeGeometry(Checked, _SolenoidChargeFields):
         return DEFAULT_TRUNCATION_FACTOR * max(self.a, self.d)
 
 
+def _edge_terms(geom: SolenoidChargeGeometry, half_length: float):
+    """delta = d/a, gap = (d - a)/a, lam = Lambda/a and root = 2 sqrt(delta),
+    the edge sums' lengths in units of a, or None where they leave the
+    double range: a is then below about 1e-307 of d or Lambda."""
+    delta = geom.d / geom.a
+    gap = (geom.d - geom.a) / geom.a
+    lam = half_length / geom.a
+    root = 2.0 * math.sqrt(delta)
+    # every s-+ is at most hypot(gap, lam, root), and s+ + s- at most twice that
+    if not math.hypot(gap, lam, root) < sys.float_info.max / 2.0:
+        return None
+    return delta, gap, lam, root
+
+
+def _nodes(sigma: float) -> float:
+    """Trapezoid nodes for a strip half-width sigma: at or above 37/sigma + 2,
+    since the aliased harmonic of a folded edge integrand falls like
+    e^{-sigma (N - 2)} against its mean."""
+    return 37.0 / sigma + 2.0
+
+
 def _tail_share(geom: SolenoidChargeGeometry, half_length: float) -> float:
     """The truncation tail as a share of the closed form: tail d/(2 pi a^2).
 
     Lengths are in units of a.  s-+ are formed as hypot((d - a)/a, Lambda/a,
     2 sqrt(d/a) sin or cos(t/2)), sums of squares with no cancellation, and
     sigma through log1p of cosh(sigma) - 1 = ((d - a)^2 + Lambda^2)/(2 a d).
-    N is the multiple of 4 at or above 37/sigma + 2: the aliased harmonic of
-    the folded integrand falls like e^{-sigma (N - 2)} against its mean.
-    The nodes (k + 1/2) 2 pi/N map onto each other under t -> -t and
-    t -> pi - t, so the first N/4 of them carry the sum.
+    N is the multiple of 4 at or above _nodes(sigma).  The nodes
+    (k + 1/2) 2 pi/N map onto each other under t -> -t and t -> pi - t, so
+    the first N/4 of them carry the sum.
     """
-    delta = geom.d / geom.a
-    gap = (geom.d - geom.a) / geom.a
-    lam = half_length / geom.a
-    root = 2.0 * math.sqrt(delta)
-    # every s-+ is at most top, and s+ + s- at most 2 top
-    top = math.hypot(gap, lam, root)
-    if not top < sys.float_info.max / 2.0:
-        # d/a or Lambda/a leaves the double range: a is below about 1e-307
-        # of d or Lambda, and the share is its limit for a -> 0 to rounding,
-        # d^2/(s0 (s0 + Lambda)) with s0 = sqrt(d^2 + Lambda^2)
+    edge = _edge_terms(geom, half_length)
+    if edge is None:
+        # the share's limit for a -> 0, to rounding: d^2/(s0 (s0 + Lambda)),
+        # s0 = sqrt(d^2 + Lambda^2)
         r = half_length / geom.d
         h = math.hypot(1.0, r)
         return 1.0 / (h * (h + r))
+    delta, gap, lam, root = edge
     excess = (gap * (gap / delta) + lam * (lam / delta)) / 2.0  # cosh(sigma) - 1
-    sigma = math.log1p(excess + math.sqrt(excess * (excess + 2.0)))
-    nodes = 37.0 / sigma + 2.0
+    nodes = _nodes(math.log1p(excess + math.sqrt(excess * (excess + 2.0))))
     if not nodes <= _MAX_EDGE_NODES:
         raise DomainError(f"d - a = {geom.d - geom.a} and Lambda = {half_length} are both "
                           f"too small beside the bore radius {geom.a}: the edge sum would "
@@ -150,6 +174,49 @@ def _tail_share(geom: SolenoidChargeGeometry, half_length: float) -> float:
     return 4.0 * delta / n * math.fsum(terms)
 
 
+def _kept_share(geom: SolenoidChargeGeometry, half_length: float) -> float | None:
+    """The truncated momentum as a share of the closed form, summed around
+    the bore's edge directly rather than as 1 - _tail_share.
+
+    The truncated disk integral is 2 a int_0^{2 pi} asinh(Lambda/rho(t)) cos t dt,
+    rho(t) the distance from the charge to the edge.  Folded onto a quarter
+    turn, t with pi - t, the difference of the two asinh is one asinh of
+    4 a d Lambda cos t/(rho- rho+ (s+ + s-)), and every term is positive.
+    The integrand's strip half-width is log(d/a), the nearest zero of rho,
+    so this sum converges fastest where Lambda << d, exactly where 1 - share
+    cancels.  None where N would pass the node cap.
+    """
+    edge = _edge_terms(geom, half_length)
+    if edge is None:  # the limit for a -> 0: Lambda/s0
+        r = half_length / geom.d
+        return r / math.hypot(1.0, r) if r <= 1.0 else 1.0 / math.hypot(1.0, 1.0 / r)
+    delta, gap, lam, root = edge
+    nodes = _nodes(math.log1p(gap))
+    if not nodes <= _MAX_EDGE_NODES:
+        return None
+    n = 4 * math.ceil(nodes / 4.0)
+    terms = []
+    for k in range(n // 4):
+        half_angle = (k + 0.5) * (math.pi / n)
+        cos_t = math.cos(2.0 * half_angle)
+        rho_minus = math.hypot(gap, root * math.sin(half_angle))
+        rho_plus = math.hypot(gap, root * math.cos(half_angle))
+        s_sum = math.hypot(rho_plus, lam) + math.hypot(rho_minus, lam)
+        ratio = 4.0 * cos_t * (delta / rho_plus) * (lam / s_sum) / rho_minus
+        terms.append(cos_t * math.asinh(ratio))
+    return 4.0 * delta / n * math.fsum(terms)
+
+
+def _truncated(geom: SolenoidChargeGeometry, closed: float, half_length: float):
+    """(P_y, truncation share) over |z| <= half_length.
+
+    P_y is closed - closed share, except where the share is above 1/2 and
+    that difference would cancel: there it is closed times _kept_share."""
+    share = _tail_share(geom, half_length)
+    kept = _kept_share(geom, half_length) if share > 0.5 else None
+    return (closed - closed * share if kept is None else closed * kept), share
+
+
 class MomentumResult(NamedTuple):
     P_e: tuple
     estimated_quadrature_error: float
@@ -164,9 +231,8 @@ def integrate_field_momentum(geom: SolenoidChargeGeometry) -> MomentumResult:
     is rounding, at most a few ulps of the closed form.
     """
     closed = analytic_solenoid_momentum(geom)[1]
-    truncation = closed * _tail_share(geom, geom.half_length)
-    p = (0.0, closed - truncation, 0.0)
-    return MomentumResult(p, abs(truncation) + _ROUNDING * abs(closed))
+    p_y, share = _truncated(geom, closed, geom.half_length)
+    return MomentumResult((0.0, p_y, 0.0), abs(closed * share) + _ROUNDING * abs(closed))
 
 
 def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> tuple:
@@ -220,8 +286,8 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     for k in range(levels):
         scale = 2.0 ** (k - (levels - 1))
         half_length = geom.half_length * scale
-        share = _tail_share(geom, half_length)
-        p = (0.0, closed - closed * share, 0.0)
+        p_y, share = _truncated(geom, closed, half_length)
+        p = (0.0, p_y, 0.0)
         rows.append(ConvergenceRow(half_length, (nr, nphi, max(2, round(nz * scale))),
                                    abs(p[1]), share, p))
     return rows

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from etherdrift import cli
 from etherdrift.abphase import (FresnelFlow, Path, SolenoidVectorPotential,
                                 UniformQ, fresnel_momentum, magnetic_ab_phase,
                                 phase_line_integral, scalar_phase)
@@ -32,8 +34,9 @@ def test_fresnel_momentum_frozen():
 
 
 def test_fresnel_momentum_trivial_zeros():
-    assert np.all(fresnel_momentum(OMEGA_633, 1.33, (0.0, 0.0, 0.0)) == 0.0)
-    assert np.all(fresnel_momentum(OMEGA_633, 1.0, (10.0, 0.0, 0.0)) == 0.0)
+    # a tuple compares element-wise, and -0.0 == 0.0
+    assert fresnel_momentum(OMEGA_633, 1.33, (0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
+    assert fresnel_momentum(OMEGA_633, 1.0, (10.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
 
 def test_fresnel_momentum_opposes_flow():
@@ -182,7 +185,7 @@ def test_closed_forms_match_midpoint_oracle(kind):
         clear = [_axis_distance(field, a, b) > 0.1 for a, b in zip(p0, p1)]
         p0, p1 = p0[clear], p1[clear]
     assert len(p0) >= 30
-    closed = field.segment_integrals(p0, p1)
+    closed = [field.segment_integrals(Path([a, b]).vertices)[0] for a, b in zip(p0, p1)]
     for value, a, b in zip(closed, p0, p1):
         assert value == pytest.approx(_midpoint_doubling(field, a, b), rel=1e-9, abs=1e-12)
 
@@ -225,10 +228,34 @@ def test_solenoid_loop_matches_mpmath(distance, winding):
             / (2 * mpmath.pi)
         error = float(abs(mpmath.mpf(got) - reference))
         assert round(float(swept / (2 * mpmath.pi))) == winding
+        # measured over these cases: at most 0.90 ulp, and 2.8e-16 at winding 0
         if winding:
-            assert error <= 1e-14 * float(abs(reference))
+            assert error <= math.ulp(float(reference))
         else:
-            assert error <= 1e-14
+            assert error <= 3e-16
+
+
+def test_seeded_solenoid_loop_golden(capsys):
+    # a 5-vertex loop 1 um from the line, winding +1 (a quadrature benchmark
+    # request).  The phase is coupling x flux; 50-digit mpmath puts it 0.28
+    # ulp from this output, where numpy's arctan2 and a one-double
+    # coupling flux/(2 pi) printed 21.94877694371629, 1.28 ulp off
+    flux = 1.4441121731940937e-14
+    field = json.dumps({"kind": "solenoid", "params": {
+        "flux_wb": flux, "center_m": [0.6167013912947723, -0.3886358371153753,
+                                      -0.09364968385878591]}})
+    path = json.dumps([[-0.08456909473363561, -0.4127214393244455, -0.11028770732838888],
+                       [1.3179719459711854, -0.36455223372782064, 0.1885513343995201],
+                       [1.2698027403745606, 1.0379888069770002, -0.253203321312064],
+                       [-0.1327383003302609, 0.9898196013803748, -0.47312440572317593],
+                       [-0.08456909473363561, -0.4127214393244455, -0.11028770732838888]])
+    assert cli.main(["--profile", "paper", "abphase", "--field", field, "--path", path]) == 0
+    out = capsys.readouterr().out
+    assert out == '{"phase_rad":21.948776943716286}\n'
+    with mpmath.workdps(50):
+        reference = mpmath.mpf(PAPER.charge_over_hbar) * mpmath.mpf(flux)
+        assert abs(mpmath.mpf(json.loads(out)["phase_rad"]) - reference) \
+            <= 0.5 * math.ulp(float(reference))
 
 
 _coordinate = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
@@ -262,9 +289,8 @@ def test_phase_reversal_and_split_properties(kind, vertices, split):
 ])
 def test_phase_beyond_double_range_raises_domain_error(vertices):
     field = UniformQ(q=(1e300, 0.0, 0.0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DomainError, match="double range"):
-            phase_line_integral(field, Path(vertices))
+    with pytest.raises(DomainError, match="double range"):
+        phase_line_integral(field, Path(vertices))
 
 
 def test_scalar_phase_frozen_microvolt_millisecond():
@@ -313,6 +339,20 @@ def test_magnetic_ab_phase_basics():
         2.0 * magnetic_ab_phase(1.0e-7, 10.0), rel=1e-15)
     with pytest.raises(DomainError):
         magnetic_ab_phase(1.0e-7, 0.0)
+
+
+def test_path_holds_float_triples():
+    # JSON ints and numpy arrays of either dtype become float 3-tuples
+    for vertices in ([[0, 0, 0], [1, 2, 3]], np.array([[0, 0, 0], [1, 2, 3]]),
+                     np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])):
+        path = Path(vertices)
+        assert path.vertices == ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
+        assert all(type(x) is float for v in path.vertices for x in v)
+        assert path.reversed().vertices == path.vertices[::-1]
+    for bad in ([[0, 0, 0], [True, 0, 0]], [[0, 0, 0], [10 ** 400, 0, 0]],
+                [[0, 0, 0], [math.inf, 0, 0]], "abc", {"a": 1}, [[0, 0, 0], [1, 2]]):
+        with pytest.raises(InputError, match="path must be an array"):
+            Path(bad)
 
 
 def test_path_validation():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etherdrift import cli
-from etherdrift.abphase import UniformQ, fresnel_momentum
+from etherdrift.abphase import Path, UniformQ, fresnel_momentum
 from etherdrift.errors import DomainError, InputError
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
                                        angle_scan)
@@ -748,18 +748,27 @@ def test_overflowing_result_exit_2():
 @pytest.mark.parametrize("path", ["[[0, 0, 0], [1, 1]]", '[["a", 0, 0], [1, 1, 1]]',
                                   '{"a": 1}', "[[0, 0, 0], [1, 1, null]]"])
 def test_abphase_malformed_path_exit_2(path):
-    # Path converts the vertices to a float array; what it cannot convert
-    # is reported as an input error, not a numpy traceback
+    # Path converts the vertices to float 3-tuples; what it cannot convert
+    # is reported as an input error, not a traceback
     proc = run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1, 2, 3]}}',
                    "--path", path)
     _exit_2_with(proc, "InputError", "path must be an array of [x, y, z] vertices")
 
 
 def test_abphase_overflowing_phase_exit_2():
-    # the segment integral (p1 - p0) . q overflows inside numpy; its warning
-    # must not reach stderr next to the error line
+    # the segment integral (p1 - p0) . q overflows to inf, and nothing but
+    # the error line may reach stderr
     proc = run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1e300, 0, 0]}}',
                    "--path", "[[0, 0, 0], [1e300, 0, 0]]")
+    _exit_2_with(proc, "DomainError", "not a finite number (inf)")
+
+
+def test_abphase_overflowing_solenoid_coupling_exit_2():
+    # coupling x flux/(2 pi) leaves the double range: the segment phases
+    # are inf, and the result is refused, not a traceback
+    field = '{"kind": "solenoid", "params": {"flux_wb": 1e300, "coupling": 1e300}}'
+    proc = run_cli("abphase", "--field", field,
+                   "--path", "[[1,-1,0],[1,1,0],[-1,1,0],[-1,-1,0],[1,-1,0]]")
     _exit_2_with(proc, "DomainError", "not a finite number (inf)")
 
 
@@ -888,6 +897,9 @@ def test_pmomentum_levels_below_bore_radius_exit_2():
     _exit_2_with(proc, "DomainError", "bore radius")
 
 
+#: what abphase.Path says of every malformed vertex list
+_MALFORMED_PATH = "path must be an array of [x, y, z] vertices of finite numbers"
+
 # JSON leaves a path can hold: floats, ints up to +-10^400 (beyond the float
 # range from about 1.8e308), bools, null, strings and the non-finite floats
 # that json.loads reads from NaN and Infinity
@@ -924,7 +936,16 @@ _VERTEX = st.one_of(
                       st.dictionaries(st.text(max_size=2), _JSON_ATOMS, max_size=2)))
 def test_bulk_path_check_matches_per_vertex_check(path):
     # the path as the CLI reads it: through JSON, where a float is a float
-    # and an int an int, so 1.0 and 1 stay apart
+    # and an int an int, so 1.0 and 1 stay apart.  Path's one pass refuses
+    # as malformed exactly the paths with a vertex that is not a "vector";
+    # a well-formed path may still be too short or repeat a vertex
     path = json.loads(json.dumps(path))
     expected = isinstance(path, list) and all(cli._is_kind(v, "vector") for v in path)
-    assert cli._is_path(path) == expected
+    try:
+        vertices = Path(path).vertices
+    except InputError as exc:
+        assert (str(exc) == _MALFORMED_PATH) != expected
+    else:
+        assert expected
+        assert vertices == tuple(tuple(map(float, v)) for v in path)
+        assert all(type(x) is float for v in vertices for x in v)

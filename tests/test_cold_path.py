@@ -1,11 +1,13 @@
-"""The scalar subcommands never load numpy, and no call loads dataclasses.
+"""Only ``fringe`` loads numpy, and no call loads dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
-cold ``speed``, ``proca``, ``bounds`` or ``pmomentum`` call does not spend
-its start-up importing it.  The records are NamedTuples, so importing the
-package does not load ``dataclasses`` or the ``inspect`` it imports.  Each
-case runs in a fresh interpreter, because this test session has these
-modules loaded already."""
+cold call of any other subcommand (the scalar ones, which compute in plain
+floats: ``speed``, ``proca``, ``bounds``, ``pmomentum``, ``abphase`` of
+every field kind) does not spend its start-up importing it, and neither
+does an ``abphase`` whose path is refused.  The records are NamedTuples,
+so importing the package does not load ``dataclasses`` or the
+``inspect`` it imports.  Each case runs in a fresh interpreter, because
+this test session has these modules loaded already."""
 
 import functools
 import json
@@ -28,6 +30,20 @@ SCALAR_COMMANDS = {
     "bounds-text": ["bounds", "--format", "text"],
     "pmomentum": ["pmomentum", "--geometry",
                   '{"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1, "grid": [8, 16, 128]}'],
+    "abphase-uniform_q": ["abphase", "--field",
+                          '{"kind": "uniform_q", "params": {"q": [0.3, -0.2, 0.5]}}',
+                          "--path", "[[0, 0, 0], [2, 0, 0], [2, 1, 1]]"],
+    "abphase-fresnel_flow": ["abphase", "--field",
+                             '{"kind": "fresnel_flow", "params": {"omega_rad_s": 3e15, '
+                             '"n": 1.33, "u_mps": [10, 0, 0]}}',
+                             "--path", "[[0, 0, 0], [1, 0, 0]]"],
+    "abphase-solenoid": ["abphase", "--field",
+                         '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15}}',
+                         "--path", "[[1,-1,0],[1,1,0],[-1,1,0],[-1,-1,0],[1,-1,0]]"],
+    # refused by abphase.Path: exit 2 before any segment is integrated
+    "abphase-repeated-vertex": ["abphase", "--field",
+                                '{"kind": "uniform_q", "params": {"q": [1, 2, 3]}}',
+                                "--path", "[[0, 0, 0], [0, 0, 0], [1, 1, 1]]"],
     "constants-si": ["constants"],
     "constants-gaussian": ["constants", "--system", "gaussian"],
     "version": ["--version"],
@@ -36,10 +52,10 @@ SCALAR_COMMANDS = {
 _RUN = """
 import contextlib, io, json, sys
 from etherdrift import cli
-out = io.StringIO()
-with contextlib.redirect_stdout(out):
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "stdout": out.getvalue(),
+print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                   "loaded": [name for name in ("numpy", "numpy.polynomial", "hashlib",
                                                "dataclasses", "inspect")
                              if name in sys.modules]}))
@@ -60,8 +76,12 @@ def _fresh(script, *args):
 def _scalar_report(name):
     """What a fresh interpreter loads to run one scalar subcommand."""
     report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS[name]))
-    assert report["code"] == 0
-    assert report["stdout"].strip()
+    if name == "abphase-repeated-vertex":
+        assert report["code"] == 2 and report["stdout"] == ""
+        assert "consecutive path vertices must be distinct" in report["stderr"]
+    else:
+        assert report["code"] == 0 and report["stderr"] == ""
+        assert report["stdout"].strip()
     return report
 
 

@@ -195,6 +195,38 @@ def test_levels_match_the_truncated_bore_to_rounding(d, half_length, grid):
     assert rows[-1].grid == grid
 
 
+def _edge_momentum(geom, half_length):
+    """P_y over r <= a, |z| <= half_length to 60 digits, from the edge
+    integral of the truncated momentum itself (not closed form - tail):
+    coeff 2 a int_0^{2 pi} asinh(L/rho(t)) cos t dt, rho(t) the distance
+    from the charge to the edge."""
+    with mpmath.workdps(60):
+        a, d, lam = (mpmath.mpf(x) for x in (geom.a, geom.d, half_length))
+
+        def edge(t):
+            rho = mpmath.sqrt(a * a + d * d - 2 * a * d * mpmath.cos(t))
+            return mpmath.asinh(lam / rho) * mpmath.cos(t)
+
+        coeff = mpmath.mpf(geom.q) * geom.B / (4 * mpmath.pi * c_cgs)
+        return coeff * 2 * a * mpmath.quad(edge, mpmath.linspace(0, 2 * mpmath.pi, 9))
+
+
+@pytest.mark.parametrize("d", [1e3, 1e6])
+def test_levels_far_beyond_lambda_hold_to_rounding(d):
+    # Lambda << d: the tail is nearly all of (q/c) A, and (q/c) A - tail
+    # kept P_e to 3e-14 at d = 1e3 a and 1.9e-11 at d = 1e6 a.  The edge
+    # sum of the truncated momentum is within 3e-16 at both
+    geom = SolenoidChargeGeometry(a=1.0, B=100.0, d=d, q=1.0, truncation_halflength=2.0)
+    rows = convergence_study(geom, 2)
+    assert [row.half_length_cm for row in rows] == [1.0, 2.0]
+    for row in rows:
+        assert row.rel_error > 0.99
+        exact = _edge_momentum(geom, row.half_length_cm)
+        assert abs(row.P_e[1] - exact) <= 1e-15 * abs(exact)
+        single = integrate_field_momentum(geom._replace(truncation_halflength=row.half_length_cm))
+        assert single.P_e == row.P_e
+
+
 @pytest.mark.parametrize("d, top", [(1.0001, 2.0), (1.0001, 100.0), (1.05, 100.0),
                                     (1.2, 100.0), (3.0, 100.0)],
                          ids=["1.0001-a-2a", "1.0001-a-100d", "1.05-a-100d", "1.2-a-100d",
@@ -254,16 +286,24 @@ def test_edge_sum_beyond_the_double_range_takes_the_small_bore_limit(a, d, half_
         s0 = mpmath.sqrt(mpmath.mpf(d) ** 2 + mpmath.mpf(lam) ** 2)
         limit = 0 if math.isinf(lam) else float(mpmath.mpf(d) ** 2 / (s0 * (s0 + lam)))
     assert fieldmomentum._tail_share(geom, lam) == pytest.approx(limit, rel=1e-15, abs=0.0)
+    # the truncated momentum's own share, Lambda/s0 in the limit
+    if not math.isinf(lam):
+        kept = float(lam / s0)
+        assert fieldmomentum._kept_share(geom, lam) == pytest.approx(kept, rel=1e-15, abs=0.0)
     # with a = 1e-300 d, d/a and Lambda/a are in the double range where
-    # Lambda < 1e8 d: there the edge sum reaches the same limit
+    # Lambda < 1e8 d: there the edge sums reach the same limits
     if lam < 1e8 * d:
         inside = geom._replace(a=d * 1e-300)
         assert fieldmomentum._tail_share(inside, lam) == pytest.approx(limit, rel=1e-14)
+        assert fieldmomentum._kept_share(inside, lam) == pytest.approx(kept, rel=1e-14)
 
 
 def test_edge_nodes_stay_few_at_every_cli_level(monkeypatch):
     # N is the multiple of 4 at or above 37/sigma + 2; for Lambda >= a,
-    # sigma is smallest at d = sqrt(2) a, Lambda = a
+    # the tail's sigma is smallest at d = sqrt(2) a, Lambda = a (44 nodes).
+    # The truncated momentum's own sum, with sigma = log(d/a), runs only
+    # where the tail passes half the closed form: from d = 1.888 a at
+    # Lambda = a, so it takes at most 64 nodes
     counts, fsum = [], math.fsum
 
     def counting_fsum(terms):
@@ -274,10 +314,10 @@ def test_edge_nodes_stay_few_at_every_cli_level(monkeypatch):
     convergence_study(REFERENCE, 2)
     assert counts == [8, 8]
     counts.clear()
-    for d in (1.0 + 1e-12, 1.05, math.sqrt(2.0), 2.0, 1e6):
+    for d in (1.0 + 1e-12, 1.05, math.sqrt(2.0), 1.889, 2.0, 1e6):
         integrate_field_momentum(SolenoidChargeGeometry(a=1.0, B=1.0, d=d, q=1.0,
                                                         truncation_halflength=1.0))
-    assert max(counts) == 44
+    assert counts == [44, 44, 44, 44, 64, 44, 56, 8, 8]
 
 
 def test_coarse_grid_reports_the_truncation_share():
