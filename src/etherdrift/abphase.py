@@ -7,11 +7,10 @@ and the vector potential of an idealized flux line (the magnetic AB
 geometry).  Phases are returned unwrapped; reduce mod 2 pi at the detector
 if needed.
 
-Positions are in meters and Q in rad/m throughout; the one Gaussian-form
-helper (magnetic_ab_phase) says so explicitly.  A path is a tuple of float
-3-tuples, and every segment integral is a closed form in plain floats, so
-a phase never loads numpy.  Only the field samplers (``q_at``) and
-``scalar_phase`` compute on arrays, and they import numpy inside the call.
+Positions are in meters and Q in rad/m throughout.  A path is a tuple of
+float 3-tuples, and every segment integral is a closed form in plain
+floats, so a phase never loads numpy.  Only the field samplers (``q_at``)
+compute on arrays, and they import numpy inside the call.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from itertools import chain, pairwise
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InputError, SingularPathError
-from .units import c, c_cgs, e_charge, hbar, hbar_cgs
+from .units import c
 
 if TYPE_CHECKING:  # annotations only
     import numpy as np
@@ -89,6 +88,31 @@ class FresnelFlow(NamedTuple):
 
 #: 2 pi to 128 bits: 2 pi = _TWO_PI_128 / 2**125 within 4e-39
 _TWO_PI_128 = 0xC90FDAA22168C234C4C6628B80DC1CD1
+
+
+#: offsets below this (m) keep every product of the segment loop in range
+_FAR = 2.0 ** 500
+
+
+def _scaled_far(segments):
+    """The solenoid's segments, each one with an offset beyond _FAR scaled
+    by the power of two that puts its largest coordinate in [1, 2).
+
+    Scaling by a power of two is exact, and the swept angle and the
+    nearest-point parameter do not depend on scale.  A scaled segment's
+    larger radius is at least 1, so the flux-line check's floor of 1 m
+    (below 2**-499 in the scaled units) does not act on it either way.
+    Each segment takes its own scale: one scale for the whole path would
+    push the offsets of its segments near the axis below the double
+    range.  A segment with an infinite or NaN offset is left as it is."""
+    for (u0, v0), (u1, v1), r0, r1 in segments:
+        if not max(r0, r1) <= _FAR:
+            big = max(abs(u0), abs(v0), abs(u1), abs(v1))
+            if big < math.inf:
+                shift = 1 - math.frexp(big)[1]
+                u0, v0, u1, v1 = (math.ldexp(x, shift) for x in (u0, v0, u1, v1))
+                r0, r1 = math.sqrt(u0 * u0 + v0 * v0), math.sqrt(u1 * u1 + v1 * v1)
+        yield (u0, v0), (u1, v1), r0, r1
 
 
 class SolenoidVectorPotential(NamedTuple):
@@ -173,12 +197,17 @@ class SolenoidVectorPotential(NamedTuple):
         by coupling flux/(2 pi) carried in two doubles, so a closed loop's
         phase is coupling flux times its winding to within about 1.5 ulp.
         A segment that comes within 1e-12 max(1, |r0|, |r1|) of the flux
-        line raises SingularPathError."""
+        line raises SingularPathError.  A segment more than 2**500 m from
+        the axis is first scaled by a power of two (``_scaled_far``), so its
+        products do not overflow at any finite distance."""
         hi, lo = self._phase_per_radian()
         offsets = self._offsets(vertices)
         radii = [math.sqrt(u * u + v * v) for u, v in offsets]
+        segments = zip(offsets, offsets[1:], radii, radii[1:])
+        if not max(radii, default=0.0) <= _FAR:  # one check per path
+            segments = _scaled_far(segments)
         phases = []
-        for (u0, v0), (u1, v1), r0, r1 in zip(offsets, offsets[1:], radii, radii[1:]):
+        for (u0, v0), (u1, v1), r0, r1 in segments:
             du, dv = u1 - u0, v1 - v0
             length2 = du * du + dv * dv
             # parameter of the point nearest the axis; 0 for a segment along it
@@ -231,9 +260,6 @@ class Path:
             raise InputError("consecutive path vertices must be distinct")
         self.vertices = tuple(rows)
 
-    def reversed(self) -> "Path":
-        return Path(self.vertices[::-1])
-
 
 def phase_line_integral(field, path: Path) -> float:
     """Accumulated phase along the path, math.fsum over segments of int Q . dl.
@@ -249,28 +275,3 @@ def phase_line_integral(field, path: Path) -> float:
     except (OverflowError, ValueError):  # fsum raises where sum() gives inf or nan
         raise DomainError("the phase leaves the double range: its segment "
                           "integrals overflow") from None
-
-
-def scalar_phase(potential_samples, dt: float, charge: float | None = None) -> float:
-    """Scalar AB phase (e/hbar) int V(t) dt from uniform samples of V."""
-    import numpy as np
-
-    samples = np.asarray(potential_samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise InputError("need at least 2 uniformly spaced potential samples")
-    if dt <= 0.0:
-        raise InputError(f"sample spacing must be positive, got {dt}")
-    if charge is None:
-        charge = e_charge
-    integral = float(np.trapezoid(samples, dx=dt))
-    return charge * integral / hbar
-
-
-def magnetic_ab_phase(a_magnitude: float, l_path: float,
-                      charge_esu: float | None = None) -> float:
-    """Magnetic AB phase e A L / (c hbar) in Gaussian units (G cm, cm, esu)."""
-    if l_path <= 0.0:
-        raise DomainError(f"path length must be positive, got {l_path}")
-    if charge_esu is None:
-        charge_esu = e_charge * c_cgs / 10.0
-    return charge_esu * a_magnitude * l_path / (c_cgs * hbar_cgs)

@@ -44,9 +44,7 @@ def fresnel_drag_coefficient(n: float) -> float:
 
 def fresnel_speed(n: float, u: float) -> float:
     """Fully dragged speed c/n + (1 - 1/n^2) u in the preferred frame."""
-    _check_index(n)
-    _check_speed(u)
-    return c / n + fresnel_drag_coefficient(n) * u
+    return effective_fresnel_speed(n, u, 1.0)
 
 
 def effective_fresnel_speed(n: float, u: float, e_f: float) -> float:

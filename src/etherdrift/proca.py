@@ -27,16 +27,7 @@ from typing import NamedTuple
 from ._record import Checked
 from .errors import DomainError, InputError
 from .interferometer import MAX_SCAN_STEPS
-from .units import PhysicalConstants, hbar, inverse_length_to_mass
-
-
-def yukawa_potential(r: float, m_gamma: float) -> float:
-    """Screened point-source potential e^{-m_gamma r}/r (Gaussian, unit charge)."""
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r}")
-    if m_gamma < 0.0:
-        raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
-    return math.exp(-m_gamma * r) / r
+from .units import PhysicalConstants, inverse_length_to_mass
 
 
 def _scaled_I0(x: float) -> float:
@@ -166,19 +157,17 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
 
 
 def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,
-                          constants: PhysicalConstants,
-                          charge: float | None = None) -> float:
+                          constants: PhysicalConstants) -> float:
     """Extra scalar phase -(e m_gamma^2/4)(rho^2 - R^2) V tau / hbar.
 
-    Positive for a beam inside the cylinder; vanishes with m_gamma.  With
-    ``charge`` unset the coupling goes through charge_over_hbar = pi/Phi_0,
-    which is what makes this the exact algebraic partner of invert_bound.
+    Positive for a beam inside the cylinder; vanishes with m_gamma.  The
+    coupling e/hbar is the profile's charge_over_hbar = pi/Phi_0, which is
+    what makes this the exact algebraic partner of invert_bound.
     """
     if m_gamma < 0.0:
         raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
-    kappa = constants.charge_over_hbar if charge is None else charge / hbar
     m2 = m_gamma * m_gamma
-    return -(kappa * m2 / 4.0) * (cfg.rho * cfg.rho - cfg.R * cfg.R) * cfg.V * cfg.tau
+    return -(constants.charge_over_hbar * m2 / 4.0) * (cfg.rho * cfg.rho - cfg.R * cfg.R) * cfg.V * cfg.tau
 
 
 def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> float:

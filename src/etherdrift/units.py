@@ -7,8 +7,8 @@ only reproducible digit for digit if the same rounded inputs are used.  The
 ``paper`` constants profile therefore keeps the rounded flux quantum
 2.067e-15 Wb, while ``modern`` uses h/2e from the exact SI defining values.
 ``PhysicalConstants.table`` lists a profile's five constants in SI or
-Gaussian units, and the photon mass converts between a Yukawa range in cm
-and grams.
+Gaussian units, and a Yukawa range in cm converts to a photon mass in
+grams.
 """
 
 from __future__ import annotations
@@ -117,10 +117,3 @@ def inverse_length_to_mass(range_cm: float) -> float:
     if range_cm <= 0.0:
         raise DomainError(f"Yukawa range must be positive, got {range_cm}")
     return hbar_cgs / (c_cgs * range_cm)
-
-
-def mass_to_inverse_length(mass_g: float) -> float:
-    """Yukawa range in cm equivalent to a photon mass in grams."""
-    if mass_g <= 0.0:
-        raise DomainError(f"photon mass must be positive, got {mass_g}")
-    return hbar_cgs / (c_cgs * mass_g)

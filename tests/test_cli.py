@@ -772,6 +772,24 @@ def test_abphase_overflowing_solenoid_coupling_exit_2():
     _exit_2_with(proc, "DomainError", "not a finite number (inf)")
 
 
+#: the unit square loop of the README's abphase example
+README_LOOP = [[1, -1, 0], [1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]
+
+
+@pytest.mark.parametrize("params, path, stdout", [
+    # the README loop scaled to 1e200 m: its offsets' products overflow
+    ({"flux_wb": 2.067e-15}, [[x * 1e200 for x in v] for v in README_LOOP],
+     '{"phase_rad":3.1415926535897931}\n'),
+    # the README loop with the line 1e300 m away: the radii's squares overflow
+    ({"flux_wb": 2.067e-15, "center_m": [1e300, 0, 0]}, README_LOOP,
+     '{"phase_rad":0}\n'),
+], ids=["loop-scaled-to-1e200-m", "line-1e300-m-away"])
+def test_abphase_solenoid_far_from_unit_scale(params, path, stdout, capsys):
+    field = json.dumps({"kind": "solenoid", "params": params})
+    code = cli.main(["abphase", "--field", field, "--path", json.dumps(path)])
+    assert (code, *capsys.readouterr()) == (0, stdout, "")
+
+
 @pytest.mark.parametrize("path", ["[[0, 0, 0], [1e300, 0, 0], [-1e300, 0, 0]]",
                                   "[[0, 0, 0], [1e8, 0, 0], [2e8, 0, 0]]"])
 def test_abphase_phase_sum_overflow_exit_2(path):

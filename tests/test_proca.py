@@ -10,30 +10,10 @@ from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _scaled_I0,
                               cylinder_potential_exact,
                               cylinder_potential_expansion, invert_bound,
                               mass_phase_correction, potential_profile,
-                              projected_bound, time_of_flight,
-                              yukawa_potential)
+                              projected_bound, time_of_flight)
 from etherdrift.units import MODERN, PAPER, inverse_length_to_mass
 
 REFERENCE = ProcaCylinderConfig(R=0.27, V=1e7, tau=0.05, epsilon=1e-4)
-
-
-def test_yukawa_reduces_to_coulomb():
-    assert yukawa_potential(2.0, 0.0) == 0.5
-    assert yukawa_potential(0.25, 0.0) == 4.0
-
-
-def test_yukawa_frozen_and_screening():
-    # e^{-1}/2 at r = 2, m = 0.5
-    assert yukawa_potential(2.0, 0.5) == pytest.approx(0.18393972058572116, rel=1e-15)
-    assert yukawa_potential(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert yukawa_potential(2.0, 0.5) < yukawa_potential(2.0, 0.0)
-
-
-def test_yukawa_domain():
-    with pytest.raises(DomainError):
-        yukawa_potential(0.0, 1.0)
-    with pytest.raises(DomainError):
-        yukawa_potential(1.0, -0.1)
 
 
 def test_bessel_I0_frozen_values():
