@@ -24,8 +24,8 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (SCAN_COLUMNS, InterferometerConfig, angle_scan,
-                             improvement_factor, min_detectable_u)
+from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _check_steps,
+                             _scan_rows, angle_scan, improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
@@ -478,12 +478,12 @@ def _run_speed(ns, constants):
 
 
 def _run_fringe(ns, constants):
-    # the scan is the one numpy kernel, imported here so that no other
-    # subcommand loads it.  Its warnings are off: rendering refuses a
+    # a scan of up to one block is computed in plain floats, so that a cold
+    # call does not import numpy; a larger scan is angle_scan's numpy table,
+    # the one numpy kernel, with its warnings off: rendering refuses a
     # non-finite cell, so an overflow is reported once, as the one stderr
-    # JSON line
-    import numpy as np
-
+    # JSON line.  steps is checked before either, so a refused scan loads
+    # no numpy
     values = {}
     if ns.config is not None:
         payload = _load_json_file(ns.config)
@@ -494,8 +494,19 @@ def _run_fringe(ns, constants):
     values.update({key: flags[key] for key in _FRINGE_SCHEMA if flags[key] is not None})
     kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
     steps = kwargs.pop("steps", 32)
+    config = InterferometerConfig(**kwargs)
+    _check_steps(steps)
+    if steps <= _SCAN_BLOCK:
+        try:
+            rows = _scan_rows(config, steps)
+        except ZeroDivisionError:
+            pass  # a lab speed rounds to 0: angle_scan's inf there is refused below
+        else:
+            return render_csv(SCAN_COLUMNS, rows)
+    import numpy as np
+
     with np.errstate(all="ignore"):
-        return render_csv(SCAN_COLUMNS, angle_scan(InterferometerConfig(**kwargs), steps))
+        return render_csv(SCAN_COLUMNS, angle_scan(config, steps))
 
 
 def _run_sensitivity(ns, constants):

@@ -17,9 +17,12 @@ law, because their inverse one-way speeds differ by the arm-independent
 synchronization term u/c^2.
 
 Every orientation-dependent quantity (arm speed, exact and first-order
-delay, the columns of a scan table) comes from one numpy expression over
-an array of orientation cosines; numpy is imported only there.  A scan
-is one float table, a row per angle, with the columns SCAN_COLUMNS.  It
+delay, the columns of a scan table) comes from one expression, _delays,
+over an array of orientation cosines or over one float cosine: the same
+operations, so the same doubles.  numpy is imported only for the arrays,
+which a scan of more than _SCAN_BLOCK rows uses; a smaller one is
+computed in plain floats (_scan_rows).  A scan is one float table, a row
+per angle, with the columns SCAN_COLUMNS.  It
 folds its angles by the integer step index, so rows half a turn apart
 have exactly negated cosines, and a first-quadrant row equals delay_exact
 at its angle bit for bit.  A scan holds at most MAX_SCAN_STEPS rows, and
@@ -31,6 +34,7 @@ as (n1 - n2)(n1 + n2), which does not cancel for near-vacuum indices.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from ._record import Checked
@@ -44,7 +48,8 @@ SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
 #: largest angle_scan; each row holds four floats
 MAX_SCAN_STEPS = 10 ** 7
 
-#: rows per _delays call in angle_scan, so that no temporary nears the table's size
+#: rows per _delays call in angle_scan, so that no temporary nears the table's
+#: size; the CLI computes a scan of at most this many rows with _scan_rows
 _SCAN_BLOCK = 4096
 
 
@@ -147,10 +152,11 @@ def _lab_speed(config: InterferometerConfig, n: float, u_eff):
 
 
 def _delays(config: InterferometerConfig, cos):
-    """Exact and first-order delays at each orientation cosine, as arrays.
+    """Exact and first-order delays at each orientation cosine, as arrays,
+    or as floats for one float cosine.
 
-    The one numerical path of every delay: delay_exact, delay_first_order
-    and angle_scan read their values from here.
+    The one numerical path of every delay: delay_exact, delay_first_order,
+    angle_scan and _scan_rows read their values from here.
     """
     n1 = config.n1
     n2 = config.n2
@@ -253,6 +259,38 @@ def improvement_factor(u: float, n1: float, n2: float) -> float:
     return (c / u) * ((n1 - n2) * (n1 + n2))
 
 
+def _check_steps(steps: int) -> None:
+    """Refuse a scan of fewer than 2 or more than MAX_SCAN_STEPS angles."""
+    if steps < 2:
+        raise InputError(f"angle scan needs at least 2 steps, got {steps}")
+    if steps > MAX_SCAN_STEPS:
+        raise InputError(f"angle scan takes at most {MAX_SCAN_STEPS} steps, got {steps}")
+
+
+def _scan_rows(config: InterferometerConfig, steps: int) -> list:
+    """angle_scan's rows in plain floats, one (theta, exact, first, fringes)
+    tuple each, for a step count that _check_steps accepts.
+
+    Each angle is folded on j = 4k as in _scan_cos, with math.cos in place
+    of np.cos, and both delays come from _delays on the float cosine, so a
+    row holds angle_scan's doubles wherever the two cosines agree.  No numpy
+    is imported: for a scan of a few rows its import costs more than the
+    scan.  A lab speed that rounds to 0 at some angle, where angle_scan
+    holds inf, raises ZeroDivisionError here.
+    """
+    lambda_vac = config.lambda_vac
+    rows = []
+    for k in range(steps):
+        j = 4 * k
+        r = j % (2 * steps)
+        cos = math.cos(math.radians(90.0 * min(r, 2 * steps - r) / steps))
+        if steps < j <= 3 * steps:
+            cos = -cos
+        exact, first = _delays(config, cos)
+        rows.append((360.0 * k / steps, exact, first, fringe_shift(exact, lambda_vac)))
+    return rows
+
+
 def angle_scan(config: InterferometerConfig, steps: int):
     """Uniform orientation scan over [0, 360) degrees, theta_k = 360 k/steps.
 
@@ -264,10 +302,7 @@ def angle_scan(config: InterferometerConfig, steps: int):
     _SCAN_BLOCK cosines, elementwise the same values as one call on all of
     them, so the table is the only array of its size.
     """
-    if steps < 2:
-        raise InputError(f"angle scan needs at least 2 steps, got {steps}")
-    if steps > MAX_SCAN_STEPS:
-        raise InputError(f"angle scan takes at most {MAX_SCAN_STEPS} steps, got {steps}")
+    _check_steps(steps)
     import numpy as np
 
     cos = _scan_cos(steps)

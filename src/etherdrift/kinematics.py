@@ -72,11 +72,14 @@ def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw) -> float:
 def _compose(v_rest, u, law: CompositionLaw):
     """compose_lab_speed without the check on u, for callers that bound |u|
     themselves.  Only arithmetic operators, so v_rest and u may be numpy
-    arrays as well as floats."""
+    arrays as well as floats, with the same doubles: (u/c)^2 is a product,
+    since a float's ** 2 calls pow, which is not always correctly rounded,
+    while numpy squares."""
     if law is CompositionLaw.EINSTEIN:
         return (v_rest - u) / (1.0 - u * v_rest / (c * c))
     if law is CompositionLaw.TANGHERLINI:
-        return (v_rest - u) / (1.0 - (u / c) ** 2)
+        beta = u / c
+        return (v_rest - u) / (1.0 - beta * beta)
     raise DomainError(f"unknown composition law {law!r}")
 
 

@@ -39,7 +39,9 @@ def test_tracer_targets_resolve_after_importing_the_cli():
 
 
 # numpy loads during the first array request, after the tracer is installed;
-# the wrappers must still see the calls into the kernels that import it
+# the wrappers must still see the calls into the kernels that import it.  A
+# fringe scan of up to 4096 rows runs in plain floats, without angle_scan,
+# so the scan here is larger
 _TRACE = """
 import contextlib, importlib.util, io, json, sys
 spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
@@ -51,7 +53,7 @@ recorder.install()
 numpy_at_install = "numpy" in sys.modules
 requests = [
     ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
-     "--lambda-nm", "633", "--steps", "8"],
+     "--lambda-nm", "633", "--steps", "5000"],
     ["abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}}',
      "--path", "[[0, 0, 0], [1, 0, 0], [1, 1, 0]]"],
     ["pmomentum", "--geometry",

@@ -212,10 +212,12 @@ def _naive_csv(header, table):
                       ""])
 
 
-# (L_m, n1, n2, e_f, u_mps): the golden device, and n1 = 1.5 at u = +-c/2,
-# where one ulp of u_eff shows in the delays
+# (L_m, n1, n2, e_f, u_mps): the golden device, n1 = 1.5 at u = +-c/2,
+# where one ulp of u_eff shows in the delays, and a near-vacuum pair at
+# u = +-2e8, where pow's (u/c)**2 is an ulp off x*x in some rows
 _SCAN_DEVICES = [(2.5, 1.00029, 1.33, 0.25, -3.7e4), (2.5, 1.00029, 1.33, 0.25, 1e3),
-                 (2.5, 1.5, 1.0, 0.0, 1.5e8), (2.5, 1.5, 1.0, 0.0, -1.5e8)]
+                 (2.5, 1.5, 1.0, 0.0, 1.5e8), (2.5, 1.5, 1.0, 0.0, -1.5e8),
+                 (2.5, 1.0006, 1.0001, 0.0, 2e8), (2.5, 1.0006, 1.0001, 0.0, -2e8)]
 
 
 @pytest.mark.parametrize("law", sorted(FRINGE_GOLDEN))
@@ -225,7 +227,7 @@ def test_fringe_stdout_is_the_table_cell_by_cell(law, device, capsys):
     # the text must be what formatting every cell gives
     L, n1, n2, e_f, u = device
     cfg = InterferometerConfig(L, n1, n2, u, 589e-9, CompositionLaw(law), e_f)
-    for steps in (2, 3, 4, 5, 7, 8, 12, 360, 1001, 4096):
+    for steps in (2, 3, 4, 5, 7, 8, 12, 360, 1001, 4096, 4097):
         code = cli.main(["fringe", "--L-m", repr(L), "--n1", repr(n1), "--n2", repr(n2),
                          "--ef", repr(e_f), f"--u-mps={u!r}", "--lambda-nm", "589",
                          "--composition", law, "--steps", str(steps)])
@@ -739,10 +741,30 @@ def test_overflowing_result_exit_2():
     geometry = '{"a_cm":1,"B_gauss":1e300,"d_cm":3,"q_esu":1e300,"grid":[4,4,4]}'
     proc = run_cli("pmomentum", "--geometry", geometry)
     _exit_2_with(proc, "DomainError", "not a finite number")
-    # finite delays whose fringe count c dt / lambda overflows
-    proc = run_cli("fringe", "--L-m", "1e300", "--n1", "1.0006", "--n2", "1.0001",
-                   "--u-mps", "1e3", "--lambda-nm", "1e-300")
-    _exit_2_with(proc, "DomainError", "not a finite number (inf)")
+    # finite delays whose fringe count c dt / lambda overflows, on both
+    # sides of the cut between the plain-float scan and angle_scan's table
+    lines = []
+    for steps in ("32", "5000"):
+        proc = run_cli("fringe", "--L-m", "1e300", "--n1", "1.0006", "--n2", "1.0001",
+                       "--u-mps", "1e3", "--lambda-nm", "1e-300", "--steps", steps)
+        _exit_2_with(proc, "DomainError", "not a finite number (inf)")
+        lines.append(proc.stderr)
+    assert lines[0] == lines[1]
+
+
+def test_fringe_lab_speed_rounding_to_zero_exit_2():
+    # n1 = c 2^30 puts c/n1 at half an ulp of u_eff in [2^23, 2^24): the lab
+    # speed rounds to 0 at the angles where u_eff has an even last bit, but
+    # not at 0 and 180 degrees, so the config is accepted.  The plain-float
+    # scan divides by that 0; both scans must end in angle_scan's error
+    lines = []
+    for steps in ("8", "5000"):
+        proc = run_cli("fringe", "--L-m", "1", "--n1", repr(299792458.0 * 2.0 ** 30),
+                       "--n2", "1", "--ef", "1", "--u-mps", repr(2.0 ** 24 - 2.0 ** -29),
+                       "--lambda-nm", "589", "--steps", steps)
+        _exit_2_with(proc, "DomainError", "not a finite number")
+        lines.append(proc.stderr)
+    assert lines[0] == lines[1]
 
 
 @pytest.mark.parametrize("path", ["[[0, 0, 0], [1, 1]]", '[["a", 0, 0], [1, 1, 1]]',

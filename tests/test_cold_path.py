@@ -1,13 +1,16 @@
-"""Only ``fringe`` loads numpy, and no call loads dataclasses.
+"""Only a ``fringe`` scan of more than 4096 rows loads numpy, and no call
+loads dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
 cold call of any other subcommand (the scalar ones, which compute in plain
 floats: ``speed``, ``proca``, ``bounds``, ``pmomentum``, ``abphase`` of
 every field kind) does not spend its start-up importing it, and neither
-does an ``abphase`` whose path is refused.  The records are NamedTuples,
-so importing the package does not load ``dataclasses`` or the
-``inspect`` it imports.  Each case runs in a fresh interpreter, because
-this test session has these modules loaded already."""
+does a ``fringe`` scan of up to one block of 4096 rows, which is computed
+in plain floats too, nor a request refused before its computation (an
+``abphase`` path with a repeated vertex, a ``fringe`` of one step).  The
+records are NamedTuples, so importing the package does not load
+``dataclasses`` or the ``inspect`` it imports.  Each case runs in a fresh
+interpreter, because this test session has these modules loaded already."""
 
 import functools
 import json
@@ -15,6 +18,9 @@ import subprocess
 import sys
 
 import pytest
+
+FRINGE = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
+          "--lambda-nm", "633"]
 
 SCALAR_COMMANDS = {
     "speed": ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "3e4"],
@@ -44,10 +50,20 @@ SCALAR_COMMANDS = {
     "abphase-repeated-vertex": ["abphase", "--field",
                                 '{"kind": "uniform_q", "params": {"q": [1, 2, 3]}}',
                                 "--path", "[[0, 0, 0], [0, 0, 0], [1, 1, 1]]"],
+    # scans of up to one block (4096 rows), the default one of 32 steps among them
+    "fringe-2": [*FRINGE, "--steps", "2"],
+    "fringe-default": FRINGE,
+    "fringe-4096": [*FRINGE, "--steps", "4096"],
+    # refused before either scan is chosen
+    "fringe-one-step": [*FRINGE, "--steps", "1"],
     "constants-si": ["constants"],
     "constants-gaussian": ["constants", "--system", "gaussian"],
     "version": ["--version"],
 }
+
+#: the requests above that exit 2, and a fragment of their error message
+REFUSED = {"abphase-repeated-vertex": "consecutive path vertices must be distinct",
+           "fringe-one-step": "angle scan needs at least 2 steps, got 1"}
 
 _RUN = """
 import contextlib, io, json, sys
@@ -76,9 +92,9 @@ def _fresh(script, *args):
 def _scalar_report(name):
     """What a fresh interpreter loads to run one scalar subcommand."""
     report = _fresh(_RUN, json.dumps(SCALAR_COMMANDS[name]))
-    if name == "abphase-repeated-vertex":
+    if name in REFUSED:
         assert report["code"] == 2 and report["stdout"] == ""
-        assert "consecutive path vertices must be distinct" in report["stderr"]
+        assert REFUSED[name] in report["stderr"]
     else:
         assert report["code"] == 0 and report["stderr"] == ""
         assert report["stdout"].strip()
@@ -110,11 +126,21 @@ def test_scalar_subcommand_does_not_load_dataclasses(name):
     assert not set(SKIPPED) & set(_scalar_report(name)["loaded"])
 
 
+def test_fringe_from_a_config_file_does_not_load_numpy(tmp_path):
+    config = tmp_path / "fringe.json"
+    config.write_text(json.dumps({"L_m": 1, "n1": 1.0006, "n2": 1.0001, "u_mps": 1e3,
+                                  "lambda_nm": 633, "composition": "tangherlini",
+                                  "steps": 64}))
+    report = _fresh(_RUN, json.dumps(["fringe", "--config", str(config)]))
+    assert (report["code"], report["stderr"]) == (0, "")
+    assert len(report["stdout"].splitlines()) == 1 + 64
+    assert not {"numpy", *SKIPPED} & set(report["loaded"])
+
+
 def test_array_subcommand_loads_numpy():
-    # the check above can see numpy: a fringe scan does load it
-    report = _fresh(_RUN, json.dumps(["fringe", "--L-m", "1", "--n1", "1.0006",
-                                      "--n2", "1.0001", "--u-mps", "1e3",
-                                      "--lambda-nm", "633", "--steps", "4"]))
+    # the check above can see numpy: a fringe scan of more than one block
+    # does load it
+    report = _fresh(_RUN, json.dumps([*FRINGE, "--steps", "4097"]))
     assert report["code"] == 0
     assert "numpy" in report["loaded"]
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       _cos_deg, _scan_cos, angle_scan, arm_speed,
-                                       delay_exact, delay_first_order, fringe_shift,
+                                       _cos_deg, _scan_cos, _scan_rows, angle_scan,
+                                       arm_speed, delay_exact, delay_first_order, fringe_shift,
                                        improvement_factor, min_detectable_u,
                                        rotation_signal)
 from etherdrift.kinematics import CompositionLaw
@@ -307,6 +307,8 @@ def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
         assert exact == delay_exact(at, folded)
         assert first == delay_first_order(at, folded)
         assert fringes == fringe_shift(exact, cfg.lambda_vac)
+    # the CLI's plain-float scan holds the same doubles, signs of zero too
+    assert (np.array(_scan_rows(cfg, steps)).view("i8") == table.view("i8")).all()
     # u_eff negates exactly across a half turn: the rotated row is the row
     # of the reversed drift
     if steps % 2 == 0:
