@@ -1,0 +1,55 @@
+"""Replay the stdout corpus: each request of cli_corpus.json goes through
+``cli.main`` in this process and must give the recorded exit code, stdout
+and stderr byte for byte.
+
+make_cli_corpus.py (in this directory) writes the file.  A change that
+rewrites it says which requests changed, by how many lines, and why."""
+
+import json
+import pathlib
+from itertools import zip_longest
+
+import pytest
+
+from test_warm_cli import TERMINAL, _warm
+
+CORPUS = pathlib.Path(__file__).with_name("cli_corpus.json")
+
+#: the streams of an entry, each a list of lines as str.split("\n") gives them
+STREAMS = ("stdout", "stderr")
+
+
+def record(argv) -> dict:
+    """The corpus entry of one in-process request."""
+    code, out, err = _warm(argv)
+    return {"argv": list(argv), "exit": code,
+            **{name: text.decode().split("\n") for name, text in zip(STREAMS, (out, err))}}
+
+
+def _first_difference(expected: dict, got: dict) -> str:
+    if got["exit"] != expected["exit"]:
+        return f"exit {got['exit']}, recorded {expected['exit']}"
+    for name in STREAMS:
+        want, have = expected[name], got[name]
+        for line, (a, b) in enumerate(zip_longest(want, have)):
+            if a != b:
+                return f"{name} line {line + 1}: got {b!r}, recorded {a!r}"
+    return ""
+
+
+@pytest.fixture
+def cli_environment(monkeypatch):
+    """The environment the corpus was recorded in: the default profile and
+    an 80-column terminal for argparse's help text."""
+    monkeypatch.delenv("ETHERDRIFT_PROFILE", raising=False)
+    for key, value in TERMINAL.items():
+        monkeypatch.setenv(key, value)
+
+
+def test_corpus_replays_byte_for_byte(cli_environment):
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert {entry["exit"] for entry in entries} == {0, 1, 2}
+    for index, expected in enumerate(entries):
+        difference = _first_difference(expected, record(expected["argv"]))
+        if difference:
+            pytest.fail(f"request {index} {expected['argv']}: {difference}", pytrace=False)
