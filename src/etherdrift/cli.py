@@ -497,12 +497,7 @@ def _run_fringe(ns, constants):
     config = InterferometerConfig(**kwargs)
     _check_steps(steps)
     if steps <= _SCAN_BLOCK:
-        try:
-            rows = _scan_rows(config, steps)
-        except ZeroDivisionError:
-            pass  # a lab speed rounds to 0: angle_scan's inf there is refused below
-        else:
-            return render_csv(SCAN_COLUMNS, rows)
+        return render_csv(SCAN_COLUMNS, _scan_rows(config, steps))
     import numpy as np
 
     with np.errstate(all="ignore"):

@@ -12,24 +12,25 @@ Delays are one-way A to B, no mirror round trip.  The first-order delay
 
 carries the (1 - e_f) factor from composing the partially dragged medium
 speed; at e_f = 0 it reduces to the plain printed form, at e_f = 1 the
-drift signal cancels.  The same expression results from either composition
-law, because their inverse one-way speeds differ by the arm-independent
-synchronization term u/c^2.
+drift signal cancels.  The exact delay L [(n1 - n2)/c + delta1 - delta2],
+delta being the drift part of an arm's inverse speed (_drift), holds under
+either composition law: their inverse one-way speeds differ by the
+arm-independent synchronization term u/c^2.
 
-Every orientation-dependent quantity (arm speed, exact and first-order
-delay, the columns of a scan table) comes from one expression, _delays,
-over an array of orientation cosines or over one float cosine: the same
-operations, so the same doubles.  numpy is imported only for the arrays,
-which a scan of more than _SCAN_BLOCK rows uses; a smaller one is
-computed in plain floats (_scan_rows).  A scan is one float table, a row
-per angle, with the columns SCAN_COLUMNS.  It
-folds its angles by the integer step index, so rows half a turn apart
-have exactly negated cosines, and a first-quadrant row equals delay_exact
-at its angle bit for bit.  A scan holds at most MAX_SCAN_STEPS rows, and
-a configuration whose drift reaches the light speed of an arm is refused.
-The rotation signal is formed from the drift parts of the inverse speeds,
-not as the difference of two nearly equal delays, and every n1^2 - n2^2
-as (n1 - n2)(n1 + n2), which does not cancel for near-vacuum indices.
+Both delays at every orientation (the columns of a scan table) come from
+one expression, _delays, over an array of orientation cosines or over one
+float cosine: the same operations, so the same doubles.  numpy is imported
+only for the arrays, which a scan of more than _SCAN_BLOCK rows uses; a
+smaller one is computed in plain floats (_scan_rows).  A scan is one float
+table, a row per angle, with the columns SCAN_COLUMNS.  It folds its angles
+by the integer step index, so rows half a turn apart have exactly negated
+cosines, and a first-quadrant row equals delay_exact at its angle bit for
+bit.  A scan holds at most MAX_SCAN_STEPS rows, and a configuration whose
+drift reaches the light speed of an arm is refused, so no delay divides
+by zero.  The rotation signal is formed from the drift parts of the
+inverse speeds, not as the difference of two nearly equal delays, and
+every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does not cancel for
+near-vacuum indices.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 from ._record import Checked
 from .errors import DegenerateConfigError, DomainError, InputError
-from .kinematics import CompositionLaw, _compose
+from .kinematics import CompositionLaw, compose_lab_speed
 from .units import c
 
 #: the columns of an angle_scan table, in order
@@ -53,22 +54,19 @@ MAX_SCAN_STEPS = 10 ** 7
 _SCAN_BLOCK = 4096
 
 
-def _cos_deg(theta_deg):
-    """Cosines of a sequence of angles in degrees, as a numpy array.
+def _cos_deg(theta_deg: float) -> float:
+    """Cosine of an angle in degrees.
 
-    Each angle is folded into [0, 90] before calling cos, so 0 and 180 give
+    The angle is folded into [0, 90] before calling cos, so 0 and 180 give
     exactly +1 and -1, and a pair (theta, theta + 180) gives exact negations
-    wherever theta + 180 - 180 == theta in floating point.  angle_scan
-    folds its integer step index instead (_scan_cos), which makes every
+    wherever theta + 180 - 180 == theta in floating point.  A scan folds its
+    integer step index instead (_scan_cos, _scan_rows), which makes every
     half-turn pair of a scan exact.
     """
-    import numpy as np  # only the orientation-dependent quantities need numpy
-
-    t = np.asarray(theta_deg, dtype=float) % 360.0
-    folded = np.select([t <= 90.0, t <= 180.0, t <= 270.0],
-                       [t, 180.0 - t, t - 180.0], 360.0 - t)
-    cos = np.cos(np.radians(folded))
-    return np.where((90.0 < t) & (t <= 270.0), -cos, cos)
+    t = theta_deg % 360.0
+    h = t - 180.0 if t > 180.0 else t  # exact; 180 - h is then 360 - t
+    cos = math.cos(math.radians(h if h <= 90.0 else 180.0 - h))
+    return -cos if 90.0 < t <= 270.0 else cos
 
 
 def _scan_cos(steps: int):
@@ -126,29 +124,35 @@ class InterferometerConfig(Checked, _InterferometerFields):
             raise DomainError(f"e_f must lie in [0, 1], got {self.e_f}")
         if not isinstance(self.composition, CompositionLaw):
             raise InputError(f"composition must be a CompositionLaw, got {self.composition!r}")
-        # A lab speed's numerator is linear in u_eff and its denominator
-        # concave, and the two cannot both be negative for |u| < c; a speed
-        # positive at 0 and 180 degrees is therefore positive at every angle.
+        # delta's denominator c/n - (1 - k) u_eff is monotone in u_eff, rounded
+        # too, and |u cos| <= |u|: positive at 0 and 180 degrees, it is positive
+        # at every angle.  Einstein's 1 - u_eff v_rest/c^2 is concave in u_eff.
         for arm, n in ((1, self.n1), (2, self.n2)):
+            k = _drag(n, self.e_f)[1]
             for u_eff in (self.u, -self.u):
-                try:
-                    positive = _lab_speed(self, n, u_eff) > 0.0
-                except ZeroDivisionError:
-                    positive = False
-                if not positive:
+                if not (c / n - (1.0 - k) * u_eff > 0.0
+                        and (self.composition is CompositionLaw.TANGHERLINI
+                             or u_eff * (c / n + k * u_eff) < c * c)):
                     raise DomainError(f"drift speed u = {self.u} m/s reaches the light "
                                       f"speed in arm {arm} (n{arm} = {n}): its lab speed "
                                       "must stay positive at every orientation")
 
 
-def _lab_speed(config: InterferometerConfig, n: float, u_eff):
-    """One-way lab speed in a medium of index n at projected drift u_eff.
+def _drag(n: float, e_f: float) -> tuple:
+    """(n^2 - 1, k) of a medium: k = e_f (n^2 - 1)/n^2 is the share of the
+    drift the medium carries, its rest-frame speed being c/n + k u_eff.
+    n^2 - 1 is formed as (n - 1)(n + 1), exact to rounding for n near 1."""
+    n2m1 = (n - 1.0) * (n + 1.0)
+    return n2m1, e_f * n2m1 / (n * n)
 
-    The medium rest-frame speed c/n + e_f (1 - 1/n^2) u_eff is composed
-    with the configured law.  u_eff is a float or a numpy array.
-    """
-    v_rest = c / n + config.e_f * (1.0 - 1.0 / (n * n)) * u_eff
-    return _compose(v_rest, u_eff, config.composition)
+
+def _drift(n: float, e_f: float, u_eff):
+    """delta = 1/w - n/c = (u/c)[(n^2 - 1)(1 - e_f)/n - k u/c] / (c/n - (1 - k) u)
+    at u = u_eff (a float or a numpy array), w the Einstein-law lab speed;
+    Tangherlini's 1/w is u/c^2 larger in every arm."""
+    n2m1, k = _drag(n, e_f)
+    beta = u_eff / c
+    return beta * (n2m1 * (1.0 - e_f) / n - k * beta) / (c / n - (1.0 - k) * u_eff)
 
 
 def _delays(config: InterferometerConfig, cos):
@@ -156,14 +160,15 @@ def _delays(config: InterferometerConfig, cos):
     or as floats for one float cosine.
 
     The one numerical path of every delay: delay_exact, delay_first_order,
-    angle_scan and _scan_rows read their values from here.
+    angle_scan and _scan_rows read their values from here.  The exact delay
+    forms no lab speed, which could round to 0, and no composition law.
     """
     n1 = config.n1
     n2 = config.n2
+    e_f = config.e_f
     u_eff = config.u * cos
-    exact = config.L * (1.0 / _lab_speed(config, n1, u_eff)
-                        - 1.0 / _lab_speed(config, n2, u_eff))
-    first = (config.L / c) * (n1 - n2) * (1.0 + (u_eff / c) * (1.0 - config.e_f) * (n1 + n2))
+    exact = config.L * ((n1 - n2) / c + (_drift(n1, e_f, u_eff) - _drift(n2, e_f, u_eff)))
+    first = (config.L / c) * (n1 - n2) * (1.0 + (u_eff / c) * (1.0 - e_f) * (n1 + n2))
     return exact, first
 
 
@@ -175,17 +180,19 @@ def arm_speed(config: InterferometerConfig, arm: int, theta_deg: float) -> float
         n = config.n2
     else:
         raise InputError(f"arm must be 1 or 2, got {arm}")
-    return float(_lab_speed(config, n, config.u * _cos_deg([theta_deg]))[0])
+    u_eff = config.u * _cos_deg(theta_deg)
+    v_rest = c / n + config.e_f * (1.0 - 1.0 / (n * n)) * u_eff
+    return compose_lab_speed(v_rest, u_eff, config.composition)
 
 
 def delay_exact(config: InterferometerConfig, theta_deg: float) -> float:
     """Arm delay difference L (1/w1 - 1/w2); positive when arm 1 is slower."""
-    return float(_delays(config, _cos_deg([theta_deg]))[0][0])
+    return _delays(config, _cos_deg(theta_deg))[0]
 
 
 def delay_first_order(config: InterferometerConfig, theta_deg: float) -> float:
     """First-order form (L/c)(n1 - n2)[1 + (u_eff/c)(1 - e_f)(n1 + n2)]."""
-    return float(_delays(config, _cos_deg([theta_deg]))[1][0])
+    return _delays(config, _cos_deg(theta_deg))[1]
 
 
 class RotationSignal(NamedTuple):
@@ -196,15 +203,11 @@ class RotationSignal(NamedTuple):
 def _half_turn_swing(n: float, u: float, e_f: float) -> float:
     """Change 1/w(u) - 1/w(-u) of an arm's inverse lab speed on the half turn.
 
-    Write the Einstein-law 1/w = n/c + delta(u); Tangherlini adds -u/c^2,
-    alike in both arms, so the arm difference is the same.  With
-    k = e_f (n^2 - 1)/n^2 and D(u) = c/n - (1 - k) u,
-    delta(u) - delta(-u) = 2u (n^2 - 1)/n^2 [(1 - e_f) - e_f (1 - k)(u/c)^2]
-    / (D(u) D(-u)).  The static n/c term cancels in closed form, and n^2 - 1
-    is formed as (n - 1)(n + 1), exact to rounding for n near 1.
+    With _drift's delta and its denominator D(u) = c/n - (1 - k) u, the swing
+    is delta(u) - delta(-u) = 2u (n^2 - 1)/n^2 [(1 - e_f) - e_f (1 - k)(u/c)^2]
+    / (D(u) D(-u)), the static n/c term cancelled in closed form.
     """
-    n2m1 = (n - 1.0) * (n + 1.0)
-    k = e_f * n2m1 / (n * n)
+    n2m1, k = _drag(n, e_f)
     drift = (1.0 - k) * u
     bracket = (1.0 - e_f) - e_f * (1.0 - k) * (u / c) * (u / c)
     return 2.0 * u * (n2m1 / (n * n)) * bracket / ((c / n - drift) * (c / n + drift))
@@ -275,8 +278,8 @@ def _scan_rows(config: InterferometerConfig, steps: int) -> list:
     of np.cos, and both delays come from _delays on the float cosine, so a
     row holds angle_scan's doubles wherever the two cosines agree.  No numpy
     is imported: for a scan of a few rows its import costs more than the
-    scan.  A lab speed that rounds to 0 at some angle, where angle_scan
-    holds inf, raises ZeroDivisionError here.
+    scan.  No row divides by zero: the config check keeps every delay's
+    denominator positive.
     """
     lambda_vac = config.lambda_vac
     rows = []

@@ -63,18 +63,11 @@ def effective_fresnel_speed(n: float, u: float, e_f: float) -> float:
 def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw) -> float:
     """Map a preferred-frame light speed to the laboratory frame.
 
-    Einstein: w = (v - u)/(1 - u v/c^2).  Tangherlini: w = (v - u)/(1 - u^2/c^2).
+    Einstein: w = (v - u)/(1 - u v/c^2).  Tangherlini: w = (v - u)/(1 - u^2/c^2),
+    with (u/c)^2 a product: a float's ** 2 calls pow, which is not always
+    correctly rounded.
     """
     _check_speed(u)
-    return _compose(v_rest, u, law)
-
-
-def _compose(v_rest, u, law: CompositionLaw):
-    """compose_lab_speed without the check on u, for callers that bound |u|
-    themselves.  Only arithmetic operators, so v_rest and u may be numpy
-    arrays as well as floats, with the same doubles: (u/c)^2 is a product,
-    since a float's ** 2 calls pow, which is not always correctly rounded,
-    while numpy squares."""
     if law is CompositionLaw.EINSTEIN:
         return (v_rest - u) / (1.0 - u * v_rest / (c * c))
     if law is CompositionLaw.TANGHERLINI:

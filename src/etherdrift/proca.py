@@ -175,10 +175,16 @@ def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> floa
 
     Algebraic inversion of mass_phase_correction at rho = 0 (the beam runs
     near the axis).  Evaluated in SI and converted to cm at the end; scales
-    as R, sqrt(V), sqrt(tau) and 1/sqrt(epsilon).
+    as R, sqrt(V), sqrt(tau) and 1/sqrt(epsilon).  The phase of any mass stays
+    below (e/hbar) V tau, so a resolution epsilon at or above it has no bound.
     """
     if cfg.V * cfg.tau <= 0.0:
         raise DomainError("bound inversion needs V * tau > 0")
+    largest = constants.charge_over_hbar * cfg.V * cfg.tau
+    if not cfg.epsilon < largest:
+        raise DomainError(f"phase resolution epsilon = {cfg.epsilon} rad is at least "
+                          f"(e/hbar) V tau = {largest} rad, the largest phase any "
+                          "photon mass gives")
     range_m = 0.5 * cfg.R * math.sqrt(
         math.pi * cfg.V * cfg.tau / (cfg.epsilon * constants.flux_quantum))
     return range_m * 100.0

@@ -18,6 +18,7 @@ from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, Interferome
                                        angle_scan)
 from etherdrift.kinematics import CompositionLaw
 from etherdrift.units import MODERN, PAPER, c
+from test_interferometer import worst_row_error
 
 CLI = [sys.executable, "-m", "etherdrift.cli"]
 
@@ -167,42 +168,40 @@ def test_fringe_csv_shape_and_determinism():
     assert proc.stdout == run_cli(*args).stdout
 
 
-# full stdout of 8-step scans with partial drag and a negative drift, as
-# the per-angle scalar implementation printed it
-FRINGE_GOLDEN = {
-    "einstein": """\
+# full stdout of an 8-step scan with partial drag and a negative drift: the
+# same under both laws, since the delays no longer pass through the composed
+# lab speeds, whose inverses differ by the arm-independent u/c^2.  The laws
+# printed different last digits at 0 and 180 degrees, with delays up to 5.5
+# ulp off 50-digit arithmetic; every delay here is within 0.8 ulp
+FRINGE_GOLDEN = """\
 theta_deg,delay_exact_s,delay_first_order_s,fringes
-0,-2.7488924472324795e-09,-2.7488923788013084e-09,-1399146.3897002721
-45,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
-90,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
+0,-2.7488924472324799e-09,-2.7488923788013084e-09,-1399146.3897002726
+45,-2.7490661182896994e-09,-2.7490660840726471e-09,-1399234.7857497246
+90,-2.7494854456945691e-09,-2.7494854456945691e-09,-1399448.217317488
 135,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
-180,-2.7500785810390327e-09,-2.7500785125878303e-09,-1399750.1146058468
+180,-2.7500785810390302e-09,-2.7500785125878303e-09,-1399750.1146058457
 225,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
-270,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
-315,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
-""",
-    "tangherlini": """\
-theta_deg,delay_exact_s,delay_first_order_s,fringes
-0,-2.7488924472324811e-09,-2.7488923788013084e-09,-1399146.3897002731
-45,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
-90,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
-135,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
-180,-2.7500785810390294e-09,-2.7500785125878303e-09,-1399750.1146058452
-225,-2.7499048415406241e-09,-2.7499048073164912e-09,-1399661.6837208222
-270,-2.7494854456945704e-09,-2.7494854456945691e-09,-1399448.2173174885
-315,-2.7490661182896986e-09,-2.7490660840726471e-09,-1399234.7857497241
-""",
-}
+270,-2.7494854456945691e-09,-2.7494854456945691e-09,-1399448.217317488
+315,-2.7490661182896994e-09,-2.7490660840726471e-09,-1399234.7857497246
+"""
+
+LAWS = [law.value for law in CompositionLaw]
 
 
-@pytest.mark.parametrize("law", sorted(FRINGE_GOLDEN))
+@pytest.mark.parametrize("law", LAWS)
 def test_fringe_scan_golden(law, capsys):
     code = cli.main(["fringe", "--L-m", "2.5", "--n1", "1.00029", "--n2", "1.33",
                      "--ef", "0.25", "--u-mps=-3.7e4", "--lambda-nm", "589",
                      "--composition", law, "--steps", "8"])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
-    assert out == FRINGE_GOLDEN[law]
+    assert out == FRINGE_GOLDEN
+
+
+def test_fringe_golden_delays_match_mpmath():
+    cfg = InterferometerConfig(2.5, 1.00029, 1.33, -3.7e4, 589e-9, e_f=0.25)
+    exact = [float(line.split(",")[1]) for line in FRINGE_GOLDEN.splitlines()[1:]]
+    assert worst_row_error(cfg, 8, exact) <= 3e-16
 
 
 def _naive_csv(header, table):
@@ -220,7 +219,7 @@ _SCAN_DEVICES = [(2.5, 1.00029, 1.33, 0.25, -3.7e4), (2.5, 1.00029, 1.33, 0.25, 
                  (2.5, 1.0006, 1.0001, 0.0, 2e8), (2.5, 1.0006, 1.0001, 0.0, -2e8)]
 
 
-@pytest.mark.parametrize("law", sorted(FRINGE_GOLDEN))
+@pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("device", _SCAN_DEVICES)
 def test_fringe_stdout_is_the_table_cell_by_cell(law, device, capsys):
     # the renderer formats each mirrored pair of rows' delay cells once;
@@ -415,6 +414,14 @@ def test_proca_bound_profiles():
     flag_wins = json.loads(run_cli("--profile", "paper", *args,
                                    env_extra={"ETHERDRIFT_PROFILE": "modern"}).stdout)
     assert flag_wins["m_gamma_inv_cm"] == paper["m_gamma_inv_cm"]
+
+
+def test_proca_bound_beyond_the_largest_phase_exit_2():
+    # the phase of any photon mass stays below (e/hbar) V tau = 1.52e-3 rad
+    # here, so no mass gives epsilon = 1: it printed 0.526 cm with exit 0
+    args = ("proca", "bound", "--V-volts", "1e-12", "--tau-s", "1e-6", "--R-cm", "27")
+    _exit_2_with(run_cli(*args, "--epsilon", "1"), "DomainError", "largest phase")
+    assert run_cli(*args, "--epsilon", "1.5e-3").returncode == 0
 
 
 def test_proca_phase_closes_on_resolution():
@@ -752,19 +759,21 @@ def test_overflowing_result_exit_2():
     assert lines[0] == lines[1]
 
 
-def test_fringe_lab_speed_rounding_to_zero_exit_2():
+def test_fringe_where_a_lab_speed_rounds_to_zero_matches_mpmath():
     # n1 = c 2^30 puts c/n1 at half an ulp of u_eff in [2^23, 2^24): the lab
-    # speed rounds to 0 at the angles where u_eff has an even last bit, but
-    # not at 0 and 180 degrees, so the config is accepted.  The plain-float
-    # scan divides by that 0; both scans must end in angle_scan's error
-    lines = []
-    for steps in ("8", "5000"):
-        proc = run_cli("fringe", "--L-m", "1", "--n1", repr(299792458.0 * 2.0 ** 30),
-                       "--n2", "1", "--ef", "1", "--u-mps", repr(2.0 ** 24 - 2.0 ** -29),
-                       "--lambda-nm", "589", "--steps", steps)
-        _exit_2_with(proc, "DomainError", "not a finite number")
-        lines.append(proc.stderr)
-    assert lines[0] == lines[1]
+    # speed v_rest - u_eff rounds to 0 at the angles where u_eff has an even
+    # last bit.  The plain-float scan divided by that 0 and both scans exited
+    # 2; the delays take no lab speed now, and on both sides of the cut
+    # between the scans every row is within rounding of 50-digit arithmetic
+    n1, u = 299792458.0 * 2.0 ** 30, 2.0 ** 24 - 2.0 ** -29
+    cfg = InterferometerConfig(1.0, n1, 1.0, u, 589e-9, e_f=1.0)
+    for steps in (8, 5000):
+        proc = run_cli("fringe", "--L-m", "1", "--n1", repr(n1), "--n2", "1", "--ef", "1",
+                       "--u-mps", repr(u), "--lambda-nm", "589", "--steps", str(steps))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == steps
+        assert worst_row_error(cfg, steps, [float(row.split(",")[1]) for row in rows]) <= 3e-16
 
 
 @pytest.mark.parametrize("path", ["[[0, 0, 0], [1, 1]]", '[["a", 0, 0], [1, 1, 1]]',

@@ -325,7 +325,7 @@ def test_scan_cosines_keep_the_quadrant_conventions(steps):
     # The first quadrant is _cos_deg's value; elsewhere the angle is rounded
     # once at the folded value's ulp, not the rotated one's
     theta = 360.0 * np.arange(steps) / steps
-    scan, ref = _scan_cos(steps), _cos_deg(theta)
+    scan, ref = _scan_cos(steps), np.array([_cos_deg(t) for t in theta.tolist()])
     assert (np.signbit(scan) == np.signbit(ref)).all()
     first = theta <= 90.0
     assert (scan[first] == ref[first]).all()
@@ -333,6 +333,48 @@ def test_scan_cosines_keep_the_quadrant_conventions(steps):
     assert scan[0] == 1.0
     if steps % 2 == 0:
         assert scan[steps // 2] == -1.0
+
+
+def worst_row_error(cfg, steps, exact):
+    """Largest relative error of a scan's exact delays against 50-digit
+    L (1/w1 - 1/w2) from the Einstein-law lab speeds at u_eff = u cos, cos
+    being each row's cosine (_scan_cos).  Rows sharing a cosine hold the
+    same delay, which is checked once."""
+    delays = {}
+    for cos, value in zip(_scan_cos(steps).tolist(), exact):
+        assert delays.setdefault(cos, value) == value
+    worst = 0.0
+    with mpmath.workdps(50):
+        c, u, L = mpmath.mpf(C), mpmath.mpf(cfg.u), mpmath.mpf(cfg.L)
+        arms = [(c / n, cfg.e_f * (1 - 1 / n ** 2)) for n in map(mpmath.mpf, (cfg.n1, cfg.n2))]
+        for cos, value in delays.items():
+            u_eff = u * cos
+            inverse = [(1 - u_eff * v / c ** 2) / (v - u_eff)
+                       for v in (rest + drag * u_eff for rest, drag in arms)]
+            reference = L * (inverse[0] - inverse[1])
+            worst = max(worst, float(abs((value - reference) / reference)))
+    return worst
+
+
+@pytest.mark.parametrize("n1, n2", [(1.0006, 1.0001), (1.00029, 1.33), (1.5, 1.0)])
+def test_scan_rows_match_mpmath_under_both_laws(n1, n2):
+    # the rows were L (1/w1 - 1/w2), the difference of two composed inverse
+    # speeds: up to 9.2e-13 off on this grid, with last digits that differed
+    # between the laws.  Both drivers run at 64 steps on the whole grid, and
+    # at 4097, beyond the CLI's cut between them, on one drift per e_f, which
+    # bounds the test's time
+    def check(e_f, u, steps):
+        tables = [driver(config(n1=n1, n2=n2, L=2.0, u=u, composition=law, e_f=e_f), steps)
+                  for law in CompositionLaw for driver in (angle_scan, _scan_rows)]
+        exact = [row[EXACT] for row in tables[0]]
+        assert all([row[EXACT] for row in table] == exact for table in tables)
+        error = worst_row_error(config(n1=n1, n2=n2, L=2.0, u=u, e_f=e_f), steps, exact)
+        assert error <= 3e-16, (e_f, u, steps, error)
+
+    for e_f, far in zip((0.0, 0.3, 0.9), (1e5, -3e4, 1e-3)):
+        for u in [sign * 10.0 ** e for e in (-3, -1, 1, 3, 5) for sign in (1, -1)] + [-3e4]:
+            check(e_f, u, 64)
+        check(e_f, far, 4097)
 
 
 def test_scan_half_turn_rows_negate_exactly_at_every_even_step_count():
