@@ -146,7 +146,7 @@ def _drag(n: float, e_f: float) -> tuple:
     return n2m1, e_f * n2m1 / (n * n)
 
 
-def _drift(n: float, e_f: float, u_eff):
+def _drift(n: float, u_eff, e_f: float):
     """delta = 1/w - n/c = (u/c)[(n^2 - 1)(1 - e_f)/n - k u/c] / (c/n - (1 - k) u)
     at u = u_eff (a float or a numpy array), w the Einstein-law lab speed;
     Tangherlini's 1/w is u/c^2 larger in every arm."""
@@ -167,7 +167,7 @@ def _delays(config: InterferometerConfig, cos):
     n2 = config.n2
     e_f = config.e_f
     u_eff = config.u * cos
-    exact = config.L * ((n1 - n2) / c + (_drift(n1, e_f, u_eff) - _drift(n2, e_f, u_eff)))
+    exact = config.L * ((n1 - n2) / c + (_drift(n1, u_eff, e_f) - _drift(n2, u_eff, e_f)))
     first = (config.L / c) * (n1 - n2) * (1.0 + (u_eff / c) * (1.0 - e_f) * (n1 + n2))
     return exact, first
 
