@@ -13,8 +13,6 @@ floats, so a phase never loads numpy.  Only the field samplers (``q_at``)
 compute on arrays, and they import numpy inside the call.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 import operator
@@ -54,7 +52,7 @@ class UniformQ(NamedTuple):
 
     q: tuple
 
-    def q_at(self, points) -> np.ndarray:
+    def q_at(self, points) -> "np.ndarray":
         import numpy as np
 
         points = np.asarray(points, dtype=float)
@@ -75,7 +73,7 @@ class FresnelFlow(NamedTuple):
     def q_vector(self) -> tuple:
         return fresnel_momentum(self.omega, self.n, self.u)
 
-    def q_at(self, points) -> np.ndarray:
+    def q_at(self, points) -> "np.ndarray":
         import numpy as np
 
         points = np.asarray(points, dtype=float)
@@ -174,7 +172,7 @@ class SolenoidVectorPotential(NamedTuple):
             offsets.append((x * e1x + y * e1y + z * e1z, x * e2x + y * e2y + z * e2z))
         return offsets
 
-    def q_at(self, points) -> np.ndarray:
+    def q_at(self, points) -> "np.ndarray":
         import numpy as np
 
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -7,11 +7,8 @@ are byte-identical.  Exit codes: 0 success, 1 usage, 2 domain or
 computation error (reported as a single JSON line on stderr).
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -53,15 +50,28 @@ def _json_value(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _json_string(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_json_value(v) for v in value) + "]"
     if isinstance(value, dict):
-        return "{" + ",".join(f"{json.dumps(str(k))}:{_json_value(v)}"
+        return "{" + ",".join(f"{_json_string(str(k))}:{_json_value(v)}"
                               for k, v in value.items()) + "}"
     if value is None:
         return "null"
     raise InputError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def _json_string(text: str) -> str:
+    """json.dumps(text).
+
+    json writes a printable ASCII string with no quote or backslash as it
+    stands, between quotes; only another string needs json's escapes, so
+    only that loads json."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    import json
+
+    return json.dumps(text)
 
 
 def render_json(obj) -> str:
@@ -129,12 +139,34 @@ class _Parser(argparse.ArgumentParser):
     bind to --lambda-nm, because the two differ in unit.  Any negative
     number is a value: argparse's own pattern misses exponent forms, inf
     and nan, and so took "--u-mps -3e4" for an unknown option "-3e4".
+
+    ``flags``, if given, adds the parser's arguments.  It runs the first
+    time the parser is parsed or formatted, so a call defines the flags of
+    its own subcommand only.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, flags=None, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._flags = flags
+
+    def _define_flags(self):
+        flags, self._flags = self._flags, None
+        if flags is not None:
+            flags(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._define_flags()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self):
+        self._define_flags()
+        return super().format_usage()
+
+    def format_help(self):
+        self._define_flags()
+        return super().format_help()
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -256,18 +288,21 @@ _FIELD_SCHEMAS = {
 }
 
 
-def _apply_schema(values, schema: dict, origin: str) -> dict:
+def _apply_schema(values, schema: dict, origin: str, given=None) -> dict:
     """Library keywords from a JSON object.
 
     An optional key that is absent is not passed, so the library's own
-    default is the only one."""
+    default is the only one.  A keyword in ``given`` (a flag's value) is
+    passed as it is, and its key is neither required nor read."""
     if not isinstance(values, dict):
         raise InputError(f"{origin} must be a JSON object")
     unknown = set(values) - set(schema)
     if unknown:
         raise InputError(f"unknown key {sorted(unknown)[0]!r} in {origin}")
-    kwargs = {}
+    kwargs = dict(given or {})
     for key, (keyword, kind, required, convert) in schema.items():
+        if keyword in kwargs:
+            continue
         if key not in values:
             if required:
                 raise InputError(f"missing required key {key!r} in {origin}")
@@ -301,6 +336,8 @@ def _field_from_dict(spec, constants):
 
 
 def _parse_json_text(text: str, origin: str):
+    import json  # only a payload needs it: off the cold path of the other calls
+
     try:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
@@ -324,14 +361,15 @@ def _load_payload(spec: str, what: str):
     return _load_json_file(spec)
 
 
-def _lambda_nm(ns):
-    """Wavelength in nm from --lambda-nm or --lambda (meters); None if neither."""
+def _wavelength(ns):
+    """Wavelength in meters from --lambda (as given) or --lambda-nm; None if
+    neither."""
     meters = getattr(ns, "lambda")  # a keyword, hence getattr
     if meters is None:
-        return ns.lambda_nm
+        return None if ns.lambda_nm is None else ns.lambda_nm * 1e-9
     if ns.lambda_nm is not None:
         raise InputError("give only one of --lambda-nm and --lambda")
-    return meters * 1e9
+    return meters
 
 
 def _m_gamma(ns) -> float:
@@ -349,17 +387,9 @@ def _m_gamma(ns) -> float:
 # ---------------------------------------------------------------------------
 # parser construction
 
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="etherdrift",
-                     description="Light in moving media, drift interferometry, "
-                                 "AB phases and photon-mass bounds.")
-    parser.add_argument("--version", action=_Version)
-    parser.add_argument("--profile", choices=["modern", "paper"], default=None,
-                        help="constants profile (default: ETHERDRIFT_PROFILE or 'paper')")
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+# Each subcommand's flags, added when its parser is first parsed or formatted.
 
-    speed = sub.add_parser("speed", help="light speed in a moving medium")
+def _speed_flags(speed):
     speed.add_argument("--mode", required=True,
                        choices=["fresnel", "effective", "einstein", "tangherlini"])
     speed.add_argument("--n", type=float, required=True, help="refractive index")
@@ -368,7 +398,8 @@ def _build_parser() -> _Parser:
     speed.add_argument("--ef", type=float, default=1.0, help="drag effectiveness")
     speed.set_defaults(run=_run_speed)
 
-    fringe = sub.add_parser("fringe", help="orientation scan of the two-arm device (CSV)")
+
+def _fringe_flags(fringe):
     fringe.add_argument("--config", metavar="FILE", default=None,
                         help="JSON config; flags override file values")
     fringe.add_argument("--L-m", "--L", dest="L_m", type=float, default=None)
@@ -383,7 +414,8 @@ def _build_parser() -> _Parser:
     fringe.add_argument("--steps", type=int, default=None)
     fringe.set_defaults(run=_run_fringe)
 
-    sens = sub.add_parser("sensitivity", help="drift detectability of a configuration")
+
+def _sensitivity_flags(sens):
     sens.add_argument("--L-m", "--L", dest="L_m", type=float, required=True)
     sens.add_argument("--n1", type=float, required=True)
     sens.add_argument("--n2", type=float, required=True)
@@ -396,29 +428,43 @@ def _build_parser() -> _Parser:
     sens.add_argument("--ef", type=float, default=0.0)
     sens.set_defaults(run=_run_sensitivity)
 
-    ab = sub.add_parser("abphase", help="phase line integral of an interaction field")
+
+def _abphase_flags(ab):
     ab.add_argument("--field", required=True,
                     help="field spec: inline JSON {kind, params} or a file path")
     ab.add_argument("--path", required=True,
                     help="path vertices: inline JSON [[x,y,z],...] (m) or a file path")
     ab.set_defaults(run=_run_abphase)
 
-    proca = sub.add_parser("proca", help="massive-photon cylinder computations")
+
+def _proca_flags(proca):
     proca_sub = proca.add_subparsers(dest="action", required=True, metavar="action")
-    pb = proca_sub.add_parser("bound", help="Compton-range bound from a cylinder setup")
+    proca_sub.add_parser("bound", help="Compton-range bound from a cylinder setup",
+                         flags=_proca_bound_flags)
+    proca_sub.add_parser("potential", help="interior potential profile (CSV)",
+                         flags=_proca_potential_flags)
+    proca_sub.add_parser("phase", help="mass-induced scalar phase correction",
+                         flags=_proca_phase_flags)
+
+
+def _proca_bound_flags(pb):
     pb.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
     pb.add_argument("--tau-s", "--tau", dest="tau_s", type=float, required=True)
     pb.add_argument("--R-cm", dest="R_cm", type=float, required=True)
     pb.add_argument("--epsilon", type=float, required=True)
     pb.set_defaults(run=_run_proca_bound)
-    pp = proca_sub.add_parser("potential", help="interior potential profile (CSV)")
+
+
+def _proca_potential_flags(pp):
     pp.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
     pp.add_argument("--R-cm", dest="R_cm", type=float, required=True)
     pp.add_argument("--m-gamma-inv-cm", dest="m_gamma_inv_cm", type=float, required=True)
     pp.add_argument("--steps", type=int, default=50)
     pp.add_argument("--variant", choices=["quarter", "half"], default="quarter")
     pp.set_defaults(run=_run_proca_potential)
-    ph = proca_sub.add_parser("phase", help="mass-induced scalar phase correction")
+
+
+def _proca_phase_flags(ph):
     ph.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
     ph.add_argument("--tau-s", "--tau", dest="tau_s", type=float, required=True)
     ph.add_argument("--R-cm", dest="R_cm", type=float, required=True)
@@ -426,11 +472,13 @@ def _build_parser() -> _Parser:
     ph.add_argument("--m-gamma-inv-cm", dest="m_gamma_inv_cm", type=float, required=True)
     ph.set_defaults(run=_run_proca_phase)
 
-    bounds = sub.add_parser("bounds", help="published photon-mass bound registry")
+
+def _bounds_flags(bounds):
     bounds.add_argument("--format", choices=["json", "text"], default="json")
     bounds.set_defaults(run=_run_bounds)
 
-    pm = sub.add_parser("pmomentum", help="field momentum of charge + solenoid")
+
+def _pmomentum_flags(pm):
     pm.add_argument("--geometry", required=True,
                     help="geometry: inline JSON or a file path "
                          "{a_cm, B_gauss, d_cm, q_esu, lambda_cm?, grid?}; "
@@ -438,10 +486,34 @@ def _build_parser() -> _Parser:
     pm.add_argument("--levels", type=int, default=3)
     pm.set_defaults(run=_run_pmomentum)
 
-    consts = sub.add_parser("constants", help="dump the active constants profile")
+
+def _constants_flags(consts):
     consts.add_argument("--system", choices=["si", "gaussian"], default="si")
     consts.set_defaults(run=_run_constants)
 
+
+@functools.cache
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="etherdrift",
+                     description="Light in moving media, drift interferometry, "
+                                 "AB phases and photon-mass bounds.")
+    parser.add_argument("--version", action=_Version)
+    parser.add_argument("--profile", choices=["modern", "paper"], default=None,
+                        help="constants profile (default: ETHERDRIFT_PROFILE or 'paper')")
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
+    sub.add_parser("speed", help="light speed in a moving medium", flags=_speed_flags)
+    sub.add_parser("fringe", help="orientation scan of the two-arm device (CSV)",
+                   flags=_fringe_flags)
+    sub.add_parser("sensitivity", help="drift detectability of a configuration",
+                   flags=_sensitivity_flags)
+    sub.add_parser("abphase", help="phase line integral of an interaction field",
+                   flags=_abphase_flags)
+    sub.add_parser("proca", help="massive-photon cylinder computations", flags=_proca_flags)
+    sub.add_parser("bounds", help="published photon-mass bound registry", flags=_bounds_flags)
+    sub.add_parser("pmomentum", help="field momentum of charge + solenoid",
+                   flags=_pmomentum_flags)
+    sub.add_parser("constants", help="dump the active constants profile",
+                   flags=_constants_flags)
     return parser
 
 
@@ -449,7 +521,8 @@ def parse_config(argv) -> argparse.Namespace:
     """Parse the argument list; ``ns.run`` is the subcommand's runner.
 
     The parser is built on the first call and reused: parse_args returns a
-    fresh namespace each time, and nothing changes the parser once built.
+    fresh namespace each time.  A subcommand's flags are added the first
+    time it is parsed, and nothing changes them after.
     float() accepts 'nan' and 'inf', and int() integers beyond the float
     range, so every number flag is checked here.
     """
@@ -490,9 +563,14 @@ def _run_fringe(ns, constants):
         if not isinstance(payload, dict):
             raise InputError(f"config file {ns.config} must hold a JSON object")
         values.update(payload)
-    flags = dict(vars(ns), lambda_nm=_lambda_nm(ns))
-    values.update({key: flags[key] for key in _FRINGE_SCHEMA if flags[key] is not None})
-    kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config")
+    flags = vars(ns)
+    values.update({key: flags[key] for key in _FRINGE_SCHEMA
+                   if key != "lambda_nm" and flags[key] is not None})
+    # a wavelength flag skips lambda_nm's conversion: --lambda (meters) is
+    # passed as given
+    lambda_vac = _wavelength(ns)
+    given = None if lambda_vac is None else {"lambda_vac": lambda_vac}
+    kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config", given)
     steps = kwargs.pop("steps", 32)
     config = InterferometerConfig(**kwargs)
     _check_steps(steps)
@@ -505,11 +583,10 @@ def _run_fringe(ns, constants):
 
 
 def _run_sensitivity(ns, constants):
-    lambda_nm = _lambda_nm(ns)
-    if lambda_nm is None:
+    lambda_vac = _wavelength(ns)
+    if lambda_vac is None:
         raise InputError("a wavelength is required: --lambda-nm or --lambda")
-    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, lambda_nm * 1e-9,
-                                  e_f=ns.ef)
+    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, lambda_vac, e_f=ns.ef)
     u_min = min_detectable_u(config, ns.resolution)
     factor = improvement_factor(ns.u_mps, ns.n1, ns.n2)
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})

@@ -49,8 +49,6 @@ carries no E, so the cross energy density (E1.E2 + B1.B2)/4 pi is zero at
 every point even though the cross momentum is not.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 import sys

@@ -33,8 +33,6 @@ every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does not cancel for
 near-vacuum indices.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -19,8 +19,6 @@ bound inversion and with the Bessel series, and is the default.  The half
 form is kept as an explicit variant.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -11,8 +11,6 @@ Gaussian units, and a Yukawa range in cm converts to a photon mass in
 grams.
 """
 
-from __future__ import annotations
-
 import enum
 import math
 import os

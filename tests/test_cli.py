@@ -15,8 +15,9 @@ from etherdrift import cli
 from etherdrift.abphase import Path, UniformQ, fresnel_momentum
 from etherdrift.errors import DomainError, InputError
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       angle_scan)
+                                       angle_scan, min_detectable_u)
 from etherdrift.kinematics import CompositionLaw
+from etherdrift.proca import bounds_registry
 from etherdrift.units import MODERN, PAPER, c
 from test_interferometer import worst_row_error
 
@@ -139,7 +140,7 @@ def test_sensitivity_golden_and_wavelength_alias():
     assert nm["u_min_mps"] == pytest.approx(94.851115066726646, rel=1e-12)
     assert nm["improvement_factor"] == pytest.approx(299.89738536030, rel=1e-12)
     meters = json.loads(run_cli(*base, "--lambda", "633e-9").stdout)
-    assert meters["u_min_mps"] == pytest.approx(nm["u_min_mps"], rel=1e-12)
+    assert meters == nm  # 633 * 1e-9 == 633e-9
 
 
 def test_sensitivity_wavelength_flag_conflicts():
@@ -151,6 +152,29 @@ def test_sensitivity_wavelength_flag_conflicts():
     neither = run_cli(*base)
     assert neither.returncode == 2
     assert "wavelength" in stderr_error(neither)["message"]
+
+
+# wavelengths that a trip through nanometers, x * 1e9 * 1e-9, moves by an ulp
+_WAVELENGTHS_OFF_THE_NM_GRID = [6e-7, 4.88e-7, 4.05e-7, 1.55e-6]
+
+
+@pytest.mark.parametrize("meters", _WAVELENGTHS_OFF_THE_NM_GRID)
+def test_lambda_in_meters_reaches_the_kernel_as_given(meters, tmp_path, capsys):
+    assert meters * 1e9 * 1e-9 != meters
+    device = ["--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3"]
+    cfg = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, meters)
+    scan = _naive_csv(SCAN_COLUMNS, angle_scan(cfg, 4))
+    assert cli.main(["fringe", *device, "--lambda", repr(meters), "--steps", "4"]) == 0
+    assert capsys.readouterr() == (scan, "")
+    # the flag overrides a config file's lambda_nm, still in meters as given
+    config = tmp_path / "fringe.json"
+    config.write_text(json.dumps({"lambda_nm": 633, "steps": 4}))
+    assert cli.main(["fringe", "--config", str(config), *device,
+                     "--lambda", repr(meters)]) == 0
+    assert capsys.readouterr() == (scan, "")
+    assert cli.main(["sensitivity", *device, "--lambda", repr(meters),
+                     "--resolution", "1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["u_min_mps"] == min_detectable_u(cfg, 1e-3)
 
 
 def test_fringe_csv_shape_and_determinism():
@@ -613,6 +637,22 @@ def test_bounds_json_and_text():
     column = lines[0].index("m_gamma_inv_cm")
     for line in lines[1:]:
         assert line[column] not in (" ",)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_json_string_is_json_dumps(text):
+    assert cli._json_string(text) == json.dumps(text)
+
+
+@pytest.mark.parametrize("text", ['"', "\\", "\x7f", "\t", "", " ~", 'a "b" c', "C:\\dir",
+                                  "\u03a9", "na\u00efve", "\u2028", "\U0001f600",
+                                  *(bound.source for bound in bounds_registry())])
+def test_json_string_is_json_dumps_at_the_edges(text):
+    assert cli._json_string(text) == json.dumps(text)
+    # keys go through it too
+    assert cli.render_json({text: [text]}) == json.dumps({text: [text]},
+                                                        separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("q_esu", ["1e-150", "1e-170", "1e172"])

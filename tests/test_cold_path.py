@@ -1,5 +1,5 @@
-"""Only a ``fringe`` scan of more than 4096 rows loads numpy, and no call
-loads dataclasses.
+"""Only a ``fringe`` scan of more than 4096 rows loads numpy, only a JSON
+payload loads json, and no call loads dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
 cold call of any other subcommand (the scalar ones, which compute in plain
@@ -9,9 +9,13 @@ does a ``fringe`` scan of up to one block of 4096 rows, which is computed
 in plain floats too, nor a request refused before its computation (an
 ``abphase`` path with a repeated vertex, a ``fringe`` of one step).  The
 records are NamedTuples, so importing the package does not load
-``dataclasses`` or the ``inspect`` it imports.  Each case runs in a fresh
-interpreter, because this test session has these modules loaded already."""
+``dataclasses`` or the ``inspect`` it imports.  json is imported only to
+read a payload (``abphase``, ``pmomentum``, ``fringe --config``) or to
+escape a string that needs it, and a call defines the flags of its own
+subcommand only.  Each case runs in a fresh interpreter, because this test
+session has these modules loaded already."""
 
+import ast
 import functools
 import json
 import subprocess
@@ -149,3 +153,71 @@ def test_hashlib_loads_only_for_the_version_line():
     # the constants fingerprint is the only hash; a computing call skips it
     assert "hashlib" not in _scalar_report("speed")["loaded"]
     assert "hashlib" in _scalar_report("version")["loaded"]
+
+
+#: the requests above that carry no JSON payload
+NO_PAYLOAD = [name for name in SCALAR_COMMANDS
+              if not name.startswith(("abphase", "pmomentum"))]
+
+# _RUN imports json itself; this script takes argv as it is and reports
+# without json: the exit code, whether json is loaded, and the option
+# strings of each subparser's actions
+_BARE = """
+import argparse, contextlib, io, sys
+from etherdrift import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+subparsers = next(action.choices for action in cli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction))
+print(repr((code, "json" in sys.modules,
+            {name: [action.option_strings for action in parser._actions]
+             for name, parser in subparsers.items()})))
+"""
+
+
+@functools.cache
+def _bare_report(argv):
+    proc = subprocess.run([sys.executable, "-c", _BARE, *argv],
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == ""
+    return ast.literal_eval(proc.stdout)
+
+
+def test_importing_the_cli_does_not_load_json():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, etherdrift.cli; print('json' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("name", NO_PAYLOAD)
+def test_call_without_a_payload_does_not_load_json(name):
+    code, json_loaded, _ = _bare_report(tuple(SCALAR_COMMANDS[name]))
+    assert code == (2 if name in REFUSED else 0)
+    assert not json_loaded
+
+
+@pytest.mark.parametrize("name", sorted(set(SCALAR_COMMANDS) - set(NO_PAYLOAD)))
+def test_payload_loads_json(name):
+    # the check above can see json: a payload does load it
+    code, json_loaded, _ = _bare_report(tuple(SCALAR_COMMANDS[name]))
+    assert code == (2 if name in REFUSED else 0)
+    assert json_loaded
+
+
+def test_fringe_config_file_loads_json(tmp_path):
+    config = tmp_path / "fringe.json"
+    config.write_text(json.dumps({"L_m": 1, "n1": 1.0006, "n2": 1.0001, "u_mps": 1e3,
+                                  "lambda_nm": 633, "steps": 4}))
+    assert _bare_report(("fringe", "--config", str(config)))[:2] == (0, True)
+
+
+def test_a_call_defines_only_its_own_subcommands_flags():
+    *_, flags = _bare_report(tuple(SCALAR_COMMANDS["speed"]))
+    assert ["--u-mps", "--u"] in flags["speed"]
+    assert all(flags[name] == [["-h", "--help"]] for name in flags if name != "speed")
+    assert "fringe" in flags
+    # a fringe call defines fringe's flags, and no other subcommand's
+    *_, flags = _bare_report(tuple(SCALAR_COMMANDS["fringe-default"]))
+    assert ["--steps"] in flags["fringe"]
+    assert flags["speed"] == [["-h", "--help"]]

@@ -72,7 +72,11 @@ def test_warm_calls_match_fresh_processes(monkeypatch):
 # exit-2 fuzzing: one bad number at a time in an otherwise valid request
 
 def _number_flags(parser, prefix=()):
-    """(subcommand words, option string, type) of every int or float flag."""
+    """(subcommand words, option string, type) of every int or float flag.
+
+    A subparser defines its flags when it is first parsed or formatted, so
+    each one is made to define them here before its actions are read."""
+    parser._define_flags()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
