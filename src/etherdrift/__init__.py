@@ -12,10 +12,9 @@ from .kinematics import (CompositionLaw, compose_lab_speed, effective_fresnel_sp
                          einstein_composed_speed, fresnel_drag_coefficient,
                          fresnel_speed, tangherlini_composed_speed)
 from .interferometer import (SCAN_COLUMNS, InterferometerConfig, RotationSignal,
-                             angle_scan, arm_speed, delay_exact,
-                             delay_first_order, fringe_shift,
-                             improvement_factor, min_detectable_u,
-                             rotation_signal)
+                             angle_scan, delay_exact, delay_first_order,
+                             fringe_shift, improvement_factor,
+                             min_detectable_u, rotation_signal)
 from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
                       fresnel_momentum, phase_line_integral)
 from .proca import (PhotonMassBound, ProcaCylinderConfig, bessel_I0,

@@ -8,6 +8,10 @@ __future__ import annotations``): NamedTuple compiles each string field
 annotation into a ``typing.ForwardRef``, which the import then pays for.
 """
 
+import math
+
+from .errors import DomainError
+
 
 class Checked:
     """Runs ``self._check()`` on every record built, before it is returned.
@@ -29,3 +33,12 @@ class Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def check_finite(*fields):
+    """Raise DomainError for the first (label, value) pair whose value is
+    NaN or infinite.  A record calls it before its range checks, which an
+    infinity, or a NaN against ``x <= 0``, would pass."""
+    for label, value in fields:
+        if not -math.inf < value < math.inf:
+            raise DomainError(f"{label} must be finite, got {value}")

@@ -498,8 +498,8 @@ def _build_parser() -> _Parser:
                      description="Light in moving media, drift interferometry, "
                                  "AB phases and photon-mass bounds.")
     parser.add_argument("--version", action=_Version)
-    parser.add_argument("--profile", choices=["modern", "paper"], default=None,
-                        help="constants profile (default: ETHERDRIFT_PROFILE or 'paper')")
+    parser.add_argument("--profile", choices=["modern", "paper"], default="paper",
+                        help="constants profile (default: paper)")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
     sub.add_parser("speed", help="light speed in a moving medium", flags=_speed_flags)
     sub.add_parser("fringe", help="orientation scan of the two-arm device (CSV)",
@@ -573,7 +573,7 @@ def _run_fringe(ns, constants):
     kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config", given)
     steps = kwargs.pop("steps", 32)
     config = InterferometerConfig(**kwargs)
-    _check_steps(steps)
+    _check_steps(steps, "angle scan")
     if steps <= _SCAN_BLOCK:
         return render_csv(SCAN_COLUMNS, _scan_rows(config, steps))
     import numpy as np

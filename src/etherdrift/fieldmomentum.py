@@ -54,7 +54,7 @@ import numbers
 import sys
 from typing import NamedTuple
 
-from ._record import Checked
+from ._record import Checked, check_finite
 from .errors import DomainError, InputError
 from .units import c_cgs
 
@@ -90,14 +90,17 @@ class SolenoidChargeGeometry(Checked, _SolenoidChargeFields):
     __slots__ = ()
 
     def _check(self):
-        # each check is written "not lo < x" so that NaN fails it too
+        check_finite(("solenoid radius a", self.a), ("field B", self.B),
+                     ("charge distance d", self.d), ("charge q", self.q))
         if not 0.0 < self.a:
             raise DomainError(f"solenoid radius must be positive, got {self.a}")
         if not self.a < self.d:
             raise DomainError(
                 f"charge must sit outside the solenoid (d > a), got d={self.d}, a={self.a}")
-        if self.truncation_halflength is not None and not 0.0 < self.truncation_halflength:
-            raise DomainError("truncation half-length must be positive")
+        if self.truncation_halflength is not None:
+            check_finite(("truncation half-length", self.truncation_halflength))
+            if not 0.0 < self.truncation_halflength:
+                raise DomainError("truncation half-length must be positive")
         if len(self.grid) != 3:
             raise InputError(f"grid must have 3 dimensions, got {self.grid!r}")
         for n in self.grid:

@@ -36,9 +36,9 @@ near-vacuum indices.
 import math
 from typing import NamedTuple
 
-from ._record import Checked
+from ._record import Checked, check_finite
 from .errors import DegenerateConfigError, DomainError, InputError
-from .kinematics import CompositionLaw, compose_lab_speed
+from .kinematics import CompositionLaw
 from .units import c
 
 #: the columns of an angle_scan table, in order
@@ -107,7 +107,9 @@ class InterferometerConfig(Checked, _InterferometerFields):
     __slots__ = ()
 
     def _check(self):
-        # each check is written "not lo <= x" so that NaN fails it too
+        check_finite(("arm length L", self.L), ("n1", self.n1), ("n2", self.n2),
+                     ("drift speed u", self.u), ("wavelength", self.lambda_vac),
+                     ("e_f", self.e_f))
         if not 1.0 <= self.n1:
             raise DomainError(f"n1 must be >= 1, got {self.n1}")
         if not 1.0 <= self.n2:
@@ -168,19 +170,6 @@ def _delays(config: InterferometerConfig, cos):
     exact = config.L * ((n1 - n2) / c + (_drift(n1, u_eff, e_f) - _drift(n2, u_eff, e_f)))
     first = (config.L / c) * (n1 - n2) * (1.0 + (u_eff / c) * (1.0 - e_f) * (n1 + n2))
     return exact, first
-
-
-def arm_speed(config: InterferometerConfig, arm: int, theta_deg: float) -> float:
-    """Lab-frame one-way light speed in one arm at orientation theta."""
-    if arm == 1:
-        n = config.n1
-    elif arm == 2:
-        n = config.n2
-    else:
-        raise InputError(f"arm must be 1 or 2, got {arm}")
-    u_eff = config.u * _cos_deg(theta_deg)
-    v_rest = c / n + config.e_f * (1.0 - 1.0 / (n * n)) * u_eff
-    return compose_lab_speed(v_rest, u_eff, config.composition)
 
 
 def delay_exact(config: InterferometerConfig, theta_deg: float) -> float:
@@ -260,12 +249,13 @@ def improvement_factor(u: float, n1: float, n2: float) -> float:
     return (c / u) * ((n1 - n2) * (n1 + n2))
 
 
-def _check_steps(steps: int) -> None:
-    """Refuse a scan of fewer than 2 or more than MAX_SCAN_STEPS angles."""
+def _check_steps(steps: int, noun: str) -> None:
+    """Refuse a table (an angle scan, a potential profile) of fewer than 2
+    or more than MAX_SCAN_STEPS rows; noun names it in the message."""
     if steps < 2:
-        raise InputError(f"angle scan needs at least 2 steps, got {steps}")
+        raise InputError(f"{noun} needs at least 2 steps, got {steps}")
     if steps > MAX_SCAN_STEPS:
-        raise InputError(f"angle scan takes at most {MAX_SCAN_STEPS} steps, got {steps}")
+        raise InputError(f"{noun} takes at most {MAX_SCAN_STEPS} steps, got {steps}")
 
 
 def _scan_rows(config: InterferometerConfig, steps: int) -> list:
@@ -303,7 +293,7 @@ def angle_scan(config: InterferometerConfig, steps: int):
     _SCAN_BLOCK cosines, elementwise the same values as one call on all of
     them, so the table is the only array of its size.
     """
-    _check_steps(steps)
+    _check_steps(steps, "angle scan")
     import numpy as np
 
     cos = _scan_cos(steps)

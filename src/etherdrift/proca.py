@@ -22,9 +22,9 @@ form is kept as an explicit variant.
 import math
 from typing import NamedTuple
 
-from ._record import Checked
+from ._record import Checked, check_finite
 from .errors import DomainError, InputError
-from .interferometer import MAX_SCAN_STEPS
+from .interferometer import _check_steps
 from .units import PhysicalConstants, inverse_length_to_mass
 
 
@@ -77,6 +77,9 @@ class ProcaCylinderConfig(Checked, _ProcaCylinderFields):
     __slots__ = ()
 
     def _check(self):
+        check_finite(("cylinder radius R", self.R), ("wall potential V", self.V),
+                     ("interaction time tau", self.tau), ("beam radius rho", self.rho),
+                     ("phase resolution epsilon", self.epsilon))
         if self.R <= 0.0:
             raise DomainError(f"cylinder radius R must be positive, got {self.R}")
         if self.tau <= 0.0:
@@ -136,11 +139,7 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
     wall value e^{-m_gamma R} I0(m_gamma R) is formed once.  The last radius
     is exactly R.  A profile holds at most MAX_SCAN_STEPS rows.
     """
-    if steps < 2:
-        raise InputError(f"potential profile needs at least 2 steps, got {steps}")
-    if steps > MAX_SCAN_STEPS:
-        raise InputError(f"potential profile takes at most {MAX_SCAN_STEPS} steps, "
-                         f"got {steps}")
+    _check_steps(steps, "potential profile")
     if m_gamma < 0.0:
         raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
     R, V = cfg.R, cfg.V

@@ -6,6 +6,8 @@ in G cm^2, charges in esu and masses in grams, and the published bounds are
 only reproducible digit for digit if the same rounded inputs are used.  The
 ``paper`` constants profile therefore keeps the rounded flux quantum
 2.067e-15 Wb, while ``modern`` uses h/2e from the exact SI defining values.
+A profile is always named by its caller (``get_constants``; the CLI's
+``--profile``, ``paper`` by default): no environment setting picks one.
 ``PhysicalConstants.table`` lists a profile's five constants in SI or
 Gaussian units, and a Yukawa range in cm converts to a photon mass in
 grams.
@@ -13,7 +15,6 @@ grams.
 
 import enum
 import math
-import os
 from typing import NamedTuple
 
 from .errors import DomainError, InputError
@@ -91,14 +92,8 @@ PAPER = PhysicalConstants(profile="paper", flux_quantum=2.067e-15)
 _PROFILES = {"modern": MODERN, "paper": PAPER}
 
 
-def get_constants(profile: str | None = None) -> PhysicalConstants:
-    """Look up a constants profile by name.
-
-    ``None`` falls back to the ETHERDRIFT_PROFILE environment variable and
-    then to the ``paper`` profile.
-    """
-    if profile is None:
-        profile = os.environ.get("ETHERDRIFT_PROFILE", "paper")
+def get_constants(profile: str) -> PhysicalConstants:
+    """Look up a constants profile by name: ``"modern"`` or ``"paper"``."""
     try:
         return _PROFILES[profile]
     except KeyError:

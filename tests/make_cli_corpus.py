@@ -223,7 +223,6 @@ def _dump(entries) -> str:
 
 
 def main():
-    os.environ.pop("ETHERDRIFT_PROFILE", None)
     os.environ.update(TERMINAL)
     CORPUS.write_text(_dump([record(argv) for argv in requests()]), encoding="utf-8")
 

@@ -144,6 +144,23 @@ def test_solenoid_rejects_path_through_flux_line():
                                 axis_direction=(0.0, 0.0, 0.0)).q_at([(1.0, 0.0, 0.0)])
 
 
+def _field_q(field, points):
+    """Q at each point, formed here in numpy from the field's definition, so
+    that the oracle shares no code with the kernels under test."""
+    if isinstance(field, UniformQ):
+        return np.broadcast_to(np.asarray(field.q, dtype=float), points.shape)
+    if isinstance(field, FresnelFlow):
+        q = -(field.omega / (c * c)) * (field.n * field.n - 1.0) * np.asarray(field.u, dtype=float)
+        return np.broadcast_to(q, points.shape)
+    # flux line: Q = coupling flux/(2 pi rho) along axis x rho_hat
+    axis = np.asarray(field.axis_direction, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    rel = points - np.asarray(field.axis_point, dtype=float)
+    across = rel - np.outer(rel @ axis, axis)
+    rho2 = np.sum(across * across, axis=1)
+    return (field.coupling * field.flux / (2.0 * math.pi)) * np.cross(axis, across) / rho2[:, None]
+
+
 def _midpoint_doubling(field, p0, p1, rtol=1e-10, max_points=1 << 22):
     """Independent oracle: midpoint rule on 8, 16, 32, ... points of Q . dl,
     stopped when two successive values agree to rtol."""
@@ -152,7 +169,7 @@ def _midpoint_doubling(field, p0, p1, rtol=1e-10, max_points=1 << 22):
     m = 8
     while m <= max_points:
         t = (np.arange(m) + 0.5) / m
-        integral = float(np.sum(field.q_at(p0 + t[:, None] * delta) @ delta)) / m
+        integral = float(np.sum(_field_q(field, p0 + t[:, None] * delta) @ delta)) / m
         if previous is not None and abs(integral - previous) <= rtol * abs(integral) + 1e-30:
             return integral
         previous = integral

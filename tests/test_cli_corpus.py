@@ -39,17 +39,26 @@ def _first_difference(expected: dict, got: dict) -> str:
 
 @pytest.fixture
 def cli_environment(monkeypatch):
-    """The environment the corpus was recorded in: the default profile and
-    an 80-column terminal for argparse's help text."""
-    monkeypatch.delenv("ETHERDRIFT_PROFILE", raising=False)
+    """The environment the corpus was recorded in: an 80-column terminal
+    for argparse's help text."""
     for key, value in TERMINAL.items():
         monkeypatch.setenv(key, value)
 
 
-def test_corpus_replays_byte_for_byte(cli_environment):
+def _replay():
     entries = json.loads(CORPUS.read_text(encoding="utf-8"))
     assert {entry["exit"] for entry in entries} == {0, 1, 2}
     for index, expected in enumerate(entries):
         difference = _first_difference(expected, record(expected["argv"]))
         if difference:
             pytest.fail(f"request {index} {expected['argv']}: {difference}", pytrace=False)
+
+
+def test_corpus_replays_byte_for_byte(cli_environment):
+    _replay()
+
+
+def test_corpus_ignores_a_profile_in_the_environment(cli_environment, monkeypatch):
+    # only --profile names a profile: ETHERDRIFT_PROFILE changes no byte
+    monkeypatch.setenv("ETHERDRIFT_PROFILE", "modern")
+    _replay()

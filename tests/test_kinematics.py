@@ -57,6 +57,7 @@ def test_effective_fresnel_speed_linear_in_ef():
 
 def test_einstein_composed_speed_values():
     assert einstein_composed_speed(1.0, 0.5 * C) == pytest.approx(C, rel=1e-15)
+    assert einstein_composed_speed(1.0, 2.5e5) == pytest.approx(C, rel=1e-15)
     assert einstein_composed_speed(1.5, 0.0) == C / 1.5
     # (c/1.5 - 1e3)/(1 - 1e3/(1.5c)), 50-digit arithmetic
     assert einstein_composed_speed(1.5, 1e3) == pytest.approx(199861083.10987569, rel=1e-15)
@@ -67,6 +68,9 @@ def test_tangherlini_composed_speed_values():
     # (c/1.5 - 1e3)/(1 - (1e3/c)^2), 50-digit arithmetic
     assert tangherlini_composed_speed(1.5, 1e3) == pytest.approx(
         199860638.66889042, rel=1e-15)
+    # (c/1.0003 - 3e5)/(1 - (3e5/c)^2), 50-digit arithmetic
+    assert tangherlini_composed_speed(1.0003, 3e5) == pytest.approx(
+        299402847.05336435, rel=1e-14)
 
 
 def test_tangherlini_vacuum_is_two_way_anisotropic():

@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "PhysicalConstants", "ProcaCylinderConfig", "RotationSignal", "SCAN_COLUMNS",
     "SingularPathError", "SolenoidChargeGeometry", "SolenoidVectorPotential",
     "UniformQ", "UnitSystem", "analytic_solenoid_momentum", "angle_scan",
-    "arm_speed", "bessel_I0", "bounds_registry", "compose_lab_speed",
+    "bessel_I0", "bounds_registry", "compose_lab_speed",
     "convergence_study", "cylinder_potential_exact", "cylinder_potential_expansion",
     "delay_exact", "delay_first_order", "effective_fresnel_speed",
     "einstein_composed_speed", "fresnel_drag_coefficient", "fresnel_momentum",

@@ -40,8 +40,7 @@ def test_readme_has_cli_examples():
 
 
 @pytest.mark.parametrize("line", _cli_lines())
-def test_readme_cli_example_runs(line, capsys, monkeypatch):
-    monkeypatch.delenv("ETHERDRIFT_PROFILE", raising=False)
+def test_readme_cli_example_runs(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0
     captured = capsys.readouterr()
     assert captured.out

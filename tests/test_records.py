@@ -121,3 +121,31 @@ def test_checked_copies_keep_their_class(cls, valid):
                     copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(rebuilt) is cls
         assert rebuilt == record
+
+
+#: a checked record with float fields, and the label that names each field
+#: in the message refusing a NaN or infinite value of it
+FINITE_FIELDS = {
+    InterferometerConfig: {"L": "arm length L", "n1": "n1", "n2": "n2",
+                           "u": "drift speed u", "lambda_vac": "wavelength", "e_f": "e_f"},
+    SolenoidChargeGeometry: {"a": "solenoid radius a", "B": "field B",
+                             "d": "charge distance d", "q": "charge q",
+                             "truncation_halflength": "truncation half-length"},
+    ProcaCylinderConfig: {"R": "cylinder radius R", "V": "wall potential V",
+                          "tau": "interaction time tau", "rho": "beam radius rho",
+                          "epsilon": "phase resolution epsilon"},
+}
+
+NON_FINITE_CASES = [(cls, name, label, value)
+                    for cls, labels in FINITE_FIELDS.items()
+                    for name, label in labels.items()
+                    for value in (float("nan"), float("inf"), -float("inf"))]
+
+
+@pytest.mark.parametrize("cls, name, label, value", NON_FINITE_CASES,
+                         ids=[f"{cls.__name__}-{name}-{value}"
+                              for cls, name, _, value in NON_FINITE_CASES])
+def test_non_finite_fields_are_refused(cls, name, label, value):
+    valid = next(fields for checked, fields, _ in CHECKED if checked is cls)
+    with pytest.raises(DomainError, match=f"^{label} must be finite, got {value}$"):
+        cls(**{**valid, name: value})

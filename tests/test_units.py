@@ -44,10 +44,10 @@ def test_cgs_views():
 def test_get_constants_profiles(monkeypatch):
     assert get_constants("modern") is MODERN
     assert get_constants("paper") is PAPER
+    # a profile is named by its caller: the environment picks none
     monkeypatch.setenv("ETHERDRIFT_PROFILE", "modern")
-    assert get_constants(None) is MODERN
-    monkeypatch.delenv("ETHERDRIFT_PROFILE")
-    assert get_constants(None) is PAPER
+    with pytest.raises(InputError):
+        get_constants(None)
     with pytest.raises(InputError):
         get_constants("victorian")
 

@@ -55,7 +55,6 @@ def _fresh(argv):
 
 def test_warm_calls_match_fresh_processes(monkeypatch):
     # the fresh processes inherit this environment
-    monkeypatch.delenv("ETHERDRIFT_PROFILE", raising=False)
     for key, value in TERMINAL.items():
         monkeypatch.setenv(key, value)
     expected = [_fresh(argv) for argv in WARM_CASES]
