@@ -14,7 +14,6 @@ compute on arrays, and they import numpy inside the call.
 """
 
 import math
-import numbers
 import operator
 import sys
 from itertools import chain, pairwise
@@ -243,10 +242,13 @@ class Path:
         else:
             # ints, or numpy's scalars; never a bool.  An int compares with
             # the bound exactly, and NaN fails it
-            finite = ((kinds <= {float, int}
-                       or all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                              for x in flat))
-                      and all(abs(x) <= sys.float_info.max for x in flat))
+            real = kinds <= {float, int}
+            if not real:
+                import numbers  # only here: a path of floats and ints never loads it
+
+                real = all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                           for x in flat)
+            finite = real and all(abs(x) <= sys.float_info.max for x in flat)
         if not finite:
             raise InputError(_NOT_A_PATH)
         if kinds != {float}:

@@ -5,14 +5,18 @@ computation modules, and emits deterministic JSON/CSV: floats always carry
 17 significant digits, dict key order is fixed in code, and repeated runs
 are byte-identical.  Exit codes: 0 success, 1 usage, 2 domain or
 computation error (reported as a single JSON line on stderr).
+
+Every flag is declared once, in the table ``_CLI``.  A well-formed argv is
+read from it directly; argparse, whose parser is built from the same
+table, is imported only for help, --version and usage errors.
 """
 
-import argparse
 import functools
 import math
 import re
 import sys
 from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import __version__
@@ -119,81 +123,6 @@ def _table_lines(table):
         mirrored[i] = cell_format % tuple(table[half + i, 1:].tolist())
     firsts = map("\n%.17g,".__mod__, table[:, 0].tolist())
     return chain.from_iterable(zip(firsts, chain(cells, mirrored)))
-
-
-# ---------------------------------------------------------------------------
-# config plumbing
-
-#: a negative number as float() reads it: exponent forms, underscores
-#: between digits, and the infinities and NaN
-_DIGITS = r"\d(?:_?\d)*"
-_NEGATIVE_NUMBER = re.compile(
-    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
-    r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
-
-
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems with exit code 1.
-
-    Flag abbreviation is disabled: a prefix like --lambda must never silently
-    bind to --lambda-nm, because the two differ in unit.  Any negative
-    number is a value: argparse's own pattern misses exponent forms, inf
-    and nan, and so took "--u-mps -3e4" for an unknown option "-3e4".
-
-    ``flags``, if given, adds the parser's arguments.  It runs the first
-    time the parser is parsed or formatted, so a call defines the flags of
-    its own subcommand only.
-    """
-
-    def __init__(self, *args, flags=None, **kwargs):
-        kwargs.setdefault("allow_abbrev", False)
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-        self._flags = flags
-
-    def _define_flags(self):
-        flags, self._flags = self._flags, None
-        if flags is not None:
-            flags(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._define_flags()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self):
-        self._define_flags()
-        return super().format_usage()
-
-    def format_help(self):
-        self._define_flags()
-        return super().format_help()
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _version_line(profile) -> str:
-    constants = get_constants(profile)
-    return (f"etherdrift {__version__} profile={constants.profile} "
-            f"constants=sha256:{constants.fingerprint()}")
-
-
-class _Version(argparse.Action):
-    """--version, with the line (and its constants hash) formed only when
-    the flag is given, for the profile parsed so far.
-
-    argparse acts on the flag where it stands in argv, so a --profile
-    counts only if it comes before --version."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
-                         nargs=0, help="show program's version number and exit "
-                                       "(give --profile before it)")
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        sys.stdout.write(_version_line(namespace.profile) + "\n")
-        parser.exit()
 
 
 # ---------------------------------------------------------------------------
@@ -385,155 +314,6 @@ def _m_gamma(ns) -> float:
 
 
 # ---------------------------------------------------------------------------
-# parser construction
-
-# Each subcommand's flags, added when its parser is first parsed or formatted.
-
-def _speed_flags(speed):
-    speed.add_argument("--mode", required=True,
-                       choices=["fresnel", "effective", "einstein", "tangherlini"])
-    speed.add_argument("--n", type=float, required=True, help="refractive index")
-    speed.add_argument("--u-mps", "--u", dest="u_mps", type=float, default=0.0,
-                       help="medium speed, m/s")
-    speed.add_argument("--ef", type=float, default=1.0, help="drag effectiveness")
-    speed.set_defaults(run=_run_speed)
-
-
-def _fringe_flags(fringe):
-    fringe.add_argument("--config", metavar="FILE", default=None,
-                        help="JSON config; flags override file values")
-    fringe.add_argument("--L-m", "--L", dest="L_m", type=float, default=None)
-    fringe.add_argument("--n1", type=float, default=None)
-    fringe.add_argument("--n2", type=float, default=None)
-    fringe.add_argument("--ef", type=float, default=None)
-    fringe.add_argument("--u-mps", "--u", dest="u_mps", type=float, default=None)
-    fringe.add_argument("--lambda-nm", dest="lambda_nm", type=float, default=None)
-    fringe.add_argument("--lambda", type=float, default=None,
-                        help="wavelength in meters (alternative to --lambda-nm)")
-    fringe.add_argument("--composition", choices=["einstein", "tangherlini"], default=None)
-    fringe.add_argument("--steps", type=int, default=None)
-    fringe.set_defaults(run=_run_fringe)
-
-
-def _sensitivity_flags(sens):
-    sens.add_argument("--L-m", "--L", dest="L_m", type=float, required=True)
-    sens.add_argument("--n1", type=float, required=True)
-    sens.add_argument("--n2", type=float, required=True)
-    sens.add_argument("--u-mps", "--u", dest="u_mps", type=float, required=True)
-    sens.add_argument("--lambda-nm", dest="lambda_nm", type=float, default=None)
-    sens.add_argument("--lambda", type=float, default=None,
-                      help="wavelength in meters (alternative to --lambda-nm)")
-    sens.add_argument("--resolution", type=float, required=True,
-                      help="smallest detectable fringe shift")
-    sens.add_argument("--ef", type=float, default=0.0)
-    sens.set_defaults(run=_run_sensitivity)
-
-
-def _abphase_flags(ab):
-    ab.add_argument("--field", required=True,
-                    help="field spec: inline JSON {kind, params} or a file path")
-    ab.add_argument("--path", required=True,
-                    help="path vertices: inline JSON [[x,y,z],...] (m) or a file path")
-    ab.set_defaults(run=_run_abphase)
-
-
-def _proca_flags(proca):
-    proca_sub = proca.add_subparsers(dest="action", required=True, metavar="action")
-    proca_sub.add_parser("bound", help="Compton-range bound from a cylinder setup",
-                         flags=_proca_bound_flags)
-    proca_sub.add_parser("potential", help="interior potential profile (CSV)",
-                         flags=_proca_potential_flags)
-    proca_sub.add_parser("phase", help="mass-induced scalar phase correction",
-                         flags=_proca_phase_flags)
-
-
-def _proca_bound_flags(pb):
-    pb.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
-    pb.add_argument("--tau-s", "--tau", dest="tau_s", type=float, required=True)
-    pb.add_argument("--R-cm", dest="R_cm", type=float, required=True)
-    pb.add_argument("--epsilon", type=float, required=True)
-    pb.set_defaults(run=_run_proca_bound)
-
-
-def _proca_potential_flags(pp):
-    pp.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
-    pp.add_argument("--R-cm", dest="R_cm", type=float, required=True)
-    pp.add_argument("--m-gamma-inv-cm", dest="m_gamma_inv_cm", type=float, required=True)
-    pp.add_argument("--steps", type=int, default=50)
-    pp.add_argument("--variant", choices=["quarter", "half"], default="quarter")
-    pp.set_defaults(run=_run_proca_potential)
-
-
-def _proca_phase_flags(ph):
-    ph.add_argument("--V-volts", "--V", dest="V_volts", type=float, required=True)
-    ph.add_argument("--tau-s", "--tau", dest="tau_s", type=float, required=True)
-    ph.add_argument("--R-cm", dest="R_cm", type=float, required=True)
-    ph.add_argument("--rho-cm", dest="rho_cm", type=float, default=0.0)
-    ph.add_argument("--m-gamma-inv-cm", dest="m_gamma_inv_cm", type=float, required=True)
-    ph.set_defaults(run=_run_proca_phase)
-
-
-def _bounds_flags(bounds):
-    bounds.add_argument("--format", choices=["json", "text"], default="json")
-    bounds.set_defaults(run=_run_bounds)
-
-
-def _pmomentum_flags(pm):
-    pm.add_argument("--geometry", required=True,
-                    help="geometry: inline JSON or a file path "
-                         "{a_cm, B_gauss, d_cm, q_esu, lambda_cm?, grid?}; "
-                         "grid axes are integers >= 4, checked and echoed only")
-    pm.add_argument("--levels", type=int, default=3)
-    pm.set_defaults(run=_run_pmomentum)
-
-
-def _constants_flags(consts):
-    consts.add_argument("--system", choices=["si", "gaussian"], default="si")
-    consts.set_defaults(run=_run_constants)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="etherdrift",
-                     description="Light in moving media, drift interferometry, "
-                                 "AB phases and photon-mass bounds.")
-    parser.add_argument("--version", action=_Version)
-    parser.add_argument("--profile", choices=["modern", "paper"], default="paper",
-                        help="constants profile (default: paper)")
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
-    sub.add_parser("speed", help="light speed in a moving medium", flags=_speed_flags)
-    sub.add_parser("fringe", help="orientation scan of the two-arm device (CSV)",
-                   flags=_fringe_flags)
-    sub.add_parser("sensitivity", help="drift detectability of a configuration",
-                   flags=_sensitivity_flags)
-    sub.add_parser("abphase", help="phase line integral of an interaction field",
-                   flags=_abphase_flags)
-    sub.add_parser("proca", help="massive-photon cylinder computations", flags=_proca_flags)
-    sub.add_parser("bounds", help="published photon-mass bound registry", flags=_bounds_flags)
-    sub.add_parser("pmomentum", help="field momentum of charge + solenoid",
-                   flags=_pmomentum_flags)
-    sub.add_parser("constants", help="dump the active constants profile",
-                   flags=_constants_flags)
-    return parser
-
-
-def parse_config(argv) -> argparse.Namespace:
-    """Parse the argument list; ``ns.run`` is the subcommand's runner.
-
-    The parser is built on the first call and reused: parse_args returns a
-    fresh namespace each time.  A subcommand's flags are added the first
-    time it is parsed, and nothing changes them after.
-    float() accepts 'nan' and 'inf', and int() integers beyond the float
-    range, so every number flag is checked here.
-    """
-    ns = _build_parser().parse_args(argv)
-    for key, value in vars(ns).items():
-        if isinstance(value, (int, float)) and not _finite(value):
-            raise InputError(f"--{key.replace('_', '-')} must be finite, got {value}")
-    return ns
-
-
-# ---------------------------------------------------------------------------
 # subcommand runners: each takes the parsed namespace and the constants
 # profile, which only the calls that depend on the flux quantum read
 
@@ -657,7 +437,274 @@ def _run_constants(ns, constants):
     return render_json(constants.table(UnitSystem(ns.system)))
 
 
-def run(ns: argparse.Namespace) -> str:
+# ---------------------------------------------------------------------------
+# the flag table, and the two parsers built from it
+
+class _Flag:
+    """A flag: its option strings, the first of which names its namespace
+    key ``dest``, and argparse's add_argument keywords for the rest.  A
+    type of None keeps the value as given."""
+
+    __slots__ = ("options", "dest", "type", "choices", "default", "required", "help",
+                 "metavar")
+
+    def __init__(self, options, type=None, *, choices=None, default=None, required=False,
+                 help=None, metavar=None):
+        self.options, self.dest = options, options[0][2:].replace("-", "_")
+        self.type, self.choices, self.default = type, choices, default
+        self.required, self.help, self.metavar = required, help, metavar
+
+
+class _Command:
+    """A command: its help line and flags, then either its runner or the
+    subcommands of its own, whose word fills the namespace key ``dest``.
+    ``options`` maps each of its option strings to its flag."""
+
+    __slots__ = ("help", "flags", "run", "commands", "dest", "options")
+
+    def __init__(self, help, flags=(), run=None, *, commands=None, dest=None):
+        self.help, self.flags, self.run = help, flags, run
+        self.commands, self.dest = commands, dest
+        self.options = {option: flag for flag in flags for option in flag.options}
+
+
+_WAVELENGTH_M = "wavelength in meters (alternative to --lambda-nm)"
+
+#: every flag of every subcommand, declared once: _fast_parse reads it,
+#: and _build_parser builds argparse's parser from it
+_CLI = _Command(
+    "Light in moving media, drift interferometry, AB phases and photon-mass bounds.",
+    (_Flag(("--profile",), choices=("modern", "paper"), default="paper",
+           help="constants profile (default: paper)"),),
+    dest="subcommand", commands={
+        "speed": _Command("light speed in a moving medium", (
+            _Flag(("--mode",), choices=("fresnel", "effective", "einstein", "tangherlini"),
+                  required=True),
+            _Flag(("--n",), float, required=True, help="refractive index"),
+            _Flag(("--u-mps", "--u"), float, default=0.0, help="medium speed, m/s"),
+            _Flag(("--ef",), float, default=1.0, help="drag effectiveness"),
+        ), _run_speed),
+        "fringe": _Command("orientation scan of the two-arm device (CSV)", (
+            _Flag(("--config",), metavar="FILE", help="JSON config; flags override file values"),
+            _Flag(("--L-m", "--L"), float),
+            _Flag(("--n1",), float),
+            _Flag(("--n2",), float),
+            _Flag(("--ef",), float),
+            _Flag(("--u-mps", "--u"), float),
+            _Flag(("--lambda-nm",), float),
+            _Flag(("--lambda",), float, help=_WAVELENGTH_M),
+            _Flag(("--composition",), choices=("einstein", "tangherlini")),
+            _Flag(("--steps",), int),
+        ), _run_fringe),
+        "sensitivity": _Command("drift detectability of a configuration", (
+            _Flag(("--L-m", "--L"), float, required=True),
+            _Flag(("--n1",), float, required=True),
+            _Flag(("--n2",), float, required=True),
+            _Flag(("--u-mps", "--u"), float, required=True),
+            _Flag(("--lambda-nm",), float),
+            _Flag(("--lambda",), float, help=_WAVELENGTH_M),
+            _Flag(("--resolution",), float, required=True,
+                  help="smallest detectable fringe shift"),
+            _Flag(("--ef",), float, default=0.0),
+        ), _run_sensitivity),
+        "abphase": _Command("phase line integral of an interaction field", (
+            _Flag(("--field",), required=True,
+                  help="field spec: inline JSON {kind, params} or a file path"),
+            _Flag(("--path",), required=True,
+                  help="path vertices: inline JSON [[x,y,z],...] (m) or a file path"),
+        ), _run_abphase),
+        "proca": _Command("massive-photon cylinder computations", dest="action", commands={
+            "bound": _Command("Compton-range bound from a cylinder setup", (
+                _Flag(("--V-volts", "--V"), float, required=True),
+                _Flag(("--tau-s", "--tau"), float, required=True),
+                _Flag(("--R-cm",), float, required=True),
+                _Flag(("--epsilon",), float, required=True),
+            ), _run_proca_bound),
+            "potential": _Command("interior potential profile (CSV)", (
+                _Flag(("--V-volts", "--V"), float, required=True),
+                _Flag(("--R-cm",), float, required=True),
+                _Flag(("--m-gamma-inv-cm",), float, required=True),
+                _Flag(("--steps",), int, default=50),
+                _Flag(("--variant",), choices=("quarter", "half"), default="quarter"),
+            ), _run_proca_potential),
+            "phase": _Command("mass-induced scalar phase correction", (
+                _Flag(("--V-volts", "--V"), float, required=True),
+                _Flag(("--tau-s", "--tau"), float, required=True),
+                _Flag(("--R-cm",), float, required=True),
+                _Flag(("--rho-cm",), float, default=0.0),
+                _Flag(("--m-gamma-inv-cm",), float, required=True),
+            ), _run_proca_phase),
+        }),
+        "bounds": _Command("published photon-mass bound registry", (
+            _Flag(("--format",), choices=("json", "text"), default="json"),
+        ), _run_bounds),
+        "pmomentum": _Command("field momentum of charge + solenoid", (
+            _Flag(("--geometry",), required=True,
+                  help="geometry: inline JSON or a file path "
+                       "{a_cm, B_gauss, d_cm, q_esu, lambda_cm?, grid?}; "
+                       "grid axes are integers >= 4, checked and echoed only"),
+            _Flag(("--levels",), int, default=3),
+        ), _run_pmomentum),
+        "constants": _Command("dump the active constants profile", (
+            _Flag(("--system",), choices=("si", "gaussian"), default="si"),
+        ), _run_constants),
+    })
+
+#: a negative number as float() reads it: exponent forms, underscores
+#: between digits, and the infinities and NaN
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
+    r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+
+def _enter(command, values: dict):
+    """Add a command's namespace keys in argparse's order: each flag's
+    default, then the key its subcommand's word fills, then its runner."""
+    for flag in command.flags:
+        values[flag.dest] = flag.default
+    if command.commands is not None:
+        values[command.dest] = None
+    if command.run is not None:
+        values["run"] = command.run
+
+
+def _fast_parse(argv):
+    """The namespace argparse would return for argv, or None.
+
+    One walk of argv against the flag table, which imports nothing.  It
+    declines, with None, all that only argparse handles: -h, --help and
+    --version, and every usage error (an unknown word or flag, a missing
+    value or required flag, a failed conversion or choice).  It also
+    declines the forms whose parse it does not mirror: a flag given twice,
+    a "--", a value that starts with "-" and is no negative number, and
+    --profile after the subcommand."""
+    values, given = {}, set()
+    commands = [_CLI]
+    _enter(_CLI, values)
+    tokens = iter(argv)
+    for token in tokens:
+        command = commands[-1]
+        if not token.startswith("-"):  # the word of a subcommand
+            if command.commands is None or token not in command.commands:
+                return None
+            values[command.dest] = token
+            commands.append(command.commands[token])
+            _enter(commands[-1], values)
+            continue
+        option, explicit, value = token.partition("=")
+        flag = command.options.get(option)
+        if flag is None or flag.dest in given:
+            return None
+        if not explicit:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+            return None
+        if flag.type is not None:
+            try:
+                value = flag.type(value)
+            except ValueError:
+                return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+        given.add(flag.dest)
+    if commands[-1].commands is not None or any(
+            flag.required and flag.dest not in given
+            for command in commands for flag in command.flags):
+        return None
+    return SimpleNamespace(**values)
+
+
+def _version_line(profile) -> str:
+    constants = get_constants(profile)
+    return (f"etherdrift {__version__} profile={constants.profile} "
+            f"constants=sha256:{constants.fingerprint()}")
+
+
+def _add_command(parser, command):
+    """Give an argparse parser a command's flags, runner and subcommands."""
+    for flag in command.flags:
+        parser.add_argument(*flag.options, type=flag.type, choices=flag.choices,
+                            default=flag.default, required=flag.required, help=flag.help,
+                            metavar=flag.metavar)
+    if command.run is not None:
+        parser.set_defaults(run=command.run)
+    if command.commands is not None:
+        sub = parser.add_subparsers(dest=command.dest, required=True, metavar=command.dest)
+        for name, subcommand in command.commands.items():
+            _add_command(sub.add_parser(name, help=subcommand.help), subcommand)
+
+
+@functools.cache
+def _build_parser():
+    """argparse's parser of the flag table, for the argv _fast_parse
+    declines: help, --version and usage errors.  Only this imports
+    argparse (and, through it, gettext and locale)."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """ArgumentParser that reports usage problems with exit code 1.
+
+        Flag abbreviation is disabled: a prefix like --lambda must never
+        silently bind to --lambda-nm, because the two differ in unit.  Any
+        negative number is a value: argparse's own pattern misses exponent
+        forms, inf and nan, and so took "--u-mps -3e4" for an unknown
+        option "-3e4"."""
+
+        def __init__(self, *args, **kwargs):
+            kwargs.setdefault("allow_abbrev", False)
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    class Version(argparse.Action):
+        """--version, with the line (and its constants hash) formed only
+        when the flag is given, for the profile parsed so far.
+
+        argparse acts on the flag where it stands in argv, so a --profile
+        counts only if it comes before --version."""
+
+        def __init__(self, option_strings, dest, **kwargs):
+            super().__init__(option_strings, dest=argparse.SUPPRESS,
+                             default=argparse.SUPPRESS, nargs=0,
+                             help="show program's version number and exit "
+                                  "(give --profile before it)")
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            sys.stdout.write(_version_line(namespace.profile) + "\n")
+            parser.exit()
+
+    parser = Parser(prog="etherdrift", description=_CLI.help)
+    parser.add_argument("--version", action=Version)
+    _add_command(parser, _CLI)
+    return parser
+
+
+def parse_config(argv):
+    """Parse the argument list; ``ns.run`` is the subcommand's runner.
+
+    _fast_parse reads a well-formed argv.  Only what it declines goes to
+    argparse, so every help text and usage error is argparse's own, and a
+    well-formed call never imports argparse.  argparse's parser is built
+    on its first use and reused: parse_args returns a fresh namespace each
+    time.  float() accepts 'nan' and 'inf', and int() integers beyond the
+    float range, so every number flag is checked here, in namespace order.
+    """
+    ns = _fast_parse(argv)
+    if ns is None:
+        ns = _build_parser().parse_args(argv)
+    for key, value in vars(ns).items():
+        if isinstance(value, (int, float)) and not _finite(value):
+            raise InputError(f"--{key.replace('_', '-')} must be finite, got {value}")
+    return ns
+
+def run(ns) -> str:
     """Execute parsed arguments and return the rendered output."""
     return ns.run(ns, get_constants(ns.profile))
 

@@ -50,7 +50,6 @@ every point even though the cross momentum is not.
 """
 
 import math
-import numbers
 import sys
 from typing import NamedTuple
 
@@ -104,7 +103,12 @@ class SolenoidChargeGeometry(Checked, _SolenoidChargeFields):
         if len(self.grid) != 3:
             raise InputError(f"grid must have 3 dimensions, got {self.grid!r}")
         for n in self.grid:
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 4:
+            integral = type(n) is int
+            if not integral:  # numpy's integers, say; never a bool
+                import numbers  # only here: a grid of ints never loads it
+
+                integral = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            if not integral or n < 4:
                 raise InputError(f"grid dimensions must be integers >= 4, got {self.grid!r}")
             # the echo halves n_z in floating point
             if n > sys.float_info.max:

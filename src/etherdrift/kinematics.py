@@ -13,8 +13,6 @@ holds exactly for any medium rest-frame speed, so every arm-difference
 observable built from inverse speeds is identical under both.
 """
 
-from __future__ import annotations
-
 import enum
 
 from .errors import DomainError

@@ -4,8 +4,8 @@
 
 The requests are every subcommand and its variants, the README examples and
 the warm-CLI cases, seeded random draws at small sizes (fringe scans of at
-most 64 steps, potential profiles of at most 50) and the usage (exit 1) and
-domain (exit 2) errors.  The draws come from a fixed seed, so a rewrite
+most 64 steps, potential profiles of at most 50), the usage (exit 1) and
+domain (exit 2) errors, and the argv forms the parse reads.  The draws come from a fixed seed, so a rewrite
 changes only the entries whose output changed.  test_cli_corpus.py replays
 the file.
 """
@@ -196,10 +196,28 @@ def _errors():
     yield ["abphase", "--field", '{"kind": "nosuch"}', "--path", "[[0, 0, 0], [1, 1, 1]]"]
 
 
+def _parse_forms():
+    """The argv forms the flag table's parse reads, and two it leaves to
+    argparse: a repeated flag and a value that starts with "-"."""
+    yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps=-3e4"]
+    yield ["--profile=modern", "constants"]
+    # each alias, in the --flag=value form
+    yield ["speed", "--mode", "fresnel", "--n", "1.33", "--u=-1E3"]
+    yield ["fringe", "--L=2", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4",
+           "--lambda-nm", "633", "--steps", "4"]
+    yield ["proca", "bound", "--V=1e7", "--tau=5e-2", "--R-cm", "27", "--epsilon", "1e-4"]
+    # exit 2: the flag parses, and the finiteness check refuses it
+    yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "-inf"]
+    # argparse keeps the last value of a repeated flag
+    yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "1e3", "--u", "2e3"]
+    # exit 1: a value that starts with "-" and is no number
+    yield ["speed", "--mode", "einstein", "--n", "-abc"]
+
+
 def requests() -> list:
     seen, unique = set(), []
     for argv in [*WARM_CASES, *_subcommands(), *_draws(random.Random("cli-corpus")),
-                 *_errors()]:
+                 *_errors(), *_parse_forms()]:
         if tuple(argv) not in seen:
             seen.add(tuple(argv))
             unique.append(argv)

@@ -904,7 +904,6 @@ def test_fringe_steps_beyond_cap_exit_2():
 def test_proca_potential_caps_steps_before_allocating(capsys):
     argv = ["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
             "--m-gamma-inv-cm", "100", "--steps"]
-    cli._build_parser()  # the parser is built once per process, outside the peak
     tracemalloc.start()
     try:
         code = cli.main([*argv, str(MAX_SCAN_STEPS + 1)])

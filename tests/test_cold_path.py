@@ -1,5 +1,6 @@
 """Only a ``fringe`` scan of more than 4096 rows loads numpy, only a JSON
-payload loads json, and no call loads dataclasses.
+payload loads json, only help, --version and a usage error load argparse,
+and no call loads dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
 cold call of any other subcommand (the scalar ones, which compute in plain
@@ -9,11 +10,13 @@ does a ``fringe`` scan of up to one block of 4096 rows, which is computed
 in plain floats too, nor a request refused before its computation (an
 ``abphase`` path with a repeated vertex, a ``fringe`` of one step).  The
 records are NamedTuples, so importing the package does not load
-``dataclasses`` or the ``inspect`` it imports.  json is imported only to
-read a payload (``abphase``, ``pmomentum``, ``fringe --config``) or to
-escape a string that needs it, and a call defines the flags of its own
-subcommand only.  Each case runs in a fresh interpreter, because this test
-session has these modules loaded already."""
+``dataclasses`` or the ``inspect`` it imports, and ``numbers`` is read only
+for a path or grid of other than plain floats and ints.  json is imported
+only to read a payload (``abphase``, ``pmomentum``, ``fringe --config``) or
+to escape a string that needs it.  A well-formed argv is parsed from the
+flag table, so argparse, with the gettext and locale it imports, loads
+only for help, --version and usage errors.  Each case runs in a fresh
+interpreter, because this test session has these modules loaded already."""
 
 import ast
 import functools
@@ -77,12 +80,17 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                   "loaded": [name for name in ("numpy", "numpy.polynomial", "hashlib",
-                                               "dataclasses", "inspect")
+                                               "dataclasses", "inspect", "numbers",
+                                               "argparse", "gettext", "locale")
                              if name in sys.modules]}))
 """
 
-#: the standard-library modules the records used to pull in
-SKIPPED = ["dataclasses", "inspect"]
+#: the standard-library modules the records used to pull in, and numbers,
+#: which only a path or grid of numpy scalars needs
+SKIPPED = ["dataclasses", "inspect", "numbers"]
+
+#: argparse and the modules it imports to translate its messages
+ARGPARSE = ["argparse", "gettext", "locale"]
 
 
 def _fresh(script, *args):
@@ -108,7 +116,8 @@ def _scalar_report(name):
 @functools.cache
 def _imported_by_package():
     return _fresh("import json, sys, etherdrift\n"
-                  "print(json.dumps([name for name in ('numpy', 'dataclasses', 'inspect')\n"
+                  "print(json.dumps([name for name in ('numpy', 'dataclasses', 'inspect',\n"
+                  "                                    'numbers')\n"
                   "                  if name in sys.modules]))")
 
 
@@ -160,18 +169,13 @@ NO_PAYLOAD = [name for name in SCALAR_COMMANDS
               if not name.startswith(("abphase", "pmomentum"))]
 
 # _RUN imports json itself; this script takes argv as it is and reports
-# without json: the exit code, whether json is loaded, and the option
-# strings of each subparser's actions
+# without json: the exit code and whether json is loaded
 _BARE = """
-import argparse, contextlib, io, sys
+import contextlib, io, sys
 from etherdrift import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-subparsers = next(action.choices for action in cli._build_parser()._actions
-                  if isinstance(action, argparse._SubParsersAction))
-print(repr((code, "json" in sys.modules,
-            {name: [action.option_strings for action in parser._actions]
-             for name, parser in subparsers.items()})))
+print(repr((code, "json" in sys.modules)))
 """
 
 
@@ -192,7 +196,7 @@ def test_importing_the_cli_does_not_load_json():
 
 @pytest.mark.parametrize("name", NO_PAYLOAD)
 def test_call_without_a_payload_does_not_load_json(name):
-    code, json_loaded, _ = _bare_report(tuple(SCALAR_COMMANDS[name]))
+    code, json_loaded = _bare_report(tuple(SCALAR_COMMANDS[name]))
     assert code == (2 if name in REFUSED else 0)
     assert not json_loaded
 
@@ -200,7 +204,7 @@ def test_call_without_a_payload_does_not_load_json(name):
 @pytest.mark.parametrize("name", sorted(set(SCALAR_COMMANDS) - set(NO_PAYLOAD)))
 def test_payload_loads_json(name):
     # the check above can see json: a payload does load it
-    code, json_loaded, _ = _bare_report(tuple(SCALAR_COMMANDS[name]))
+    code, json_loaded = _bare_report(tuple(SCALAR_COMMANDS[name]))
     assert code == (2 if name in REFUSED else 0)
     assert json_loaded
 
@@ -209,15 +213,18 @@ def test_fringe_config_file_loads_json(tmp_path):
     config = tmp_path / "fringe.json"
     config.write_text(json.dumps({"L_m": 1, "n1": 1.0006, "n2": 1.0001, "u_mps": 1e3,
                                   "lambda_nm": 633, "steps": 4}))
-    assert _bare_report(("fringe", "--config", str(config)))[:2] == (0, True)
+    assert _bare_report(("fringe", "--config", str(config))) == (0, True)
 
 
-def test_a_call_defines_only_its_own_subcommands_flags():
-    *_, flags = _bare_report(tuple(SCALAR_COMMANDS["speed"]))
-    assert ["--u-mps", "--u"] in flags["speed"]
-    assert all(flags[name] == [["-h", "--help"]] for name in flags if name != "speed")
-    assert "fringe" in flags
-    # a fringe call defines fringe's flags, and no other subcommand's
-    *_, flags = _bare_report(tuple(SCALAR_COMMANDS["fringe-default"]))
-    assert ["--steps"] in flags["fringe"]
-    assert flags["speed"] == [["-h", "--help"]]
+@pytest.mark.parametrize("name", sorted(set(SCALAR_COMMANDS) - {"version"}))
+def test_well_formed_call_does_not_load_argparse(name):
+    assert not set(ARGPARSE) & set(_scalar_report(name)["loaded"])
+
+
+@pytest.mark.parametrize("argv, code", [(["speed", "--help"], 0), (["--version"], 0),
+                                        (["speed", "--mode", "einstein"], 1)])
+def test_help_version_and_usage_errors_load_argparse(argv, code):
+    # the check above can see argparse: the calls that need it do load it
+    report = _fresh(_RUN, json.dumps(argv))
+    assert report["code"] == code
+    assert set(ARGPARSE) <= set(report["loaded"])

@@ -5,7 +5,6 @@ parser serves them all.  A warm call must match a fresh ``python -m
 etherdrift.cli`` byte for byte, in any order, and every bad number, in a
 flag or a JSON payload, must end in exit 2 with one stderr JSON line."""
 
-import argparse
 import contextlib
 import io
 import json
@@ -70,18 +69,14 @@ def test_warm_calls_match_fresh_processes(monkeypatch):
 # ---------------------------------------------------------------------------
 # exit-2 fuzzing: one bad number at a time in an otherwise valid request
 
-def _number_flags(parser, prefix=()):
-    """(subcommand words, option string, type) of every int or float flag.
-
-    A subparser defines its flags when it is first parsed or formatted, so
-    each one is made to define them here before its actions are read."""
-    parser._define_flags()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                yield from _number_flags(sub, prefix + (name,))
-        elif action.type in (int, float):
-            yield prefix, action.option_strings[0], action.type
+def _number_flags(command=cli._CLI, prefix=()):
+    """(subcommand words, option string, type) of every int or float flag
+    of the flag table."""
+    for flag in command.flags:
+        if flag.type in (int, float):
+            yield prefix, flag.options[0], flag.type
+    for name, sub in (command.commands or {}).items():
+        yield from _number_flags(sub, prefix + (name,))
 
 
 #: a valid request per subcommand; a flag it lacks is appended
@@ -100,7 +95,7 @@ BAD_FLAG_VALUES = {float: ["nan", "inf", "-inf", "1e309"],
                    int: [str(10 ** 400), str(-10 ** 400)]}
 
 FLAG_CASES = [(words, flag, value)
-              for words, flag, kind in _number_flags(cli._build_parser())
+              for words, flag, kind in _number_flags()
               for value in BAD_FLAG_VALUES[kind]]
 
 
