@@ -36,12 +36,14 @@ def _constant_q_integrals(q, vertices) -> list:
 
 
 def fresnel_momentum(omega: float, n: float, u) -> tuple:
-    """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m."""
+    """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m.
+
+    n^2 - 1 is formed as (n - 1)(n + 1), exact to rounding for n near 1."""
     if omega <= 0.0:
         raise DomainError(f"angular frequency must be positive, got {omega}")
     if n < 1.0:
         raise DomainError(f"refractive index must be >= 1, got {n}")
-    scale = -(omega / (c * c)) * (n * n - 1.0)
+    scale = -(omega / (c * c)) * ((n - 1.0) * (n + 1.0))
     ux, uy, uz = u
     return (scale * ux, scale * uy, scale * uz)
 

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Parses subcommands plus optional JSON config payloads, dispatches to the
+Parses subcommands and their flags, with JSON payloads for the abphase
+field and path and the pmomentum geometry, dispatches to the
 computation modules, and emits deterministic JSON/CSV: floats always carry
 17 significant digits, dict key order is fixed in code, and repeated runs
 are byte-identical.  Exit codes: 0 success, 1 usage, 2 domain or
@@ -126,8 +127,8 @@ def _table_lines(table):
 
 
 # ---------------------------------------------------------------------------
-# JSON payloads: the fringe config, the pmomentum geometry and the abphase
-# field spec.  This module alone knows their formats.
+# JSON payloads: the pmomentum geometry and the abphase field spec and path.
+# This module alone knows their formats.
 
 def _finite(value) -> bool:
     """An int or float within the double range.
@@ -139,14 +140,11 @@ def _finite(value) -> bool:
 
 
 #: schema kind -> what a valid value is, for the error message
-_KINDS = {"number": "a finite number", "integer": "an integer in the double range",
-          "string": "a string", "vector": "a 3-vector of finite numbers",
+_KINDS = {"number": "a finite number", "vector": "a 3-vector of finite numbers",
           "intvector": "a 3-vector of integers in the double range"}
 
 
 def _is_kind(value, kind) -> bool:
-    if kind == "string":
-        return isinstance(value, str)
     if kind in ("vector", "intvector"):
         element = "number" if kind == "vector" else "integer"
         return (isinstance(value, list) and len(value) == 3
@@ -161,39 +159,16 @@ def _as_kind(value, kind):
         return float(value)
     if kind == "vector":
         return tuple(float(v) for v in value)
-    if kind == "intvector":
-        return tuple(value)
-    return value
+    return tuple(value)
 
 
 class _Key(NamedTuple):
-    """A payload key: the library keyword it feeds, its kind, whether it is
-    required, and a conversion of the checked value (unit or enum)."""
+    """A payload key: the library keyword it feeds, its kind, and whether
+    it is required."""
 
     keyword: str
     kind: str
     required: bool = True
-    convert: object = None
-
-
-def _composition(name: str) -> CompositionLaw:
-    try:
-        return CompositionLaw(name)
-    except ValueError:
-        raise InputError(
-            f"composition must be 'einstein' or 'tangherlini', got {name!r}") from None
-
-
-_FRINGE_SCHEMA = {
-    "L_m": _Key("L", "number"),
-    "n1": _Key("n1", "number"),
-    "n2": _Key("n2", "number"),
-    "ef": _Key("e_f", "number", False),
-    "u_mps": _Key("u", "number"),
-    "lambda_nm": _Key("lambda_vac", "number", convert=lambda nm: nm * 1e-9),
-    "composition": _Key("composition", "string", False, _composition),
-    "steps": _Key("steps", "integer", False),  # angle_scan's, not the config's
-}
 
 _GEOMETRY_SCHEMA = {
     "a_cm": _Key("a", "number"),
@@ -217,21 +192,18 @@ _FIELD_SCHEMAS = {
 }
 
 
-def _apply_schema(values, schema: dict, origin: str, given=None) -> dict:
+def _apply_schema(values, schema: dict, origin: str) -> dict:
     """Library keywords from a JSON object.
 
     An optional key that is absent is not passed, so the library's own
-    default is the only one.  A keyword in ``given`` (a flag's value) is
-    passed as it is, and its key is neither required nor read."""
+    default is the only one."""
     if not isinstance(values, dict):
         raise InputError(f"{origin} must be a JSON object")
     unknown = set(values) - set(schema)
     if unknown:
         raise InputError(f"unknown key {sorted(unknown)[0]!r} in {origin}")
-    kwargs = dict(given or {})
-    for key, (keyword, kind, required, convert) in schema.items():
-        if keyword in kwargs:
-            continue
+    kwargs = {}
+    for key, (keyword, kind, required) in schema.items():
         if key not in values:
             if required:
                 raise InputError(f"missing required key {key!r} in {origin}")
@@ -239,8 +211,7 @@ def _apply_schema(values, schema: dict, origin: str, given=None) -> dict:
         value = values[key]
         if not _is_kind(value, kind):
             raise InputError(f"{origin} key {key!r} must be {_KINDS[kind]}, got {value!r}")
-        value = _as_kind(value, kind)
-        kwargs[keyword] = value if convert is None else convert(value)
+        kwargs[keyword] = _as_kind(value, kind)
     return kwargs
 
 
@@ -273,29 +244,27 @@ def _parse_json_text(text: str, origin: str):
         raise InputError(f"malformed JSON in {origin}: {exc}") from None
 
 
-def _load_json_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    return _parse_json_text(text, path)
-
-
 def _load_payload(spec: str, what: str):
     """Inline JSON if the value looks like JSON, otherwise a file path."""
     stripped = spec.lstrip()
     if stripped.startswith("{") or stripped.startswith("["):
         return _parse_json_text(spec, f"inline {what}")
-    return _load_json_file(spec)
+    try:
+        with open(spec, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {spec}: {exc}") from None
+    return _parse_json_text(text, spec)
 
 
-def _wavelength(ns):
-    """Wavelength in meters from --lambda (as given) or --lambda-nm; None if
-    neither."""
+def _wavelength(ns) -> float:
+    """Wavelength in meters from --lambda (as given) or --lambda-nm, one of
+    which is required."""
     meters = getattr(ns, "lambda")  # a keyword, hence getattr
     if meters is None:
-        return None if ns.lambda_nm is None else ns.lambda_nm * 1e-9
+        if ns.lambda_nm is None:
+            raise InputError("a wavelength is required: --lambda-nm or --lambda")
+        return ns.lambda_nm * 1e-9
     if ns.lambda_nm is not None:
         raise InputError("give only one of --lambda-nm and --lambda")
     return meters
@@ -337,36 +306,19 @@ def _run_fringe(ns, constants):
     # non-finite cell, so an overflow is reported once, as the one stderr
     # JSON line.  steps is checked before either, so a refused scan loads
     # no numpy
-    values = {}
-    if ns.config is not None:
-        payload = _load_json_file(ns.config)
-        if not isinstance(payload, dict):
-            raise InputError(f"config file {ns.config} must hold a JSON object")
-        values.update(payload)
-    flags = vars(ns)
-    values.update({key: flags[key] for key in _FRINGE_SCHEMA
-                   if key != "lambda_nm" and flags[key] is not None})
-    # a wavelength flag skips lambda_nm's conversion: --lambda (meters) is
-    # passed as given
-    lambda_vac = _wavelength(ns)
-    given = None if lambda_vac is None else {"lambda_vac": lambda_vac}
-    kwargs = _apply_schema(values, _FRINGE_SCHEMA, "fringe config", given)
-    steps = kwargs.pop("steps", 32)
-    config = InterferometerConfig(**kwargs)
-    _check_steps(steps, "angle scan")
-    if steps <= _SCAN_BLOCK:
-        return render_csv(SCAN_COLUMNS, _scan_rows(config, steps))
+    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, _wavelength(ns),
+                                  CompositionLaw(ns.composition), ns.ef)
+    _check_steps(ns.steps, "angle scan")
+    if ns.steps <= _SCAN_BLOCK:
+        return render_csv(SCAN_COLUMNS, _scan_rows(config, ns.steps))
     import numpy as np
 
     with np.errstate(all="ignore"):
-        return render_csv(SCAN_COLUMNS, angle_scan(config, steps))
+        return render_csv(SCAN_COLUMNS, angle_scan(config, ns.steps))
 
 
 def _run_sensitivity(ns, constants):
-    lambda_vac = _wavelength(ns)
-    if lambda_vac is None:
-        raise InputError("a wavelength is required: --lambda-nm or --lambda")
-    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, lambda_vac, e_f=ns.ef)
+    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, _wavelength(ns), e_f=ns.ef)
     u_min = min_detectable_u(config, ns.resolution)
     factor = improvement_factor(ns.u_mps, ns.n1, ns.n2)
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})
@@ -445,14 +397,13 @@ class _Flag:
     key ``dest``, and argparse's add_argument keywords for the rest.  A
     type of None keeps the value as given."""
 
-    __slots__ = ("options", "dest", "type", "choices", "default", "required", "help",
-                 "metavar")
+    __slots__ = ("options", "dest", "type", "choices", "default", "required", "help")
 
     def __init__(self, options, type=None, *, choices=None, default=None, required=False,
-                 help=None, metavar=None):
+                 help=None):
         self.options, self.dest = options, options[0][2:].replace("-", "_")
         self.type, self.choices, self.default = type, choices, default
-        self.required, self.help, self.metavar = required, help, metavar
+        self.required, self.help = required, help
 
 
 class _Command:
@@ -485,16 +436,15 @@ _CLI = _Command(
             _Flag(("--ef",), float, default=1.0, help="drag effectiveness"),
         ), _run_speed),
         "fringe": _Command("orientation scan of the two-arm device (CSV)", (
-            _Flag(("--config",), metavar="FILE", help="JSON config; flags override file values"),
-            _Flag(("--L-m", "--L"), float),
-            _Flag(("--n1",), float),
-            _Flag(("--n2",), float),
-            _Flag(("--ef",), float),
-            _Flag(("--u-mps", "--u"), float),
+            _Flag(("--L-m", "--L"), float, required=True),
+            _Flag(("--n1",), float, required=True),
+            _Flag(("--n2",), float, required=True),
+            _Flag(("--ef",), float, default=0.0),
+            _Flag(("--u-mps", "--u"), float, required=True),
             _Flag(("--lambda-nm",), float),
             _Flag(("--lambda",), float, help=_WAVELENGTH_M),
-            _Flag(("--composition",), choices=("einstein", "tangherlini")),
-            _Flag(("--steps",), int),
+            _Flag(("--composition",), choices=("einstein", "tangherlini"), default="einstein"),
+            _Flag(("--steps",), int, default=32),
         ), _run_fringe),
         "sensitivity": _Command("drift detectability of a configuration", (
             _Flag(("--L-m", "--L"), float, required=True),
@@ -628,8 +578,7 @@ def _add_command(parser, command):
     """Give an argparse parser a command's flags, runner and subcommands."""
     for flag in command.flags:
         parser.add_argument(*flag.options, type=flag.type, choices=flag.choices,
-                            default=flag.default, required=flag.required, help=flag.help,
-                            metavar=flag.metavar)
+                            default=flag.default, required=flag.required, help=flag.help)
     if command.run is not None:
         parser.set_defaults(run=command.run)
     if command.commands is not None:

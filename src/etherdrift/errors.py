@@ -15,7 +15,7 @@ class DomainError(EtherdriftError, ValueError):
 
 
 class InputError(EtherdriftError, ValueError):
-    """Malformed user input (config files, CLI payloads)."""
+    """Malformed user input (CLI flags and JSON payloads)."""
 
 
 class SingularPathError(EtherdriftError, ValueError):

@@ -244,10 +244,8 @@ def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> tuple:
     """Closed form (q/c) A at the charge: magnitude q B a^2/(2 d c), azimuthal.
 
     With the charge on +x and B along +z the azimuthal direction at the
-    charge is +y.
+    charge is +y.  The geometry has the charge outside the solenoid, d > a.
     """
-    if geom.d <= geom.a:
-        raise DomainError("closed form requires the charge outside the solenoid")
     magnitude = geom.q * geom.B * geom.a * geom.a / (2.0 * geom.d * c_cgs)
     return (0.0, magnitude, 0.0)
 

@@ -35,9 +35,12 @@ def _check_speed(u: float):
 
 
 def fresnel_drag_coefficient(n: float) -> float:
-    """Drag coefficient 1 - 1/n^2; zero in vacuum, approaching 1 as n grows."""
+    """Drag coefficient 1 - 1/n^2; zero in vacuum, approaching 1 as n grows.
+
+    Formed as ((n - 1)/n)((n + 1)/n): exact to rounding for n near 1, where
+    1 - 1/n^2 cancels, and with no n^2 to overflow for large n."""
     _check_index(n)
-    return 1.0 - 1.0 / (n * n)
+    return ((n - 1.0) / n) * ((n + 1.0) / n)
 
 
 def fresnel_speed(n: float, u: float) -> float:

@@ -5,15 +5,21 @@
 The requests are every subcommand and its variants, the README examples and
 the warm-CLI cases, seeded random draws at small sizes (fringe scans of at
 most 64 steps, potential profiles of at most 50), the usage (exit 1) and
-domain (exit 2) errors, and the argv forms the parse reads.  The draws come from a fixed seed, so a rewrite
-changes only the entries whose output changed.  test_cli_corpus.py replays
-the file.
+domain (exit 2) errors, and the argv forms the parse reads.  The draws
+come from a fixed seed, so a rewrite changes only the entries whose output
+changed.  test_cli_corpus.py replays the file.
+
+On stderr it lists every entry added, removed or changed against the file
+it replaces, by argv, with the lines removed and added in each stream.
 """
 
+import difflib
 import json
 import math
 import os
 import random
+import shlex
+import sys
 
 from test_cli_corpus import CORPUS, STREAMS, record
 from test_warm_cli import TERMINAL, WARM_CASES
@@ -70,10 +76,12 @@ def _subcommands():
                   '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15, "coupling": 1e15, '
                   '"center_m": [0.5, 0, 0], "axis": [0, 0, -1]}}'):
         yield ["abphase", "--field", field, "--path", square]
+    # a bore shorter than d: its coarse level sums the kept share directly
     for geometry, levels in (('{"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1, '
                               '"lambda_cm": 150, "grid": [4, 4, 8]}', "2"),
                              ('{"a_cm": 1, "B_gauss": 100, "d_cm": 1.0001, "q_esu": 1}',
-                              "5")):
+                              "5"),
+                             ('{"a_cm":1,"B_gauss":100,"d_cm":3,"q_esu":1,"lambda_cm":2}', "2")):
         yield ["pmomentum", "--geometry", geometry, "--levels", levels]
 
 
@@ -154,6 +162,9 @@ def _errors():
     yield ["speed", "--mode", "einstein", "--n", "1.5", "-3e4"]
     yield ["fringe", "--lam", "633"]
     yield ["fringe", "--steps", "2.5"]
+    yield ["fringe", "--L-m", "1", "--n1", "1.0006", "--u-mps", "1e3", "--lambda-nm", "633"]
+    # the device comes from flags alone
+    yield ["fringe", "--config", "f.json"]
     # exit 2: one JSON line on stderr
     base = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
             "--lambda-nm", "633"]
@@ -240,9 +251,45 @@ def _dump(entries) -> str:
     return "[\n" + ",\n".join(blocks) + "\n]\n"
 
 
+def _lines(stream) -> int:
+    """The number of lines of a stream recorded as str.split("\n") gives it."""
+    return len("\n".join(stream).splitlines())
+
+
+def _changes(old, new):
+    """One line per entry added, removed or changed from old to new."""
+    before = {tuple(entry["argv"]): entry for entry in old}
+    after = {tuple(entry["argv"]): entry for entry in new}
+    for argv, entry in after.items():
+        if argv not in before:
+            counts = ", ".join(f"{name} {_lines(entry[name])}" for name in STREAMS)
+            yield f"added: {shlex.join(argv)}  exit {entry['exit']}, lines: {counts}"
+            continue
+        was = before[argv]
+        parts = [] if was["exit"] == entry["exit"] else [f"exit {was['exit']} -> {entry['exit']}"]
+        for name in STREAMS:
+            opcodes = difflib.SequenceMatcher(None, was[name], entry[name]).get_opcodes()
+            removed = sum(i2 - i1 for tag, i1, i2, _, _ in opcodes if tag != "equal")
+            added = sum(j2 - j1 for tag, _, _, j1, j2 in opcodes if tag != "equal")
+            if removed or added:
+                parts.append(f"{name} -{removed} +{added}")
+        if parts:
+            yield f"changed: {shlex.join(argv)}  {', '.join(parts)}"
+    for argv in before:
+        if argv not in after:
+            yield f"removed: {shlex.join(argv)}"
+
+
 def main():
     os.environ.update(TERMINAL)
-    CORPUS.write_text(_dump([record(argv) for argv in requests()]), encoding="utf-8")
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
+    new = [record(argv) for argv in requests()]
+    CORPUS.write_text(_dump(new), encoding="utf-8")
+    changes = list(_changes(old, new))
+    for line in changes:
+        print(line, file=sys.stderr)
+    print(f"{len(changes)} entries added, removed or changed; {len(new)} entries, "
+          f"{len(old)} before", file=sys.stderr)
 
 
 if __name__ == "__main__":

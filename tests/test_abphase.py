@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -30,6 +31,21 @@ def test_fresnel_momentum_frozen():
     # -(omega/c^2)(n^2-1) * 10, 50-digit arithmetic
     assert q[0] == pytest.approx(-0.25458060622095547, rel=1e-12)
     assert q[1] == 0.0 and q[2] == 0.0
+
+
+def test_fresnel_momentum_matches_mpmath_near_vacuum():
+    # n - 1 log-uniform over [1e-12, 10], with both ends.  (n - 1) is exact
+    # for n <= 2 and rounded once above; c^2, omega/c^2, (n + 1), the three
+    # products after them are rounded once each: at most 7 errors of 2^-53
+    rng = random.Random("near-vacuum")
+    u = (10.0, -3.0, 0.5)
+    with mpmath.workdps(50):
+        for e in [-12.0, 1.0, *(rng.uniform(-12.0, 1.0) for _ in range(2000))]:
+            n = 1.0 + 10.0 ** e
+            scale = -mpmath.mpf(OMEGA_633) / mpmath.mpf(c) ** 2 * (mpmath.mpf(n) ** 2 - 1)
+            for got, ui in zip(fresnel_momentum(OMEGA_633, n, u), u):
+                exact = scale * ui
+                assert abs(got - exact) <= 7 * 2.0 ** -53 * abs(exact), n
 
 
 def test_fresnel_momentum_trivial_zeros():

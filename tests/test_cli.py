@@ -154,18 +154,12 @@ _WAVELENGTHS_OFF_THE_NM_GRID = [6e-7, 4.88e-7, 4.05e-7, 1.55e-6]
 
 
 @pytest.mark.parametrize("meters", _WAVELENGTHS_OFF_THE_NM_GRID)
-def test_lambda_in_meters_reaches_the_kernel_as_given(meters, tmp_path, capsys):
+def test_lambda_in_meters_reaches_the_kernel_as_given(meters, capsys):
     assert meters * 1e9 * 1e-9 != meters
     device = ["--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3"]
     cfg = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, meters)
     scan = _naive_csv(SCAN_COLUMNS, angle_scan(cfg, 4))
     assert cli.main(["fringe", *device, "--lambda", repr(meters), "--steps", "4"]) == 0
-    assert capsys.readouterr() == (scan, "")
-    # the flag overrides a config file's lambda_nm, still in meters as given
-    config = tmp_path / "fringe.json"
-    config.write_text(json.dumps({"lambda_nm": 633, "steps": 4}))
-    assert cli.main(["fringe", "--config", str(config), *device,
-                     "--lambda", repr(meters)]) == 0
     assert capsys.readouterr() == (scan, "")
     assert cli.main(["sensitivity", *device, "--lambda", repr(meters),
                      "--resolution", "1e-3"]) == 0
@@ -280,43 +274,29 @@ def test_table_rows_share_text_only_where_the_doubles_are_equal():
         cli.render_csv(header, table)
 
 
-def test_fringe_config_file_and_flag_override(tmp_path):
+def test_fringe_config_flag_is_refused(tmp_path):
+    # the device is given by flags alone, as for sensitivity
     cfg = tmp_path / "fringe.json"
     cfg.write_text(json.dumps({"L_m": 1.0, "n1": 1.0006, "n2": 1.0001,
                                "u_mps": 1000.0, "lambda_nm": 633.0, "steps": 2}))
-    from_file = run_cli("fringe", "--config", str(cfg))
-    assert from_file.returncode == 0
-    assert len(from_file.stdout.splitlines()) == 3
+    proc = run_cli("fringe", "--config", str(cfg))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "required: --L-m/--L, --n1, --n2, --u-mps/--u" in proc.stderr
+    proc = run_cli("fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
+                   "--u-mps", "1e3", "--lambda-nm", "633", "--config", str(cfg))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "unrecognized arguments: --config" in proc.stderr
 
-    overridden = run_cli("fringe", "--config", str(cfg), "--u-mps", "0")
-    rows = overridden.stdout.splitlines()[1:]
-    assert len({row.split(",")[1] for row in rows}) == 1
 
-
-def test_fringe_config_file_errors(tmp_path):
-    bad_key = tmp_path / "bad_key.json"
-    bad_key.write_text(json.dumps({"L_m": 1.0, "n1": 1.0006, "n2": 1.0001,
-                                   "u_mps": 1e3, "lambda_nm": 633.0, "phase": 1}))
-    proc = run_cli("fringe", "--config", str(bad_key))
-    assert proc.returncode == 2
-    assert "phase" in stderr_error(proc)["message"]
-
-    missing = tmp_path / "missing.json"
-    missing.write_text(json.dumps({"L_m": 1.0, "n1": 1.0006, "n2": 1.0001,
-                                   "u_mps": 1e3}))
-    proc = run_cli("fringe", "--config", str(missing))
-    assert proc.returncode == 2
-    assert "lambda_nm" in stderr_error(proc)["message"]
-
+def test_payload_file_errors(tmp_path):
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
-    proc = run_cli("fringe", "--config", str(malformed))
-    assert proc.returncode == 2
-    assert "malformed JSON" in stderr_error(proc)["message"]
+    _exit_2_with(run_cli("pmomentum", "--geometry", str(malformed)), "InputError",
+                 f"malformed JSON in {malformed}")
 
-    proc = run_cli("fringe", "--config", str(tmp_path / "absent.json"))
-    assert proc.returncode == 2
-    assert "cannot read" in stderr_error(proc)["message"]
+    absent = tmp_path / "absent.json"
+    _exit_2_with(run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1, 0, 0]}}',
+                         "--path", str(absent)), "InputError", f"cannot read {absent}")
 
 
 def test_abphase_uniform_inline():
@@ -548,19 +528,18 @@ def test_non_finite_flags_exit_2(args, flag):
 
 
 def test_non_finite_json_numbers_exit_2(tmp_path):
-    # json.loads accepts NaN and Infinity
-    cfg = tmp_path / "fringe.json"
-    cfg.write_text('{"L_m": 1.0, "n1": 1.0006, "n2": 1.0001, "u_mps": NaN, '
-                   '"lambda_nm": 633.0}')
-    proc = run_cli("fringe", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert "u_mps" in stderr_error(proc)["message"]
+    # json.loads accepts NaN and Infinity, in a file as inline
+    geometry = tmp_path / "geometry.json"
+    geometry.write_text('{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": NaN, "q_esu": 1.0}')
+    _exit_2_with(run_cli("pmomentum", "--geometry", str(geometry)), "InputError", "'d_cm'")
 
-    # a JSON true must not pass for the number 1, and a count must fit a double
-    for leaf, key in (('"ef": true', "ef"), ('"steps": ' + _HUGE, "steps")):
-        cfg.write_text('{"L_m": 1.0, "n1": 1.0006, "n2": 1.0001, "u_mps": 1.0, '
-                       '"lambda_nm": 633.0, %s}' % leaf)
-        _exit_2_with(run_cli("fringe", "--config", str(cfg)), "InputError", f"'{key}'")
+    # a JSON true must not pass for the number 1, and a number or a grid
+    # count must fit a double
+    for leaf, key in (('"q_esu": true', "q_esu"), ('"q_esu": ' + _HUGE, "q_esu"),
+                      ('"q_esu": 1, "grid": [4, 4, %s]' % _HUGE, "grid")):
+        _exit_2_with(run_cli("pmomentum", "--geometry",
+                             '{"a_cm": 1.0, "B_gauss": 100.0, "d_cm": 3.0, %s}' % leaf),
+                     "InputError", f"'{key}'")
 
     uniform = '{"kind": "uniform_q", "params": {"q": [1, 0, 0]}}'
     proc = run_cli("abphase", "--field", uniform.replace("[1,", "[Infinity,"),

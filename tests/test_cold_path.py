@@ -12,10 +12,10 @@ in plain floats too, nor a request refused before its computation (an
 records are NamedTuples, so importing the package does not load
 ``dataclasses`` or the ``inspect`` it imports, and ``numbers`` is read only
 for a path or grid of other than plain floats and ints.  json is imported
-only to read a payload (``abphase``, ``pmomentum``, ``fringe --config``) or
-to escape a string that needs it.  A well-formed argv is parsed from the
-flag table, so argparse, with the gettext and locale it imports, loads
-only for help, --version and usage errors.  Each case runs in a fresh
+only to read a payload (``abphase``, ``pmomentum``) or to escape a string
+that needs it.  A well-formed argv is parsed from the flag table, so
+argparse, with the gettext and locale it imports, loads only for help,
+--version and usage errors.  Each case runs in a fresh
 interpreter, because this test session has these modules loaded already."""
 
 import ast
@@ -139,12 +139,9 @@ def test_scalar_subcommand_does_not_load_dataclasses(name):
     assert not set(SKIPPED) & set(_scalar_report(name)["loaded"])
 
 
-def test_fringe_from_a_config_file_does_not_load_numpy(tmp_path):
-    config = tmp_path / "fringe.json"
-    config.write_text(json.dumps({"L_m": 1, "n1": 1.0006, "n2": 1.0001, "u_mps": 1e3,
-                                  "lambda_nm": 633, "composition": "tangherlini",
-                                  "steps": 64}))
-    report = _fresh(_RUN, json.dumps(["fringe", "--config", str(config)]))
+def test_fringe_tangherlini_scan_does_not_load_numpy():
+    report = _fresh(_RUN, json.dumps([*FRINGE, "--composition", "tangherlini",
+                                      "--steps", "64"]))
     assert (report["code"], report["stderr"]) == (0, "")
     assert len(report["stdout"].splitlines()) == 1 + 64
     assert not {"numpy", *SKIPPED} & set(report["loaded"])
@@ -207,13 +204,6 @@ def test_payload_loads_json(name):
     code, json_loaded = _bare_report(tuple(SCALAR_COMMANDS[name]))
     assert code == (2 if name in REFUSED else 0)
     assert json_loaded
-
-
-def test_fringe_config_file_loads_json(tmp_path):
-    config = tmp_path / "fringe.json"
-    config.write_text(json.dumps({"L_m": 1, "n1": 1.0006, "n2": 1.0001, "u_mps": 1e3,
-                                  "lambda_nm": 633, "steps": 4}))
-    assert _bare_report(("fringe", "--config", str(config))) == (0, True)
 
 
 @pytest.mark.parametrize("name", sorted(set(SCALAR_COMMANDS) - {"version"}))

@@ -1,3 +1,6 @@
+import random
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +16,23 @@ from etherdrift.units import c as C
 def test_drag_coefficient_endpoints():
     assert fresnel_drag_coefficient(1.0) == 0.0
     assert fresnel_drag_coefficient(1e9) == pytest.approx(1.0, abs=1e-12)
+    # no n^2 is formed, so none overflows
+    assert fresnel_drag_coefficient(1e200) == 1.0
     # 1 - 1/1.33^2, 50-digit arithmetic
     assert fresnel_drag_coefficient(1.33) == pytest.approx(0.43467691785855616, rel=1e-15)
+
+
+def test_drag_coefficient_matches_mpmath_near_vacuum():
+    # n - 1 log-uniform over [1e-12, 10], with both ends: the rarefied gases
+    # near n = 1, where 1 - 1/n^2 cancels, through dense media.  (n - 1) is
+    # exact for n <= 2 and rounded once above; (n + 1), the two quotients
+    # and their product are rounded once each: at most 5 errors of 2^-53
+    rng = random.Random("near-vacuum")
+    with mpmath.workdps(50):
+        for e in [-12.0, 1.0, *(rng.uniform(-12.0, 1.0) for _ in range(2000))]:
+            n = 1.0 + 10.0 ** e
+            exact = 1 - 1 / mpmath.mpf(n) ** 2
+            assert abs(fresnel_drag_coefficient(n) - exact) <= 5 * 2.0 ** -53 * exact, n
 
 
 def test_drag_coefficient_monotone():
@@ -135,3 +153,5 @@ def test_domain_errors():
         einstein_composed_speed(1.0, 1.5 * C)
     with pytest.raises(DomainError):
         fresnel_drag_coefficient(-2.0)
+    with pytest.raises(DomainError, match="unknown composition law"):
+        compose_lab_speed(C / 1.5, 10.0, "einstein")

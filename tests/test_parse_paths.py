@@ -77,6 +77,8 @@ def test_every_corpus_request_parses_alike():
 SPEED = ["speed", "--mode", "einstein", "--n", "1.5"]
 BOUND = ["proca", "bound", "--V-volts", "1e7", "--tau-s", "5e-2", "--R-cm", "27",
          "--epsilon", "1e-4"]
+#: fringe's required flags but the arm length, and a wavelength
+FRINGE = ["fringe", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4", "--lambda-nm", "633"]
 
 #: (argv, whether the fast path takes it)
 FORMS = [
@@ -96,7 +98,7 @@ FORMS = [
     ([*SPEED, "--u=-10"], True),
     (["fringe", "--L", "2", "--n1", "1.0006", "--n2", "1.0001", "--u=3e4", "--lambda", "6.33e-7"],
      True),
-    (["fringe", "--L=2"], True),
+    ([*FRINGE, "--L=2"], True),
     (["proca", "bound", "--V", "1e7", "--tau=5e-2", "--R-cm", "27", "--epsilon", "1e-4"], True),
     (["proca", "phase", "--V=1e7", "--tau", "5e-2", "--R-cm", "27", "--m-gamma-inv-cm", "1e3"],
      True),
@@ -121,7 +123,7 @@ FORMS = [
     ([*SPEED, "-3e4"], False),
     ([*SPEED, "extra"], False),
     (["nosuch"], False),
-    (["fringe", "--lam", "633"], False),
+    ([*FRINGE, "--L", "1", "--lam", "633"], False),
     # a value that starts with "-" and is no negative number
     (["speed", "--mode", "einstein", "--n", "-abc"], False),
     (["speed", "--mode", "einstein", "--n", "-e3"], False),
@@ -129,10 +131,10 @@ FORMS = [
     (["abphase", "--field", "--help", "--path", "[]"], False),
     # a failed conversion or choice
     (["speed", "--mode", "nope", "--n", "1.5"], False),
-    (["fringe", "--steps", "2.5"], False),
-    (["fringe", "--steps", "-3e4"], False),
-    (["fringe", "--steps", "-3"], True),
-    (["fringe", "--steps", str(10 ** 400)], True),
+    ([*FRINGE, "--L", "1", "--steps", "2.5"], False),
+    ([*FRINGE, "--L", "1", "--steps", "-3e4"], False),
+    ([*FRINGE, "--L", "1", "--steps", "-3"], True),
+    ([*FRINGE, "--L", "1", "--steps", str(10 ** 400)], True),
     # empty values: a string flag takes one, a number flag does not
     (["abphase", "--field", "", "--path", ""], True),
     (["abphase", "--field=", "--path="], True),

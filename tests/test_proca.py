@@ -106,6 +106,12 @@ def test_cylinder_potential_domain():
         cylinder_potential_exact(0.3, REFERENCE, 1.0)
     with pytest.raises(DomainError):
         cylinder_potential_exact(0.1, REFERENCE, -1.0)
+    with pytest.raises(DomainError, match="rho"):
+        cylinder_potential_expansion(-0.01, REFERENCE, 1.0)
+    with pytest.raises(DomainError, match="rho"):
+        cylinder_potential_expansion(0.3, REFERENCE, 1.0)
+    with pytest.raises(DomainError, match="photon mass"):
+        cylinder_potential_expansion(0.1, REFERENCE, -1.0)
 
 
 def test_expansion_variants():

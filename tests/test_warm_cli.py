@@ -13,7 +13,6 @@ import shlex
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -138,8 +137,6 @@ FIELD_PARAMS = {
                  "axis": [0, 0, 1]},
 }
 PATH = [[1, -1, 0], [1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]
-FRINGE_CONFIG = {"L_m": 1, "n1": 1.0006, "n2": 1.0001, "ef": 0.5, "u_mps": 1e3,
-                 "lambda_nm": 633, "composition": "einstein", "steps": 8}
 GEOMETRY = {"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1, "lambda_cm": 150,
             "grid": [4, 4, 8]}
 
@@ -166,20 +163,12 @@ def _replaced(value, at, leaf):
     return value
 
 
-@pytest.fixture(scope="module")
-def config_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("fringe") / "config.json"
+#: each payload schema with a valid payload: the pmomentum geometry, the
+#: params of each abphase field kind and the abphase path
+PAYLOADS = {"pmomentum": GEOMETRY, **FIELD_PARAMS, "path": PATH}
 
 
-#: each payload schema with a valid payload: the fringe config, the pmomentum
-#: geometry, the params of each abphase field kind and the abphase path
-PAYLOADS = {"fringe": FRINGE_CONFIG, "pmomentum": GEOMETRY, **FIELD_PARAMS, "path": PATH}
-
-
-def _payload_argv(name, payload, config_file):
-    if name == "fringe":
-        config_file.write_text(json.dumps(payload))
-        return ["fringe", "--config", str(config_file)]
+def _payload_argv(name, payload):
     if name == "pmomentum":
         return ["pmomentum", "--geometry", json.dumps(payload)]
     if name == "path":
@@ -189,15 +178,15 @@ def _payload_argv(name, payload, config_file):
     return ["abphase", "--field", json.dumps(field), "--path", json.dumps(path)]
 
 
-def test_every_payload_is_valid_unfuzzed(config_file):
+def test_every_payload_is_valid_unfuzzed():
     for name, payload in PAYLOADS.items():
-        assert _warm(_payload_argv(name, payload, config_file))[0] == 0
+        assert _warm(_payload_argv(name, payload))[0] == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_bad_json_leaf_exits_2(config_file, data):
+def test_bad_json_leaf_exits_2(data):
     name = data.draw(st.sampled_from(sorted(PAYLOADS)))
     at = data.draw(st.sampled_from(list(_leaves(PAYLOADS[name]))))
     leaf = data.draw(st.sampled_from(BAD_LEAVES))
-    _assert_exit_2(_payload_argv(name, _replaced(PAYLOADS[name], at, leaf), config_file))
+    _assert_exit_2(_payload_argv(name, _replaced(PAYLOADS[name], at, leaf)))
