@@ -8,15 +8,16 @@ geometry).  Phases are returned unwrapped; reduce mod 2 pi at the detector
 if needed.
 
 Positions are in meters and Q in rad/m throughout.  A path is a tuple of
-float 3-tuples, and every segment integral is a closed form in plain
-floats, so a phase never loads numpy.  Only the field samplers (``q_at``)
+float 3-tuples.  A constant Q's phase is one closed form over the path's
+end points and a solenoid's a sum of closed-form segment integrals, all in
+plain floats, so a phase never loads numpy.  Only the field samplers (``q_at``)
 compute on arrays, and they import numpy inside the call.
 """
 
 import math
 import operator
 import sys
-from itertools import chain, pairwise
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, InputError, SingularPathError
@@ -26,13 +27,30 @@ if TYPE_CHECKING:  # annotations only
     import numpy as np
 
 
-def _constant_q_integrals(q, vertices) -> list:
-    """int Q . dl = (p1 - p0) . q over each segment of a constant Q, the
-    products summed in the fixed x, y, z order: a segment rounds alike
-    anywhere."""
-    qx, qy, qz = q
-    return [(x1 - x0) * qx + (y1 - y0) * qy + (z1 - z0) * qz
-            for (x0, y0, z0), (x1, y1, z1) in pairwise(vertices)]
+def _constant_q_phase(q, vertices) -> float:
+    """int Q . dl of a constant Q along a path: Q . (p_last - p_first),
+    whatever the path between, correctly rounded.
+
+    Every double is a ratio of integers whose denominator is a power of
+    two, so the three products are summed exactly in integers and rounded
+    once, by int true division: a closed path gives 0, and the phases of a
+    path's pieces add up to the whole's to within their roundings.  A Q or
+    a phase beyond the double range raises DomainError."""
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"the interaction momentum Q is not finite: {q}")
+    num, den = 0, 1  # the phase is num/den
+    for x, a, b in zip(q, vertices[0], vertices[-1]):
+        (nx, dx), (na, da), (nb, db) = (x.as_integer_ratio(), a.as_integer_ratio(),
+                                        b.as_integer_ratio())
+        n, d = nx * (nb * da - na * db), dx * da * db  # x (b - a) = n/d
+        if d > den:
+            num, den = num * (d // den), d
+        num += n * (den // d)
+    try:
+        return num / den
+    except OverflowError:
+        raise DomainError(f"the phase is not a finite number ({'-' if num < 0 else ''}inf): "
+                          "it leaves the double range") from None
 
 
 def fresnel_momentum(omega: float, n: float, u) -> tuple:
@@ -59,9 +77,8 @@ class UniformQ(NamedTuple):
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(np.asarray(self.q, dtype=float), points.shape).copy()
 
-    def segment_integrals(self, vertices) -> list:
-        """Exact int Q . dl over each segment between consecutive vertices."""
-        return _constant_q_integrals(map(float, self.q), vertices)
+    def path_integral(self, vertices) -> float:
+        return _constant_q_phase(tuple(map(float, self.q)), vertices)
 
 
 class FresnelFlow(NamedTuple):
@@ -80,9 +97,8 @@ class FresnelFlow(NamedTuple):
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(np.asarray(self.q_vector()), points.shape).copy()
 
-    def segment_integrals(self, vertices) -> list:
-        """Exact int Q . dl over each segment between consecutive vertices."""
-        return _constant_q_integrals(self.q_vector(), vertices)
+    def path_integral(self, vertices) -> float:
+        return _constant_q_phase(self.q_vector(), vertices)
 
 
 #: 2 pi to 128 bits: 2 pi = _TWO_PI_128 / 2**125 within 4e-39
@@ -218,6 +234,15 @@ class SolenoidVectorPotential(NamedTuple):
             phases.append(hi * swept + lo * swept)
         return phases
 
+    def path_integral(self, vertices) -> float:
+        """math.fsum of the segment integrals."""
+        segments = self.segment_integrals(vertices)
+        try:
+            return math.fsum(segments)
+        except (OverflowError, ValueError):  # fsum raises where sum() gives inf or nan
+            raise DomainError("the phase leaves the double range: its segment "
+                              "integrals overflow") from None
+
 
 #: what every malformed vertex list is told
 _NOT_A_PATH = "path must be an array of [x, y, z] vertices of finite numbers"
@@ -264,16 +289,12 @@ class Path:
 
 
 def phase_line_integral(field, path: Path) -> float:
-    """Accumulated phase along the path, math.fsum over segments of int Q . dl.
+    """Accumulated phase along the path, int Q . dl.
 
-    Every field kind integrates each segment in closed form
-    (``segment_integrals``): exact up to rounding at any distance from a
-    flux line.  A path through a flux line raises SingularPathError, and a
-    sum that leaves the double range raises DomainError.
+    Every field kind integrates in closed form (``path_integral``), exact up
+    to rounding at any distance from a flux line: a constant Q over the
+    path's end points, a solenoid segment by segment, summed by math.fsum.
+    A path through a flux line raises SingularPathError, and a phase that
+    leaves the double range raises DomainError.
     """
-    segments = field.segment_integrals(path.vertices)
-    try:
-        return math.fsum(segments)
-    except (OverflowError, ValueError):  # fsum raises where sum() gives inf or nan
-        raise DomainError("the phase leaves the double range: its segment "
-                          "integrals overflow") from None
+    return field.path_integral(path.vertices)

@@ -5,7 +5,10 @@ field and path and the pmomentum geometry, dispatches to the
 computation modules, and emits deterministic JSON/CSV: floats always carry
 17 significant digits, dict key order is fixed in code, and repeated runs
 are byte-identical.  Exit codes: 0 success, 1 usage, 2 domain or
-computation error (reported as a single JSON line on stderr).
+computation error (reported as a single JSON line on stderr).  Output is
+one string, except a fringe scan of more than _SCAN_BLOCK rows: its
+table is checked whole, then written in blocks of rows, so a refused scan
+writes nothing and a large one is never held as one string.
 
 Every flag is declared once, in the table ``_CLI``.  A well-formed argv is
 read from it directly; argparse, whose parser is built from the same
@@ -84,18 +87,15 @@ def render_json(obj) -> str:
 
 
 def render_csv(header, rows) -> str:
-    """CSV of float rows, every cell "%.17g".
+    """CSV of float rows, a list of tuples, every cell "%.17g".
 
-    rows is a list of tuples, formatted one row at a time, or a 2-D numpy
-    table such as angle_scan's, formatted by _table_lines.  A finite
-    "%.17g" has no letter n, while inf and nan do, so one search of the
-    body checks every cell; format_float then names the offending one."""
+    A finite "%.17g" has no letter n, while inf and nan do, so one search
+    of the body checks every cell; format_float then names the offending
+    one.  A scan of more than _SCAN_BLOCK rows is not rendered here but
+    streamed by _table_csv."""
     head = ",".join(header)
-    if isinstance(rows, list):
-        row_format = ",".join(["%.17g"] * len(header))
-        text = "\n".join([head, *map(row_format.__mod__, rows), ""])
-    else:
-        text = "".join([head, *_table_lines(rows), "\n"])
+    row_format = ",".join(["%.17g"] * len(header))
+    text = "\n".join([head, *map(row_format.__mod__, rows), ""])
     if text.find("n", len(head)) != -1:
         for row in rows:
             for value in row:
@@ -103,27 +103,52 @@ def render_csv(header, rows) -> str:
     return text
 
 
-def _table_lines(table):
-    """The rows of a float table as text, each line led by its newline.
+def _table_csv(header, table):
+    """The CSV of a 2-D float table, such as angle_scan's, as an iterator of
+    text blocks (_table_blocks).
+
+    Every cell is checked before any text is formed, so a refused table
+    writes nothing: format_float names the first non-finite cell in
+    row-major order."""
+    import numpy as np  # the table's own module, already loaded
+
+    finite = np.isfinite(table)
+    if not finite.all():
+        format_float(table.flat[finite.argmin()])
+    return _table_blocks(header, table)
+
+
+def _table_blocks(header, table):
+    """The header, then the rows in blocks of _SCAN_BLOCK, each line led by
+    its newline, then the last newline.
 
     The first cell is formatted in every row.  The other cells of row
     k > n//2 reuse the text of row n - k wherever the two rows hold the same
-    doubles bit for bit, one comparison over the table (in an angle scan
-    the rows at theta and 360 - theta share a cosine, except at 90 and 270
-    degrees), so each such pair is formatted once.  No per-row tuple or
-    list is kept, so the collector has nothing to scan per row."""
+    doubles bit for bit (in an angle scan the rows at theta and 360 - theta
+    share a cosine, except at 90 and 270 degrees), so each such pair is
+    formatted once: the first half's cells are kept, one string a row, and
+    the second half reads them in reverse.  Only one block's text is held
+    at a time, and no per-row tuple or list is kept."""
     n, width = table.shape
     half = n // 2 + 1
     cell_format = ",".join(["%.17g"] * (width - 1))
-    columns = [table[:half, i].tolist() for i in range(1, width)]
-    cells = list(map(cell_format.__mod__, zip(*columns)))
     bits = table[:, 1:].view("i8")  # -0.0 == 0.0, but they print differently
-    shared = (bits[half:] == bits[n - half:0:-1]).all(axis=1)
-    mirrored = cells[n - half:0:-1]  # row n - k's cells for k = half .. n-1
-    for i in (~shared).nonzero()[0].tolist():
-        mirrored[i] = cell_format % tuple(table[half + i, 1:].tolist())
-    firsts = map("\n%.17g,".__mod__, table[:, 0].tolist())
-    return chain.from_iterable(zip(firsts, chain(cells, mirrored)))
+    kept = []  # the cells of rows 0 .. half-1
+    yield ",".join(header)
+    for start in range(0, n, _SCAN_BLOCK):
+        stop = min(start + _SCAN_BLOCK, n)
+        middle = min(max(start, half), stop)  # the block's first row past half
+        cells = list(map(cell_format.__mod__, zip(*table[start:middle, 1:].T.tolist())))
+        kept += cells
+        if middle < stop:  # rows k = middle .. stop-1 mirror rows n-k
+            mirrored = kept[n - middle:n - stop:-1]
+            shared = (bits[middle:stop] == bits[n - middle:n - stop:-1]).all(axis=1)
+            for i in (~shared).nonzero()[0].tolist():
+                mirrored[i] = cell_format % tuple(table[middle + i, 1:].tolist())
+            cells += mirrored
+        firsts = map("\n%.17g,".__mod__, table[start:stop, 0].tolist())
+        yield "".join(chain.from_iterable(zip(firsts, cells)))
+    yield "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +327,10 @@ def _run_speed(ns, constants):
 def _run_fringe(ns, constants):
     # a scan of up to one block is computed in plain floats, so that a cold
     # call does not import numpy; a larger scan is angle_scan's numpy table,
-    # the one numpy kernel, with its warnings off: rendering refuses a
+    # the one numpy kernel, with its warnings off: _table_csv refuses a
     # non-finite cell, so an overflow is reported once, as the one stderr
-    # JSON line.  steps is checked before either, so a refused scan loads
-    # no numpy
+    # JSON line, and then streams the table's text in blocks of rows.
+    # steps is checked before either, so a refused scan loads no numpy
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, _wavelength(ns),
                                   CompositionLaw(ns.composition), ns.ef)
     _check_steps(ns.steps, "angle scan")
@@ -314,7 +339,8 @@ def _run_fringe(ns, constants):
     import numpy as np
 
     with np.errstate(all="ignore"):
-        return render_csv(SCAN_COLUMNS, angle_scan(config, ns.steps))
+        table = angle_scan(config, ns.steps)
+    return _table_csv(SCAN_COLUMNS, table)
 
 
 def _run_sensitivity(ns, constants):
@@ -653,12 +679,17 @@ def parse_config(argv):
             raise InputError(f"--{key.replace('_', '-')} must be finite, got {value}")
     return ns
 
-def run(ns) -> str:
-    """Execute parsed arguments and return the rendered output."""
+def run(ns):
+    """Execute parsed arguments and return the rendered output: a str, or
+    for a scan of more than _SCAN_BLOCK rows an iterator of text blocks."""
     return ns.run(ns, get_constants(ns.profile))
 
 
 def main(argv=None) -> int:
+    """Run the CLI on argv (default sys.argv[1:]) and return the exit code.
+
+    Output goes to sys.stdout only after the request has run without
+    error: a str in one write, a stream of blocks with writelines."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -672,7 +703,10 @@ def main(argv=None) -> int:
         sys.stderr.write(render_json({"error": type(exc).__name__,
                                       "message": str(exc)}))
         return 2
-    sys.stdout.write(output)
+    if isinstance(output, str):
+        sys.stdout.write(output)
+    else:
+        sys.stdout.writelines(output)
     return 0
 
 

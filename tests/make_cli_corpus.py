@@ -180,6 +180,9 @@ def _errors():
                "--lambda-nm", "633"]
     yield ["fringe", "--L-m", "1e300", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
            "--lambda-nm", "1e-300", "--steps", "32"]
+    # a scan of more than one block is checked before any of it is written
+    yield ["fringe", "--L-m", "1e308", "--n1", "1.5", "--n2", "1.0", "--u-mps", "1e3",
+           "--lambda-nm", "633", "--steps", "5000"]
     # c/n1 at half an ulp of u_eff: a lab speed rounds to 0 at some angles
     yield ["fringe", "--L-m", "1", "--n1", _f(C * 2.0 ** 30), "--n2", "1", "--ef", "1",
            "--u-mps", _f(2.0 ** 24 - 2.0 ** -29), "--lambda-nm", "589", "--steps", "8"]

@@ -248,9 +248,17 @@ def test_fringe_stdout_is_the_table_cell_by_cell(law, device, capsys):
         assert out == _naive_csv(SCAN_COLUMNS, angle_scan(cfg, steps)), steps
 
 
-def test_table_rows_share_text_only_where_the_doubles_are_equal():
+def _streamed(header, table):
+    chunks = cli._table_csv(header, table)
+    assert not isinstance(chunks, str)
+    return "".join(chunks)
+
+
+def test_table_rows_share_text_only_where_the_doubles_are_equal(monkeypatch, capsys):
     # of six rows, row 5 mirrors row 1 and row 4 row 2; row 4 then differs
-    # in one cell, by one ulp or only in the sign of a zero
+    # in one cell, by one ulp or only in the sign of a zero.  Blocks of 1
+    # to 5 rows and of 4096 end at every row, at the middle row 4, or
+    # straddle it
     header = ("x", "a", "b", "c")
     base = np.array([[0.0, 1.0, 2.0, 3.0],
                      [60.0, 0.1, 0.2, 0.3],
@@ -258,20 +266,54 @@ def test_table_rows_share_text_only_where_the_doubles_are_equal():
                      [180.0, 4.0, 5.0, 6.0],
                      [240.0, 0.0, 5e-324, -7.25],
                      [300.0, 0.1, 0.2, 0.3]])
-    assert cli.render_csv(header, base) == _naive_csv(header, base)
-    for cell, value in ((2, 1e-323), (1, -0.0), (3, -7.250000000000001)):
-        table = base.copy()
-        table[4, cell] = value
-        text = cli.render_csv(header, table)
-        assert text == _naive_csv(header, table)
-        lines = text.splitlines()
-        assert lines[5].split(",")[1:] != lines[3].split(",")[1:]
-        assert lines[6].split(",")[1:] == lines[2].split(",")[1:]
-    # a mirrored row that shares an infinite cell's text is refused too
+    for block in (1, 2, 3, 4, 5, 4096):
+        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+        assert _streamed(header, base) == _naive_csv(header, base)
+        for cell, value in ((2, 1e-323), (1, -0.0), (3, -7.250000000000001)):
+            table = base.copy()
+            table[4, cell] = value
+            text = _streamed(header, table)
+            assert text == _naive_csv(header, table)
+            lines = text.splitlines()
+            assert lines[5].split(",")[1:] != lines[3].split(",")[1:]
+            assert lines[6].split(",")[1:] == lines[2].split(",")[1:]
+    # a mirrored row that shares an infinite cell's text is refused too,
+    # before any text is formed: main writes nothing to stdout
     table = base.copy()
     table[[1, 5], 3] = np.inf
     with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
-        cli.render_csv(header, table)
+        cli._table_csv(header, table)
+    monkeypatch.setattr(cli, "_SCAN_BLOCK", 2)
+    monkeypatch.setattr(cli, "angle_scan", lambda config, steps: table)
+    assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
+                     "--lambda-nm", "633", "--steps", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["message"] == ("result is not a finite number (inf): "
+                                          "the computation left the double range")
+    # the message names the first non-finite cell in row-major order
+    table[4, 1] = -np.inf
+    table[1, 2] = np.nan
+    with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
+        cli._table_csv(header, table)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("device", [_SCAN_DEVICES[0], _SCAN_DEVICES[2]])
+def test_streamed_scan_is_the_table_cell_by_cell(law, device, capsys):
+    # a scan of more than one block is written in blocks: the chunks and
+    # main's stdout are what formatting every cell gives, for scans that
+    # end at, just after and just before a block edge
+    L, n1, n2, e_f, u = device
+    cfg = InterferometerConfig(L, n1, n2, u, 589e-9, CompositionLaw(law), e_f)
+    argv = ["fringe", "--L-m", repr(L), "--n1", repr(n1), "--n2", repr(n2), "--ef", repr(e_f),
+            f"--u-mps={u!r}", "--lambda-nm", "589", "--composition", law]
+    for steps in (4097, 4098, 8192, 8193, 8194, 12001, 3 * 4096 + 1):
+        table = angle_scan(cfg, steps)
+        naive = _naive_csv(SCAN_COLUMNS, table)
+        assert _streamed(SCAN_COLUMNS, table) == naive, steps
+        assert cli.main([*argv, "--steps", str(steps)]) == 0
+        assert capsys.readouterr() == (naive, ""), steps
 
 
 def test_fringe_config_flag_is_refused(tmp_path):
