@@ -49,8 +49,12 @@ def _constant_q_phase(q, vertices) -> float:
     try:
         return num / den
     except OverflowError:
-        raise DomainError(f"the phase is not a finite number ({'-' if num < 0 else ''}inf): "
-                          "it leaves the double range") from None
+        raise _not_finite(-math.inf if num < 0 else math.inf) from None
+
+
+def _not_finite(phase) -> DomainError:
+    """The error for a phase beyond the double range: inf, -inf or nan."""
+    return DomainError(f"the phase is not a finite number ({phase}): it leaves the double range")
 
 
 def fresnel_momentum(omega: float, n: float, u) -> tuple:
@@ -235,13 +239,20 @@ class SolenoidVectorPotential(NamedTuple):
         return phases
 
     def path_integral(self, vertices) -> float:
-        """math.fsum of the segment integrals."""
+        """math.fsum of the segment integrals.
+
+        Where coupling flux/(2 pi) leaves the double range, the segments are
+        inf, or nan where one sweeps no angle, and fsum passes them on: a
+        phase that is not finite raises DomainError."""
         segments = self.segment_integrals(vertices)
         try:
-            return math.fsum(segments)
+            phase = math.fsum(segments)
         except (OverflowError, ValueError):  # fsum raises where sum() gives inf or nan
             raise DomainError("the phase leaves the double range: its segment "
                               "integrals overflow") from None
+        if not math.isfinite(phase):
+            raise _not_finite(phase)
+        return phase
 
 
 #: what every malformed vertex list is told

@@ -5,7 +5,10 @@ field and path and the pmomentum geometry, dispatches to the
 computation modules, and emits deterministic JSON/CSV: floats always carry
 17 significant digits, dict key order is fixed in code, and repeated runs
 are byte-identical.  Exit codes: 0 success, 1 usage, 2 domain or
-computation error (reported as a single JSON line on stderr).  Output is
+computation error (reported as a single JSON line on stderr).  As a
+process (_console_main) a call also exits 1, with nothing on stderr,
+when its reader closes the pipe early, and it ends by os._exit, with no
+interpreter teardown, once its output is flushed.  Output is
 one string, except a fringe scan of more than _SCAN_BLOCK rows: its
 table is checked whole, then written in blocks of rows, so a refused scan
 writes nothing and a large one is never held as one string.
@@ -15,8 +18,10 @@ read from it directly; argparse, whose parser is built from the same
 table, is imported only for help, --version and usage errors.
 """
 
+import atexit
 import functools
 import math
+import os
 import re
 import sys
 from itertools import chain
@@ -710,5 +715,35 @@ def main(argv=None) -> int:
     return 0
 
 
+def _console_main():
+    """The process entry of ``python -m etherdrift.cli`` and of the
+    ``etherdrift`` script: run main, then end the process without the
+    interpreter's teardown.
+
+    Finalizing the interpreter frees every module and runs a last garbage
+    collection, a tenth or more of a small cold call, and none of it
+    reaches the output.  So the atexit handlers run here (coverage saves
+    its data in one), both streams are flushed, and os._exit ends the
+    process.  A reader that closes the pipe early (``| head``) ends the
+    call with exit 1, Python's own code for a broken pipe, and nothing on
+    stderr.  Any other failed flush, such as a full disk, takes sys.exit,
+    whose teardown reports it and exits 120 as before."""
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = 1
+    atexit._run_exitfuncs()  # and clears them, so sys.exit runs none twice
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # closed at start (>&-)
+            continue
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = 1
+        except OSError:
+            sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _console_main()

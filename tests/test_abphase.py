@@ -326,6 +326,22 @@ def test_phase_beyond_double_range_raises_domain_error(vertices):
         phase_line_integral(field, Path(vertices))
 
 
+@pytest.mark.parametrize("vertices, shown", [
+    # coupling x flux/(2 pi) overflows: each segment of the loop is +-inf
+    (square_loop().vertices, "inf"),
+    (square_loop().vertices[::-1], "-inf"),
+    # a radial segment sweeps no angle: inf x 0 is nan
+    (((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)), "nan"),
+    (square_loop().vertices + ((2.0, -2.0, 0.0),), "nan"),
+], ids=["loop", "reversed-loop", "radial-segment", "loop-then-radial"])
+def test_solenoid_phase_beyond_double_range_raises_domain_error(vertices, shown):
+    # math.fsum passes inf and nan segments on, so the sum itself is checked
+    field = SolenoidVectorPotential(flux=1e300, coupling=1e300)
+    with pytest.raises(DomainError, match=rf"^the phase is not a finite number \({shown}\): "
+                                          "it leaves the double range$"):
+        phase_line_integral(field, Path(vertices))
+
+
 def test_constant_q_closed_loop_is_exactly_zero():
     # the per-segment sum printed -1.4551915228366852e-11 for this loop; a
     # Q of all negative components must give +0.0, not -0.0

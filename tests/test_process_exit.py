@@ -1,0 +1,157 @@
+"""How a CLI process ends: ``cli._console_main`` runs ``main``, the atexit
+handlers and both flushes, then leaves by os._exit, skipping the
+interpreter's teardown.  ``cli.main`` itself only returns its exit code.
+
+Each request runs in a fresh ``python -m etherdrift.cli`` here, the path
+the ``etherdrift`` script takes too."""
+
+import atexit
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from etherdrift import cli
+
+CLI = [sys.executable, "-m", "etherdrift.cli"]
+
+SPEED = ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "1e3"]
+
+#: a DomainError: exit 2, nothing on stdout
+REFUSED = ["speed", "--mode", "einstein", "--n", "nan", "--u-mps", "1e3"]
+
+
+def scan(steps):
+    return ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
+            "--lambda-nm", "633", "--steps", str(steps)]
+
+
+def in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def environment(buffered):
+    """This environment, with stdout block-buffered or unbuffered."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [SPEED, REFUSED, scan(20000)], ids=["speed", "refused", "scan"])
+def test_fresh_process_prints_what_main_prints(argv, buffered):
+    # the 20000-row scan (1.7 MB) is streamed and outgrows a pipe's buffer,
+    # so its last block still sits in stdout's buffer at the final flush
+    proc = subprocess.run(CLI + argv, capture_output=True, env=environment(buffered))
+    assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv)
+
+
+def run_module_script(argv, handlers=1):
+    """A script that registers atexit handlers, then runs the CLI module
+    as __main__, as ``python -m`` does."""
+    return (f"import atexit, runpy, sys\n"
+            f"for i in range({handlers}):\n"
+            f"    atexit.register(sys.stderr.write, f'handler {{i}} ran\\n')\n"
+            f"sys.argv = ['etherdrift', *{argv!r}]\n"
+            f"runpy.run_module('etherdrift.cli', run_name='__main__')\n")
+
+
+@pytest.mark.parametrize("argv", [SPEED, ["nosuch"], REFUSED], ids=["exit-0", "exit-1", "exit-2"])
+def test_atexit_handlers_run_once(argv):
+    proc = subprocess.run([sys.executable, "-c", run_module_script(argv, handlers=2)],
+                          capture_output=True, text=True)
+    code, stdout, stderr = in_process(argv)
+    assert (proc.returncode, proc.stdout) == (code, stdout.decode())
+    # handlers run last in, first out, after everything main wrote
+    assert proc.stderr == stderr.decode() + "handler 1 ran\nhandler 0 ran\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_flush_keeps_the_interpreter_report_and_exit_120():
+    # the buffered answer fits stdout's buffer, so only the last flush
+    # meets ENOSPC; sys.exit reports it and exits 120, as the teardown did,
+    # and the atexit handler, already run, does not run again
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", run_module_script(SPEED)], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=environment(True))
+    assert proc.returncode == 120
+    assert proc.stderr.startswith("handler 0 ran\nException ignored in: <_io.TextIOWrapper "
+                                  "name='<stdout>'")
+    assert proc.stderr.count("handler 0 ran") == 1
+    assert proc.stderr.rstrip().endswith("OSError: [Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("steps, buffered", [(3000, True), (20000, True), (20000, False)],
+                         ids=["one-string", "streamed", "streamed-unbuffered"])
+def test_reader_closing_the_pipe_exits_1_with_nothing_on_stderr(steps, buffered):
+    # 3000 rows (250 kB) are one write, 20000 rows (1.7 MB) a stream of
+    # blocks; both outgrow the pipe's buffer, so the writer is still
+    # writing, or holds a full buffer, when the reader goes.  Unbuffered,
+    # one write cut short by the reader is a partial write, which the text
+    # layer does not report, so only a stream meets the broken pipe there
+    read_end, write_end = os.pipe()
+    with subprocess.Popen(CLI + scan(steps), stdout=write_end, stderr=subprocess.PIPE,
+                          env=environment(buffered)) as proc:
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            head = reader.read(40)
+        stderr = proc.stderr.read()
+    assert head == in_process(scan(steps))[1][:40]
+    assert (proc.returncode, stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["at-the-flush", "in-main"])
+def test_pipe_closed_before_the_call_exits_1_with_nothing_on_stderr(buffered):
+    # the answer fits stdout's buffer: buffered, the broken pipe shows only
+    # at the last flush; unbuffered, at main's write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(CLI + SPEED, stdout=write_end, stderr=subprocess.PIPE,
+                              env=environment(buffered))
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_closed_stdout_keeps_its_outcomes():
+    # with fd 1 closed at start, sys.stdout is None: a call that writes
+    # there fails in main as before, and an exit-2 call still exits 2
+    def closed(argv):
+        return subprocess.run(CLI + argv, stdin=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, preexec_fn=lambda: os.close(1))
+
+    refused = closed(REFUSED)
+    assert (refused.returncode, refused.stderr) == (2, in_process(REFUSED)[2].decode())
+    answered = closed(SPEED)
+    assert answered.returncode == 1
+    assert answered.stderr.rstrip().endswith(
+        "AttributeError: 'NoneType' object has no attribute 'write'")
+
+
+def test_main_returns_in_process_and_runs_no_atexit_handler():
+    ran = []
+    atexit.register(ran.append, "handler")
+    try:
+        assert in_process(SPEED)[0] == 0
+        assert in_process(REFUSED)[0] == 2
+        assert in_process(["nosuch"])[0] == 1
+    finally:
+        atexit.unregister(ran.append)
+    assert ran == []
+
+
+def test_the_script_and_the_module_share_one_entry():
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert '[project.scripts]\netherdrift = "etherdrift.cli:_console_main"\n' in pyproject
+    source = Path(cli.__file__).read_text()
+    assert source.rstrip().endswith('if __name__ == "__main__":\n    _console_main()')
