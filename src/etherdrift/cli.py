@@ -287,19 +287,6 @@ def _load_payload(spec: str, what: str):
     return _parse_json_text(text, spec)
 
 
-def _wavelength(ns) -> float:
-    """Wavelength in meters from --lambda (as given) or --lambda-nm, one of
-    which is required."""
-    meters = getattr(ns, "lambda")  # a keyword, hence getattr
-    if meters is None:
-        if ns.lambda_nm is None:
-            raise InputError("a wavelength is required: --lambda-nm or --lambda")
-        return ns.lambda_nm * 1e-9
-    if ns.lambda_nm is not None:
-        raise InputError("give only one of --lambda-nm and --lambda")
-    return meters
-
-
 def _m_gamma(ns) -> float:
     """Photon mass parameter in 1/m from the Compton range --m-gamma-inv-cm."""
     if not ns.m_gamma_inv_cm > 0.0:
@@ -336,7 +323,7 @@ def _run_fringe(ns, constants):
     # non-finite cell, so an overflow is reported once, as the one stderr
     # JSON line, and then streams the table's text in blocks of rows.
     # steps is checked before either, so a refused scan loads no numpy
-    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, _wavelength(ns),
+    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
     _check_steps(ns.steps, "angle scan")
     if ns.steps <= _SCAN_BLOCK:
@@ -349,7 +336,7 @@ def _run_fringe(ns, constants):
 
 
 def _run_sensitivity(ns, constants):
-    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, _wavelength(ns), e_f=ns.ef)
+    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9, e_f=ns.ef)
     u_min = min_detectable_u(config, ns.resolution)
     factor = improvement_factor(ns.u_mps, ns.n1, ns.n2)
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})
@@ -424,15 +411,15 @@ def _run_constants(ns, constants):
 # the flag table, and the two parsers built from it
 
 class _Flag:
-    """A flag: its option strings, the first of which names its namespace
-    key ``dest``, and argparse's add_argument keywords for the rest.  A
-    type of None keeps the value as given."""
+    """A flag: its one option string, which names its namespace key
+    ``dest``, and argparse's add_argument keywords for the rest.  A type of
+    None keeps the value as given."""
 
-    __slots__ = ("options", "dest", "type", "choices", "default", "required", "help")
+    __slots__ = ("option", "dest", "type", "choices", "default", "required", "help")
 
-    def __init__(self, options, type=None, *, choices=None, default=None, required=False,
+    def __init__(self, option, type=None, *, choices=None, default=None, required=False,
                  help=None):
-        self.options, self.dest = options, options[0][2:].replace("-", "_")
+        self.option, self.dest = option, option[2:].replace("-", "_")
         self.type, self.choices, self.default = type, choices, default
         self.required, self.help = required, help
 
@@ -440,94 +427,90 @@ class _Flag:
 class _Command:
     """A command: its help line and flags, then either its runner or the
     subcommands of its own, whose word fills the namespace key ``dest``.
-    ``options`` maps each of its option strings to its flag."""
+    ``options`` maps each flag's option string to the flag."""
 
     __slots__ = ("help", "flags", "run", "commands", "dest", "options")
 
     def __init__(self, help, flags=(), run=None, *, commands=None, dest=None):
         self.help, self.flags, self.run = help, flags, run
         self.commands, self.dest = commands, dest
-        self.options = {option: flag for flag in flags for option in flag.options}
+        self.options = {flag.option: flag for flag in flags}
 
-
-_WAVELENGTH_M = "wavelength in meters (alternative to --lambda-nm)"
 
 #: every flag of every subcommand, declared once: _fast_parse reads it,
 #: and _build_parser builds argparse's parser from it
 _CLI = _Command(
     "Light in moving media, drift interferometry, AB phases and photon-mass bounds.",
-    (_Flag(("--profile",), choices=("modern", "paper"), default="paper",
+    (_Flag("--profile", choices=("modern", "paper"), default="paper",
            help="constants profile (default: paper)"),),
     dest="subcommand", commands={
         "speed": _Command("light speed in a moving medium", (
-            _Flag(("--mode",), choices=("fresnel", "effective", "einstein", "tangherlini"),
+            _Flag("--mode", choices=("fresnel", "effective", "einstein", "tangherlini"),
                   required=True),
-            _Flag(("--n",), float, required=True, help="refractive index"),
-            _Flag(("--u-mps", "--u"), float, default=0.0, help="medium speed, m/s"),
-            _Flag(("--ef",), float, default=1.0, help="drag effectiveness"),
+            _Flag("--n", float, required=True, help="refractive index"),
+            _Flag("--u-mps", float, default=0.0, help="medium speed, m/s"),
+            _Flag("--ef", float, default=1.0, help="drag effectiveness"),
         ), _run_speed),
         "fringe": _Command("orientation scan of the two-arm device (CSV)", (
-            _Flag(("--L-m", "--L"), float, required=True),
-            _Flag(("--n1",), float, required=True),
-            _Flag(("--n2",), float, required=True),
-            _Flag(("--ef",), float, default=0.0),
-            _Flag(("--u-mps", "--u"), float, required=True),
-            _Flag(("--lambda-nm",), float),
-            _Flag(("--lambda",), float, help=_WAVELENGTH_M),
-            _Flag(("--composition",), choices=("einstein", "tangherlini"), default="einstein"),
-            _Flag(("--steps",), int, default=32),
+            _Flag("--L-m", float, required=True),
+            _Flag("--n1", float, required=True),
+            _Flag("--n2", float, required=True),
+            _Flag("--ef", float, default=0.0),
+            _Flag("--u-mps", float, required=True),
+            _Flag("--lambda-nm", float, required=True),
+            _Flag("--composition", choices=("einstein", "tangherlini"), default="einstein"),
+            _Flag("--steps", int, default=32),
         ), _run_fringe),
         "sensitivity": _Command("drift detectability of a configuration", (
-            _Flag(("--L-m", "--L"), float, required=True),
-            _Flag(("--n1",), float, required=True),
-            _Flag(("--n2",), float, required=True),
-            _Flag(("--u-mps", "--u"), float, required=True),
-            _Flag(("--lambda-nm",), float),
-            _Flag(("--lambda",), float, help=_WAVELENGTH_M),
-            _Flag(("--resolution",), float, required=True,
+            _Flag("--L-m", float, required=True),
+            _Flag("--n1", float, required=True),
+            _Flag("--n2", float, required=True),
+            _Flag("--u-mps", float, required=True),
+            _Flag("--lambda-nm", float, required=True),
+            _Flag("--resolution", float, required=True,
                   help="smallest detectable fringe shift"),
-            _Flag(("--ef",), float, default=0.0),
+            _Flag("--ef", float, default=0.0),
         ), _run_sensitivity),
         "abphase": _Command("phase line integral of an interaction field", (
-            _Flag(("--field",), required=True,
+            _Flag("--field", required=True,
                   help="field spec: inline JSON {kind, params} or a file path"),
-            _Flag(("--path",), required=True,
+            _Flag("--path", required=True,
                   help="path vertices: inline JSON [[x,y,z],...] (m) or a file path"),
         ), _run_abphase),
         "proca": _Command("massive-photon cylinder computations", dest="action", commands={
             "bound": _Command("Compton-range bound from a cylinder setup", (
-                _Flag(("--V-volts", "--V"), float, required=True),
-                _Flag(("--tau-s", "--tau"), float, required=True),
-                _Flag(("--R-cm",), float, required=True),
-                _Flag(("--epsilon",), float, required=True),
+                _Flag("--V-volts", float, required=True),
+                _Flag("--tau-s", float, required=True),
+                _Flag("--R-cm", float, required=True),
+                _Flag("--epsilon", float, required=True),
             ), _run_proca_bound),
             "potential": _Command("interior potential profile (CSV)", (
-                _Flag(("--V-volts", "--V"), float, required=True),
-                _Flag(("--R-cm",), float, required=True),
-                _Flag(("--m-gamma-inv-cm",), float, required=True),
-                _Flag(("--steps",), int, default=50),
-                _Flag(("--variant",), choices=("quarter", "half"), default="quarter"),
+                _Flag("--V-volts", float, required=True),
+                _Flag("--R-cm", float, required=True),
+                _Flag("--m-gamma-inv-cm", float, required=True),
+                _Flag("--steps", int, default=50),
+                _Flag("--variant", choices=("quarter", "half"), default="quarter"),
             ), _run_proca_potential),
             "phase": _Command("mass-induced scalar phase correction", (
-                _Flag(("--V-volts", "--V"), float, required=True),
-                _Flag(("--tau-s", "--tau"), float, required=True),
-                _Flag(("--R-cm",), float, required=True),
-                _Flag(("--rho-cm",), float, default=0.0),
-                _Flag(("--m-gamma-inv-cm",), float, required=True),
+                _Flag("--V-volts", float, required=True),
+                _Flag("--tau-s", float, required=True),
+                _Flag("--R-cm", float, required=True),
+                _Flag("--rho-cm", float, default=0.0),
+                _Flag("--m-gamma-inv-cm", float, required=True),
             ), _run_proca_phase),
         }),
         "bounds": _Command("published photon-mass bound registry", (
-            _Flag(("--format",), choices=("json", "text"), default="json"),
+            _Flag("--format", choices=("json", "text"), default="json"),
         ), _run_bounds),
         "pmomentum": _Command("field momentum of charge + solenoid", (
-            _Flag(("--geometry",), required=True,
+            _Flag("--geometry", required=True,
                   help="geometry: inline JSON or a file path "
                        "{a_cm, B_gauss, d_cm, q_esu, lambda_cm?, grid?}; "
                        "grid axes are integers >= 4, checked and echoed only"),
-            _Flag(("--levels",), int, default=3),
+            _Flag("--levels", int, default=3),
         ), _run_pmomentum),
         "constants": _Command("dump the active constants profile", (
-            _Flag(("--system",), choices=("si", "gaussian"), default="si"),
+            _Flag("--system", choices=("si", "gaussian"), default="si"),
         ), _run_constants),
     })
 
@@ -608,7 +591,7 @@ def _version_line(profile) -> str:
 def _add_command(parser, command):
     """Give an argparse parser a command's flags, runner and subcommands."""
     for flag in command.flags:
-        parser.add_argument(*flag.options, type=flag.type, choices=flag.choices,
+        parser.add_argument(flag.option, type=flag.type, choices=flag.choices,
                             default=flag.default, required=flag.required, help=flag.help)
     if command.run is not None:
         parser.set_defaults(run=command.run)
@@ -628,11 +611,11 @@ def _build_parser():
     class Parser(argparse.ArgumentParser):
         """ArgumentParser that reports usage problems with exit code 1.
 
-        Flag abbreviation is disabled: a prefix like --lambda must never
-        silently bind to --lambda-nm, because the two differ in unit.  Any
-        negative number is a value: argparse's own pattern misses exponent
-        forms, inf and nan, and so took "--u-mps -3e4" for an unknown
-        option "-3e4"."""
+        Flag abbreviation is disabled, as in the fast path: a prefix like
+        --u must never silently bind to --u-mps, whose name carries the
+        unit.  Any negative number is a value: argparse's own pattern
+        misses exponent forms, inf and nan, and so took "--u-mps -3e4" for
+        an unknown option "-3e4"."""
 
         def __init__(self, *args, **kwargs):
             kwargs.setdefault("allow_abbrev", False)

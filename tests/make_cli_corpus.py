@@ -47,26 +47,26 @@ def _subcommands():
         yield ["--profile", profile, "--version"]
         for system in ("si", "gaussian"):
             yield ["--profile", profile, "constants", "--system", system]
-        yield ["--profile", profile, "proca", "bound", "--V", "1e7", "--tau", "5e-2",
+        yield ["--profile", profile, "proca", "bound", "--V-volts", "1e7", "--tau-s", "5e-2",
                "--R-cm", "27", "--epsilon", "1e-4"]
     yield ["constants"]
     for fmt in ("json", "text"):
         yield ["bounds", "--format", fmt]
     yield ["bounds"]
     for mode in ("fresnel", "effective", "einstein", "tangherlini"):
-        yield ["speed", "--mode", mode, "--n", "1.33", "--u", "-10", "--ef", "0.5"]
+        yield ["speed", "--mode", mode, "--n", "1.33", "--u-mps", "-10", "--ef", "0.5"]
     yield ["speed", "--mode", "fresnel", "--n", "1.5"]
-    # the flag aliases and the defaults of fringe and sensitivity
-    yield ["fringe", "--L", "2", "--n1", "1.0006", "--n2", "1.0001", "--u", "3e4",
-           "--lambda", "6.33e-7", "--steps", "6"]
+    # fringe and sensitivity, and their defaults
+    yield ["fringe", "--L-m", "2", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4",
+           "--lambda-nm", "633", "--steps", "6"]
     yield ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
            "--lambda-nm", "633"]
-    yield ["sensitivity", "--L", "1", "--n1", "1.0006", "--n2", "1.0001", "--u", "1e3",
-           "--lambda", "6.33e-7", "--resolution", "1e-3", "--ef", "0.5"]
+    yield ["sensitivity", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
+           "--lambda-nm", "633", "--resolution", "1e-3", "--ef", "0.5"]
     for variant in ("quarter", "half"):
-        yield ["proca", "potential", "--V", "1e7", "--R-cm", "10", "--m-gamma-inv-cm", "20",
+        yield ["proca", "potential", "--V-volts", "1e7", "--R-cm", "10", "--m-gamma-inv-cm", "20",
                "--steps", "6", "--variant", variant]
-    yield ["proca", "phase", "--V", "1e7", "--tau", "5e-2", "--R-cm", "27",
+    yield ["proca", "phase", "--V-volts", "1e7", "--tau-s", "5e-2", "--R-cm", "27",
            "--rho-cm", "13.5", "--m-gamma-inv-cm", "3.72e13"]
     square = "[[1,-1,0],[1,1,0],[-1,1,0],[-1,-1,0],[1,-1,0]]"
     for field in ('{"kind": "uniform_q", "params": {"q": [1, 2, 3]}}',
@@ -165,13 +165,16 @@ def _errors():
     yield ["fringe", "--L-m", "1", "--n1", "1.0006", "--u-mps", "1e3", "--lambda-nm", "633"]
     # the device comes from flags alone
     yield ["fringe", "--config", "f.json"]
-    # exit 2: one JSON line on stderr
+    # a flag has one name, which carries its unit: a wavelength is required
+    # in nanometers, and --lambda (meters) and the short names are unknown
     base = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
             "--lambda-nm", "633"]
-    for steps in ("0", "1", "-3", "10000001"):
-        yield [*base, "--steps", steps]
     yield base[:-2]
     yield [*base, "--lambda", "6.33e-7"]
+    yield ["speed", "--mode", "einstein", "--n", "1.5", "--u", "1e3"]
+    # exit 2: one JSON line on stderr
+    for steps in ("0", "1", "-3", "10000001"):
+        yield [*base, "--steps", steps]
     yield [*base, "--composition", "einstein", "--ef", "1.5"]
     yield ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "nan",
            "--lambda-nm", "633", "--steps", "8"]
@@ -215,15 +218,15 @@ def _parse_forms():
     argparse: a repeated flag and a value that starts with "-"."""
     yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps=-3e4"]
     yield ["--profile=modern", "constants"]
-    # each alias, in the --flag=value form
-    yield ["speed", "--mode", "fresnel", "--n", "1.33", "--u=-1E3"]
-    yield ["fringe", "--L=2", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4",
-           "--lambda-nm", "633", "--steps", "4"]
-    yield ["proca", "bound", "--V=1e7", "--tau=5e-2", "--R-cm", "27", "--epsilon", "1e-4"]
+    # the flags whose unit is a second word, in the --flag=value form
+    yield ["speed", "--mode", "fresnel", "--n", "1.33", "--u-mps=-1E3"]
+    yield ["fringe", "--L-m=2", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4",
+           "--lambda-nm=633", "--steps", "4"]
+    yield ["proca", "bound", "--V-volts=1e7", "--tau-s=5e-2", "--R-cm", "27", "--epsilon", "1e-4"]
     # exit 2: the flag parses, and the finiteness check refuses it
     yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "-inf"]
     # argparse keeps the last value of a repeated flag
-    yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "1e3", "--u", "2e3"]
+    yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "1e3", "--u-mps", "2e3"]
     # exit 1: a value that starts with "-" and is no number
     yield ["speed", "--mode", "einstein", "--n", "-abc"]
 

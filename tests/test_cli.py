@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -92,7 +94,7 @@ def test_speed_golden_values():
     assert out["v"] == pytest.approx(225407867.50466392, rel=1e-14)
 
     out = json.loads(run_cli("speed", "--mode", "tangherlini", "--n", "1.5",
-                             "--u", "1e3").stdout)
+                             "--u-mps", "1e3").stdout)
     assert out["v"] == pytest.approx(199860638.66889042, rel=1e-14)
 
     out = json.loads(run_cli("speed", "--mode", "effective", "--n", "1.0003",
@@ -134,36 +136,76 @@ def test_sensitivity_golden_and_wavelength_alias():
     nm = json.loads(run_cli(*base, "--lambda-nm", "633").stdout)
     assert nm["u_min_mps"] == pytest.approx(94.851115066726646, rel=1e-12)
     assert nm["improvement_factor"] == pytest.approx(299.89738536030, rel=1e-12)
-    meters = json.loads(run_cli(*base, "--lambda", "633e-9").stdout)
-    assert meters == nm  # 633 * 1e-9 == 633e-9
+    # the wavelength has one flag, --lambda-nm: --lambda is an unknown flag
+    meters = run_cli(*base, "--lambda", "633e-9")
+    assert (meters.returncode, meters.stdout) == (1, "")
+    assert "required: --lambda-nm" in meters.stderr
 
 
 def test_sensitivity_wavelength_flag_conflicts():
+    # a missing wavelength is a usage error, like any missing required flag
     base = ("sensitivity", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
             "--u-mps", "1e3", "--resolution", "1e-3")
     both = run_cli(*base, "--lambda-nm", "633", "--lambda", "633e-9")
-    assert both.returncode == 2
-    assert "only one" in stderr_error(both)["message"]
+    assert (both.returncode, both.stdout) == (1, "")
+    assert "unrecognized arguments: --lambda 633e-9" in both.stderr
     neither = run_cli(*base)
-    assert neither.returncode == 2
-    assert "wavelength" in stderr_error(neither)["message"]
+    assert (neither.returncode, neither.stdout) == (1, "")
+    assert "required: --lambda-nm" in neither.stderr
 
 
-# wavelengths that a trip through nanometers, x * 1e9 * 1e-9, moves by an ulp
-_WAVELENGTHS_OFF_THE_NM_GRID = [6e-7, 4.88e-7, 4.05e-7, 1.55e-6]
+@pytest.mark.parametrize("removed", [
+    ["speed", "--mode", "einstein", "--n", "1.5", "--u", "1e3"],
+    ["fringe", "--L", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
+     "--lambda-nm", "633"],
+    ["sensitivity", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u", "1e3",
+     "--lambda-nm", "633", "--resolution", "1e-3"],
+    ["proca", "bound", "--V", "1e7", "--tau-s", "5e-2", "--R-cm", "27", "--epsilon", "1e-4"],
+    ["proca", "phase", "--V-volts", "1e7", "--tau=5e-2", "--R-cm", "27",
+     "--m-gamma-inv-cm", "1e3"],
+], ids=["speed--u", "fringe--L", "sensitivity--u", "bound--V", "phase--tau"])
+def test_short_flag_names_are_usage_errors(removed, capsys):
+    # each flag has one name, the one that carries its unit; nothing abbreviates
+    assert cli.main(removed) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
 
 
-@pytest.mark.parametrize("meters", _WAVELENGTHS_OFF_THE_NM_GRID)
-def test_lambda_in_meters_reaches_the_kernel_as_given(meters, capsys):
-    assert meters * 1e9 * 1e-9 != meters
+#: whole nanometers that n * 1e-9 rounds away from the double nearest n nm
+_NM_OFF_BY_A_PRODUCT = [600, 405, 1550]
+
+
+@pytest.mark.parametrize("nm", [*_NM_OFF_BY_A_PRODUCT, 488])
+def test_lambda_nm_reaches_the_kernel_correctly_rounded(nm, capsys):
+    meters = float(f"{nm}e-9")
+    assert (nm * 1e-9 != meters) == (nm in _NM_OFF_BY_A_PRODUCT)
     device = ["--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3"]
     cfg = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, meters)
     scan = _naive_csv(SCAN_COLUMNS, angle_scan(cfg, 4))
-    assert cli.main(["fringe", *device, "--lambda", repr(meters), "--steps", "4"]) == 0
+    assert cli.main(["fringe", *device, "--lambda-nm", str(nm), "--steps", "4"]) == 0
     assert capsys.readouterr() == (scan, "")
-    assert cli.main(["sensitivity", *device, "--lambda", repr(meters),
+    assert cli.main(["sensitivity", *device, "--lambda-nm", str(nm),
                      "--resolution", "1e-3"]) == 0
     assert json.loads(capsys.readouterr().out)["u_min_mps"] == min_detectable_u(cfg, 1e-3)
+
+
+def test_every_whole_nanometer_reaches_the_kernel_correctly_rounded(monkeypatch):
+    # n / 1e9 is one rounding of the exact n nm, as float("<n>e-9") is;
+    # n * 1e-9 is off for 7910 of these 19901 values
+    seen = []
+
+    def config(*args, **kwargs):
+        seen.append(args[4])
+        return InterferometerConfig(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "InterferometerConfig", config)
+    device = ["--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3"]
+    whole = range(100, 20001)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for nm in whole:
+            assert cli.main(["sensitivity", *device, "--lambda-nm", str(nm),
+                             "--resolution", "1e-3"]) == 0
+    assert seen == [float(f"{nm}e-9") for nm in whole]
 
 
 def test_fringe_csv_shape_and_determinism():
@@ -323,7 +365,7 @@ def test_fringe_config_flag_is_refused(tmp_path):
                                "u_mps": 1000.0, "lambda_nm": 633.0, "steps": 2}))
     proc = run_cli("fringe", "--config", str(cfg))
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert "required: --L-m/--L, --n1, --n2, --u-mps/--u" in proc.stderr
+    assert "required: --L-m, --n1, --n2, --u-mps, --lambda-nm" in proc.stderr
     proc = run_cli("fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
                    "--u-mps", "1e3", "--lambda-nm", "633", "--config", str(cfg))
     assert (proc.returncode, proc.stdout) == (1, "")

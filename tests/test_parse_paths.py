@@ -55,8 +55,8 @@ def _leaves(command=cli._CLI, words=()):
 LEAVES = list(_leaves())
 
 #: option string -> namespace key, over the whole table
-DESTS = {option: flag.dest for words, flags in LEAVES
-         for flag in (*cli._CLI.flags, *flags) for option in flag.options}
+DESTS = {flag.option: flag.dest for words, flags in LEAVES
+         for flag in (*cli._CLI.flags, *flags)}
 
 
 def _repeats_a_flag(argv) -> bool:
@@ -93,23 +93,24 @@ FORMS = [
     ([*SPEED, "--u-mps=-Infinity"], True),
     ([*SPEED, "--u-mps", "-nan"], True),
     ([*SPEED, "--u-mps", "nan", "--ef", "inf"], True),
-    # every alias, in both forms
-    ([*SPEED, "--u", "-10"], True),
-    ([*SPEED, "--u=-10"], True),
-    (["fringe", "--L", "2", "--n1", "1.0006", "--n2", "1.0001", "--u=3e4", "--lambda", "6.33e-7"],
+    # every flag whose unit is a second word, in both forms
+    ([*SPEED, "--u-mps", "-10"], True),
+    ([*SPEED, "--u-mps=-10"], True),
+    (["fringe", "--L-m", "2", "--n1", "1.0006", "--n2", "1.0001", "--u-mps=3e4",
+      "--lambda-nm", "633"], True),
+    ([*FRINGE, "--L-m=2"], True),
+    (["proca", "bound", "--V-volts", "1e7", "--tau-s=5e-2", "--R-cm", "27", "--epsilon", "1e-4"],
      True),
-    ([*FRINGE, "--L=2"], True),
-    (["proca", "bound", "--V", "1e7", "--tau=5e-2", "--R-cm", "27", "--epsilon", "1e-4"], True),
-    (["proca", "phase", "--V=1e7", "--tau", "5e-2", "--R-cm", "27", "--m-gamma-inv-cm", "1e3"],
-     True),
+    (["proca", "phase", "--V-volts=1e7", "--tau-s", "5e-2", "--R-cm", "27",
+      "--m-gamma-inv-cm", "1e3"], True),
     # --profile before the subcommand, and after it
     (["--profile", "modern", *BOUND], True),
     (["--profile=modern", *BOUND], True),
     ([*BOUND, "--profile", "modern"], False),
     (["proca", "--profile=modern", *BOUND[1:]], False),
-    # a repeated flag, by its name or an alias
+    # a repeated flag, in either form
     ([*SPEED, "--ef", "1", "--ef", "0.5"], False),
-    ([*SPEED, "--u-mps", "1", "--u", "2"], False),
+    ([*SPEED, "--u-mps", "1", "--u-mps=2"], False),
     (["--profile", "modern", "--profile", "paper", "constants"], False),
     # a missing required flag or subcommand
     (["speed", "--mode", "einstein"], False),
@@ -123,7 +124,7 @@ FORMS = [
     ([*SPEED, "-3e4"], False),
     ([*SPEED, "extra"], False),
     (["nosuch"], False),
-    ([*FRINGE, "--L", "1", "--lam", "633"], False),
+    ([*FRINGE, "--L-m", "1", "--lam", "633"], False),
     # a value that starts with "-" and is no negative number
     (["speed", "--mode", "einstein", "--n", "-abc"], False),
     (["speed", "--mode", "einstein", "--n", "-e3"], False),
@@ -131,10 +132,10 @@ FORMS = [
     (["abphase", "--field", "--help", "--path", "[]"], False),
     # a failed conversion or choice
     (["speed", "--mode", "nope", "--n", "1.5"], False),
-    ([*FRINGE, "--L", "1", "--steps", "2.5"], False),
-    ([*FRINGE, "--L", "1", "--steps", "-3e4"], False),
-    ([*FRINGE, "--L", "1", "--steps", "-3"], True),
-    ([*FRINGE, "--L", "1", "--steps", str(10 ** 400)], True),
+    ([*FRINGE, "--L-m", "1", "--steps", "2.5"], False),
+    ([*FRINGE, "--L-m", "1", "--steps", "-3e4"], False),
+    ([*FRINGE, "--L-m", "1", "--steps", "-3"], True),
+    ([*FRINGE, "--L-m", "1", "--steps", str(10 ** 400)], True),
     # empty values: a string flag takes one, a number flag does not
     (["abphase", "--field", "", "--path", ""], True),
     (["abphase", "--field=", "--path="], True),
@@ -199,8 +200,8 @@ def _argvs(draw):
         chosen.append(draw(st.sampled_from(chosen)))
     body = []
     for flag in chosen:
-        option, value = draw(st.sampled_from(flag.options)), draw(_values(flag))
-        body += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+        value = draw(_values(flag))
+        body += [f"{flag.option}={value}"] if draw(st.booleans()) else [flag.option, value]
     argv = [*head, *words, *body]
     for _ in range(draw(st.integers(0, 4)) // 3):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ODD_TOKENS)))

@@ -73,7 +73,7 @@ def _number_flags(command=cli._CLI, prefix=()):
     of the flag table."""
     for flag in command.flags:
         if flag.type in (int, float):
-            yield prefix, flag.options[0], flag.type
+            yield prefix, flag.option, flag.type
     for name, sub in (command.commands or {}).items():
         yield from _number_flags(sub, prefix + (name,))
 
