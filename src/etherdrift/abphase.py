@@ -18,8 +18,9 @@ import math
 import operator
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import DomainError, InputError, SingularPathError
 from .units import c
 
@@ -70,7 +71,7 @@ def fresnel_momentum(omega: float, n: float, u) -> tuple:
     return (scale * ux, scale * uy, scale * uz)
 
 
-class UniformQ(NamedTuple):
+class UniformQ(Record):
     """Spatially constant interaction momentum (rad/m)."""
 
     q: tuple
@@ -85,7 +86,7 @@ class UniformQ(NamedTuple):
         return _constant_q_phase(tuple(map(float, self.q)), vertices)
 
 
-class FresnelFlow(NamedTuple):
+class FresnelFlow(Record):
     """Uniformly moving medium of index n seen by light of frequency omega."""
 
     omega: float
@@ -134,7 +135,7 @@ def _scaled_far(segments):
         yield (u0, v0), (u1, v1), r0, r1
 
 
-class SolenoidVectorPotential(NamedTuple):
+class SolenoidVectorPotential(Record):
     """Idealized flux line: A_phi = flux/(2 pi rho) off axis, Q = coupling * A.
 
     ``coupling`` is the charge-to-action ratio (e/hbar in SI).  It has no

@@ -22,11 +22,9 @@ import atexit
 import functools
 import math
 import os
-import re
 import sys
 from itertools import chain
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from . import __version__
 from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
@@ -192,33 +190,27 @@ def _as_kind(value, kind):
     return tuple(value)
 
 
-class _Key(NamedTuple):
-    """A payload key: the library keyword it feeds, its kind, and whether
-    it is required."""
-
-    keyword: str
-    kind: str
-    required: bool = True
-
+# A schema maps each payload key to (the library keyword it feeds, its
+# kind, whether it is required).
 _GEOMETRY_SCHEMA = {
-    "a_cm": _Key("a", "number"),
-    "B_gauss": _Key("B", "number"),
-    "d_cm": _Key("d", "number"),
-    "q_esu": _Key("q", "number"),
-    "lambda_cm": _Key("truncation_halflength", "number", False),
-    "grid": _Key("grid", "intvector", False),
+    "a_cm": ("a", "number", True),
+    "B_gauss": ("B", "number", True),
+    "d_cm": ("d", "number", True),
+    "q_esu": ("q", "number", True),
+    "lambda_cm": ("truncation_halflength", "number", False),
+    "grid": ("grid", "intvector", False),
 }
 
 # field kind -> (field class, schema of its params)
 _FIELD_SCHEMAS = {
-    "uniform_q": (UniformQ, {"q": _Key("q", "vector")}),
-    "fresnel_flow": (FresnelFlow, {"omega_rad_s": _Key("omega", "number"),
-                                   "n": _Key("n", "number"),
-                                   "u_mps": _Key("u", "vector")}),
-    "solenoid": (SolenoidVectorPotential, {"flux_wb": _Key("flux", "number"),
-                                           "coupling": _Key("coupling", "number", False),
-                                           "center_m": _Key("axis_point", "vector", False),
-                                           "axis": _Key("axis_direction", "vector", False)}),
+    "uniform_q": (UniformQ, {"q": ("q", "vector", True)}),
+    "fresnel_flow": (FresnelFlow, {"omega_rad_s": ("omega", "number", True),
+                                   "n": ("n", "number", True),
+                                   "u_mps": ("u", "vector", True)}),
+    "solenoid": (SolenoidVectorPotential, {"flux_wb": ("flux", "number", True),
+                                           "coupling": ("coupling", "number", False),
+                                           "center_m": ("axis_point", "vector", False),
+                                           "axis": ("axis_direction", "vector", False)}),
 }
 
 
@@ -514,12 +506,19 @@ _CLI = _Command(
         ), _run_constants),
     })
 
-#: a negative number as float() reads it: exponent forms, underscores
-#: between digits, and the infinities and NaN
-_DIGITS = r"\d(?:_?\d)*"
-_NEGATIVE_NUMBER = re.compile(
-    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
-    r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+@functools.cache
+def _negative_number():
+    """The pattern of a negative number as float() reads it: exponent
+    forms, underscores between digits, and the infinities and NaN.
+
+    Compiled on first use: only a value that starts with "-" needs it."""
+    import re
+
+    digits = r"\d(?:_?\d)*"
+    return re.compile(
+        rf"-(?:(?:{digits}(?:\.(?:{digits})?)?|\.{digits})(?:e[+-]?{digits})?"
+        r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
 
 
 def _enter(command, values: dict):
@@ -564,7 +563,7 @@ def _fast_parse(argv):
             value = next(tokens, None)
             if value is None:
                 return None
-        if value.startswith("-") and not _NEGATIVE_NUMBER.match(value):
+        if value.startswith("-") and not _negative_number().match(value):
             return None
         if flag.type is not None:
             try:
@@ -620,7 +619,7 @@ def _build_parser():
         def __init__(self, *args, **kwargs):
             kwargs.setdefault("allow_abbrev", False)
             super().__init__(*args, **kwargs)
-            self._negative_number_matcher = _NEGATIVE_NUMBER
+            self._negative_number_matcher = _negative_number()
 
         def error(self, message):
             self.print_usage(sys.stderr)

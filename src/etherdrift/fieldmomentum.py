@@ -51,9 +51,8 @@ every point even though the cross momentum is not.
 
 import math
 import sys
-from typing import NamedTuple
 
-from ._record import Checked, check_finite
+from ._record import Record, check_finite
 from .errors import DomainError, InputError
 from .units import c_cgs
 
@@ -73,20 +72,16 @@ _MAX_EDGE_NODES = 2 ** 14
 _ROUNDING = 4.0 * sys.float_info.epsilon
 
 
-class _SolenoidChargeFields(NamedTuple):
+class SolenoidChargeGeometry(Record):
+    """Solenoid of radius a (cm) and interior field B (gauss) along +z, with
+    a point charge q (esu) at (d, 0, 0), d > a, outside the bore."""
+
     a: float
     B: float
     d: float
     q: float
     truncation_halflength: float | None = None
     grid: tuple = REFERENCE_GRID
-
-
-class SolenoidChargeGeometry(Checked, _SolenoidChargeFields):
-    """Solenoid of radius a (cm) and interior field B (gauss) along +z, with
-    a point charge q (esu) at (d, 0, 0), d > a, outside the bore."""
-
-    __slots__ = ()
 
     def _check(self):
         check_finite(("solenoid radius a", self.a), ("field B", self.B),
@@ -222,7 +217,7 @@ def _truncated(geom: SolenoidChargeGeometry, closed: float, half_length: float):
     return (closed - closed * share if kept is None else closed * kept), share
 
 
-class MomentumResult(NamedTuple):
+class MomentumResult(Record):
     P_e: tuple
     estimated_quadrature_error: float
 
@@ -250,7 +245,7 @@ def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> tuple:
     return (0.0, magnitude, 0.0)
 
 
-class ConvergenceRow(NamedTuple):
+class ConvergenceRow(Record):
     half_length_cm: float
     grid: tuple
     p_magnitude: float

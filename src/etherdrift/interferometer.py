@@ -34,9 +34,8 @@ near-vacuum indices.
 """
 
 import math
-from typing import NamedTuple
 
-from ._record import Checked, check_finite
+from ._record import Record, check_finite
 from .errors import DegenerateConfigError, DomainError, InputError
 from .kinematics import CompositionLaw
 from .units import c
@@ -86,17 +85,7 @@ def _scan_cos(steps: int):
     return np.where((steps < j) & (j <= 3 * steps), -cos, cos)
 
 
-class _InterferometerFields(NamedTuple):
-    L: float
-    n1: float
-    n2: float
-    u: float
-    lambda_vac: float
-    composition: CompositionLaw = CompositionLaw.EINSTEIN
-    e_f: float = 0.0
-
-
-class InterferometerConfig(Checked, _InterferometerFields):
+class InterferometerConfig(Record):
     """Geometry, media and motion of the two-arm device.
 
     n1 and n2 are the refractive indices of the two arms.  e_f applies to
@@ -104,7 +93,13 @@ class InterferometerConfig(Checked, _InterferometerFields):
     rarefied-gas hypothesis under which the first-order signal survives.
     """
 
-    __slots__ = ()
+    L: float
+    n1: float
+    n2: float
+    u: float
+    lambda_vac: float
+    composition: CompositionLaw = CompositionLaw.EINSTEIN
+    e_f: float = 0.0
 
     def _check(self):
         check_finite(("arm length L", self.L), ("n1", self.n1), ("n2", self.n2),
@@ -182,7 +177,7 @@ def delay_first_order(config: InterferometerConfig, theta_deg: float) -> float:
     return _delays(config, _cos_deg(theta_deg))[1]
 
 
-class RotationSignal(NamedTuple):
+class RotationSignal(Record):
     exact: float
     first_order: float
 

@@ -20,9 +20,8 @@ form is kept as an explicit variant.
 """
 
 import math
-from typing import NamedTuple
 
-from ._record import Checked, check_finite
+from ._record import Record, check_finite
 from .errors import DomainError, InputError
 from .interferometer import _check_steps
 from .units import PhysicalConstants, inverse_length_to_mass
@@ -62,19 +61,15 @@ def bessel_I0(x: float) -> float:
     return value
 
 
-class _ProcaCylinderFields(NamedTuple):
+class ProcaCylinderConfig(Record):
+    """Scalar-AB cylinder experiment: radius R (m), wall potential V (volts),
+    interaction time tau (s), beam radius rho (m), phase resolution epsilon."""
+
     R: float
     V: float
     tau: float
     rho: float = 0.0
     epsilon: float = 1e-4
-
-
-class ProcaCylinderConfig(Checked, _ProcaCylinderFields):
-    """Scalar-AB cylinder experiment: radius R (m), wall potential V (volts),
-    interaction time tau (s), beam radius rho (m), phase resolution epsilon."""
-
-    __slots__ = ()
 
     def _check(self):
         check_finite(("cylinder radius R", self.R), ("wall potential V", self.V),
@@ -196,20 +191,16 @@ def time_of_flight(length: float, speed: float) -> float:
     return length / speed
 
 
-class _PhotonMassBoundFields(NamedTuple):
-    m_gamma_inv_cm: float
-    m_ph_g: float
-    source: str
-
-
-class PhotonMassBound(Checked, _PhotonMassBoundFields):
+class PhotonMassBound(Record):
     """A Compton-range/mass pair with its provenance label.
 
     Construction cross-checks the pair against m = hbar/(c range) and
     tolerates 15% to accommodate rounded published values.
     """
 
-    __slots__ = ()
+    m_gamma_inv_cm: float
+    m_ph_g: float
+    source: str
 
     def _check(self):
         if self.m_gamma_inv_cm <= 0.0 or self.m_ph_g <= 0.0:

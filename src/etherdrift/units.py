@@ -15,8 +15,8 @@ grams.
 
 import enum
 import math
-from typing import NamedTuple
 
+from ._record import Record
 from .errors import DomainError, InputError
 
 
@@ -43,7 +43,7 @@ _UNITS = {
 }
 
 
-class PhysicalConstants(NamedTuple):
+class PhysicalConstants(Record):
     """What a constants profile chooses: the flux quantum Phi_0 (Wb).
 
     c, h and e are the exact SI values above in every profile, so Phi_0 is

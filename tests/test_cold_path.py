@@ -9,9 +9,13 @@ every field kind) does not spend its start-up importing it, and neither
 does a ``fringe`` scan of up to one block of 4096 rows, which is computed
 in plain floats too, nor a request refused before its computation (an
 ``abphase`` path with a repeated vertex, a ``fringe`` of one step).  The
-records are NamedTuples, so importing the package does not load
-``dataclasses`` or the ``inspect`` it imports, and ``numbers`` is read only
-for a path or grid of other than plain floats and ints.  json is imported
+records are tuples built on the package's own ``Record`` base, so importing
+the package does not load ``dataclasses`` or the ``inspect`` it imports,
+and no module defines a class on ``typing.NamedTuple``, whose class
+statements made up most of the package's import time.  ``numbers`` is read
+only for a path or grid of other than plain floats and ints.  The
+pattern of a negative number is compiled only for a value that starts
+with "-".  json is imported
 only to read a payload (``abphase``, ``pmomentum``) or to escape a string
 that needs it.  A well-formed argv is parsed from the flag table, so
 argparse, with the gettext and locale it imports, loads only for help,
@@ -21,6 +25,7 @@ interpreter, because this test session has these modules loaded already."""
 import ast
 import functools
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -218,3 +223,55 @@ def test_help_version_and_usage_errors_load_argparse(argv, code):
     report = _fresh(_RUN, json.dumps(argv))
     assert report["code"] == code
     assert set(ARGPARSE) <= set(report["loaded"])
+
+
+# records the module that compiles each pattern, then reports the patterns
+# the package compiled and whether argparse loaded
+_COMPILES = """
+import contextlib, io, json, re, sys
+compiled = []
+_compile = re._compile
+def _recording(pattern, flags):
+    # frame 1 is re.compile, re.match and the like; frame 2 called it
+    compiled.append((sys._getframe(2).f_globals.get("__name__", ""), str(pattern)))
+    return _compile(pattern, flags)
+re._compile = _recording
+from etherdrift import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "argparse": "argparse" in sys.modules,
+                  "compiled": [pattern for module, pattern in compiled
+                               if module.startswith("etherdrift")]}))
+"""
+
+
+def test_cold_call_compiles_no_package_pattern():
+    report = _fresh(_COMPILES, json.dumps(SCALAR_COMMANDS["speed"]))
+    assert report == {"code": 0, "argparse": False, "compiled": []}
+
+
+def test_negative_value_is_parsed_by_the_fast_parse():
+    # the check above can see a compiled pattern: a negative value compiles
+    # the one the fast parse reads it with, and argparse stays unloaded
+    argv = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "-1e3",
+            "--lambda-nm", "633"]
+    report = _fresh(_COMPILES, json.dumps(argv))
+    assert (report["code"], report["argparse"]) == (0, False)
+    assert len(report["compiled"]) == 1
+
+
+def _named_tuple_bases(tree):
+    """The names of the classes in a module defined on typing.NamedTuple."""
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for base in node.bases
+            if (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None))
+            == "NamedTuple"]
+
+
+def test_no_module_defines_a_named_tuple():
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "etherdrift"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    assert _named_tuple_bases(ast.parse("class A(typing.NamedTuple): pass")) == ["A"]
+    assert {path.name: _named_tuple_bases(ast.parse(path.read_text()))
+            for path in sources} == {path.name: [] for path in sources}

@@ -1,17 +1,21 @@
 """The package's records: fields, defaults, immutability and checks.
 
-The field names, their order and the defaults below are those of the
-records before they became NamedTuples.  A record with checks must run
+The field names, their order and the defaults below are those the records
+had as dataclasses.  Each record is a tuple built on ``_record.Record``,
+and behaves as a ``typing.NamedTuple`` would: as a tuple in equality and
+hash, with the same ``repr``, ``__match_args__`` and field annotations, and
+with the same errors for wrong arguments.  A record with checks must run
 them however it is built: by the constructor, ``_make`` or ``_replace``."""
 
 import copy
 import pickle
+import typing
 
 import pytest
 
-from etherdrift import (MODERN, CompositionLaw, FresnelFlow,
+from etherdrift import (MODERN, CompositionLaw, ConvergenceRow, FresnelFlow,
                         InterferometerConfig, MomentumResult, PhotonMassBound,
-                        PhysicalConstants, ProcaCylinderConfig,
+                        PhysicalConstants, ProcaCylinderConfig, RotationSignal,
                         SolenoidChargeGeometry, SolenoidVectorPotential,
                         UniformQ, inverse_length_to_mass)
 from etherdrift.errors import DomainError, InputError
@@ -42,6 +46,11 @@ RECORDS = {
                           ProcaCylinderConfig(0.27, 1e7, 0.05)),
     PhotonMassBound: ({"m_gamma_inv_cm": REQUIRED, "m_ph_g": REQUIRED, "source": REQUIRED},
                       PhotonMassBound(1.4e7, 2.5e-45, "Boulware-Deser")),
+    RotationSignal: ({"exact": REQUIRED, "first_order": REQUIRED},
+                     RotationSignal(2.1e-15, 2.1e-15)),
+    ConvergenceRow: ({"half_length_cm": REQUIRED, "grid": REQUIRED, "p_magnitude": REQUIRED,
+                      "rel_error": REQUIRED, "P_e": REQUIRED},
+                     ConvergenceRow(37.5, (16, 32, 128), 1.6e-9, 2.3e-3, (0.0, 1.6e-9, 0.0))),
 }
 
 RECORD_NAMES = [cls.__name__ for cls in RECORDS]
@@ -66,6 +75,65 @@ def test_records_are_immutable(cls):
             setattr(record, name, 1.0)
     with pytest.raises(AttributeError):
         record.extra = 1.0
+
+
+#: record -> the type each of its fields is declared with
+FIELD_TYPES = {
+    PhysicalConstants: {"profile": str, "flux_quantum": float},
+    InterferometerConfig: {"L": float, "n1": float, "n2": float, "u": float,
+                           "lambda_vac": float, "composition": CompositionLaw, "e_f": float},
+    UniformQ: {"q": tuple},
+    FresnelFlow: {"omega": float, "n": float, "u": tuple},
+    SolenoidVectorPotential: {"flux": float, "coupling": float, "axis_point": tuple,
+                              "axis_direction": tuple},
+    SolenoidChargeGeometry: {"a": float, "B": float, "d": float, "q": float,
+                             "truncation_halflength": float | None, "grid": tuple},
+    MomentumResult: {"P_e": tuple, "estimated_quadrature_error": float},
+    ProcaCylinderConfig: {"R": float, "V": float, "tau": float, "rho": float,
+                          "epsilon": float},
+    PhotonMassBound: {"m_gamma_inv_cm": float, "m_ph_g": float, "source": str},
+    RotationSignal: {"exact": float, "first_order": float},
+    ConvergenceRow: {"half_length_cm": float, "grid": tuple, "p_magnitude": float,
+                     "rel_error": float, "P_e": tuple},
+}
+
+#: the records that carry no checks, whose own ``__annotations__`` hold their fields
+UNCHECKED = [PhysicalConstants, UniformQ, FresnelFlow, SolenoidVectorPotential,
+             MomentumResult, RotationSignal, ConvergenceRow]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=RECORD_NAMES)
+def test_records_behave_as_tuples(cls):
+    _, record = RECORDS[cls]
+    values = tuple(getattr(record, name) for name in cls._fields)
+    assert isinstance(record, tuple)
+    assert tuple(record) == values and record == values and hash(record) == hash(values)
+    assert record._asdict() == dict(zip(cls._fields, values))
+    assert list(record._asdict()) == list(cls._fields)
+    assert repr(record) == (f"{cls.__name__}("
+                            + ", ".join(f"{name}={value!r}"
+                                        for name, value in zip(cls._fields, values)) + ")")
+    assert cls.__match_args__ == cls._fields
+    assert typing.get_type_hints(cls) == FIELD_TYPES[cls]
+    assert list(typing.get_type_hints(cls)) == list(cls._fields)
+    if cls in UNCHECKED:
+        assert cls.__annotations__ == FIELD_TYPES[cls]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=RECORD_NAMES)
+def test_wrong_arguments_are_refused(cls):
+    fields, record = RECORDS[cls]
+    first_required = next(name for name, value in fields.items() if value is REQUIRED)
+    with pytest.raises(TypeError, match=r"positional arguments? but \d+ were given"):
+        cls(*record, record[0])
+    with pytest.raises(TypeError, match=f"missing .*'{first_required}'"):
+        cls()
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*record, bogus=1.0)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{cls._fields[0]}'"):
+        cls(*record, **{cls._fields[0]: record[0]})
+    with pytest.raises(ValueError, match=r"unexpected field names: \['bogus'\]"):
+        record._replace(bogus=1.0)
 
 
 VALID_PHOTON_MASS = inverse_length_to_mass(1.4e7)
