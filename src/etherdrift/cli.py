@@ -13,13 +13,12 @@ one string, except a fringe scan of more than _SCAN_BLOCK rows: its
 table is checked whole, then written in blocks of rows, so a refused scan
 writes nothing and a large one is never held as one string.
 
-Every flag is declared once, in the table ``_CLI``.  A well-formed argv is
-read from it directly; argparse, whose parser is built from the same
-table, is imported only for help, --version and usage errors.
+Every flag is declared once, in the table ``_CLI``, and every argv is read
+against it, help, --version and usage errors included: no call imports
+argparse.
 """
 
 import atexit
-import functools
 import math
 import os
 import sys
@@ -400,18 +399,21 @@ def _run_constants(ns, constants):
 
 
 # ---------------------------------------------------------------------------
-# the flag table, and the two parsers built from it
+# the flag table, and the parse that reads argv against it
 
 class _Flag:
     """A flag: its one option string, which names its namespace key
-    ``dest``, and argparse's add_argument keywords for the rest.  A type of
-    None keeps the value as given."""
+    ``dest``, the type that converts its value (None keeps the value as
+    given), its choices, its default, whether it is required, and its help
+    line.  ``spelled`` is the flag as usage and help show it."""
 
-    __slots__ = ("option", "dest", "type", "choices", "default", "required", "help")
+    __slots__ = ("option", "dest", "type", "choices", "default", "required", "help", "spelled")
 
     def __init__(self, option, type=None, *, choices=None, default=None, required=False,
                  help=None):
         self.option, self.dest = option, option[2:].replace("-", "_")
+        self.spelled = f"{option} " + ("{" + ",".join(choices) + "}" if choices
+                                       else self.dest.upper())
         self.type, self.choices, self.default = type, choices, default
         self.required, self.help = required, help
 
@@ -419,18 +421,18 @@ class _Flag:
 class _Command:
     """A command: its help line and flags, then either its runner or the
     subcommands of its own, whose word fills the namespace key ``dest``.
-    ``options`` maps each flag's option string to the flag."""
+    ``options`` maps each option string the command knows to its flag, and
+    -h and --help to None."""
 
     __slots__ = ("help", "flags", "run", "commands", "dest", "options")
 
     def __init__(self, help, flags=(), run=None, *, commands=None, dest=None):
         self.help, self.flags, self.run = help, flags, run
         self.commands, self.dest = commands, dest
-        self.options = {flag.option: flag for flag in flags}
+        self.options = {"-h": None, "--help": None, **{flag.option: flag for flag in flags}}
 
 
-#: every flag of every subcommand, declared once: _fast_parse reads it,
-#: and _build_parser builds argparse's parser from it
+#: every flag of every subcommand, declared once: _parse reads argv against it
 _CLI = _Command(
     "Light in moving media, drift interferometry, AB phases and photon-mass bounds.",
     (_Flag("--profile", choices=("modern", "paper"), default="paper",
@@ -507,18 +509,67 @@ _CLI = _Command(
     })
 
 
-@functools.cache
-def _negative_number():
-    """The pattern of a negative number as float() reads it: exponent
-    forms, underscores between digits, and the infinities and NaN.
+class _Exit(Exception):
+    """The end of a call at its parse, with args (exit code, text): help or
+    --version (0, text for stdout) or a usage error (1, text for stderr)."""
 
-    Compiled on first use: only a value that starts with "-" needs it."""
-    import re
 
-    digits = r"\d(?:_?\d)*"
-    return re.compile(
-        rf"-(?:(?:{digits}(?:\.(?:{digits})?)?|\.{digits})(?:e[+-]?{digits})?"
-        r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+def _usage(prog, command) -> str:
+    """A command's usage line, optional flags in brackets; never wrapped."""
+    parts = [f"usage: {prog} [-h]", *(["[--version]"] if command is _CLI else [])]
+    parts += [flag.spelled if flag.required else f"[{flag.spelled}]" for flag in command.flags]
+    if command.commands is not None:
+        parts.append(f"{command.dest} ...")
+    return " ".join(parts)
+
+
+def _listing(title, rows) -> str:
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([title, *(f"  {name:<{width}}  {text}".rstrip() for name, text in rows)])
+
+
+def _help(prog, command) -> str:
+    """A command's help: its usage line, its help line, its subcommands and
+    its options, each with its help line.  Nothing is wrapped, so the text
+    is the same at any terminal width."""
+    sections = [_usage(prog, command), command.help]
+    if command.commands is not None:
+        sections.append(_listing(f"{command.dest}s:", [(name, sub.help) for name, sub
+                                                       in command.commands.items()]))
+    options = [("-h, --help", "show this help message and exit")]
+    if command is _CLI:
+        options.append(("--version", "show program's version number and exit "
+                                     "(give --profile before it)"))
+    options += [(flag.spelled, flag.help or "") for flag in command.flags]
+    sections.append(_listing("options:", options))
+    return "\n\n".join(sections) + "\n"
+
+
+def _usage_error(prog, command, message) -> _Exit:
+    return _Exit(1, f"{_usage(prog, command)}\n{prog}: error: {message}\n")
+
+
+def _is_negative_number(token) -> bool:
+    """Whether token is "-" and then a number float() reads (exponents,
+    underscores between digits, the infinities and NaN) with no sign or
+    space of its own, which float() would also take."""
+    number = token[1:]
+    try:
+        float(number)
+    except ValueError:
+        return False
+    return token.startswith("-") and number == number.strip() and number[0] not in "+-"
+
+
+def _is_option(token, command) -> bool:
+    """Whether token reads as an option at command's level, known or not,
+    by argparse's rule: it starts with "-", is not "-" itself, and the part
+    before any "=" is an option the command knows, or it starts with "-h"
+    (help's short form), or it is no negative number and has no space."""
+    if not token.startswith("-") or token == "-":
+        return False
+    return (token.partition("=")[0] in command.options or token.startswith("-h")
+            or not (_is_negative_number(token) or " " in token))
 
 
 def _enter(command, values: dict):
@@ -532,139 +583,88 @@ def _enter(command, values: dict):
         values["run"] = command.run
 
 
-def _fast_parse(argv):
-    """The namespace argparse would return for argv, or None.
+def _parse(argv):
+    """The namespace of argv, read against the flag table; ``ns.run`` is
+    the subcommand's runner.
 
-    One walk of argv against the flag table, which imports nothing.  It
-    declines, with None, all that only argparse handles: -h, --help and
-    --version, and every usage error (an unknown word or flag, a missing
-    value or required flag, a failed conversion or choice).  It also
-    declines the forms whose parse it does not mirror: a flag given twice,
-    a "--", a value that starts with "-" and is no negative number, and
-    --profile after the subcommand."""
-    values, given = {}, set()
-    commands = [_CLI]
-    _enter(_CLI, values)
+    One walk of argv, which imports nothing, by argparse's rules and in its
+    words.  --flag=value takes any value; a separate value may not look like
+    an option (_is_option).  A flag given twice keeps its last value.
+    --profile and --version come before the subcommand.  After a "--" every
+    token is a word.  Help and --version raise _Exit with code 0, a usage
+    error with code 1, in argparse's order: a failed conversion or choice,
+    or a missing value, where it stands; then a missing subcommand or
+    required flag; then the unknown options and the words no command takes."""
+    values, leftover = {}, []
+    command, prog = _CLI, "etherdrift"
+    _enter(command, values)
     tokens = iter(argv)
     for token in tokens:
-        command = commands[-1]
-        if not token.startswith("-"):  # the word of a subcommand
-            if command.commands is None or token not in command.commands:
-                return None
-            values[command.dest] = token
-            commands.append(command.commands[token])
-            _enter(commands[-1], values)
+        if token == "--":  # a leftover, or where a subcommand is expected, its word
+            rest = list(tokens)
+            if command.commands is None or not rest:
+                leftover += [token, *rest]
+                break
+        elif token in ("-h", "--help"):
+            raise _Exit(0, _help(prog, command))
+        elif token == "--version" and command is _CLI:  # for the profile given before it
+            constants = get_constants(values["profile"])
+            raise _Exit(0, f"etherdrift {__version__} profile={constants.profile} "
+                           f"constants=sha256:{constants.fingerprint()}\n")
+        elif _is_option(token, command):
+            option, explicit, value = token.partition("=")
+            flag = command.options.get(option)
+            if flag is None:  # an unknown option, or help or --version given a value
+                leftover.append(token)
+                continue
+            if not explicit:
+                value = next(tokens, "--")  # none left reads as "--", which is refused
+                if _is_option(value, command):
+                    raise _usage_error(prog, command, f"argument {option}: expected one argument")
+            if flag.type is not None:
+                try:
+                    value = flag.type(value)
+                except ValueError:
+                    raise _usage_error(prog, command, f"argument {option}: invalid "
+                                       f"{flag.type.__name__} value: {value!r}") from None
+            if flag.choices is not None and value not in flag.choices:
+                raise _usage_error(prog, command, f"argument {option}: invalid choice: "
+                                   f"{value!r} (choose from {', '.join(map(repr, flag.choices))})")
+            values[flag.dest] = value
             continue
-        option, explicit, value = token.partition("=")
-        flag = command.options.get(option)
-        if flag is None or flag.dest in given:
-            return None
-        if not explicit:
-            value = next(tokens, None)
-            if value is None:
-                return None
-        if value.startswith("-") and not _negative_number().match(value):
-            return None
-        if flag.type is not None:
-            try:
-                value = flag.type(value)
-            except ValueError:
-                return None
-        if flag.choices is not None and value not in flag.choices:
-            return None
-        values[flag.dest] = value
-        given.add(flag.dest)
-    if commands[-1].commands is not None or any(
-            flag.required and flag.dest not in given
-            for command in commands for flag in command.flags):
-        return None
+        if command.commands is None:
+            leftover.append(token)
+            continue
+        if token not in command.commands:
+            raise _usage_error(prog, command, f"argument {command.dest}: invalid choice: "
+                               f"{token!r} (choose from {', '.join(map(repr, command.commands))})")
+        values[command.dest] = token
+        command, prog = command.commands[token], f"{prog} {token}"
+        _enter(command, values)
+    # a required flag has no default: its key holds None until it is given
+    missing = [flag.option for flag in command.flags
+               if flag.required and values[flag.dest] is None]
+    if command.commands is not None:
+        missing.append(command.dest)
+    if missing:
+        raise _usage_error(prog, command,
+                           f"the following arguments are required: {', '.join(missing)}")
+    if leftover:
+        raise _usage_error("etherdrift", _CLI, f"unrecognized arguments: {' '.join(leftover)}")
     return SimpleNamespace(**values)
 
 
-def _version_line(profile) -> str:
-    constants = get_constants(profile)
-    return (f"etherdrift {__version__} profile={constants.profile} "
-            f"constants=sha256:{constants.fingerprint()}")
-
-
-def _add_command(parser, command):
-    """Give an argparse parser a command's flags, runner and subcommands."""
-    for flag in command.flags:
-        parser.add_argument(flag.option, type=flag.type, choices=flag.choices,
-                            default=flag.default, required=flag.required, help=flag.help)
-    if command.run is not None:
-        parser.set_defaults(run=command.run)
-    if command.commands is not None:
-        sub = parser.add_subparsers(dest=command.dest, required=True, metavar=command.dest)
-        for name, subcommand in command.commands.items():
-            _add_command(sub.add_parser(name, help=subcommand.help), subcommand)
-
-
-@functools.cache
-def _build_parser():
-    """argparse's parser of the flag table, for the argv _fast_parse
-    declines: help, --version and usage errors.  Only this imports
-    argparse (and, through it, gettext and locale)."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """ArgumentParser that reports usage problems with exit code 1.
-
-        Flag abbreviation is disabled, as in the fast path: a prefix like
-        --u must never silently bind to --u-mps, whose name carries the
-        unit.  Any negative number is a value: argparse's own pattern
-        misses exponent forms, inf and nan, and so took "--u-mps -3e4" for
-        an unknown option "-3e4"."""
-
-        def __init__(self, *args, **kwargs):
-            kwargs.setdefault("allow_abbrev", False)
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = _negative_number()
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(1, f"{self.prog}: error: {message}\n")
-
-    class Version(argparse.Action):
-        """--version, with the line (and its constants hash) formed only
-        when the flag is given, for the profile parsed so far.
-
-        argparse acts on the flag where it stands in argv, so a --profile
-        counts only if it comes before --version."""
-
-        def __init__(self, option_strings, dest, **kwargs):
-            super().__init__(option_strings, dest=argparse.SUPPRESS,
-                             default=argparse.SUPPRESS, nargs=0,
-                             help="show program's version number and exit "
-                                  "(give --profile before it)")
-
-        def __call__(self, parser, namespace, values, option_string=None):
-            sys.stdout.write(_version_line(namespace.profile) + "\n")
-            parser.exit()
-
-    parser = Parser(prog="etherdrift", description=_CLI.help)
-    parser.add_argument("--version", action=Version)
-    _add_command(parser, _CLI)
-    return parser
-
-
 def parse_config(argv):
-    """Parse the argument list; ``ns.run`` is the subcommand's runner.
-
-    _fast_parse reads a well-formed argv.  Only what it declines goes to
-    argparse, so every help text and usage error is argparse's own, and a
-    well-formed call never imports argparse.  argparse's parser is built
-    on its first use and reused: parse_args returns a fresh namespace each
-    time.  float() accepts 'nan' and 'inf', and int() integers beyond the
+    """Parse the argument list (_parse); ``ns.run`` is the subcommand's
+    runner.  float() accepts 'nan' and 'inf', and int() integers beyond the
     float range, so every number flag is checked here, in namespace order.
     """
-    ns = _fast_parse(argv)
-    if ns is None:
-        ns = _build_parser().parse_args(argv)
+    ns = _parse(argv)
     for key, value in vars(ns).items():
         if isinstance(value, (int, float)) and not _finite(value):
             raise InputError(f"--{key.replace('_', '-')} must be finite, got {value}")
     return ns
+
 
 def run(ns):
     """Execute parsed arguments and return the rendered output: a str, or
@@ -681,11 +681,10 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         output = run(parse_config(argv))
-    except SystemExit as exc:  # argparse help/version/usage paths
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+    except _Exit as exc:  # help, --version or a usage error
+        code, text = exc.args
+        (sys.stderr if code else sys.stdout).write(text)
+        return code
     except EtherdriftError as exc:
         sys.stderr.write(render_json({"error": type(exc).__name__,
                                       "message": str(exc)}))

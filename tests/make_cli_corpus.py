@@ -16,13 +16,12 @@ it replaces, by argv, with the lines removed and added in each stream.
 import difflib
 import json
 import math
-import os
 import random
 import shlex
 import sys
 
 from test_cli_corpus import CORPUS, STREAMS, record
-from test_warm_cli import TERMINAL, WARM_CASES
+from test_warm_cli import WARM_CASES
 
 C = 299792458.0
 PROFILES = ("paper", "modern")
@@ -154,7 +153,7 @@ def _draws(rng):
 
 
 def _errors():
-    # exit 1: argparse's usage errors
+    # exit 1: usage errors
     yield []
     yield ["nosuch"]
     yield ["proca"]
@@ -214,8 +213,8 @@ def _errors():
 
 
 def _parse_forms():
-    """The argv forms the flag table's parse reads, and two it leaves to
-    argparse: a repeated flag and a value that starts with "-"."""
+    """The argv forms the flag table's parse reads: both forms of a value,
+    a repeated flag, a value that starts with "-", and "--" as a value."""
     yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps=-3e4"]
     yield ["--profile=modern", "constants"]
     # the flags whose unit is a second word, in the --flag=value form
@@ -225,10 +224,19 @@ def _parse_forms():
     yield ["proca", "bound", "--V-volts=1e7", "--tau-s=5e-2", "--R-cm", "27", "--epsilon", "1e-4"]
     # exit 2: the flag parses, and the finiteness check refuses it
     yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "-inf"]
-    # argparse keeps the last value of a repeated flag
+    # a repeated flag keeps its last value
     yield ["speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "1e3", "--u-mps", "2e3"]
     # exit 1: a value that starts with "-" and is no number
     yield ["speed", "--mode", "einstein", "--n", "-abc"]
+    # "--flag=--" gives the flag the value "--": a number refuses it (exit 1),
+    # and a payload flag reads it as a file name (exit 2)
+    yield ["proca", "bound", "--V-volts", "1e7", "--tau-s", "0.05", "--R-cm", "27",
+           "--epsilon=--"]
+    yield ["abphase", "--field=--", "--path=[[0, 0, 0], [1, 1, 1]]"]
+    # "--" where a subcommand is expected is read as its word, unless it is
+    # the last token: then the subcommand is missing
+    yield ["--", "speed", "--mode", "einstein", "--n", "1.5"]
+    yield ["proca", "--"]
 
 
 def requests() -> list:
@@ -287,7 +295,6 @@ def _changes(old, new):
 
 
 def main():
-    os.environ.update(TERMINAL)
     old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []
     new = [record(argv) for argv in requests()]
     CORPUS.write_text(_dump(new), encoding="utf-8")

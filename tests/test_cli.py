@@ -125,6 +125,22 @@ def test_options_still_parse_as_options(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (["proca", "bound", "--V-volts", "1e7", "--tau-s", "0.05", "--R-cm", "27", "--epsilon=--"],
+     1, "argument --epsilon: invalid float value: '--'"),
+    (["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
+      "--lambda-nm", "633", "--steps=--"], 1, "argument --steps: invalid int value: '--'"),
+    (["speed", "--mode=--", "--n", "1.5"], 1, "argument --mode: invalid choice: '--'"),
+    (["abphase", "--field=--", "--path=[[0, 0, 0], [1, 1, 1]]"], 2, "cannot read --"),
+], ids=["float", "int", "choice", "payload"])
+def test_double_dash_is_a_flag_value(argv, code, message, capsys):
+    # "--flag=--" gives the flag the value "--", refused like any other bad
+    # value; argparse gave it no value, and the subcommand a traceback
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and message in err.splitlines()[-1]
+
+
 def test_speed_output_is_byte_deterministic():
     args = ("speed", "--mode", "einstein", "--n", "1.5", "--u-mps", "1e3")
     assert run_cli(*args).stdout == run_cli(*args).stdout

@@ -11,7 +11,7 @@ from itertools import zip_longest
 
 import pytest
 
-from test_warm_cli import TERMINAL, _warm
+from test_warm_cli import _warm
 
 CORPUS = pathlib.Path(__file__).with_name("cli_corpus.json")
 
@@ -37,14 +37,6 @@ def _first_difference(expected: dict, got: dict) -> str:
     return ""
 
 
-@pytest.fixture
-def cli_environment(monkeypatch):
-    """The environment the corpus was recorded in: an 80-column terminal
-    for argparse's help text."""
-    for key, value in TERMINAL.items():
-        monkeypatch.setenv(key, value)
-
-
 def _replay():
     entries = json.loads(CORPUS.read_text(encoding="utf-8"))
     assert {entry["exit"] for entry in entries} == {0, 1, 2}
@@ -54,11 +46,11 @@ def _replay():
             pytest.fail(f"request {index} {expected['argv']}: {difference}", pytrace=False)
 
 
-def test_corpus_replays_byte_for_byte(cli_environment):
+def test_corpus_replays_byte_for_byte():
     _replay()
 
 
-def test_corpus_ignores_a_profile_in_the_environment(cli_environment, monkeypatch):
+def test_corpus_ignores_a_profile_in_the_environment(monkeypatch):
     # only --profile names a profile: ETHERDRIFT_PROFILE changes no byte
     monkeypatch.setenv("ETHERDRIFT_PROFILE", "modern")
     _replay()

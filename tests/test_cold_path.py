@@ -1,6 +1,5 @@
 """Only a ``fringe`` scan of more than 4096 rows loads numpy, only a JSON
-payload loads json, only help, --version and a usage error load argparse,
-and no call loads dataclasses.
+payload loads json, and no call loads argparse or dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
 cold call of any other subcommand (the scalar ones, which compute in plain
@@ -13,14 +12,13 @@ records are tuples built on the package's own ``Record`` base, so importing
 the package does not load ``dataclasses`` or the ``inspect`` it imports,
 and no module defines a class on ``typing.NamedTuple``, whose class
 statements made up most of the package's import time.  ``numbers`` is read
-only for a path or grid of other than plain floats and ints.  The
-pattern of a negative number is compiled only for a value that starts
-with "-".  json is imported
+only for a path or grid of other than plain floats and ints.  No call
+compiles a pattern: float() tells a negative number.  json is imported
 only to read a payload (``abphase``, ``pmomentum``) or to escape a string
-that needs it.  A well-formed argv is parsed from the flag table, so
-argparse, with the gettext and locale it imports, loads only for help,
---version and usage errors.  Each case runs in a fresh
-interpreter, because this test session has these modules loaded already."""
+that needs it.  Every argv, help, --version and usage errors included, is
+parsed from the flag table, so no call loads argparse, or the gettext and
+locale it imports.  Each case runs in a fresh interpreter, because this
+test session has these modules loaded already."""
 
 import ast
 import functools
@@ -218,15 +216,23 @@ def test_well_formed_call_does_not_load_argparse(name):
 
 @pytest.mark.parametrize("argv, code", [(["speed", "--help"], 0), (["--version"], 0),
                                         (["speed", "--mode", "einstein"], 1)])
-def test_help_version_and_usage_errors_load_argparse(argv, code):
-    # the check above can see argparse: the calls that need it do load it
+def test_help_version_and_usage_errors_do_not_load_argparse(argv, code):
     report = _fresh(_RUN, json.dumps(argv))
     assert report["code"] == code
+    assert not set(ARGPARSE) & set(report["loaded"])
+
+
+def test_argparse_is_seen_where_it_loads():
+    # the checks above can see argparse: a script that formats an argparse
+    # help text lists it, and the gettext and locale that translate it
+    report = _fresh("import argparse\nargparse.ArgumentParser().format_help()\n" + _RUN,
+                    json.dumps(SCALAR_COMMANDS["speed"]))
     assert set(ARGPARSE) <= set(report["loaded"])
 
 
 # records the module that compiles each pattern, then reports the patterns
-# the package compiled and whether argparse loaded
+# the package compiled and whether argparse loaded; a second argument is a
+# pattern compiled as the package would, to show that the record sees it
 _COMPILES = """
 import contextlib, io, json, re, sys
 compiled = []
@@ -237,12 +243,18 @@ def _recording(pattern, flags):
     return _compile(pattern, flags)
 re._compile = _recording
 from etherdrift import cli
+for pattern in sys.argv[2:]:
+    exec("import re; re.compile(%r)" % pattern, {"__name__": "etherdrift.probe"})
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "argparse": "argparse" in sys.modules,
                   "compiled": [pattern for module, pattern in compiled
                                if module.startswith("etherdrift")]}))
 """
+
+#: a request with a negative value
+NEGATIVE = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "-1e3",
+            "--lambda-nm", "633"]
 
 
 def test_cold_call_compiles_no_package_pattern():
@@ -251,13 +263,15 @@ def test_cold_call_compiles_no_package_pattern():
 
 
 def test_negative_value_is_parsed_by_the_fast_parse():
-    # the check above can see a compiled pattern: a negative value compiles
-    # the one the fast parse reads it with, and argparse stays unloaded
-    argv = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "-1e3",
-            "--lambda-nm", "633"]
-    report = _fresh(_COMPILES, json.dumps(argv))
-    assert (report["code"], report["argparse"]) == (0, False)
-    assert len(report["compiled"]) == 1
+    # the flag table's parse reads a negative value with float(), not a pattern
+    report = _fresh(_COMPILES, json.dumps(NEGATIVE))
+    assert report == {"code": 0, "argparse": False, "compiled": []}
+
+
+def test_compiled_pattern_is_recorded():
+    # the checks above can see a compiled pattern: the probe's is recorded
+    report = _fresh(_COMPILES, json.dumps(NEGATIVE), "-[0-9]+")
+    assert report == {"code": 0, "argparse": False, "compiled": ["-[0-9]+"]}
 
 
 def _named_tuple_bases(tree):

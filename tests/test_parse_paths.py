@@ -1,16 +1,27 @@
-"""The two parse paths agree.
+"""The flag table's parse agrees with argparse.
 
-For every argv, ``cli._fast_parse`` either declines it (None) or returns
-the namespace that argparse's parser, ``cli._build_parser()``, returns:
-the same keys in the same order, each with a value of the same type and
-repr, so NaN equals NaN and -0.0 differs from 0.0.  The order matters,
-because ``parse_config`` reports the first non-finite flag in namespace
-order.  The argv are every corpus request, the parse forms below, and
-hypothesis draws built from the flag table."""
+``cli._parse`` reads every argv itself.  argparse, given a parser built
+here from the same table ``cli._CLI``, is kept as its reference, the way
+mpmath is for the numbers.  For every argv the two give the same outcome:
+the same namespace, or an exit with the same code (0 for help and
+--version, 1 for a usage error).  A namespace has the same keys in the
+same order, each with a value of the same type and repr, so NaN equals NaN
+and -0.0 differs from 0.0.  The order matters, because ``parse_config``
+reports the first non-finite flag in namespace order.  The argv are every
+corpus request, the parse forms below, and hypothesis draws built from the
+flag table.
 
+There is one exception, built into the reference (``_Reference``):
+argparse reads "--flag=--" as no value and stores the empty list, which
+the subcommand then fails on with a traceback.  The flag table's parse
+reads "--" as the value, which a number flag or a choice refuses."""
+
+import argparse
 import contextlib
 import io
 import json
+import re
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -19,29 +30,77 @@ from hypothesis import strategies as st
 from etherdrift import cli
 from test_cli_corpus import CORPUS
 
+_DIGITS = r"\d(?:_?\d)*"
+
+#: a negative number as float() reads it: exponent forms, underscores
+#: between digits, and the infinities and NaN.  The CLI gave argparse this
+#: pattern in place of its own, which took "-3e4" for an unknown option.
+NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
+    r"|inf(?:inity)?|nan)\Z", re.IGNORECASE)
+
+
+class _Reference(argparse.ArgumentParser):
+    """argparse's parser, with no abbreviations, the negative numbers above,
+    and exit 1 for a usage error, as the CLI built it."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER
+
+    def error(self, message):
+        self.exit(1)
+
+    def _get_values(self, action, arg_strings):
+        # the one exception: "--flag=--" reaches here as ["--"], whose "--"
+        # argparse strips; a separate "--" never is a flag's value
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+def _add(parser, command):
+    """Give an argparse parser a command's flags, runner and subcommands."""
+    for flag in command.flags:
+        parser.add_argument(flag.option, type=flag.type, choices=flag.choices,
+                            default=flag.default, required=flag.required)
+    if command.run is not None:
+        parser.set_defaults(run=command.run)
+    if command.commands is not None:
+        sub = parser.add_subparsers(dest=command.dest, required=True, metavar=command.dest)
+        for name, subcommand in command.commands.items():
+            _add(sub.add_parser(name), subcommand)
+
+
+REFERENCE = _Reference(prog="etherdrift")
+REFERENCE.add_argument("--version", action="version", version="etherdrift")
+_add(REFERENCE, cli._CLI)
+
 
 def _items(ns):
     return [(key, type(value), repr(value)) for key, value in vars(ns).items()]
 
 
-def _argparse(argv):
-    """argparse's namespace items for argv, or None where it exits: help,
-    --version or a usage error."""
+def _reference(argv):
+    """argparse's outcome for argv: the namespace's items, or the exit code."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return _items(cli._build_parser().parse_args(argv))
-        except SystemExit:
-            return None
+            return _items(REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
 
 
-def _taken(argv) -> bool:
-    """Whether the fast path takes argv, asserting that it then agrees with
-    argparse."""
-    fast = cli._fast_parse(argv)
-    if fast is None:
-        return False
-    assert _items(fast) == _argparse(argv), argv
-    return True
+def _outcome(argv):
+    """The flag table's outcome for argv, asserting that argparse's is the same."""
+    try:
+        outcome = _items(cli._parse(argv))
+    except cli._Exit as exc:
+        outcome = exc.args[0]
+    assert outcome == _reference(argv), argv
+    return outcome
 
 
 def _leaves(command=cli._CLI, words=()):
@@ -54,24 +113,11 @@ def _leaves(command=cli._CLI, words=()):
 
 LEAVES = list(_leaves())
 
-#: option string -> namespace key, over the whole table
-DESTS = {flag.option: flag.dest for words, flags in LEAVES
-         for flag in (*cli._CLI.flags, *flags)}
-
-
-def _repeats_a_flag(argv) -> bool:
-    dests = [DESTS[token.partition("=")[0]] for token in argv
-             if token.partition("=")[0] in DESTS]
-    return len(dests) != len(set(dests))
-
 
 def test_every_corpus_request_parses_alike():
-    entries = json.loads(CORPUS.read_text(encoding="utf-8"))
-    for entry in entries:
-        argv = entry["argv"]
-        # the fast path declines only what argparse exits on (help,
-        # --version, a usage error) and a repeated flag
-        assert (_taken(argv) or _argparse(argv) is None or _repeats_a_flag(argv)), argv
+    for entry in json.loads(CORPUS.read_text(encoding="utf-8")):
+        # a usage error is the corpus's exit 1, and only it
+        assert (_outcome(entry["argv"]) == 1) == (entry["exit"] == 1), entry["argv"]
 
 
 SPEED = ["speed", "--mode", "einstein", "--n", "1.5"]
@@ -80,7 +126,7 @@ BOUND = ["proca", "bound", "--V-volts", "1e7", "--tau-s", "5e-2", "--R-cm", "27"
 #: fringe's required flags but the arm length, and a wavelength
 FRINGE = ["fringe", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4", "--lambda-nm", "633"]
 
-#: (argv, whether the fast path takes it)
+#: (argv, whether it parses to a namespace; if not, the call exits 0 or 1)
 FORMS = [
     # --flag value and --flag=value, negatives in every float() form
     ([*SPEED, "--u-mps", "-3e4"], True),
@@ -108,10 +154,10 @@ FORMS = [
     (["--profile=modern", *BOUND], True),
     ([*BOUND, "--profile", "modern"], False),
     (["proca", "--profile=modern", *BOUND[1:]], False),
-    # a repeated flag, in either form
-    ([*SPEED, "--ef", "1", "--ef", "0.5"], False),
-    ([*SPEED, "--u-mps", "1", "--u-mps=2"], False),
-    (["--profile", "modern", "--profile", "paper", "constants"], False),
+    # a repeated flag, in either form: the last value counts
+    ([*SPEED, "--ef", "1", "--ef", "0.5"], True),
+    ([*SPEED, "--u-mps", "1", "--u-mps=2"], True),
+    (["--profile", "modern", "--profile", "paper", "constants"], True),
     # a missing required flag or subcommand
     (["speed", "--mode", "einstein"], False),
     (BOUND[:-2], False),
@@ -154,12 +200,18 @@ FORMS = [
     (["--version"], False),
     (["--profile", "modern", "--version"], False),
     (["constants", "--version"], False),
+    # "--" as a flag's value: argparse's one difference (see above)
+    (["speed", "--mode=--", "--n", "1.5"], False),
+    (["abphase", "--field=--", "--path=[]"], True),
+    # a separate value with a space: taken, unless it is help's short form
+    (["abphase", "--field", "-x y", "--path", "[]"], True),
+    (["abphase", "--field", "-h y", "--path", "[]"], False),
 ]
 
 
-@pytest.mark.parametrize("argv, taken", FORMS)
-def test_parse_form(argv, taken):
-    assert _taken(argv) == taken
+@pytest.mark.parametrize("argv, parses", FORMS)
+def test_parse_form(argv, parses):
+    assert isinstance(_outcome(argv), list) == parses
 
 
 #: values that argparse and float() read in the more unusual ways
@@ -211,4 +263,28 @@ def _argvs(draw):
 @settings(max_examples=600, deadline=None)
 @given(_argvs())
 def test_drawn_argv_parses_alike(argv):
-    _taken(argv)
+    _outcome(argv)
+
+
+#: tokens on either side of the negative-number pattern
+NEGATIVE_FORMS = ["-3e4", "-1E3", "-.5e2", "-2.e+1", "-1_000", "-1e1_0", "-1.5e-3", "-0", "-inf",
+                  "-Infinity", "-nan", "-NaN", "-٣", "-１", "-1__0", "-_1", "-1_", "-1_.5",
+                  "-1._5", "-infinit", "-in", "-", "--", "--1", "-+1", "- 1", "-1 ", "-1\n", "-e3",
+                  "-.", "-.e1", "-1e", "-1e+", "-0x10", "-1j", "-²", "-abc", "3e4"]
+
+
+@pytest.mark.parametrize("token", NEGATIVE_FORMS)
+def test_negative_number_form(token):
+    assert cli._is_negative_number(token) == bool(NEGATIVE_NUMBER.match(token))
+
+
+#: digits, Arabic-Indic digits, whitespace, and what else float() reads
+_NUMBER_TEXT = (string.digits + "٠١٢٣٩" + " \t\n\x0b\x0c\r  "
+                + "-+.eE_" + "infatyINFATY")
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(_NUMBER_TEXT, max_size=10))
+def test_negative_number_check_matches_the_pattern(rest):
+    token = "-" + rest
+    assert cli._is_negative_number(token) == bool(NEGATIVE_NUMBER.match(token)), token

@@ -1,9 +1,9 @@
-"""One interpreter, many requests: the CLI builds its parser once and reuses it.
+"""One interpreter, many requests.
 
-Every call here goes through ``cli.main`` in this process, so the cached
-parser serves them all.  A warm call must match a fresh ``python -m
-etherdrift.cli`` byte for byte, in any order, and every bad number, in a
-flag or a JSON payload, must end in exit 2 with one stderr JSON line."""
+Every call here goes through ``cli.main`` in this process.  A warm call
+must match a fresh ``python -m etherdrift.cli`` byte for byte, in any
+order, and every bad number, in a flag or a JSON payload, must end in exit
+2 with one stderr JSON line."""
 
 import contextlib
 import io
@@ -18,9 +18,6 @@ from hypothesis import strategies as st
 
 from etherdrift import cli
 from test_readme import _cli_lines
-
-# argparse wraps --help to the terminal width; pin it on both sides
-TERMINAL = {"COLUMNS": "80", "LINES": "24"}
 
 WARM_CASES = [shlex.split(line)[1:] for line in _cli_lines()] + [
     ["--help"],
@@ -51,18 +48,21 @@ def _fresh(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_warm_calls_match_fresh_processes(monkeypatch):
-    # the fresh processes inherit this environment
-    for key, value in TERMINAL.items():
-        monkeypatch.setenv(key, value)
+def test_warm_calls_match_fresh_processes():
     expected = [_fresh(argv) for argv in WARM_CASES]
     assert {code for code, _, _ in expected} == {0, 1, 2}
 
-    cli._build_parser.cache_clear()
     order = list(range(len(WARM_CASES)))
     for i in order + order[::-1]:
         assert _warm(WARM_CASES[i]) == expected[i], WARM_CASES[i]
-    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_help_and_usage_errors_ignore_the_terminal_width(monkeypatch):
+    outputs = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        outputs.append([_warm(["fringe", "--help"]), _warm(["fringe", "--steps", "2.5"])])
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
