@@ -15,7 +15,7 @@ every cold CLI call.  A record with constraints on its fields defines
 import math
 from collections import _tuplegetter  # namedtuple's field accessor, in C
 
-from .errors import DomainError
+from .errors import DomainError, InputError
 
 
 class _RecordType(type):
@@ -102,3 +102,9 @@ def check_finite(*fields):
     for label, value in fields:
         if not -math.inf < value < math.inf:
             raise DomainError(f"{label} must be finite, got {value}")
+
+
+def check_vector(label, vector):
+    """Raise InputError unless vector is 3 finite numbers, as a path's vertex is."""
+    if not (len(vector) == 3 and all(map(math.isfinite, vector))):
+        raise InputError(f"{label} must be 3 finite numbers, got {vector!r}")

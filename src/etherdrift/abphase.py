@@ -3,9 +3,9 @@
 A wavefunction threading a region with interaction em momentum Q picks up
 the phase integral of Q along its path.  Three field kinds cover the cases
 of interest: a uniform Q, the Fresnel-drag momentum of a moving medium,
-and the vector potential of an idealized flux line (the magnetic AB
-geometry).  Phases are returned unwrapped; reduce mod 2 pi at the detector
-if needed.
+and the vector potential of an idealized flux line along z (the magnetic
+AB geometry).  Phases are returned unwrapped; reduce mod 2 pi at the
+detector if needed.
 
 Positions are in meters and Q in rad/m throughout.  A path is a tuple of
 float 3-tuples.  A constant Q's phase is one closed form over the path's
@@ -20,7 +20,7 @@ import sys
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from ._record import Record
+from ._record import Record, check_vector
 from .errors import DomainError, InputError, SingularPathError
 from .units import c
 
@@ -62,9 +62,9 @@ def fresnel_momentum(omega: float, n: float, u) -> tuple:
     """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m.
 
     n^2 - 1 is formed as (n - 1)(n + 1), exact to rounding for n near 1."""
-    if omega <= 0.0:
+    if not 0.0 < omega:
         raise DomainError(f"angular frequency must be positive, got {omega}")
-    if n < 1.0:
+    if not 1.0 <= n:
         raise DomainError(f"refractive index must be >= 1, got {n}")
     scale = -(omega / (c * c)) * ((n - 1.0) * (n + 1.0))
     ux, uy, uz = u
@@ -75,6 +75,9 @@ class UniformQ(Record):
     """Spatially constant interaction momentum (rad/m)."""
 
     q: tuple
+
+    def _check(self):
+        check_vector("interaction momentum q", self.q)
 
     def q_at(self, points) -> "np.ndarray":
         import numpy as np
@@ -92,6 +95,9 @@ class FresnelFlow(Record):
     omega: float
     n: float
     u: tuple
+
+    def _check(self):
+        check_vector("medium velocity u", self.u)
 
     def q_vector(self) -> tuple:
         return fresnel_momentum(self.omega, self.n, self.u)
@@ -123,7 +129,7 @@ def _scaled_far(segments):
     larger radius is at least 1, so the flux-line check's floor of 1 m
     (below 2**-499 in the scaled units) does not act on it either way.
     Each segment takes its own scale: one scale for the whole path would
-    push the offsets of its segments near the axis below the double
+    push the offsets of its segments near the line below the double
     range.  A segment with an infinite or NaN offset is left as it is."""
     for (u0, v0), (u1, v1), r0, r1 in segments:
         if not max(r0, r1) <= _FAR:
@@ -136,35 +142,23 @@ def _scaled_far(segments):
 
 
 class SolenoidVectorPotential(Record):
-    """Idealized flux line: A_phi = flux/(2 pi rho) off axis, Q = coupling * A.
+    """Idealized flux line along +z through ``axis_point``, whose z is
+    ignored: A_phi = flux/(2 pi rho) off the line, Q = coupling * A.
 
     ``coupling`` is the charge-to-action ratio (e/hbar in SI).  It has no
     default because it depends on the constants profile (pi/Phi_0, see
     PhysicalConstants.charge_over_hbar); the CLI takes it from the run's
     profile.  The finite-core interior belongs to the fieldmomentum module;
-    for phases only the enclosed flux matters.
+    a phase depends only on the enclosed flux and the path's winding, so a
+    line along -z is this one with the path reversed.
     """
 
     flux: float
     coupling: float
     axis_point: tuple = (0.0, 0.0, 0.0)
-    axis_direction: tuple = (0.0, 0.0, 1.0)
 
-    def _cross_axes(self):
-        """Unit vectors e1, e2 across the axis with e1 x e2 along it.
-
-        The branch-free frame of Duff et al., JCGT 6(1), 2017: for the
-        default z axis it is x and y exactly, so an offset's coordinates
-        are the vertex's own differences."""
-        dx, dy, dz = self.axis_direction
-        norm = math.hypot(dx, dy, dz)
-        if norm == 0.0:
-            raise DomainError("solenoid axis direction must be nonzero")
-        nx, ny, nz = dx / norm, dy / norm, dz / norm
-        sign = math.copysign(1.0, nz)
-        a = -1.0 / (sign + nz)
-        b = nx * ny * a
-        return (1.0 + sign * nx * nx * a, sign * b, -sign * nx), (b, sign + ny * ny * a, -ny)
+    def _check(self):
+        check_vector("flux-line point axis_point", self.axis_point)
 
     def _phase_per_radian(self):
         """coupling flux/(2 pi) as hi + lo, two doubles within 1e-32 of it.
@@ -184,44 +178,35 @@ class SolenoidVectorPotential(Record):
         except (OverflowError, ValueError):
             return self.coupling * self.flux / (2.0 * math.pi), 0.0
 
-    def _offsets(self, points) -> list:
-        """(u, v) across the axis of each point's offset from the axis point."""
-        (e1x, e1y, e1z), (e2x, e2y, e2z) = self._cross_axes()
-        px, py, pz = self.axis_point
-        offsets = []
-        for x, y, z in points:
-            x, y, z = x - px, y - py, z - pz
-            offsets.append((x * e1x + y * e1y + z * e1z, x * e2x + y * e2y + z * e2z))
-        return offsets
-
     def q_at(self, points) -> "np.ndarray":
         import numpy as np
 
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        u, v = np.array(self._offsets(points.tolist())).T
-        rho2 = u * u + v * v
+        px, py, _ = self.axis_point
+        x, y = points[:, 0] - px, points[:, 1] - py
+        rho2 = x * x + y * y
         if np.any(rho2 == 0.0):
             raise SingularPathError("field evaluated on the flux line")
-        # azimuthal direction axis x rho_hat = (u e2 - v e1)/rho; magnitude flux/(2 pi rho)
-        e1, e2 = self._cross_axes()
-        phi_hat_scaled = np.outer(u / rho2, e2) - np.outer(v / rho2, e1)
-        return (self.coupling * self.flux / (2.0 * math.pi)) * phi_hat_scaled
+        # azimuthal direction z x rho_hat = (-y, x, 0)/rho; magnitude flux/(2 pi rho)
+        return (self.coupling * self.flux / (2.0 * math.pi)) * np.column_stack(
+            [-y / rho2, x / rho2, np.zeros_like(rho2)])
 
     def segment_integrals(self, vertices) -> list:
         """Exact int Q . dl over each segment between consecutive vertices
         (Aharonov & Bohm 1959).
 
         Q . dl = coupling (flux/2 pi) dphi, and a segment sweeps the signed
-        angle atan2(r0 x r1, r0 . r1), r0 and r1 its endpoints' offsets
-        across the axis, each formed once per vertex.  The angle is scaled
+        angle atan2(r0 x r1, r0 . r1), r0 and r1 its endpoints' (x, y)
+        offsets from the line, each formed once per vertex.  The angle is scaled
         by coupling flux/(2 pi) carried in two doubles, so a closed loop's
         phase is coupling flux times its winding to within about 1.5 ulp.
         A segment that comes within 1e-12 max(1, |r0|, |r1|) of the flux
         line raises SingularPathError.  A segment more than 2**500 m from
-        the axis is first scaled by a power of two (``_scaled_far``), so its
+        the line is first scaled by a power of two (``_scaled_far``), so its
         products do not overflow at any finite distance."""
         hi, lo = self._phase_per_radian()
-        offsets = self._offsets(vertices)
+        px, py, _ = self.axis_point
+        offsets = [(x - px, y - py) for x, y, _ in vertices]
         radii = [math.sqrt(u * u + v * v) for u, v in offsets]
         segments = zip(offsets, offsets[1:], radii, radii[1:])
         if not max(radii, default=0.0) <= _FAR:  # one check per path
@@ -230,7 +215,7 @@ class SolenoidVectorPotential(Record):
         for (u0, v0), (u1, v1), r0, r1 in segments:
             du, dv = u1 - u0, v1 - v0
             length2 = du * du + dv * dv
-            # parameter of the point nearest the axis; 0 for a segment along it
+            # parameter of the point nearest the line; 0 for a segment along z
             t = min(max(-(u0 * du + v0 * dv) / (length2 or 1.0), 0.0), 1.0)
             nu, nv = u0 + t * du, v0 + t * dv
             if math.sqrt(nu * nu + nv * nv) <= 1e-12 * max(1.0, r0, r1):

@@ -19,6 +19,7 @@ argparse.
 """
 
 import atexit
+import io
 import math
 import os
 import sys
@@ -208,8 +209,7 @@ _FIELD_SCHEMAS = {
                                    "u_mps": ("u", "vector", True)}),
     "solenoid": (SolenoidVectorPotential, {"flux_wb": ("flux", "number", True),
                                            "coupling": ("coupling", "number", False),
-                                           "center_m": ("axis_point", "vector", False),
-                                           "axis": ("axis_direction", "vector", False)}),
+                                           "center_m": ("axis_point", "vector", False)}),
 }
 
 
@@ -708,7 +708,15 @@ def _console_main():
     process.  A reader that closes the pipe early (``| head``) ends the
     call with exit 1, Python's own code for a broken pipe, and nothing on
     stderr.  Any other failed flush, such as a full disk, takes sys.exit,
-    whose teardown reports it and exits 120 as before."""
+    whose teardown reports it and exits 120 as before.  Unbuffered
+    (``python -u``), stdout's text layer drops the rest of a short write,
+    as a reader that goes mid-write leaves one, so stdout first gets a
+    buffered writer of one byte: it still writes at once, and it finishes
+    a short write or meets the broken pipe."""
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(stdout.buffer, 1), stdout.encoding,
+                                      stdout.errors, write_through=True)
     try:
         code = main()
     except BrokenPipeError:

@@ -214,7 +214,7 @@ def rotation_signal(config: InterferometerConfig) -> RotationSignal:
 
 def fringe_shift(delta_t: float, lambda_vac: float) -> float:
     """Optical-phase cycles N = c dt / lambda for a path time difference dt."""
-    if lambda_vac <= 0.0:
+    if not 0.0 < lambda_vac:
         raise DomainError(f"wavelength must be positive, got {lambda_vac}")
     return c * delta_t / lambda_vac
 
@@ -225,7 +225,7 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
     Inverts the first-order dt formula:
     u_min = resolution * lambda * c / (2 |n1^2 - n2^2| L (1 - e_f)).
     """
-    if fringe_resolution <= 0.0:
+    if not 0.0 < fringe_resolution:
         raise DomainError(f"fringe resolution must be positive, got {fringe_resolution}")
     n1 = config.n1
     n2 = config.n2
@@ -239,7 +239,7 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
 
 def improvement_factor(u: float, n1: float, n2: float) -> float:
     """Gain (c/u)(n1^2 - n2^2) of the two-media device over a single-medium one."""
-    if u <= 0.0:
+    if not 0.0 < u:
         raise DomainError(f"drift speed must be positive, got {u}")
     return (c / u) * ((n1 - n2) * (n1 + n2))
 

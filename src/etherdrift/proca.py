@@ -92,10 +92,10 @@ def cylinder_potential_exact(rho: float, cfg: ProcaCylinderConfig, m_gamma: floa
     there.  Formed as V e^{m (rho - R)} S(m rho)/S(m R) with S(x) = e^{-x} I0(x),
     finite for every finite m R, so exactly V on the wall.
     """
-    if rho < 0.0 or rho > cfg.R:
+    if not 0.0 <= rho <= cfg.R:
         raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
-    if m_gamma < 0.0:
-        raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
+    if not 0.0 <= m_gamma < math.inf:
+        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
     return cfg.V * (math.exp(m_gamma * (rho - cfg.R)) * _scaled_I0(m_gamma * rho)
                     / _scaled_I0(m_gamma * cfg.R))
 
@@ -116,10 +116,10 @@ def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: 
     the I0 series and the phase-correction chain, residual O((m R)^4)) or
     "half" (s = 2, the alternative printed normalization, residual O((m R)^2)).
     """
-    if rho < 0.0 or rho > cfg.R:
+    if not 0.0 <= rho <= cfg.R:
         raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
-    if m_gamma < 0.0:
-        raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
+    if not 0.0 <= m_gamma < math.inf:
+        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
     scale = _expansion_scale(variant)
     m2 = m_gamma * m_gamma
     return cfg.V * (1.0 + scale * m2 * (rho * rho - cfg.R * cfg.R))
@@ -135,8 +135,8 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
     is exactly R.  A profile holds at most MAX_SCAN_STEPS rows.
     """
     _check_steps(steps, "potential profile")
-    if m_gamma < 0.0:
-        raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
+    if not 0.0 <= m_gamma < math.inf:
+        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
     R, V = cfg.R, cfg.V
     wall = _scaled_I0(m_gamma * R)
     scale_m2 = _expansion_scale(variant) * (m_gamma * m_gamma)
@@ -156,8 +156,8 @@ def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,
     coupling e/hbar is the profile's charge_over_hbar = pi/Phi_0, which is
     what makes this the exact algebraic partner of invert_bound.
     """
-    if m_gamma < 0.0:
-        raise DomainError(f"photon mass parameter must be >= 0, got {m_gamma}")
+    if not 0.0 <= m_gamma < math.inf:
+        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
     m2 = m_gamma * m_gamma
     return -(constants.charge_over_hbar * m2 / 4.0) * (cfg.rho * cfg.rho - cfg.R * cfg.R) * cfg.V * cfg.tau
 
@@ -184,9 +184,9 @@ def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> floa
 
 def time_of_flight(length: float, speed: float) -> float:
     """Traversal time tau = L/v."""
-    if speed <= 0.0:
+    if not 0.0 < speed:
         raise DomainError(f"speed must be positive, got {speed}")
-    if length < 0.0:
+    if not 0.0 <= length:
         raise DomainError(f"length must be >= 0, got {length}")
     return length / speed
 
@@ -203,6 +203,7 @@ class PhotonMassBound(Record):
     source: str
 
     def _check(self):
+        check_finite(("bound range", self.m_gamma_inv_cm), ("bound mass", self.m_ph_g))
         if self.m_gamma_inv_cm <= 0.0 or self.m_ph_g <= 0.0:
             raise DomainError("bound range and mass must be positive")
         ideal = inverse_length_to_mass(self.m_gamma_inv_cm)
@@ -218,7 +219,7 @@ def projected_bound(base: PhotonMassBound, tau_scale: float) -> PhotonMassBound:
     From the bound formula m_gamma^{-1} grows as sqrt(tau), so the mass
     limit tightens by the same factor.
     """
-    if tau_scale <= 0.0:
+    if not 0.0 < tau_scale:
         raise DomainError(f"tau scale must be positive, got {tau_scale}")
     factor = math.sqrt(tau_scale)
     return PhotonMassBound(base.m_gamma_inv_cm * factor, base.m_ph_g / factor,

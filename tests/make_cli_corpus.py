@@ -71,10 +71,12 @@ def _subcommands():
     for field in ('{"kind": "uniform_q", "params": {"q": [1, 2, 3]}}',
                   '{"kind": "fresnel_flow", "params": {"omega_rad_s": 3e15, "n": 1.5, '
                   '"u_mps": [10, 0, 0]}}',
-                  '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15}}',
-                  '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15, "coupling": 1e15, '
-                  '"center_m": [0.5, 0, 0], "axis": [0, 0, -1]}}'):
+                  '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15}}'):
         yield ["abphase", "--field", field, "--path", square]
+    # the line runs along z: a line along -z is this one on the reversed path
+    yield ["abphase", "--field", '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15, '
+           '"coupling": 1e15, "center_m": [0.5, 0, 0]}}',
+           "--path", "[[1,-1,0],[-1,-1,0],[-1,1,0],[1,1,0],[1,-1,0]]"]
     # a bore shorter than d: its coarse level sums the kept share directly
     for geometry, levels in (('{"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1, '
                               '"lambda_cm": 150, "grid": [4, 4, 8]}', "2"),
@@ -210,6 +212,13 @@ def _errors():
     yield ["abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1.0, 2.0, 3.0]}}',
            "--path", "[[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]"]
     yield ["abphase", "--field", '{"kind": "nosuch"}', "--path", "[[0, 0, 0], [1, 1, 1]]"]
+    # a payload that is no JSON object, and a key no field kind takes
+    yield ["pmomentum", "--geometry", "[1]"]
+    yield ["abphase", "--field", "[1]", "--path", "[[0, 0, 0], [1, 1, 1]]"]
+    yield ["abphase", "--field", '{"kind": "uniform_q", "params": [1]}',
+           "--path", "[[0, 0, 0], [1, 1, 1]]"]
+    yield ["abphase", "--field", '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15, '
+           '"axis": [0, 0, -1]}}', "--path", "[[1,-1,0],[1,1,0],[-1,1,0]]"]
 
 
 def _parse_forms():

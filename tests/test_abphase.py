@@ -118,10 +118,10 @@ def test_solenoid_loop_phase_shape_independent():
         assert phase_line_integral(field, loop) == pytest.approx(2.0 * math.pi, rel=1e-13)
 
 
-def test_solenoid_loop_out_of_plane_and_tilted_axis():
+def test_solenoid_loop_out_of_plane():
+    # the line runs along z: the z of its point does not move it
     field = SolenoidVectorPotential(2.0 * math.pi, coupling=1.0,
-                                    axis_point=(0.2, -0.1, 0.0),
-                                    axis_direction=(0.0, 0.0, 2.0))
+                                    axis_point=(0.2, -0.1, -4.0))
     assert phase_line_integral(field, square_loop(half=2.0, z=0.7)) == pytest.approx(
         2.0 * math.pi, rel=1e-13)
 
@@ -155,9 +155,6 @@ def test_solenoid_rejects_path_through_flux_line():
         phase_line_integral(field, Path([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]))
     with pytest.raises(SingularPathError):
         field.q_at([(0.0, 0.0, 5.0)])
-    with pytest.raises(DomainError):
-        SolenoidVectorPotential(1.0, PAPER.charge_over_hbar,
-                                axis_direction=(0.0, 0.0, 0.0)).q_at([(1.0, 0.0, 0.0)])
 
 
 def _field_q(field, points):
@@ -168,13 +165,11 @@ def _field_q(field, points):
     if isinstance(field, FresnelFlow):
         q = -(field.omega / (c * c)) * (field.n * field.n - 1.0) * np.asarray(field.u, dtype=float)
         return np.broadcast_to(q, points.shape)
-    # flux line: Q = coupling flux/(2 pi rho) along axis x rho_hat
-    axis = np.asarray(field.axis_direction, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    rel = points - np.asarray(field.axis_point, dtype=float)
-    across = rel - np.outer(rel @ axis, axis)
+    # flux line along z: Q = coupling flux/(2 pi rho) along z x rho_hat
+    across = (points - np.asarray(field.axis_point, dtype=float)) * [1.0, 1.0, 0.0]
     rho2 = np.sum(across * across, axis=1)
-    return (field.coupling * field.flux / (2.0 * math.pi)) * np.cross(axis, across) / rho2[:, None]
+    return ((field.coupling * field.flux / (2.0 * math.pi))
+            * np.cross([0.0, 0.0, 1.0], across) / rho2[:, None])
 
 
 def _midpoint_doubling(field, p0, p1, rtol=1e-10, max_points=1 << 22):
@@ -196,16 +191,14 @@ def _midpoint_doubling(field, p0, p1, rtol=1e-10, max_points=1 << 22):
 FIELDS = {
     "uniform_q": UniformQ((0.3, -1.7, 2.5)),
     "fresnel_flow": FresnelFlow(OMEGA_633, 1.33, (12.0, -5.0, 3.0)),
-    "solenoid": SolenoidVectorPotential(1.7, coupling=0.9, axis_point=(0.123, -0.456, 0.3),
-                                        axis_direction=(0.3, 0.1, 1.0)),
+    "solenoid": SolenoidVectorPotential(1.7, coupling=0.9, axis_point=(0.123, -0.456, 0.3)),
 }
 
 
 def _axis_distance(field, p0, p1):
     """Smallest distance from the flux line of points sampled along p0->p1."""
-    axis = np.asarray(field.axis_direction) / np.linalg.norm(field.axis_direction)
     rel = p0 + np.linspace(0.0, 1.0, 1001)[:, None] * (p1 - p0) - field.axis_point
-    return np.min(np.linalg.norm(np.cross(rel, axis), axis=1))
+    return np.min(np.hypot(rel[:, 0], rel[:, 1]))
 
 
 @pytest.mark.parametrize("kind", sorted(FIELDS))

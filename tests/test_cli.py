@@ -467,11 +467,14 @@ def test_field_from_dict_round_trips():
     assert sol.coupling == PAPER.charge_over_hbar
     assert sol.axis_point == (0.0, 0.0, 0.0)
 
-    tilted = cli._field_from_dict({"kind": "solenoid",
-                                   "params": {"flux_wb": 1.0, "coupling": 1.0,
-                                              "center_m": [1.0, 0.0, 0.0],
-                                              "axis": [0.0, 1.0, 0.0]}}, PAPER)
-    assert tilted.axis_direction == (0.0, 1.0, 0.0)
+    moved = cli._field_from_dict({"kind": "solenoid",
+                                  "params": {"flux_wb": 1.0, "coupling": 1.0,
+                                             "center_m": [1.0, 0.0, 0.0]}}, PAPER)
+    assert moved.axis_point == (1.0, 0.0, 0.0)
+    # the flux line runs along z: it takes no direction
+    with pytest.raises(InputError, match="^unknown key 'axis' in solenoid field params$"):
+        cli._field_from_dict({"kind": "solenoid",
+                              "params": {"flux_wb": 1.0, "axis": [0.0, 0.0, -1.0]}}, PAPER)
 
 
 def test_field_from_dict_strict_errors_name_offender():

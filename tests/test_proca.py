@@ -4,7 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from etherdrift.abphase import fresnel_momentum
 from etherdrift.errors import DomainError, InputError
+from etherdrift.interferometer import (InterferometerConfig, fringe_shift, improvement_factor,
+                                       min_detectable_u)
 from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _scaled_I0,
                               bessel_I0, bounds_registry,
                               cylinder_potential_exact,
@@ -235,6 +238,31 @@ def test_time_of_flight():
         time_of_flight(1.0, 0.0)
     with pytest.raises(DomainError):
         time_of_flight(-1.0, 2.0)
+
+
+NAN = float("nan")
+DRIFT = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, 633e-9)
+
+
+@pytest.mark.parametrize("call, args", [
+    (mass_phase_correction, (REFERENCE, NAN, PAPER)),
+    (mass_phase_correction, (REFERENCE, math.inf, PAPER)),
+    (cylinder_potential_expansion, (0.1, REFERENCE, NAN)),
+    (cylinder_potential_expansion, (NAN, REFERENCE, 1.0)),
+    (time_of_flight, (NAN, 1.0)),
+    (time_of_flight, (1.0, NAN)),
+    (inverse_length_to_mass, (NAN,)),
+    (fringe_shift, (1e-15, NAN)),
+    (improvement_factor, (NAN, 1.0006, 1.0001)),
+    (fresnel_momentum, (NAN, 1.5, (10.0, 0.0, 0.0))),
+    (fresnel_momentum, (3e15, NAN, (10.0, 0.0, 0.0))),
+    (min_detectable_u, (DRIFT, NAN)),
+    (projected_bound, (PhotonMassBound(1.4e7, 2.5e-45, "x"), NAN)),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_guards_refuse_what_fails_their_condition(call, args):
+    # each guard states the condition that must hold, so NaN fails it
+    with pytest.raises(DomainError):
+        call(*args)
 
 
 def test_photon_mass_bound_pair_consistency():

@@ -90,14 +90,16 @@ def test_failed_flush_keeps_the_interpreter_report_and_exit_120():
     assert proc.stderr.rstrip().endswith("OSError: [Errno 28] No space left on device")
 
 
-@pytest.mark.parametrize("steps, buffered", [(3000, True), (20000, True), (20000, False)],
-                         ids=["one-string", "streamed", "streamed-unbuffered"])
+@pytest.mark.parametrize("steps, buffered", [(3000, True), (20000, True), (3000, False),
+                                             (20000, False)],
+                         ids=["one-string", "streamed", "one-string-unbuffered",
+                              "streamed-unbuffered"])
 def test_reader_closing_the_pipe_exits_1_with_nothing_on_stderr(steps, buffered):
     # 3000 rows (250 kB) are one write, 20000 rows (1.7 MB) a stream of
     # blocks; both outgrow the pipe's buffer, so the writer is still
     # writing, or holds a full buffer, when the reader goes.  Unbuffered,
-    # one write cut short by the reader is a partial write, which the text
-    # layer does not report, so only a stream meets the broken pipe there
+    # the reader cuts one write short, which the raw file reports only as a
+    # short write: the process must still finish it or exit 1
     read_end, write_end = os.pipe()
     with subprocess.Popen(CLI + scan(steps), stdout=write_end, stderr=subprocess.PIPE,
                           env=environment(buffered)) as proc:

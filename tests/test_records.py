@@ -33,8 +33,7 @@ RECORDS = {
     FresnelFlow: ({"omega": REQUIRED, "n": REQUIRED, "u": REQUIRED},
                   FresnelFlow(3e15, 1.5, (10.0, 0.0, 0.0))),
     SolenoidVectorPotential: ({"flux": REQUIRED, "coupling": REQUIRED,
-                               "axis_point": (0.0, 0.0, 0.0),
-                               "axis_direction": (0.0, 0.0, 1.0)},
+                               "axis_point": (0.0, 0.0, 0.0)},
                               SolenoidVectorPotential(2.067e-15, 1.5e15)),
     SolenoidChargeGeometry: ({"a": REQUIRED, "B": REQUIRED, "d": REQUIRED, "q": REQUIRED,
                               "truncation_halflength": None, "grid": (16, 32, 512)},
@@ -84,8 +83,7 @@ FIELD_TYPES = {
                            "lambda_vac": float, "composition": CompositionLaw, "e_f": float},
     UniformQ: {"q": tuple},
     FresnelFlow: {"omega": float, "n": float, "u": tuple},
-    SolenoidVectorPotential: {"flux": float, "coupling": float, "axis_point": tuple,
-                              "axis_direction": tuple},
+    SolenoidVectorPotential: {"flux": float, "coupling": float, "axis_point": tuple},
     SolenoidChargeGeometry: {"a": float, "B": float, "d": float, "q": float,
                              "truncation_halflength": float | None, "grid": tuple},
     MomentumResult: {"P_e": tuple, "estimated_quadrature_error": float},
@@ -96,10 +94,6 @@ FIELD_TYPES = {
     ConvergenceRow: {"half_length_cm": float, "grid": tuple, "p_magnitude": float,
                      "rel_error": float, "P_e": tuple},
 }
-
-#: the records that carry no checks, whose own ``__annotations__`` hold their fields
-UNCHECKED = [PhysicalConstants, UniformQ, FresnelFlow, SolenoidVectorPotential,
-             MomentumResult, RotationSignal, ConvergenceRow]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_NAMES)
@@ -116,8 +110,7 @@ def test_records_behave_as_tuples(cls):
     assert cls.__match_args__ == cls._fields
     assert typing.get_type_hints(cls) == FIELD_TYPES[cls]
     assert list(typing.get_type_hints(cls)) == list(cls._fields)
-    if cls in UNCHECKED:
-        assert cls.__annotations__ == FIELD_TYPES[cls]
+    assert cls.__annotations__ == FIELD_TYPES[cls]
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=RECORD_NAMES)
@@ -163,6 +156,16 @@ CHECKED = [
                        "source": "x"},
      [({"m_ph_g": 0.0}, DomainError, "positive"),
       ({"m_ph_g": 2.0 * VALID_PHOTON_MASS}, DomainError, "inconsistent")]),
+    # a field's vectors hold 3 finite numbers, as a path's vertices do
+    (UniformQ, {"q": (1.0, 2.0, 3.0)},
+     [({"q": (1.0, 2.0)}, InputError, "q must be 3 finite numbers"),
+      ({"q": (1.0, 2.0, 3.0, 4.0)}, InputError, "q must be 3 finite numbers"),
+      ({"q": (1.0, float("nan"), 3.0)}, InputError, "q must be 3 finite numbers")]),
+    (FresnelFlow, {"omega": 3e15, "n": 1.5, "u": (10.0, 0.0, 0.0)},
+     [({"u": (10.0, 0.0)}, InputError, "u must be 3 finite numbers"),
+      ({"u": (10.0, 0.0, float("inf"))}, InputError, "u must be 3 finite numbers")]),
+    (SolenoidVectorPotential, {"flux": 2.067e-15, "coupling": 1.5e15},
+     [({"axis_point": (0.5, 0.0)}, InputError, "axis_point must be 3 finite numbers")]),
 ]
 
 CHECKED_CASES = [(cls, valid, *bad) for cls, valid, bads in CHECKED for bad in bads]
@@ -202,6 +205,7 @@ FINITE_FIELDS = {
     ProcaCylinderConfig: {"R": "cylinder radius R", "V": "wall potential V",
                           "tau": "interaction time tau", "rho": "beam radius rho",
                           "epsilon": "phase resolution epsilon"},
+    PhotonMassBound: {"m_gamma_inv_cm": "bound range", "m_ph_g": "bound mass"},
 }
 
 NON_FINITE_CASES = [(cls, name, label, value)

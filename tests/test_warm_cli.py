@@ -133,8 +133,7 @@ def test_bad_number_flag_exits_2(case, spaced):
 FIELD_PARAMS = {
     "uniform_q": {"q": [1, 2, 3]},
     "fresnel_flow": {"omega_rad_s": 3e15, "n": 1.5, "u_mps": [10, 0, 0]},
-    "solenoid": {"flux_wb": 2.067e-15, "coupling": 1.5e15, "center_m": [0, 0, 0],
-                 "axis": [0, 0, 1]},
+    "solenoid": {"flux_wb": 2.067e-15, "coupling": 1.5e15, "center_m": [0, 0, 0]},
 }
 PATH = [[1, -1, 0], [1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]
 GEOMETRY = {"a_cm": 1, "B_gauss": 100, "d_cm": 3, "q_esu": 1, "lambda_cm": 150,
