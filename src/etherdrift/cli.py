@@ -6,12 +6,12 @@ computation modules, and emits deterministic JSON/CSV: floats always carry
 17 significant digits, dict key order is fixed in code, and repeated runs
 are byte-identical.  Exit codes: 0 success, 1 usage, 2 domain or
 computation error (reported as a single JSON line on stderr).  As a
-process (_console_main) a call also exits 1, with nothing on stderr,
-when its reader closes the pipe early, and it ends by os._exit, with no
-interpreter teardown, once its output is flushed.  Output is
-one string, except a fringe scan of more than _SCAN_BLOCK rows: its
-table is checked whole, then written in blocks of rows, so a refused scan
-writes nothing and a large one is never held as one string.
+process (_console_main) a call writes through a buffered stdout of its own:
+it exits 1, with nothing on stderr, when its reader closes the pipe early,
+and 120, with one JSON line on stderr, when another write fails.  Output is
+one string, except a fringe scan of more than _SCAN_BLOCK rows: its table
+is checked whole, then written in blocks of rows, so a refused scan writes
+nothing and a large one is never held as one string.
 
 Every flag is declared once, in the table ``_CLI``, and every argv is read
 against it, help, --version and usage errors included: no call imports
@@ -19,7 +19,7 @@ argparse.
 """
 
 import atexit
-import io
+import errno
 import math
 import os
 import sys
@@ -261,7 +261,7 @@ def _parse_json_text(text: str, origin: str):
 
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, a 4301-digit int, deep nesting
         raise InputError(f"malformed JSON in {origin}: {exc}") from None
 
 
@@ -273,7 +273,7 @@ def _load_payload(spec: str, what: str):
     try:
         with open(spec, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {spec}: {exc}") from None
     return _parse_json_text(text, spec)
 
@@ -666,12 +666,6 @@ def parse_config(argv):
     return ns
 
 
-def run(ns):
-    """Execute parsed arguments and return the rendered output: a str, or
-    for a scan of more than _SCAN_BLOCK rows an iterator of text blocks."""
-    return ns.run(ns, get_constants(ns.profile))
-
-
 def main(argv=None) -> int:
     """Run the CLI on argv (default sys.argv[1:]) and return the exit code.
 
@@ -680,7 +674,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        output = run(parse_config(argv))
+        ns = parse_config(argv)
+        output = ns.run(ns, get_constants(ns.profile))
     except _Exit as exc:  # help, --version or a usage error
         code, text = exc.args
         (sys.stderr if code else sys.stdout).write(text)
@@ -696,41 +691,46 @@ def main(argv=None) -> int:
     return 0
 
 
+class _ClosedStdout:
+    """sys.stdout in place of None, when fd 1 is closed at start (``>&-``)."""
+
+    def write(self, _output):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    writelines = write
+
+    def flush(self):
+        pass
+
+
 def _console_main():
     """The process entry of ``python -m etherdrift.cli`` and of the
     ``etherdrift`` script: run main, then end the process without the
     interpreter's teardown.
 
-    Finalizing the interpreter frees every module and runs a last garbage
-    collection, a tenth or more of a small cold call, and none of it
-    reaches the output.  So the atexit handlers run here (coverage saves
-    its data in one), both streams are flushed, and os._exit ends the
-    process.  A reader that closes the pipe early (``| head``) ends the
-    call with exit 1, Python's own code for a broken pipe, and nothing on
-    stderr.  Any other failed flush, such as a full disk, takes sys.exit,
-    whose teardown reports it and exits 120 as before.  Unbuffered
-    (``python -u``), stdout's text layer drops the rest of a short write,
-    as a reader that goes mid-write leaves one, so stdout first gets a
-    buffered writer of one byte: it still writes at once, and it finishes
-    a short write or meets the broken pipe."""
+    main writes to a buffered text stream of its own over fd 1, with
+    stdout's encoding and errors, whatever -u says.  A reader that closes
+    the pipe early (``| head``) ends the call with exit 1, Python's code
+    for a broken pipe, and nothing on stderr; any other failed write, such
+    as a full disk, with one JSON line on stderr and exit 120, Python's
+    code for a failed flush.  Then the atexit handlers run (coverage saves
+    its data in one), and os._exit skips the teardown: freeing every module
+    and a last garbage collection cost a tenth of a small call."""
     stdout = sys.stdout
-    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
-        sys.stdout = io.TextIOWrapper(io.BufferedWriter(stdout.buffer, 1), stdout.encoding,
-                                      stdout.errors, write_through=True)
     try:
+        sys.stdout = _ClosedStdout() if stdout is None else open(
+            1, "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
         code = main()
+        sys.stdout.flush()
     except BrokenPipeError:
         code = 1
-    atexit._run_exitfuncs()  # and clears them, so sys.exit runs none twice
-    for stream in (sys.stdout, sys.stderr):
-        if stream is None:  # closed at start (>&-)
-            continue
-        try:
-            stream.flush()
-        except BrokenPipeError:
-            code = 1
-        except OSError:
-            sys.exit(code)
+    except OSError as exc:
+        sys.stderr.write(render_json({"error": type(exc).__name__,
+                                      "message": f"cannot write the output: {exc}"}))
+        code = 120
+    atexit._run_exitfuncs()
+    if sys.stderr is not None:  # closed at start (2>&-)
+        sys.stderr.flush()
     os._exit(code)
 
 

@@ -219,6 +219,8 @@ def _errors():
            "--path", "[[0, 0, 0], [1, 1, 1]]"]
     yield ["abphase", "--field", '{"kind": "solenoid", "params": {"flux_wb": 2.067e-15, '
            '"axis": [0, 0, -1]}}', "--path", "[[1,-1,0],[1,1,0],[-1,1,0]]"]
+    # JSON nested deeper than the decoder's recursion limit
+    yield ["abphase", "--field", "[" * 5000 + "]" * 5000, "--path", "[[0, 0, 0], [1, 1, 1]]"]
 
 
 def _parse_forms():

@@ -399,6 +399,26 @@ def test_payload_file_errors(tmp_path):
                          "--path", str(absent)), "InputError", f"cannot read {absent}")
 
 
+def test_payload_that_cannot_be_decoded_exit_2(tmp_path):
+    # each of these ended in a traceback and exit 1: a file that is not
+    # UTF-8, and JSON nested deeper than the decoder's recursion limit,
+    # inline or in a file (50000 levels: far past the limit of about 1000,
+    # and the argument stays below Linux's 128 kB per argv string)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    _exit_2_with(run_cli("pmomentum", "--geometry", str(binary)), "InputError",
+                 f"cannot read {binary}: 'utf-8' codec can't decode byte 0xff")
+
+    deep = "[" * 50000 + "]" * 50000
+    _exit_2_with(run_cli("abphase", "--field", deep, "--path", "[[0,0,0],[1,1,1]]"),
+                 "InputError", "malformed JSON in inline field spec: maximum recursion depth")
+    nested = tmp_path / "nested.json"
+    nested.write_text(deep)
+    _exit_2_with(run_cli("abphase", "--field", '{"kind": "uniform_q", "params": {"q": [1, 0, 0]}}',
+                         "--path", str(nested)),
+                 "InputError", f"malformed JSON in {nested}: maximum recursion depth")
+
+
 def test_abphase_uniform_inline():
     proc = run_cli("abphase",
                    "--field", '{"kind": "uniform_q", "params": {"q": [0.3, -0.2, 0.5]}}',

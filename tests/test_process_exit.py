@@ -1,5 +1,7 @@
-"""How a CLI process ends: ``cli._console_main`` runs ``main``, the atexit
-handlers and both flushes, then leaves by os._exit, skipping the
+"""How a CLI process ends: ``cli._console_main`` runs ``main`` on a
+buffered stdout of its own and flushes it, turns a failed write into exit 1
+(a broken pipe) or exit 120 and one JSON line on stderr (any other), runs
+the atexit handlers, flushes stderr, then leaves by os._exit, skipping the
 interpreter's teardown.  ``cli.main`` itself only returns its exit code.
 
 Each request runs in a fresh ``python -m etherdrift.cli`` here, the path
@@ -75,19 +77,24 @@ def test_atexit_handlers_run_once(argv):
     assert proc.stderr == stderr.decode() + "handler 1 ran\nhandler 0 ran\n"
 
 
+#: the one stderr line of a call whose output cannot be written for lack of space
+NO_SPACE = ('{"error":"OSError","message":"cannot write the output: '
+            '[Errno 28] No space left on device"}\n')
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_failed_flush_keeps_the_interpreter_report_and_exit_120():
-    # the buffered answer fits stdout's buffer, so only the last flush
-    # meets ENOSPC; sys.exit reports it and exits 120, as the teardown did,
-    # and the atexit handler, already run, does not run again
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [SPEED, scan(3000), scan(20000)],
+                         ids=["speed", "one-string", "streamed"])
+def test_full_disk_ends_with_one_json_line_and_exit_120(argv, buffered):
+    # the answer fits stdout's buffer (speed), outgrows it in one write
+    # (3000 rows, 250 kB) or in a stream of blocks (20000 rows, 1.7 MB):
+    # ENOSPC meets the final flush or main's own write, and every case ends
+    # the same way, the atexit handler run once, after the report
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-c", run_module_script(SPEED)], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=environment(True))
-    assert proc.returncode == 120
-    assert proc.stderr.startswith("handler 0 ran\nException ignored in: <_io.TextIOWrapper "
-                                  "name='<stdout>'")
-    assert proc.stderr.count("handler 0 ran") == 1
-    assert proc.stderr.rstrip().endswith("OSError: [Errno 28] No space left on device")
+        proc = subprocess.run([sys.executable, "-c", run_module_script(argv)], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=environment(buffered))
+    assert (proc.returncode, proc.stderr) == (120, NO_SPACE + "handler 0 ran\n")
 
 
 @pytest.mark.parametrize("steps, buffered", [(3000, True), (20000, True), (3000, False),
@@ -127,17 +134,25 @@ def test_pipe_closed_before_the_call_exits_1_with_nothing_on_stderr(buffered):
 
 def test_closed_stdout_keeps_its_outcomes():
     # with fd 1 closed at start, sys.stdout is None: a call that writes
-    # there fails in main as before, and an exit-2 call still exits 2
+    # there ends as any failed write does, and an exit-2 call still exits 2
     def closed(argv):
         return subprocess.run(CLI + argv, stdin=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True, preexec_fn=lambda: os.close(1))
 
     refused = closed(REFUSED)
     assert (refused.returncode, refused.stderr) == (2, in_process(REFUSED)[2].decode())
-    answered = closed(SPEED)
-    assert answered.returncode == 1
-    assert answered.stderr.rstrip().endswith(
-        "AttributeError: 'NoneType' object has no attribute 'write'")
+    for argv in (SPEED, scan(20000), ["--help"]):
+        answered = closed(argv)
+        assert (answered.returncode, answered.stderr) == (
+            120, '{"error":"OSError","message":"cannot write the output: '
+                 '[Errno 9] Bad file descriptor"}\n')
+
+
+def test_closed_stderr_keeps_an_answer_and_its_exit_0():
+    # with fd 2 closed at start, sys.stderr is None: a call that writes
+    # nothing there still prints its answer and exits 0
+    proc = subprocess.run(CLI + SPEED, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (0, in_process(SPEED)[1])
 
 
 def test_main_returns_in_process_and_runs_no_atexit_handler():
