@@ -11,7 +11,8 @@ it exits 1, with nothing on stderr, when its reader closes the pipe early,
 and 120, with one JSON line on stderr, when another write fails.  Output is
 one string, except a fringe scan of more than _SCAN_BLOCK rows: its table
 is checked whole, then written in blocks of rows, so a refused scan writes
-nothing and a large one is never held as one string.
+nothing and a large one is never held as one string.  Its cells are
+formatted in numpy (_g17), byte for byte as "%.17g" formats them.
 
 Every flag is declared once, in the table ``_CLI``, and every argv is read
 against it, help, --version and usage errors included: no call imports
@@ -23,7 +24,6 @@ import errno
 import math
 import os
 import sys
-from itertools import chain
 from types import SimpleNamespace
 
 from . import __version__
@@ -108,7 +108,7 @@ def render_csv(header, rows) -> str:
 
 def _table_csv(header, table):
     """The CSV of a 2-D float table, such as angle_scan's, as an iterator of
-    text blocks (_table_blocks).
+    text blocks (_table_blocks), every cell "%.17g" byte for byte.
 
     Every cell is checked before any text is formed, so a refused table
     writes nothing: format_float names the first non-finite cell in
@@ -125,32 +125,14 @@ def _table_blocks(header, table):
     """The header, then the rows in blocks of _SCAN_BLOCK, each line led by
     its newline, then the last newline.
 
-    The first cell is formatted in every row.  The other cells of row
-    k > n//2 reuse the text of row n - k wherever the two rows hold the same
-    doubles bit for bit (in an angle scan the rows at theta and 360 - theta
-    share a cosine, except at 90 and 270 degrees), so each such pair is
-    formatted once: the first half's cells are kept, one string a row, and
-    the second half reads them in reverse.  Only one block's text is held
-    at a time, and no per-row tuple or list is kept."""
-    n, width = table.shape
-    half = n // 2 + 1
-    cell_format = ",".join(["%.17g"] * (width - 1))
-    bits = table[:, 1:].view("i8")  # -0.0 == 0.0, but they print differently
-    kept = []  # the cells of rows 0 .. half-1
+    The cells are formatted in numpy by _g17.csv_lines, imported here, as
+    numpy is, so that no smaller call loads it.  Only one block's text is
+    held at a time."""
+    from ._g17 import csv_lines
+
     yield ",".join(header)
-    for start in range(0, n, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, n)
-        middle = min(max(start, half), stop)  # the block's first row past half
-        cells = list(map(cell_format.__mod__, zip(*table[start:middle, 1:].T.tolist())))
-        kept += cells
-        if middle < stop:  # rows k = middle .. stop-1 mirror rows n-k
-            mirrored = kept[n - middle:n - stop:-1]
-            shared = (bits[middle:stop] == bits[n - middle:n - stop:-1]).all(axis=1)
-            for i in (~shared).nonzero()[0].tolist():
-                mirrored[i] = cell_format % tuple(table[middle + i, 1:].tolist())
-            cells += mirrored
-        firsts = map("\n%.17g,".__mod__, table[start:stop, 0].tolist())
-        yield "".join(chain.from_iterable(zip(firsts, cells)))
+    for start in range(0, len(table), _SCAN_BLOCK):
+        yield csv_lines(table[start:start + _SCAN_BLOCK])
     yield "\n"
 
 
@@ -666,6 +648,18 @@ def parse_config(argv):
     return ns
 
 
+def _report(text=""):
+    """Write text to stderr and flush it, if stderr takes it.  A stderr that
+    is closed (``2>&-``) or fails a write (a full disk, a closed pipe) loses
+    the report, and the exit code alone tells what happened."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(text)
+            sys.stderr.flush()
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     """Run the CLI on argv (default sys.argv[1:]) and return the exit code.
 
@@ -678,11 +672,13 @@ def main(argv=None) -> int:
         output = ns.run(ns, get_constants(ns.profile))
     except _Exit as exc:  # help, --version or a usage error
         code, text = exc.args
-        (sys.stderr if code else sys.stdout).write(text)
+        if code:
+            _report(text)
+        else:
+            sys.stdout.write(text)
         return code
     except EtherdriftError as exc:
-        sys.stderr.write(render_json({"error": type(exc).__name__,
-                                      "message": str(exc)}))
+        _report(render_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     if isinstance(output, str):
         sys.stdout.write(output)
@@ -713,9 +709,11 @@ def _console_main():
     the pipe early (``| head``) ends the call with exit 1, Python's code
     for a broken pipe, and nothing on stderr; any other failed write, such
     as a full disk, with one JSON line on stderr and exit 120, Python's
-    code for a failed flush.  Then the atexit handlers run (coverage saves
-    its data in one), and os._exit skips the teardown: freeing every module
-    and a last garbage collection cost a tenth of a small call."""
+    code for a failed flush.  A report that stderr cannot take is lost
+    (_report), and the call keeps its exit code.  Then the atexit handlers
+    run (coverage saves its data in one), and os._exit skips the teardown:
+    freeing every module and a last garbage collection cost a tenth of a
+    small call."""
     stdout = sys.stdout
     try:
         sys.stdout = _ClosedStdout() if stdout is None else open(
@@ -725,12 +723,11 @@ def _console_main():
     except BrokenPipeError:
         code = 1
     except OSError as exc:
-        sys.stderr.write(render_json({"error": type(exc).__name__,
-                                      "message": f"cannot write the output: {exc}"}))
+        _report(render_json({"error": type(exc).__name__,
+                             "message": f"cannot write the output: {exc}"}))
         code = 120
     atexit._run_exitfuncs()
-    if sys.stderr is not None:  # closed at start (2>&-)
-        sys.stderr.flush()
+    _report()  # what the handlers wrote
     os._exit(code)
 
 

@@ -293,8 +293,9 @@ _SCAN_DEVICES = [(2.5, 1.00029, 1.33, 0.25, -3.7e4), (2.5, 1.00029, 1.33, 0.25, 
 @pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("device", _SCAN_DEVICES)
 def test_fringe_stdout_is_the_table_cell_by_cell(law, device, capsys):
-    # the renderer formats each mirrored pair of rows' delay cells once;
-    # the text must be what formatting every cell gives
+    # a scan of more than 4096 rows is formatted in numpy, a smaller one
+    # by "%.17g" in render_csv: the text must be what formatting every
+    # cell one at a time gives
     L, n1, n2, e_f, u = device
     cfg = InterferometerConfig(L, n1, n2, u, 589e-9, CompositionLaw(law), e_f)
     for steps in (2, 3, 4, 5, 7, 8, 12, 360, 1001, 4096, 4097):
@@ -306,17 +307,37 @@ def test_fringe_stdout_is_the_table_cell_by_cell(law, device, capsys):
         assert out == _naive_csv(SCAN_COLUMNS, angle_scan(cfg, steps)), steps
 
 
+# (L_m, n1, n2): equal indices, whose delay and fringe columns are all
+# zero, and devices whose delays and fringes lie beyond 1e250, or below
+# 1e-292 (delays among the subnormals)
+_DEGENERATE_DEVICES = [(2.5, 1.33, 1.33), (1e300, 1.0006, 1.0001), (1e-300, 1.0006, 1.0001)]
+
+
+@pytest.mark.parametrize("u", [3e4, -3e4])
+@pytest.mark.parametrize("device", _DEGENERATE_DEVICES, ids=["equal-indices", "huge-L", "tiny-L"])
+def test_degenerate_scans_are_the_table_cell_by_cell(device, u, capsys):
+    L, n1, n2 = device
+    cfg = InterferometerConfig(L, n1, n2, u, 589e-9, e_f=0.3)
+    for steps in (64, 4097, 5000):
+        code = cli.main(["fringe", "--L-m", repr(L), "--n1", repr(n1), "--n2", repr(n2),
+                         "--ef", "0.3", f"--u-mps={u!r}", "--lambda-nm", "589",
+                         "--steps", str(steps)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out == _naive_csv(SCAN_COLUMNS, angle_scan(cfg, steps)), steps
+
+
 def _streamed(header, table):
     chunks = cli._table_csv(header, table)
     assert not isinstance(chunks, str)
     return "".join(chunks)
 
 
-def test_table_rows_share_text_only_where_the_doubles_are_equal(monkeypatch, capsys):
-    # of six rows, row 5 mirrors row 1 and row 4 row 2; row 4 then differs
-    # in one cell, by one ulp or only in the sign of a zero.  Blocks of 1
-    # to 5 rows and of 4096 end at every row, at the middle row 4, or
-    # straddle it
+def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, capsys):
+    # of six rows, row 5 repeats row 1 and row 4 row 2; row 4 then differs
+    # in one cell, by one ulp or only in the sign of a zero, and its text
+    # must differ too.  Blocks of 1 to 5 rows and of 4096 end at every
+    # row, at row 4, or straddle it
     header = ("x", "a", "b", "c")
     base = np.array([[0.0, 1.0, 2.0, 3.0],
                      [60.0, 0.1, 0.2, 0.3],
@@ -335,8 +356,8 @@ def test_table_rows_share_text_only_where_the_doubles_are_equal(monkeypatch, cap
             lines = text.splitlines()
             assert lines[5].split(",")[1:] != lines[3].split(",")[1:]
             assert lines[6].split(",")[1:] == lines[2].split(",")[1:]
-    # a mirrored row that shares an infinite cell's text is refused too,
-    # before any text is formed: main writes nothing to stdout
+    # a table with an infinite cell is refused before any text is formed:
+    # main writes nothing to stdout
     table = base.copy()
     table[[1, 5], 3] = np.inf
     with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):

@@ -1,5 +1,6 @@
-"""Only a ``fringe`` scan of more than 4096 rows loads numpy, only a JSON
-payload loads json, and no call loads argparse or dataclasses.
+"""Only a ``fringe`` scan of more than 4096 rows loads numpy and the numpy
+"%.17g" that formats its cells (``etherdrift._g17``), only a JSON payload
+loads json, and no call loads argparse or dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
 cold call of any other subcommand (the scalar ones, which compute in plain
@@ -84,7 +85,8 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
 print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
                   "loaded": [name for name in ("numpy", "numpy.polynomial", "hashlib",
                                                "dataclasses", "inspect", "numbers",
-                                               "argparse", "gettext", "locale")
+                                               "argparse", "gettext", "locale",
+                                               "etherdrift._g17")
                              if name in sys.modules]}))
 """
 
@@ -134,7 +136,9 @@ def test_importing_the_package_does_not_load_dataclasses():
 
 @pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
 def test_scalar_subcommand_does_not_load_numpy(name):
-    assert "numpy" not in _scalar_report(name)["loaded"]
+    # nor the numpy "%.17g" of streamed scans, which the CLI's import
+    # does not load either
+    assert not {"numpy", "etherdrift._g17"} & set(_scalar_report(name)["loaded"])
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
@@ -151,11 +155,20 @@ def test_fringe_tangherlini_scan_does_not_load_numpy():
 
 
 def test_array_subcommand_loads_numpy():
-    # the check above can see numpy: a fringe scan of more than one block
-    # does load it
+    # the checks above can see numpy and the formatter: a fringe scan of
+    # more than one block does load them
     report = _fresh(_RUN, json.dumps([*FRINGE, "--steps", "4097"]))
     assert report["code"] == 0
-    assert "numpy" in report["loaded"]
+    assert {"numpy", "etherdrift._g17"} <= set(report["loaded"])
+
+
+def test_importing_the_cell_formatter_builds_no_table():
+    # its tables are built by the first scan that formats a cell
+    report = _fresh("import json, sys, etherdrift.cli\n"
+                    "loaded = 'etherdrift._g17' in sys.modules\n"
+                    "from etherdrift import _g17\n"
+                    "print(json.dumps([loaded, _g17._tables.cache_info().currsize]))")
+    assert report == [False, 0]
 
 
 def test_hashlib_loads_only_for_the_version_line():

@@ -2,7 +2,9 @@
 buffered stdout of its own and flushes it, turns a failed write into exit 1
 (a broken pipe) or exit 120 and one JSON line on stderr (any other), runs
 the atexit handlers, flushes stderr, then leaves by os._exit, skipping the
-interpreter's teardown.  ``cli.main`` itself only returns its exit code.
+interpreter's teardown.  A report that stderr cannot take (closed or full)
+is lost, and the call keeps its exit code.  ``cli.main`` itself only
+returns its exit code.
 
 Each request runs in a fresh ``python -m etherdrift.cli`` here, the path
 the ``etherdrift`` script takes too."""
@@ -57,12 +59,17 @@ def test_fresh_process_prints_what_main_prints(argv, buffered):
     assert (proc.returncode, proc.stdout, proc.stderr) == in_process(argv)
 
 
-def run_module_script(argv, handlers=1):
+def run_module_script(argv, handlers=1, log=None):
     """A script that registers atexit handlers, then runs the CLI module
-    as __main__, as ``python -m`` does."""
+    as __main__, as ``python -m`` does.  Each handler writes its line to
+    stderr, or appends it to the file log."""
+    if log is None:
+        ran = "sys.stderr.write"
+    else:
+        ran = f"lambda line: open({str(log)!r}, 'a').write(line)"
     return (f"import atexit, runpy, sys\n"
             f"for i in range({handlers}):\n"
-            f"    atexit.register(sys.stderr.write, f'handler {{i}} ran\\n')\n"
+            f"    atexit.register({ran}, f'handler {{i}} ran\\n')\n"
             f"sys.argv = ['etherdrift', *{argv!r}]\n"
             f"runpy.run_module('etherdrift.cli', run_name='__main__')\n")
 
@@ -153,6 +160,33 @@ def test_closed_stderr_keeps_an_answer_and_its_exit_0():
     # nothing there still prints its answer and exits 0
     proc = subprocess.run(CLI + SPEED, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
     assert (proc.returncode, proc.stdout) == (0, in_process(SPEED)[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, stdout_full, code", [
+    (REFUSED, False, 2), (["nosuch"], False, 1), (REFUSED, True, 2), (SPEED, True, 120),
+], ids=["refused", "usage", "refused-both-full", "answer-both-full"])
+def test_full_stderr_keeps_the_exit_code(argv, stdout_full, code, buffered, tmp_path):
+    # a report that stderr cannot take is lost: the call still ends with
+    # its own code, through os._exit, the atexit handler run once
+    log = tmp_path / "handlers.log"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", run_module_script(argv, log=log)],
+                              stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                              env=environment(buffered))
+    assert proc.returncode == code
+    if not stdout_full:
+        assert proc.stdout == in_process(argv)[1]
+    assert log.read_text() == "handler 0 ran\n"
+
+
+@pytest.mark.parametrize("argv, code", [(REFUSED, 2), (["nosuch"], 1)], ids=["refused", "usage"])
+def test_closed_stderr_keeps_the_exit_code(argv, code):
+    # with fd 2 closed at start, sys.stderr is None: the report is lost,
+    # and the exit code alone tells what happened
+    proc = subprocess.run(CLI + argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 def test_main_returns_in_process_and_runs_no_atexit_handler():
