@@ -9,9 +9,9 @@ computation error (reported as a single JSON line on stderr).  As a
 process (_console_main) a call writes through a buffered stdout of its own:
 it exits 1, with nothing on stderr, when its reader closes the pipe early,
 and 120, with one JSON line on stderr, when another write fails.  Output is
-one string, except a fringe scan of more than _SCAN_BLOCK rows: its table
-is checked whole, then written in blocks of rows, so a refused scan writes
-nothing and a large one is never held as one string.  Its cells are
+one string, except a fringe scan of more than _SCAN_BLOCK rows: _table_csv
+checks its table whole, then yields it in blocks of rows, so a refused scan
+writes nothing and a large one is never held as one string.  Its cells are
 formatted in numpy (_g17), byte for byte as "%.17g" formats them.
 
 Every flag is declared once, in the table ``_CLI``, and every argv is read
@@ -21,6 +21,7 @@ argparse.
 
 import atexit
 import errno
+import itertools
 import math
 import os
 import sys
@@ -108,32 +109,24 @@ def render_csv(header, rows) -> str:
 
 def _table_csv(header, table):
     """The CSV of a 2-D float table, such as angle_scan's, as an iterator of
-    text blocks (_table_blocks), every cell "%.17g" byte for byte.
+    text blocks: the header, then the rows' lines in blocks of _SCAN_BLOCK,
+    each line led by its newline, then the last newline.
 
     Every cell is checked before any text is formed, so a refused table
     writes nothing: format_float names the first non-finite cell in
-    row-major order."""
+    row-major order.  The cells are formatted in numpy by _g17.csv_lines,
+    byte for byte as "%.17g", and only one block's text is held at a time.
+    numpy and _g17 are imported here, so that no smaller call loads them."""
     import numpy as np  # the table's own module, already loaded
 
     finite = np.isfinite(table)
     if not finite.all():
         format_float(table.flat[finite.argmin()])
-    return _table_blocks(header, table)
-
-
-def _table_blocks(header, table):
-    """The header, then the rows in blocks of _SCAN_BLOCK, each line led by
-    its newline, then the last newline.
-
-    The cells are formatted in numpy by _g17.csv_lines, imported here, as
-    numpy is, so that no smaller call loads it.  Only one block's text is
-    held at a time."""
     from ._g17 import csv_lines
 
-    yield ",".join(header)
-    for start in range(0, len(table), _SCAN_BLOCK):
-        yield csv_lines(table[start:start + _SCAN_BLOCK])
-    yield "\n"
+    blocks = (csv_lines(table[start:start + _SCAN_BLOCK])
+              for start in range(0, len(table), _SCAN_BLOCK))
+    return itertools.chain([",".join(header)], blocks, ["\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +285,12 @@ def _run_speed(ns, constants):
 def _run_fringe(ns, constants):
     # a scan of up to one block is computed in plain floats, so that a cold
     # call does not import numpy; a larger scan is angle_scan's numpy table,
-    # the one numpy kernel, with its warnings off: _table_csv refuses a
-    # non-finite cell, so an overflow is reported once, as the one stderr
-    # JSON line, and then streams the table's text in blocks of rows.
-    # steps is checked before either, so a refused scan loads no numpy
+    # with its warnings off.  Both build each row by the one row rule
+    # (interferometer._scan_row), so the two sides of the cut print the same
+    # doubles.  _table_csv refuses a non-finite cell, so an overflow is
+    # reported once, as the one stderr JSON line, and then streams the
+    # table's text in blocks of rows.  steps is checked before either, so a
+    # refused scan loads no numpy
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
     _check_steps(ns.steps, "angle scan")

@@ -17,20 +17,21 @@ delta being the drift part of an arm's inverse speed (_drift), holds under
 either composition law: their inverse one-way speeds differ by the
 arm-independent synchronization term u/c^2.
 
-Both delays at every orientation (the columns of a scan table) come from
-one expression, _delays, over an array of orientation cosines or over one
-float cosine: the same operations, so the same doubles.  numpy is imported
-only for the arrays, which a scan of more than _SCAN_BLOCK rows uses; a
-smaller one is computed in plain floats (_scan_rows).  A scan is one float
-table, a row per angle, with the columns SCAN_COLUMNS.  It folds its angles
-by the integer step index, so rows half a turn apart have exactly negated
-cosines, and a first-quadrant row equals delay_exact at its angle bit for
-bit.  A scan holds at most MAX_SCAN_STEPS rows, and a configuration whose
-drift reaches the light speed of an arm is refused, so no delay divides
-by zero.  The rotation signal is formed from the drift parts of the
-inverse speeds, not as the difference of two nearly equal delays, and
-every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does not cancel for
-near-vacuum indices.
+Both delays at every orientation come from one expression, _delays, over
+an array of orientation cosines or over one float cosine: the same
+operations, so the same doubles.  A scan is one float table, a row per
+angle, with the columns SCAN_COLUMNS.  Every row comes from one rule,
+_scan_row, given its array module: math in the plain-float scan that the
+CLI runs up to _SCAN_BLOCK rows without numpy (_scan_rows), numpy in
+angle_scan's blocks, so both hold the same doubles.  The angle is folded
+on the integer step index (_scan_cos), so rows half a turn apart have
+exactly negated cosines, and a first-quadrant row equals delay_exact at
+its angle bit for bit.  A scan holds at most MAX_SCAN_STEPS rows, and a
+configuration whose drift reaches the light speed of an arm is refused,
+so no delay divides by zero.  The rotation signal is formed from the
+drift parts of the inverse speeds, not as the difference of two nearly
+equal delays, and every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does
+not cancel for near-vacuum indices.
 """
 
 import math
@@ -46,8 +47,8 @@ SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
 #: largest angle_scan; each row holds four floats
 MAX_SCAN_STEPS = 10 ** 7
 
-#: rows per _delays call in angle_scan, so that no temporary nears the table's
-#: size; the CLI computes a scan of at most this many rows with _scan_rows
+#: rows per block of angle_scan, so that no temporary nears the table's size;
+#: the CLI computes a scan of at most this many rows with _scan_rows
 _SCAN_BLOCK = 4096
 
 
@@ -57,8 +58,8 @@ def _cos_deg(theta_deg: float) -> float:
     The angle is folded into [0, 90] before calling cos, so 0 and 180 give
     exactly +1 and -1, and a pair (theta, theta + 180) gives exact negations
     wherever theta + 180 - 180 == theta in floating point.  A scan folds its
-    integer step index instead (_scan_cos, _scan_rows), which makes every
-    half-turn pair of a scan exact.
+    integer step index instead (_scan_cos), which makes every half-turn pair
+    of a scan exact.
     """
     t = theta_deg % 360.0
     h = t - 180.0 if t > 180.0 else t  # exact; 180 - h is then 360 - t
@@ -66,23 +67,21 @@ def _cos_deg(theta_deg: float) -> float:
     return -cos if 90.0 < t <= 270.0 else cos
 
 
-def _scan_cos(steps: int):
-    """cos(360 k/steps) for k = 0 .. steps-1, as a numpy array.
+def _scan_cos(steps: int, j, xp):
+    """cos(90 j/steps degrees) for j = 4k, the cosine of scan row k.
 
-    _cos_deg's fold, done on the integer j = 4k, theta_k in units of
-    90/steps degrees: m = min(r, 2 steps - r) with r = j mod 2 steps folds
-    it into [0, steps], the folded angle 90 m/steps is rounded once, and
-    the sign comes from j against steps.  Rows k and k + steps/2 fold to
-    the same m with opposite signs, so their cosines are exact negations at
-    every even step count; in the first quadrant m = j and the cosine is
-    _cos_deg's of theta_k.
+    j is an int with xp = math or an int array with xp = numpy.  _cos_deg's
+    fold, done on j, theta_k in units of 90/steps degrees: m = steps -
+    |steps - r| with r = j mod 2 steps folds it into [0, steps], the folded
+    angle 90 m/steps is rounded once, and the sign comes from j against
+    steps.  Rows k and k + steps/2 fold to the same m
+    with opposite signs, so their cosines are exact negations at every even
+    step count; in the first quadrant m = j and the cosine is _cos_deg's
+    of theta_k.
     """
-    import numpy as np
-
-    j = np.arange(0, 4 * steps, 4)
     r = j % (2 * steps)  # j and j + 2 steps, half a turn apart, alike
-    cos = np.cos(np.radians(90.0 * np.minimum(r, 2 * steps - r) / steps))
-    return np.where((steps < j) & (j <= 3 * steps), -cos, cos)
+    cos = xp.cos(xp.radians(90.0 * (steps - abs(steps - r)) / steps))
+    return cos * (1 - 2 * ((steps < j) & (j <= 3 * steps)))
 
 
 class InterferometerConfig(Record):
@@ -154,9 +153,9 @@ def _delays(config: InterferometerConfig, cos):
     """Exact and first-order delays at each orientation cosine, as arrays,
     or as floats for one float cosine.
 
-    The one numerical path of every delay: delay_exact, delay_first_order,
-    angle_scan and _scan_rows read their values from here.  The exact delay
-    forms no lab speed, which could round to 0, and no composition law.
+    The one numerical path of every delay: delay_exact, delay_first_order
+    and each scan row (_scan_row) read theirs here.  The exact delay forms
+    no lab speed, which could round to 0, and no composition law.
     """
     n1 = config.n1
     n2 = config.n2
@@ -253,28 +252,24 @@ def _check_steps(steps: int, noun: str) -> None:
         raise InputError(f"{noun} takes at most {MAX_SCAN_STEPS} steps, got {steps}")
 
 
-def _scan_rows(config: InterferometerConfig, steps: int) -> list:
-    """angle_scan's rows in plain floats, one (theta, exact, first, fringes)
-    tuple each, for a step count that _check_steps accepts.
+def _scan_row(config: InterferometerConfig, steps: int, k, xp) -> tuple:
+    """(theta, exact, first, fringes) of scan row k: floats for an int k
+    with xp = math, columns for an int array k with xp = numpy.
 
-    Each angle is folded on j = 4k as in _scan_cos, with math.cos in place
-    of np.cos, and both delays come from _delays on the float cosine, so a
-    row holds angle_scan's doubles wherever the two cosines agree.  No numpy
-    is imported: for a scan of a few rows its import costs more than the
-    scan.  No row divides by zero: the config check keeps every delay's
+    The one row rule of both scan drivers: the cosine from _scan_cos, both
+    delays from _delays on it, so _scan_rows and angle_scan hold the same
+    doubles.  No row divides by zero: the config check keeps every delay's
     denominator positive.
     """
-    lambda_vac = config.lambda_vac
-    rows = []
-    for k in range(steps):
-        j = 4 * k
-        r = j % (2 * steps)
-        cos = math.cos(math.radians(90.0 * min(r, 2 * steps - r) / steps))
-        if steps < j <= 3 * steps:
-            cos = -cos
-        exact, first = _delays(config, cos)
-        rows.append((360.0 * k / steps, exact, first, fringe_shift(exact, lambda_vac)))
-    return rows
+    exact, first = _delays(config, _scan_cos(steps, 4 * k, xp))
+    return 360.0 * k / steps, exact, first, fringe_shift(exact, config.lambda_vac)
+
+
+def _scan_rows(config: InterferometerConfig, steps: int) -> list:
+    """angle_scan's rows in plain floats, one tuple each, for a step count
+    that _check_steps accepts.  No numpy is imported: for a scan of a few
+    rows its import costs more than the scan."""
+    return [_scan_row(config, steps, k, math) for k in range(steps)]
 
 
 def angle_scan(config: InterferometerConfig, steps: int):
@@ -284,20 +279,15 @@ def angle_scan(config: InterferometerConfig, steps: int):
     theta_k, the exact and the first-order delay, and the fringe count of
     the exact delay.  steps = 2 reproduces the 0/180 pair of the rotation
     signal.  The cosines come from _scan_cos, so at an even step count row
-    k + steps/2 is row k of the reversed drift.  _delays runs on blocks of
-    _SCAN_BLOCK cosines, elementwise the same values as one call on all of
-    them, so the table is the only array of its size.
+    k + steps/2 is row k of the reversed drift.  The rows are formed by
+    _scan_row in blocks of _SCAN_BLOCK, cosines and delays alike, so the
+    table is the only array of its size.
     """
     _check_steps(steps, "angle scan")
     import numpy as np
 
-    cos = _scan_cos(steps)
     table = np.empty((steps, len(SCAN_COLUMNS)))
     for start in range(0, steps, _SCAN_BLOCK):
-        rows = table[start:start + _SCAN_BLOCK]
-        exact, first = _delays(config, cos[start:start + _SCAN_BLOCK])
-        rows[:, 0] = 360.0 * np.arange(start, start + len(rows), dtype=float) / steps
-        rows[:, 1] = exact
-        rows[:, 2] = first
-        rows[:, 3] = fringe_shift(exact, config.lambda_vac)
+        block = np.arange(start, min(start + _SCAN_BLOCK, steps))
+        table[start:start + _SCAN_BLOCK].T[:] = _scan_row(config, steps, block, np)
     return table
