@@ -38,11 +38,9 @@ bare point, an absent sign or prefix) is left 0, so that dropping the
 zero bytes of a block leaves its text.  An uncertified cell is formatted
 by "%.17g" and written into its slot as it stands.
 
-The tables are built on first use, not at import, and the pairs of
+The digit and layout tables are built once, at import, and the pairs of
 10^(16−k) only as the exponents of the data reach them.
 """
-
-import functools
 
 import numpy as np
 
@@ -86,64 +84,52 @@ class _Powers:
         self.scale[row] = 2.0 ** sigma
 
 
-class _Tables:
-    """What the layout reads, by 4-digit group, by digit count and by
-    table row (row = 16 - k - _SMIN, so a carry's k + 1 is row - 1)."""
-
-    def __init__(self):
-        v = np.arange(10000)
-        text = sum((48 + d).astype(_U64) << _U64(8 * i)
-                   for i, d in enumerate((v // 1000, v // 100 % 10, v // 10 % 10, v % 10)))
-        self.group = text, text << _U64(32)  # a group's 4 ASCII digits, low or high half
-        # byte 7; 10 is the uncertified 10^17 + 1
-        self.first = (48 + np.arange(11)).astype(_U64) << _U64(56)
-        # the digit count through a group's last nonzero digit, 0 for 0000,
-        # by the group's place among the 16
-        last = 4 - np.where(v % 10, 0, np.where(v % 100, 1, np.where(v % 1000, 2, 3)))
-        self.counts = [np.where(v, 4 * place + last, 0).astype(np.uint8) for place in range(4)]
-        # by i of 0-16, over the 16 digits at bytes 8-23: the bytes of the
-        # first i digits, and a point in place of digit i (i = 16: none)
-        byte = np.arange(16)
-        i = np.arange(17)[:, None]
-        self.keep = list(np.where(byte < i, 0xFF, 0).astype(np.uint8).view(_WORDS).T.astype(_U64))
-        self.point = list(np.where(byte == i, 46, 0).astype(np.uint8).view(_WORDS).T.astype(_U64))
-        k = 16 - _SMIN - np.arange(_ROWS)
-        exponent = (k < -4) | (k > 16)
-        small = (k >= -4) & (k < 0)
-        # "0." and -k-1 zeros at bytes 2-6, and "e", the sign and two or
-        # three digits at bytes 25-29
-        self.prefix = _words(b"\0\0" + b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b""
-                             for e in k.tolist())
-        self.exponent = _words(b"\0" + b"e%+03d" % e if e < -4 or e > 16 else b""
-                               for e in k.tolist())
-        # the point follows digit `after` (of 1-16; 16 for none: "0.000"
-        # and a whole number with 17 digits), and digits through `whole`
-        # are kept, zeros or not
-        self.after = np.where(exponent, 0, np.where(small, 16, k)).clip(0, 16)
-        self.whole = np.where(exponent | small, 0, k).clip(0, 16)
-        self.powers = _Powers()
-
-
 def _words(texts):
     """Each text, of up to 8 bytes, as a little-endian word."""
     return np.array(list(texts), "S8").view(_WORDS).astype(_U64)
 
 
-@functools.cache
-def _tables():
-    return _Tables()
+# What the layout reads, by 4-digit group, by digit count and by table row
+# (row = 16 - k - _SMIN, so a carry's k + 1 is row - 1).
+_v = np.arange(10000)
+# a group's 4 ASCII digits, in the low or the high half of a word
+_TEXT = sum((48 + d).astype(_U64) << _U64(8 * i)
+            for i, d in enumerate((_v // 1000, _v // 100 % 10, _v // 10 % 10, _v % 10)))
+_TEXT_HIGH = _TEXT << _U64(32)
+# byte 7; 10 is the uncertified 10^17 + 1
+_FIRST = (48 + np.arange(11)).astype(_U64) << _U64(56)
+# the digit count through a group's last nonzero digit, 0 for 0000, by the
+# group's place among the 16
+_last = 4 - np.where(_v % 10, 0, np.where(_v % 100, 1, np.where(_v % 1000, 2, 3)))
+_COUNTS = [np.where(_v, 4 * place + _last, 0).astype(np.uint8) for place in range(4)]
+# by i of 0-16, over the 16 digits at bytes 8-23: the bytes of the first i
+# digits, and a point in place of digit i (i = 16: none)
+_byte, _i = np.arange(16), np.arange(17)[:, None]
+_KEEP = list(np.where(_byte < _i, 0xFF, 0).astype(np.uint8).view(_WORDS).T.astype(_U64))
+_POINT = list(np.where(_byte == _i, 46, 0).astype(np.uint8).view(_WORDS).T.astype(_U64))
+_k = 16 - _SMIN - np.arange(_ROWS)
+_exponent, _small = (_k < -4) | (_k > 16), (_k >= -4) & (_k < 0)
+# "0." and -k-1 zeros at bytes 2-6, and "e", the sign and two or three
+# digits at bytes 25-29
+_PREFIX = _words(b"\0\0" + b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b"" for e in _k.tolist())
+_EXPONENT = _words(b"\0" + b"e%+03d" % e if e < -4 or e > 16 else b"" for e in _k.tolist())
+# the point follows digit _AFTER (of 1-16; 16 for none: "0.000" and a whole
+# number with 17 digits), and digits through _WHOLE are kept, zeros or not
+_AFTER = np.where(_exponent, 0, np.where(_small, 16, _k)).clip(0, 16)
+_WHOLE = np.where(_exponent | _small, 0, _k).clip(0, 16)
+del _v, _last, _byte, _i, _k, _exponent, _small
+_POWERS = _Powers()
 
 
 def _slots(x, sep, out):
     """Write sep + "%.17g" % x[i] into row i of out, an (n, 4) array of
     little-endian words, by the layout above: a zero byte where the text
     has none."""
-    tables = _tables()
     nonzero = x != 0.0
     a = np.abs(np.where(nonzero, x, 1.0))  # a zero is laid out as 1 with its digit 0
     row = np.floor(np.log10(a) - 1e-12).astype(np.int64)
     np.subtract(16 - _SMIN, row, out=row)
-    (hi, lo, upper, lower), scale = tables.powers.take(row)
+    (hi, lo, upper, lower), scale = _POWERS.take(row)
     a *= scale
     split = a * 134217729.0
     a_upper = split - (split - a)
@@ -168,14 +154,13 @@ def _slots(x, sep, out):
     g1 = high - g0 * 10 ** 4
     g2 = low8 // 10 ** 4
     g3 = low8 - g2 * 10 ** 4
-    text, text_high = tables.group
-    w1 = text.take(g0) | text_high.take(g1)
-    w2 = text.take(g2) | text_high.take(g3)
-    c0, c1, c2, c3 = tables.counts
+    w1 = _TEXT.take(g0) | _TEXT_HIGH.take(g1)
+    w2 = _TEXT.take(g2) | _TEXT_HIGH.take(g3)
+    c0, c1, c2, c3 = _COUNTS
     digits = np.maximum(np.maximum(c0.take(g0), c1.take(g1)), np.maximum(c2.take(g2), c3.take(g3)))
-    after = tables.after.take(row)
-    kept = np.maximum(tables.whole.take(row), digits)
-    keep1, keep2 = tables.keep
+    after = _AFTER.take(row)
+    kept = np.maximum(_WHOLE.take(row), digits)
+    keep1, keep2 = _KEEP
     w1 &= keep1.take(kept)
     w2 &= keep2.take(kept)
     at = np.where(digits > after, after, 16)
@@ -183,12 +168,12 @@ def _slots(x, sep, out):
     moved2 = w2 & ~keep2.take(at)
     w1 ^= moved1
     w2 ^= moved2
-    point1, point2 = tables.point
-    out[:, 0] = (tables.prefix.take(row) | tables.first.take(first)
+    point1, point2 = _POINT
+    out[:, 0] = (_PREFIX.take(row) | _FIRST.take(first)
                  | (x.view(_U64) >> _U64(63)) * _U64(0x2D00) | _U64(sep))
     out[:, 1] = w1 | (moved1 << _U64(8)) | point1.take(at)
     out[:, 2] = w2 | (moved2 << _U64(8)) | (moved1 >> _U64(56)) | point2.take(at)
-    out[:, 3] = (moved2 >> _U64(56)) | tables.exponent.take(row)
+    out[:, 3] = (moved2 >> _U64(56)) | _EXPONENT.take(row)
     bad = (~ok).nonzero()[0]
     if len(bad):
         texts = [chr(sep) + "%.17g" % v for v in x[bad].tolist()]

@@ -13,6 +13,7 @@ every cold CLI call.  A record with constraints on its fields defines
 """
 
 import math
+import operator
 from collections import _tuplegetter  # namedtuple's field accessor, in C
 
 from .errors import DomainError, InputError
@@ -102,6 +103,15 @@ def check_finite(*fields):
     for label, value in fields:
         if not -math.inf < value < math.inf:
             raise DomainError(f"{label} must be finite, got {value}")
+
+
+def check_count(label, value):
+    """Raise InputError unless value is an integer: an int or a numpy
+    integer, as operator.index takes it, not a float such as 2.5 or 5.0."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InputError(f"{label} must be an integer, got {value!r}") from None
 
 
 def check_vector(label, vector):

@@ -9,10 +9,7 @@ computation error (reported as a single JSON line on stderr).  As a
 process (_console_main) a call writes through a buffered stdout of its own:
 it exits 1, with nothing on stderr, when its reader closes the pipe early,
 and 120, with one JSON line on stderr, when another write fails.  Output is
-one string, except a fringe scan of more than _SCAN_BLOCK rows: _table_csv
-checks its table whole, then yields it in blocks of rows, so a refused scan
-writes nothing and a large one is never held as one string.  Its cells are
-formatted in numpy (_g17), byte for byte as "%.17g" formats them.
+one string, except a large fringe scan, which _table_csv streams in blocks.
 
 Every flag is declared once, in the table ``_CLI``, and every argv is read
 against it, help, --version and usage errors included: no call imports
@@ -95,8 +92,7 @@ def render_csv(header, rows) -> str:
 
     A finite "%.17g" has no letter n, while inf and nan do, so one search
     of the body checks every cell; format_float then names the offending
-    one.  A scan of more than _SCAN_BLOCK rows is not rendered here but
-    streamed by _table_csv."""
+    one."""
     head = ",".join(header)
     row_format = ",".join(["%.17g"] * len(header))
     text = "\n".join([head, *map(row_format.__mod__, rows), ""])
@@ -112,11 +108,14 @@ def _table_csv(header, table):
     text blocks: the header, then the rows' lines in blocks of _SCAN_BLOCK,
     each line led by its newline, then the last newline.
 
-    Every cell is checked before any text is formed, so a refused table
-    writes nothing: format_float names the first non-finite cell in
-    row-major order.  The cells are formatted in numpy by _g17.csv_lines,
-    byte for byte as "%.17g", and only one block's text is held at a time.
-    numpy and _g17 are imported here, so that no smaller call loads them."""
+    The table rule: a scan of up to _SCAN_BLOCK rows is formed in plain
+    floats and rendered whole by render_csv; beyond that, it is a numpy
+    table, checked whole here and streamed in blocks.  Every cell is
+    checked before any text is formed, so a refused table writes nothing:
+    format_float names the first non-finite cell in row-major order.  The
+    cells are formatted in numpy by _g17.csv_lines, byte for byte as
+    "%.17g", and only one block's text is held at a time.  numpy and _g17
+    are imported here, so that no smaller call loads them."""
     import numpy as np  # the table's own module, already loaded
 
     finite = np.isfinite(table)
@@ -283,14 +282,10 @@ def _run_speed(ns, constants):
 
 
 def _run_fringe(ns, constants):
-    # a scan of up to one block is computed in plain floats, so that a cold
-    # call does not import numpy; a larger scan is angle_scan's numpy table,
-    # with its warnings off.  Both build each row by the one row rule
-    # (interferometer._scan_row), so the two sides of the cut print the same
-    # doubles.  _table_csv refuses a non-finite cell, so an overflow is
-    # reported once, as the one stderr JSON line, and then streams the
-    # table's text in blocks of rows.  steps is checked before either, so a
-    # refused scan loads no numpy
+    # the two sides of the table rule (_table_csv) build each row by
+    # interferometer._scan_row, so they print the same doubles; numpy's
+    # warnings are off, as an overflow is _table_csv's one report.  steps
+    # is checked first, so a refused scan loads no numpy
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
     _check_steps(ns.steps, "angle scan")

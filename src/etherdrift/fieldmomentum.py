@@ -52,7 +52,7 @@ every point even though the cross momentum is not.
 import math
 import sys
 
-from ._record import Record, check_finite
+from ._record import Record, check_count, check_finite
 from .errors import DomainError, InputError
 from .units import c_cgs
 
@@ -265,6 +265,7 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
     squared.  The relative error is undefined, a DomainError, where the
     closed form is 0.
     """
+    check_count("convergence study levels", levels)
     if levels < 2:
         raise InputError(f"convergence study needs at least 2 levels, got {levels}")
     # below the bore radius the truncated integral is no longer near its

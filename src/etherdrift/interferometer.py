@@ -21,12 +21,11 @@ Both delays at every orientation come from one expression, _delays, over
 an array of orientation cosines or over one float cosine: the same
 operations, so the same doubles.  A scan is one float table, a row per
 angle, with the columns SCAN_COLUMNS.  Every row comes from one rule,
-_scan_row, given its array module: math in the plain-float scan that the
-CLI runs up to _SCAN_BLOCK rows without numpy (_scan_rows), numpy in
-angle_scan's blocks, so both hold the same doubles.  The angle is folded
-on the integer step index (_scan_cos), so rows half a turn apart have
-exactly negated cosines, and a first-quadrant row equals delay_exact at
-its angle bit for bit.  A scan holds at most MAX_SCAN_STEPS rows, and a
+_scan_row, given its array module: math in the plain-float _scan_rows,
+numpy in angle_scan's blocks, so both hold the same doubles.  The angle
+is folded on the integer step index (_scan_cos), so rows half a turn
+apart have exactly negated cosines, and a first-quadrant row equals
+delay_exact at its angle bit for bit.  A scan holds at most MAX_SCAN_STEPS rows, and a
 configuration whose drift reaches the light speed of an arm is refused,
 so no delay divides by zero.  The rotation signal is formed from the
 drift parts of the inverse speeds, not as the difference of two nearly
@@ -36,7 +35,7 @@ not cancel for near-vacuum indices.
 
 import math
 
-from ._record import Record, check_finite
+from ._record import Record, check_count, check_finite
 from .errors import DegenerateConfigError, DomainError, InputError
 from .kinematics import CompositionLaw
 from .units import c
@@ -47,8 +46,10 @@ SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
 #: largest angle_scan; each row holds four floats
 MAX_SCAN_STEPS = 10 ** 7
 
-#: rows per block of angle_scan, so that no temporary nears the table's size;
-#: the CLI computes a scan of at most this many rows with _scan_rows
+#: the table rule: a scan of up to this many rows is plain floats
+#: (_scan_rows); beyond that, a numpy table (angle_scan) formed, checked whole
+#: and streamed (cli._table_csv) in blocks of this many rows, so that no
+#: temporary nears the table's size
 _SCAN_BLOCK = 4096
 
 
@@ -238,6 +239,7 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
 
 def improvement_factor(u: float, n1: float, n2: float) -> float:
     """Gain (c/u)(n1^2 - n2^2) of the two-media device over a single-medium one."""
+    check_finite(("drift speed", u), ("index n1", n1), ("index n2", n2))
     if not 0.0 < u:
         raise DomainError(f"drift speed must be positive, got {u}")
     return (c / u) * ((n1 - n2) * (n1 + n2))
@@ -245,7 +247,9 @@ def improvement_factor(u: float, n1: float, n2: float) -> float:
 
 def _check_steps(steps: int, noun: str) -> None:
     """Refuse a table (an angle scan, a potential profile) of fewer than 2
-    or more than MAX_SCAN_STEPS rows; noun names it in the message."""
+    or more than MAX_SCAN_STEPS rows, or a step count that is not an
+    integer; noun names it in the message."""
+    check_count(f"{noun} steps", steps)
     if steps < 2:
         raise InputError(f"{noun} needs at least 2 steps, got {steps}")
     if steps > MAX_SCAN_STEPS:

@@ -16,7 +16,10 @@ with Phi_0 = h/2e, which equals (R/2) sqrt(e V tau/(hbar epsilon)).
 Two expansion normalizations circulate for the interior potential; the
 quarter form V [1 + (m^2/4)(rho^2 - R^2)] is the one consistent with the
 bound inversion and with the Bessel series, and is the default.  The half
-form is kept as an explicit variant.
+form is kept as an explicit variant.  Both potentials come from one row
+rule, _potential_rows, which cylinder_potential_exact,
+cylinder_potential_expansion and potential_profile all read, so a
+profile's rows are the pointwise values by construction.
 """
 
 import math
@@ -85,27 +88,41 @@ class ProcaCylinderConfig(Record):
             raise DomainError(f"beam radius must satisfy 0 <= rho < R, got {self.rho}")
 
 
+def _potential_rows(cfg: ProcaCylinderConfig, m_gamma: float, radii, variant: str) -> list:
+    """Rows (rho, exact, expansion) at each radius of radii, all in [0, R].
+
+    The one row rule of the interior potential.  exact is
+    V I0(m_gamma rho)/I0(m_gamma R), formed as V e^{m (rho - R)} S(m rho)/S(m R)
+    with S(x) = e^{-x} I0(x): finite for every finite m R, and exactly V on
+    the wall.  expansion is V [1 + (m_gamma^2/s)(rho^2 - R^2)].  The wall's
+    S(m R) and s m_gamma^2 are formed once for all rows.
+    """
+    if not 0.0 <= m_gamma < math.inf:
+        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
+    if variant not in ("quarter", "half"):
+        raise InputError(f"variant must be 'quarter' or 'half', got {variant!r}")
+    R, V = cfg.R, cfg.V
+    wall = _scaled_I0(m_gamma * R)
+    scale_m2 = (0.25 if variant == "quarter" else 0.5) * (m_gamma * m_gamma)
+    return [(rho,
+             V * (math.exp(m_gamma * (rho - R)) * _scaled_I0(m_gamma * rho) / wall),
+             V * (1.0 + scale_m2 * (rho * rho - R * R)))
+            for rho in radii]
+
+
+def _potential_at(rho: float, cfg: ProcaCylinderConfig, m_gamma: float, variant: str) -> tuple:
+    if not 0.0 <= rho <= cfg.R:
+        raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
+    return _potential_rows(cfg, m_gamma, (rho,), variant)[0]
+
+
 def cylinder_potential_exact(rho: float, cfg: ProcaCylinderConfig, m_gamma: float) -> float:
     """Interior potential V I0(m_gamma rho)/I0(m_gamma R), volts.
 
     The solution regular at the origin; K0 is excluded because it diverges
-    there.  Formed as V e^{m (rho - R)} S(m rho)/S(m R) with S(x) = e^{-x} I0(x),
-    finite for every finite m R, so exactly V on the wall.
+    there.  Finite for every finite m R, and exactly V on the wall.
     """
-    if not 0.0 <= rho <= cfg.R:
-        raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
-    if not 0.0 <= m_gamma < math.inf:
-        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
-    return cfg.V * (math.exp(m_gamma * (rho - cfg.R)) * _scaled_I0(m_gamma * rho)
-                    / _scaled_I0(m_gamma * cfg.R))
-
-
-def _expansion_scale(variant: str) -> float:
-    if variant == "quarter":
-        return 0.25
-    if variant == "half":
-        return 0.5
-    raise InputError(f"variant must be 'quarter' or 'half', got {variant!r}")
+    return _potential_at(rho, cfg, m_gamma, "quarter")[1]
 
 
 def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: float,
@@ -116,36 +133,20 @@ def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: 
     the I0 series and the phase-correction chain, residual O((m R)^4)) or
     "half" (s = 2, the alternative printed normalization, residual O((m R)^2)).
     """
-    if not 0.0 <= rho <= cfg.R:
-        raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
-    if not 0.0 <= m_gamma < math.inf:
-        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
-    scale = _expansion_scale(variant)
-    m2 = m_gamma * m_gamma
-    return cfg.V * (1.0 + scale * m2 * (rho * rho - cfg.R * cfg.R))
+    return _potential_at(rho, cfg, m_gamma, variant)[2]
 
 
 def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
                       variant: str = "quarter") -> list:
-    """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over [0, R].
-
-    Each row holds what cylinder_potential_exact and
-    cylinder_potential_expansion give at its radius, bit for bit; the scaled
-    wall value e^{-m_gamma R} I0(m_gamma R) is formed once.  The last radius
-    is exactly R.  A profile holds at most MAX_SCAN_STEPS rows.
-    """
+    """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over [0, R],
+    the last exactly R: at most MAX_SCAN_STEPS rows, each what
+    cylinder_potential_exact and cylinder_potential_expansion give at its
+    radius, bit for bit."""
     _check_steps(steps, "potential profile")
-    if not 0.0 <= m_gamma < math.inf:
-        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
-    R, V = cfg.R, cfg.V
-    wall = _scaled_I0(m_gamma * R)
-    scale_m2 = _expansion_scale(variant) * (m_gamma * m_gamma)
-    # R * i / (steps - 1) can round above R at the last step
-    radii = [R * i / (steps - 1) for i in range(steps - 1)] + [R]
-    return [(rho,
-             V * (math.exp(m_gamma * (rho - R)) * _scaled_I0(m_gamma * rho) / wall),
-             V * (1.0 + scale_m2 * (rho * rho - R * R)))
-            for rho in radii]
+    R, last = cfg.R, steps - 1
+    # R * i / last can round above R at the last step
+    radii = (R * i / last if i < last else R for i in range(steps))
+    return _potential_rows(cfg, m_gamma, radii, variant)
 
 
 def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,
@@ -184,10 +185,10 @@ def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> floa
 
 def time_of_flight(length: float, speed: float) -> float:
     """Traversal time tau = L/v."""
-    if not 0.0 < speed:
-        raise DomainError(f"speed must be positive, got {speed}")
-    if not 0.0 <= length:
-        raise DomainError(f"length must be >= 0, got {length}")
+    if not 0.0 < speed < math.inf:
+        raise DomainError(f"speed must be finite and positive, got {speed}")
+    if not 0.0 <= length < math.inf:
+        raise DomainError(f"length must be finite and >= 0, got {length}")
     return length / speed
 
 

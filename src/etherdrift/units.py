@@ -107,6 +107,6 @@ def inverse_length_to_mass(range_cm: float) -> float:
     The range is the reduced Compton wavelength, so m = hbar / (c * range)
     evaluated in cgs.
     """
-    if not 0.0 < range_cm:
-        raise DomainError(f"Yukawa range must be positive, got {range_cm}")
+    if not 0.0 < range_cm < math.inf:
+        raise DomainError(f"Yukawa range must be finite and positive, got {range_cm}")
     return hbar_cgs / (c_cgs * range_cm)

@@ -46,6 +46,15 @@ def _replay():
             pytest.fail(f"request {index} {expected['argv']}: {difference}", pytrace=False)
 
 
+def test_corpus_holds_the_generator_requests():
+    # the file is make_cli_corpus.requests(), in order: a request list
+    # edited without rewriting the corpus fails here
+    from make_cli_corpus import requests
+
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert [entry["argv"] for entry in entries] == requests()
+
+
 def test_corpus_replays_byte_for_byte():
     _replay()
 

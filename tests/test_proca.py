@@ -6,8 +6,9 @@ import pytest
 
 from etherdrift.abphase import fresnel_momentum
 from etherdrift.errors import DomainError, InputError
-from etherdrift.interferometer import (InterferometerConfig, fringe_shift, improvement_factor,
-                                       min_detectable_u)
+from etherdrift.fieldmomentum import SolenoidChargeGeometry, convergence_study
+from etherdrift.interferometer import (InterferometerConfig, angle_scan, fringe_shift,
+                                       improvement_factor, min_detectable_u)
 from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _scaled_I0,
                               bessel_I0, bounds_registry,
                               cylinder_potential_exact,
@@ -129,7 +130,10 @@ def test_expansion_variants():
 
 
 @pytest.mark.parametrize("variant", ["quarter", "half"])
-@pytest.mark.parametrize("steps, m_gamma", [(2, 1.0), (7, 40.0), (101, 2400.0)])
+# m R = 20 (its wall on the power series: 74.07407407407406 R is 20 less
+# an ulp) and 21 (on the asymptotic series), both sides of the I0 switch
+@pytest.mark.parametrize("steps, m_gamma", [(2, 1.0), (7, 40.0), (101, 2400.0),
+                                            (41, 74.07407407407406), (41, 21.0 / 0.27)])
 def test_potential_profile_rows_are_the_pointwise_potentials(steps, m_gamma, variant):
     rows = potential_profile(REFERENCE, m_gamma, steps, variant)
     assert len(rows) == steps
@@ -139,6 +143,14 @@ def test_potential_profile_rows_are_the_pointwise_potentials(steps, m_gamma, var
         assert exact == cylinder_potential_exact(rho, REFERENCE, m_gamma)
         assert expansion == cylinder_potential_expansion(rho, REFERENCE, m_gamma, variant)
     assert rows[-1][:2] == (REFERENCE.R, REFERENCE.V)
+
+
+def test_expansion_at_an_overflowing_mass_radius_product_is_refused():
+    # m R = inf: the two-term form alone would give -inf; the wall's I0 refuses it
+    wide = ProcaCylinderConfig(R=1e298, V=1e7, tau=1.0)
+    for potential in (cylinder_potential_expansion, cylinder_potential_exact):
+        with pytest.raises(DomainError, match="finite"):
+            potential(0.0, wide, 1e302)
 
 
 def test_potential_profile_validation():
@@ -258,11 +270,36 @@ DRIFT = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, 633e-9)
     (fresnel_momentum, (3e15, NAN, (10.0, 0.0, 0.0))),
     (min_detectable_u, (DRIFT, NAN)),
     (projected_bound, (PhotonMassBound(1.4e7, 2.5e-45, "x"), NAN)),
+    (time_of_flight, (math.inf, 1.0)),
+    (time_of_flight, (1.0, math.inf)),
+    (inverse_length_to_mass, (math.inf,)),
+    (improvement_factor, (math.inf, 1.5, 1.0)),
+    (improvement_factor, (1e3, math.inf, 1.0)),
+    (improvement_factor, (1e3, 1.5, -math.inf)),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_guards_refuse_what_fails_their_condition(call, args):
-    # each guard states the condition that must hold, so NaN fails it
+    # each guard states the condition that must hold, so NaN fails it; an
+    # infinity, which a one-sided guard would pass, fails it too, where it
+    # would come out as inf or 0.0
     with pytest.raises(DomainError):
         call(*args)
+
+
+GEOMETRY = SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0, grid=(4, 4, 4))
+
+
+@pytest.mark.parametrize("count", [2.5, 5.0, "5", None])
+def test_counts_that_are_not_integers_are_refused(count):
+    for call, args in [(angle_scan, (DRIFT,)), (potential_profile, (REFERENCE, 1.0)),
+                       (convergence_study, (GEOMETRY,))]:
+        with pytest.raises(InputError, match="must be an integer"):
+            call(*args, count)
+
+
+def test_numpy_integer_counts_pass():
+    assert len(angle_scan(DRIFT, np.int64(5))) == 5
+    assert len(potential_profile(REFERENCE, 1.0, np.int32(5))) == 5
+    assert len(convergence_study(GEOMETRY, np.int64(2))) == 2
 
 
 def test_photon_mass_bound_pair_consistency():
