@@ -9,7 +9,7 @@ computation error (reported as a single JSON line on stderr).  As a
 process (_console_main) a call writes through a buffered stdout of its own:
 it exits 1, with nothing on stderr, when its reader closes the pipe early,
 and 120, with one JSON line on stderr, when another write fails.  Output is
-one string, except a large fringe scan, which _table_csv streams in blocks.
+one string, except a CSV table of over _SCAN_BLOCK rows, streamed in blocks.
 
 Every flag is declared once, in the table ``_CLI``, and every argv is read
 against it, help, --version and usage errors included: no call imports
@@ -30,8 +30,8 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _check_steps,
-                             _scan_rows, angle_scan, improvement_factor, min_detectable_u)
+from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _scan_rows,
+                             angle_scan, improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
@@ -103,21 +103,25 @@ def render_csv(header, rows) -> str:
     return text
 
 
-def _table_csv(header, table):
-    """The CSV of a 2-D float table, such as angle_scan's, as an iterator of
-    text blocks: the header, then the rows' lines in blocks of _SCAN_BLOCK,
-    each line led by its newline, then the last newline.
+def _table_csv(header, steps, rows, table=None):
+    """The CSV of a table of steps rows, given as rows, an iterator of float
+    tuples read at most once: a string, or an iterator of text blocks.
 
-    The table rule: a scan of up to _SCAN_BLOCK rows is formed in plain
-    floats and rendered whole by render_csv; beyond that, it is a numpy
-    table, checked whole here and streamed in blocks.  Every cell is
-    checked before any text is formed, so a refused table writes nothing:
-    format_float names the first non-finite cell in row-major order.  The
-    cells are formatted in numpy by _g17.csv_lines, byte for byte as
-    "%.17g", and only one block's text is held at a time.  numpy and _g17
-    are imported here, so that no smaller call loads them."""
-    import numpy as np  # the table's own module, already loaded
+    The table rule of every CSV subcommand: up to _SCAN_BLOCK rows are
+    rendered whole by render_csv.  Beyond that, the rows form one numpy
+    table, table() where given (angle_scan's, vectorised) and else read by
+    np.fromiter, which is checked whole and streamed: the header, the rows'
+    lines in blocks of _SCAN_BLOCK, each led by its newline, the last newline.
+    A refused table writes nothing: format_float names its first non-finite
+    cell in row-major order (numpy's warnings are off; this is an overflow's
+    one report).  The cells are formatted by _g17.csv_lines, byte for byte
+    as "%.17g", a block at a time.  numpy and _g17 load only here."""
+    if steps <= _SCAN_BLOCK:
+        return render_csv(header, list(rows))
+    import numpy as np
 
+    with np.errstate(all="ignore"):
+        table = table() if table else np.fromiter(rows, dtype=(float, len(header)), count=steps)
     finite = np.isfinite(table)
     if not finite.all():
         format_float(table.flat[finite.argmin()])
@@ -282,20 +286,12 @@ def _run_speed(ns, constants):
 
 
 def _run_fringe(ns, constants):
-    # the two sides of the table rule (_table_csv) build each row by
-    # interferometer._scan_row, so they print the same doubles; numpy's
-    # warnings are off, as an overflow is _table_csv's one report.  steps
-    # is checked first, so a refused scan loads no numpy
+    # both sides of the table rule build each row by interferometer._scan_row,
+    # so they print the same doubles
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
-    _check_steps(ns.steps, "angle scan")
-    if ns.steps <= _SCAN_BLOCK:
-        return render_csv(SCAN_COLUMNS, _scan_rows(config, ns.steps))
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        table = angle_scan(config, ns.steps)
-    return _table_csv(SCAN_COLUMNS, table)
+    return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps),
+                      table=lambda: angle_scan(config, ns.steps))
 
 
 def _run_sensitivity(ns, constants):
@@ -329,7 +325,7 @@ def _run_proca_potential(ns, constants):
         raise DomainError(f"--R-cm {ns.R_cm} and --m-gamma-inv-cm {ns.m_gamma_inv_cm} "
                           "give a radius over Compton range m R that is not finite")
     rows = potential_profile(cfg, m_gamma, ns.steps, ns.variant)
-    return render_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), rows)
+    return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps, rows)
 
 
 def _run_proca_phase(ns, constants):

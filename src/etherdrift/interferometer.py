@@ -46,10 +46,9 @@ SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
 #: largest angle_scan; each row holds four floats
 MAX_SCAN_STEPS = 10 ** 7
 
-#: the table rule: a scan of up to this many rows is plain floats
-#: (_scan_rows); beyond that, a numpy table (angle_scan) formed, checked whole
-#: and streamed (cli._table_csv) in blocks of this many rows, so that no
-#: temporary nears the table's size
+#: the table rule (cli._table_csv) of every CSV table: up to this many rows
+#: in plain floats; beyond that, one numpy table checked whole and streamed in
+#: blocks of this many rows, so that no temporary nears the table's size
 _SCAN_BLOCK = 4096
 
 
@@ -269,11 +268,12 @@ def _scan_row(config: InterferometerConfig, steps: int, k, xp) -> tuple:
     return 360.0 * k / steps, exact, first, fringe_shift(exact, config.lambda_vac)
 
 
-def _scan_rows(config: InterferometerConfig, steps: int) -> list:
-    """angle_scan's rows in plain floats, one tuple each, for a step count
-    that _check_steps accepts.  No numpy is imported: for a scan of a few
-    rows its import costs more than the scan."""
-    return [_scan_row(config, steps, k, math) for k in range(steps)]
+def _scan_rows(config: InterferometerConfig, steps: int):
+    """angle_scan's rows in plain floats, one tuple each, as an iterator that
+    forms them as they are read; steps is checked first.  No numpy is
+    imported: for a scan of a few rows its import costs more than the scan."""
+    _check_steps(steps, "angle scan")
+    return (_scan_row(config, steps, k, math) for k in range(steps))
 
 
 def angle_scan(config: InterferometerConfig, steps: int):

@@ -19,7 +19,7 @@ bound inversion and with the Bessel series, and is the default.  The half
 form is kept as an explicit variant.  Both potentials come from one row
 rule, _potential_rows, which cylinder_potential_exact,
 cylinder_potential_expansion and potential_profile all read, so a
-profile's rows are the pointwise values by construction.
+profile's rows, formed lazily, are the pointwise values by construction.
 """
 
 import math
@@ -88,8 +88,9 @@ class ProcaCylinderConfig(Record):
             raise DomainError(f"beam radius must satisfy 0 <= rho < R, got {self.rho}")
 
 
-def _potential_rows(cfg: ProcaCylinderConfig, m_gamma: float, radii, variant: str) -> list:
-    """Rows (rho, exact, expansion) at each radius of radii, all in [0, R].
+def _potential_rows(cfg: ProcaCylinderConfig, m_gamma: float, radii, variant: str):
+    """Rows (rho, exact, expansion) at each radius of radii, all in [0, R],
+    formed as they are read; the arguments are checked first.
 
     The one row rule of the interior potential.  exact is
     V I0(m_gamma rho)/I0(m_gamma R), formed as V e^{m (rho - R)} S(m rho)/S(m R)
@@ -104,16 +105,16 @@ def _potential_rows(cfg: ProcaCylinderConfig, m_gamma: float, radii, variant: st
     R, V = cfg.R, cfg.V
     wall = _scaled_I0(m_gamma * R)
     scale_m2 = (0.25 if variant == "quarter" else 0.5) * (m_gamma * m_gamma)
-    return [(rho,
+    return ((rho,
              V * (math.exp(m_gamma * (rho - R)) * _scaled_I0(m_gamma * rho) / wall),
              V * (1.0 + scale_m2 * (rho * rho - R * R)))
-            for rho in radii]
+            for rho in radii)
 
 
 def _potential_at(rho: float, cfg: ProcaCylinderConfig, m_gamma: float, variant: str) -> tuple:
     if not 0.0 <= rho <= cfg.R:
         raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
-    return _potential_rows(cfg, m_gamma, (rho,), variant)[0]
+    return next(_potential_rows(cfg, m_gamma, (rho,), variant))
 
 
 def cylinder_potential_exact(rho: float, cfg: ProcaCylinderConfig, m_gamma: float) -> float:
@@ -137,11 +138,11 @@ def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: 
 
 
 def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
-                      variant: str = "quarter") -> list:
-    """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over [0, R],
-    the last exactly R: at most MAX_SCAN_STEPS rows, each what
-    cylinder_potential_exact and cylinder_potential_expansion give at its
-    radius, bit for bit."""
+                      variant: str = "quarter"):
+    """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over
+    [0, R], the last exactly R, as _potential_rows's checked iterator: at
+    most MAX_SCAN_STEPS rows, each what cylinder_potential_exact and
+    cylinder_potential_expansion give at its radius, bit for bit."""
     _check_steps(steps, "potential profile")
     R, last = cfg.R, steps - 1
     # R * i / last can round above R at the last step
@@ -178,9 +179,12 @@ def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> floa
         raise DomainError(f"phase resolution epsilon = {cfg.epsilon} rad is at least "
                           f"(e/hbar) V tau = {largest} rad, the largest phase any "
                           "photon mass gives")
-    range_m = 0.5 * cfg.R * math.sqrt(
-        math.pi * cfg.V * cfg.tau / (cfg.epsilon * constants.flux_quantum))
-    return range_m * 100.0
+    range_cm = 0.5 * cfg.R * math.sqrt(
+        math.pi * cfg.V * cfg.tau / (cfg.epsilon * constants.flux_quantum)) * 100.0
+    if not range_cm < math.inf:
+        raise DomainError(f"the Compton range overflows at V = {cfg.V} V, tau = {cfg.tau} s, "
+                          f"R = {cfg.R} m and epsilon = {cfg.epsilon}")
+    return range_cm
 
 
 def time_of_flight(length: float, speed: float) -> float:

@@ -19,7 +19,7 @@ from etherdrift.errors import DomainError, InputError
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
                                        angle_scan, min_detectable_u)
 from etherdrift.kinematics import CompositionLaw
-from etherdrift.proca import bounds_registry
+from etherdrift.proca import ProcaCylinderConfig, bounds_registry, potential_profile
 from etherdrift.units import MODERN, PAPER, c
 from test_interferometer import worst_row_error
 
@@ -327,10 +327,23 @@ def test_degenerate_scans_are_the_table_cell_by_cell(device, u, capsys):
         assert out == _naive_csv(SCAN_COLUMNS, angle_scan(cfg, steps)), steps
 
 
+def _given_and_read(header, table):
+    """_table_csv of a float table given whole, as fringe passes angle_scan's,
+    and read from an iterator of its rows, as proca potential passes its
+    profile."""
+    return [cli._table_csv(header, len(table), map(tuple, table.tolist()), given)
+            for given in (lambda: table, None)]
+
+
 def _streamed(header, table):
-    chunks = cli._table_csv(header, table)
-    assert not isinstance(chunks, str)
-    return "".join(chunks)
+    # both ways in give the same text, one string up to _SCAN_BLOCK rows
+    # and a stream of blocks beyond
+    texts = []
+    for chunks in _given_and_read(header, table):
+        assert isinstance(chunks, str) == (len(table) <= cli._SCAN_BLOCK)
+        texts.append("".join(chunks))
+    assert texts[0] == texts[1]
+    return texts[0]
 
 
 def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, capsys):
@@ -360,9 +373,10 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     # main writes nothing to stdout
     table = base.copy()
     table[[1, 5], 3] = np.inf
-    with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
-        cli._table_csv(header, table)
     monkeypatch.setattr(cli, "_SCAN_BLOCK", 2)
+    for given in (lambda: table, None):
+        with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
+            cli._table_csv(header, 6, map(tuple, table.tolist()), given)
     monkeypatch.setattr(cli, "angle_scan", lambda config, steps: table)
     assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
                      "--lambda-nm", "633", "--steps", "6"]) == 2
@@ -373,8 +387,9 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     # the message names the first non-finite cell in row-major order
     table[4, 1] = -np.inf
     table[1, 2] = np.nan
-    with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
-        cli._table_csv(header, table)
+    for given in (lambda: table, None):
+        with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
+            cli._table_csv(header, 6, map(tuple, table.tolist()), given)
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -393,6 +408,39 @@ def test_streamed_scan_is_the_table_cell_by_cell(law, device, capsys):
         assert _streamed(SCAN_COLUMNS, table) == naive, steps
         assert cli.main([*argv, "--steps", str(steps)]) == 0
         assert capsys.readouterr() == (naive, ""), steps
+
+
+POTENTIAL = ("rho_m", "phi_exact_V", "phi_expansion_V")
+
+
+@pytest.mark.parametrize("variant", ["quarter", "half"])
+# V = -0.0 and both I0 branches of the 10 cm cylinder: m R = 10 on the
+# power series, 40 on the asymptotic one
+@pytest.mark.parametrize("V, m_gamma_inv_cm", [(1e7, 1.0), (-0.0, 0.25), (-3.5e5, 1e3)])
+def test_proca_potential_stdout_is_the_profile_cell_by_cell(V, m_gamma_inv_cm, variant,
+                                                            capsys):
+    # a profile follows the scans' table rule: whole up to 4096 rows, then
+    # streamed, at a block edge, just past it and past two more
+    cfg = ProcaCylinderConfig(R=0.1, V=V, tau=1.0)
+    for steps in (4096, 4097, 8193, 12001):
+        assert cli.main(["proca", "potential", f"--V-volts={V!r}", "--R-cm", "10",
+                         "--m-gamma-inv-cm", repr(m_gamma_inv_cm), "--variant", variant,
+                         "--steps", str(steps)]) == 0
+        rows = list(potential_profile(cfg, 100.0 / m_gamma_inv_cm, steps, variant))
+        assert capsys.readouterr() == (_naive_csv(POTENTIAL, np.array(rows)), ""), steps
+
+
+def test_refused_proca_potential_writes_nothing(capsys):
+    # V = 1e300 and m R = 1e11: the expansion column overflows to -inf in
+    # its first row, on both sides of the table rule's cut
+    for steps in ("64", "5000"):
+        assert cli.main(["proca", "potential", "--V-volts", "1e300", "--R-cm", "10",
+                         "--m-gamma-inv-cm", "1e-10", "--steps", steps]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "DomainError",
+                                   "message": "result is not a finite number (-inf): "
+                                              "the computation left the double range"}
 
 
 def test_fringe_config_flag_is_refused(tmp_path):
@@ -562,6 +610,17 @@ def test_proca_bound_beyond_the_largest_phase_exit_2():
     args = ("proca", "bound", "--V-volts", "1e-12", "--tau-s", "1e-6", "--R-cm", "27")
     _exit_2_with(run_cli(*args, "--epsilon", "1"), "DomainError", "largest phase")
     assert run_cli(*args, "--epsilon", "1.5e-3").returncode == 0
+
+
+def test_proca_bound_beyond_the_double_range_exit_2():
+    # V tau = 1e600 overflows, and at tau = 1 s the range of a 1e298 m
+    # cylinder does: both said "Yukawa range must be finite and positive,
+    # got inf", which names no flag
+    for tau in ("1e300", "1"):
+        proc = run_cli("proca", "bound", "--V-volts", "1e300", "--R-cm", "1e300",
+                       "--tau-s", tau, "--epsilon", "1e-4")
+        _exit_2_with(proc, "DomainError", f"V = 1e+300 V, tau = {float(tau)!r} s")
+        assert "the Compton range overflows at" in proc.stderr
 
 
 def test_proca_phase_closes_on_resolution():

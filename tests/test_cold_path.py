@@ -1,15 +1,17 @@
-"""Only a ``fringe`` scan of more than 4096 rows loads numpy and the numpy
-"%.17g" that formats its cells (``etherdrift._g17``), only a JSON payload
-loads json, and no call loads argparse or dataclasses.
+"""Only a CSV table of more than 4096 rows (a ``fringe`` scan, a ``proca
+potential`` profile) loads numpy and the numpy "%.17g" that formats its
+cells (``etherdrift._g17``), only a JSON payload loads json, and no call
+loads argparse or dataclasses.
 
 numpy is imported only inside the functions that compute on arrays, so a
 cold call of any other subcommand (the scalar ones, which compute in plain
 floats: ``speed``, ``proca``, ``bounds``, ``pmomentum``, ``abphase`` of
 every field kind) does not spend its start-up importing it, and neither
-does a ``fringe`` scan of up to one block of 4096 rows, which is computed
-in plain floats too, nor a request refused before its computation (an
-``abphase`` path with a repeated vertex, a ``fringe`` of one step).  The
-records are tuples built on the package's own ``Record`` base, so importing
+does a table of up to one block of 4096 rows, which is computed in plain
+floats too, nor a request refused before its computation (an ``abphase``
+path with a repeated vertex, a ``fringe`` of one step, a profile of too
+many rows).  The records are tuples built on the package's own ``Record``
+base, so importing
 the package does not load ``dataclasses`` or the ``inspect`` it imports,
 and no module defines a class on ``typing.NamedTuple``, whose class
 statements made up most of the package's import time.  ``numbers`` is read
@@ -160,6 +162,24 @@ def test_array_subcommand_loads_numpy():
     report = _fresh(_RUN, json.dumps([*FRINGE, "--steps", "4097"]))
     assert report["code"] == 0
     assert {"numpy", "etherdrift._g17"} <= set(report["loaded"])
+
+
+POTENTIAL = ["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
+             "--m-gamma-inv-cm", "1e3"]
+
+
+@pytest.mark.parametrize("steps, code, loaded", [(4096, 0, False), (4097, 0, True),
+                                                 (10 ** 7 + 1, 2, False)])
+def test_potential_loads_numpy_only_beyond_one_block(steps, code, loaded):
+    # the scans' table rule: a profile of up to 4096 rows is plain floats,
+    # a longer one a numpy table that _g17 formats; a refused --steps is
+    # refused before either is chosen
+    report = _fresh(_RUN, json.dumps([*POTENTIAL, "--steps", str(steps)]))
+    assert report["code"] == code
+    assert len(report["stdout"].splitlines()) == (1 + steps if code == 0 else 0)
+    assert ("at most 10000000 steps" in report["stderr"]) == (code == 2)
+    formatter = {"numpy", "etherdrift._g17"}
+    assert formatter & set(report["loaded"]) == (formatter if loaded else set())
 
 
 def test_hashlib_loads_only_for_the_version_line():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -135,7 +136,7 @@ def test_expansion_variants():
 @pytest.mark.parametrize("steps, m_gamma", [(2, 1.0), (7, 40.0), (101, 2400.0),
                                             (41, 74.07407407407406), (41, 21.0 / 0.27)])
 def test_potential_profile_rows_are_the_pointwise_potentials(steps, m_gamma, variant):
-    rows = potential_profile(REFERENCE, m_gamma, steps, variant)
+    rows = list(potential_profile(REFERENCE, m_gamma, steps, variant))
     assert len(rows) == steps
     radii = [REFERENCE.R * i / (steps - 1) for i in range(steps - 1)] + [REFERENCE.R]
     assert [rho for rho, _, _ in rows] == radii
@@ -161,7 +162,7 @@ def test_potential_profile_validation():
     with pytest.raises(DomainError, match="photon mass"):
         potential_profile(REFERENCE, -1.0, 5)
     # m R = 702 used to pass the series' ceiling; only a non-finite m R fails
-    assert potential_profile(REFERENCE, 2600.0, 5)[-1][1] == REFERENCE.V
+    assert list(potential_profile(REFERENCE, 2600.0, 5))[-1][1] == REFERENCE.V
     for m_gamma in (math.inf, math.nan):
         with pytest.raises(DomainError, match="finite"):
             potential_profile(REFERENCE, m_gamma, 5)
@@ -176,7 +177,7 @@ def test_potential_profile_rows_match_mpmath(mR):
     # the relative error of its rounded argument, m (R - rho) 2 eps
     cfg = ProcaCylinderConfig(R=0.1, V=1e7, tau=1.0)
     m = mR / cfg.R
-    rows = potential_profile(cfg, m, 301)
+    rows = list(potential_profile(cfg, m, 301))
     assert rows[-1][1] == cfg.V
     with mpmath.workdps(50):
         wall = mpmath.besseli(0, mpmath.mpf(m) * mpmath.mpf(cfg.R))
@@ -243,6 +244,15 @@ def test_invert_bound_scalings():
         invert_bound(ProcaCylinderConfig(R=0.27, V=-1e7, tau=0.05), PAPER)
 
 
+@pytest.mark.parametrize("R, V, tau", [(0.27, 1e300, 1e300), (1e306, 1e7, 0.05)])
+def test_invert_bound_beyond_the_double_range_is_refused(R, V, tau):
+    # V tau overflows, or the range of a huge cylinder does: both returned
+    # an infinite range, which nothing named
+    message = f"the Compton range overflows at V = {V!r} V, tau = {tau!r} s, R = {R!r} m"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        invert_bound(ProcaCylinderConfig(R=R, V=V, tau=tau), PAPER)
+
+
 def test_time_of_flight():
     assert time_of_flight(1.35, 27.0) == 0.05
     assert time_of_flight(0.0, 5.0) == 0.0
@@ -298,7 +308,7 @@ def test_counts_that_are_not_integers_are_refused(count):
 
 def test_numpy_integer_counts_pass():
     assert len(angle_scan(DRIFT, np.int64(5))) == 5
-    assert len(potential_profile(REFERENCE, 1.0, np.int32(5))) == 5
+    assert len(list(potential_profile(REFERENCE, 1.0, np.int32(5)))) == 5
     assert len(convergence_study(GEOMETRY, np.int64(2))) == 2
 
 
