@@ -38,11 +38,13 @@ bare point, an absent sign or prefix) is left 0, so that dropping the
 zero bytes of a block leaves its text.  An uncertified cell is formatted
 by "%.17g" and written into its slot as it stands.
 
-The digit and layout tables are built once, at import, and the pairs of
-10^(16−k) only as the exponents of the data reach them.
+The digit and layout tables, and the pairs of 10^(16−k) for every k of a
+finite double, are built once, at import.
 """
 
 import numpy as np
+
+from .units import _quotient
 
 _U64 = np.uint64
 _WORDS = "<u8"  # a slot's words are little-endian, whatever the host's order
@@ -52,36 +54,15 @@ _SMIN, _SMAX = 16 - 309, 16 + 325
 _ROWS = _SMAX - _SMIN + 1
 
 
-class _Powers:
-    """10^s = 2^σ·(hi + lo), with hi's Veltkamp halves, by row; a row is
-    computed in integers the first time a column's exponents reach it."""
-
-    def __init__(self):
-        self.pairs = np.zeros((4, _ROWS))  # hi, lo, hi's upper and lower half
-        self.scale = np.zeros(_ROWS)  # 2^σ
-        self.filled = np.zeros(_ROWS, bool)
-
-    def take(self, rows):
-        first, last = rows.min(), rows.max()
-        if not self.filled[first:last + 1].all():
-            for row in range(first, last + 1):
-                self._fill(row)
-            self.filled[first:last + 1] = True
-        return [column.take(rows) for column in self.pairs], self.scale.take(rows)
-
-    def _fill(self, row):
-        s = row + _SMIN
-        # floor(s·log2 10), so that 10^s/2^σ is in [1, 2); but 2^σ must be
-        # a double, so below |x| = 1e-292 the pair grows, to at most 2^110
-        sigma = min(s * 3321928094887 // 10 ** 12, 1023)
-        num, den = (10 ** s, 1 << sigma) if s >= 0 else (1 << -sigma, 10 ** -s)
-        hi = num / den  # int division rounds correctly, as does lo's
-        hi_num, hi_den = hi.as_integer_ratio()
-        lo = (num * hi_den - hi_num * den) / (den * hi_den)
-        upper = hi * 134217729.0
-        upper -= upper - hi
-        self.pairs[:, row] = hi, lo, upper, hi - upper
-        self.scale[row] = 2.0 ** sigma
+def _power(s):
+    """10^s = 2^σ·(hi + lo): (hi, lo, hi's upper and lower Veltkamp half, 2^σ)."""
+    # floor(s·log2 10), so that 10^s/2^σ is in [1, 2); but 2^σ must be
+    # a double, so below |x| = 1e-292 the pair grows, to at most 2^110
+    sigma = min(s * 3321928094887 // 10 ** 12, 1023)
+    hi, lo = _quotient(10 ** s, 1 << sigma) if s >= 0 else _quotient(1 << -sigma, 10 ** -s)
+    upper = hi * 134217729.0
+    upper -= upper - hi
+    return hi, lo, upper, hi - upper, 2.0 ** sigma
 
 
 def _words(texts):
@@ -117,8 +98,9 @@ _EXPONENT = _words(b"\0" + b"e%+03d" % e if e < -4 or e > 16 else b"" for e in _
 # number with 17 digits), and digits through _WHOLE are kept, zeros or not
 _AFTER = np.where(_exponent, 0, np.where(_small, 16, _k)).clip(0, 16)
 _WHOLE = np.where(_exponent | _small, 0, _k).clip(0, 16)
+#: the five columns of _power, by row
+_POWERS = np.array([_power(s) for s in range(_SMIN, _SMAX + 1)]).T
 del _v, _last, _byte, _i, _k, _exponent, _small
-_POWERS = _Powers()
 
 
 def _slots(x, sep, out):
@@ -129,7 +111,7 @@ def _slots(x, sep, out):
     a = np.abs(np.where(nonzero, x, 1.0))  # a zero is laid out as 1 with its digit 0
     row = np.floor(np.log10(a) - 1e-12).astype(np.int64)
     np.subtract(16 - _SMIN, row, out=row)
-    (hi, lo, upper, lower), scale = _POWERS.take(row)
+    hi, lo, upper, lower, scale = (column.take(row) for column in _POWERS)
     a *= scale
     split = a * 134217729.0
     a_upper = split - (split - a)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record, check_vector
 from .errors import DomainError, InputError, SingularPathError
-from .units import c
+from .units import _quotient, c
 
 if TYPE_CHECKING:  # annotations only
     import numpy as np
@@ -34,7 +34,7 @@ def _constant_q_phase(q, vertices) -> float:
 
     Every double is a ratio of integers whose denominator is a power of
     two, so the three products are summed exactly in integers and rounded
-    once, by int true division: a closed path gives 0, and the phases of a
+    once, by ``_quotient``: a closed path gives 0, and the phases of a
     path's pieces add up to the whole's to within their roundings.  A Q or
     a phase beyond the double range raises DomainError."""
     if not all(map(math.isfinite, q)):
@@ -48,7 +48,7 @@ def _constant_q_phase(q, vertices) -> float:
             num, den = num * (d // den), d
         num += n * (den // d)
     try:
-        return num / den
+        return _quotient(num, den)[0]
     except OverflowError:
         raise _not_finite(-math.inf if num < 0 else math.inf) from None
 
@@ -163,18 +163,15 @@ class SolenoidVectorPotential(Record):
     def _phase_per_radian(self):
         """coupling flux/(2 pi) as hi + lo, two doubles within 1e-32 of it.
 
-        hi is the quotient of exact integers, rounded once; lo is the rest.
-        The three float operations round a single double by up to about
-        1.2 ulp, and every segment of a loop would carry that error.  A
-        non-finite input or a quotient beyond the double range takes the
-        float operations."""
+        hi is the quotient of exact integers, rounded once by ``_quotient``;
+        lo is the rest.  The three float operations round a single double
+        by up to about 1.2 ulp, and every segment of a loop would carry
+        that error.  A non-finite input or a quotient beyond the double
+        range takes the float operations."""
         try:
             (a, b), (p, q) = (float(self.coupling).as_integer_ratio(),
                               float(self.flux).as_integer_ratio())
-            num, den = (a * p) << 125, b * q * _TWO_PI_128
-            hi = num / den  # true division of ints is correctly rounded
-            h, g = hi.as_integer_ratio()
-            return hi, (num * g - h * den) / (den * g)
+            return _quotient((a * p) << 125, b * q * _TWO_PI_128)
         except (OverflowError, ValueError):
             return self.coupling * self.flux / (2.0 * math.pi), 0.0
 

@@ -233,6 +233,8 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
     if config.e_f >= 1.0:
         raise DegenerateConfigError("e_f = 1 cancels the first-order signal")
     denom = 2.0 * abs((n1 - n2) * (n1 + n2)) * config.L * (1.0 - config.e_f)
+    if not denom > 0.0:
+        raise DomainError(f"2 |n1^2 - n2^2| L (1 - e_f) underflows to 0 at L = {config.L} m")
     return fringe_resolution * config.lambda_vac * c / denom
 
 

@@ -179,8 +179,12 @@ def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> floa
         raise DomainError(f"phase resolution epsilon = {cfg.epsilon} rad is at least "
                           f"(e/hbar) V tau = {largest} rad, the largest phase any "
                           "photon mass gives")
-    range_cm = 0.5 * cfg.R * math.sqrt(
-        math.pi * cfg.V * cfg.tau / (cfg.epsilon * constants.flux_quantum)) * 100.0
+    phi, pi_v_tau = constants.flux_quantum, math.pi * cfg.V * cfg.tau
+    ratio = pi_v_tau / (cfg.epsilon * phi) if cfg.epsilon * phi else math.inf
+    if ratio < math.inf:
+        range_cm = 0.5 * cfg.R * math.sqrt(ratio) * 100.0
+    else:  # epsilon Phi_0 underflows, or the ratio overflows: split the root
+        range_cm = 0.5 * cfg.R * math.sqrt(pi_v_tau / phi) / math.sqrt(cfg.epsilon) * 100.0
     if not range_cm < math.inf:
         raise DomainError(f"the Compton range overflows at V = {cfg.V} V, tau = {cfg.tau} s, "
                           f"R = {cfg.R} m and epsilon = {cfg.epsilon}")

@@ -101,6 +101,19 @@ def get_constants(profile: str) -> PhysicalConstants:
         raise InputError(f"unknown constants profile {profile!r} (known: {known})") from None
 
 
+def _quotient(num: int, den: int) -> tuple:
+    """num/den, for integers num and den > 0, as (hi, lo): hi the double
+    nearest it, by int true division, and lo the double nearest the rest
+    num/den - hi, so that hi + lo is within about 2^-106 |hi| of it.
+
+    The one overflow rule: a quotient that rounds beyond the largest double
+    raises OverflowError.  One below the double range rounds to a subnormal
+    or a zero hi, and then lo is 0."""
+    hi = num / den
+    h, g = hi.as_integer_ratio()
+    return hi, (num * g - h * den) / (den * g)
+
+
 def inverse_length_to_mass(range_cm: float) -> float:
     """Photon mass in grams equivalent to a Yukawa range in cm.
 

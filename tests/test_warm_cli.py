@@ -2,13 +2,16 @@
 
 Every call here goes through ``cli.main`` in this process.  A warm call
 must match a fresh ``python -m etherdrift.cli`` byte for byte, in any
-order, and every bad number, in a flag or a JSON payload, must end in exit
-2 with one stderr JSON line."""
+order.  Every bad number, in a flag or a JSON payload, must end in exit 2
+with one stderr JSON line, and every extreme finite one in that or in
+exit 0 with only finite numbers on stdout."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
+import random
 import shlex
 import subprocess
 import sys
@@ -98,18 +101,32 @@ FLAG_CASES = [(words, flag, value)
               for value in BAD_FLAG_VALUES[kind]]
 
 
-def _with_flag(words, flag, value, spaced):
-    """The valid request with flag set to value, as "--flag value" or "--flag=value"."""
+def _with_flags(words, settings, spaced=True):
+    """The valid request with each (flag, value) of settings set, as "--flag
+    value" or "--flag=value"."""
     argv = shlex.split(VALID[words])
-    if flag in argv:
-        at = argv.index(flag)
-        del argv[at:at + 2]
-    return [*words, *argv, *([flag, value] if spaced else [f"{flag}={value}"])]
+    for flag, value in settings:
+        if flag in argv:
+            at = argv.index(flag)
+            del argv[at:at + 2]
+        argv += [flag, value] if spaced else [f"{flag}={value}"]
+    return [*words, *argv]
 
 
-def _assert_exit_2(argv):
+def _assert_exit_2(argv, or_finite_answer=False):
+    """Exit 2 with one stderr JSON line, or, where or_finite_answer, exit 0
+    with only finite numbers on stdout: JSON, or CSV under a header line."""
     code, out, err = _warm(argv)
-    assert code == 2, argv
+    if code == 0 and or_finite_answer:
+        text, numbers = out.decode(), []
+        if text.startswith("{"):
+            json.loads(text, parse_float=lambda s: numbers.append(float(s)),
+                       parse_constant=lambda s: numbers.append(float(s)))
+        else:
+            numbers = [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+        assert all(map(math.isfinite, numbers)), (argv, text)
+        return
+    assert code == 2, (argv, code, err)
     assert out == b""
     assert b"Traceback" not in err
     lines = err.decode().splitlines()
@@ -127,7 +144,8 @@ def test_every_number_flag_is_fuzzed():
 @given(st.sampled_from(FLAG_CASES), st.booleans())
 def test_bad_number_flag_exits_2(case, spaced):
     # a separate "-inf" used to read as an unknown option: exit 1
-    _assert_exit_2(_with_flag(*case, spaced))
+    words, flag, value = case
+    _assert_exit_2(_with_flags(words, [(flag, value)], spaced))
 
 
 FIELD_PARAMS = {
@@ -189,3 +207,47 @@ def test_bad_json_leaf_exits_2(data):
     at = data.draw(st.sampled_from(list(_leaves(PAYLOADS[name]))))
     leaf = data.draw(st.sampled_from(BAD_LEAVES))
     _assert_exit_2(_payload_argv(name, _replaced(PAYLOADS[name], at, leaf)))
+
+
+# ---------------------------------------------------------------------------
+# extreme finite numbers: every call ends in exit 0 with finite numbers on
+# stdout, or in exit 2 with one stderr JSON line
+
+EXTREME_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1e-300, 1e-200, 1e-100,
+                   1e100, 1e200, 1e300, sys.float_info.max, -sys.float_info.max,
+                   299792458.0, math.nextafter(299792458.0, 0.0),
+                   math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)]
+#: an int flag is a count: below and at the least one taken, and past every cap
+EXTREME_INTS = [-1, 0, 1, 2, 2 ** 63]
+#: pairs drawn, of the flag pairs and of the leaf pairs; seeded, so that a
+#: run is repeatable
+PAIRS = 5000
+
+
+def _draws(groups):
+    """Every single substitution, and PAIRS seeded draws of two at two
+    places of one request: groups maps each request to {place: values}."""
+    singles, pairs = [], []
+    for key, places in groups.items():
+        singles += [(key, [(at, value)]) for at, values in places.items() for value in values]
+        pairs += [(key, [(a, u), (b, v)]) for a, b in itertools.combinations(places, 2)
+                  for u in places[a] for v in places[b]]
+    return singles + random.Random(7).sample(pairs, PAIRS)
+
+
+def test_extreme_number_flags_exit_0_or_2():
+    groups = {}
+    for words, flag, kind in _number_flags():
+        groups.setdefault(words, {})[flag] = EXTREME_DOUBLES if kind is float else EXTREME_INTS
+    for words, settings in _draws(groups):
+        _assert_exit_2(_with_flags(words, [(flag, repr(value)) for flag, value in settings]), True)
+
+
+def test_extreme_json_leaves_exit_0_or_2():
+    groups = {name: dict.fromkeys(_leaves(payload), EXTREME_DOUBLES)
+              for name, payload in PAYLOADS.items()}
+    for name, settings in _draws(groups):
+        payload = PAYLOADS[name]
+        for at, leaf in settings:
+            payload = _replaced(payload, at, leaf)
+        _assert_exit_2(_payload_argv(name, payload), True)
