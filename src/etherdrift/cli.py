@@ -9,7 +9,8 @@ computation error (reported as a single JSON line on stderr).  As a
 process (_console_main) a call writes through a buffered stdout of its own:
 it exits 1, with nothing on stderr, when its reader closes the pipe early,
 and 120, with one JSON line on stderr, when another write fails.  Output is
-one string, except a CSV table of over _SCAN_BLOCK rows, streamed in blocks.
+one string, except a CSV table past the table rule's cut (_table_csv),
+streamed in blocks.
 
 Every flag is declared once, in the table ``_CLI``, and every argv is read
 against it, help, --version and usage errors included: no call imports
@@ -35,7 +36,7 @@ from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _s
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
-from .proca import (ProcaCylinderConfig, bounds_registry, invert_bound,
+from .proca import (ProcaCylinderConfig, _potential_table, bounds_registry, invert_bound,
                     mass_phase_correction, potential_profile)
 from .units import UnitSystem, get_constants, inverse_length_to_mass
 
@@ -103,25 +104,35 @@ def render_csv(header, rows) -> str:
     return text
 
 
-def _table_csv(header, steps, rows, table=None):
-    """The CSV of a table of steps rows, given as rows, an iterator of float
-    tuples read at most once: a string, or an iterator of text blocks.
+#: the table rule's cut once numpy is loaded.  Measured in process, with
+#: numpy and _g17 loaded (medians of 35 calls, 2-core x86-64 VM): at 128
+#: rows plain floats were faster for fringe scans and potential profiles,
+#: at 192 numpy was, for both, and at 160 they were about even
+_WARM_CUT = 160
 
-    The table rule of every CSV subcommand: up to _SCAN_BLOCK rows are
-    rendered whole by render_csv.  Beyond that, the rows form one numpy
-    table, table() where given (angle_scan's, vectorised) and else read by
-    np.fromiter, which is checked whole and streamed: the header, the rows'
-    lines in blocks of _SCAN_BLOCK, each led by its newline, the last newline.
-    A refused table writes nothing: format_float names its first non-finite
-    cell in row-major order (numpy's warnings are off; this is an overflow's
-    one report).  The cells are formatted by _g17.csv_lines, byte for byte
-    as "%.17g", a block at a time.  numpy and _g17 load only here."""
-    if steps <= _SCAN_BLOCK:
+
+def _table_csv(header, steps, rows, table):
+    """The CSV of a table of steps rows: a string, or an iterator of text
+    blocks.  rows is an iterator of its float tuples and table() forms it
+    as a numpy array; one of them is read, once.
+
+    The table rule of every CSV subcommand: a table of up to _SCAN_BLOCK
+    rows, or of up to _WARM_CUT once numpy is loaded, is rendered whole
+    from rows by render_csv.  The cut spares a cold call numpy's import,
+    60-100 ms, which a warm process has already paid.  Any larger table is
+    table(), checked whole and streamed: the header, the rows' lines in
+    blocks of _SCAN_BLOCK, each led by its newline, the last newline.  A
+    refused table writes nothing: format_float names its first non-finite
+    cell in row-major order (numpy's warnings are off; this is an
+    overflow's one report).  The cells are formatted by _g17.csv_lines,
+    byte for byte as "%.17g", a block at a time.  numpy and _g17 load only
+    here."""
+    if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
         return render_csv(header, list(rows))
     import numpy as np
 
     with np.errstate(all="ignore"):
-        table = table() if table else np.fromiter(rows, dtype=(float, len(header)), count=steps)
+        table = table()
     finite = np.isfinite(table)
     if not finite.all():
         format_float(table.flat[finite.argmin()])
@@ -318,14 +329,17 @@ def _run_proca_bound(ns, constants):
 
 
 def _run_proca_potential(ns, constants):
-    # tau is irrelevant to the radial profile; any positive value works
+    # both sides of the table rule build each row by proca._potential_rows,
+    # so they print the same doubles.  tau is irrelevant to the radial
+    # profile; any positive value works
     cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
     m_gamma = _m_gamma(ns)
     if not math.isfinite(m_gamma * cfg.R):
         raise DomainError(f"--R-cm {ns.R_cm} and --m-gamma-inv-cm {ns.m_gamma_inv_cm} "
                           "give a radius over Compton range m R that is not finite")
     rows = potential_profile(cfg, m_gamma, ns.steps, ns.variant)
-    return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps, rows)
+    return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps, rows,
+                      table=lambda: _potential_table(cfg, m_gamma, ns.steps, ns.variant))
 
 
 def _run_proca_phase(ns, constants):

@@ -46,9 +46,10 @@ SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
 #: largest angle_scan; each row holds four floats
 MAX_SCAN_STEPS = 10 ** 7
 
-#: the table rule (cli._table_csv) of every CSV table: up to this many rows
-#: in plain floats; beyond that, one numpy table checked whole and streamed in
-#: blocks of this many rows, so that no temporary nears the table's size
+#: the table rule (cli._table_csv) of every CSV table: in a process that has
+#: not loaded numpy, up to this many rows in plain floats; beyond its cut, one
+#: numpy table checked whole and streamed, and filled, in blocks of this many
+#: rows, so that no temporary nears the table's size
 _SCAN_BLOCK = 4096
 
 

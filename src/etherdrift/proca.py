@@ -17,24 +17,35 @@ Two expansion normalizations circulate for the interior potential; the
 quarter form V [1 + (m^2/4)(rho^2 - R^2)] is the one consistent with the
 bound inversion and with the Bessel series, and is the default.  The half
 form is kept as an explicit variant.  Both potentials come from one row
-rule, _potential_rows, which cylinder_potential_exact,
-cylinder_potential_expansion and potential_profile all read, so a
-profile's rows, formed lazily, are the pointwise values by construction.
+rule, _potential_rows, given its array module, as the scans' _scan_row is:
+math in cylinder_potential_exact, cylinder_potential_expansion and
+potential_profile's rows, formed lazily, numpy in _potential_table's blocks
+of rows.  So a profile's rows and its table are the pointwise values by
+construction, bit for bit: the array form of the scaled I0 sums each
+element's series term for term, and every exp, element by element, is
+math.exp, since numpy's differs from libm's in the last bit.
 """
 
 import math
+import sys
 
 from ._record import Record, check_finite
 from .errors import DomainError, InputError
-from .interferometer import _check_steps
+from .interferometer import _SCAN_BLOCK, _check_steps
 from .units import PhysicalConstants, inverse_length_to_mass
 
 
-def _scaled_I0(x: float) -> float:
+def _scaled_I0(x, xp=math):
     """e^{-x} I0(x), finite for every finite x >= 0: the power series
     sum_k (x^2/4)^k/(k!)^2 times e^{-x} up to x = 20, above it the asymptotic
     series (Abramowitz & Stegun 9.7.1), whose smallest term there is below
-    1e-18.  Each sum stops at its first term below 1e-17 of it."""
+    1e-18.  Each sum stops at its first term below 1e-17 of it.
+
+    x is a float with xp = math, or a float array with xp = numpy, whose
+    every element is summed as the float is, term for term, and stopped at
+    the same term: the same doubles."""
+    if xp is not math:
+        return _scaled_I0_columns(x, xp)
     # NaN would never end the series, and inf would give 0
     if not 0.0 <= x < math.inf:
         raise DomainError(f"I0 argument must be finite and >= 0, got {x}")
@@ -51,6 +62,41 @@ def _scaled_I0(x: float) -> float:
         return total * math.exp(-x)
     # 1/sqrt(2 pi) apart: 2 pi x overflows above x = 2.8e307
     return total * (0.3989422804014327 / math.sqrt(x))
+
+
+def _scaled_I0_columns(x, np):
+    """_scaled_I0 of a float array: each series a masked loop, whose
+    elements leave it, with their sums, once their own term stops them."""
+    bad = x[~((0.0 <= x) & (x < math.inf))]
+    if len(bad):
+        raise DomainError(f"I0 argument must be finite and >= 0, got {bad[0]}")
+    out = np.empty_like(x)
+    for small, at in ((True, (x <= 20.0).nonzero()[0]), (False, (x > 20.0).nonzero()[0])):
+        y = x[at]
+        c = 0.25 * y * y if small else 0.125 / y
+        total, term, sums = np.ones_like(y), np.ones_like(y), np.empty_like(y)
+        going = np.arange(len(y))  # the elements still summing, by place in y
+        k = 1
+        while len(going):
+            term *= c / (k * k) if small else (2 * k - 1) ** 2 * c / k
+            total += term
+            k += 1
+            more = term >= 1e-17 * total
+            if not more.all():
+                sums[going] = total  # final where the series stopped
+                going, c, term, total = going[more], c[more], term[more], total[more]
+        out[at] = sums * (_exp(-y, np) if small else 0.3989422804014327 / np.sqrt(y))
+    return out
+
+
+def _exp(x, xp):
+    """math.exp of a float, or of each element of a float array with xp =
+    numpy: numpy's exp is not libm's, and differs from it in the last bit
+    for some arguments (at 4.6 % of uniform draws in [-700, 0], numpy 2.4 on
+    x86-64)."""
+    if xp is math:
+        return math.exp(x)
+    return xp.fromiter(map(math.exp, x.tolist()), float, len(x))
 
 
 def bessel_I0(x: float) -> float:
@@ -88,33 +134,41 @@ class ProcaCylinderConfig(Record):
             raise DomainError(f"beam radius must satisfy 0 <= rho < R, got {self.rho}")
 
 
-def _potential_rows(cfg: ProcaCylinderConfig, m_gamma: float, radii, variant: str):
-    """Rows (rho, exact, expansion) at each radius of radii, all in [0, R],
-    formed as they are read; the arguments are checked first.
-
-    The one row rule of the interior potential.  exact is
-    V I0(m_gamma rho)/I0(m_gamma R), formed as V e^{m (rho - R)} S(m rho)/S(m R)
-    with S(x) = e^{-x} I0(x): finite for every finite m R, and exactly V on
-    the wall.  expansion is V [1 + (m_gamma^2/s)(rho^2 - R^2)].  The wall's
-    S(m R) and s m_gamma^2 are formed once for all rows.
-    """
+def _check_potential(m_gamma: float, variant: str) -> None:
     if not 0.0 <= m_gamma < math.inf:
         raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
     if variant not in ("quarter", "half"):
         raise InputError(f"variant must be 'quarter' or 'half', got {variant!r}")
+
+
+def _potential_rows(cfg: ProcaCylinderConfig, m_gamma: float, variant: str):
+    """The one row rule of the interior potential, its arguments checked
+    first: row(rho, xp) gives (rho, exact, expansion), floats for a float
+    rho in [0, R] with xp = math, columns for a float array of them with
+    xp = numpy, the same doubles either way.
+
+    exact is V I0(m_gamma rho)/I0(m_gamma R), formed as
+    V e^{m (rho - R)} S(m rho)/S(m R) with S(x) = e^{-x} I0(x): finite for
+    every finite m R, and exactly V on the wall.  expansion is
+    V [1 + (m_gamma^2/s)(rho^2 - R^2)].  The wall's S(m R) and s m_gamma^2
+    are formed once, here, for all rows.
+    """
+    _check_potential(m_gamma, variant)
     R, V = cfg.R, cfg.V
     wall = _scaled_I0(m_gamma * R)
     scale_m2 = (0.25 if variant == "quarter" else 0.5) * (m_gamma * m_gamma)
-    return ((rho,
-             V * (math.exp(m_gamma * (rho - R)) * _scaled_I0(m_gamma * rho) / wall),
-             V * (1.0 + scale_m2 * (rho * rho - R * R)))
-            for rho in radii)
+
+    def row(rho, xp):
+        return (rho,
+                V * (_exp(m_gamma * (rho - R), xp) * _scaled_I0(m_gamma * rho, xp) / wall),
+                V * (1.0 + scale_m2 * (rho * rho - R * R)))
+    return row
 
 
 def _potential_at(rho: float, cfg: ProcaCylinderConfig, m_gamma: float, variant: str) -> tuple:
     if not 0.0 <= rho <= cfg.R:
         raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
-    return next(_potential_rows(cfg, m_gamma, (rho,), variant))
+    return _potential_rows(cfg, m_gamma, variant)(rho, math)
 
 
 def cylinder_potential_exact(rho: float, cfg: ProcaCylinderConfig, m_gamma: float) -> float:
@@ -140,14 +194,40 @@ def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: 
 def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
                       variant: str = "quarter"):
     """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over
-    [0, R], the last exactly R, as _potential_rows's checked iterator: at
-    most MAX_SCAN_STEPS rows, each what cylinder_potential_exact and
-    cylinder_potential_expansion give at its radius, bit for bit."""
+    [0, R], the last exactly R: at most MAX_SCAN_STEPS rows, each what
+    cylinder_potential_exact and cylinder_potential_expansion give at its
+    radius, bit for bit.  An iterator that forms them as they are read, the
+    row rule (and the wall's I0) with the first; the arguments are checked
+    first."""
     _check_steps(steps, "potential profile")
+    _check_potential(m_gamma, variant)
+    return _profile_rows(cfg, m_gamma, steps, variant)
+
+
+def _profile_rows(cfg, m_gamma, steps, variant):
+    row = _potential_rows(cfg, m_gamma, variant)
     R, last = cfg.R, steps - 1
-    # R * i / last can round above R at the last step
-    radii = (R * i / last if i < last else R for i in range(steps))
-    return _potential_rows(cfg, m_gamma, radii, variant)
+    for i in range(steps):
+        # R * i / last can round above R at the last step
+        yield row(R * i / last if i < last else R, math)
+
+
+def _potential_table(cfg: ProcaCylinderConfig, m_gamma: float, steps: int, variant: str):
+    """potential_profile's rows as a (steps, 3) float64 table, the same
+    doubles: the rows are formed by the row rule in blocks of _SCAN_BLOCK,
+    radii and columns alike, so the table is the only array of its size."""
+    _check_steps(steps, "potential profile")
+    import numpy as np
+
+    row = _potential_rows(cfg, m_gamma, variant)
+    R, last = cfg.R, steps - 1
+    table = np.empty((steps, 3))
+    for start in range(0, steps, _SCAN_BLOCK):
+        rho = R * np.arange(start, min(start + _SCAN_BLOCK, steps)) / last
+        if start + _SCAN_BLOCK >= steps:
+            rho[-1] = R  # as in _profile_rows
+        table[start:start + _SCAN_BLOCK].T[:] = row(rho, np)
+    return table
 
 
 def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,
@@ -180,10 +260,12 @@ def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> floa
                           f"(e/hbar) V tau = {largest} rad, the largest phase any "
                           "photon mass gives")
     phi, pi_v_tau = constants.flux_quantum, math.pi * cfg.V * cfg.tau
-    ratio = pi_v_tau / (cfg.epsilon * phi) if cfg.epsilon * phi else math.inf
+    eps_phi = cfg.epsilon * phi
+    # a subnormal epsilon Phi_0 has lost bits, and 0 all of them
+    ratio = pi_v_tau / eps_phi if eps_phi >= sys.float_info.min else math.inf
     if ratio < math.inf:
         range_cm = 0.5 * cfg.R * math.sqrt(ratio) * 100.0
-    else:  # epsilon Phi_0 underflows, or the ratio overflows: split the root
+    else:  # epsilon Phi_0 is not a normal double, or the ratio overflows: split the root
         range_cm = 0.5 * cfg.R * math.sqrt(pi_v_tau / phi) / math.sqrt(cfg.epsilon) * 100.0
     if not range_cm < math.inf:
         raise DomainError(f"the Compton range overflows at V = {cfg.V} V, tau = {cfg.tau} s, "

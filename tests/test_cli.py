@@ -327,23 +327,12 @@ def test_degenerate_scans_are_the_table_cell_by_cell(device, u, capsys):
         assert out == _naive_csv(SCAN_COLUMNS, angle_scan(cfg, steps)), steps
 
 
-def _given_and_read(header, table):
-    """_table_csv of a float table given whole, as fringe passes angle_scan's,
-    and read from an iterator of its rows, as proca potential passes its
-    profile."""
-    return [cli._table_csv(header, len(table), map(tuple, table.tolist()), given)
-            for given in (lambda: table, None)]
-
-
 def _streamed(header, table):
-    # both ways in give the same text, one string up to _SCAN_BLOCK rows
-    # and a stream of blocks beyond
-    texts = []
-    for chunks in _given_and_read(header, table):
-        assert isinstance(chunks, str) == (len(table) <= cli._SCAN_BLOCK)
-        texts.append("".join(chunks))
-    assert texts[0] == texts[1]
-    return texts[0]
+    # _table_csv as the CSV subcommands call it: one string up to the
+    # table rule's cut, numpy being loaded here, and a stream of blocks beyond
+    chunks = cli._table_csv(header, len(table), map(tuple, table.tolist()), lambda: table)
+    assert isinstance(chunks, str) == (len(table) <= cli._WARM_CUT)
+    return "".join(chunks)
 
 
 def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, capsys):
@@ -360,6 +349,7 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
                      [300.0, 0.1, 0.2, 0.3]])
     for block in (1, 2, 3, 4, 5, 4096):
         monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(cli, "_WARM_CUT", block)
         assert _streamed(header, base) == _naive_csv(header, base)
         for cell, value in ((2, 1e-323), (1, -0.0), (3, -7.250000000000001)):
             table = base.copy()
@@ -374,9 +364,9 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     table = base.copy()
     table[[1, 5], 3] = np.inf
     monkeypatch.setattr(cli, "_SCAN_BLOCK", 2)
-    for given in (lambda: table, None):
-        with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
-            cli._table_csv(header, 6, map(tuple, table.tolist()), given)
+    monkeypatch.setattr(cli, "_WARM_CUT", 2)
+    with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
+        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: table)
     monkeypatch.setattr(cli, "angle_scan", lambda config, steps: table)
     assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
                      "--lambda-nm", "633", "--steps", "6"]) == 2
@@ -387,9 +377,8 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     # the message names the first non-finite cell in row-major order
     table[4, 1] = -np.inf
     table[1, 2] = np.nan
-    for given in (lambda: table, None):
-        with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
-            cli._table_csv(header, 6, map(tuple, table.tolist()), given)
+    with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
+        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: table)
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -432,8 +421,9 @@ def test_proca_potential_stdout_is_the_profile_cell_by_cell(V, m_gamma_inv_cm, v
 
 def test_refused_proca_potential_writes_nothing(capsys):
     # V = 1e300 and m R = 1e11: the expansion column overflows to -inf in
-    # its first row, on both sides of the table rule's cut
-    for steps in ("64", "5000"):
+    # its first row, on both sides of the table rule's cuts: 1000 rows take
+    # the numpy path here, numpy being loaded, and a cold call's plain path
+    for steps in ("64", "1000", "5000"):
         assert cli.main(["proca", "potential", "--V-volts", "1e300", "--R-cm", "10",
                          "--m-gamma-inv-cm", "1e-10", "--steps", steps]) == 2
         out, err = capsys.readouterr()
@@ -441,6 +431,56 @@ def test_refused_proca_potential_writes_nothing(capsys):
         assert json.loads(err) == {"error": "DomainError",
                                    "message": "result is not a finite number (-inf): "
                                               "the computation left the double range"}
+
+
+def _table_requests(steps):
+    """A fringe scan and a potential profile of steps rows: (argv, the
+    table as a numpy array) each."""
+    fringe = InterferometerConfig(2.5, 1.00029, 1.33, -3.7e4, 589e-9, e_f=0.25)
+    proca = ProcaCylinderConfig(R=0.1, V=-3.5e5, tau=1.0)
+    return [(["fringe", "--L-m", "2.5", "--n1", "1.00029", "--n2", "1.33", "--ef", "0.25",
+              "--u-mps=-3.7e4", "--lambda-nm", "589", "--steps", str(steps)],
+             SCAN_COLUMNS, angle_scan(fringe, steps)),
+            (["proca", "potential", "--V-volts=-3.5e5", "--R-cm", "10",
+              "--m-gamma-inv-cm", "0.5", "--steps", str(steps)],
+             POTENTIAL, np.array(list(potential_profile(proca, 200.0, steps))))]
+
+
+def _through_g17(monkeypatch):
+    """The row counts that _g17.csv_lines formats, call by call."""
+    from etherdrift import _g17
+
+    csv_lines = _g17.csv_lines
+    seen = []
+
+    def counted(rows):
+        seen.append(len(rows))
+        return csv_lines(rows)
+
+    monkeypatch.setattr(_g17, "csv_lines", counted)
+    return seen
+
+
+@pytest.mark.parametrize("cold_cut", [False, True], ids=["warm-cut", "cold-cut"])
+def test_table_rule_at_its_cut_with_numpy_loaded(cold_cut, monkeypatch, capsys):
+    # numpy is loaded here, so a table of more than _WARM_CUT rows, not only
+    # of more than _SCAN_BLOCK, is formed and formatted in numpy; with the
+    # cut patched to _SCAN_BLOCK, as a fresh interpreter has it, a table of
+    # 1000 rows is plain floats again.  Both subcommands switch paths
+    # between the cut and one row more, and print what formatting every
+    # cell one at a time gives
+    seen = _through_g17(monkeypatch)
+    if cold_cut:
+        monkeypatch.setattr(cli, "_WARM_CUT", cli._SCAN_BLOCK)
+    cut = cli._WARM_CUT
+    for steps in (cut, cut + 1, 1000):
+        for argv, header, table in _table_requests(steps):
+            seen.clear()
+            assert cli.main(argv) == 0
+            assert capsys.readouterr() == (_naive_csv(header, table), ""), argv
+            blocks = [min(cli._SCAN_BLOCK, steps - start)
+                      for start in range(0, steps, cli._SCAN_BLOCK)]
+            assert seen == (blocks if steps > cut else []), argv
 
 
 def test_fringe_config_flag_is_refused(tmp_path):
@@ -662,21 +702,29 @@ def test_proca_potential_last_radius_is_exactly_r():
 
 
 def test_proca_potential_forms_the_wall_value_once(monkeypatch, capsys):
-    # mR = 649: one scaled I0 of the wall plus one per row, not two per row
+    # mR = 649: one scaled I0 of the wall, a float, first; then one per row
+    # in plain floats, or one per block of rows in numpy, and no other
     from etherdrift import proca
 
     scaled_I0 = proca._scaled_I0
     calls = []
 
-    def counted(x):
+    def counted(x, *xp):
         calls.append(x)
-        return scaled_I0(x)
+        return scaled_I0(x, *xp)
 
     monkeypatch.setattr(proca, "_scaled_I0", counted)
-    assert cli.main(["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
-                     "--m-gamma-inv-cm", "0.0154", "--steps", "1000"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1001
-    assert len(calls) == 1001
+    # the plain path (the cut as a cold call has it), then the numpy path
+    for cut, steps, count in ((cli._SCAN_BLOCK, 1000, 1001), (cli._WARM_CUT, 1000, 2),
+                              (cli._WARM_CUT, 8193, 1 + 3)):
+        monkeypatch.setattr(cli, "_WARM_CUT", cut)
+        calls.clear()
+        assert cli.main(["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
+                         "--m-gamma-inv-cm", "0.0154", "--steps", str(steps)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + steps
+        assert len(calls) == count
+        assert calls[0] == (100.0 / 0.0154) * 0.1
+        assert all(isinstance(x, float) == (cut == cli._SCAN_BLOCK) for x in calls[1:])
 
 
 def test_proca_potential_beyond_the_old_series_ceiling():

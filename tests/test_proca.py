@@ -10,8 +10,8 @@ from etherdrift.errors import DomainError, InputError
 from etherdrift.fieldmomentum import SolenoidChargeGeometry, convergence_study
 from etherdrift.interferometer import (InterferometerConfig, angle_scan, fringe_shift,
                                        improvement_factor, min_detectable_u)
-from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _scaled_I0,
-                              bessel_I0, bounds_registry,
+from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _potential_table,
+                              _scaled_I0, bessel_I0, bounds_registry,
                               cylinder_potential_exact,
                               cylinder_potential_expansion, invert_bound,
                               mass_phase_correction, potential_profile,
@@ -146,6 +146,47 @@ def test_potential_profile_rows_are_the_pointwise_potentials(steps, m_gamma, var
     assert rows[-1][:2] == (REFERENCE.R, REFERENCE.V)
 
 
+def test_scaled_I0_columns_are_the_float_series_bit_for_bit():
+    # each element's series, masked, stops at the term the float's stops at
+    rng = np.random.default_rng(3701)
+    xs = np.concatenate([np.exp(rng.uniform(math.log(1e-12), math.log(1e4), 3000)),
+                         [0.0, 19.99, np.nextafter(20.0, 0.0), 20.0, np.nextafter(20.0, 30.0),
+                          20.01, 700.0, 1e100, 1.7976931348623157e308]])
+    floats = np.array([_scaled_I0(x) for x in xs.tolist()])
+    assert _scaled_I0(xs, np).tobytes() == floats.tobytes()
+    for x in (-0.5, math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"got {x}"):
+            _scaled_I0(np.array([1.0, x, 30.0]), np)
+
+
+def _potential_draws():
+    """Seeded (cfg, m_gamma, steps, variant): m R log-uniform over 1e-12 to
+    700, and 19.99, 20 and 20.01, where I0 switches series; V of both signs
+    and -0.0; step counts at and around the block edges of 4096 rows."""
+    rng = np.random.default_rng(3707)
+    mRs = [float(x) for x in np.exp(rng.uniform(math.log(1e-12), math.log(700.0), 36))]
+    steps = [2, 3, 4095, 4096, 4097, 8191, 8192, 8193, 10001, *rng.integers(2, 10002, 30)]
+    for k, mR in enumerate([19.99, 20.0, 20.01] + mRs):
+        R = float(np.exp(rng.uniform(math.log(1e-3), math.log(10.0))))
+        cfg = ProcaCylinderConfig(R=R, V=(1e7, -3.5e5, -0.0)[k % 3], tau=1.0)
+        yield cfg, mR / R, int(steps[k]), ("quarter", "half")[k % 2]
+
+
+def test_potential_table_is_the_profile_bit_for_bit():
+    # the one row rule over numpy columns, in blocks, gives the plain
+    # float rows and the pointwise potentials to the bit, -0.0 included
+    rng = np.random.default_rng(3709)
+    for cfg, m_gamma, steps, variant in _potential_draws():
+        table = _potential_table(cfg, m_gamma, steps, variant)
+        rows = np.array(list(potential_profile(cfg, m_gamma, steps, variant)))
+        assert table.tobytes() == rows.tobytes(), (cfg, m_gamma, steps, variant)
+        at = sorted({0, steps - 1, *rng.integers(0, steps, 6).tolist()})
+        pointwise = [(cylinder_potential_exact(rho, cfg, m_gamma),
+                      cylinder_potential_expansion(rho, cfg, m_gamma, variant))
+                     for rho in table[at, 0].tolist()]
+        assert np.array(pointwise).tobytes() == table[at, 1:].tobytes()
+
+
 def test_expansion_at_an_overflowing_mass_radius_product_is_refused():
     # m R = inf: the two-term form alone would give -inf; the wall's I0 refuses it
     wide = ProcaCylinderConfig(R=1e298, V=1e7, tau=1.0)
@@ -251,6 +292,41 @@ def test_invert_bound_beyond_the_double_range_is_refused(R, V, tau):
     message = f"the Compton range overflows at V = {V!r} V, tau = {tau!r} s, R = {R!r} m"
     with pytest.raises(DomainError, match=re.escape(message)):
         invert_bound(ProcaCylinderConfig(R=R, V=V, tau=tau), PAPER)
+
+
+def test_invert_bound_where_epsilon_phi0_is_subnormal_matches_mpmath():
+    # epsilon Phi_0 below the smallest normal double has lost bits: the
+    # quotient took 5.2630617598572773e+148 here, 4.9e-10 off.  The split
+    # root is within 1.6 ulp of 50-digit mpmath over these draws
+    cfg = ProcaCylinderConfig(R=27 / 100, V=1e-10, tau=1e-10, epsilon=1e-300)
+    assert invert_bound(cfg, PAPER) == 5.263061762460022e+148
+    rng = np.random.default_rng(3703)
+    for k in range(300):
+        R, V, tau = np.exp(rng.uniform(np.log([1e-2, 1e-10, 1e-10]), np.log([1.0, 1e8, 1.0])))
+        eps = float(np.exp(rng.uniform(math.log(5e-324), math.log(1.1e-293))))
+        cfg = ProcaCylinderConfig(R=float(R), V=float(V), tau=float(tau), epsilon=eps)
+        constants = (PAPER, MODERN)[k % 2]
+        with mpmath.workdps(50):
+            exact = (mpmath.mpf(cfg.R) / 2 * 100
+                     * mpmath.sqrt(mpmath.pi * mpmath.mpf(cfg.V) * mpmath.mpf(cfg.tau)
+                                   / (mpmath.mpf(eps) * mpmath.mpf(constants.flux_quantum))))
+            error = abs(mpmath.mpf(invert_bound(cfg, constants)) / exact - 1)
+        assert error <= 2 * 2.2e-16, (cfg, float(error))
+
+
+def test_invert_bound_keeps_its_quotient_where_epsilon_phi0_is_normal():
+    # from the smallest epsilon whose product is a normal double upward,
+    # the range is the quotient's, digit for digit
+    phi = PAPER.flux_quantum
+    smallest = 2.2250738585072014e-308 / phi
+    while smallest * phi < 2.2250738585072014e-308:
+        smallest = np.nextafter(smallest, 1.0)
+    below = np.nextafter(smallest, 0.0)
+    assert below * phi < 2.2250738585072014e-308 <= smallest * phi
+    for eps in (float(smallest), 1e-290, 1e-100, 1e-6):
+        cfg = ProcaCylinderConfig(R=0.27, V=1e-10, tau=1e-10, epsilon=eps)
+        quotient = 0.5 * cfg.R * math.sqrt(math.pi * cfg.V * cfg.tau / (eps * phi)) * 100.0
+        assert invert_bound(cfg, PAPER) == quotient
 
 
 def test_time_of_flight():
