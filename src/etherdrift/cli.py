@@ -124,9 +124,10 @@ def _table_csv(header, steps, rows, table):
     blocks of _SCAN_BLOCK, each led by its newline, the last newline.  A
     refused table writes nothing: format_float names its first non-finite
     cell in row-major order (numpy's warnings are off; this is an
-    overflow's one report).  The cells are formatted by _g17.csv_lines,
-    byte for byte as "%.17g", a block at a time.  numpy and _g17 load only
-    here."""
+    overflow's one report).  The cells are formatted by _g17.csv_blocks,
+    byte for byte as "%.17g", a block at a time, in one scratch array and
+    one bytearray of cell slots that the table's blocks share.  numpy and
+    _g17 load only here."""
     if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
         return render_csv(header, list(rows))
     import numpy as np
@@ -136,11 +137,9 @@ def _table_csv(header, steps, rows, table):
     finite = np.isfinite(table)
     if not finite.all():
         format_float(table.flat[finite.argmin()])
-    from ._g17 import csv_lines
+    from ._g17 import csv_blocks
 
-    blocks = (csv_lines(table[start:start + _SCAN_BLOCK])
-              for start in range(0, len(table), _SCAN_BLOCK))
-    return itertools.chain([",".join(header)], blocks, ["\n"])
+    return itertools.chain([",".join(header)], csv_blocks(table, _SCAN_BLOCK), ["\n"])
 
 
 # ---------------------------------------------------------------------------

@@ -447,17 +447,17 @@ def _table_requests(steps):
 
 
 def _through_g17(monkeypatch):
-    """The row counts that _g17.csv_lines formats, call by call."""
+    """The row counts of the blocks that _g17 formats, block by block."""
     from etherdrift import _g17
 
-    csv_lines = _g17.csv_lines
+    block = _g17._block
     seen = []
 
-    def counted(rows):
+    def counted(rows, *arrays):
         seen.append(len(rows))
-        return csv_lines(rows)
+        return block(rows, *arrays)
 
-    monkeypatch.setattr(_g17, "csv_lines", counted)
+    monkeypatch.setattr(_g17, "_block", counted)
     return seen
 
 

@@ -13,12 +13,12 @@ from etherdrift import _g17
 
 
 def _formatted(values):
-    """csv_lines of a table whose rows are (v, -v), and the same text
-    formed one "%.17g" cell at a time."""
+    """The text of a table whose rows are (v, -v), in blocks of 4096 rows,
+    and the same text formed one "%.17g" cell at a time."""
     values = np.asarray(values, dtype=float)
     table = np.stack([values, -values], axis=1)
     naive = "".join("\n%.17g,%.17g" % (v, w) for v, w in table.tolist())
-    return _g17.csv_lines(table), naive
+    return "".join(_g17.csv_blocks(table, 4096)), naive
 
 
 def _assert_formatted(values):
@@ -86,3 +86,27 @@ def test_angle_grids():
     # the theta column of fringe scans, with its "0." prefixes
     _assert_formatted([360.0 * k / n for n in (5000, 12000, 30000, 100000)
                        for k in range(0, n, 97)])
+
+
+#: cells with every byte of their slot in use: three-digit exponents and
+#: "-0.000" prefixes; and cells that use few, whose slots are mostly zero
+LONGEST = [-1.2345678901234567e-300, -0.00012345678901234567, -1.7976931348623157e308,
+           -2.2250738585072014e-308, -0.00098765432109876543]
+SHORT = [0.0, -0.0, 1.0, 12.0, -3.0]
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("block", [1, 2, 3, 4095, 4096, 4097])
+def test_no_block_keeps_bytes_of_the_block_before(block, columns):
+    # every block is formatted in the same scratch and slots: a first
+    # block of the longest cells, then short ones, ties (left to "%.17g")
+    # in the third block only, and a short last block
+    longest = np.resize(LONGEST, (block, columns))
+    short = np.resize(SHORT, (block, columns))
+    ties = short.copy()
+    ties[0, 0], ties[-1, -1] = TIES
+    table = np.concatenate([longest, short, ties, short[:max(block // 2, 1)]])
+    got = "".join(_g17.csv_blocks(table, block)).split("\n")
+    assert len(got) == len(table) + 1
+    for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
+        assert line == ",".join("%.17g" % v for v in values), row

@@ -427,9 +427,10 @@ def test_angle_scan_allocates_little_beside_its_table(law):
 
 def test_large_fringe_scan_is_written_in_blocks(tmp_path):
     # beside its 3.2 MB table the CLI holds one block of rows: their 32-byte
-    # cell slots and their text.  Measured: a 4.76 MB peak; the whole 8.4 MB
-    # CSV, formed before it was written, took it to 25.2 MB.  Both laws
-    # print the same bytes, so one is enough
+    # cell slots and their text, and the formatter's 640 KiB scratch.
+    # Measured: a 5.25 MB peak; the whole 8.4 MB CSV, formed before it was
+    # written, took it to 25.2 MB.  Both laws print the same bytes, so one
+    # is enough
     argv = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4",
             "--ef", "0.3", "--lambda-nm", "633", "--steps", str(10 ** 5)]
     with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
@@ -449,9 +450,9 @@ def test_large_fringe_scan_is_written_in_blocks(tmp_path):
 
 def test_large_proca_potential_is_written_in_blocks(tmp_path):
     # a profile follows the scans' table rule: beside its 2.4 MB table the
-    # CLI holds one row tuple and one block's slots and text.  Measured: a
-    # 3.8 MB peak; the whole profile as row tuples, then as one string, took
-    # 31.6 MB
+    # CLI holds one row tuple, one block's slots and text and the
+    # formatter's scratch.  Measured: a 4.09 MB peak; the whole profile as
+    # row tuples, then as one string, took 31.6 MB
     argv = ["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
             "--m-gamma-inv-cm", "100", "--steps", str(10 ** 5)]
     with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
