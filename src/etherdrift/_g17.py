@@ -46,8 +46,10 @@ every intermediate of a pass is written by ufunc out= into one float64
 scratch array of _SLOTS rows, viewed as int64, uint64 or bool where a
 step needs: no intermediate is an array of its own.  The slots of a
 block lie in one bytearray, whose zero bytes bytes.translate drops.  The
-scratch and the bytearray are allocated once per table, for its first
-block, and freed with the generator of its blocks.
+blocks are handed in one by one, by whoever forms them (csv_blocks), so
+the table need never be held whole.  The scratch and the bytearray are
+allocated once per table, for its first block, and freed with the
+generator of its texts.
 
 The digit and layout tables, and the pairs of 10^(16−k) for every k of a
 finite double, are built once, at import.
@@ -247,14 +249,16 @@ def _block(rows, scratch, buffer):
     return buffer.translate(None, b"\0").decode("ascii")
 
 
-def csv_blocks(table, block):
-    """The lines of table, a 2-D float64 array of finite doubles, as one
-    text for each of its blocks of up to block rows: each line led by its
-    newline, its cells "%.17g" and joined by commas.  The scratch and the
-    slots are allocated once, for the first block, and freed with the
-    generator."""
-    cells = min(len(table), block) * table.shape[1]
-    scratch = np.empty(_SLOTS * min(cells, _PASS))
-    buffer = bytearray(32 * cells)
-    for start in range(0, len(table), block):
-        yield _block(table[start:start + block], scratch, buffer)
+def csv_blocks(blocks):
+    """The lines of a table given as blocks, an iterable of 2-D float64
+    arrays of finite doubles, its blocks of rows in order: one text for
+    each block, each line led by its newline, its cells "%.17g" and joined
+    by commas.  No block may have more cells than the first.  The scratch
+    and the slots are allocated once, for the first block, and freed with
+    the generator."""
+    scratch = buffer = None
+    for rows in blocks:
+        if buffer is None:
+            scratch = np.empty(_SLOTS * min(rows.size, _PASS))
+            buffer = bytearray(32 * rows.size)
+        yield _block(rows, scratch, buffer)

@@ -20,7 +20,7 @@ import sys
 from itertools import chain
 from typing import TYPE_CHECKING
 
-from ._record import Record, check_vector
+from ._record import Record, check_finite, check_vector
 from .errors import DomainError, InputError, SingularPathError
 from .units import _quotient, c
 
@@ -61,13 +61,17 @@ def _not_finite(phase) -> DomainError:
 def fresnel_momentum(omega: float, n: float, u) -> tuple:
     """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m.
 
-    n^2 - 1 is formed as (n - 1)(n + 1), exact to rounding for n near 1."""
+    n^2 - 1 is formed as (n - 1)(n + 1), exact to rounding for n near 1.
+    A NaN or infinite omega, n or component of u is refused by name."""
+    check_finite(("angular frequency omega", omega), ("refractive index n", n))
     if not 0.0 < omega:
         raise DomainError(f"angular frequency must be positive, got {omega}")
     if not 1.0 <= n:
         raise DomainError(f"refractive index must be >= 1, got {n}")
-    scale = -(omega / (c * c)) * ((n - 1.0) * (n + 1.0))
     ux, uy, uz = u
+    check_finite(("medium velocity u_x", ux), ("medium velocity u_y", uy),
+                 ("medium velocity u_z", uz))
+    scale = -(omega / (c * c)) * ((n - 1.0) * (n + 1.0))
     return (scale * ux, scale * uy, scale * uz)
 
 

@@ -31,8 +31,9 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _scan_rows,
-                             angle_scan, improvement_factor, min_detectable_u)
+from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _distinct_rows,
+                             _mirrored_blocks, _scan_rows, angle_scan, improvement_factor,
+                             min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
@@ -113,33 +114,45 @@ _WARM_CUT = 160
 
 def _table_csv(header, steps, rows, table):
     """The CSV of a table of steps rows: a string, or an iterator of text
-    blocks.  rows is an iterator of its float tuples and table() forms it
-    as a numpy array; one of them is read, once.
+    blocks.  rows is an iterator of its float tuples, and table() forms it
+    in numpy as (cells, blocks): an array that holds every distinct cell,
+    in the order the text first holds it, and an iterator of the table's
+    blocks of _SCAN_BLOCK rows, 2-D float64 arrays; one of rows and
+    table() is read, once.
 
     The table rule of every CSV subcommand: a table of up to _SCAN_BLOCK
     rows, or of up to _WARM_CUT once numpy is loaded, is rendered whole
     from rows by render_csv.  The cut spares a cold call numpy's import,
     60-100 ms, which a warm process has already paid.  Any larger table is
-    table(), checked whole and streamed: the header, the rows' lines in
-    blocks of _SCAN_BLOCK, each led by its newline, the last newline.  A
-    refused table writes nothing: format_float names its first non-finite
-    cell in row-major order (numpy's warnings are off; this is an
-    overflow's one report).  The cells are formatted by _g17.csv_blocks,
-    byte for byte as "%.17g", a block at a time, in one scratch array and
-    one bytearray of cell slots that the table's blocks share.  numpy and
-    _g17 load only here."""
+    table(), its cells checked whole and its blocks streamed: the header,
+    the rows' lines a block at a time, each led by its newline, the last
+    newline.  A refused table writes nothing: format_float names the first
+    non-finite cell of cells in row-major order, the table's own first
+    (numpy's warnings are off; this is an overflow's one report).  A
+    profile hands in its whole table (_whole), a fringe scan its distinct
+    rows and the blocks formed from them.  The cells are formatted by
+    _g17.csv_blocks, byte for byte as "%.17g", a block at a time, in one
+    scratch array and one bytearray of cell slots that the table's blocks
+    share.  numpy and _g17 load only here."""
     if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
         return render_csv(header, list(rows))
     import numpy as np
 
     with np.errstate(all="ignore"):
-        table = table()
-    finite = np.isfinite(table)
+        cells, blocks = table()
+    finite = np.isfinite(cells)
     if not finite.all():
-        format_float(table.flat[finite.argmin()])
+        format_float(cells.flat[finite.argmin()])
     from ._g17 import csv_blocks
 
-    return itertools.chain([",".join(header)], csv_blocks(table, _SCAN_BLOCK), ["\n"])
+    return itertools.chain([",".join(header)], csv_blocks(blocks), ["\n"])
+
+
+def _whole(table):
+    """A numpy table as _table_csv's table() hands it in: the table itself
+    and its blocks of _SCAN_BLOCK rows, as views."""
+    return table, (table[start:start + _SCAN_BLOCK]
+                   for start in range(0, len(table), _SCAN_BLOCK))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +310,16 @@ def _run_speed(ns, constants):
 
 def _run_fringe(ns, constants):
     # both sides of the table rule build each row by interferometer._scan_row,
-    # so they print the same doubles
+    # so they print the same doubles.  Past the cut only the distinct rows
+    # are formed, and each row past the half turn copies its mirror's cells
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
-    return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps),
-                      table=lambda: angle_scan(config, ns.steps))
+
+    def table():
+        distinct = angle_scan(config, ns.steps, _distinct_rows(ns.steps))
+        return distinct, _mirrored_blocks(distinct, ns.steps, _SCAN_BLOCK)
+
+    return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps), table)
 
 
 def _run_sensitivity(ns, constants):
@@ -338,7 +356,8 @@ def _run_proca_potential(ns, constants):
                           "give a radius over Compton range m R that is not finite")
     rows = potential_profile(cfg, m_gamma, ns.steps, ns.variant)
     return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps, rows,
-                      table=lambda: _potential_table(cfg, m_gamma, ns.steps, ns.variant))
+                      table=lambda: _whole(_potential_table(cfg, m_gamma, ns.steps,
+                                                            ns.variant)))
 
 
 def _run_proca_phase(ns, constants):

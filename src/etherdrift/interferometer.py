@@ -25,7 +25,13 @@ _scan_row, given its array module: math in the plain-float _scan_rows,
 numpy in angle_scan's blocks, so both hold the same doubles.  The angle
 is folded on the integer step index (_scan_cos), so rows half a turn
 apart have exactly negated cosines, and a first-quadrant row equals
-delay_exact at its angle bit for bit.  A scan holds at most MAX_SCAN_STEPS rows, and a
+delay_exact at its angle bit for bit.  The fold also makes row steps - k
+fold to the same angle as row k, with the same sign, so the two rows
+hold the same three delay cells bit for bit; the one exception, when 4
+divides steps, is the pair steps/4 and 3 steps/4, where cos 90 degrees
+rounds to +6.1e-17 and -6.1e-17.  A large scan is therefore formed from
+its distinct rows (_distinct_rows) and its other rows copied from them
+(_mirrored_blocks).  A scan holds at most MAX_SCAN_STEPS rows, and a
 configuration whose drift reaches the light speed of an arm is refused,
 so no delay divides by zero.  The rotation signal is formed from the
 drift parts of the inverse speeds, not as the difference of two nearly
@@ -60,8 +66,10 @@ def _cos_deg(theta_deg: float) -> float:
     exactly +1 and -1, and a pair (theta, theta + 180) gives exact negations
     wherever theta + 180 - 180 == theta in floating point.  A scan folds its
     integer step index instead (_scan_cos), which makes every half-turn pair
-    of a scan exact.
+    of a scan exact.  A NaN or infinite angle, whose remainder is NaN, is
+    refused.
     """
+    check_finite(("orientation theta_deg", theta_deg))
     t = theta_deg % 360.0
     h = t - 180.0 if t > 180.0 else t  # exact; 180 - h is then 360 - t
     cos = math.cos(math.radians(h if h <= 90.0 else 180.0 - h))
@@ -225,6 +233,7 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
     Inverts the first-order dt formula:
     u_min = resolution * lambda * c / (2 |n1^2 - n2^2| L (1 - e_f)).
     """
+    check_finite(("fringe resolution", fringe_resolution))
     if not 0.0 < fringe_resolution:
         raise DomainError(f"fringe resolution must be positive, got {fringe_resolution}")
     n1 = config.n1
@@ -279,22 +288,79 @@ def _scan_rows(config: InterferometerConfig, steps: int):
     return (_scan_row(config, steps, k, math) for k in range(steps))
 
 
-def angle_scan(config: InterferometerConfig, steps: int):
+def _check_rows(rows, steps: int, np):
+    """A row selection of a steps-row scan as an intp array: a 1-D array
+    or sequence of integers in [0, steps), or InputError, which allocates
+    nothing of the table's size."""
+    k = np.asarray(rows)
+    if k.ndim != 1 or k.dtype.kind not in "iu":
+        raise InputError(f"angle scan rows must be a 1-D array of integers, got "
+                         f"{k.ndim}-D {k.dtype}")
+    if len(k) and not (0 <= k.min() and k.max() < steps):
+        raise InputError(f"angle scan rows must lie in [0, {steps}), "
+                         f"got {k.min()} to {k.max()}")
+    return k.astype(np.intp, copy=False)
+
+
+def angle_scan(config: InterferometerConfig, steps: int, rows=None):
     """Uniform orientation scan over [0, 360) degrees, theta_k = 360 k/steps.
 
     Returns a (steps, 4) float64 table whose columns are SCAN_COLUMNS:
     theta_k, the exact and the first-order delay, and the fringe count of
     the exact delay.  steps = 2 reproduces the 0/180 pair of the rotation
     signal.  The cosines come from _scan_cos, so at an even step count row
-    k + steps/2 is row k of the reversed drift.  The rows are formed by
-    _scan_row in blocks of _SCAN_BLOCK, cosines and delays alike, so the
-    table is the only array of its size.
+    k + steps/2 is row k of the reversed drift, and row steps - k repeats
+    row k's delays bit for bit, but for the pair steps/4 and 3 steps/4
+    (module docstring).  rows, a 1-D array or sequence of integer row
+    indices in [0, steps), selects the rows to form, in its order: the
+    table is then (len(rows), 4), each row as the whole scan holds it.
+    The rows are formed by _scan_row in blocks of _SCAN_BLOCK, cosines and
+    delays alike, so the table is the only array of its size.
     """
     _check_steps(steps, "angle scan")
     import numpy as np
 
-    table = np.empty((steps, len(SCAN_COLUMNS)))
-    for start in range(0, steps, _SCAN_BLOCK):
-        block = np.arange(start, min(start + _SCAN_BLOCK, steps))
+    if rows is not None:
+        rows = _check_rows(rows, steps, np)
+    count = steps if rows is None else len(rows)
+    table = np.empty((count, len(SCAN_COLUMNS)))
+    for start in range(0, count, _SCAN_BLOCK):
+        block = (np.arange(start, min(start + _SCAN_BLOCK, steps)) if rows is None
+                 else rows[start:start + _SCAN_BLOCK])
         table[start:start + _SCAN_BLOCK].T[:] = _scan_row(config, steps, block, np)
     return table
+
+
+def _distinct_rows(steps: int):
+    """The rows of a steps-row scan whose delays no other row repeats, as
+    angle_scan's row selection: 0 to steps // 2, and 3 steps/4 when 4
+    divides steps.  Every other row k repeats row steps - k."""
+    import numpy as np
+
+    half = np.arange(steps // 2 + 1)
+    return half if steps % 4 else np.append(half, 3 * steps // 4)
+
+
+def _mirrored_blocks(distinct, steps: int, block: int):
+    """The rows of a steps-row scan, in blocks of up to block rows, from
+    distinct, angle_scan's table of its _distinct_rows.  A block within
+    rows 0 to steps // 2 is a view of distinct; any other is an array of
+    its own, whose row k past steps // 2 holds the delay cells of row
+    steps - k, or those of row 3 steps/4 itself, and theta_k formed as
+    _scan_row forms it."""
+    import numpy as np
+
+    first = steps // 2 + 1  # the first row that repeats another's delays
+    for start in range(0, steps, block):
+        end = min(start + block, steps)
+        if end <= first:
+            yield distinct[start:end]
+            continue
+        split = max(start, first)
+        rows = np.empty((end - start, distinct.shape[1]))
+        rows[:split - start] = distinct[start:split]
+        rows[split - start:] = distinct[steps - end + 1:steps - split + 1][::-1]
+        rows[split - start:, 0] = 360.0 * np.arange(split, end) / steps
+        if steps % 4 == 0 and split <= 3 * steps // 4 < end:
+            rows[3 * steps // 4 - start] = distinct[-1]
+        yield rows

@@ -15,6 +15,7 @@ observable built from inverse speeds is identical under both.
 
 import enum
 
+from ._record import check_finite
 from .errors import DomainError
 from .units import c
 
@@ -25,6 +26,7 @@ class CompositionLaw(enum.Enum):
 
 
 def _check_index(n: float):
+    check_finite(("refractive index n", n))
     if not n >= 1.0:
         raise DomainError(f"refractive index must be >= 1, got {n}")
 
@@ -66,9 +68,10 @@ def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw) -> float:
 
     Einstein: w = (v - u)/(1 - u v/c^2).  Tangherlini: w = (v - u)/(1 - u^2/c^2),
     with (u/c)^2 a product: a float's ** 2 calls pow, which is not always
-    correctly rounded.
+    correctly rounded.  A NaN or infinite v_rest is refused.
     """
     _check_speed(u)
+    check_finite(("rest-frame speed v_rest", v_rest))
     if law is CompositionLaw.EINSTEIN:
         return (v_rest - u) / (1.0 - u * v_rest / (c * c))
     if law is CompositionLaw.TANGHERLINI:

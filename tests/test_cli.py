@@ -330,7 +330,8 @@ def test_degenerate_scans_are_the_table_cell_by_cell(device, u, capsys):
 def _streamed(header, table):
     # _table_csv as the CSV subcommands call it: one string up to the
     # table rule's cut, numpy being loaded here, and a stream of blocks beyond
-    chunks = cli._table_csv(header, len(table), map(tuple, table.tolist()), lambda: table)
+    chunks = cli._table_csv(header, len(table), map(tuple, table.tolist()),
+                            lambda: cli._whole(table))
     assert isinstance(chunks, str) == (len(table) <= cli._WARM_CUT)
     return "".join(chunks)
 
@@ -366,8 +367,8 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     monkeypatch.setattr(cli, "_SCAN_BLOCK", 2)
     monkeypatch.setattr(cli, "_WARM_CUT", 2)
     with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
-        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: table)
-    monkeypatch.setattr(cli, "angle_scan", lambda config, steps: table)
+        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: cli._whole(table))
+    monkeypatch.setattr(cli, "angle_scan", lambda config, steps, rows: table[rows])
     assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
                      "--lambda-nm", "633", "--steps", "6"]) == 2
     out, err = capsys.readouterr()
@@ -378,20 +379,24 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     table[4, 1] = -np.inf
     table[1, 2] = np.nan
     with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
-        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: table)
+        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: cli._whole(table))
 
 
 @pytest.mark.parametrize("law", LAWS)
-@pytest.mark.parametrize("device", [_SCAN_DEVICES[0], _SCAN_DEVICES[2]])
+# the third device's 90 and 270 degree rows differ in all three delay
+# cells, so a row 3 steps/4 copied from row steps/4 shows
+@pytest.mark.parametrize("device", [_SCAN_DEVICES[0], _SCAN_DEVICES[2],
+                                    (1.0, 1.5, 1.500000000001, 0.0, 1.2e8)])
 def test_streamed_scan_is_the_table_cell_by_cell(law, device, capsys):
-    # a scan of more than one block is written in blocks: the chunks and
-    # main's stdout are what formatting every cell gives, for scans that
-    # end at, just after and just before a block edge
+    # a scan of more than one block is written in blocks, from its distinct
+    # rows: the chunks and main's stdout are what formatting every cell of
+    # angle_scan's whole table gives, for scans that end at, just after and
+    # just before a block edge, at step counts of every residue mod 4
     L, n1, n2, e_f, u = device
     cfg = InterferometerConfig(L, n1, n2, u, 589e-9, CompositionLaw(law), e_f)
     argv = ["fringe", "--L-m", repr(L), "--n1", repr(n1), "--n2", repr(n2), "--ef", repr(e_f),
             f"--u-mps={u!r}", "--lambda-nm", "589", "--composition", law]
-    for steps in (4097, 4098, 8192, 8193, 8194, 12001, 3 * 4096 + 1):
+    for steps in (4097, 4098, 4099, 4100, 8192, 8193, 8194, 12001, 3 * 4096 + 1):
         table = angle_scan(cfg, steps)
         naive = _naive_csv(SCAN_COLUMNS, table)
         assert _streamed(SCAN_COLUMNS, table) == naive, steps

@@ -12,13 +12,18 @@ import pytest
 from etherdrift import _g17
 
 
+def _blocks(table, block):
+    """table's blocks of up to block rows, as the CLI hands them in."""
+    return (table[start:start + block] for start in range(0, len(table), block))
+
+
 def _formatted(values):
     """The text of a table whose rows are (v, -v), in blocks of 4096 rows,
     and the same text formed one "%.17g" cell at a time."""
     values = np.asarray(values, dtype=float)
     table = np.stack([values, -values], axis=1)
     naive = "".join("\n%.17g,%.17g" % (v, w) for v, w in table.tolist())
-    return "".join(_g17.csv_blocks(table, 4096)), naive
+    return "".join(_g17.csv_blocks(_blocks(table, 4096))), naive
 
 
 def _assert_formatted(values):
@@ -106,7 +111,7 @@ def test_no_block_keeps_bytes_of_the_block_before(block, columns):
     ties = short.copy()
     ties[0, 0], ties[-1, -1] = TIES
     table = np.concatenate([longest, short, ties, short[:max(block // 2, 1)]])
-    got = "".join(_g17.csv_blocks(table, block)).split("\n")
+    got = "".join(_g17.csv_blocks(_blocks(table, block))).split("\n")
     assert len(got) == len(table) + 1
     for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
         assert line == ",".join("%.17g" % v for v in values), row

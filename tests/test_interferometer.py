@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from etherdrift import cli
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
+from etherdrift.abphase import fresnel_momentum
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       _cos_deg, _scan_cos, _scan_rows, angle_scan,
-                                       delay_exact, delay_first_order, fringe_shift,
-                                       improvement_factor, min_detectable_u,
+                                       _cos_deg, _distinct_rows, _mirrored_blocks, _scan_cos,
+                                       _scan_rows, angle_scan, delay_exact, delay_first_order,
+                                       fringe_shift, improvement_factor, min_detectable_u,
                                        rotation_signal)
-from etherdrift.kinematics import CompositionLaw, compose_lab_speed
+from etherdrift.kinematics import (CompositionLaw, compose_lab_speed, fresnel_drag_coefficient,
+                                   fresnel_speed)
 from etherdrift.units import c as C
 
 
@@ -219,6 +221,41 @@ def test_angle_scan_half_turn_antisymmetry():
 def test_angle_scan_validates_steps():
     with pytest.raises(InputError):
         angle_scan(config(), 1)
+    # a row selection is a 1-D array of integers in [0, steps), refused
+    # before the table, here up to 8 MB, is allocated
+    steps = MAX_SCAN_STEPS
+    selections = [np.arange(-1, 10 ** 6), np.arange(steps - 10 ** 6, steps + 1),
+                  np.arange(10 ** 6, dtype=float), np.ones(10 ** 6, bool), [0, 1.0],
+                  [0, 2 ** 70], [[0, 1]], 3, "0"]
+    tracemalloc.start()
+    try:
+        for rows in selections:
+            with pytest.raises(InputError, match="angle scan rows"):
+                angle_scan(config(), steps, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_angle_scan_forms_the_rows_it_is_given():
+    # a selection's rows are the whole scan's, bit for bit, in its order;
+    # and a scan assembled from its distinct rows is the scan, for blocks
+    # that end anywhere.  At this device the 90 and 270 degree rows differ
+    # in every delay cell, so row 3 steps/4 copied from row steps/4 shows
+    cfg = config(n1=1.5, n2=1.500000000001, u=1.2e8)
+    whole = angle_scan(cfg, 12)
+    for rows in ([11, 0, 3, 3], np.array([9, 6], np.uint8), np.arange(0)):
+        assert angle_scan(cfg, 12, rows).tobytes() == whole[rows].tobytes()
+    assert (whole[3, EXACT:] != whole[9, EXACT:]).all()
+    for steps in [*range(2, 41), 4099, 4100, 8192]:
+        whole = angle_scan(cfg, steps)
+        distinct = angle_scan(cfg, steps, _distinct_rows(steps))
+        for block in (1, 3, 4096):
+            blocks = list(_mirrored_blocks(distinct, steps, block))
+            assert [len(rows) for rows in blocks] == [min(block, steps - start)
+                                                      for start in range(0, steps, block)]
+            assert np.concatenate(blocks).tobytes() == whole.tobytes(), (steps, block)
 
 
 def test_config_validation_names_offender():
@@ -379,6 +416,23 @@ def test_scan_rows_match_mpmath_under_both_laws(n1, n2):
         check(e_f, far, 4097)
 
 
+def test_rows_k_and_steps_minus_k_share_their_cosine_bit_for_bit():
+    # the identity under a large scan's distinct rows (_distinct_rows):
+    # for 0 < k < steps/2, rows k and steps - k fold to the same angle, with
+    # the same sign.  The one exception is k = steps/4, where cos 90 degrees
+    # rounds to +6.1e-17, and row 3 steps/4 takes -6.1e-17
+    for steps in [*range(2, 2001), 4096, 4097, 12000, 30000, 10 ** 5, 10 ** 6]:
+        k = np.arange(1, (steps + 1) // 2)
+        near = _scan_cos(steps, 4 * k, np)
+        far = _scan_cos(steps, 4 * (steps - k), np)
+        same = near.view("i8") == far.view("i8")
+        if steps % 4 == 0:
+            quarter = steps // 4 - 1
+            assert near[quarter] == -far[quarter] > 0.0, steps
+            same[quarter] = True
+        assert same.all(), steps
+
+
 def test_scan_half_turn_rows_negate_exactly_at_every_even_step_count():
     # theta_{k + steps/2} - 180 used to differ from theta_k in the last bits
     # wherever the rotated angle has a coarser ulp, in 953 of these counts;
@@ -426,11 +480,12 @@ def test_angle_scan_allocates_little_beside_its_table(law):
 
 
 def test_large_fringe_scan_is_written_in_blocks(tmp_path):
-    # beside its 3.2 MB table the CLI holds one block of rows: their 32-byte
-    # cell slots and their text, and the formatter's 640 KiB scratch.
-    # Measured: a 5.25 MB peak; the whole 8.4 MB CSV, formed before it was
-    # written, took it to 25.2 MB.  Both laws print the same bytes, so one
-    # is enough
+    # the CLI holds the scan's distinct rows, 1.6 MB of the 3.2 MB table,
+    # and one block of rows: their 32-byte cell slots and their text, and
+    # the formatter's 640 KiB scratch.  Measured: a 3.77 MB peak; holding
+    # the whole table took it to 5.25 MB, and the whole 8.4 MB CSV, formed
+    # before it was written, to 25.2 MB.  Both laws print the same bytes,
+    # so one is enough
     argv = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4",
             "--ef", "0.3", "--lambda-nm", "633", "--steps", str(10 ** 5)]
     with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
@@ -445,7 +500,7 @@ def test_large_fringe_scan_is_written_in_blocks(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert scan.read_text().count("\n") == 10 ** 5 + 1
-    assert peak < 2 * 3_200_000
+    assert peak < 4_400_000
 
 
 def test_large_proca_potential_is_written_in_blocks(tmp_path):
@@ -485,3 +540,23 @@ def test_drift_reaching_the_light_in_an_arm_is_refused():
     # full drag keeps the arm's light ahead of the medium
     dragged = config(n1=1.5, n2=1.0, u=2.5e8, e_f=1.0)
     assert all(np.isfinite(row).all() for row in angle_scan(dragged, 16))
+
+
+@pytest.mark.parametrize("function, args, argument", [
+    (delay_exact, (config(), math.nan), "theta_deg"),
+    (delay_exact, (config(), math.inf), "theta_deg"),
+    (delay_first_order, (config(), -math.inf), "theta_deg"),
+    (min_detectable_u, (config(), math.inf), "fringe resolution"),
+    (fresnel_drag_coefficient, (math.inf,), "refractive index n"),
+    (fresnel_speed, (math.inf, 10.0), "refractive index n"),
+    (compose_lab_speed, (math.nan, 10.0, CompositionLaw.EINSTEIN), "v_rest"),
+    (compose_lab_speed, (-math.inf, 10.0, CompositionLaw.TANGHERLINI), "v_rest"),
+    (fresnel_momentum, (math.inf, 1.33, (1.0, 0.0, 0.0)), "omega"),
+    (fresnel_momentum, (1e15, math.inf, (1.0, 0.0, 0.0)), "refractive index n"),
+    (fresnel_momentum, (1e15, 1.33, (1.0, math.nan, 0.0)), "u_y"),
+    (fresnel_momentum, (1e15, 1.33, (0.0, 0.0, -math.inf)), "u_z"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_non_finite_arguments_are_refused_by_name(function, args, argument):
+    # each of these returned nan or inf with no error
+    with pytest.raises(DomainError, match=f"{argument} must be finite"):
+        function(*args)
