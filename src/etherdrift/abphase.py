@@ -35,10 +35,9 @@ def _constant_q_phase(q, vertices) -> float:
     Every double is a ratio of integers whose denominator is a power of
     two, so the three products are summed exactly in integers and rounded
     once, by ``_quotient``: a closed path gives 0, and the phases of a
-    path's pieces add up to the whole's to within their roundings.  A Q or
-    a phase beyond the double range raises DomainError."""
-    if not all(map(math.isfinite, q)):
-        raise DomainError(f"the interaction momentum Q is not finite: {q}")
+    path's pieces add up to the whole's to within their roundings.  Q is
+    finite (UniformQ and fresnel_momentum check it); a phase beyond the
+    double range raises DomainError."""
     num, den = 0, 1  # the phase is num/den
     for x, a, b in zip(q, vertices[0], vertices[-1]):
         (nx, dx), (na, da), (nb, db) = (x.as_integer_ratio(), a.as_integer_ratio(),
@@ -62,7 +61,8 @@ def fresnel_momentum(omega: float, n: float, u) -> tuple:
     """Fresnel-Fizeau interaction momentum Q = -(omega/c^2)(n^2 - 1) u, rad/m.
 
     n^2 - 1 is formed as (n - 1)(n + 1), exact to rounding for n near 1.
-    A NaN or infinite omega, n or component of u is refused by name."""
+    A NaN or infinite omega, n or component of u is refused by name, and
+    so is a Q that leaves the double range, whose inf times 0 is NaN."""
     check_finite(("angular frequency omega", omega), ("refractive index n", n))
     if not 0.0 < omega:
         raise DomainError(f"angular frequency must be positive, got {omega}")
@@ -72,7 +72,10 @@ def fresnel_momentum(omega: float, n: float, u) -> tuple:
     check_finite(("medium velocity u_x", ux), ("medium velocity u_y", uy),
                  ("medium velocity u_z", uz))
     scale = -(omega / (c * c)) * ((n - 1.0) * (n + 1.0))
-    return (scale * ux, scale * uy, scale * uz)
+    q = (scale * ux, scale * uy, scale * uz)
+    if not all(map(math.isfinite, q)):
+        raise DomainError(f"the interaction momentum Q is not finite: {q}")
+    return q
 
 
 class UniformQ(Record):
@@ -162,6 +165,7 @@ class SolenoidVectorPotential(Record):
     axis_point: tuple = (0.0, 0.0, 0.0)
 
     def _check(self):
+        check_finite(("flux", self.flux), ("coupling", self.coupling))
         check_vector("flux-line point axis_point", self.axis_point)
 
     def _phase_per_radian(self):
@@ -170,13 +174,13 @@ class SolenoidVectorPotential(Record):
         hi is the quotient of exact integers, rounded once by ``_quotient``;
         lo is the rest.  The three float operations round a single double
         by up to about 1.2 ulp, and every segment of a loop would carry
-        that error.  A non-finite input or a quotient beyond the double
-        range takes the float operations."""
+        that error.  A quotient beyond the double range takes the float
+        operations."""
         try:
             (a, b), (p, q) = (float(self.coupling).as_integer_ratio(),
                               float(self.flux).as_integer_ratio())
             return _quotient((a * p) << 125, b * q * _TWO_PI_128)
-        except (OverflowError, ValueError):
+        except OverflowError:
             return self.coupling * self.flux / (2.0 * math.pi), 0.0
 
     def q_at(self, points) -> "np.ndarray":

@@ -31,9 +31,8 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _distinct_rows,
-                             _mirrored_blocks, _scan_rows, angle_scan, improvement_factor,
-                             min_detectable_u)
+from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _mirrored_blocks,
+                             _scan_rows, angle_scan, improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
@@ -310,14 +309,14 @@ def _run_speed(ns, constants):
 
 def _run_fringe(ns, constants):
     # both sides of the table rule build each row by interferometer._scan_row,
-    # so they print the same doubles.  Past the cut only the distinct rows
-    # are formed, and each row past the half turn copies its mirror's cells
+    # so they print the same doubles.  Past the cut only the rows up to the
+    # half turn are formed, and each row past it copies its mirror's cells
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
 
     def table():
-        distinct = angle_scan(config, ns.steps, _distinct_rows(ns.steps))
-        return distinct, _mirrored_blocks(distinct, ns.steps, _SCAN_BLOCK)
+        half = angle_scan(config, ns.steps, ns.steps // 2 + 1)
+        return half, _mirrored_blocks(half, ns.steps, _SCAN_BLOCK)
 
     return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps), table)
 

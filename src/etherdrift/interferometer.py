@@ -27,13 +27,14 @@ is folded on the integer step index (_scan_cos), so rows half a turn
 apart have exactly negated cosines, and a first-quadrant row equals
 delay_exact at its angle bit for bit.  The fold also makes row steps - k
 fold to the same angle as row k, with the same sign, so the two rows
-hold the same three delay cells bit for bit; the one exception, when 4
-divides steps, is the pair steps/4 and 3 steps/4, where cos 90 degrees
-rounds to +6.1e-17 and -6.1e-17.  A large scan is therefore formed from
-its distinct rows (_distinct_rows) and its other rows copied from them
-(_mirrored_blocks).  A scan holds at most MAX_SCAN_STEPS rows, and a
-configuration whose drift reaches the light speed of an arm is refused,
-so no delay divides by zero.  The rotation signal is formed from the
+hold the same three delay cells bit for bit.  This holds for every k:
+at a right angle the cosine is exactly +-0, as at 0 and 180 degrees it
+is exactly +-1, and at u_eff = +-0 delta1 - delta2 is +0, so the 90 and
+270 degree rows are both the static device's.  A large scan is
+therefore formed from its first steps // 2 + 1 rows and its other rows
+copied from them (_mirrored_blocks).  A scan holds at most
+MAX_SCAN_STEPS rows, and a configuration whose drift reaches the light
+speed of an arm is refused, so no delay divides by zero.  The rotation signal is formed from the
 drift parts of the inverse speeds, not as the difference of two nearly
 equal delays, and every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does
 not cancel for near-vacuum indices.
@@ -63,7 +64,8 @@ def _cos_deg(theta_deg: float) -> float:
     """Cosine of an angle in degrees.
 
     The angle is folded into [0, 90] before calling cos, so 0 and 180 give
-    exactly +1 and -1, and a pair (theta, theta + 180) gives exact negations
+    exactly +1 and -1, 90 and 270 exactly +0 and -0 (cos rounds 90 degrees
+    to 6.1e-17), and a pair (theta, theta + 180) gives exact negations
     wherever theta + 180 - 180 == theta in floating point.  A scan folds its
     integer step index instead (_scan_cos), which makes every half-turn pair
     of a scan exact.  A NaN or infinite angle, whose remainder is NaN, is
@@ -72,7 +74,7 @@ def _cos_deg(theta_deg: float) -> float:
     check_finite(("orientation theta_deg", theta_deg))
     t = theta_deg % 360.0
     h = t - 180.0 if t > 180.0 else t  # exact; 180 - h is then 360 - t
-    cos = math.cos(math.radians(h if h <= 90.0 else 180.0 - h))
+    cos = math.cos(math.radians(h if h <= 90.0 else 180.0 - h)) * (h != 90.0)
     return -cos if 90.0 < t <= 270.0 else cos
 
 
@@ -83,13 +85,16 @@ def _scan_cos(steps: int, j, xp):
     fold, done on j, theta_k in units of 90/steps degrees: m = steps -
     |steps - r| with r = j mod 2 steps folds it into [0, steps], the folded
     angle 90 m/steps is rounded once, and the sign comes from j against
-    steps.  Rows k and k + steps/2 fold to the same m
-    with opposite signs, so their cosines are exact negations at every even
-    step count; in the first quadrant m = j and the cosine is _cos_deg's
-    of theta_k.
+    steps.  At m = steps, a right angle, the cosine is exactly +-0, as in
+    _cos_deg.  Rows k and k + steps/2 fold to the same m with opposite
+    signs, so their cosines are exact negations at every even step count;
+    rows k and steps - k fold to the same m with the same sign, so their
+    cosines are equal; in the first quadrant m = j and the cosine is
+    _cos_deg's of theta_k.
     """
     r = j % (2 * steps)  # j and j + 2 steps, half a turn apart, alike
-    cos = xp.cos(xp.radians(90.0 * (steps - abs(steps - r)) / steps))
+    m = steps - abs(steps - r)
+    cos = xp.cos(xp.radians(90.0 * m / steps)) * (m != steps)
     return cos * (1 - 2 * ((steps < j) & (j <= 3 * steps)))
 
 
@@ -288,20 +293,6 @@ def _scan_rows(config: InterferometerConfig, steps: int):
     return (_scan_row(config, steps, k, math) for k in range(steps))
 
 
-def _check_rows(rows, steps: int, np):
-    """A row selection of a steps-row scan as an intp array: a 1-D array
-    or sequence of integers in [0, steps), or InputError, which allocates
-    nothing of the table's size."""
-    k = np.asarray(rows)
-    if k.ndim != 1 or k.dtype.kind not in "iu":
-        raise InputError(f"angle scan rows must be a 1-D array of integers, got "
-                         f"{k.ndim}-D {k.dtype}")
-    if len(k) and not (0 <= k.min() and k.max() < steps):
-        raise InputError(f"angle scan rows must lie in [0, {steps}), "
-                         f"got {k.min()} to {k.max()}")
-    return k.astype(np.intp, copy=False)
-
-
 def angle_scan(config: InterferometerConfig, steps: int, rows=None):
     """Uniform orientation scan over [0, 360) degrees, theta_k = 360 k/steps.
 
@@ -310,57 +301,44 @@ def angle_scan(config: InterferometerConfig, steps: int, rows=None):
     the exact delay.  steps = 2 reproduces the 0/180 pair of the rotation
     signal.  The cosines come from _scan_cos, so at an even step count row
     k + steps/2 is row k of the reversed drift, and row steps - k repeats
-    row k's delays bit for bit, but for the pair steps/4 and 3 steps/4
-    (module docstring).  rows, a 1-D array or sequence of integer row
-    indices in [0, steps), selects the rows to form, in its order: the
-    table is then (len(rows), 4), each row as the whole scan holds it.
-    The rows are formed by _scan_row in blocks of _SCAN_BLOCK, cosines and
-    delays alike, so the table is the only array of its size.
+    row k's delays bit for bit (module docstring).  rows, an integer in
+    [0, steps], is the number of leading rows to form: the table is then
+    (rows, 4), the whole scan's first rows bit for bit.  The rows are
+    formed by _scan_row in blocks of _SCAN_BLOCK, cosines and delays
+    alike, so the table is the only array of its size.
     """
     _check_steps(steps, "angle scan")
+    if rows is None:
+        rows = steps
+    check_count("angle scan rows", rows)
+    if not 0 <= rows <= steps:
+        raise InputError(f"angle scan rows must lie in [0, {steps}], got {rows}")
     import numpy as np
 
-    if rows is not None:
-        rows = _check_rows(rows, steps, np)
-    count = steps if rows is None else len(rows)
-    table = np.empty((count, len(SCAN_COLUMNS)))
-    for start in range(0, count, _SCAN_BLOCK):
-        block = (np.arange(start, min(start + _SCAN_BLOCK, steps)) if rows is None
-                 else rows[start:start + _SCAN_BLOCK])
+    table = np.empty((rows, len(SCAN_COLUMNS)))
+    for start in range(0, rows, _SCAN_BLOCK):
+        block = np.arange(start, min(start + _SCAN_BLOCK, rows))
         table[start:start + _SCAN_BLOCK].T[:] = _scan_row(config, steps, block, np)
     return table
 
 
-def _distinct_rows(steps: int):
-    """The rows of a steps-row scan whose delays no other row repeats, as
-    angle_scan's row selection: 0 to steps // 2, and 3 steps/4 when 4
-    divides steps.  Every other row k repeats row steps - k."""
-    import numpy as np
-
-    half = np.arange(steps // 2 + 1)
-    return half if steps % 4 else np.append(half, 3 * steps // 4)
-
-
-def _mirrored_blocks(distinct, steps: int, block: int):
+def _mirrored_blocks(half, steps: int, block: int):
     """The rows of a steps-row scan, in blocks of up to block rows, from
-    distinct, angle_scan's table of its _distinct_rows.  A block within
-    rows 0 to steps // 2 is a view of distinct; any other is an array of
-    its own, whose row k past steps // 2 holds the delay cells of row
-    steps - k, or those of row 3 steps/4 itself, and theta_k formed as
-    _scan_row forms it."""
+    half, angle_scan's table of its first steps // 2 + 1 rows.  A block
+    within those rows is a view of half; any other is an array of its
+    own, whose row k past steps // 2 holds the delay cells of row
+    steps - k and theta_k formed as _scan_row forms it."""
     import numpy as np
 
     first = steps // 2 + 1  # the first row that repeats another's delays
     for start in range(0, steps, block):
         end = min(start + block, steps)
         if end <= first:
-            yield distinct[start:end]
+            yield half[start:end]
             continue
         split = max(start, first)
-        rows = np.empty((end - start, distinct.shape[1]))
-        rows[:split - start] = distinct[start:split]
-        rows[split - start:] = distinct[steps - end + 1:steps - split + 1][::-1]
+        rows = np.empty((end - start, half.shape[1]))
+        rows[:split - start] = half[start:split]
+        rows[split - start:] = half[steps - end + 1:steps - split + 1][::-1]
         rows[split - start:, 0] = 360.0 * np.arange(split, end) / steps
-        if steps % 4 == 0 and split <= 3 * steps // 4 < end:
-            rows[3 * steps // 4 - start] = distinct[-1]
         yield rows

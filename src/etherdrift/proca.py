@@ -134,9 +134,13 @@ class ProcaCylinderConfig(Record):
             raise DomainError(f"beam radius must satisfy 0 <= rho < R, got {self.rho}")
 
 
-def _check_potential(m_gamma: float, variant: str) -> None:
+def _check_mass(m_gamma: float) -> None:
     if not 0.0 <= m_gamma < math.inf:
         raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
+
+
+def _check_potential(m_gamma: float, variant: str) -> None:
+    _check_mass(m_gamma)
     if variant not in ("quarter", "half"):
         raise InputError(f"variant must be 'quarter' or 'half', got {variant!r}")
 
@@ -238,8 +242,7 @@ def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,
     coupling e/hbar is the profile's charge_over_hbar = pi/Phi_0, which is
     what makes this the exact algebraic partner of invert_bound.
     """
-    if not 0.0 <= m_gamma < math.inf:
-        raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
+    _check_mass(m_gamma)
     m2 = m_gamma * m_gamma
     return -(constants.charge_over_hbar * m2 / 4.0) * (cfg.rho * cfg.rho - cfg.R * cfg.R) * cfg.V * cfg.tau
 

@@ -66,6 +66,16 @@ def test_fresnel_momentum_domain():
         fresnel_momentum(OMEGA_633, 0.9, (1.0, 0.0, 0.0))
 
 
+def test_fresnel_momentum_beyond_the_double_range_is_refused():
+    # (n - 1)(n + 1) or its product with u overflows, and inf * 0 is NaN:
+    # these returned (-inf, nan, nan), twice, and (-inf, -0.0, -0.0), with
+    # no error
+    for args in [(1e15, 1e200, (1.0, 0.0, 0.0)), (1e308, 1e100, (1.0, 0.0, 0.0)),
+                 (1e15, 1e150, (1e200, 0.0, 0.0))]:
+        with pytest.raises(DomainError, match=r"^the interaction momentum Q is not finite: \("):
+            fresnel_momentum(*args)
+
+
 def test_fresnel_flow_field_matches_helper():
     flow = FresnelFlow(OMEGA_633, 1.33, (10.0, 0.0, 0.0))
     pts = np.zeros((5, 3))

@@ -368,7 +368,7 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     monkeypatch.setattr(cli, "_WARM_CUT", 2)
     with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
         cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: cli._whole(table))
-    monkeypatch.setattr(cli, "angle_scan", lambda config, steps, rows: table[rows])
+    monkeypatch.setattr(cli, "angle_scan", lambda config, steps, rows: table[:rows])
     assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
                      "--lambda-nm", "633", "--steps", "6"]) == 2
     out, err = capsys.readouterr()
@@ -383,8 +383,8 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
 
 
 @pytest.mark.parametrize("law", LAWS)
-# the third device's 90 and 270 degree rows differ in all three delay
-# cells, so a row 3 steps/4 copied from row steps/4 shows
+# the third device's 90 and 270 degree rows are the static device's at a
+# drift where cos 90 degrees rounded to 6.1e-17 changed all three delay cells
 @pytest.mark.parametrize("device", [_SCAN_DEVICES[0], _SCAN_DEVICES[2],
                                     (1.0, 1.5, 1.500000000001, 0.0, 1.2e8)])
 def test_streamed_scan_is_the_table_cell_by_cell(law, device, capsys):

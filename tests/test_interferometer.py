@@ -13,7 +13,7 @@ from etherdrift import cli
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.abphase import fresnel_momentum
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       _cos_deg, _distinct_rows, _mirrored_blocks, _scan_cos,
+                                       _cos_deg, _mirrored_blocks, _scan_cos,
                                        _scan_rows, angle_scan, delay_exact, delay_first_order,
                                        fringe_shift, improvement_factor, min_detectable_u,
                                        rotation_signal)
@@ -221,15 +221,14 @@ def test_angle_scan_half_turn_antisymmetry():
 def test_angle_scan_validates_steps():
     with pytest.raises(InputError):
         angle_scan(config(), 1)
-    # a row selection is a 1-D array of integers in [0, steps), refused
-    # before the table, here up to 8 MB, is allocated
+    # a row count is an integer in [0, steps], refused before the table,
+    # here up to 320 MB, is allocated
     steps = MAX_SCAN_STEPS
-    selections = [np.arange(-1, 10 ** 6), np.arange(steps - 10 ** 6, steps + 1),
-                  np.arange(10 ** 6, dtype=float), np.ones(10 ** 6, bool), [0, 1.0],
-                  [0, 2 ** 70], [[0, 1]], 3, "0"]
+    counts = [-1, steps + 1, 2 ** 70, np.int64(-5), 3.0, np.float64(3.0), 2.5, [3],
+              np.arange(3), "3"]
     tracemalloc.start()
     try:
-        for rows in selections:
+        for rows in counts:
             with pytest.raises(InputError, match="angle scan rows"):
                 angle_scan(config(), steps, rows)
         peak = tracemalloc.get_traced_memory()[1]
@@ -239,20 +238,20 @@ def test_angle_scan_validates_steps():
 
 
 def test_angle_scan_forms_the_rows_it_is_given():
-    # a selection's rows are the whole scan's, bit for bit, in its order;
-    # and a scan assembled from its distinct rows is the scan, for blocks
-    # that end anywhere.  At this device the 90 and 270 degree rows differ
-    # in every delay cell, so row 3 steps/4 copied from row steps/4 shows
+    # a count's rows are the whole scan's first rows, bit for bit; and a
+    # scan assembled from its rows up to the half turn is the scan, for
+    # blocks that end anywhere.  At this device the 90 and 270 degree rows
+    # differed in every delay cell while cos 90 degrees was 6.1e-17
     cfg = config(n1=1.5, n2=1.500000000001, u=1.2e8)
     whole = angle_scan(cfg, 12)
-    for rows in ([11, 0, 3, 3], np.array([9, 6], np.uint8), np.arange(0)):
-        assert angle_scan(cfg, 12, rows).tobytes() == whole[rows].tobytes()
-    assert (whole[3, EXACT:] != whole[9, EXACT:]).all()
+    for rows in (0, 1, 7, 12, np.int64(6), np.uint8(3)):
+        assert angle_scan(cfg, 12, rows).tobytes() == whole[:rows].tobytes()
+    assert whole[3, EXACT:].tobytes() == whole[9, EXACT:].tobytes()
     for steps in [*range(2, 41), 4099, 4100, 8192]:
         whole = angle_scan(cfg, steps)
-        distinct = angle_scan(cfg, steps, _distinct_rows(steps))
+        half = angle_scan(cfg, steps, steps // 2 + 1)
         for block in (1, 3, 4096):
-            blocks = list(_mirrored_blocks(distinct, steps, block))
+            blocks = list(_mirrored_blocks(half, steps, block))
             assert [len(rows) for rows in blocks] == [min(block, steps - start)
                                                       for start in range(0, steps, block)]
             assert np.concatenate(blocks).tobytes() == whole.tobytes(), (steps, block)
@@ -355,8 +354,8 @@ def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
 
 @pytest.mark.parametrize("steps", [2, 3, 4, 7, 8, 12, 14, 100, 360, 1001, 4096, 4097])
 def test_scan_cosines_keep_the_quadrant_conventions(steps):
-    # _cos_deg's quadrants hold: t <= 90 is the first, so 90 keeps cos's
-    # +6.1e-17 and 270 turns it negative; 0 and 180 are exactly +1 and -1.
+    # _cos_deg's quadrants hold: t <= 90 is the first, so 90 is exactly +0
+    # and 270 exactly -0, as 0 and 180 are exactly +1 and -1.
     # The first quadrant is _cos_deg's value; elsewhere the angle is rounded
     # once at the folded value's ulp, not the rotated one's
     theta = 360.0 * np.arange(steps) / steps
@@ -417,20 +416,39 @@ def test_scan_rows_match_mpmath_under_both_laws(n1, n2):
 
 
 def test_rows_k_and_steps_minus_k_share_their_cosine_bit_for_bit():
-    # the identity under a large scan's distinct rows (_distinct_rows):
-    # for 0 < k < steps/2, rows k and steps - k fold to the same angle, with
-    # the same sign.  The one exception is k = steps/4, where cos 90 degrees
-    # rounds to +6.1e-17, and row 3 steps/4 takes -6.1e-17
+    # the identity under a large scan's rows up to the half turn: for
+    # 0 < k < steps/2, rows k and steps - k fold to the same angle, with
+    # the same sign.  At k = steps/4 the cosine is +0 and at 3 steps/4 -0,
+    # where cos 90 degrees rounded to +6.1e-17 and -6.1e-17; they are
+    # equal, and delta1 - delta2 is +0 at either zero (the test below)
     for steps in [*range(2, 2001), 4096, 4097, 12000, 30000, 10 ** 5, 10 ** 6]:
         k = np.arange(1, (steps + 1) // 2)
         near = _scan_cos(steps, 4 * k, np)
         far = _scan_cos(steps, 4 * (steps - k), np)
-        same = near.view("i8") == far.view("i8")
-        if steps % 4 == 0:
-            quarter = steps // 4 - 1
-            assert near[quarter] == -far[quarter] > 0.0, steps
-            same[quarter] = True
-        assert same.all(), steps
+        assert (near == far).all(), steps
+        assert ((near.view("i8") == far.view("i8")) | (near == 0.0)).all(), steps
+        assert (near == 0.0).sum() == (steps % 4 == 0), steps
+
+
+@pytest.mark.parametrize("law", list(CompositionLaw))
+@pytest.mark.parametrize("u", [1.2e8, -1.2e8])
+def test_right_angle_rows_are_the_static_devices(law, u):
+    # cos 90 degrees is exactly +-0, so u_eff is +-0 and delta1 - delta2
+    # is +0: the delays at 90 and 270 degrees are the u = 0 device's, bit
+    # for bit.  While cos 90 degrees was 6.1e-17, this device's exact
+    # delays at 90 and 270 degrees were one ulp off the static one
+    cfg = config(n1=1.5, n2=1.500000000001, u=u, composition=law)
+    static = config(n1=1.5, n2=1.500000000001, u=0.0, composition=law)
+    at_rest = [delay_exact(static, 0.0), delay_first_order(static, 0.0)]
+    for theta in (90.0, 270.0, -90.0, 450.0):
+        assert [delay_exact(cfg, theta), delay_first_order(cfg, theta)] == at_rest, theta
+        assert [delay_exact(static, theta), delay_first_order(static, theta)] == at_rest
+    for steps in (4, 12, 4100, 8192):
+        table = angle_scan(cfg, steps)
+        rest = angle_scan(static, steps)
+        for k in (steps // 4, 3 * steps // 4):
+            assert table[k].tobytes() == rest[k].tobytes(), (steps, k)
+            assert table[k, EXACT:FIRST + 1].tolist() == at_rest
 
 
 def test_scan_half_turn_rows_negate_exactly_at_every_even_step_count():

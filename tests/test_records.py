@@ -206,6 +206,7 @@ FINITE_FIELDS = {
                           "tau": "interaction time tau", "rho": "beam radius rho",
                           "epsilon": "phase resolution epsilon"},
     PhotonMassBound: {"m_gamma_inv_cm": "bound range", "m_ph_g": "bound mass"},
+    SolenoidVectorPotential: {"flux": "flux", "coupling": "coupling"},
 }
 
 NON_FINITE_CASES = [(cls, name, label, value)
