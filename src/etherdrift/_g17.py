@@ -38,18 +38,20 @@ bare point, an absent sign or prefix) is left 0, so that dropping the
 zero bytes of a block leaves its text.  An uncertified cell is formatted
 by "%.17g" and written into its slot as it stands.
 
-A table is formatted a block of rows at a time, each block in one sweep
-over its cells in row-major order, the order of its text.  Every cell is
-laid out with a ",", and one XOR then makes that of each row's first cell
-a newline.  The cells go through _slots in passes of up to _PASS, and
-every intermediate of a pass is written by ufunc out= into one float64
-scratch array of _SLOTS rows, viewed as int64, uint64 or bool where a
-step needs: no intermediate is an array of its own.  The slots of a
-block lie in one bytearray, whose zero bytes bytes.translate drops.  The
-blocks are handed in one by one, by whoever forms them (csv_blocks), so
-the table need never be held whole.  The scratch and the bytearray are
-allocated once per table, for its first block, and freed with the
-generator of its texts.
+A table is formatted a pass of whole rows at a time: each block handed
+in is split into passes of at most _PASS cells, and each pass is laid
+out by one _slots call in row-major order, the order of its text.  Every
+cell is laid out with a ",", and one XOR then makes that of each row's
+first cell a newline.  Every intermediate of a pass is written by ufunc
+out= into one float64 scratch array of _SLOTS rows, viewed as int64,
+uint64 or bool where a step needs: no intermediate is an array of its
+own.  The slots of a pass lie in one bytearray, whose zero bytes
+bytes.translate drops, and its text is handed on before the next pass is
+laid out.  The blocks are handed in one by one, by whoever forms them
+(csv_blocks), so the table need never be held whole, and at most one
+pass of its text is held at a time.  The scratch and the bytearray are
+allocated for the table's first pass, anew for a later pass of more
+cells, and freed with the generator of its texts.
 
 The digit and layout tables, and the pairs of 10^(16−k) for every k of a
 finite double, are built once, at import.
@@ -231,34 +233,35 @@ def _slots(x, scratch, out):
 
 
 def _block(rows, scratch, buffer):
-    """The lines of rows, a 2-D float64 array, each led by its newline.
+    """The lines of rows, one pass of csv_blocks as a 2-D float64 array,
+    each led by its newline.
 
-    Its cells are laid out in row-major order into the 32-byte slots at the
-    head of buffer, a bytearray, in passes of up to _PASS cells, each
-    working in _SLOTS float64 of scratch a cell; then the first separator
-    of each row is made a newline, and the zero bytes of buffer dropped."""
+    Its cells are laid out in row-major order, by one _slots call working
+    in _SLOTS float64 of scratch a cell, into the 32-byte slots at the head
+    of buffer, a bytearray; then the first separator of each row is made a
+    newline, and the zero bytes of buffer dropped."""
     x = rows.ravel()
     n = len(x)
     slots = np.frombuffer(buffer, _WORDS).reshape(-1, 4)
-    for start in range(0, n, _PASS):
-        m = min(n - start, _PASS)
-        _slots(x[start:start + m], scratch[:_SLOTS * m].reshape(_SLOTS, m),
-               slots[start:start + m])
+    _slots(x, scratch[:_SLOTS * n].reshape(_SLOTS, n), slots[:n])
     slots[:n].reshape(len(rows), -1)[:, 0] ^= _U64(44 ^ 10)
-    slots[n:] = 0  # past a short last block
+    slots[n:] = 0  # past a short last pass
     return buffer.translate(None, b"\0").decode("ascii")
 
 
 def csv_blocks(blocks):
     """The lines of a table given as blocks, an iterable of 2-D float64
     arrays of finite doubles, its blocks of rows in order: one text for
-    each block, each line led by its newline, its cells "%.17g" and joined
-    by commas.  No block may have more cells than the first.  The scratch
-    and the slots are allocated once, for the first block, and freed with
-    the generator."""
-    scratch = buffer = None
+    each pass of whole rows, at most _PASS cells (one row, if a row has
+    more), each line led by its newline, its cells "%.17g" and joined by
+    commas.  The scratch and the slots are allocated for the first pass,
+    anew for any later pass of more cells, and freed with the generator."""
+    scratch, buffer = None, bytearray()
     for rows in blocks:
-        if buffer is None:
-            scratch = np.empty(_SLOTS * min(rows.size, _PASS))
-            buffer = bytearray(32 * rows.size)
-        yield _block(rows, scratch, buffer)
+        step = max(_PASS // rows.shape[1], 1)
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            if 32 * part.size > len(buffer):
+                scratch = np.empty(_SLOTS * part.size)
+                buffer = bytearray(32 * part.size)
+            yield _block(part, scratch, buffer)

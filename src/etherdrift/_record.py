@@ -98,11 +98,18 @@ class Record(tuple, metaclass=_RecordType):
 
 def check_finite(*fields):
     """Raise DomainError for the first (label, value) pair whose value is
-    NaN or infinite.  A record calls it before its range checks, which an
+    NaN or infinite, or an int beyond the double range, which compares
+    below inf.  A record calls it before its range checks, which an
     infinity, or a NaN against ``x <= 0``, would pass."""
     for label, value in fields:
         if not -math.inf < value < math.inf:
             raise DomainError(f"{label} must be finite, got {value}")
+        if isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise DomainError(f"{label} must be finite, got an integer "
+                                  "beyond the double range") from None
 
 
 def check_count(label, value):
@@ -115,6 +122,12 @@ def check_count(label, value):
 
 
 def check_vector(label, vector):
-    """Raise InputError unless vector is 3 finite numbers, as a path's vertex is."""
-    if not (len(vector) == 3 and all(map(math.isfinite, vector))):
+    """Raise InputError unless vector is 3 finite numbers, as a path's
+    vertex is; an int beyond the double range is not one."""
+    try:
+        finite = len(vector) == 3 and all(map(math.isfinite, vector))
+    except OverflowError:
+        raise InputError(f"{label} must be 3 finite numbers, got an integer "
+                         "beyond the double range") from None
+    if not finite:
         raise InputError(f"{label} must be 3 finite numbers, got {vector!r}")

@@ -225,11 +225,23 @@ def rotation_signal(config: InterferometerConfig) -> RotationSignal:
     return RotationSignal(exact, first)
 
 
+def _fringes(delta_t, lambda_vac):
+    """c dt / lambda, of floats or of a delay column, unchecked: a scan
+    row's fringe cell, which the CLI refuses if it is not finite."""
+    return c * delta_t / lambda_vac
+
+
 def fringe_shift(delta_t: float, lambda_vac: float) -> float:
-    """Optical-phase cycles N = c dt / lambda for a path time difference dt."""
+    """Optical-phase cycles N = c dt / lambda for a path time difference dt.
+    A non-finite dt, and an N beyond the double range, are refused."""
+    check_finite(("path time difference dt", delta_t))
     if not 0.0 < lambda_vac:
         raise DomainError(f"wavelength must be positive, got {lambda_vac}")
-    return c * delta_t / lambda_vac
+    fringes = _fringes(delta_t, lambda_vac)
+    if not math.isfinite(fringes):
+        raise DomainError(f"the fringe count c dt / lambda exceeds the double range at "
+                          f"dt = {delta_t} s, lambda = {lambda_vac} m")
+    return fringes
 
 
 def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> float:
@@ -254,11 +266,21 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
 
 
 def improvement_factor(u: float, n1: float, n2: float) -> float:
-    """Gain (c/u)(n1^2 - n2^2) of the two-media device over a single-medium one."""
+    """Gain (c/u)(n1^2 - n2^2) of the two-media device over a single-medium
+    one.  A gain beyond the double range is refused, naming the drift speed
+    or the indices whose n1^2 - n2^2 overflows."""
     check_finite(("drift speed", u), ("index n1", n1), ("index n2", n2))
     if not 0.0 < u:
         raise DomainError(f"drift speed must be positive, got {u}")
-    return (c / u) * ((n1 - n2) * (n1 + n2))
+    contrast = (n1 - n2) * (n1 + n2)
+    if not math.isfinite(contrast):
+        raise DomainError(f"n1^2 - n2^2 exceeds the double range at index n1 = {n1}, "
+                          f"index n2 = {n2}")
+    gain = (c / u) * contrast
+    if not math.isfinite(gain):
+        raise DomainError(f"the improvement factor exceeds the double range at drift speed "
+                          f"{u} m/s")
+    return gain
 
 
 def _check_steps(steps: int, noun: str) -> None:
@@ -282,7 +304,7 @@ def _scan_row(config: InterferometerConfig, steps: int, k, xp) -> tuple:
     denominator positive.
     """
     exact, first = _delays(config, _scan_cos(steps, 4 * k, xp))
-    return 360.0 * k / steps, exact, first, fringe_shift(exact, config.lambda_vac)
+    return 360.0 * k / steps, exact, first, _fringes(exact, config.lambda_vac)
 
 
 def _scan_rows(config: InterferometerConfig, steps: int):

@@ -102,7 +102,9 @@ def _exp(x, xp):
 def bessel_I0(x: float) -> float:
     """Modified Bessel function of the first kind, order zero, as
     e^{x/2} e^{-x} I0(x) e^{x/2}: e^x alone overflows at x = 709.8, I0 only
-    near 714, where this raises DomainError, as it does for NaN, inf, x < 0."""
+    near 714, where this raises DomainError, as it does for NaN, inf, x < 0
+    and an int beyond the double range."""
+    check_finite(("I0 argument", x))
     half = math.exp(0.5 * x) if x < 1e3 else math.inf
     value = half * _scaled_I0(x) * half
     if value == math.inf:
@@ -282,7 +284,11 @@ def time_of_flight(length: float, speed: float) -> float:
         raise DomainError(f"speed must be finite and positive, got {speed}")
     if not 0.0 <= length < math.inf:
         raise DomainError(f"length must be finite and >= 0, got {length}")
-    return length / speed
+    tau = length / speed
+    if not tau < math.inf:
+        raise DomainError(f"the time of flight exceeds the double range at length {length} m, "
+                          f"speed {speed} m/s")
+    return tau
 
 
 class PhotonMassBound(Record):

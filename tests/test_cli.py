@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etherdrift import cli
+from etherdrift import _g17, cli
 from etherdrift.abphase import Path, UniformQ, fresnel_momentum
 from etherdrift.errors import DomainError, InputError
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
@@ -452,9 +452,7 @@ def _table_requests(steps):
 
 
 def _through_g17(monkeypatch):
-    """The row counts of the blocks that _g17 formats, block by block."""
-    from etherdrift import _g17
-
+    """The row counts of the passes that _g17 formats, pass by pass."""
     block = _g17._block
     seen = []
 
@@ -483,9 +481,11 @@ def test_table_rule_at_its_cut_with_numpy_loaded(cold_cut, monkeypatch, capsys):
             seen.clear()
             assert cli.main(argv) == 0
             assert capsys.readouterr() == (_naive_csv(header, table), ""), argv
-            blocks = [min(cli._SCAN_BLOCK, steps - start)
-                      for start in range(0, steps, cli._SCAN_BLOCK)]
-            assert seen == (blocks if steps > cut else []), argv
+            rows, passes = _g17._PASS // len(header), []
+            for first in range(0, steps, cli._SCAN_BLOCK):
+                block = min(cli._SCAN_BLOCK, steps - first)
+                passes += [min(rows, block - start) for start in range(0, block, rows)]
+            assert seen == (passes if steps > cut else []), argv
 
 
 def test_fringe_config_flag_is_refused(tmp_path):

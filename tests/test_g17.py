@@ -103,7 +103,7 @@ SHORT = [0.0, -0.0, 1.0, 12.0, -3.0]
 @pytest.mark.parametrize("columns", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("block", [1, 2, 3, 4095, 4096, 4097])
 def test_no_block_keeps_bytes_of_the_block_before(block, columns):
-    # every block is formatted in the same scratch and slots: a first
+    # every pass is formatted in the same scratch and slots: a first
     # block of the longest cells, then short ones, ties (left to "%.17g")
     # in the third block only, and a short last block
     longest = np.resize(LONGEST, (block, columns))
@@ -113,5 +113,30 @@ def test_no_block_keeps_bytes_of_the_block_before(block, columns):
     table = np.concatenate([longest, short, ties, short[:max(block // 2, 1)]])
     got = "".join(_g17.csv_blocks(_blocks(table, block))).split("\n")
     assert len(got) == len(table) + 1
+    for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
+        assert line == ",".join("%.17g" % v for v in values), row
+
+
+@pytest.mark.parametrize("columns", [3, 4])
+@pytest.mark.parametrize("block", [1, 2730, 2731, 4096, 4097])
+def test_blocks_are_split_into_passes_of_whole_rows(block, columns):
+    # a block is formatted a pass of _PASS // columns rows at a time (2730
+    # rows of 3 cells, 2048 of 4), the last pass of a block short; a tie,
+    # left to "%.17g", lies on each side of every pass edge.  The first
+    # block has one row, so later passes outgrow the first pass's slots
+    rng = np.random.default_rng(block * columns)
+    rows = 2 * block + 2
+    shape = (rows, columns)
+    table = 10.0 ** rng.uniform(-320, 308, shape) * rng.choice([-1.0, 1.0], shape)
+    table[::7, -1] = 0.0
+    blocks = [table[:1], *_blocks(table[1:], block)]
+    step, edge = _g17._PASS // columns, 0
+    for rows_in_block in map(len, blocks):
+        for start in range(edge, edge + rows_in_block, step):
+            if start:
+                table[start - 1, -1], table[start, 0] = TIES
+        edge += rows_in_block
+    got = "".join(_g17.csv_blocks(blocks)).split("\n")
+    assert got[0] == "" and len(got) == rows + 1
     for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
         assert line == ",".join("%.17g" % v for v in values), row

@@ -371,6 +371,23 @@ def test_guards_refuse_what_fails_their_condition(call, args):
         call(*args)
 
 
+@pytest.mark.parametrize("call, args, named", [
+    (fringe_shift, (NAN, 633e-9), "dt must be finite, got nan"),
+    (fringe_shift, (1e300, 633e-9), "at dt = 1e+300 s"),
+    (improvement_factor, (5e-324, 1.5, 1.4), "at drift speed 5e-324 m/s"),
+    (improvement_factor, (30.0, 1e300, 1.4), "at index n1 = 1e+300"),
+    (time_of_flight, (1.0, 5e-324), "speed 5e-324 m/s"),
+    (bessel_I0, (10 ** 400,), "I0 argument must be finite"),
+], ids=["fringe-nan", "fringe-overflow", "gain-tiny-u", "gain-huge-n1", "tof-tiny-speed",
+        "I0-huge-int"])
+def test_results_beyond_the_double_range_are_refused_by_name(call, args, named):
+    # finite arguments whose result overflows came out as inf (a NaN delay
+    # as a NaN fringe count), and an int beyond the double range as a bare
+    # OverflowError
+    with pytest.raises(DomainError, match=re.escape(named)):
+        call(*args)
+
+
 GEOMETRY = SolenoidChargeGeometry(a=1.0, B=100.0, d=3.0, q=1.0, grid=(4, 4, 4))
 
 

@@ -17,7 +17,7 @@ from etherdrift import (MODERN, CompositionLaw, ConvergenceRow, FresnelFlow,
                         InterferometerConfig, MomentumResult, PhotonMassBound,
                         PhysicalConstants, ProcaCylinderConfig, RotationSignal,
                         SolenoidChargeGeometry, SolenoidVectorPotential,
-                        UniformQ, inverse_length_to_mass)
+                        UniformQ, delay_exact, inverse_length_to_mass)
 from etherdrift.errors import DomainError, InputError
 
 REQUIRED = object()
@@ -222,3 +222,21 @@ def test_non_finite_fields_are_refused(cls, name, label, value):
     valid = next(fields for checked, fields, _ in CHECKED if checked is cls)
     with pytest.raises(DomainError, match=f"^{label} must be finite, got {value}$"):
         cls(**{**valid, name: value})
+
+
+#: an int beyond the double range compares below inf, and float() of it
+#: raises OverflowError: each check refuses it by name, with its own class
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("call, error, label", [
+    (lambda: SolenoidVectorPotential(HUGE, 1.0), DomainError, "flux"),
+    (lambda: InterferometerConfig(HUGE, 1.5, 1.4, 0.0, 5e-7), DomainError, "arm length L"),
+    (lambda: ProcaCylinderConfig(HUGE, 1.0, 1.0), DomainError, "cylinder radius R"),
+    (lambda: delay_exact(InterferometerConfig(1.0, 1.5, 1.4, 0.0, 5e-7), HUGE), DomainError,
+     "orientation theta_deg"),
+    (lambda: UniformQ((HUGE, 0.0, 0.0)), InputError, "interaction momentum q"),
+], ids=["solenoid-flux", "interferometer-L", "proca-R", "delay-theta", "uniform-q"])
+def test_ints_beyond_the_double_range_are_refused_by_name(call, error, label):
+    with pytest.raises(error, match=f"^{label} must be .* an integer beyond the double range$"):
+        call()
