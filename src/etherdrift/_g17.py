@@ -18,7 +18,7 @@ For each nonzero cell x:
    half to even) and a y past 10^17 (the double after an exact power of
    ten) are left to "%.17g" itself.  D = 10^17 is the carry into the next
    decade, of an exact power of ten or of 1e-14, whose 17 digits round
-   up: 10^16, with k + 1.
+   up: 10^16, with k + 1, its leading "10" written as the digit 1.
 4. The digits come out of divisions by 10^8 and 10^4, as 4-digit groups
    read from a table of their ASCII text; a table of each group's digit
    count gives the length without trailing zeros.
@@ -40,18 +40,21 @@ by "%.17g" and written into its slot as it stands.
 
 A table is formatted a pass of whole rows at a time: each block handed
 in is split into passes of at most _PASS cells, and each pass is laid
-out by one _slots call in row-major order, the order of its text.  Every
-cell is laid out with a ",", and one XOR then makes that of each row's
-first cell a newline.  Every intermediate of a pass is written by ufunc
-out= into one float64 scratch array of _SLOTS rows, viewed as int64,
-uint64 or bool where a step needs: no intermediate is an array of its
-own.  The slots of a pass lie in one bytearray, whose zero bytes
-bytes.translate drops, and its text is handed on before the next pass is
-laid out.  The blocks are handed in one by one, by whoever forms them
-(csv_blocks), so the table need never be held whole, and at most one
-pass of its text is held at a time.  The scratch and the bytearray are
-allocated for the table's first pass, anew for a later pass of more
-cells, and freed with the generator of its texts.
+out in row-major order, the order of its text, by the function that
+_slots binds for a pass of its size.  Every cell is laid out with a ",",
+and one XOR then makes that of each row's first cell a newline.  Every
+intermediate of a pass is written by ufunc out= into one float64 scratch
+array of _SLOTS rows, viewed as int64, uint64 or bool where a step needs,
+and every ufunc reads and writes one dtype: no intermediate, and no cast
+buffer, is an array of its own.  The slots of a pass lie in a bytearray
+of exactly that many slots, whose zero bytes bytes.translate drops, and
+its text is handed on before the next pass is laid out.  The blocks are
+handed in one by one, by whoever forms them (csv_blocks), so the table
+need never be held whole, and at most one pass of its text is held at a
+time.  The scratch is allocated for the table's first pass and anew for
+a later pass of more cells; the bytearray, and the views of both that a
+pass works in, for each pass of another size than the one before.  All
+are freed with the generator of the table's texts.
 
 The digit and layout tables, and the pairs of 10^(16−k) for every k of a
 finite double, are built once, at import.
@@ -92,8 +95,8 @@ _v = np.arange(10000)
 _TEXT = sum((48 + d).astype(_U64) << _U64(8 * i)
             for i, d in enumerate((_v // 1000, _v // 100 % 10, _v // 10 % 10, _v % 10)))
 _TEXT_HIGH = _TEXT << _U64(32)
-# byte 7; 10 is the uncertified 10^17 + 1
-_FIRST = (48 + np.arange(11)).astype(_U64) << _U64(56)
+# byte 7, by the first digit; 10 is a carry's, of D = 10^17, written 1
+_FIRST = (48 + np.r_[0:10, 1]).astype(_U64) << _U64(56)
 # the digit count through a group's last nonzero digit, 0 for 0000, by the
 # group's place among the 16
 _last = 4 - np.where(_v % 10, 0, np.where(_v % 100, 1, np.where(_v % 1000, 2, 3)))
@@ -102,9 +105,11 @@ _COUNTS = [np.where(_v, 4 * place + _last, 0).astype(np.uint8) for place in rang
 # digits, the bytes of the others, and a point in place of digit i (i = 16:
 # none)
 _byte, _i = np.arange(16), np.arange(17)[:, None]
-_KEEP = list(np.where(_byte < _i, 0xFF, 0).astype(np.uint8).view(_WORDS).T.astype(_U64))
+_KEEP = list(np.where(_byte < _i, 0xFF, 0).astype(np.uint8).view(_WORDS).T
+             .astype(_U64, order="C"))
 _DROP = [~keep for keep in _KEEP]
-_POINT = list(np.where(_byte == _i, 46, 0).astype(np.uint8).view(_WORDS).T.astype(_U64))
+_POINT = list(np.where(_byte == _i, 46, 0).astype(np.uint8).view(_WORDS).T
+              .astype(_U64, order="C"))
 _k = 16 - _SMIN - np.arange(_ROWS)
 _exponent, _small = (_k < -4) | (_k > 16), (_k >= -4) & (_k < 0)
 # the separator "," at byte 0 and "0." and -k-1 zeros at bytes 2-6, and
@@ -115,8 +120,10 @@ _EXPONENT = _words(b"\0" + b"e%+03d" % e if e < -4 or e > 16 else b"" for e in _
 # number with 17 digits), and digits through _WHOLE are kept, zeros or not
 _AFTER = np.where(_exponent, 0, np.where(_small, 16, _k)).clip(0, 16)
 _WHOLE = np.where(_exponent | _small, 0, _k).clip(0, 16)
-#: the five columns of _power, by row
-_POWERS = np.array([_power(s) for s in range(_SMIN, _SMAX + 1)]).T
+#: the five columns of _power, by row; each is contiguous, as are the
+#: tables above, since take copies a strided table before it reads it
+_POWERS = np.array([_power(s) for s in range(_SMIN, _SMAX + 1)]).T.copy()
+_HI, _LO, _UPPER, _LOWER, _SCALE = _POWERS
 del _v, _last, _byte, _i, _k, _exponent, _small
 
 
@@ -127,125 +134,146 @@ _SLOTS = 10
 #: calls), passes of 4096 cells took about 8 % longer, and passes of
 #: 16384 cells 2-4 % less but 0.6 MB more peak resident memory
 _PASS = 8192
+# the uint64 operands of a pass: "," XOR "\n", the sign bit's shift and
+# the "-" it becomes at byte 1, a byte's and seven bytes' shift, and the
+# span of certified floor(y) above 10^16
+_NEWLINE, _SIGN, _MINUS = _U64(44 ^ 10), _U64(63), _U64(0x2D00)
+_BYTE, _TOP, _SPAN = _U64(8), _U64(56), _U64(9 * 10 ** 16)
 
 
-def _slots(x, scratch, out):
-    """Write "," + "%.17g" % x[i] into row i of out, an (n, 4) array of
-    little-endian words, by the layout above: a zero byte where the text
-    has none.  Every intermediate is written into scratch, (_SLOTS, n)
-    float64, its rows viewed as int64, uint64 or bool where a step needs."""
-    n = len(x)
-    ints, words = scratch.view(np.int64), scratch.view(_U64)
-    flags = scratch[_SLOTS - 1].view(np.bool_)
+def _slots(scratch, out, rows):
+    """The layout of a pass of rows whole rows: a function that writes
+    "," + "%.17g" % x[i] into row i of out, an (n, 4) array of
+    little-endian words, by the layout above, x being the pass's n cells as
+    a (rows, n / rows) float64 array: a zero byte where the text has none,
+    and each row's first cell led by a newline.
+
+    Every intermediate is written into scratch, (_SLOTS, n) float64, its
+    rows viewed as int64, uint64 or bool where a step needs.  These views,
+    and those of out, are bound here, once for each pass size, and every
+    ufunc of a pass reads and writes one dtype, so that a pass allocates no
+    cast buffer: a certified pass allocates nothing of its size."""
+    n = len(out)
+    # each row of scratch is viewed once for each dtype that it is read in,
+    # and a view serves every intermediate that is laid in its row
+    a, _, h, a_upper, a_lower, p, t, low, tmp, flags = scratch
+    high, row, itmp, y, rest, g0, g2 = scratch[:7].view(np.int64)
+    shifted, moved2, _, w2, moved1, w1, utmp = scratch[2:_SLOTS - 1].view(_U64)
+    flags = flags.view(np.bool_)
     zero, ok, b = flags[:n], flags[n:2 * n], flags[2 * n:3 * n]
-    digits, d1, d2 = (flags[j * n:(j + 1) * n].view(np.uint8) for j in (3, 4, 5))
-    hi, lo, upper, lower, scale = _POWERS
-    # take's mode "clip" never clips here, every index being in range; in
-    # its default mode, take would fill a copy of out
-    a, row, h, a_upper, a_lower, p, t, low, tmp = scratch[0], ints[1], *scratch[2:_SLOTS - 1]
-    np.abs(x, out=a)
-    np.equal(x, 0.0, out=zero)
-    np.copyto(a, 1.0, where=zero)  # a zero is laid out as 1 with its digit 0
-    np.log10(a, out=h)
-    h -= 1e-12
-    np.floor(h, out=h)
-    np.subtract(16 - _SMIN, h, out=row, casting="unsafe")
-    a *= np.take(scale, row, out=h, mode="clip")
-    np.multiply(a, 134217729.0, out=a_upper)
-    np.subtract(a_upper, a, out=a_lower)
-    a_upper -= a_lower
-    np.subtract(a, a_upper, out=a_lower)
-    np.multiply(a, np.take(hi, row, out=h, mode="clip"), out=p)
-    np.take(upper, row, out=h, mode="clip")
-    np.take(lower, row, out=low, mode="clip")
-    np.multiply(a_upper, h, out=t)
-    t -= p
-    t += np.multiply(a_upper, low, out=tmp)
-    t += np.multiply(a_lower, h, out=tmp)
-    t += np.multiply(a_lower, low, out=tmp)
-    t += np.multiply(a, np.take(lo, row, out=h, mode="clip"), out=tmp)
-    floor_t = np.floor(t, out=h)
-    t -= floor_t  # the fraction of y = p + t, p being a whole number
-    y, rest = ints[3], ints[4]
-    y[...] = p
-    rest[...] = floor_t
-    y += rest
-    np.greater(np.abs(np.subtract(t, 0.5, out=tmp), out=tmp), 1e-9, out=ok)
-    ok &= np.less_equal(np.subtract(y, 10 ** 16, out=rest).view(_U64), _U64(9 * 10 ** 16), out=b)
-    y += np.greater(t, 0.5, out=b)
-    ok &= np.less_equal(y, 10 ** 17, out=b)
-    carry = np.equal(y, 10 ** 17, out=b)
-    np.copyto(y, 10 ** 16, where=carry)
-    row -= carry
-    np.copyto(y, 0, where=zero)
-    high, first, g0, g2, itmp = ints[0], ints[4], ints[5], ints[6], ints[2]
-    np.floor_divide(y, 10 ** 8, out=high)
-    y -= np.multiply(high, 10 ** 8, out=itmp)  # y: the low 8 digits
-    np.floor_divide(high, 10 ** 8, out=first)
-    high -= np.multiply(first, 10 ** 8, out=itmp)
-    np.floor_divide(high, 10 ** 4, out=g0)
-    g1 = high
-    g1 -= np.multiply(g0, 10 ** 4, out=itmp)
-    np.floor_divide(y, 10 ** 4, out=g2)
-    g3 = y
-    g3 -= np.multiply(g2, 10 ** 4, out=itmp)
+    d0, d1, d2 = (flags[j * n:(j + 1) * n].view(np.uint8) for j in (3, 4, 5))
+    # the integer stage's first digit, the digit count, the digits kept
+    # and the point's place
+    first, digits, kept, at = rest, itmp, y, high
     c0, c1, c2, c3 = _COUNTS
-    np.maximum(np.take(c0, g0, out=digits, mode="clip"), np.take(c1, g1, out=d1, mode="clip"),
-               out=digits)
-    np.maximum(np.take(c2, g2, out=d1, mode="clip"), np.take(c3, g3, out=d2, mode="clip"), out=d1)
-    np.maximum(digits, d1, out=digits)
-    w1, w2, utmp = words[7], words[8], words[2]
-    np.take(_TEXT, g0, out=w1, mode="clip")
-    w1 |= np.take(_TEXT_HIGH, g1, out=utmp, mode="clip")
-    np.take(_TEXT, g2, out=w2, mode="clip")
-    w2 |= np.take(_TEXT_HIGH, g3, out=utmp, mode="clip")
-    at, kept = ints[0], ints[3]
-    np.take(_AFTER, row, out=at, mode="clip")
-    np.maximum(np.take(_WHOLE, row, out=kept, mode="clip"), digits, out=kept)
     keep1, keep2 = _KEEP
-    w1 &= np.take(keep1, kept, out=utmp, mode="clip")
-    w2 &= np.take(keep2, kept, out=utmp, mode="clip")
-    np.copyto(at, 16, where=np.less_equal(digits, at, out=b))  # the point's place, or 16
-    moved1, moved2, shifted = words[5], words[6], words[3]
     drop1, drop2 = _DROP
-    np.bitwise_and(w1, np.take(drop1, at, out=moved1, mode="clip"), out=moved1)
-    np.bitwise_and(w2, np.take(drop2, at, out=moved2, mode="clip"), out=moved2)
-    w1 ^= moved1
-    w2 ^= moved2
     point1, point2 = _POINT
-    np.take(_PREFIX, row, out=utmp, mode="clip")
-    utmp |= np.take(_FIRST, first, out=shifted, mode="clip")
-    np.multiply(np.right_shift(x.view(_U64), _U64(63), out=shifted), _U64(0x2D00), out=shifted)
-    np.bitwise_or(utmp, shifted, out=out[:, 0])
-    np.take(point1, at, out=utmp, mode="clip")
-    utmp |= np.left_shift(moved1, _U64(8), out=shifted)
-    np.bitwise_or(w1, utmp, out=out[:, 1])
-    np.take(point2, at, out=utmp, mode="clip")
-    utmp |= np.left_shift(moved2, _U64(8), out=shifted)
-    utmp |= np.right_shift(moved1, _U64(56), out=shifted)
-    np.bitwise_or(w2, utmp, out=out[:, 2])
-    np.take(_EXPONENT, row, out=utmp, mode="clip")
-    np.bitwise_or(utmp, np.right_shift(moved2, _U64(56), out=shifted), out=out[:, 3])
-    if not ok.all():
-        bad = (~ok).nonzero()[0]
-        texts = ["," + "%.17g" % v for v in x[bad].tolist()]
-        out[bad] = np.array(texts, "S32").view(_WORDS).reshape(-1, 4)
+    word0, word1, word2, word3 = out.T
+    firsts = out.reshape(rows, -1)[:, 0]
+
+    def lay_out(x):
+        # an in-place operator stores its view back under the same name
+        nonlocal a, h, a_upper, t, y, high, ok, row, w1, w2, utmp, firsts
+        x = x.ravel()
+        np.abs(x, out=a)
+        np.equal(x, 0.0, out=zero)
+        np.copyto(a, 1.0, where=zero)  # a zero is laid out as 1 with its digit 0
+        np.log10(a, out=h)
+        h -= 1e-12
+        np.floor(h, out=h)
+        np.subtract(16 - _SMIN, h, out=h)
+        np.copyto(row, h, casting="unsafe")
+        # take's mode "clip" never clips here, every index being in range;
+        # in its default mode, take would fill a copy of out
+        a *= _SCALE.take(row, out=h, mode="clip")
+        np.multiply(a, 134217729.0, out=a_upper)
+        np.subtract(a_upper, a, out=a_lower)
+        a_upper -= a_lower
+        np.subtract(a, a_upper, out=a_lower)
+        np.multiply(a, _HI.take(row, out=h, mode="clip"), out=p)
+        _UPPER.take(row, out=h, mode="clip")
+        _LOWER.take(row, out=low, mode="clip")
+        np.multiply(a_upper, h, out=t)
+        t -= p
+        t += np.multiply(a_upper, low, out=tmp)
+        t += np.multiply(a_lower, h, out=tmp)
+        t += np.multiply(a_lower, low, out=tmp)
+        t += np.multiply(a, _LO.take(row, out=h, mode="clip"), out=tmp)
+        floor_t = np.floor(t, out=h)
+        t -= floor_t  # the fraction of y = p + t, p being a whole number
+        np.copyto(y, p, casting="unsafe")
+        np.copyto(rest, floor_t, casting="unsafe")
+        y += rest
+        np.greater(np.abs(np.subtract(t, 0.5, out=tmp), out=tmp), 1e-9, out=ok)
+        ok &= np.less_equal(np.subtract(y, 10 ** 16, out=rest).view(_U64), _SPAN, out=b)
+        np.copyto(rest, np.greater(t, 0.5, out=b))  # the rounding, as int64
+        y += rest
+        ok &= np.less_equal(y, 10 ** 17, out=b)
+        # the sign of 10^17 − 1 − D takes one off the row of D >= 10^17: a
+        # carry, D = 10^17, has k + 1, and its first "digit" 10 is written
+        # 1 (a larger D is uncertified)
+        np.right_shift(np.subtract(10 ** 17 - 1, y, out=itmp), 63, out=itmp)
+        row += itmp
+        np.copyto(y, 0, where=zero)
+        np.floor_divide(y, 10 ** 8, out=high)
+        y -= np.multiply(high, 10 ** 8, out=itmp)  # y: the low 8 digits
+        np.floor_divide(high, 10 ** 8, out=first)
+        high -= np.multiply(first, 10 ** 8, out=itmp)
+        np.floor_divide(high, 10 ** 4, out=g0)
+        g1 = high
+        g1 -= np.multiply(g0, 10 ** 4, out=itmp)
+        np.floor_divide(y, 10 ** 4, out=g2)
+        g3 = y
+        g3 -= np.multiply(g2, 10 ** 4, out=itmp)
+        np.maximum(c0.take(g0, out=d0, mode="clip"), c1.take(g1, out=d1, mode="clip"), out=d0)
+        np.maximum(c2.take(g2, out=d1, mode="clip"), c3.take(g3, out=d2, mode="clip"), out=d1)
+        np.maximum(d0, d1, out=d0)
+        np.copyto(digits, d0)  # as int64, to meet int64 operands
+        _TEXT.take(g0, out=w1, mode="clip")
+        w1 |= _TEXT_HIGH.take(g1, out=utmp, mode="clip")
+        _TEXT.take(g2, out=w2, mode="clip")
+        w2 |= _TEXT_HIGH.take(g3, out=utmp, mode="clip")
+        _AFTER.take(row, out=at, mode="clip")
+        np.maximum(_WHOLE.take(row, out=kept, mode="clip"), digits, out=kept)
+        w1 &= keep1.take(kept, out=utmp, mode="clip")
+        w2 &= keep2.take(kept, out=utmp, mode="clip")
+        np.copyto(at, 16, where=np.less_equal(digits, at, out=b))  # the point's place, or 16
+        np.bitwise_and(w1, drop1.take(at, out=moved1, mode="clip"), out=moved1)
+        np.bitwise_and(w2, drop2.take(at, out=moved2, mode="clip"), out=moved2)
+        w1 ^= moved1
+        w2 ^= moved2
+        _PREFIX.take(row, out=utmp, mode="clip")
+        utmp |= _FIRST.take(first, out=shifted, mode="clip")
+        np.multiply(np.right_shift(x.view(_U64), _SIGN, out=shifted), _MINUS, out=shifted)
+        np.bitwise_or(utmp, shifted, out=word0)
+        point1.take(at, out=utmp, mode="clip")
+        utmp |= np.left_shift(moved1, _BYTE, out=shifted)
+        np.bitwise_or(w1, utmp, out=word1)
+        point2.take(at, out=utmp, mode="clip")
+        utmp |= np.left_shift(moved2, _BYTE, out=shifted)
+        utmp |= np.right_shift(moved1, _TOP, out=shifted)
+        np.bitwise_or(w2, utmp, out=word2)
+        _EXPONENT.take(row, out=utmp, mode="clip")
+        np.bitwise_or(utmp, np.right_shift(moved2, _TOP, out=shifted), out=word3)
+        if not ok.all():
+            bad = np.logical_not(ok, out=b).nonzero()[0]
+            texts = ["," + "%.17g" % v for v in x[bad].tolist()]
+            out[bad] = np.array(texts, "S32").view(_WORDS).reshape(-1, 4)
+        firsts ^= _NEWLINE
+
+    return lay_out
 
 
-def _block(rows, scratch, buffer):
+def _block(rows, lay_out, buffer):
     """The lines of rows, one pass of csv_blocks as a 2-D float64 array,
     each led by its newline.
 
-    Its cells are laid out in row-major order, by one _slots call working
-    in _SLOTS float64 of scratch a cell, into the 32-byte slots at the head
-    of buffer, a bytearray; then the first separator of each row is made a
-    newline, and the zero bytes of buffer dropped."""
-    x = rows.ravel()
-    n = len(x)
-    slots = np.frombuffer(buffer, _WORDS).reshape(-1, 4)
-    _slots(x, scratch[:_SLOTS * n].reshape(_SLOTS, n), slots[:n])
-    slots[:n].reshape(len(rows), -1)[:, 0] ^= _U64(44 ^ 10)
-    slots[n:] = 0  # past a short last pass
+    Its cells are laid out in row-major order by lay_out, the _slots
+    function bound for a pass of its size, into the 32-byte slots of
+    buffer, a bytearray of exactly that many slots, whose zero bytes are
+    then dropped."""
+    lay_out(rows)
     return buffer.translate(None, b"\0").decode("ascii")
 
 
@@ -254,14 +282,23 @@ def csv_blocks(blocks):
     arrays of finite doubles, its blocks of rows in order: one text for
     each pass of whole rows, at most _PASS cells (one row, if a row has
     more), each line led by its newline, its cells "%.17g" and joined by
-    commas.  The scratch and the slots are allocated for the first pass,
-    anew for any later pass of more cells, and freed with the generator."""
-    scratch, buffer = None, bytearray()
+    commas.
+
+    The scratch is allocated for the first pass, and anew for any later
+    pass of more cells.  The slots are a bytearray of exactly one pass,
+    allocated, with the views of both bound by _slots, for each pass of
+    another size than the last; all are freed with the generator."""
+    scratch, shape = np.empty(0), None
     for rows in blocks:
         step = max(_PASS // rows.shape[1], 1)
         for start in range(0, len(rows), step):
             part = rows[start:start + step]
-            if 32 * part.size > len(buffer):
-                scratch = np.empty(_SLOTS * part.size)
-                buffer = bytearray(32 * part.size)
-            yield _block(part, scratch, buffer)
+            if part.shape != shape:
+                shape, n = part.shape, part.size
+                lay_out = buffer = None  # the last size's slots go first
+                if _SLOTS * n > scratch.size:
+                    scratch = np.empty(_SLOTS * n)
+                buffer = bytearray(32 * n)
+                lay_out = _slots(scratch[:_SLOTS * n].reshape(_SLOTS, n),
+                                 np.frombuffer(buffer, _WORDS).reshape(n, 4), len(part))
+            yield _block(part, lay_out, buffer)

@@ -105,6 +105,7 @@ class FresnelFlow(Record):
 
     def _check(self):
         check_vector("medium velocity u", self.u)
+        check_finite(("angular frequency omega", self.omega), ("refractive index n", self.n))
 
     def q_vector(self) -> tuple:
         return fresnel_momentum(self.omega, self.n, self.u)

@@ -131,9 +131,9 @@ def _table_csv(header, steps, rows, table):
     profile hands in its whole table (_whole), a fringe scan its distinct
     rows and the blocks formed from them.  The cells are formatted by
     _g17.csv_blocks, byte for byte as "%.17g", a pass of whole rows (at
-    most _g17._PASS cells) at a time, in one scratch array and one
-    bytearray of cell slots that the table's passes share; each pass's
-    text is handed on before the next is formatted.  numpy and _g17 load
+    most _g17._PASS cells) at a time, in one scratch array that the
+    table's passes share and a bytearray of one pass's cell slots; each
+    pass's text is handed on before the next is formatted.  numpy and _g17 load
     only here."""
     if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
         return render_csv(header, list(rows))

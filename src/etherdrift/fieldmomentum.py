@@ -221,6 +221,10 @@ class MomentumResult(Record):
     P_e: tuple
     estimated_quadrature_error: float
 
+    def _check(self):
+        check_finite(*zip(("momentum P_x", "momentum P_y", "momentum P_z"), self.P_e),
+                     ("quadrature error estimate", self.estimated_quadrature_error))
+
 
 def integrate_field_momentum(geom: SolenoidChargeGeometry) -> MomentumResult:
     """P_e over the truncated bore, the tail summed around the bore's edge.
@@ -242,6 +246,9 @@ def analytic_solenoid_momentum(geom: SolenoidChargeGeometry) -> tuple:
     charge is +y.  The geometry has the charge outside the solenoid, d > a.
     """
     magnitude = geom.q * geom.B * geom.a * geom.a / (2.0 * geom.d * c_cgs)
+    if not math.isfinite(magnitude):
+        raise DomainError(f"the closed-form momentum q B a^2/(2 d c) is not a finite number "
+                          f"({magnitude}) at q={geom.q}, B={geom.B}, a={geom.a}, d={geom.d}")
     return (0.0, magnitude, 0.0)
 
 
@@ -251,6 +258,12 @@ class ConvergenceRow(Record):
     p_magnitude: float
     rel_error: float
     P_e: tuple
+
+    def _check(self):
+        check_finite(("half-length", self.half_length_cm),
+                     *zip(("grid n_r", "grid n_phi", "grid n_z"), self.grid),
+                     ("momentum magnitude", self.p_magnitude), ("relative error", self.rel_error),
+                     *zip(("momentum P_x", "momentum P_y", "momentum P_z"), self.P_e))
 
 
 def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
@@ -270,7 +283,8 @@ def convergence_study(geom: SolenoidChargeGeometry, levels: int) -> list:
         raise InputError(f"convergence study needs at least 2 levels, got {levels}")
     # below the bore radius the truncated integral is no longer near its
     # limit, and far below it underflows to 0
-    coarsest = geom.half_length * 2.0 ** (1 - levels)
+    # 2^-1100 is 0 already, and a float power of a larger int overflows
+    coarsest = geom.half_length * 2.0 ** max(1 - levels, -1100)
     if not coarsest >= geom.a:
         raise DomainError(f"levels={levels} halves the truncation half-length "
                           f"{geom.half_length} to {coarsest} at the coarsest level, "

@@ -194,6 +194,10 @@ class RotationSignal(Record):
     exact: float
     first_order: float
 
+    def _check(self):
+        check_finite(("exact rotation signal", self.exact),
+                     ("first-order rotation signal", self.first_order))
+
 
 def _half_turn_swing(n: float, u: float, e_f: float) -> float:
     """Change 1/w(u) - 1/w(-u) of an arm's inverse lab speed on the half turn.
@@ -237,6 +241,7 @@ def fringe_shift(delta_t: float, lambda_vac: float) -> float:
     check_finite(("path time difference dt", delta_t))
     if not 0.0 < lambda_vac:
         raise DomainError(f"wavelength must be positive, got {lambda_vac}")
+    check_finite(("wavelength", lambda_vac))
     fringes = _fringes(delta_t, lambda_vac)
     if not math.isfinite(fringes):
         raise DomainError(f"the fringe count c dt / lambda exceeds the double range at "
@@ -262,7 +267,11 @@ def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> 
     denom = 2.0 * abs((n1 - n2) * (n1 + n2)) * config.L * (1.0 - config.e_f)
     if not denom > 0.0:
         raise DomainError(f"2 |n1^2 - n2^2| L (1 - e_f) underflows to 0 at L = {config.L} m")
-    return fringe_resolution * config.lambda_vac * c / denom
+    u_min = fringe_resolution * config.lambda_vac * c / denom
+    if not u_min < math.inf:
+        raise DomainError(f"the smallest detectable drift speed exceeds the double range at "
+                          f"resolution {fringe_resolution}, wavelength {config.lambda_vac} m")
+    return u_min
 
 
 def improvement_factor(u: float, n1: float, n2: float) -> float:

@@ -14,6 +14,7 @@ observable built from inverse speeds is identical under both.
 """
 
 import enum
+import math
 
 from ._record import check_finite
 from .errors import DomainError
@@ -73,11 +74,16 @@ def compose_lab_speed(v_rest: float, u: float, law: CompositionLaw) -> float:
     _check_speed(u)
     check_finite(("rest-frame speed v_rest", v_rest))
     if law is CompositionLaw.EINSTEIN:
-        return (v_rest - u) / (1.0 - u * v_rest / (c * c))
-    if law is CompositionLaw.TANGHERLINI:
+        w = (v_rest - u) / (1.0 - u * v_rest / (c * c))
+    elif law is CompositionLaw.TANGHERLINI:
         beta = u / c
-        return (v_rest - u) / (1.0 - beta * beta)
-    raise DomainError(f"unknown composition law {law!r}")
+        w = (v_rest - u) / (1.0 - beta * beta)
+    else:
+        raise DomainError(f"unknown composition law {law!r}")
+    if not math.isfinite(w):
+        raise DomainError(f"the lab speed exceeds the double range at v_rest = {v_rest} m/s, "
+                          f"u = {u} m/s")
+    return w
 
 
 def einstein_composed_speed(n: float, u: float) -> float:

@@ -139,6 +139,7 @@ class ProcaCylinderConfig(Record):
 def _check_mass(m_gamma: float) -> None:
     if not 0.0 <= m_gamma < math.inf:
         raise DomainError(f"photon mass parameter must be finite and >= 0, got {m_gamma}")
+    check_finite(("photon mass parameter", m_gamma))  # an int beyond the double range
 
 
 def _check_potential(m_gamma: float, variant: str) -> None:
@@ -174,7 +175,11 @@ def _potential_rows(cfg: ProcaCylinderConfig, m_gamma: float, variant: str):
 def _potential_at(rho: float, cfg: ProcaCylinderConfig, m_gamma: float, variant: str) -> tuple:
     if not 0.0 <= rho <= cfg.R:
         raise DomainError(f"radial position must satisfy 0 <= rho <= R, got {rho}")
-    return _potential_rows(cfg, m_gamma, variant)(rho, math)
+    row = _potential_rows(cfg, m_gamma, variant)(rho, math)
+    if not all(map(math.isfinite, row)):
+        raise DomainError(f"the interior potential leaves the double range at rho = {rho} m, "
+                          f"R = {cfg.R} m, V = {cfg.V} V and m_gamma = {m_gamma}")
+    return row
 
 
 def cylinder_potential_exact(rho: float, cfg: ProcaCylinderConfig, m_gamma: float) -> float:
@@ -246,7 +251,13 @@ def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,
     """
     _check_mass(m_gamma)
     m2 = m_gamma * m_gamma
-    return -(constants.charge_over_hbar * m2 / 4.0) * (cfg.rho * cfg.rho - cfg.R * cfg.R) * cfg.V * cfg.tau
+    phase = (-(constants.charge_over_hbar * m2 / 4.0) * (cfg.rho * cfg.rho - cfg.R * cfg.R)
+             * cfg.V * cfg.tau)
+    if not math.isfinite(phase):
+        raise DomainError(f"the mass phase correction is not finite at R = {cfg.R} m, "
+                          f"rho = {cfg.rho} m, V = {cfg.V} V, tau = {cfg.tau} s and "
+                          f"m_gamma = {m_gamma}")
+    return phase
 
 
 def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> float:
@@ -284,6 +295,7 @@ def time_of_flight(length: float, speed: float) -> float:
         raise DomainError(f"speed must be finite and positive, got {speed}")
     if not 0.0 <= length < math.inf:
         raise DomainError(f"length must be finite and >= 0, got {length}")
+    check_finite(("speed", speed), ("length", length))  # an int beyond the double range
     tau = length / speed
     if not tau < math.inf:
         raise DomainError(f"the time of flight exceeds the double range at length {length} m, "
@@ -321,6 +333,7 @@ def projected_bound(base: PhotonMassBound, tau_scale: float) -> PhotonMassBound:
     """
     if not 0.0 < tau_scale:
         raise DomainError(f"tau scale must be positive, got {tau_scale}")
+    check_finite(("tau scale", tau_scale))
     factor = math.sqrt(tau_scale)
     return PhotonMassBound(base.m_gamma_inv_cm * factor, base.m_ph_g / factor,
                            f"{base.source} (tau x{tau_scale:g})")

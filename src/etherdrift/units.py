@@ -16,7 +16,7 @@ grams.
 import enum
 import math
 
-from ._record import Record
+from ._record import Record, check_finite
 from .errors import DomainError, InputError
 
 
@@ -55,6 +55,11 @@ class PhysicalConstants(Record):
 
     profile: str
     flux_quantum: float  # Wb
+
+    def _check(self):
+        check_finite(("flux quantum", self.flux_quantum))
+        if not 0.0 < self.flux_quantum:
+            raise DomainError(f"flux quantum must be positive, got {self.flux_quantum}")
 
     @property
     def charge_over_hbar(self) -> float:
@@ -122,4 +127,5 @@ def inverse_length_to_mass(range_cm: float) -> float:
     """
     if not 0.0 < range_cm < math.inf:
         raise DomainError(f"Yukawa range must be finite and positive, got {range_cm}")
+    check_finite(("Yukawa range", range_cm))  # an int beyond the double range
     return hbar_cgs / (c_cgs * range_cm)

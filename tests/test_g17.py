@@ -4,6 +4,7 @@ Each case is laid out as a two-column table, so that both separators are
 written: the text must be what formatting every cell one at a time gives."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -140,3 +141,59 @@ def test_blocks_are_split_into_passes_of_whole_rows(block, columns):
     assert got[0] == "" and len(got) == rows + 1
     for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
         assert line == ",".join("%.17g" % v for v in values), row
+
+
+@pytest.mark.parametrize("columns", [3, 4])
+def test_pass_size_changes_from_pass_to_pass(columns, monkeypatch):
+    # blocks of 4096, 1, 2731, 3 and 4097 rows make passes whose size
+    # changes from one to the next (at 3 columns 2730, 1366, 1, 2730, 1, 3,
+    # 2730, 1367 rows; at 4, 2048 twice, then 1, 2048, 683, 3, 2048, 2048,
+    # 1), and the views and slots of a pass are bound anew for each change
+    # of size; a tie, left to "%.17g", lies on each side of every pass edge
+    sizes = [4096, 1, 2731, 3, 4097]
+    rng = np.random.default_rng(41 + columns)
+    shape = (sum(sizes), columns)
+    table = 10.0 ** rng.uniform(-320, 308, shape) * rng.choice([-1.0, 1.0], shape)
+    table[::5, 1] = 0.0
+    step, passes, start = _g17._PASS // columns, [], 0
+    for size in sizes:
+        passes += [min(step, start + size - edge) for edge in range(start, start + size, step)]
+        start += size
+    edge = 0
+    for rows in passes[:-1]:
+        edge += rows
+        table[edge - 1, -1], table[edge, 0] = TIES
+    slots, bound = _g17._slots, []
+
+    def binding(scratch, out, rows):
+        bound.append(rows)
+        return slots(scratch, out, rows)
+
+    monkeypatch.setattr(_g17, "_slots", binding)
+    blocks = np.split(table, np.cumsum(sizes)[:-1])
+    got = "".join(_g17.csv_blocks(blocks)).split("\n")
+    assert bound == [rows for i, rows in enumerate(passes) if i == 0 or rows != passes[i - 1]]
+    assert got[0] == "" and len(got) == len(table) + 1
+    for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
+        assert line == ",".join("%.17g" % v for v in values), row
+
+
+def test_a_full_pass_allocates_nothing_of_its_size():
+    # every intermediate of a pass lies in views bound once for its size,
+    # and every ufunc reads and writes one dtype, so a pass of certified
+    # cells allocates neither an array nor a cast buffer, each 64 KiB for
+    # a full pass
+    n = _g17._PASS
+    x = np.random.default_rng(3).uniform(-1e3, 1e3, (n // 4, 4))
+    scratch, out = np.empty((_g17._SLOTS, n)), np.empty((n, 4), _g17._WORDS)
+    lay_out = _g17._slots(scratch, out, len(x))
+    lay_out(x)  # numpy's set-up of a first call
+    tracemalloc.start()
+    try:
+        lay_out(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    text = out.tobytes().replace(b"\0", b"").decode("ascii")
+    assert text == "".join("\n" + ",".join("%.17g" % v for v in row) for row in x.tolist())
