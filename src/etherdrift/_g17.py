@@ -39,7 +39,9 @@ zero bytes of a block leaves its text.  An uncertified cell is formatted
 by "%.17g" and written into its slot as it stands.
 
 A table is formatted a pass of whole rows at a time: each block handed
-in is split into passes of at most _PASS cells, and each pass is laid
+in is split into passes of at most _PASS cells, all of one size but the
+block's last (a table handed in as one block binds one pass size, or two),
+and each pass is laid
 out in row-major order, the order of its text, by the function that
 _slots binds for a pass of its size.  Every cell is laid out with a ",",
 and one XOR then makes that of each row's first cell a newline.  Every
@@ -47,14 +49,15 @@ intermediate of a pass is written by ufunc out= into one float64 scratch
 array of _SLOTS rows, viewed as int64, uint64 or bool where a step needs,
 and every ufunc reads and writes one dtype: no intermediate, and no cast
 buffer, is an array of its own.  The slots of a pass lie in a bytearray
-of exactly that many slots, whose zero bytes bytes.translate drops, and
-its text is handed on before the next pass is laid out.  The blocks are
+of exactly that many slots, whose zero bytes bytearray.translate drops,
+and its text, the bytes that translate returns, uncopied, is handed on
+before the next pass is laid out.  The blocks are
 handed in one by one, by whoever forms them (csv_blocks), so the table
 need never be held whole, and at most one pass of its text is held at a
 time.  The scratch is allocated for the table's first pass and anew for
 a later pass of more cells; the bytearray, and the views of both that a
 pass works in, for each pass of another size than the one before.  All
-are freed with the generator of the table's texts.
+are freed with the generator of the table's passes.
 
 The digit and layout tables, and the pairs of 10^(16−k) for every k of a
 finite double, are built once, at import.
@@ -267,22 +270,24 @@ def _slots(scratch, out, rows):
 
 def _block(rows, lay_out, buffer):
     """The lines of rows, one pass of csv_blocks as a 2-D float64 array,
-    each led by its newline.
+    each led by its newline, as ASCII bytes (a bytearray).
 
     Its cells are laid out in row-major order by lay_out, the _slots
     function bound for a pass of its size, into the 32-byte slots of
     buffer, a bytearray of exactly that many slots, whose zero bytes are
     then dropped."""
     lay_out(rows)
-    return buffer.translate(None, b"\0").decode("ascii")
+    return buffer.translate(None, b"\0")
 
 
 def csv_blocks(blocks):
     """The lines of a table given as blocks, an iterable of 2-D float64
-    arrays of finite doubles, its blocks of rows in order: one text for
-    each pass of whole rows, at most _PASS cells (one row, if a row has
-    more), each line led by its newline, its cells "%.17g" and joined by
-    commas.
+    arrays of finite doubles, its blocks of rows in order: the ASCII bytes
+    of each pass of whole rows, _PASS // columns rows of a block (one row,
+    if a row has more cells than _PASS) and the block's last pass the
+    rest, each line led by its newline, its cells "%.17g" and joined by
+    commas.  A block is read once the passes of the one before are
+    handed on.
 
     The scratch is allocated for the first pass, and anew for any later
     pass of more cells.  The slots are a bytearray of exactly one pass,

@@ -113,10 +113,10 @@ def check_finite(*fields):
 
 
 def check_count(label, value):
-    """Raise InputError unless value is an integer: an int or a numpy
-    integer, as operator.index takes it, not a float such as 2.5 or 5.0."""
+    """value as an int, if it is an integer: an int or a numpy integer, as
+    operator.index takes it; InputError for any other, such as 2.5 or 5.0."""
     try:
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise InputError(f"{label} must be an integer, got {value!r}") from None
 

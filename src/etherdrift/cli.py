@@ -10,7 +10,7 @@ process (_console_main) a call writes through a buffered stdout of its own:
 it exits 1, with nothing on stderr, when its reader closes the pipe early,
 and 120, with one JSON line on stderr, when another write fails.  Output is
 one string, except a CSV table past the table rule's cut (_table_csv),
-streamed in blocks.
+streamed in blocks of ASCII bytes.
 
 Every flag is declared once, in the table ``_CLI``, and every argv is read
 against it, help, --version and usage errors included: no call imports
@@ -31,8 +31,8 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _mirrored_blocks,
-                             _scan_rows, angle_scan, improvement_factor, min_detectable_u)
+from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _scan_blocks,
+                             _scan_rows, improvement_factor, min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
@@ -112,48 +112,51 @@ _WARM_CUT = 160
 
 
 def _table_csv(header, steps, rows, table):
-    """The CSV of a table of steps rows: a string, or an iterator of text
-    blocks.  rows is an iterator of its float tuples, and table() forms it
-    in numpy as (cells, blocks): an array that holds every distinct cell,
-    in the order the text first holds it, and an iterator of the table's
-    blocks of _SCAN_BLOCK rows, 2-D float64 arrays; one of rows and
-    table() is read, once.
+    """The CSV of a table of steps rows: a string, or an iterator of its
+    text in chunks of ASCII bytes, the header line first.  rows is an iterator of its float
+    tuples, and table() forms it in numpy as (formed, blocks): an iterator
+    of 2-D float64 arrays that hold every distinct cell, in the order the
+    text first holds it, each formed as it is read, and an iterator of the
+    table's blocks of rows, read once formed is; one of rows and table()
+    is read, once.
 
     The table rule of every CSV subcommand: a table of up to _SCAN_BLOCK
     rows, or of up to _WARM_CUT once numpy is loaded, is rendered whole
     from rows by render_csv.  The cut spares a cold call numpy's import,
     60-100 ms, which a warm process has already paid.  Any larger table is
-    table(), its cells checked whole and its blocks streamed: the header,
-    the rows' lines a block at a time, each led by its newline, the last
-    newline.  A refused table writes nothing: format_float names the first
-    non-finite cell of cells in row-major order, the table's own first
-    (numpy's warnings are off; this is an overflow's one report).  A
-    profile hands in its whole table (_whole), a fringe scan its distinct
-    rows and the blocks formed from them.  The cells are formatted by
-    _g17.csv_blocks, byte for byte as "%.17g", a pass of whole rows (at
-    most _g17._PASS cells) at a time, in one scratch array that the
-    table's passes share and a bytearray of one pass's cell slots; each
-    pass's text is handed on before the next is formatted.  numpy and _g17 load
-    only here."""
+    table(), each array of formed checked as it is formed and its blocks
+    streamed: the header, the rows' lines a pass at a time, each led by
+    its newline, the last newline.  A refused table writes nothing:
+    format_float names the first non-finite cell of formed in row-major
+    order, the table's own first (numpy's warnings are off; this is an
+    overflow's one report).  A profile hands in its whole table as one
+    array of each (_whole), a fringe scan the blocks of its distinct rows
+    and then of its rows, formed from their delays (_scan_blocks).  The
+    cells are formatted by _g17.csv_blocks, byte for byte as "%.17g", a
+    pass of whole rows (at most _g17._PASS cells) at a time, in one
+    scratch array that the table's passes share and a bytearray of one
+    pass's cell slots; each pass's bytes are handed on before the next is
+    formatted.  numpy and _g17 load only here."""
     if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
         return render_csv(header, list(rows))
     import numpy as np
 
     with np.errstate(all="ignore"):
-        cells, blocks = table()
-    finite = np.isfinite(cells)
-    if not finite.all():
-        format_float(cells.flat[finite.argmin()])
+        formed, blocks = table()
+        for cells in formed:
+            finite = np.isfinite(cells)
+            if not finite.all():
+                format_float(cells.flat[finite.argmin()])
     from ._g17 import csv_blocks
 
-    return itertools.chain([",".join(header)], csv_blocks(blocks), ["\n"])
+    return itertools.chain([",".join(header).encode()], csv_blocks(blocks), [b"\n"])
 
 
 def _whole(table):
-    """A numpy table as _table_csv's table() hands it in: the table itself
-    and its blocks of _SCAN_BLOCK rows, as views."""
-    return table, (table[start:start + _SCAN_BLOCK]
-                   for start in range(0, len(table), _SCAN_BLOCK))
+    """A numpy table as _table_csv's table() hands it in: the table alone,
+    as its one formed array and its one block, which _g17.csv_blocks
+    splits into passes of one size but the last."""
+    return (table,), (table,)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +314,11 @@ def _run_speed(ns, constants):
 
 def _run_fringe(ns, constants):
     # both sides of the table rule build each row by interferometer._scan_row,
-    # so they print the same doubles.  Past the cut only the rows up to the
-    # half turn are formed, and each row past it copies its mirror's cells
+    # so they print the same doubles
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
-
-    def table():
-        half = angle_scan(config, ns.steps, ns.steps // 2 + 1)
-        return half, _mirrored_blocks(half, ns.steps, _SCAN_BLOCK)
-
-    return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps), table)
+    return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps),
+                      lambda: _scan_blocks(config, ns.steps, _SCAN_BLOCK))
 
 
 def _run_sensitivity(ns, constants):
@@ -679,11 +677,24 @@ def _report(text=""):
             pass
 
 
+#: every character of a streamed table but its header's: the cells'
+#: "%.17g" text, the commas and the newlines
+_CELL_TEXT = "0123456789+-.e,\n"
+
+
 def main(argv=None) -> int:
     """Run the CLI on argv (default sys.argv[1:]) and return the exit code.
 
     Output goes to sys.stdout only after the request has run without
-    error: a str in one write, a stream of blocks with writelines."""
+    error: a str in one write, a streamed table (_table_csv) chunk by
+    chunk.  A streamed table's header goes through the text layer, which
+    leaves a stateful encoder (ISO-2022, HZ) in its ASCII state.  Its
+    other chunks go to sys.stdout.buffer as the bytes they are, after the
+    text layer is flushed, when sys.stdout has a buffer, its encoding
+    writes the cells' text as itself (UTF-8, Latin-1, ASCII) and
+    os.linesep is "\n", so that a text layer would write each newline as
+    itself; otherwise (io.StringIO, a closed stdout, UTF-16, UTF-7 or
+    EBCDIC streams, Windows) each is decoded and written as text."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -699,10 +710,18 @@ def main(argv=None) -> int:
     except EtherdriftError as exc:
         _report(render_json({"error": type(exc).__name__, "message": str(exc)}))
         return 2
+    stdout = sys.stdout
     if isinstance(output, str):
-        sys.stdout.write(output)
+        stdout.write(output)
+        return 0
+    stdout.write(next(output).decode("ascii"))
+    binary = getattr(stdout, "buffer", None)
+    if (binary is not None and os.linesep == "\n"
+            and _CELL_TEXT.encode(stdout.encoding, stdout.errors) == _CELL_TEXT.encode()):
+        stdout.flush()
+        binary.writelines(output)
     else:
-        sys.stdout.writelines(output)
+        stdout.writelines(chunk.decode("ascii") for chunk in output)
     return 0
 
 

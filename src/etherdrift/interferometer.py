@@ -30,11 +30,13 @@ fold to the same angle as row k, with the same sign, so the two rows
 hold the same three delay cells bit for bit.  This holds for every k:
 at a right angle the cosine is exactly +-0, as at 0 and 180 degrees it
 is exactly +-1, and at u_eff = +-0 delta1 - delta2 is +0, so the 90 and
-270 degree rows are both the static device's.  A large scan is
-therefore formed from its first steps // 2 + 1 rows and its other rows
-copied from them (_mirrored_blocks).  A scan holds at most
-MAX_SCAN_STEPS rows, and a configuration whose drift reaches the light
-speed of an arm is refused, so no delay divides by zero.  The rotation signal is formed from the
+270 degree rows are both the static device's.  A scan written past the
+CLI's table cut (_scan_blocks) is therefore formed only up to row
+steps // 2, of which it keeps the two delay columns alone: each row past
+it takes its mirror's delays, and every row its theta and fringe cell by
+_scan_row's own expressions.  A scan holds at most MAX_SCAN_STEPS rows,
+and a configuration whose drift reaches the light speed of an arm is
+refused, so no delay divides by zero.  The rotation signal is formed from the
 drift parts of the inverse speeds, not as the difference of two nearly
 equal delays, and every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does
 not cancel for near-vacuum indices.
@@ -303,17 +305,22 @@ def _check_steps(steps: int, noun: str) -> None:
         raise InputError(f"{noun} takes at most {MAX_SCAN_STEPS} steps, got {steps}")
 
 
+def _theta(steps: int, k):
+    """theta_k = 360 k/steps of scan row k, an int or an int array."""
+    return 360.0 * k / steps
+
+
 def _scan_row(config: InterferometerConfig, steps: int, k, xp) -> tuple:
     """(theta, exact, first, fringes) of scan row k: floats for an int k
     with xp = math, columns for an int array k with xp = numpy.
 
-    The one row rule of both scan drivers: the cosine from _scan_cos, both
-    delays from _delays on it, so _scan_rows and angle_scan hold the same
-    doubles.  No row divides by zero: the config check keeps every delay's
-    denominator positive.
+    The one row rule of every scan driver: the cosine from _scan_cos, both
+    delays from _delays on it, so _scan_rows, angle_scan and _scan_blocks
+    hold the same doubles.  No row divides by zero: the config check keeps
+    every delay's denominator positive.
     """
     exact, first = _delays(config, _scan_cos(steps, 4 * k, xp))
-    return 360.0 * k / steps, exact, first, _fringes(exact, config.lambda_vac)
+    return _theta(steps, k), exact, first, _fringes(exact, config.lambda_vac)
 
 
 def _scan_rows(config: InterferometerConfig, steps: int):
@@ -324,7 +331,7 @@ def _scan_rows(config: InterferometerConfig, steps: int):
     return (_scan_row(config, steps, k, math) for k in range(steps))
 
 
-def angle_scan(config: InterferometerConfig, steps: int, rows=None):
+def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
     """Uniform orientation scan over [0, 360) degrees, theta_k = 360 k/steps.
 
     Returns a (steps, 4) float64 table whose columns are SCAN_COLUMNS:
@@ -332,44 +339,76 @@ def angle_scan(config: InterferometerConfig, steps: int, rows=None):
     the exact delay.  steps = 2 reproduces the 0/180 pair of the rotation
     signal.  The cosines come from _scan_cos, so at an even step count row
     k + steps/2 is row k of the reversed drift, and row steps - k repeats
-    row k's delays bit for bit (module docstring).  rows, an integer in
-    [0, steps], is the number of leading rows to form: the table is then
-    (rows, 4), the whole scan's first rows bit for bit.  The rows are
-    formed by _scan_row in blocks of _SCAN_BLOCK, cosines and delays
-    alike, so the table is the only array of its size.
+    row k's delays bit for bit (module docstring).  start and stop,
+    integers with 0 <= start <= stop <= steps (stop defaults to steps),
+    select rows start to stop - 1: the table is then (stop - start, 4),
+    the whole scan's rows bit for bit.  The rows are formed by _scan_row
+    in blocks of _SCAN_BLOCK, cosines and delays alike, so the table is
+    the only array of its size.
     """
     _check_steps(steps, "angle scan")
-    if rows is None:
-        rows = steps
-    check_count("angle scan rows", rows)
-    if not 0 <= rows <= steps:
-        raise InputError(f"angle scan rows must lie in [0, {steps}], got {rows}")
+    if stop is None:
+        stop = steps
+    start = check_count("angle scan rows start", start)
+    stop = check_count("angle scan rows stop", stop)
+    if not 0 <= start <= stop <= steps:
+        raise InputError(f"angle scan rows must satisfy 0 <= start <= stop <= {steps}, "
+                         f"got start {start}, stop {stop}")
     import numpy as np
 
-    table = np.empty((rows, len(SCAN_COLUMNS)))
-    for start in range(0, rows, _SCAN_BLOCK):
-        block = np.arange(start, min(start + _SCAN_BLOCK, rows))
-        table[start:start + _SCAN_BLOCK].T[:] = _scan_row(config, steps, block, np)
+    table = np.empty((stop - start, len(SCAN_COLUMNS)))
+    for first in range(start, stop, _SCAN_BLOCK):
+        rows = table[first - start:first - start + _SCAN_BLOCK]
+        # a column at a time: a tuple of columns would be copied into an
+        # array of the block's size first
+        for column, values in zip(rows.T, _scan_row(config, steps,
+                                                    np.arange(first, first + len(rows)), np)):
+            column[...] = values
     return table
 
 
-def _mirrored_blocks(half, steps: int, block: int):
-    """The rows of a steps-row scan, in blocks of up to block rows, from
-    half, angle_scan's table of its first steps // 2 + 1 rows.  A block
-    within those rows is a view of half; any other is an array of its
-    own, whose row k past steps // 2 holds the delay cells of row
-    steps - k and theta_k formed as _scan_row forms it."""
+def _scan_blocks(config: InterferometerConfig, steps: int, block: int):
+    """angle_scan's table in blocks of up to block rows, as the CLI writes
+    it past its table cut: (formed, blocks), two iterators of (n, 4)
+    float64 arrays; steps is checked first.
+
+    formed yields the scan's distinct rows, 0 to steps // 2, in blocks
+    that angle_scan forms (so that bench/tracer.py, which times
+    angle_scan, sees them formed), and keeps only their exact and
+    first-order delays, a (2, steps // 2 + 1) array, the only array of its
+    size: a row of it for each, which copies into a block's column about
+    twice as fast as a pair of columns would.  blocks then yields the
+    scan's rows from them, each block a view of one array of block rows
+    that every block reuses: a row up to steps // 2 takes its own delays,
+    by a forward slice, and row k past it those of row steps - k, its
+    mirror (module docstring), by a reversed one; every row takes its
+    theta and its fringe cell by _scan_row's own expressions (_theta,
+    _fringes), so each of its doubles is angle_scan's.  blocks is read
+    once formed is, and each block before the next.
+    """
+    _check_steps(steps, "angle scan")
     import numpy as np
 
-    first = steps // 2 + 1  # the first row that repeats another's delays
-    for start in range(0, steps, block):
-        end = min(start + block, steps)
-        if end <= first:
-            yield half[start:end]
-            continue
-        split = max(start, first)
-        rows = np.empty((end - start, half.shape[1]))
-        rows[:split - start] = half[start:split]
-        rows[split - start:] = half[steps - end + 1:steps - split + 1][::-1]
-        rows[split - start:, 0] = 360.0 * np.arange(split, end) / steps
-        yield rows
+    half = steps // 2 + 1  # rows 0 to steps // 2; row steps - k repeats row k's delays
+    delays = np.empty((2, half))
+
+    def formed():
+        for start in range(0, half, block):
+            part = angle_scan(config, steps, start, min(start + block, half))
+            delays[:, start:start + block] = part[:, 1:3].T
+            yield part
+
+    def blocks():
+        rows = np.empty((min(block, steps), len(SCAN_COLUMNS)))
+        for start in range(0, steps, block):
+            end = min(start + block, steps)
+            part = rows[:end - start]
+            split = min(max(start, half), end) - start  # the block's first mirrored row
+            for column, held in zip(part.T[1:3], delays):
+                column[:split] = held[start:start + split]
+                column[split:] = held[steps - end + 1:steps - start - split + 1][::-1]
+            part[:, 0] = _theta(steps, np.arange(start, end))
+            part[:, 3] = _fringes(part[:, 1], config.lambda_vac)
+            yield part
+
+    return formed(), blocks()

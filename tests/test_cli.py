@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etherdrift import _g17, cli
+from etherdrift import _g17, cli, interferometer
 from etherdrift.abphase import Path, UniformQ, fresnel_momentum
 from etherdrift.errors import DomainError, InputError
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
@@ -329,11 +329,12 @@ def test_degenerate_scans_are_the_table_cell_by_cell(device, u, capsys):
 
 def _streamed(header, table):
     # _table_csv as the CSV subcommands call it: one string up to the
-    # table rule's cut, numpy being loaded here, and a stream of blocks beyond
+    # table rule's cut, numpy being loaded here, and a stream of ASCII
+    # bytes beyond
     chunks = cli._table_csv(header, len(table), map(tuple, table.tolist()),
                             lambda: cli._whole(table))
     assert isinstance(chunks, str) == (len(table) <= cli._WARM_CUT)
-    return "".join(chunks)
+    return chunks if isinstance(chunks, str) else b"".join(chunks).decode("ascii")
 
 
 def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, capsys):
@@ -368,7 +369,10 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     monkeypatch.setattr(cli, "_WARM_CUT", 2)
     with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
         cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: cli._whole(table))
-    monkeypatch.setattr(cli, "angle_scan", lambda config, steps, rows: table[:rows])
+    # the scan builder forms the scan's rows up to the half turn, rows 0-3,
+    # by _scan_row, here this table's
+    monkeypatch.setattr(interferometer, "_scan_row",
+                        lambda config, steps, k, xp: tuple(table[k].T))
     assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
                      "--lambda-nm", "633", "--steps", "6"]) == 2
     out, err = capsys.readouterr()
@@ -438,6 +442,49 @@ def test_refused_proca_potential_writes_nothing(capsys):
                                               "the computation left the double range"}
 
 
+@pytest.mark.parametrize("encoding", [None, "utf-8", "utf-16", "utf-7", "cp500", "iso2022_jp"],
+                         ids=["StringIO", "utf-8", "utf-16", "utf-7", "ebcdic", "iso2022-jp"])
+def test_streamed_tables_in_any_text_stream(encoding):
+    # a streamed table goes as bytes to the buffer of a text stream whose
+    # encoding writes its cells' ASCII as itself (UTF-8, and ISO-2022-JP
+    # once the header has left the JIS state that the text before it set),
+    # and as text to any other stream.  Either way it follows the text
+    # that the stream holds unflushed, and its text is the cell-by-cell
+    # table's
+    before = "before" if encoding == "cp500" else "\u65e5\u672c"
+    for argv, header, table in _table_requests(4097):
+        if encoding is None:
+            out = io.StringIO()
+        else:
+            out = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+        out.write(before)
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        out.flush()
+        text = out.getvalue() if encoding is None else out.buffer.getvalue().decode(encoding)
+        assert text == before + _naive_csv(header, table), argv
+
+
+@pytest.mark.parametrize("cold_cut", [False, True], ids=["warm-cut", "cold-cut"])
+def test_fringe_cell_beyond_the_double_range_is_refused_in_numpy(cold_cut, monkeypatch,
+                                                                 capsys):
+    # at a wavelength of 1e-323 m every fringe cell is inf: the scan builder
+    # forms it with the rows it checks, and forms it again, from the kept
+    # delays, for the rows it writes.  1000 rows take the numpy path past
+    # the warm cut; 5000 past the cold one, as a fresh interpreter has it
+    steps = "1000"
+    if cold_cut:
+        monkeypatch.setattr(cli, "_WARM_CUT", cli._SCAN_BLOCK)
+        steps = "5000"
+    assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
+                     "--u-mps", "3e4", "--lambda-nm", "1e-314", "--steps", steps]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "DomainError",
+                               "message": "result is not a finite number (inf): "
+                                          "the computation left the double range"}
+
+
 def _table_requests(steps):
     """A fringe scan and a potential profile of steps rows: (argv, the
     table as a numpy array) each."""
@@ -481,10 +528,10 @@ def test_table_rule_at_its_cut_with_numpy_loaded(cold_cut, monkeypatch, capsys):
             seen.clear()
             assert cli.main(argv) == 0
             assert capsys.readouterr() == (_naive_csv(header, table), ""), argv
-            rows, passes = _g17._PASS // len(header), []
-            for first in range(0, steps, cli._SCAN_BLOCK):
-                block = min(cli._SCAN_BLOCK, steps - first)
-                passes += [min(rows, block - start) for start in range(0, block, rows)]
+            # every pass of a table but its last has _PASS // columns rows:
+            # a profile is one block, and a scan's blocks are whole passes
+            rows = _g17._PASS // len(header)
+            passes = [min(rows, steps - start) for start in range(0, steps, rows)]
             assert seen == (passes if steps > cut else []), argv
 
 

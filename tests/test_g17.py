@@ -24,7 +24,7 @@ def _formatted(values):
     values = np.asarray(values, dtype=float)
     table = np.stack([values, -values], axis=1)
     naive = "".join("\n%.17g,%.17g" % (v, w) for v, w in table.tolist())
-    return "".join(_g17.csv_blocks(_blocks(table, 4096))), naive
+    return b"".join(_g17.csv_blocks(_blocks(table, 4096))).decode("ascii"), naive
 
 
 def _assert_formatted(values):
@@ -112,7 +112,7 @@ def test_no_block_keeps_bytes_of_the_block_before(block, columns):
     ties = short.copy()
     ties[0, 0], ties[-1, -1] = TIES
     table = np.concatenate([longest, short, ties, short[:max(block // 2, 1)]])
-    got = "".join(_g17.csv_blocks(_blocks(table, block))).split("\n")
+    got = b"".join(_g17.csv_blocks(_blocks(table, block))).decode("ascii").split("\n")
     assert len(got) == len(table) + 1
     for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
         assert line == ",".join("%.17g" % v for v in values), row
@@ -137,7 +137,7 @@ def test_blocks_are_split_into_passes_of_whole_rows(block, columns):
             if start:
                 table[start - 1, -1], table[start, 0] = TIES
         edge += rows_in_block
-    got = "".join(_g17.csv_blocks(blocks)).split("\n")
+    got = b"".join(_g17.csv_blocks(blocks)).decode("ascii").split("\n")
     assert got[0] == "" and len(got) == rows + 1
     for row, (line, values) in enumerate(zip(got[1:], table.tolist())):
         assert line == ",".join("%.17g" % v for v in values), row
@@ -171,7 +171,7 @@ def test_pass_size_changes_from_pass_to_pass(columns, monkeypatch):
 
     monkeypatch.setattr(_g17, "_slots", binding)
     blocks = np.split(table, np.cumsum(sizes)[:-1])
-    got = "".join(_g17.csv_blocks(blocks)).split("\n")
+    got = b"".join(_g17.csv_blocks(blocks)).decode("ascii").split("\n")
     assert bound == [rows for i, rows in enumerate(passes) if i == 0 or rows != passes[i - 1]]
     assert got[0] == "" and len(got) == len(table) + 1
     for row, (line, values) in enumerate(zip(got[1:], table.tolist())):

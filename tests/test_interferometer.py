@@ -13,7 +13,7 @@ from etherdrift import cli
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.abphase import fresnel_momentum
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       _cos_deg, _mirrored_blocks, _scan_cos,
+                                       _cos_deg, _scan_blocks, _scan_cos,
                                        _scan_rows, angle_scan, delay_exact, delay_first_order,
                                        fringe_shift, improvement_factor, min_detectable_u,
                                        rotation_signal)
@@ -221,37 +221,54 @@ def test_angle_scan_half_turn_antisymmetry():
 def test_angle_scan_validates_steps():
     with pytest.raises(InputError):
         angle_scan(config(), 1)
-    # a row count is an integer in [0, steps], refused before the table,
-    # here up to 320 MB, is allocated
+    # a row range's start and stop are integers with 0 <= start <= stop <=
+    # steps, refused before the table, here up to 320 MB, is allocated; the
+    # CLI's scan builder refuses a step count that angle_scan refuses before
+    # its delays, here up to 80 MB, are allocated
     steps = MAX_SCAN_STEPS
     counts = [-1, steps + 1, 2 ** 70, np.int64(-5), 3.0, np.float64(3.0), 2.5, [3],
               np.arange(3), "3"]
     tracemalloc.start()
     try:
         for rows in counts:
-            with pytest.raises(InputError, match="angle scan rows"):
-                angle_scan(config(), steps, rows)
+            for bounds in ((0, rows), (rows,), (rows, rows)):
+                with pytest.raises(InputError, match="angle scan rows"):
+                    angle_scan(config(), steps, *bounds)
+            with pytest.raises(InputError, match="angle scan"):
+                _scan_blocks(config(), rows, 4096)
+        with pytest.raises(InputError, match="angle scan rows"):
+            angle_scan(config(), steps, 2, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
+def _copies(blocks):
+    """Each block of a _scan_blocks iterator, copied as it is read."""
+    return [rows.copy() for rows in blocks]
+
+
 def test_angle_scan_forms_the_rows_it_is_given():
-    # a count's rows are the whole scan's first rows, bit for bit; and a
-    # scan assembled from its rows up to the half turn is the scan, for
-    # blocks that end anywhere.  At this device the 90 and 270 degree rows
-    # differed in every delay cell while cos 90 degrees was 6.1e-17
+    # a range's rows are the whole scan's rows, bit for bit; and the CLI's
+    # scan builder forms the rows up to the half turn, and a scan assembled
+    # from their delays is the scan, for blocks that end anywhere.  At this
+    # device the 90 and 270 degree rows differed in every delay cell while
+    # cos 90 degrees was 6.1e-17
     cfg = config(n1=1.5, n2=1.500000000001, u=1.2e8)
     whole = angle_scan(cfg, 12)
     for rows in (0, 1, 7, 12, np.int64(6), np.uint8(3)):
-        assert angle_scan(cfg, 12, rows).tobytes() == whole[:rows].tobytes()
+        assert angle_scan(cfg, 12, 0, rows).tobytes() == whole[:rows].tobytes()
+        assert angle_scan(cfg, 12, rows).tobytes() == whole[rows:].tobytes()
+        assert angle_scan(cfg, 12, rows // 2, rows).tobytes() == whole[rows // 2:rows].tobytes()
     assert whole[3, EXACT:].tobytes() == whole[9, EXACT:].tobytes()
     for steps in [*range(2, 41), 4099, 4100, 8192]:
         whole = angle_scan(cfg, steps)
-        half = angle_scan(cfg, steps, steps // 2 + 1)
         for block in (1, 3, 4096):
-            blocks = list(_mirrored_blocks(half, steps, block))
+            formed, blocks = _scan_blocks(cfg, steps, block)
+            half = np.concatenate(_copies(formed))
+            assert half.tobytes() == whole[:steps // 2 + 1].tobytes(), (steps, block)
+            blocks = _copies(blocks)
             assert [len(rows) for rows in blocks] == [min(block, steps - start)
                                                       for start in range(0, steps, block)]
             assert np.concatenate(blocks).tobytes() == whole.tobytes(), (steps, block)
@@ -498,13 +515,15 @@ def test_angle_scan_allocates_little_beside_its_table(law):
 
 
 def test_large_fringe_scan_is_written_in_blocks(tmp_path):
-    # the CLI holds the scan's distinct rows, 1.6 MB of the 3.2 MB table,
-    # one block of them, and one pass of 2048 rows: their 32-byte cell
-    # slots and their text, and the formatter's 640 KiB scratch.  Measured:
-    # a 3.08 MB peak; a whole block's slots and text took it to 3.77 MB,
-    # holding the whole table to 5.25 MB, and the whole 8.4 MB CSV, formed
-    # before it was written, to 25.2 MB.  Both laws print the same bytes,
-    # so one is enough
+    # the CLI holds the delays of the scan's distinct rows, 0.8 MB (8 bytes
+    # a row of the table), one block of 4096 rows, and one pass of 2048
+    # rows: their 32-byte cell slots and their text, written as bytes, and
+    # the formatter's 640 KiB scratch.  Measured: a 2.12 MB peak; holding
+    # the distinct rows whole (1.6 MB) and decoding each pass's text took
+    # it to 3.09 MB, a whole block's slots and text to 3.77 MB, holding the
+    # whole table to 5.25 MB, and the whole 8.4 MB CSV, formed before it
+    # was written, to 25.2 MB.  Both laws print the same bytes, so one is
+    # enough
     argv = ["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "3e4",
             "--ef", "0.3", "--lambda-nm", "633", "--steps", str(10 ** 5)]
     with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
@@ -519,15 +538,16 @@ def test_large_fringe_scan_is_written_in_blocks(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert scan.read_text().count("\n") == 10 ** 5 + 1
-    assert peak < 3_500_000
+    assert peak < 2_500_000
 
 
 def test_large_proca_potential_is_written_in_blocks(tmp_path):
     # a profile follows the scans' table rule: beside its 2.4 MB table the
-    # CLI holds one row tuple, one pass's slots and text (2730 rows) and
-    # the formatter's scratch.  Measured: a 3.75 MB peak; a whole block's
-    # slots and text took it to 4.09 MB, and the whole profile as row
-    # tuples, then as one string, to 31.6 MB
+    # CLI holds one row tuple, one pass's slots and text (2730 rows),
+    # written as bytes, and the formatter's scratch.  Measured: a 3.59 MB
+    # peak; decoding each pass's text took it to 3.75 MB, a whole block's
+    # slots and text to 4.09 MB, and the whole profile as row tuples, then
+    # as one string, to 31.6 MB
     argv = ["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
             "--m-gamma-inv-cm", "100", "--steps", str(10 ** 5)]
     with open(os.devnull, "w") as out, contextlib.redirect_stdout(out):
@@ -542,7 +562,7 @@ def test_large_proca_potential_is_written_in_blocks(tmp_path):
             tracemalloc.stop()
     assert code == 0
     assert profile.read_text().count("\n") == 10 ** 5 + 1
-    assert peak < 4_000_000
+    assert peak < 3_700_000
 
 
 def test_drift_reaching_the_light_in_an_arm_is_refused():
