@@ -112,6 +112,29 @@ def check_finite(*fields):
                                   "beyond the double range") from None
 
 
+def not_finite(value) -> DomainError:
+    """The refusal of a result, a table's cell among them, that is NaN or
+    infinite: the one message for each, which names the value."""
+    return DomainError(f"result is not a finite number ({float(value)}): "
+                       "the computation left the double range")
+
+
+def check_row(row):
+    """row, a tuple of floats, once none of its cells is NaN or infinite:
+    not_finite of its first such cell otherwise."""
+    if not all(map(math.isfinite, row)):
+        raise not_finite(next(value for value in row if not math.isfinite(value)))
+    return row
+
+
+def check_cells(cells, np):
+    """Raise not_finite of the first NaN or infinite cell of cells, a
+    C-ordered float64 array, in row-major order."""
+    finite = np.isfinite(cells)
+    if not finite.all():
+        raise not_finite(cells.flat[finite.argmin()])
+
+
 def check_count(label, value):
     """value as an int, if it is an integer: an int or a numpy integer, as
     operator.index takes it; InputError for any other, such as 2.5 or 5.0."""

@@ -26,6 +26,7 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
+from ._record import not_finite
 from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
                       phase_line_integral)
 from .errors import DomainError, EtherdriftError, InputError
@@ -47,8 +48,7 @@ from .units import UnitSystem, get_constants, inverse_length_to_mass
 def format_float(value: float) -> str:
     value = float(value)
     if not math.isfinite(value):
-        raise DomainError(f"result is not a finite number ({value}): "
-                          "the computation left the double range")
+        raise not_finite(value)
     return format(value, ".17g")
 
 
@@ -89,19 +89,9 @@ def render_json(obj) -> str:
 
 
 def render_csv(header, rows) -> str:
-    """CSV of float rows, a list of tuples, every cell "%.17g".
-
-    A finite "%.17g" has no letter n, while inf and nan do, so one search
-    of the body checks every cell; format_float then names the offending
-    one."""
-    head = ",".join(header)
+    """CSV of float rows, a list of tuples of finite floats, every cell "%.17g"."""
     row_format = ",".join(["%.17g"] * len(header))
-    text = "\n".join([head, *map(row_format.__mod__, rows), ""])
-    if text.find("n", len(head)) != -1:
-        for row in rows:
-            for value in row:
-                format_float(value)
-    return text
+    return "\n".join([",".join(header), *map(row_format.__mod__, rows), ""])
 
 
 #: the table rule's cut once numpy is loaded.  Measured in process, with
@@ -113,50 +103,27 @@ _WARM_CUT = 160
 
 def _table_csv(header, steps, rows, table):
     """The CSV of a table of steps rows: a string, or an iterator of its
-    text in chunks of ASCII bytes, the header line first.  rows is an iterator of its float
-    tuples, and table() forms it in numpy as (formed, blocks): an iterator
-    of 2-D float64 arrays that hold every distinct cell, in the order the
-    text first holds it, each formed as it is read, and an iterator of the
-    table's blocks of rows, read once formed is; one of rows and table()
-    is read, once.
+    text in chunks of ASCII bytes, the header line first.  rows is an
+    iterator of its float tuples, and table() forms it in numpy as an
+    iterator of its blocks of rows; one of them is read, once.  Each
+    refuses the table's first cell that is not finite, in row-major order,
+    before it hands on a row or a block: rows as it is read, table() before
+    it returns.
 
     The table rule of every CSV subcommand: a table of up to _SCAN_BLOCK
     rows, or of up to _WARM_CUT once numpy is loaded, is rendered whole
     from rows by render_csv.  The cut spares a cold call numpy's import,
     60-100 ms, which a warm process has already paid.  Any larger table is
-    table(), each array of formed checked as it is formed and its blocks
-    streamed: the header, the rows' lines a pass at a time, each led by
-    its newline, the last newline.  A refused table writes nothing:
-    format_float names the first non-finite cell of formed in row-major
-    order, the table's own first (numpy's warnings are off; this is an
-    overflow's one report).  A profile hands in its whole table as one
-    array of each (_whole), a fringe scan the blocks of its distinct rows
-    and then of its rows, formed from their delays (_scan_blocks).  The
-    cells are formatted by _g17.csv_blocks, byte for byte as "%.17g", a
-    pass of whole rows (at most _g17._PASS cells) at a time, in one
-    scratch array that the table's passes share and a bytearray of one
-    pass's cell slots; each pass's bytes are handed on before the next is
-    formatted.  numpy and _g17 load only here."""
+    streamed from table()'s blocks: the header, the rows' lines a pass at
+    a time, each led by its newline, the last newline.  The cells are
+    formatted by _g17.csv_blocks, byte for byte as "%.17g", a pass of whole
+    rows (at most _g17._PASS cells) at a time; each pass's bytes are handed
+    on before the next is formatted.  _g17 loads only here."""
     if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
         return render_csv(header, list(rows))
-    import numpy as np
-
-    with np.errstate(all="ignore"):
-        formed, blocks = table()
-        for cells in formed:
-            finite = np.isfinite(cells)
-            if not finite.all():
-                format_float(cells.flat[finite.argmin()])
     from ._g17 import csv_blocks
 
-    return itertools.chain([",".join(header).encode()], csv_blocks(blocks), [b"\n"])
-
-
-def _whole(table):
-    """A numpy table as _table_csv's table() hands it in: the table alone,
-    as its one formed array and its one block, which _g17.csv_blocks
-    splits into passes of one size but the last."""
-    return (table,), (table,)
+    return itertools.chain([",".join(header).encode()], csv_blocks(table()), [b"\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +285,7 @@ def _run_fringe(ns, constants):
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
     return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps),
-                      lambda: _scan_blocks(config, ns.steps, _SCAN_BLOCK))
+                      lambda: _scan_blocks(config, ns.steps))
 
 
 def _run_sensitivity(ns, constants):
@@ -355,8 +322,7 @@ def _run_proca_potential(ns, constants):
                           "give a radius over Compton range m R that is not finite")
     rows = potential_profile(cfg, m_gamma, ns.steps, ns.variant)
     return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps, rows,
-                      table=lambda: _whole(_potential_table(cfg, m_gamma, ns.steps,
-                                                            ns.variant)))
+                      lambda: (_potential_table(cfg, m_gamma, ns.steps, ns.variant),))
 
 
 def _run_proca_phase(ns, constants):

@@ -34,17 +34,21 @@ is exactly +-1, and at u_eff = +-0 delta1 - delta2 is +0, so the 90 and
 CLI's table cut (_scan_blocks) is therefore formed only up to row
 steps // 2, of which it keeps the two delay columns alone: each row past
 it takes its mirror's delays, and every row its theta and fringe cell by
-_scan_row's own expressions.  A scan holds at most MAX_SCAN_STEPS rows,
+_scan_row's own expressions.  Each of _scan_rows, angle_scan and
+_scan_blocks refuses its first cell that is NaN or infinite, in
+row-major order (_record.not_finite), before it hands on the row or the
+block that holds it; a row past steps // 2 has a non-finite cell only
+where its mirror has one.  A scan holds at most MAX_SCAN_STEPS rows,
 and a configuration whose drift reaches the light speed of an arm is
-refused, so no delay divides by zero.  The rotation signal is formed from the
-drift parts of the inverse speeds, not as the difference of two nearly
-equal delays, and every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does
-not cancel for near-vacuum indices.
+refused, so no delay divides by zero.  The rotation signal is formed
+from the drift parts of the inverse speeds, not as the difference of two
+nearly equal delays, and every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which
+does not cancel for near-vacuum indices.
 """
 
 import math
 
-from ._record import Record, check_count, check_finite
+from ._record import Record, check_cells, check_count, check_finite, check_row
 from .errors import DegenerateConfigError, DomainError, InputError
 from .kinematics import CompositionLaw
 from .units import c
@@ -56,9 +60,9 @@ SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
 MAX_SCAN_STEPS = 10 ** 7
 
 #: the table rule (cli._table_csv) of every CSV table: in a process that has
-#: not loaded numpy, up to this many rows in plain floats; beyond its cut, one
-#: numpy table checked whole and streamed, and filled, in blocks of this many
-#: rows, so that no temporary nears the table's size
+#: not loaded numpy, up to this many rows in plain floats; beyond its cut, a
+#: numpy table streamed, and filled, in blocks of this many rows, so that no
+#: temporary nears the table's size
 _SCAN_BLOCK = 4096
 
 
@@ -233,7 +237,7 @@ def rotation_signal(config: InterferometerConfig) -> RotationSignal:
 
 def _fringes(delta_t, lambda_vac):
     """c dt / lambda, of floats or of a delay column, unchecked: a scan
-    row's fringe cell, which the CLI refuses if it is not finite."""
+    row's fringe cell, which the scan refuses if it is not finite."""
     return c * delta_t / lambda_vac
 
 
@@ -325,10 +329,11 @@ def _scan_row(config: InterferometerConfig, steps: int, k, xp) -> tuple:
 
 def _scan_rows(config: InterferometerConfig, steps: int):
     """angle_scan's rows in plain floats, one tuple each, as an iterator that
-    forms them as they are read; steps is checked first.  No numpy is
+    forms them as they are read, and refuses the first row with a cell that
+    is not finite (check_row); steps is checked first.  No numpy is
     imported: for a scan of a few rows its import costs more than the scan."""
     _check_steps(steps, "angle scan")
-    return (_scan_row(config, steps, k, math) for k in range(steps))
+    return (check_row(_scan_row(config, steps, k, math)) for k in range(steps))
 
 
 def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
@@ -344,7 +349,9 @@ def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
     select rows start to stop - 1: the table is then (stop - start, 4),
     the whole scan's rows bit for bit.  The rows are formed by _scan_row
     in blocks of _SCAN_BLOCK, cosines and delays alike, so the table is
-    the only array of its size.
+    the only array of its size.  A cell that is NaN or infinite, such as
+    a fringe count beyond the double range, is refused: DomainError names
+    the first, in row-major order, once its block is formed.
     """
     _check_steps(steps, "angle scan")
     if stop is None:
@@ -357,51 +364,47 @@ def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
     import numpy as np
 
     table = np.empty((stop - start, len(SCAN_COLUMNS)))
-    for first in range(start, stop, _SCAN_BLOCK):
-        rows = table[first - start:first - start + _SCAN_BLOCK]
-        # a column at a time: a tuple of columns would be copied into an
-        # array of the block's size first
-        for column, values in zip(rows.T, _scan_row(config, steps,
-                                                    np.arange(first, first + len(rows)), np)):
-            column[...] = values
+    with np.errstate(all="ignore"):  # the refusal is an overflow's one report
+        for first in range(start, stop, _SCAN_BLOCK):
+            rows = table[first - start:first - start + _SCAN_BLOCK]
+            # a column at a time: a tuple of columns would be copied into an
+            # array of the block's size first
+            for column, values in zip(rows.T, _scan_row(config, steps,
+                                                        np.arange(first, first + len(rows)), np)):
+                column[...] = values
+            check_cells(rows, np)
     return table
 
 
-def _scan_blocks(config: InterferometerConfig, steps: int, block: int):
-    """angle_scan's table in blocks of up to block rows, as the CLI writes
-    it past its table cut: (formed, blocks), two iterators of (n, 4)
-    float64 arrays; steps is checked first.
+def _scan_blocks(config: InterferometerConfig, steps: int):
+    """angle_scan's table as the CLI writes it past its table cut: an
+    iterator of (n, 4) float64 blocks of up to _SCAN_BLOCK rows, each read
+    before the next; steps is checked first.
 
-    formed yields the scan's distinct rows, 0 to steps // 2, in blocks
-    that angle_scan forms (so that bench/tracer.py, which times
-    angle_scan, sees them formed), and keeps only their exact and
-    first-order delays, a (2, steps // 2 + 1) array, the only array of its
-    size: a row of it for each, which copies into a block's column about
-    twice as fast as a pair of columns would.  blocks then yields the
-    scan's rows from them, each block a view of one array of block rows
-    that every block reuses: a row up to steps // 2 takes its own delays,
-    by a forward slice, and row k past it those of row steps - k, its
-    mirror (module docstring), by a reversed one; every row takes its
-    theta and its fringe cell by _scan_row's own expressions (_theta,
-    _fringes), so each of its doubles is angle_scan's.  blocks is read
-    once formed is, and each block before the next.
+    The scan's distinct rows, 0 to steps // 2, are formed before it
+    returns, by angle_scan a block at a time (so they are refused there,
+    and timed by bench/tracer.py), and only their exact and first-order
+    delays are kept, a (2, steps // 2 + 1) array.  Each block, a view of
+    one reused array, takes a row's delays from there, row k past
+    steps // 2 those of row steps - k, its mirror (module docstring); its
+    theta and fringe cells come from _scan_row's own expressions, so
+    every double is angle_scan's.
     """
     _check_steps(steps, "angle scan")
     import numpy as np
 
     half = steps // 2 + 1  # rows 0 to steps // 2; row steps - k repeats row k's delays
     delays = np.empty((2, half))
-
-    def formed():
-        for start in range(0, half, block):
-            part = angle_scan(config, steps, start, min(start + block, half))
-            delays[:, start:start + block] = part[:, 1:3].T
-            yield part
+    for start in range(0, half, _SCAN_BLOCK):
+        # part is held while the next one forms: freed at once, it left the
+        # heap laid out so that warm 12000-row scans ran about 4 % slower
+        part = angle_scan(config, steps, start, min(start + _SCAN_BLOCK, half))
+        delays[:, start:start + _SCAN_BLOCK] = part[:, 1:3].T
 
     def blocks():
-        rows = np.empty((min(block, steps), len(SCAN_COLUMNS)))
-        for start in range(0, steps, block):
-            end = min(start + block, steps)
+        rows = np.empty((min(_SCAN_BLOCK, steps), len(SCAN_COLUMNS)))
+        for start in range(0, steps, _SCAN_BLOCK):
+            end = min(start + _SCAN_BLOCK, steps)
             part = rows[:end - start]
             split = min(max(start, half), end) - start  # the block's first mirrored row
             for column, held in zip(part.T[1:3], delays):
@@ -411,4 +414,4 @@ def _scan_blocks(config: InterferometerConfig, steps: int, block: int):
             part[:, 3] = _fringes(part[:, 1], config.lambda_vac)
             yield part
 
-    return formed(), blocks()
+    return blocks()

@@ -29,7 +29,7 @@ math.exp, since numpy's differs from libm's in the last bit.
 import math
 import sys
 
-from ._record import Record, check_finite
+from ._record import Record, check_cells, check_finite, check_row
 from .errors import DomainError, InputError
 from .interferometer import _SCAN_BLOCK, _check_steps
 from .units import PhysicalConstants, inverse_length_to_mass
@@ -209,7 +209,9 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
     cylinder_potential_exact and cylinder_potential_expansion give at its
     radius, bit for bit.  An iterator that forms them as they are read, the
     row rule (and the wall's I0) with the first; the arguments are checked
-    first."""
+    first.  A row with a cell that is NaN or infinite, a potential beyond
+    the double range, is refused: DomainError names its first such cell,
+    the profile's first in row-major order."""
     _check_steps(steps, "potential profile")
     _check_potential(m_gamma, variant)
     return _profile_rows(cfg, m_gamma, steps, variant)
@@ -220,24 +222,28 @@ def _profile_rows(cfg, m_gamma, steps, variant):
     R, last = cfg.R, steps - 1
     for i in range(steps):
         # R * i / last can round above R at the last step
-        yield row(R * i / last if i < last else R, math)
+        yield check_row(row(R * i / last if i < last else R, math))
 
 
 def _potential_table(cfg: ProcaCylinderConfig, m_gamma: float, steps: int, variant: str):
     """potential_profile's rows as a (steps, 3) float64 table, the same
-    doubles: the rows are formed by the row rule in blocks of _SCAN_BLOCK,
-    radii and columns alike, so the table is the only array of its size."""
+    doubles, refused as the rows are: the rows are formed by the row rule
+    in blocks of _SCAN_BLOCK, radii and columns alike, so the table is the
+    only array of its size, and each block is checked once it is formed."""
     _check_steps(steps, "potential profile")
     import numpy as np
 
     row = _potential_rows(cfg, m_gamma, variant)
     R, last = cfg.R, steps - 1
     table = np.empty((steps, 3))
-    for start in range(0, steps, _SCAN_BLOCK):
-        rho = R * np.arange(start, min(start + _SCAN_BLOCK, steps)) / last
-        if start + _SCAN_BLOCK >= steps:
-            rho[-1] = R  # as in _profile_rows
-        table[start:start + _SCAN_BLOCK].T[:] = row(rho, np)
+    with np.errstate(all="ignore"):  # the refusal is an overflow's one report
+        for start in range(0, steps, _SCAN_BLOCK):
+            rho = R * np.arange(start, min(start + _SCAN_BLOCK, steps)) / last
+            if start + _SCAN_BLOCK >= steps:
+                rho[-1] = R  # as in _profile_rows
+            rows = table[start:start + _SCAN_BLOCK]
+            rows.T[:] = row(rho, np)
+            check_cells(rows, np)
     return table
 
 

@@ -331,8 +331,7 @@ def _streamed(header, table):
     # _table_csv as the CSV subcommands call it: one string up to the
     # table rule's cut, numpy being loaded here, and a stream of ASCII
     # bytes beyond
-    chunks = cli._table_csv(header, len(table), map(tuple, table.tolist()),
-                            lambda: cli._whole(table))
+    chunks = cli._table_csv(header, len(table), map(tuple, table.tolist()), lambda: (table,))
     assert isinstance(chunks, str) == (len(table) <= cli._WARM_CUT)
     return chunks if isinstance(chunks, str) else b"".join(chunks).decode("ascii")
 
@@ -361,29 +360,34 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
             lines = text.splitlines()
             assert lines[5].split(",")[1:] != lines[3].split(",")[1:]
             assert lines[6].split(",")[1:] == lines[2].split(",")[1:]
-    # a table with an infinite cell is refused before any text is formed:
-    # main writes nothing to stdout
+    # a scan with an infinite cell is refused by the scan's own builders,
+    # which form its rows up to the half turn, rows 0-3, by _scan_row, here
+    # this table's: main writes nothing to stdout, on either side of the
+    # table rule's cut
     table = base.copy()
     table[[1, 5], 3] = np.inf
-    monkeypatch.setattr(cli, "_SCAN_BLOCK", 2)
-    monkeypatch.setattr(cli, "_WARM_CUT", 2)
-    with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
-        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: cli._whole(table))
-    # the scan builder forms the scan's rows up to the half turn, rows 0-3,
-    # by _scan_row, here this table's
     monkeypatch.setattr(interferometer, "_scan_row",
                         lambda config, steps, k, xp: tuple(table[k].T))
-    assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3",
-                     "--lambda-nm", "633", "--steps", "6"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert json.loads(err)["message"] == ("result is not a finite number (inf): "
-                                          "the computation left the double range")
+    cfg = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, 633e-9)
+    refused = (lambda: list(interferometer._scan_rows(cfg, 6)),
+               lambda: angle_scan(cfg, 6), lambda: interferometer._scan_blocks(cfg, 6))
+    for form in refused:
+        with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
+            form()
+    for cut in (2, 6):
+        monkeypatch.setattr(cli, "_WARM_CUT", cut)
+        assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
+                         "--u-mps", "1e3", "--lambda-nm", "633", "--steps", "6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["message"] == ("result is not a finite number (inf): "
+                                              "the computation left the double range")
     # the message names the first non-finite cell in row-major order
     table[4, 1] = -np.inf
     table[1, 2] = np.nan
-    with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
-        cli._table_csv(header, 6, map(tuple, table.tolist()), lambda: cli._whole(table))
+    for form in refused:
+        with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
+            form()
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -468,10 +472,10 @@ def test_streamed_tables_in_any_text_stream(encoding):
 @pytest.mark.parametrize("cold_cut", [False, True], ids=["warm-cut", "cold-cut"])
 def test_fringe_cell_beyond_the_double_range_is_refused_in_numpy(cold_cut, monkeypatch,
                                                                  capsys):
-    # at a wavelength of 1e-323 m every fringe cell is inf: the scan builder
-    # forms it with the rows it checks, and forms it again, from the kept
-    # delays, for the rows it writes.  1000 rows take the numpy path past
-    # the warm cut; 5000 past the cold one, as a fresh interpreter has it
+    # at a wavelength of 1e-323 m every fringe cell is inf: angle_scan
+    # refuses the first block of distinct rows that the scan builder forms,
+    # before a row is written.  1000 rows take the numpy path past the
+    # warm cut; 5000 past the cold one, as a fresh interpreter has it
     steps = "1000"
     if cold_cut:
         monkeypatch.setattr(cli, "_WARM_CUT", cli._SCAN_BLOCK)

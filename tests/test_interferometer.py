@@ -1,7 +1,9 @@
 import contextlib
 import math
 import os
+import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etherdrift import cli
+from etherdrift import cli, interferometer
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.abphase import fresnel_momentum
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       _cos_deg, _scan_blocks, _scan_cos,
+                                       _cos_deg, _scan_blocks, _scan_cos, _scan_row,
                                        _scan_rows, angle_scan, delay_exact, delay_first_order,
                                        fringe_shift, improvement_factor, min_detectable_u,
                                        rotation_signal)
@@ -235,7 +237,7 @@ def test_angle_scan_validates_steps():
                 with pytest.raises(InputError, match="angle scan rows"):
                     angle_scan(config(), steps, *bounds)
             with pytest.raises(InputError, match="angle scan"):
-                _scan_blocks(config(), rows, 4096)
+                _scan_blocks(config(), rows)
         with pytest.raises(InputError, match="angle scan rows"):
             angle_scan(config(), steps, 2, 1)
         peak = tracemalloc.get_traced_memory()[1]
@@ -244,17 +246,12 @@ def test_angle_scan_validates_steps():
     assert peak < 1 << 20
 
 
-def _copies(blocks):
-    """Each block of a _scan_blocks iterator, copied as it is read."""
-    return [rows.copy() for rows in blocks]
-
-
-def test_angle_scan_forms_the_rows_it_is_given():
+def test_angle_scan_forms_the_rows_it_is_given(monkeypatch):
     # a range's rows are the whole scan's rows, bit for bit; and the CLI's
-    # scan builder forms the rows up to the half turn, and a scan assembled
-    # from their delays is the scan, for blocks that end anywhere.  At this
-    # device the 90 and 270 degree rows differed in every delay cell while
-    # cos 90 degrees was 6.1e-17
+    # scan builder forms the rows up to the half turn, through angle_scan,
+    # and a scan assembled from their delays is the scan, for blocks that
+    # end anywhere.  At this device the 90 and 270 degree rows differed in
+    # every delay cell while cos 90 degrees was 6.1e-17
     cfg = config(n1=1.5, n2=1.500000000001, u=1.2e8)
     whole = angle_scan(cfg, 12)
     for rows in (0, 1, 7, 12, np.int64(6), np.uint8(3)):
@@ -262,16 +259,53 @@ def test_angle_scan_forms_the_rows_it_is_given():
         assert angle_scan(cfg, 12, rows).tobytes() == whole[rows:].tobytes()
         assert angle_scan(cfg, 12, rows // 2, rows).tobytes() == whole[rows // 2:rows].tobytes()
     assert whole[3, EXACT:].tobytes() == whole[9, EXACT:].tobytes()
+    formed = []
+
+    def recorded(*args):
+        formed.append(angle_scan(*args))
+        return formed[-1]
+
     for steps in [*range(2, 41), 4099, 4100, 8192]:
         whole = angle_scan(cfg, steps)
         for block in (1, 3, 4096):
-            formed, blocks = _scan_blocks(cfg, steps, block)
-            half = np.concatenate(_copies(formed))
-            assert half.tobytes() == whole[:steps // 2 + 1].tobytes(), (steps, block)
-            blocks = _copies(blocks)
+            monkeypatch.setattr(interferometer, "_SCAN_BLOCK", block)
+            monkeypatch.setattr(interferometer, "angle_scan", recorded)
+            formed.clear()
+            blocks = _scan_blocks(cfg, steps)
+            monkeypatch.setattr(interferometer, "angle_scan", angle_scan)
+            # every row formed before the first block is read, rows 0 to
+            # steps // 2 once each
+            assert np.concatenate(formed).tobytes() == whole[:steps // 2 + 1].tobytes()
+            blocks = [rows.copy() for rows in blocks]  # each block a view of one array
             assert [len(rows) for rows in blocks] == [min(block, steps - start)
                                                       for start in range(0, steps, block)]
             assert np.concatenate(blocks).tobytes() == whole.tobytes(), (steps, block)
+
+
+def _raw_scan(cfg, steps):
+    """The scan's cells in plain floats, in row-major order, unchecked."""
+    return [value for k in range(steps) for value in _scan_row(cfg, steps, k, math)]
+
+
+@pytest.mark.parametrize("n1, n2", [(1.0006, 1.0001), (1.0001, 1.0006)])
+@pytest.mark.parametrize("lam", [5e-324, 1e-323])
+def test_scan_refuses_its_first_non_finite_cell(lam, n1, n2):
+    # at a subnormal wavelength the fringe count c dt / lambda overflows,
+    # to inf or to -inf with the sign of the delays.  The plain rows and
+    # both numpy builders refuse the scan by its first non-finite cell in
+    # row-major order, and numpy's overflow warning stays inside the
+    # refusal
+    cfg = config(n1=n1, n2=n2, lam=lam)
+    for steps in (4, 7, 4097):
+        first = next(value for value in _raw_scan(cfg, steps) if not math.isfinite(value))
+        message = re.escape(f"result is not a finite number ({first}): "
+                            "the computation left the double range")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in (lambda: list(_scan_rows(cfg, steps)), lambda: angle_scan(cfg, steps),
+                         lambda: _scan_blocks(cfg, steps)):
+                with pytest.raises(DomainError, match=f"^{message}$"):
+                    form()
 
 
 def test_config_validation_names_offender():

@@ -1,17 +1,20 @@
 import math
 import re
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from etherdrift.abphase import fresnel_momentum
+from etherdrift import proca
 from etherdrift.errors import DomainError, InputError
 from etherdrift.fieldmomentum import SolenoidChargeGeometry, convergence_study
 from etherdrift.interferometer import (InterferometerConfig, angle_scan, fringe_shift,
                                        improvement_factor, min_detectable_u)
-from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _potential_table,
-                              _scaled_I0, bessel_I0, bounds_registry,
+from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _potential_rows,
+                              _potential_table, _scaled_I0, bessel_I0, bounds_registry,
                               cylinder_potential_exact,
                               cylinder_potential_expansion, invert_bound,
                               mass_phase_correction, potential_profile,
@@ -185,6 +188,74 @@ def test_potential_table_is_the_profile_bit_for_bit():
                       cylinder_potential_expansion(rho, cfg, m_gamma, variant))
                      for rho in table[at, 0].tolist()]
         assert np.array(pointwise).tobytes() == table[at, 1:].tobytes()
+
+
+@pytest.mark.parametrize("variant", ["quarter", "half"])
+@pytest.mark.parametrize("V, R, m_gamma", [(1e300, 10.0, 1e10), (-1e300, 10.0, 1e10),
+                                          (sys.float_info.max, 0.1, 300.0)])
+def test_profile_refuses_its_first_non_finite_cell(V, R, m_gamma, variant):
+    # V = +-1e300 at m R = 1e11, and the largest V at m R = 30: the
+    # expansion column leaves the double range.  The plain rows and the
+    # numpy table refuse the profile by its first non-finite cell in
+    # row-major order, and numpy's overflow warning stays inside the
+    # refusal
+    cfg = ProcaCylinderConfig(R=R, V=V, tau=1.0)
+    row = _potential_rows(cfg, m_gamma, variant)
+    for steps in (2, 5, 4097):
+        cells = [value for i in range(steps)
+                 for value in row(R * i / (steps - 1) if i < steps - 1 else R, math)]
+        first = next(value for value in cells if not math.isfinite(value))
+        message = re.escape(f"result is not a finite number ({first}): "
+                            "the computation left the double range")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in (lambda: list(potential_profile(cfg, m_gamma, steps, variant)),
+                         lambda: _potential_table(cfg, m_gamma, steps, variant)):
+                with pytest.raises(DomainError, match=f"^{message}$"):
+                    form()
+
+
+def test_profile_is_refused_in_row_major_order(monkeypatch):
+    # a row rule that reads a 6-row table, whose radii are its row
+    # numbers: its first non-finite cell in row-major order, inf, is named,
+    # not the first in column order, nan, nor the -inf in the radius column
+    table = np.arange(18.0).reshape(6, 3)
+    table[1, 2], table[3, 1], table[4, 0] = np.inf, np.nan, -np.inf
+
+    def rows(cfg, m_gamma, variant):
+        return lambda rho, xp: tuple(table[int(rho)] if xp is math else table[rho.astype(int)].T)
+
+    monkeypatch.setattr(proca, "_potential_rows", rows)
+    cfg = ProcaCylinderConfig(R=5.0, V=1.0, tau=1.0)
+    for form in (lambda: list(potential_profile(cfg, 1.0, 6)),
+                 lambda: _potential_table(cfg, 1.0, 6, "quarter")):
+        with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
+            form()
+    table[1, 2] = 0.0
+    with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
+        _potential_table(cfg, 1.0, 6, "quarter")
+    # the rows are refused one at a time: those before the first bad cell are read
+    rows = potential_profile(cfg, 1.0, 6)
+    assert [next(rows) for _ in range(3)] == list(map(tuple, table[:3].tolist()))
+    with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
+        next(rows)
+
+
+def test_refused_profile_table_stops_at_its_first_bad_block(monkeypatch):
+    # each block is checked once it is formed, so a long profile whose
+    # first row overflows forms one block of rows, not the whole table
+    formed = []
+    rule = proca._potential_rows
+
+    def counted(*args):
+        row = rule(*args)
+        return lambda rho, xp: formed.append(len(rho)) or row(rho, xp)
+
+    monkeypatch.setattr(proca, "_potential_rows", counted)
+    cfg = ProcaCylinderConfig(R=10.0, V=1e300, tau=1.0)
+    with pytest.raises(DomainError, match=r"not a finite number \(-inf\)"):
+        _potential_table(cfg, 1e10, 5 * 4096, "quarter")
+    assert formed == [4096]
 
 
 def test_expansion_at_an_overflowing_mass_radius_product_is_refused():

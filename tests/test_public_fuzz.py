@@ -169,16 +169,6 @@ CASES = {
     "tangherlini_composed_speed": Call(tangherlini_composed_speed, 1.33, 30.0),
     "time_of_flight": Call(time_of_flight, 1.0, 2e8),
 }
-#: cases whose finding is written up, not mended here: each is a table
-#: that the CLI forms and refuses itself, by its first non-finite cell, so
-#: that a refusal in the library would change the CLI's message.  They
-#: still run, and a mend turns them into failures until its mark goes
-FOUND = {
-    "angle_scan": "a fringe cell c dt / lambda beyond the double range is returned as inf "
-                  "(an arm near the largest double, or a subnormal wavelength)",
-    "potential_profile": "a row whose potential leaves the double range is yielded with "
-                         "an infinite cell (R or m_gamma near 1e300, or V the largest double)",
-}
 #: public names that take no number: constants, enums and the errors
 NO_NUMBERS = {"CompositionLaw", "DegenerateConfigError", "DomainError", "EtherdriftError",
               "InputError", "MODERN", "PAPER", "SCAN_COLUMNS", "SingularPathError", "UnitSystem"}
@@ -190,9 +180,7 @@ def test_every_public_name_has_a_case():
     assert public - NO_NUMBERS == {name.split("[")[0] for name in CASES}
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=FOUND[name]))
-    if name in FOUND else name for name in CASES])
+@pytest.mark.parametrize("name", CASES)
 def test_extreme_arguments_give_finite_numbers_or_a_refusal(name):
     base = CASES[name]
     assert _outcome(base) is None, base  # the base call is valid
