@@ -23,6 +23,7 @@ import itertools
 import math
 import os
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 from . import __version__
@@ -32,13 +33,14 @@ from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
 from .errors import DomainError, EtherdriftError, InputError
 from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
                             convergence_study)
-from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _scan_blocks,
-                             _scan_rows, improvement_factor, min_detectable_u)
+from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _check_steps,
+                             _rows, _scan_blocks, _scan_row, _table, improvement_factor,
+                             min_detectable_u)
 from .kinematics import (CompositionLaw, effective_fresnel_speed,
                          einstein_composed_speed, fresnel_speed,
                          tangherlini_composed_speed)
-from .proca import (ProcaCylinderConfig, _potential_table, bounds_registry, invert_bound,
-                    mass_phase_correction, potential_profile)
+from .proca import (ProcaCylinderConfig, _profile_rule, bounds_registry, invert_bound,
+                    mass_phase_correction)
 from .units import UnitSystem, get_constants, inverse_length_to_mass
 
 
@@ -53,8 +55,6 @@ def format_float(value: float) -> str:
 
 
 def _json_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -66,8 +66,6 @@ def _json_value(value) -> str:
     if isinstance(value, dict):
         return "{" + ",".join(f"{_json_string(str(k))}:{_json_value(v)}"
                               for k, v in value.items()) + "}"
-    if value is None:
-        return "null"
     raise InputError(f"cannot serialize {type(value).__name__} to JSON")
 
 
@@ -101,29 +99,32 @@ def render_csv(header, rows) -> str:
 _WARM_CUT = 160
 
 
-def _table_csv(header, steps, rows, table):
+def _table_csv(header, steps, rule, blocks=None):
     """The CSV of a table of steps rows: a string, or an iterator of its
-    text in chunks of ASCII bytes, the header line first.  rows is an
-    iterator of its float tuples, and table() forms it in numpy as an
-    iterator of its blocks of rows; one of them is read, once.  Each
+    text in chunks of ASCII bytes, the header line first.  rule(k, xp) is
+    the table's row rule, its row k as the header's cells, which the
+    drivers interferometer._rows and _table run in plain floats and in
+    numpy; blocks(), if given, forms the numpy side in _table's place, as
+    an iterator of its blocks of rows.  One side is read, once, and it
     refuses the table's first cell that is not finite, in row-major order,
-    before it hands on a row or a block: rows as it is read, table() before
-    it returns.
+    before it hands on a row or a block: _rows as it is read, _table and
+    blocks() before they return.
 
     The table rule of every CSV subcommand: a table of up to _SCAN_BLOCK
     rows, or of up to _WARM_CUT once numpy is loaded, is rendered whole
-    from rows by render_csv.  The cut spares a cold call numpy's import,
+    from _rows by render_csv.  The cut spares a cold call numpy's import,
     60-100 ms, which a warm process has already paid.  Any larger table is
-    streamed from table()'s blocks: the header, the rows' lines a pass at
-    a time, each led by its newline, the last newline.  The cells are
-    formatted by _g17.csv_blocks, byte for byte as "%.17g", a pass of whole
-    rows (at most _g17._PASS cells) at a time; each pass's bytes are handed
-    on before the next is formatted.  _g17 loads only here."""
+    streamed from the numpy side's blocks: the header, the rows' lines a
+    pass at a time, each led by its newline, the last newline.  The cells
+    are formatted by _g17.csv_blocks, byte for byte as "%.17g", a pass of
+    whole rows (at most _g17._PASS cells) at a time; each pass's bytes are
+    handed on before the next is formatted.  _g17 loads only here."""
     if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
-        return render_csv(header, list(rows))
+        return render_csv(header, list(_rows(rule, steps)))
     from ._g17 import csv_blocks
 
-    return itertools.chain([",".join(header).encode()], csv_blocks(table()), [b"\n"])
+    table = blocks() if blocks else (_table(rule, len(header), 0, steps),)
+    return itertools.chain([",".join(header).encode()], csv_blocks(table), [b"\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,8 @@ def _run_fringe(ns, constants):
     # so they print the same doubles
     config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
                                   CompositionLaw(ns.composition), ns.ef)
-    return _table_csv(SCAN_COLUMNS, ns.steps, _scan_rows(config, ns.steps),
+    _check_steps(ns.steps, "angle scan")
+    return _table_csv(SCAN_COLUMNS, ns.steps, partial(_scan_row, config, ns.steps),
                       lambda: _scan_blocks(config, ns.steps))
 
 
@@ -312,7 +314,7 @@ def _run_proca_bound(ns, constants):
 
 
 def _run_proca_potential(ns, constants):
-    # both sides of the table rule build each row by proca._potential_rows,
+    # both sides of the table rule build each row by proca._profile_rule,
     # so they print the same doubles.  tau is irrelevant to the radial
     # profile; any positive value works
     cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
@@ -320,9 +322,9 @@ def _run_proca_potential(ns, constants):
     if not math.isfinite(m_gamma * cfg.R):
         raise DomainError(f"--R-cm {ns.R_cm} and --m-gamma-inv-cm {ns.m_gamma_inv_cm} "
                           "give a radius over Compton range m R that is not finite")
-    rows = potential_profile(cfg, m_gamma, ns.steps, ns.variant)
-    return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps, rows,
-                      lambda: (_potential_table(cfg, m_gamma, ns.steps, ns.variant),))
+    _check_steps(ns.steps, "potential profile")
+    return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps,
+                      _profile_rule(cfg, m_gamma, ns.steps, ns.variant))
 
 
 def _run_proca_phase(ns, constants):

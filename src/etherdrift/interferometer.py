@@ -21,32 +21,34 @@ Both delays at every orientation come from one expression, _delays, over
 an array of orientation cosines or over one float cosine: the same
 operations, so the same doubles.  A scan is one float table, a row per
 angle, with the columns SCAN_COLUMNS.  Every row comes from one rule,
-_scan_row, given its array module: math in the plain-float _scan_rows,
-numpy in angle_scan's blocks, so both hold the same doubles.  The angle
-is folded on the integer step index (_scan_cos), so rows half a turn
-apart have exactly negated cosines, and a first-quadrant row equals
-delay_exact at its angle bit for bit.  The fold also makes row steps - k
-fold to the same angle as row k, with the same sign, so the two rows
-hold the same three delay cells bit for bit.  This holds for every k:
-at a right angle the cosine is exactly +-0, as at 0 and 180 degrees it
-is exactly +-1, and at u_eff = +-0 delta1 - delta2 is +0, so the 90 and
-270 degree rows are both the static device's.  A scan written past the
-CLI's table cut (_scan_blocks) is therefore formed only up to row
-steps // 2, of which it keeps the two delay columns alone: each row past
-it takes its mirror's delays, and every row its theta and fringe cell by
-_scan_row's own expressions.  Each of _scan_rows, angle_scan and
-_scan_blocks refuses its first cell that is NaN or infinite, in
-row-major order (_record.not_finite), before it hands on the row or the
-block that holds it; a row past steps // 2 has a non-finite cell only
-where its mirror has one.  A scan holds at most MAX_SCAN_STEPS rows,
-and a configuration whose drift reaches the light speed of an arm is
-refused, so no delay divides by zero.  The rotation signal is formed
+_scan_row, given its array module, as a potential profile's (proca): two
+drivers run a CSV table's rule, _rows in plain floats and _table in
+numpy blocks, so both hold the same doubles.  The angle is folded on the
+integer step index (_scan_cos), so rows half a turn apart have exactly
+negated cosines, and a first-quadrant row equals delay_exact at its
+angle bit for bit.  The fold also makes row steps - k fold to the same
+angle as row k, with the same sign, so the two rows hold the same three
+delay cells bit for bit.  This holds for every k: at a right angle the
+cosine is exactly +-0, as at 0 and 180 degrees it is exactly +-1, and at
+u_eff = +-0 delta1 - delta2 is +0, so the 90 and 270 degree rows are
+both the static device's.  A scan written past the CLI's table cut
+(_scan_blocks) is therefore formed only up to row steps // 2, of which
+it keeps the two delay columns alone: each row past it takes its
+mirror's delays, and every row its theta and fringe cell by _scan_row's
+own expressions.  Each driver refuses its table's first cell that is NaN
+or infinite, in row-major order (_record.not_finite), before it hands on
+the row or the block that holds it, and so does _scan_blocks, whose
+distinct rows _table forms: a row past steps // 2 has a non-finite cell
+only where its mirror has one.  A scan holds at most MAX_SCAN_STEPS
+rows, and a configuration whose drift reaches the light speed of an arm
+is refused, so no delay divides by zero.  The rotation signal is formed
 from the drift parts of the inverse speeds, not as the difference of two
 nearly equal delays, and every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which
 does not cancel for near-vacuum indices.
 """
 
 import math
+from functools import partial
 
 from ._record import Record, check_cells, check_count, check_finite, check_row
 from .errors import DegenerateConfigError, DomainError, InputError
@@ -309,6 +311,34 @@ def _check_steps(steps: int, noun: str) -> None:
         raise InputError(f"{noun} takes at most {MAX_SCAN_STEPS} steps, got {steps}")
 
 
+def _rows(rule, steps: int):
+    """The rows rule(k, math), k = 0 to steps - 1, of a table in plain
+    floats, as an iterator that forms them as they are read and refuses
+    the first with a cell that is not finite (check_row).  No numpy is
+    imported: for a few rows, its import costs more than the table."""
+    return (check_row(rule(k, math)) for k in range(steps))
+
+
+def _table(rule, columns: int, start: int, stop: int):
+    """Rows start to stop - 1 of a table, rule(k, numpy) over int arrays
+    k, as a (stop - start, columns) float64 array, the doubles of _rows,
+    formed in blocks of _SCAN_BLOCK rows, so that no other array nears
+    its size; each block is refused by its first non-finite cell, in
+    row-major order, once it is formed."""
+    import numpy as np
+
+    table = np.empty((stop - start, columns))
+    with np.errstate(all="ignore"):  # the refusal is an overflow's one report
+        for first in range(start, stop, _SCAN_BLOCK):
+            rows = table[first - start:first - start + _SCAN_BLOCK]
+            # a column at a time: a tuple of columns would be copied into an
+            # array of the block's size first
+            for column, values in zip(rows.T, rule(np.arange(first, first + len(rows)), np)):
+                column[...] = values
+            check_cells(rows, np)
+    return table
+
+
 def _theta(steps: int, k):
     """theta_k = 360 k/steps of scan row k, an int or an int array."""
     return 360.0 * k / steps
@@ -318,22 +348,14 @@ def _scan_row(config: InterferometerConfig, steps: int, k, xp) -> tuple:
     """(theta, exact, first, fringes) of scan row k: floats for an int k
     with xp = math, columns for an int array k with xp = numpy.
 
-    The one row rule of every scan driver: the cosine from _scan_cos, both
-    delays from _delays on it, so _scan_rows, angle_scan and _scan_blocks
-    hold the same doubles.  No row divides by zero: the config check keeps
-    every delay's denominator positive.
+    A scan's one row rule, partial(_scan_row, config, steps) to the table
+    drivers: the cosine from _scan_cos, both delays from _delays on it, so
+    _rows, angle_scan and _scan_blocks hold the same doubles.  No row
+    divides by zero: the config check keeps every delay's denominator
+    positive.
     """
     exact, first = _delays(config, _scan_cos(steps, 4 * k, xp))
     return _theta(steps, k), exact, first, _fringes(exact, config.lambda_vac)
-
-
-def _scan_rows(config: InterferometerConfig, steps: int):
-    """angle_scan's rows in plain floats, one tuple each, as an iterator that
-    forms them as they are read, and refuses the first row with a cell that
-    is not finite (check_row); steps is checked first.  No numpy is
-    imported: for a scan of a few rows its import costs more than the scan."""
-    _check_steps(steps, "angle scan")
-    return (check_row(_scan_row(config, steps, k, math)) for k in range(steps))
 
 
 def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
@@ -347,11 +369,11 @@ def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
     row k's delays bit for bit (module docstring).  start and stop,
     integers with 0 <= start <= stop <= steps (stop defaults to steps),
     select rows start to stop - 1: the table is then (stop - start, 4),
-    the whole scan's rows bit for bit.  The rows are formed by _scan_row
-    in blocks of _SCAN_BLOCK, cosines and delays alike, so the table is
-    the only array of its size.  A cell that is NaN or infinite, such as
-    a fringe count beyond the double range, is refused: DomainError names
-    the first, in row-major order, once its block is formed.
+    the whole scan's rows bit for bit, formed from _scan_row by _table in
+    blocks of _SCAN_BLOCK, so the table is the only array of its size.  A
+    cell that is NaN or infinite, such as a fringe count beyond the double
+    range, is refused: DomainError names the first, in row-major order,
+    once its block is formed.
     """
     _check_steps(steps, "angle scan")
     if stop is None:
@@ -361,19 +383,7 @@ def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
     if not 0 <= start <= stop <= steps:
         raise InputError(f"angle scan rows must satisfy 0 <= start <= stop <= {steps}, "
                          f"got start {start}, stop {stop}")
-    import numpy as np
-
-    table = np.empty((stop - start, len(SCAN_COLUMNS)))
-    with np.errstate(all="ignore"):  # the refusal is an overflow's one report
-        for first in range(start, stop, _SCAN_BLOCK):
-            rows = table[first - start:first - start + _SCAN_BLOCK]
-            # a column at a time: a tuple of columns would be copied into an
-            # array of the block's size first
-            for column, values in zip(rows.T, _scan_row(config, steps,
-                                                        np.arange(first, first + len(rows)), np)):
-                column[...] = values
-            check_cells(rows, np)
-    return table
+    return _table(partial(_scan_row, config, steps), len(SCAN_COLUMNS), start, stop)
 
 
 def _scan_blocks(config: InterferometerConfig, steps: int):

@@ -18,20 +18,21 @@ quarter form V [1 + (m^2/4)(rho^2 - R^2)] is the one consistent with the
 bound inversion and with the Bessel series, and is the default.  The half
 form is kept as an explicit variant.  Both potentials come from one row
 rule, _potential_rows, given its array module, as the scans' _scan_row is:
-math in cylinder_potential_exact, cylinder_potential_expansion and
-potential_profile's rows, formed lazily, numpy in _potential_table's blocks
-of rows.  So a profile's rows and its table are the pointwise values by
-construction, bit for bit: the array form of the scaled I0 sums each
-element's series term for term, and every exp, element by element, is
-math.exp, since numpy's differs from libm's in the last bit.
+math in cylinder_potential_exact and cylinder_potential_expansion, and at
+a profile's radii (_profile_rule) in the scans' table drivers,
+interferometer._rows with math and interferometer._table with numpy.  So
+a profile's rows and its table are the pointwise values by construction,
+bit for bit: the array form of the scaled I0 sums each element's series
+term for term, and every exp, element by element, is math.exp, since
+numpy's differs from libm's in the last bit.
 """
 
 import math
 import sys
 
-from ._record import Record, check_cells, check_finite, check_row
+from ._record import Record, check_finite
 from .errors import DomainError, InputError
-from .interferometer import _SCAN_BLOCK, _check_steps
+from .interferometer import _check_steps, _rows
 from .units import PhysicalConstants, inverse_length_to_mass
 
 
@@ -202,49 +203,34 @@ def cylinder_potential_expansion(rho: float, cfg: ProcaCylinderConfig, m_gamma: 
     return _potential_at(rho, cfg, m_gamma, variant)[2]
 
 
+def _profile_rule(cfg: ProcaCylinderConfig, m_gamma: float, steps: int, variant: str):
+    """The row rule of a profile of steps rows, its arguments checked
+    first: rule(i, xp) is _potential_rows' row at radius R i/(steps - 1),
+    for an int i or an int array, and at exactly R for the last row."""
+    row = _potential_rows(cfg, m_gamma, variant)
+    R, last = cfg.R, steps - 1
+
+    def rule(i, xp):
+        if xp is math:
+            return row(R * i / last if i < last else R, xp)
+        rho = R * i / last
+        rho[i == last] = R
+        return row(rho, xp)
+    return rule
+
+
 def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
                       variant: str = "quarter"):
     """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over
     [0, R], the last exactly R: at most MAX_SCAN_STEPS rows, each what
     cylinder_potential_exact and cylinder_potential_expansion give at its
-    radius, bit for bit.  An iterator that forms them as they are read, the
-    row rule (and the wall's I0) with the first; the arguments are checked
-    first.  A row with a cell that is NaN or infinite, a potential beyond
-    the double range, is refused: DomainError names its first such cell,
-    the profile's first in row-major order."""
+    radius, bit for bit.  An iterator that forms them as they are read;
+    the arguments are checked, and the wall's I0 formed, first.  A row
+    with a cell that is NaN or infinite, a potential beyond the double
+    range, is refused: DomainError names its first such cell, the
+    profile's first in row-major order."""
     _check_steps(steps, "potential profile")
-    _check_potential(m_gamma, variant)
-    return _profile_rows(cfg, m_gamma, steps, variant)
-
-
-def _profile_rows(cfg, m_gamma, steps, variant):
-    row = _potential_rows(cfg, m_gamma, variant)
-    R, last = cfg.R, steps - 1
-    for i in range(steps):
-        # R * i / last can round above R at the last step
-        yield check_row(row(R * i / last if i < last else R, math))
-
-
-def _potential_table(cfg: ProcaCylinderConfig, m_gamma: float, steps: int, variant: str):
-    """potential_profile's rows as a (steps, 3) float64 table, the same
-    doubles, refused as the rows are: the rows are formed by the row rule
-    in blocks of _SCAN_BLOCK, radii and columns alike, so the table is the
-    only array of its size, and each block is checked once it is formed."""
-    _check_steps(steps, "potential profile")
-    import numpy as np
-
-    row = _potential_rows(cfg, m_gamma, variant)
-    R, last = cfg.R, steps - 1
-    table = np.empty((steps, 3))
-    with np.errstate(all="ignore"):  # the refusal is an overflow's one report
-        for start in range(0, steps, _SCAN_BLOCK):
-            rho = R * np.arange(start, min(start + _SCAN_BLOCK, steps)) / last
-            if start + _SCAN_BLOCK >= steps:
-                rho[-1] = R  # as in _profile_rows
-            rows = table[start:start + _SCAN_BLOCK]
-            rows.T[:] = row(rho, np)
-            check_cells(rows, np)
-    return table
+    return _rows(_profile_rule(cfg, m_gamma, steps, variant), steps)
 
 
 def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,

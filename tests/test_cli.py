@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -328,10 +329,10 @@ def test_degenerate_scans_are_the_table_cell_by_cell(device, u, capsys):
 
 
 def _streamed(header, table):
-    # _table_csv as the CSV subcommands call it: one string up to the
-    # table rule's cut, numpy being loaded here, and a stream of ASCII
-    # bytes beyond
-    chunks = cli._table_csv(header, len(table), map(tuple, table.tolist()), lambda: (table,))
+    # _table_csv as the CSV subcommands call it, with a row rule that reads
+    # the table: one string up to the table rule's cut, numpy being loaded
+    # here, and a stream of ASCII bytes beyond, formed by _table
+    chunks = cli._table_csv(header, len(table), lambda k, xp: tuple(table[k].T))
     assert isinstance(chunks, str) == (len(table) <= cli._WARM_CUT)
     return chunks if isinstance(chunks, str) else b"".join(chunks).decode("ascii")
 
@@ -351,6 +352,7 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     for block in (1, 2, 3, 4, 5, 4096):
         monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
         monkeypatch.setattr(cli, "_WARM_CUT", block)
+        monkeypatch.setattr(interferometer, "_SCAN_BLOCK", block)
         assert _streamed(header, base) == _naive_csv(header, base)
         for cell, value in ((2, 1e-323), (1, -0.0), (3, -7.250000000000001)):
             table = base.copy()
@@ -360,16 +362,19 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
             lines = text.splitlines()
             assert lines[5].split(",")[1:] != lines[3].split(",")[1:]
             assert lines[6].split(",")[1:] == lines[2].split(",")[1:]
-    # a scan with an infinite cell is refused by the scan's own builders,
-    # which form its rows up to the half turn, rows 0-3, by _scan_row, here
-    # this table's: main writes nothing to stdout, on either side of the
-    # table rule's cut
+    # a scan with an infinite cell is refused by the table drivers and the
+    # scan's builders, which form its rows up to the half turn, rows 0-3,
+    # by _scan_row, here this table's, as the CLI's row rule does: main
+    # writes nothing to stdout, on either side of the table rule's cut
     table = base.copy()
     table[[1, 5], 3] = np.inf
     monkeypatch.setattr(interferometer, "_scan_row",
                         lambda config, steps, k, xp: tuple(table[k].T))
+    monkeypatch.setattr(cli, "_scan_row", interferometer._scan_row)
     cfg = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, 633e-9)
-    refused = (lambda: list(interferometer._scan_rows(cfg, 6)),
+    rule = functools.partial(interferometer._scan_row, cfg, 6)
+    refused = (lambda: list(interferometer._rows(rule, 6)),
+               lambda: interferometer._table(rule, 4, 0, 6),
                lambda: angle_scan(cfg, 6), lambda: interferometer._scan_blocks(cfg, 6))
     for form in refused:
         with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
@@ -446,27 +451,36 @@ def test_refused_proca_potential_writes_nothing(capsys):
                                               "the computation left the double range"}
 
 
-@pytest.mark.parametrize("encoding", [None, "utf-8", "utf-16", "utf-7", "cp500", "iso2022_jp"],
-                         ids=["StringIO", "utf-8", "utf-16", "utf-7", "ebcdic", "iso2022-jp"])
-def test_streamed_tables_in_any_text_stream(encoding):
+# the known defect of a text stream opened with newline="\r\n": a warm
+# 200-row table (past the cut of 160) holds no "\r\n" where 201 are due
+_CRLF = pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: cli.main writes a "
+                          "streamed table's bare newlines to the buffer of a text stream "
+                          'opened with newline="\\r\\n"')
+
+
+@pytest.mark.parametrize("encoding, newline", [
+    (None, None), ("utf-8", None), ("utf-16", None), ("utf-7", None), ("cp500", None),
+    ("iso2022_jp", None), pytest.param("utf-8", "\r\n", marks=_CRLF)],
+    ids=["StringIO", "utf-8", "utf-16", "utf-7", "ebcdic", "iso2022-jp", "utf-8-crlf"])
+def test_streamed_tables_in_any_text_stream(encoding, newline):
     # a streamed table goes as bytes to the buffer of a text stream whose
     # encoding writes its cells' ASCII as itself (UTF-8, and ISO-2022-JP
     # once the header has left the JIS state that the text before it set),
     # and as text to any other stream.  Either way it follows the text
     # that the stream holds unflushed, and its text is the cell-by-cell
-    # table's
+    # table's, each newline written as the stream's
     before = "before" if encoding == "cp500" else "\u65e5\u672c"
-    for argv, header, table in _table_requests(4097):
+    for argv, header, table in _table_requests(4097 if newline is None else 200):
         if encoding is None:
             out = io.StringIO()
         else:
-            out = io.TextIOWrapper(io.BytesIO(), encoding=encoding)
+            out = io.TextIOWrapper(io.BytesIO(), encoding=encoding, newline=newline)
         out.write(before)
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
         out.flush()
         text = out.getvalue() if encoding is None else out.buffer.getvalue().decode(encoding)
-        assert text == before + _naive_csv(header, table), argv
+        assert text == before + _naive_csv(header, table).replace("\n", newline or "\n"), argv
 
 
 @pytest.mark.parametrize("cold_cut", [False, True], ids=["warm-cut", "cold-cut"])

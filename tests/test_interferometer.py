@@ -4,6 +4,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -15,12 +16,13 @@ from etherdrift import cli, interferometer
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.abphase import fresnel_momentum
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       _cos_deg, _scan_blocks, _scan_cos, _scan_row,
-                                       _scan_rows, angle_scan, delay_exact, delay_first_order,
+                                       _cos_deg, _rows, _scan_blocks, _scan_cos, _scan_row,
+                                       _table, angle_scan, delay_exact, delay_first_order,
                                        fringe_shift, improvement_factor, min_detectable_u,
                                        rotation_signal)
 from etherdrift.kinematics import (CompositionLaw, compose_lab_speed, fresnel_drag_coefficient,
                                    fresnel_speed)
+from etherdrift.proca import ProcaCylinderConfig, _profile_rule
 from etherdrift.units import c as C
 
 
@@ -302,8 +304,8 @@ def test_scan_refuses_its_first_non_finite_cell(lam, n1, n2):
                             "the computation left the double range")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for form in (lambda: list(_scan_rows(cfg, steps)), lambda: angle_scan(cfg, steps),
-                         lambda: _scan_blocks(cfg, steps)):
+            for form in (lambda: list(_rows(partial(_scan_row, cfg, steps), steps)),
+                         lambda: angle_scan(cfg, steps), lambda: _scan_blocks(cfg, steps)):
                 with pytest.raises(DomainError, match=f"^{message}$"):
                     form()
 
@@ -393,7 +395,8 @@ def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
         assert first == delay_first_order(at, folded)
         assert fringes == fringe_shift(exact, cfg.lambda_vac)
     # the CLI's plain-float scan holds the same doubles, signs of zero too
-    assert (np.array(list(_scan_rows(cfg, steps))).view("i8") == table.view("i8")).all()
+    rows = _rows(partial(_scan_row, cfg, steps), steps)
+    assert (np.array(list(rows)).view("i8") == table.view("i8")).all()
     # u_eff negates exactly across a half turn: the rotated row is the row
     # of the reversed drift
     if steps % 2 == 0:
@@ -445,6 +448,12 @@ def worst_row_error(cfg, steps, exact):
     return worst
 
 
+def _plain_scan(cfg, steps):
+    """The scan's rows from the plain-float driver, as the CLI forms a
+    table of up to its cut."""
+    return list(_rows(partial(_scan_row, cfg, steps), steps))
+
+
 @pytest.mark.parametrize("n1, n2", [(1.0006, 1.0001), (1.00029, 1.33), (1.5, 1.0)])
 def test_scan_rows_match_mpmath_under_both_laws(n1, n2):
     # the rows were L (1/w1 - 1/w2), the difference of two composed inverse
@@ -454,7 +463,7 @@ def test_scan_rows_match_mpmath_under_both_laws(n1, n2):
     # bounds the test's time
     def check(e_f, u, steps):
         tables = [driver(config(n1=n1, n2=n2, L=2.0, u=u, composition=law, e_f=e_f), steps)
-                  for law in CompositionLaw for driver in (angle_scan, _scan_rows)]
+                  for law in CompositionLaw for driver in (angle_scan, _plain_scan)]
         exact = [row[EXACT] for row in tables[0]]
         assert all([row[EXACT] for row in table] == exact for table in tables)
         error = worst_row_error(config(n1=n1, n2=n2, L=2.0, u=u, e_f=e_f), steps, exact)
@@ -532,20 +541,72 @@ def test_angle_scan_caps_steps_before_allocating():
         angle_scan(config(), 10 ** 11)
 
 
-@pytest.mark.parametrize("law", list(CompositionLaw))
-def test_angle_scan_allocates_little_beside_its_table(law):
+@pytest.mark.parametrize("table", [*CompositionLaw, "profile"])
+def test_angle_scan_allocates_little_beside_its_table(table):
     # a row tuple per angle took about 17 MB at this size, and a full-length
     # cosine array took the peak to 1.33x the table; the cosines and the
-    # delays are formed in blocks, so no other array comes near its size
-    cfg = config(u=3e4, composition=law, e_f=0.3)
+    # delays are formed in blocks, so no other array comes near its size.
+    # A potential profile, at m R = 14, is formed by the same driver; its
+    # block of rows holds more beside it, the I0 series' columns and the
+    # Python floats that math.exp takes, about 0.55 MB at 4096 rows: 1.23x
+    # its table here, and 1.21x when proca formed it in a loop of its own
+    if table == "profile":
+        cfg = ProcaCylinderConfig(R=0.1, V=1e7, tau=1.0)
+        rule, columns = _profile_rule(cfg, 140.0, 10 ** 5, "quarter"), 3
+    else:
+        rule, columns = partial(_scan_row, config(u=3e4, composition=table, e_f=0.3), 10 ** 5), 4
     tracemalloc.start()
     try:
-        table = angle_scan(cfg, 10 ** 5)
+        formed = (_table(rule, columns, 0, 10 ** 5) if table == "profile"
+                  else angle_scan(rule.args[0], 10 ** 5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.nbytes == 3_200_000
-    assert peak < 1.2 * table.nbytes
+    assert formed.nbytes == 8 * columns * 10 ** 5
+    assert peak < (1.25 if table == "profile" else 1.2) * formed.nbytes
+
+
+def _synthetic_rule(columns, bad):
+    """A row rule of columns cells, cell j of row k sqrt(k + j/7)(j - 5/2),
+    of correctly rounded operations, so the same doubles in plain floats
+    and in numpy; bad maps (k, j) to a value that replaces that cell."""
+    def rule(k, xp):
+        cells = [xp.sqrt(k + j / 7.0) * (j - 2.5) for j in range(columns)]
+        for (row, j), value in bad.items():
+            if xp is math:
+                cells[j] = value if k == row else cells[j]
+            else:
+                cells[j] = xp.where(k == row, value, cells[j])
+        return tuple(cells)
+    return rule
+
+
+@pytest.mark.parametrize("columns, bad, first", [
+    (1, {(7, 0): -math.inf, (8, 0): math.nan}, "-inf"),
+    (5, {(4, 3): math.inf, (5, 0): math.nan, (4, 4): -math.inf, (9, 1): math.nan}, "inf")])
+def test_table_drivers_give_the_same_doubles_and_refusal(columns, bad, first, monkeypatch):
+    # the plain driver, _rows, and the numpy one, _table, in blocks of 3
+    # rows that end inside and at the table's end, run one row rule: the
+    # same doubles bit for bit, -0.0 of row 0 included, for the whole table
+    # and for any rows start to stop; and the same refusal, of the first
+    # non-finite cell in row-major order, not the first in column order
+    monkeypatch.setattr(interferometer, "_SCAN_BLOCK", 3)
+    rule = _synthetic_rule(columns, {})
+    rows = np.array(list(_rows(rule, 11)))
+    table = _table(rule, columns, 0, 11)
+    assert table.shape == (11, columns)
+    assert table.tobytes() == rows.tobytes()
+    assert np.signbit(table[0, 0])
+    for start, stop in ((0, 0), (2, 8), (10, 11)):
+        assert _table(rule, columns, start, stop).tobytes() == table[start:stop].tobytes()
+    rule = _synthetic_rule(columns, bad)
+    message = re.escape(f"result is not a finite number ({first}): "
+                        "the computation left the double range")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for form in (lambda: list(_rows(rule, 11)), lambda: _table(rule, columns, 0, 11)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                form()
 
 
 def test_large_fringe_scan_is_written_in_blocks(tmp_path):

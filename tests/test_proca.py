@@ -11,10 +11,10 @@ from etherdrift.abphase import fresnel_momentum
 from etherdrift import proca
 from etherdrift.errors import DomainError, InputError
 from etherdrift.fieldmomentum import SolenoidChargeGeometry, convergence_study
-from etherdrift.interferometer import (InterferometerConfig, angle_scan, fringe_shift,
+from etherdrift.interferometer import (InterferometerConfig, _table, angle_scan, fringe_shift,
                                        improvement_factor, min_detectable_u)
 from etherdrift.proca import (PhotonMassBound, ProcaCylinderConfig, _potential_rows,
-                              _potential_table, _scaled_I0, bessel_I0, bounds_registry,
+                              _profile_rule, _scaled_I0, bessel_I0, bounds_registry,
                               cylinder_potential_exact,
                               cylinder_potential_expansion, invert_bound,
                               mass_phase_correction, potential_profile,
@@ -175,12 +175,17 @@ def _potential_draws():
         yield cfg, mR / R, int(steps[k]), ("quarter", "half")[k % 2]
 
 
+def _numpy_profile(cfg, m_gamma, steps, variant):
+    """The profile from the numpy driver, as the CLI forms one past its cut."""
+    return _table(_profile_rule(cfg, m_gamma, steps, variant), 3, 0, steps)
+
+
 def test_potential_table_is_the_profile_bit_for_bit():
     # the one row rule over numpy columns, in blocks, gives the plain
     # float rows and the pointwise potentials to the bit, -0.0 included
     rng = np.random.default_rng(3709)
     for cfg, m_gamma, steps, variant in _potential_draws():
-        table = _potential_table(cfg, m_gamma, steps, variant)
+        table = _numpy_profile(cfg, m_gamma, steps, variant)
         rows = np.array(list(potential_profile(cfg, m_gamma, steps, variant)))
         assert table.tobytes() == rows.tobytes(), (cfg, m_gamma, steps, variant)
         at = sorted({0, steps - 1, *rng.integers(0, steps, 6).tolist()})
@@ -210,7 +215,7 @@ def test_profile_refuses_its_first_non_finite_cell(V, R, m_gamma, variant):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for form in (lambda: list(potential_profile(cfg, m_gamma, steps, variant)),
-                         lambda: _potential_table(cfg, m_gamma, steps, variant)):
+                         lambda: _numpy_profile(cfg, m_gamma, steps, variant)):
                 with pytest.raises(DomainError, match=f"^{message}$"):
                     form()
 
@@ -228,12 +233,12 @@ def test_profile_is_refused_in_row_major_order(monkeypatch):
     monkeypatch.setattr(proca, "_potential_rows", rows)
     cfg = ProcaCylinderConfig(R=5.0, V=1.0, tau=1.0)
     for form in (lambda: list(potential_profile(cfg, 1.0, 6)),
-                 lambda: _potential_table(cfg, 1.0, 6, "quarter")):
+                 lambda: _numpy_profile(cfg, 1.0, 6, "quarter")):
         with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
             form()
     table[1, 2] = 0.0
     with pytest.raises(DomainError, match=r"not a finite number \(nan\)"):
-        _potential_table(cfg, 1.0, 6, "quarter")
+        _numpy_profile(cfg, 1.0, 6, "quarter")
     # the rows are refused one at a time: those before the first bad cell are read
     rows = potential_profile(cfg, 1.0, 6)
     assert [next(rows) for _ in range(3)] == list(map(tuple, table[:3].tolist()))
@@ -254,7 +259,7 @@ def test_refused_profile_table_stops_at_its_first_bad_block(monkeypatch):
     monkeypatch.setattr(proca, "_potential_rows", counted)
     cfg = ProcaCylinderConfig(R=10.0, V=1e300, tau=1.0)
     with pytest.raises(DomainError, match=r"not a finite number \(-inf\)"):
-        _potential_table(cfg, 1e10, 5 * 4096, "quarter")
+        _numpy_profile(cfg, 1e10, 5 * 4096, "quarter")
     assert formed == [4096]
 
 
