@@ -13,8 +13,7 @@ from .kinematics import (CompositionLaw, compose_lab_speed, effective_fresnel_sp
                          fresnel_speed, tangherlini_composed_speed)
 from .interferometer import (SCAN_COLUMNS, InterferometerConfig, RotationSignal,
                              angle_scan, delay_exact, delay_first_order,
-                             fringe_shift, improvement_factor,
-                             min_detectable_u, rotation_signal)
+                             improvement_factor, min_detectable_u, rotation_signal)
 from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
                       fresnel_momentum, phase_line_integral)
 from .proca import (PhotonMassBound, ProcaCylinderConfig, bessel_I0,

@@ -243,20 +243,6 @@ def _fringes(delta_t, lambda_vac):
     return c * delta_t / lambda_vac
 
 
-def fringe_shift(delta_t: float, lambda_vac: float) -> float:
-    """Optical-phase cycles N = c dt / lambda for a path time difference dt.
-    A non-finite dt, and an N beyond the double range, are refused."""
-    check_finite(("path time difference dt", delta_t))
-    if not 0.0 < lambda_vac:
-        raise DomainError(f"wavelength must be positive, got {lambda_vac}")
-    check_finite(("wavelength", lambda_vac))
-    fringes = _fringes(delta_t, lambda_vac)
-    if not math.isfinite(fringes):
-        raise DomainError(f"the fringe count c dt / lambda exceeds the double range at "
-                          f"dt = {delta_t} s, lambda = {lambda_vac} m")
-    return fringes
-
-
 def min_detectable_u(config: InterferometerConfig, fringe_resolution: float) -> float:
     """Smallest drift speed giving a rotation signal of fringe_resolution fringes.
 

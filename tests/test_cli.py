@@ -1127,8 +1127,8 @@ def test_abphase_overflowing_phase_exit_2():
 
 
 def test_abphase_overflowing_solenoid_coupling_exit_2():
-    # coupling x flux/(2 pi) leaves the double range: the segment phases
-    # are inf, and the result is refused, not a traceback
+    # coupling x flux leaves the double range: the loop's one whole turn is
+    # inf, and the result is refused, not a traceback
     field = '{"kind": "solenoid", "params": {"flux_wb": 1e300, "coupling": 1e300}}'
     proc = run_cli("abphase", "--field", field,
                    "--path", "[[1,-1,0],[1,1,0],[-1,1,0],[-1,-1,0],[1,-1,0]]")

@@ -17,8 +17,8 @@ from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.abphase import fresnel_momentum
 from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
                                        _cos_deg, _rows, _scan_blocks, _scan_cos, _scan_row,
-                                       _table, angle_scan, delay_exact, delay_first_order,
-                                       fringe_shift, improvement_factor, min_detectable_u,
+                                       _fringes, _table, angle_scan, delay_exact,
+                                       delay_first_order, improvement_factor, min_detectable_u,
                                        rotation_signal)
 from etherdrift.kinematics import (CompositionLaw, compose_lab_speed, fresnel_drag_coefficient,
                                    fresnel_speed)
@@ -124,24 +124,13 @@ def test_rotation_signal_full_drag_cancels_first_order():
     assert signal.first_order == 0.0
 
 
-def test_fringe_shift():
-    assert fringe_shift(633e-9 / C, 633e-9) == pytest.approx(1.0, rel=1e-15)
-    assert fringe_shift(0.0, 633e-9) == 0.0
-    # c * 2.23e-17/633nm, 50-digit arithmetic
-    assert fringe_shift(2.23e-17, 633e-9) == pytest.approx(0.010561408867930490, rel=1e-15)
-    assert fringe_shift(2.0 * 2.23e-17, 633e-9) == pytest.approx(
-        2.0 * fringe_shift(2.23e-17, 633e-9), rel=1e-15)
-    with pytest.raises(DomainError):
-        fringe_shift(1e-17, 0.0)
-
-
 def test_min_detectable_u_frozen_and_inverts_forward_formula():
     cfg = config()
     # res lambda c/(2(n1^2-n2^2)L), 50-digit arithmetic on the double indices
     u_min = min_detectable_u(cfg, 1e-3)
     assert u_min == pytest.approx(94.851115066737100, rel=1e-13)
     at_threshold = config(u=u_min)
-    fringes = fringe_shift(rotation_signal(at_threshold).first_order, cfg.lambda_vac)
+    fringes = _fringes(rotation_signal(at_threshold).first_order, cfg.lambda_vac)
     assert fringes == pytest.approx(1e-3, rel=1e-12)
 
 
@@ -393,7 +382,7 @@ def test_scan_rows_are_the_pointwise_delays(n1, n2, u, e_f, law, steps):
         at = cfg if sign > 0 else reversed_cfg
         assert exact == delay_exact(at, folded)
         assert first == delay_first_order(at, folded)
-        assert fringes == fringe_shift(exact, cfg.lambda_vac)
+        assert fringes == _fringes(exact, cfg.lambda_vac)
     # the CLI's plain-float scan holds the same doubles, signs of zero too
     rows = _rows(partial(_scan_row, cfg, steps), steps)
     assert (np.array(list(rows)).view("i8") == table.view("i8")).all()

@@ -26,7 +26,7 @@ from etherdrift import (CompositionLaw, ConvergenceRow, EtherdriftError, Fresnel
                         cylinder_potential_expansion, delay_exact, delay_first_order,
                         effective_fresnel_speed, einstein_composed_speed,
                         fresnel_drag_coefficient, fresnel_momentum, fresnel_speed,
-                        fringe_shift, get_constants, improvement_factor,
+                        get_constants, improvement_factor,
                         integrate_field_momentum, inverse_length_to_mass, invert_bound,
                         mass_phase_correction, min_detectable_u, phase_line_integral,
                         potential_profile, projected_bound, rotation_signal,
@@ -149,7 +149,6 @@ CASES = {
     "fresnel_drag_coefficient": Call(fresnel_drag_coefficient, 1.33),
     "fresnel_momentum": Call(fresnel_momentum, OMEGA, 1.33, (10.0, -5.0, 3.0)),
     "fresnel_speed": Call(fresnel_speed, 1.33, 30.0),
-    "fringe_shift": Call(fringe_shift, 1e-15, 633e-9),
     "get_constants": Call(get_constants, "modern"),
     "improvement_factor": Call(improvement_factor, 30.0, 1.0006, 1.0001),
     "integrate_field_momentum": Call(integrate_field_momentum, GEOMETRY),

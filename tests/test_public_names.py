@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "convergence_study", "cylinder_potential_exact", "cylinder_potential_expansion",
     "delay_exact", "delay_first_order", "effective_fresnel_speed",
     "einstein_composed_speed", "fresnel_drag_coefficient", "fresnel_momentum",
-    "fresnel_speed", "fringe_shift", "get_constants", "improvement_factor",
+    "fresnel_speed", "get_constants", "improvement_factor",
     "integrate_field_momentum", "inverse_length_to_mass", "invert_bound",
     "mass_phase_correction", "min_detectable_u", "phase_line_integral",
     "potential_profile", "projected_bound", "rotation_signal",
