@@ -140,6 +140,16 @@ _TWO_PI_128 = 0xC90FDAA22168C234C4C6628B80DC1CD1
 _FAR = 2.0 ** 500
 
 
+def _check_offsets(vertices, offsets):
+    """Refuse the first vertex whose (x, y) offset from the flux line
+    leaves the double range, as the difference of a finite vertex and a
+    finite point of the line can."""
+    for index, (vertex, offset) in enumerate(zip(vertices, offsets)):
+        if not all(map(math.isfinite, offset)):
+            raise DomainError(f"path vertex {index} {vertex} is offset {offset} m from the "
+                              "flux line: the offset leaves the double range")
+
+
 def _scaled_far(segments):
     """The solenoid's segments, each one with an offset beyond _FAR scaled
     by the power of two that puts its largest coordinate in [1, 2).
@@ -150,14 +160,12 @@ def _scaled_far(segments):
     (below 2**-499 in the scaled units) does not act on it either way.
     Each segment takes its own scale: one scale for the whole path would
     push the offsets of its segments near the line below the double
-    range.  A segment with an infinite or NaN offset is left as it is."""
+    range.  Every offset is finite (``_check_offsets``)."""
     for (u0, v0), (u1, v1), r0, r1 in segments:
         if not max(r0, r1) <= _FAR:
-            big = max(abs(u0), abs(v0), abs(u1), abs(v1))
-            if big < math.inf:
-                shift = 1 - math.frexp(big)[1]
-                u0, v0, u1, v1 = (math.ldexp(x, shift) for x in (u0, v0, u1, v1))
-                r0, r1 = math.sqrt(u0 * u0 + v0 * v0), math.sqrt(u1 * u1 + v1 * v1)
+            shift = 1 - math.frexp(max(abs(u0), abs(v0), abs(u1), abs(v1)))[1]
+            u0, v0, u1, v1 = (math.ldexp(x, shift) for x in (u0, v0, u1, v1))
+            r0, r1 = math.sqrt(u0 * u0 + v0 * v0), math.sqrt(u1 * u1 + v1 * v1)
         yield (u0, v0), (u1, v1), r0, r1
 
 
@@ -183,21 +191,26 @@ class SolenoidVectorPotential(Record):
         check_finite(("flux", self.flux), ("coupling", self.coupling))
         check_vector("flux-line point axis_point", self.axis_point)
 
-    def _phase_per_radian(self):
+    def _coupling_flux(self) -> tuple:
+        """coupling flux exactly, as (num, den) (``_exact_sum``)."""
+        return _exact_sum(((float(self.coupling), float(self.flux)),))
+
+    def _phase_per_radian(self, coupling_flux=None):
         """coupling flux/(2 pi) as hi + lo, two doubles within 1e-32 of it
-        relative.
+        relative, from coupling flux's exact (num, den), formed here if it
+        is not given.
 
         hi is the quotient of exact integers, rounded once by ``_quotient``;
         lo is the rest, so hi + lo is within 1e-32 |hi| of it, or within
         2**-1075 where lo or hi is subnormal.  The three float operations
         round a single double by up to about 1.2 ulp, and the angle part of
         every phase would carry that error.  A quotient beyond the double
-        range takes the float operations: hi is then +-inf and lo 0."""
+        range gives hi +-inf, as the float operations would, and lo 0."""
+        num, den = coupling_flux or self._coupling_flux()
         try:
-            num, den = _exact_sum(((float(self.coupling), float(self.flux)),))
             return _quotient(num << 125, den * _TWO_PI_128)
         except OverflowError:
-            return self.coupling * self.flux / (2.0 * math.pi), 0.0
+            return -math.inf if num < 0 else math.inf, 0.0
 
     def q_at(self, points) -> "np.ndarray":
         import numpy as np
@@ -232,14 +245,17 @@ class SolenoidVectorPotential(Record):
         line raises SingularPathError, so a rough angle near +-pi keeps its
         sign.  A segment more than 2**500 m from the line is first scaled by
         a power of two (``_scaled_far``), so its rough products do not
-        overflow at any finite distance.  A phase beyond the double range,
-        or an offset beyond it, raises DomainError."""
-        hi, lo = self._phase_per_radian()
+        overflow at any finite distance.  A phase beyond the double range
+        raises DomainError, and so does an offset beyond it, naming its
+        vertex (``_check_offsets``)."""
+        num, den = self._coupling_flux()
+        hi, lo = self._phase_per_radian((num, den))
         px, py, _ = self.axis_point
         offsets = [(x - px, y - py) for x, y, _ in vertices]
         radii = [math.sqrt(u * u + v * v) for u, v in offsets]
         segments = zip(offsets, offsets[1:], radii, radii[1:])
         if not max(radii, default=0.0) <= _FAR:  # one check per path
+            _check_offsets(vertices, offsets)
             segments = _scaled_far(segments)
         swept = 0.0
         for (u0, v0), (u1, v1), r0, r1 in segments:
@@ -251,15 +267,12 @@ class SolenoidVectorPotential(Record):
             if math.sqrt(nu * nu + nv * nv) <= 1e-12 * max(1.0, r0, r1):
                 raise SingularPathError("integration path passes through the flux line")
             swept += math.atan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1)
-        if not math.isfinite(swept):  # an offset beyond the double range
-            raise _not_finite(swept)
         (u0, v0), (u1, v1) = offsets[0], offsets[-1]
         (nc, dc), (nd, dd) = _exact_sum(((u0, v1), (-v0, u1))), _exact_sum(((u0, u1), (v0, v1)))
         y, x = nc * dd, nd * dc  # r0 x r1 and r0 . r1 times dc dd: no end is on the line
         big = max(abs(y), abs(x))
         theta = math.atan2(y / big, x / big)  # one of the two is +-1
         turns = round((swept - theta) / (2.0 * math.pi))
-        num, den = _exact_sum(((float(self.coupling), float(self.flux)),))
         whole, rest = _rounded(num * turns, den)
         phase = whole + (rest + lo * theta + hi * theta)
         if not math.isfinite(phase):

@@ -2,7 +2,9 @@
 
 Parses subcommands and their flags, with JSON payloads for the abphase
 field and path and the pmomentum geometry, dispatches to the
-computation modules, and emits deterministic JSON/CSV: floats always carry
+computation modules, which it reads through their module objects, so a
+call runs only the kernel modules its subcommand uses (see the package
+docstring), and emits deterministic JSON/CSV: floats always carry
 17 significant digits, dict key order is fixed in code, and repeated runs
 are byte-identical.  Exit codes: 0 success, 1 usage, 2 domain or
 computation error (reported as a single JSON line on stderr).  As a
@@ -26,21 +28,9 @@ import sys
 from functools import partial
 from types import SimpleNamespace
 
-from . import __version__
+from . import __version__, abphase, fieldmomentum, interferometer, kinematics, proca
 from ._record import not_finite
-from .abphase import (FresnelFlow, Path, SolenoidVectorPotential, UniformQ,
-                      phase_line_integral)
 from .errors import DomainError, EtherdriftError, InputError
-from .fieldmomentum import (SolenoidChargeGeometry, analytic_solenoid_momentum,
-                            convergence_study)
-from .interferometer import (_SCAN_BLOCK, SCAN_COLUMNS, InterferometerConfig, _check_steps,
-                             _rows, _scan_blocks, _scan_row, _table, improvement_factor,
-                             min_detectable_u)
-from .kinematics import (CompositionLaw, effective_fresnel_speed,
-                         einstein_composed_speed, fresnel_speed,
-                         tangherlini_composed_speed)
-from .proca import (ProcaCylinderConfig, _profile_rule, bounds_registry, invert_bound,
-                    mass_phase_correction)
 from .units import UnitSystem, get_constants, inverse_length_to_mass
 
 
@@ -119,11 +109,11 @@ def _table_csv(header, steps, rule, blocks=None):
     are formatted by _g17.csv_blocks, byte for byte as "%.17g", a pass of
     whole rows (at most _g17._PASS cells) at a time; each pass's bytes are
     handed on before the next is formatted.  _g17 loads only here."""
-    if steps <= (_WARM_CUT if "numpy" in sys.modules else _SCAN_BLOCK):
-        return render_csv(header, list(_rows(rule, steps)))
+    if steps <= (_WARM_CUT if "numpy" in sys.modules else interferometer._SCAN_BLOCK):
+        return render_csv(header, list(interferometer._rows(rule, steps)))
     from ._g17 import csv_blocks
 
-    table = blocks() if blocks else (_table(rule, len(header), 0, steps),)
+    table = blocks() if blocks else (interferometer._table(rule, len(header), 0, steps),)
     return itertools.chain([",".join(header).encode()], csv_blocks(table), [b"\n"])
 
 
@@ -174,15 +164,15 @@ _GEOMETRY_SCHEMA = {
     "grid": ("grid", "intvector", False),
 }
 
-# field kind -> (field class, schema of its params)
+# field kind -> (the name of its field class in abphase, schema of its params)
 _FIELD_SCHEMAS = {
-    "uniform_q": (UniformQ, {"q": ("q", "vector", True)}),
-    "fresnel_flow": (FresnelFlow, {"omega_rad_s": ("omega", "number", True),
-                                   "n": ("n", "number", True),
-                                   "u_mps": ("u", "vector", True)}),
-    "solenoid": (SolenoidVectorPotential, {"flux_wb": ("flux", "number", True),
-                                           "coupling": ("coupling", "number", False),
-                                           "center_m": ("axis_point", "vector", False)}),
+    "uniform_q": ("UniformQ", {"q": ("q", "vector", True)}),
+    "fresnel_flow": ("FresnelFlow", {"omega_rad_s": ("omega", "number", True),
+                                     "n": ("n", "number", True),
+                                     "u_mps": ("u", "vector", True)}),
+    "solenoid": ("SolenoidVectorPotential", {"flux_wb": ("flux", "number", True),
+                                             "coupling": ("coupling", "number", False),
+                                             "center_m": ("axis_point", "vector", False)}),
 }
 
 
@@ -222,11 +212,11 @@ def _field_from_dict(spec, constants):
     if not isinstance(kind, str) or kind not in _FIELD_SCHEMAS:
         known = ", ".join(sorted(_FIELD_SCHEMAS))
         raise InputError(f"unknown field kind {kind!r} (known: {known})")
-    cls, schema = _FIELD_SCHEMAS[kind]
+    class_name, schema = _FIELD_SCHEMAS[kind]
     kwargs = _apply_schema(spec.get("params", {}), schema, f"{kind} field params")
-    if cls is SolenoidVectorPotential:
+    if kind == "solenoid":
         kwargs.setdefault("coupling", constants.charge_over_hbar)
-    return cls(**kwargs)
+    return getattr(abphase, class_name)(**kwargs)
 
 
 def _parse_json_text(text: str, origin: str):
@@ -269,13 +259,13 @@ def _m_gamma(ns) -> float:
 
 def _run_speed(ns, constants):
     if ns.mode == "fresnel":
-        v = fresnel_speed(ns.n, ns.u_mps)
+        v = kinematics.fresnel_speed(ns.n, ns.u_mps)
     elif ns.mode == "effective":
-        v = effective_fresnel_speed(ns.n, ns.u_mps, ns.ef)
+        v = kinematics.effective_fresnel_speed(ns.n, ns.u_mps, ns.ef)
     elif ns.mode == "einstein":
-        v = einstein_composed_speed(ns.n, ns.u_mps)
+        v = kinematics.einstein_composed_speed(ns.n, ns.u_mps)
     else:
-        v = tangherlini_composed_speed(ns.n, ns.u_mps)
+        v = kinematics.tangherlini_composed_speed(ns.n, ns.u_mps)
     return render_json({"mode": ns.mode, "n": ns.n, "u": ns.u_mps, "e_f": ns.ef, "v": v,
                         "units": "m/s"})
 
@@ -283,17 +273,21 @@ def _run_speed(ns, constants):
 def _run_fringe(ns, constants):
     # both sides of the table rule build each row by interferometer._scan_row,
     # so they print the same doubles
-    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9,
-                                  CompositionLaw(ns.composition), ns.ef)
-    _check_steps(ns.steps, "angle scan")
-    return _table_csv(SCAN_COLUMNS, ns.steps, partial(_scan_row, config, ns.steps),
-                      lambda: _scan_blocks(config, ns.steps))
+    config = interferometer.InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps,
+                                                 ns.lambda_nm / 1e9,
+                                                 kinematics.CompositionLaw(ns.composition),
+                                                 ns.ef)
+    interferometer._check_steps(ns.steps, "angle scan")
+    return _table_csv(interferometer.SCAN_COLUMNS, ns.steps,
+                      partial(interferometer._scan_row, config, ns.steps),
+                      lambda: interferometer._scan_blocks(config, ns.steps))
 
 
 def _run_sensitivity(ns, constants):
-    config = InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps, ns.lambda_nm / 1e9, e_f=ns.ef)
-    u_min = min_detectable_u(config, ns.resolution)
-    factor = improvement_factor(ns.u_mps, ns.n1, ns.n2)
+    config = interferometer.InterferometerConfig(ns.L_m, ns.n1, ns.n2, ns.u_mps,
+                                                 ns.lambda_nm / 1e9, e_f=ns.ef)
+    u_min = interferometer.min_detectable_u(config, ns.resolution)
+    factor = interferometer.improvement_factor(ns.u_mps, ns.n1, ns.n2)
     return render_json({"u_min_mps": u_min, "improvement_factor": factor})
 
 
@@ -301,14 +295,14 @@ def _run_abphase(ns, constants):
     spec = _load_payload(ns.field, "field spec")
     vertices = _load_payload(ns.path, "path")
     field = _field_from_dict(spec, constants)
-    phase = phase_line_integral(field, Path(vertices))
+    phase = abphase.phase_line_integral(field, abphase.Path(vertices))
     return render_json({"phase_rad": phase})
 
 
 def _run_proca_bound(ns, constants):
-    cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=ns.tau_s, rho=0.0,
-                              epsilon=ns.epsilon)
-    inv_cm = invert_bound(cfg, constants)
+    cfg = proca.ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=ns.tau_s, rho=0.0,
+                                    epsilon=ns.epsilon)
+    inv_cm = proca.invert_bound(cfg, constants)
     return render_json({"m_gamma_inv_cm": inv_cm,
                         "m_ph_g": inverse_length_to_mass(inv_cm)})
 
@@ -317,25 +311,26 @@ def _run_proca_potential(ns, constants):
     # both sides of the table rule build each row by proca._profile_rule,
     # so they print the same doubles.  tau is irrelevant to the radial
     # profile; any positive value works
-    cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
+    cfg = proca.ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=1.0)
     m_gamma = _m_gamma(ns)
     if not math.isfinite(m_gamma * cfg.R):
         raise DomainError(f"--R-cm {ns.R_cm} and --m-gamma-inv-cm {ns.m_gamma_inv_cm} "
                           "give a radius over Compton range m R that is not finite")
-    _check_steps(ns.steps, "potential profile")
+    interferometer._check_steps(ns.steps, "potential profile")
     return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps,
-                      _profile_rule(cfg, m_gamma, ns.steps, ns.variant))
+                      proca._profile_rule(cfg, m_gamma, ns.steps, ns.variant))
 
 
 def _run_proca_phase(ns, constants):
-    cfg = ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=ns.tau_s,
-                              rho=ns.rho_cm / 100.0)
-    return render_json({"delta_phi_rad": mass_phase_correction(cfg, _m_gamma(ns), constants)})
+    cfg = proca.ProcaCylinderConfig(R=ns.R_cm / 100.0, V=ns.V_volts, tau=ns.tau_s,
+                                    rho=ns.rho_cm / 100.0)
+    phase = proca.mass_phase_correction(cfg, _m_gamma(ns), constants)
+    return render_json({"delta_phi_rad": phase})
 
 
 def _run_bounds(ns, constants):
     entries = [{"source": b.source, "m_gamma_inv_cm": b.m_gamma_inv_cm,
-                "m_ph_g": b.m_ph_g} for b in bounds_registry()]
+                "m_ph_g": b.m_ph_g} for b in proca.bounds_registry()]
     if ns.format == "json":
         return render_json(entries)
     header = ("source", "m_gamma_inv_cm", "m_ph_g")
@@ -350,14 +345,14 @@ def _run_bounds(ns, constants):
 
 
 def _run_pmomentum(ns, constants):
-    geom = SolenoidChargeGeometry(**_apply_schema(
+    geom = fieldmomentum.SolenoidChargeGeometry(**_apply_schema(
         _load_payload(ns.geometry, "geometry"), _GEOMETRY_SCHEMA, "geometry"))
     # the last level is the geometry as configured, which P_e reports
-    rows = convergence_study(geom, ns.levels)
+    rows = fieldmomentum.convergence_study(geom, ns.levels)
     levels = [{"lambda_cm": row.half_length_cm, "grid": list(row.grid),
                "P_mag": row.p_magnitude, "rel_error": row.rel_error} for row in rows]
     return render_json({"P_e": list(rows[-1].P_e),
-                        "analytic": list(analytic_solenoid_momentum(geom)),
+                        "analytic": list(fieldmomentum.analytic_solenoid_momentum(geom)),
                         "rel_error": rows[-1].rel_error, "levels": levels})
 
 

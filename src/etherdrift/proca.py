@@ -32,7 +32,6 @@ import sys
 
 from ._record import Record, check_finite
 from .errors import DomainError, InputError
-from .interferometer import _check_steps, _rows
 from .units import PhysicalConstants, inverse_length_to_mass
 
 
@@ -229,6 +228,8 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
     with a cell that is NaN or infinite, a potential beyond the double
     range, is refused: DomainError names its first such cell, the
     profile's first in row-major order."""
+    from .interferometer import _check_steps, _rows  # the scans' checks and driver
+
     _check_steps(steps, "potential profile")
     return _rows(_profile_rule(cfg, m_gamma, steps, variant), steps)
 

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -494,6 +495,46 @@ def test_solenoid_phase_beyond_double_range_raises_domain_error(vertices, shown)
     with pytest.raises(DomainError, match=rf"^the phase is not a finite number \({shown}\): "
                                           "it leaves the double range$"):
         phase_line_integral(field, Path(vertices))
+
+
+#: a flux line at x = 1e308: a vertex at x = -1e308 is 2e308 m from it in x
+FAR_LINE = (1e308, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("vertices, index, offset", [
+    # every rough angle is nan: the path was refused as a phase of nan
+    ([[-1e308, 0, 0], [-1e308, 1, 0], [-1e308, 2, 0]], 0, (-math.inf, 0.0)),
+    # the rough angle is finite, -3 pi/4: the end points' exact products
+    # met the infinite offset and raised OverflowError, a traceback
+    ([[-1e308, 0, 0], [1.5e308, 1, 0]], 0, (-math.inf, 0.0)),
+    ([[1e308, 1, 0], [1.5e308, 1, 0], [-1e308, 2, 0]], 2, (-math.inf, 2.0)),
+], ids=["nan-angles", "finite-angle", "last-vertex"])
+def test_solenoid_offset_beyond_double_range_names_its_vertex(vertices, index, offset,
+                                                              capsys):
+    vertex = tuple(map(float, vertices[index]))
+    message = (f"path vertex {index} {vertex} is offset {offset} m from the flux line: "
+               "the offset leaves the double range")
+    field = SolenoidVectorPotential(flux=1.0, coupling=1.0, axis_point=FAR_LINE)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        phase_line_integral(field, Path(vertices))
+    spec = json.dumps({"kind": "solenoid", "params": {"flux_wb": 1.0, "center_m": FAR_LINE}})
+    assert cli.main(["abphase", "--field", spec, "--path", json.dumps(vertices)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, json.loads(err)) == ("", {"error": "DomainError", "message": message})
+
+
+def test_solenoid_offsets_whose_radius_overflows_are_summed():
+    # offsets of 7e307 and 1.7e308 are finite, though their radius is not:
+    # the path is scaled (``_scaled_far``), not refused.  One segment, so
+    # the phase is the angle between its end points over 2 pi
+    vertices = [(1.7e308, 1.7e308, 0.0), (1.7e308, -1.7e308, 0.0)]
+    field = SolenoidVectorPotential(flux=1.0, coupling=1.0, axis_point=FAR_LINE)
+    with mpmath.workdps(50):
+        (u0, v0), (u1, v1) = ((mpmath.mpf(x) - mpmath.mpf(1e308), mpmath.mpf(y))
+                              for x, y, _ in vertices)
+        exact = mpmath.atan2(u0 * v1 - v0 * u1, u0 * u1 + v0 * v1) / (2 * mpmath.pi)
+    phase = phase_line_integral(field, Path(vertices))
+    assert abs(phase - float(exact)) <= 4 * math.ulp(float(exact))
 
 
 def test_constant_q_closed_loop_is_exactly_zero():

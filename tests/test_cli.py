@@ -215,7 +215,7 @@ def test_every_whole_nanometer_reaches_the_kernel_correctly_rounded(monkeypatch)
         seen.append(args[4])
         return InterferometerConfig(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "InterferometerConfig", config)
+    monkeypatch.setattr(interferometer, "InterferometerConfig", config)
     device = ["--L-m", "1", "--n1", "1.0006", "--n2", "1.0001", "--u-mps", "1e3"]
     whole = range(100, 20001)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -350,7 +350,6 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
                      [240.0, 0.0, 5e-324, -7.25],
                      [300.0, 0.1, 0.2, 0.3]])
     for block in (1, 2, 3, 4, 5, 4096):
-        monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
         monkeypatch.setattr(cli, "_WARM_CUT", block)
         monkeypatch.setattr(interferometer, "_SCAN_BLOCK", block)
         assert _streamed(header, base) == _naive_csv(header, base)
@@ -370,7 +369,6 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
     table[[1, 5], 3] = np.inf
     monkeypatch.setattr(interferometer, "_scan_row",
                         lambda config, steps, k, xp: tuple(table[k].T))
-    monkeypatch.setattr(cli, "_scan_row", interferometer._scan_row)
     cfg = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, 633e-9)
     rule = functools.partial(interferometer._scan_row, cfg, 6)
     refused = (lambda: list(interferometer._rows(rule, 6)),
@@ -492,7 +490,7 @@ def test_fringe_cell_beyond_the_double_range_is_refused_in_numpy(cold_cut, monke
     # warm cut; 5000 past the cold one, as a fresh interpreter has it
     steps = "1000"
     if cold_cut:
-        monkeypatch.setattr(cli, "_WARM_CUT", cli._SCAN_BLOCK)
+        monkeypatch.setattr(cli, "_WARM_CUT", interferometer._SCAN_BLOCK)
         steps = "5000"
     assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
                      "--u-mps", "3e4", "--lambda-nm", "1e-314", "--steps", steps]) == 2
@@ -539,7 +537,7 @@ def test_table_rule_at_its_cut_with_numpy_loaded(cold_cut, monkeypatch, capsys):
     # cell one at a time gives
     seen = _through_g17(monkeypatch)
     if cold_cut:
-        monkeypatch.setattr(cli, "_WARM_CUT", cli._SCAN_BLOCK)
+        monkeypatch.setattr(cli, "_WARM_CUT", interferometer._SCAN_BLOCK)
     cut = cli._WARM_CUT
     for steps in (cut, cut + 1, 1000):
         for argv, header, table in _table_requests(steps):
@@ -785,8 +783,8 @@ def test_proca_potential_forms_the_wall_value_once(monkeypatch, capsys):
 
     monkeypatch.setattr(proca, "_scaled_I0", counted)
     # the plain path (the cut as a cold call has it), then the numpy path
-    for cut, steps, count in ((cli._SCAN_BLOCK, 1000, 1001), (cli._WARM_CUT, 1000, 2),
-                              (cli._WARM_CUT, 8193, 1 + 3)):
+    for cut, steps, count in ((interferometer._SCAN_BLOCK, 1000, 1001),
+                              (cli._WARM_CUT, 1000, 2), (cli._WARM_CUT, 8193, 1 + 3)):
         monkeypatch.setattr(cli, "_WARM_CUT", cut)
         calls.clear()
         assert cli.main(["proca", "potential", "--V-volts", "1e7", "--R-cm", "10",
@@ -794,7 +792,8 @@ def test_proca_potential_forms_the_wall_value_once(monkeypatch, capsys):
         assert len(capsys.readouterr().out.splitlines()) == 1 + steps
         assert len(calls) == count
         assert calls[0] == (100.0 / 0.0154) * 0.1
-        assert all(isinstance(x, float) == (cut == cli._SCAN_BLOCK) for x in calls[1:])
+        assert all(isinstance(x, float) == (cut == interferometer._SCAN_BLOCK)
+                   for x in calls[1:])
 
 
 def test_proca_potential_beyond_the_old_series_ceiling():

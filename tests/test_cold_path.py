@@ -20,8 +20,11 @@ compiles a pattern: float() tells a negative number.  json is imported
 only to read a payload (``abphase``, ``pmomentum``) or to escape a string
 that needs it.  Every argv, help, --version and usage errors included, is
 parsed from the flag table, so no call loads argparse, or the gettext and
-locale it imports.  Each case runs in a fresh interpreter, because this
-test session has these modules loaded already."""
+locale it imports.  The package registers its five kernel modules
+unexecuted, and a call executes only those its subcommand computes with:
+``constants``, --version, help and usage errors none.  Each case runs in
+a fresh interpreter, because this test session has these modules loaded
+already."""
 
 import ast
 import functools
@@ -79,7 +82,7 @@ REFUSED = {"abphase-repeated-vertex": "consecutive path vertices must be distinc
            "fringe-one-step": "angle scan needs at least 2 steps, got 1"}
 
 _RUN = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 from etherdrift import cli
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -89,8 +92,42 @@ print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue
                                                "dataclasses", "inspect", "numbers",
                                                "argparse", "gettext", "locale",
                                                "etherdrift._g17")
-                             if name in sys.modules]}))
+                             if name in sys.modules],
+                  "executed": sorted(name for name, module in sys.modules.items()
+                                     if name.startswith("etherdrift.")
+                                     and type(module) is types.ModuleType)}))
 """
+
+#: the package's kernel modules, which it registers unexecuted
+KERNELS = ["abphase", "fieldmomentum", "interferometer", "kinematics", "proca"]
+
+#: the modules the package and the CLI execute on import
+EAGER = ["_record", "cli", "errors", "units"]
+
+#: the kernel modules each request above executes: only those its
+#: subcommand computes with (the fringe and proca potential tables' driver
+#: is interferometer's, whose config takes kinematics' composition law)
+EXECUTED = {
+    "speed": ["kinematics"],
+    "sensitivity": ["interferometer", "kinematics"],
+    "proca-bound": ["proca"],
+    "proca-potential": ["interferometer", "kinematics", "proca"],
+    "proca-phase": ["proca"],
+    "bounds-json": ["proca"],
+    "bounds-text": ["proca"],
+    "pmomentum": ["fieldmomentum"],
+    "abphase-uniform_q": ["abphase"],
+    "abphase-fresnel_flow": ["abphase"],
+    "abphase-solenoid": ["abphase"],
+    "abphase-repeated-vertex": ["abphase"],
+    "fringe-2": ["interferometer", "kinematics"],
+    "fringe-default": ["interferometer", "kinematics"],
+    "fringe-4096": ["interferometer", "kinematics"],
+    "fringe-one-step": ["interferometer", "kinematics"],
+    "constants-si": [],
+    "constants-gaussian": [],
+    "version": [],
+}
 
 #: the standard-library modules the records used to pull in, and numbers,
 #: which only a path or grid of numpy scalars needs
@@ -244,6 +281,46 @@ def test_help_version_and_usage_errors_do_not_load_argparse(argv, code):
     report = _fresh(_RUN, json.dumps(argv))
     assert report["code"] == code
     assert not set(ARGPARSE) & set(report["loaded"])
+    # nor do they execute a kernel module
+    assert report["executed"] == [f"etherdrift.{name}" for name in EAGER]
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_COMMANDS))
+def test_scalar_subcommand_executes_only_its_kernel_modules(name):
+    assert _scalar_report(name)["executed"] == sorted(
+        f"etherdrift.{module}" for module in [*EAGER, *EXECUTED[name]])
+
+
+def test_every_kernel_module_is_executed_by_some_request():
+    # the checks above can see a kernel module run: each runs for one request
+    assert sorted({module for names in EXECUTED.values() for module in names}) == KERNELS
+
+
+def test_importing_the_cli_registers_the_kernel_modules_unexecuted():
+    # bench/tracer.py looks each kernel module up in sys.modules right after
+    # ``import etherdrift.cli``: every one is there, and none has run
+    report = _fresh("import json, sys, types, etherdrift.cli\n"
+                    "print(json.dumps({name: [name in sys.modules,\n"
+                    "                         type(sys.modules.get(name)) is types.ModuleType]\n"
+                    "                  for name in sys.argv[1:]}))",
+                    *(f"etherdrift.{name}" for name in KERNELS))
+    assert report == {f"etherdrift.{name}": [True, False] for name in KERNELS}
+
+
+def test_a_reload_of_the_package_keeps_one_copy_of_each_kernel_module():
+    # a reload runs the package body again: it binds the kernel modules
+    # already registered, executed or not, where fresh stand-ins would
+    # leave the CLI and earlier records on a second copy
+    report = _fresh("import importlib, json, sys, etherdrift, etherdrift.cli as cli\n"
+                    "record = etherdrift.ProcaCylinderConfig\n"
+                    "kernels = {name: sys.modules[name] for name in sys.argv[1:]}\n"
+                    "importlib.reload(etherdrift)\n"
+                    "print(json.dumps([etherdrift.proca is cli.proca,\n"
+                    "                  etherdrift.ProcaCylinderConfig is record,\n"
+                    "                  all(sys.modules[name] is module\n"
+                    "                      for name, module in kernels.items())]))",
+                    *(f"etherdrift.{name}" for name in KERNELS))
+    assert report == [True, True, True]
 
 
 def test_argparse_is_seen_where_it_loads():

@@ -3,6 +3,8 @@ purpose, with the list below edited alongside."""
 
 import types
 
+import pytest
+
 import etherdrift
 
 PUBLIC_NAMES = [
@@ -28,3 +30,19 @@ def test_public_names_are_pinned():
     public = sorted(name for name in dir(etherdrift) if not name.startswith("_")
                     and not isinstance(getattr(etherdrift, name), types.ModuleType))
     assert public == PUBLIC_NAMES
+
+
+def test_all_and_the_star_import_are_the_public_names():
+    assert etherdrift.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from etherdrift import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+    # a kernel module's name is the object that module holds
+    assert all(namespace[name] is getattr(getattr(etherdrift, kernel), name)
+               for kernel, names in etherdrift._KERNELS.items() for name in names)
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        etherdrift.no_such_name  # noqa: B018
