@@ -10,6 +10,14 @@ is cheap to define: a NamedTuple class statement costs 170-320 us
 every cold CLI call.  A record with constraints on its fields defines
 ``_check``, which runs on every record built: by the constructor,
 ``_make``, ``_replace``, a copy or unpickling.
+
+The checks that the records and the kernels share live here too, and so
+do the two drivers of every CSV table, an angle scan's or a potential
+profile's: _rows runs a table's row rule in plain floats and _table in
+numpy blocks of _SCAN_BLOCK rows, and each refuses the table's first
+cell that is NaN or infinite, in row-major order (not_finite).  This
+module runs on every call, so a table's kernel module needs no other
+kernel's to be formed.
 """
 
 import math
@@ -119,22 +127,6 @@ def not_finite(value) -> DomainError:
                        "the computation left the double range")
 
 
-def check_row(row):
-    """row, a tuple of floats, once none of its cells is NaN or infinite:
-    not_finite of its first such cell otherwise."""
-    if not all(map(math.isfinite, row)):
-        raise not_finite(next(value for value in row if not math.isfinite(value)))
-    return row
-
-
-def check_cells(cells, np):
-    """Raise not_finite of the first NaN or infinite cell of cells, a
-    C-ordered float64 array, in row-major order."""
-    finite = np.isfinite(cells)
-    if not finite.all():
-        raise not_finite(cells.flat[finite.argmin()])
-
-
 def check_count(label, value):
     """value as an int, if it is an integer: an int or a numpy integer, as
     operator.index takes it; InputError for any other, such as 2.5 or 5.0."""
@@ -154,3 +146,61 @@ def check_vector(label, vector):
                          "beyond the double range") from None
     if not finite:
         raise InputError(f"{label} must be 3 finite numbers, got {vector!r}")
+
+
+#: largest table, an angle scan or a potential profile; each row holds
+#: three or four floats
+MAX_SCAN_STEPS = 10 ** 7
+
+#: the table rule (cli._table_csv) of every CSV table: in a process that has
+#: not loaded numpy, up to this many rows in plain floats; beyond its cut, a
+#: numpy table streamed, and filled, in blocks of this many rows, so that no
+#: temporary nears the table's size.  Every reader looks it up here when it
+#: runs
+_SCAN_BLOCK = 4096
+
+
+def _check_steps(steps: int, noun: str) -> None:
+    """Refuse a table (an angle scan, a potential profile) of fewer than 2
+    or more than MAX_SCAN_STEPS rows, or a step count that is not an
+    integer; noun names it in the message."""
+    check_count(f"{noun} steps", steps)
+    if steps < 2:
+        raise InputError(f"{noun} needs at least 2 steps, got {steps}")
+    if steps > MAX_SCAN_STEPS:
+        raise InputError(f"{noun} takes at most {MAX_SCAN_STEPS} steps, got {steps}")
+
+
+def _rows(rule, steps: int):
+    """The rows rule(k, math), k = 0 to steps - 1, of a table in plain
+    floats, as an iterator that forms them as they are read and refuses
+    the first with a cell that is not finite, by not_finite of that cell.
+    No numpy is imported: for a few rows, its import costs more than the
+    table."""
+    for k in range(steps):
+        row = rule(k, math)
+        if not all(map(math.isfinite, row)):
+            raise not_finite(next(value for value in row if not math.isfinite(value)))
+        yield row
+
+
+def _table(rule, columns: int, start: int, stop: int):
+    """Rows start to stop - 1 of a table, rule(k, numpy) over int arrays
+    k, as a (stop - start, columns) float64 array, the doubles of _rows,
+    formed in blocks of _SCAN_BLOCK rows, so that no other array nears
+    its size; each block is refused, once it is formed, by not_finite of
+    its first non-finite cell in row-major order."""
+    import numpy as np
+
+    table = np.empty((stop - start, columns))
+    with np.errstate(all="ignore"):  # the refusal is an overflow's one report
+        for first in range(start, stop, _SCAN_BLOCK):
+            rows = table[first - start:first - start + _SCAN_BLOCK]
+            # a column at a time: a tuple of columns would be copied into an
+            # array of the block's size first
+            for column, values in zip(rows.T, rule(np.arange(first, first + len(rows)), np)):
+                column[...] = values
+            finite = np.isfinite(rows)
+            if not finite.all():
+                raise not_finite(rows.flat[finite.argmin()])
+    return table

@@ -195,10 +195,9 @@ class SolenoidVectorPotential(Record):
         """coupling flux exactly, as (num, den) (``_exact_sum``)."""
         return _exact_sum(((float(self.coupling), float(self.flux)),))
 
-    def _phase_per_radian(self, coupling_flux=None):
+    def _phase_per_radian(self, coupling_flux):
         """coupling flux/(2 pi) as hi + lo, two doubles within 1e-32 of it
-        relative, from coupling flux's exact (num, den), formed here if it
-        is not given.
+        relative, from coupling flux's exact (num, den), _coupling_flux().
 
         hi is the quotient of exact integers, rounded once by ``_quotient``;
         lo is the rest, so hi + lo is within 1e-32 |hi| of it, or within
@@ -206,7 +205,7 @@ class SolenoidVectorPotential(Record):
         round a single double by up to about 1.2 ulp, and the angle part of
         every phase would carry that error.  A quotient beyond the double
         range gives hi +-inf, as the float operations would, and lo 0."""
-        num, den = coupling_flux or self._coupling_flux()
+        num, den = coupling_flux
         try:
             return _quotient(num << 125, den * _TWO_PI_128)
         except OverflowError:

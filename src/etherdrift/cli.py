@@ -28,8 +28,8 @@ import sys
 from functools import partial
 from types import SimpleNamespace
 
-from . import __version__, abphase, fieldmomentum, interferometer, kinematics, proca
-from ._record import not_finite
+from . import __version__, _record, abphase, fieldmomentum, interferometer, kinematics, proca
+from ._record import _check_steps, _rows, _table, not_finite
 from .errors import DomainError, EtherdriftError, InputError
 from .units import UnitSystem, get_constants, inverse_length_to_mass
 
@@ -93,27 +93,28 @@ def _table_csv(header, steps, rule, blocks=None):
     """The CSV of a table of steps rows: a string, or an iterator of its
     text in chunks of ASCII bytes, the header line first.  rule(k, xp) is
     the table's row rule, its row k as the header's cells, which the
-    drivers interferometer._rows and _table run in plain floats and in
-    numpy; blocks(), if given, forms the numpy side in _table's place, as
-    an iterator of its blocks of rows.  One side is read, once, and it
+    drivers _record._rows and _table run in plain floats and in numpy;
+    blocks(), if given, forms the numpy side in _table's place, as an
+    iterator of its blocks of rows.  One side is read, once, and it
     refuses the table's first cell that is not finite, in row-major order,
     before it hands on a row or a block: _rows as it is read, _table and
     blocks() before they return.
 
-    The table rule of every CSV subcommand: a table of up to _SCAN_BLOCK
-    rows, or of up to _WARM_CUT once numpy is loaded, is rendered whole
-    from _rows by render_csv.  The cut spares a cold call numpy's import,
-    60-100 ms, which a warm process has already paid.  Any larger table is
-    streamed from the numpy side's blocks: the header, the rows' lines a
-    pass at a time, each led by its newline, the last newline.  The cells
-    are formatted by _g17.csv_blocks, byte for byte as "%.17g", a pass of
-    whole rows (at most _g17._PASS cells) at a time; each pass's bytes are
-    handed on before the next is formatted.  _g17 loads only here."""
-    if steps <= (_WARM_CUT if "numpy" in sys.modules else interferometer._SCAN_BLOCK):
-        return render_csv(header, list(interferometer._rows(rule, steps)))
+    The table rule of every CSV subcommand: a table of up to
+    _record._SCAN_BLOCK rows, or of up to _WARM_CUT once numpy is loaded,
+    is rendered whole from _rows by render_csv.  The cut spares a cold
+    call numpy's import, 60-100 ms, which a warm process has already
+    paid.  Any larger table is streamed from the numpy side's blocks: the
+    header, the rows' lines a pass at a time, each led by its newline, the
+    last newline.  The cells are formatted by _g17.csv_blocks, byte for
+    byte as "%.17g", a pass of whole rows (at most _g17._PASS cells) at a
+    time; each pass's bytes are handed on before the next is formatted.
+    _g17 loads only here."""
+    if steps <= (_WARM_CUT if "numpy" in sys.modules else _record._SCAN_BLOCK):
+        return render_csv(header, list(_rows(rule, steps)))
     from ._g17 import csv_blocks
 
-    table = blocks() if blocks else (interferometer._table(rule, len(header), 0, steps),)
+    table = blocks() if blocks else (_table(rule, len(header), 0, steps),)
     return itertools.chain([",".join(header).encode()], csv_blocks(table), [b"\n"])
 
 
@@ -277,7 +278,7 @@ def _run_fringe(ns, constants):
                                                  ns.lambda_nm / 1e9,
                                                  kinematics.CompositionLaw(ns.composition),
                                                  ns.ef)
-    interferometer._check_steps(ns.steps, "angle scan")
+    _check_steps(ns.steps, "angle scan")
     return _table_csv(interferometer.SCAN_COLUMNS, ns.steps,
                       partial(interferometer._scan_row, config, ns.steps),
                       lambda: interferometer._scan_blocks(config, ns.steps))
@@ -316,7 +317,7 @@ def _run_proca_potential(ns, constants):
     if not math.isfinite(m_gamma * cfg.R):
         raise DomainError(f"--R-cm {ns.R_cm} and --m-gamma-inv-cm {ns.m_gamma_inv_cm} "
                           "give a radius over Compton range m R that is not finite")
-    interferometer._check_steps(ns.steps, "potential profile")
+    _check_steps(ns.steps, "potential profile")
     return _table_csv(("rho_m", "phi_exact_V", "phi_expansion_V"), ns.steps,
                       proca._profile_rule(cfg, m_gamma, ns.steps, ns.variant))
 
@@ -644,20 +645,23 @@ def _report(text=""):
 #: "%.17g" text, the commas and the newlines
 _CELL_TEXT = "0123456789+-.e,\n"
 
+#: the text stream that _console_main opens over fd 1, whose newline is
+#: the default, os.linesep
+_console_stdout = None
+
 
 def main(argv=None) -> int:
     """Run the CLI on argv (default sys.argv[1:]) and return the exit code.
 
     Output goes to sys.stdout only after the request has run without
     error: a str in one write, a streamed table (_table_csv) chunk by
-    chunk.  A streamed table's header goes through the text layer, which
-    leaves a stateful encoder (ISO-2022, HZ) in its ASCII state.  Its
-    other chunks go to sys.stdout.buffer as the bytes they are, after the
-    text layer is flushed, when sys.stdout has a buffer, its encoding
-    writes the cells' text as itself (UTF-8, Latin-1, ASCII) and
-    os.linesep is "\n", so that a text layer would write each newline as
-    itself; otherwise (io.StringIO, a closed stdout, UTF-16, UTF-7 or
-    EBCDIC streams, Windows) each is decoded and written as text."""
+    chunk.  A streamed table's header and its first block's leading
+    newline go through the text layer, which leaves a stateful encoder
+    (ISO-2022, HZ) in its ASCII state.  Its other bytes go to
+    sys.stdout.buffer as they are, after the text layer is flushed, where
+    _as_bytes finds that a text layer would write them as themselves;
+    otherwise (io.StringIO, a closed stdout, UTF-16, UTF-7, EBCDIC or
+    "\\r\\n" streams, Windows) each chunk is decoded and written as text."""
     if argv is None:
         argv = sys.argv[1:]
     try:
@@ -678,14 +682,39 @@ def main(argv=None) -> int:
         stdout.write(output)
         return 0
     stdout.write(next(output).decode("ascii"))
-    binary = getattr(stdout, "buffer", None)
-    if (binary is not None and os.linesep == "\n"
-            and _CELL_TEXT.encode(stdout.encoding, stdout.errors) == _CELL_TEXT.encode()):
-        stdout.flush()
-        binary.writelines(output)
+    # _as_bytes writes the first block's leading newline; then the rest
+    if _as_bytes(stdout):
+        stdout.buffer.write(memoryview(next(output))[1:])
+        stdout.buffer.writelines(output)
     else:
+        stdout.write(next(output)[1:].decode("ascii"))
         stdout.writelines(chunk.decode("ascii") for chunk in output)
     return 0
+
+
+def _as_bytes(stdout) -> bool:
+    """Write "\\n", a streamed table's first newline, to stdout as text,
+    and tell whether the rest of the table can go to stdout.buffer as the
+    bytes it is, stdout being flushed: where stdout has a buffer, its
+    encoding writes the cells' text as itself (UTF-8, Latin-1, ASCII; not
+    UTF-16, UTF-7 or EBCDIC) and its text layer writes "\\n" as itself.
+    That is probed where the buffer can tell(): it must have moved by
+    exactly one byte for the newline, as it does not for
+    newline="\\r\\n" (nor does this tell a newline="\\r" stream apart).
+    Past a buffer that cannot, a pipe's, only _console_stdout, whose
+    newline is the default, is known to, where os.linesep is "\\n"."""
+    binary = getattr(stdout, "buffer", None)
+    if (binary is None
+            or _CELL_TEXT.encode(stdout.encoding, stdout.errors) != _CELL_TEXT.encode()):
+        stdout.write("\n")
+        return False
+    stdout.flush()
+    start = binary.tell() if binary.seekable() else None
+    stdout.write("\n")
+    stdout.flush()
+    if start is None:
+        return stdout is _console_stdout and os.linesep == "\n"
+    return binary.tell() == start + 1
 
 
 class _ClosedStdout:
@@ -715,9 +744,10 @@ def _console_main():
     run (coverage saves its data in one), and os._exit skips the teardown:
     freeing every module and a last garbage collection cost a tenth of a
     small call."""
+    global _console_stdout
     stdout = sys.stdout
     try:
-        sys.stdout = _ClosedStdout() if stdout is None else open(
+        sys.stdout = _console_stdout = _ClosedStdout() if stdout is None else open(
             1, "w", encoding=stdout.encoding, errors=stdout.errors, closefd=False)
         code = main()
         sys.stdout.flush()

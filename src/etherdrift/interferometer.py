@@ -21,51 +21,44 @@ Both delays at every orientation come from one expression, _delays, over
 an array of orientation cosines or over one float cosine: the same
 operations, so the same doubles.  A scan is one float table, a row per
 angle, with the columns SCAN_COLUMNS.  Every row comes from one rule,
-_scan_row, given its array module, as a potential profile's (proca): two
-drivers run a CSV table's rule, _rows in plain floats and _table in
-numpy blocks, so both hold the same doubles.  The angle is folded on the
-integer step index (_scan_cos), so rows half a turn apart have exactly
-negated cosines, and a first-quadrant row equals delay_exact at its
-angle bit for bit.  The fold also makes row steps - k fold to the same
-angle as row k, with the same sign, so the two rows hold the same three
-delay cells bit for bit.  This holds for every k: at a right angle the
-cosine is exactly +-0, as at 0 and 180 degrees it is exactly +-1, and at
-u_eff = +-0 delta1 - delta2 is +0, so the 90 and 270 degree rows are
-both the static device's.  A scan written past the CLI's table cut
-(_scan_blocks) is therefore formed only up to row steps // 2, of which
-it keeps the two delay columns alone: each row past it takes its
-mirror's delays, and every row its theta and fringe cell by _scan_row's
-own expressions.  Each driver refuses its table's first cell that is NaN
-or infinite, in row-major order (_record.not_finite), before it hands on
-the row or the block that holds it, and so does _scan_blocks, whose
-distinct rows _table forms: a row past steps // 2 has a non-finite cell
-only where its mirror has one.  A scan holds at most MAX_SCAN_STEPS
-rows, and a configuration whose drift reaches the light speed of an arm
-is refused, so no delay divides by zero.  The rotation signal is formed
-from the drift parts of the inverse speeds, not as the difference of two
-nearly equal delays, and every n1^2 - n2^2 as (n1 - n2)(n1 + n2), which
-does not cancel for near-vacuum indices.
+_scan_row, given its array module, as a potential profile's (proca): the
+two drivers of a CSV table's rule, _record._rows in plain floats and
+_record._table in numpy blocks, hold the same doubles.  The angle is
+folded on the integer step index (_scan_cos), so rows half a turn apart
+have exactly negated cosines, and a first-quadrant row equals
+delay_exact at its angle bit for bit.  The fold also makes row steps - k
+fold to the same angle as row k, with the same sign, so the two rows
+hold the same three delay cells bit for bit.  This holds for every k: at
+a right angle the cosine is exactly +-0, as at 0 and 180 degrees it is
+exactly +-1, and at u_eff = +-0 delta1 - delta2 is +0, so the 90 and 270
+degree rows are both the static device's.  A scan written past the CLI's
+table cut (_scan_blocks) is therefore formed only up to row steps // 2,
+of which it keeps the two delay columns alone: each row past it takes
+its mirror's delays, and every row its theta and fringe cell by
+_scan_row's own expressions.  Each driver refuses its table's first cell
+that is NaN or infinite, in row-major order (_record.not_finite), before
+it hands on the row or the block that holds it, and so does
+_scan_blocks, whose distinct rows _table forms: a row past steps // 2
+has a non-finite cell only where its mirror has one.  A scan holds at
+most _record.MAX_SCAN_STEPS rows, and a configuration whose drift
+reaches the light speed of an arm is refused, so no delay divides by
+zero.  The rotation signal is formed from the drift parts of the inverse
+speeds, not as the difference of two nearly equal delays, and every
+n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does not cancel for
+near-vacuum indices.
 """
 
 import math
 from functools import partial
 
-from ._record import Record, check_cells, check_count, check_finite, check_row
+from . import _record
+from ._record import Record, _check_steps, _table, check_count, check_finite
 from .errors import DegenerateConfigError, DomainError, InputError
 from .kinematics import CompositionLaw
 from .units import c
 
 #: the columns of an angle_scan table, in order
 SCAN_COLUMNS = ("theta_deg", "delay_exact_s", "delay_first_order_s", "fringes")
-
-#: largest angle_scan; each row holds four floats
-MAX_SCAN_STEPS = 10 ** 7
-
-#: the table rule (cli._table_csv) of every CSV table: in a process that has
-#: not loaded numpy, up to this many rows in plain floats; beyond its cut, a
-#: numpy table streamed, and filled, in blocks of this many rows, so that no
-#: temporary nears the table's size
-_SCAN_BLOCK = 4096
 
 
 def _cos_deg(theta_deg: float) -> float:
@@ -286,45 +279,6 @@ def improvement_factor(u: float, n1: float, n2: float) -> float:
     return gain
 
 
-def _check_steps(steps: int, noun: str) -> None:
-    """Refuse a table (an angle scan, a potential profile) of fewer than 2
-    or more than MAX_SCAN_STEPS rows, or a step count that is not an
-    integer; noun names it in the message."""
-    check_count(f"{noun} steps", steps)
-    if steps < 2:
-        raise InputError(f"{noun} needs at least 2 steps, got {steps}")
-    if steps > MAX_SCAN_STEPS:
-        raise InputError(f"{noun} takes at most {MAX_SCAN_STEPS} steps, got {steps}")
-
-
-def _rows(rule, steps: int):
-    """The rows rule(k, math), k = 0 to steps - 1, of a table in plain
-    floats, as an iterator that forms them as they are read and refuses
-    the first with a cell that is not finite (check_row).  No numpy is
-    imported: for a few rows, its import costs more than the table."""
-    return (check_row(rule(k, math)) for k in range(steps))
-
-
-def _table(rule, columns: int, start: int, stop: int):
-    """Rows start to stop - 1 of a table, rule(k, numpy) over int arrays
-    k, as a (stop - start, columns) float64 array, the doubles of _rows,
-    formed in blocks of _SCAN_BLOCK rows, so that no other array nears
-    its size; each block is refused by its first non-finite cell, in
-    row-major order, once it is formed."""
-    import numpy as np
-
-    table = np.empty((stop - start, columns))
-    with np.errstate(all="ignore"):  # the refusal is an overflow's one report
-        for first in range(start, stop, _SCAN_BLOCK):
-            rows = table[first - start:first - start + _SCAN_BLOCK]
-            # a column at a time: a tuple of columns would be copied into an
-            # array of the block's size first
-            for column, values in zip(rows.T, rule(np.arange(first, first + len(rows)), np)):
-                column[...] = values
-            check_cells(rows, np)
-    return table
-
-
 def _theta(steps: int, k):
     """theta_k = 360 k/steps of scan row k, an int or an int array."""
     return 360.0 * k / steps
@@ -356,9 +310,9 @@ def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
     integers with 0 <= start <= stop <= steps (stop defaults to steps),
     select rows start to stop - 1: the table is then (stop - start, 4),
     the whole scan's rows bit for bit, formed from _scan_row by _table in
-    blocks of _SCAN_BLOCK, so the table is the only array of its size.  A
-    cell that is NaN or infinite, such as a fringe count beyond the double
-    range, is refused: DomainError names the first, in row-major order,
+    blocks of _record._SCAN_BLOCK, so the table is the only array of its
+    size.  A cell that is NaN or infinite, such as a fringe count beyond
+    the double range, is refused: DomainError names the first, in row-major order,
     once its block is formed.
     """
     _check_steps(steps, "angle scan")
@@ -374,8 +328,8 @@ def angle_scan(config: InterferometerConfig, steps: int, start=0, stop=None):
 
 def _scan_blocks(config: InterferometerConfig, steps: int):
     """angle_scan's table as the CLI writes it past its table cut: an
-    iterator of (n, 4) float64 blocks of up to _SCAN_BLOCK rows, each read
-    before the next; steps is checked first.
+    iterator of (n, 4) float64 blocks of up to _record._SCAN_BLOCK rows,
+    each read before the next; steps is checked first.
 
     The scan's distinct rows, 0 to steps // 2, are formed before it
     returns, by angle_scan a block at a time (so they are refused there,
@@ -389,18 +343,19 @@ def _scan_blocks(config: InterferometerConfig, steps: int):
     _check_steps(steps, "angle scan")
     import numpy as np
 
+    block = _record._SCAN_BLOCK
     half = steps // 2 + 1  # rows 0 to steps // 2; row steps - k repeats row k's delays
     delays = np.empty((2, half))
-    for start in range(0, half, _SCAN_BLOCK):
+    for start in range(0, half, block):
         # part is held while the next one forms: freed at once, it left the
         # heap laid out so that warm 12000-row scans ran about 4 % slower
-        part = angle_scan(config, steps, start, min(start + _SCAN_BLOCK, half))
-        delays[:, start:start + _SCAN_BLOCK] = part[:, 1:3].T
+        part = angle_scan(config, steps, start, min(start + block, half))
+        delays[:, start:start + block] = part[:, 1:3].T
 
     def blocks():
-        rows = np.empty((min(_SCAN_BLOCK, steps), len(SCAN_COLUMNS)))
-        for start in range(0, steps, _SCAN_BLOCK):
-            end = min(start + _SCAN_BLOCK, steps)
+        rows = np.empty((min(block, steps), len(SCAN_COLUMNS)))
+        for start in range(0, steps, block):
+            end = min(start + block, steps)
             part = rows[:end - start]
             split = min(max(start, half), end) - start  # the block's first mirrored row
             for column, held in zip(part.T[1:3], delays):

@@ -19,18 +19,19 @@ bound inversion and with the Bessel series, and is the default.  The half
 form is kept as an explicit variant.  Both potentials come from one row
 rule, _potential_rows, given its array module, as the scans' _scan_row is:
 math in cylinder_potential_exact and cylinder_potential_expansion, and at
-a profile's radii (_profile_rule) in the scans' table drivers,
-interferometer._rows with math and interferometer._table with numpy.  So
-a profile's rows and its table are the pointwise values by construction,
-bit for bit: the array form of the scaled I0 sums each element's series
-term for term, and every exp, element by element, is math.exp, since
-numpy's differs from libm's in the last bit.
+a profile's radii (_profile_rule) in the CSV tables' drivers,
+_record._rows with math and _record._table with numpy, so no other
+kernel module runs to form a profile.  A profile's rows and its table are
+the pointwise values by construction, bit for bit: the array form of the
+scaled I0 sums each element's series term for term, and every exp,
+element by element, is math.exp, since numpy's differs from libm's in the
+last bit.
 """
 
 import math
 import sys
 
-from ._record import Record, check_finite
+from ._record import Record, _check_steps, _rows, check_finite
 from .errors import DomainError, InputError
 from .units import PhysicalConstants, inverse_length_to_mass
 
@@ -221,15 +222,13 @@ def _profile_rule(cfg: ProcaCylinderConfig, m_gamma: float, steps: int, variant:
 def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
                       variant: str = "quarter"):
     """Rows (rho, exact, expansion) at ``steps`` radii evenly spaced over
-    [0, R], the last exactly R: at most MAX_SCAN_STEPS rows, each what
-    cylinder_potential_exact and cylinder_potential_expansion give at its
-    radius, bit for bit.  An iterator that forms them as they are read;
+    [0, R], the last exactly R: at most _record.MAX_SCAN_STEPS rows, each
+    what cylinder_potential_exact and cylinder_potential_expansion give at
+    its radius, bit for bit.  An iterator that forms them as they are read;
     the arguments are checked, and the wall's I0 formed, first.  A row
     with a cell that is NaN or infinite, a potential beyond the double
     range, is refused: DomainError names its first such cell, the
     profile's first in row-major order."""
-    from .interferometer import _check_steps, _rows  # the scans' checks and driver
-
     _check_steps(steps, "potential profile")
     return _rows(_profile_rule(cfg, m_gamma, steps, variant), steps)
 

@@ -434,7 +434,8 @@ def test_phase_per_radian_is_within_1e_32():
         for _ in range(2000):
             coupling, flux = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-170.0, 170.0)
                               for _ in range(2))
-            hi, lo = SolenoidVectorPotential(flux, coupling)._phase_per_radian()
+            field = SolenoidVectorPotential(flux, coupling)
+            hi, lo = field._phase_per_radian(field._coupling_flux())
             exact = mpmath.mpf(coupling) * mpmath.mpf(flux) / (2 * mpmath.pi)
             if math.isinf(float(exact)):
                 assert (hi, lo) == (math.copysign(math.inf, exact), 0.0), (coupling, flux)

@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etherdrift import _g17, cli, interferometer
+from etherdrift import _g17, _record, cli, interferometer
+from etherdrift._record import MAX_SCAN_STEPS
 from etherdrift.abphase import Path, UniformQ, fresnel_momentum
 from etherdrift.errors import DomainError, InputError
-from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       angle_scan, min_detectable_u)
+from etherdrift.interferometer import (SCAN_COLUMNS, InterferometerConfig, angle_scan,
+                                       min_detectable_u)
 from etherdrift.kinematics import CompositionLaw
 from etherdrift.proca import ProcaCylinderConfig, bounds_registry, potential_profile
 from etherdrift.units import MODERN, PAPER, c
@@ -351,7 +352,7 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
                      [300.0, 0.1, 0.2, 0.3]])
     for block in (1, 2, 3, 4, 5, 4096):
         monkeypatch.setattr(cli, "_WARM_CUT", block)
-        monkeypatch.setattr(interferometer, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(_record, "_SCAN_BLOCK", block)
         assert _streamed(header, base) == _naive_csv(header, base)
         for cell, value in ((2, 1e-323), (1, -0.0), (3, -7.250000000000001)):
             table = base.copy()
@@ -371,8 +372,8 @@ def test_six_row_table_in_blocks_of_any_size_and_refused_whole(monkeypatch, caps
                         lambda config, steps, k, xp: tuple(table[k].T))
     cfg = InterferometerConfig(1.0, 1.0006, 1.0001, 1e3, 633e-9)
     rule = functools.partial(interferometer._scan_row, cfg, 6)
-    refused = (lambda: list(interferometer._rows(rule, 6)),
-               lambda: interferometer._table(rule, 4, 0, 6),
+    refused = (lambda: list(_record._rows(rule, 6)),
+               lambda: _record._table(rule, 4, 0, 6),
                lambda: angle_scan(cfg, 6), lambda: interferometer._scan_blocks(cfg, 6))
     for form in refused:
         with pytest.raises(DomainError, match=r"not a finite number \(inf\)"):
@@ -449,36 +450,75 @@ def test_refused_proca_potential_writes_nothing(capsys):
                                               "the computation left the double range"}
 
 
-# the known defect of a text stream opened with newline="\r\n": a warm
-# 200-row table (past the cut of 160) holds no "\r\n" where 201 are due
-_CRLF = pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: cli.main writes a "
-                          "streamed table's bare newlines to the buffer of a text stream "
-                          'opened with newline="\\r\\n"')
+class _Unseekable(io.BytesIO):
+    """A buffer that cannot tell() its position, as a pipe's cannot."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
 
 
-@pytest.mark.parametrize("encoding, newline", [
-    (None, None), ("utf-8", None), ("utf-16", None), ("utf-7", None), ("cp500", None),
-    ("iso2022_jp", None), pytest.param("utf-8", "\r\n", marks=_CRLF)],
-    ids=["StringIO", "utf-8", "utf-16", "utf-7", "ebcdic", "iso2022-jp", "utf-8-crlf"])
-def test_streamed_tables_in_any_text_stream(encoding, newline):
+@pytest.mark.parametrize("encoding, newline, buffer", [
+    (None, None, None), ("utf-8", None, io.BytesIO), ("utf-16", None, io.BytesIO),
+    ("utf-7", None, io.BytesIO), ("cp500", None, io.BytesIO), ("iso2022_jp", None, io.BytesIO),
+    ("utf-8", "\r\n", io.BytesIO), ("utf-8", "\r\n", _Unseekable), ("utf-8", None, _Unseekable)],
+    ids=["StringIO", "utf-8", "utf-16", "utf-7", "ebcdic", "iso2022-jp", "utf-8-crlf",
+         "utf-8-crlf-unseekable", "utf-8-unseekable"])
+def test_streamed_tables_in_any_text_stream(encoding, newline, buffer):
     # a streamed table goes as bytes to the buffer of a text stream whose
     # encoding writes its cells' ASCII as itself (UTF-8, and ISO-2022-JP
-    # once the header has left the JIS state that the text before it set),
-    # and as text to any other stream.  Either way it follows the text
-    # that the stream holds unflushed, and its text is the cell-by-cell
-    # table's, each newline written as the stream's
+    # once the header has left the JIS state that the text before it set)
+    # and whose buffer moved by one byte for the newline, and as text to
+    # any other stream: "\r\n" streams, and streams whose buffer cannot
+    # tell, of which only the CLI's own stdout is known to write "\n".
+    # Either way it follows the text that the stream holds unflushed, and
+    # its text is the cell-by-cell table's, each newline written as the
+    # stream's, for a warm 200-row table (past the cut of 160) too
     before = "before" if encoding == "cp500" else "\u65e5\u672c"
     for argv, header, table in _table_requests(4097 if newline is None else 200):
         if encoding is None:
             out = io.StringIO()
         else:
-            out = io.TextIOWrapper(io.BytesIO(), encoding=encoding, newline=newline)
+            out = io.TextIOWrapper(buffer(), encoding=encoding, newline=newline)
         out.write(before)
         with contextlib.redirect_stdout(out):
             assert cli.main(argv) == 0
         out.flush()
         text = out.getvalue() if encoding is None else out.buffer.getvalue().decode(encoding)
         assert text == before + _naive_csv(header, table).replace("\n", newline or "\n"), argv
+
+
+class _TextCounted(io.TextIOWrapper):
+    """A text stream that keeps the text written through its text layer."""
+
+    def write(self, text):
+        self.texts.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("buffer, own", [(io.BytesIO, False), (_Unseekable, True),
+                                         (_Unseekable, False)],
+                         ids=["seekable", "own-unseekable", "other-unseekable"])
+def test_streamed_table_goes_to_the_buffer_as_bytes(buffer, own, monkeypatch):
+    # of a streamed table into a UTF-8 stream, only the header and the
+    # first newline go through the text layer where its buffer moved by
+    # one byte for that newline, or where it is the CLI's own stdout, whose
+    # newline is os.linesep, "\n" here; the rest goes to the buffer as
+    # bytes.  Another stream whose buffer cannot tell gets all of it as text
+    for argv, header, table in _table_requests(4097):
+        out = _TextCounted(buffer(), encoding="utf-8")
+        out.texts = []
+        if own:
+            monkeypatch.setattr(cli, "_console_stdout", out)
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        out.flush()
+        csv = _naive_csv(header, table)
+        assert out.buffer.getvalue().decode() == csv
+        as_bytes = (own or buffer is io.BytesIO) and os.linesep == "\n"
+        assert "".join(out.texts) == (csv[:csv.index("\n") + 1] if as_bytes else csv), argv
 
 
 @pytest.mark.parametrize("cold_cut", [False, True], ids=["warm-cut", "cold-cut"])
@@ -490,7 +530,7 @@ def test_fringe_cell_beyond_the_double_range_is_refused_in_numpy(cold_cut, monke
     # warm cut; 5000 past the cold one, as a fresh interpreter has it
     steps = "1000"
     if cold_cut:
-        monkeypatch.setattr(cli, "_WARM_CUT", interferometer._SCAN_BLOCK)
+        monkeypatch.setattr(cli, "_WARM_CUT", _record._SCAN_BLOCK)
         steps = "5000"
     assert cli.main(["fringe", "--L-m", "1", "--n1", "1.0006", "--n2", "1.0001",
                      "--u-mps", "3e4", "--lambda-nm", "1e-314", "--steps", steps]) == 2
@@ -537,7 +577,7 @@ def test_table_rule_at_its_cut_with_numpy_loaded(cold_cut, monkeypatch, capsys):
     # cell one at a time gives
     seen = _through_g17(monkeypatch)
     if cold_cut:
-        monkeypatch.setattr(cli, "_WARM_CUT", interferometer._SCAN_BLOCK)
+        monkeypatch.setattr(cli, "_WARM_CUT", _record._SCAN_BLOCK)
     cut = cli._WARM_CUT
     for steps in (cut, cut + 1, 1000):
         for argv, header, table in _table_requests(steps):
@@ -783,7 +823,7 @@ def test_proca_potential_forms_the_wall_value_once(monkeypatch, capsys):
 
     monkeypatch.setattr(proca, "_scaled_I0", counted)
     # the plain path (the cut as a cold call has it), then the numpy path
-    for cut, steps, count in ((interferometer._SCAN_BLOCK, 1000, 1001),
+    for cut, steps, count in ((_record._SCAN_BLOCK, 1000, 1001),
                               (cli._WARM_CUT, 1000, 2), (cli._WARM_CUT, 8193, 1 + 3)):
         monkeypatch.setattr(cli, "_WARM_CUT", cut)
         calls.clear()
@@ -792,7 +832,7 @@ def test_proca_potential_forms_the_wall_value_once(monkeypatch, capsys):
         assert len(capsys.readouterr().out.splitlines()) == 1 + steps
         assert len(calls) == count
         assert calls[0] == (100.0 / 0.0154) * 0.1
-        assert all(isinstance(x, float) == (cut == interferometer._SCAN_BLOCK)
+        assert all(isinstance(x, float) == (cut == _record._SCAN_BLOCK)
                    for x in calls[1:])
 
 

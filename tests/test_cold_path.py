@@ -105,13 +105,13 @@ KERNELS = ["abphase", "fieldmomentum", "interferometer", "kinematics", "proca"]
 EAGER = ["_record", "cli", "errors", "units"]
 
 #: the kernel modules each request above executes: only those its
-#: subcommand computes with (the fringe and proca potential tables' driver
-#: is interferometer's, whose config takes kinematics' composition law)
+#: subcommand computes with (a fringe scan's config takes kinematics'
+#: composition law; the table drivers are _record's, which runs anyway)
 EXECUTED = {
     "speed": ["kinematics"],
     "sensitivity": ["interferometer", "kinematics"],
     "proca-bound": ["proca"],
-    "proca-potential": ["interferometer", "kinematics", "proca"],
+    "proca-potential": ["proca"],
     "proca-phase": ["proca"],
     "bounds-json": ["proca"],
     "bounds-text": ["proca"],
@@ -294,6 +294,19 @@ def test_scalar_subcommand_executes_only_its_kernel_modules(name):
 def test_every_kernel_module_is_executed_by_some_request():
     # the checks above can see a kernel module run: each runs for one request
     assert sorted({module for names in EXECUTED.values() for module in names}) == KERNELS
+
+
+def test_a_potential_profile_executes_proca_alone():
+    # the library path: after ``import etherdrift``, a profile of 6 rows,
+    # formed and checked by _record's plain driver, runs no other kernel
+    report = _fresh("import json, sys, types, etherdrift\n"
+                    "rows = list(etherdrift.potential_profile(\n"
+                    "    etherdrift.ProcaCylinderConfig(R=0.1, V=1e7, tau=1.0), 10.0, 6))\n"
+                    "print(json.dumps([len(rows), sorted(\n"
+                    "    name for name, module in sys.modules.items()\n"
+                    "    if name.startswith('etherdrift.') and type(module) is types.ModuleType)]))")
+    assert report == [6, sorted(f"etherdrift.{name}" for name in ["_record", "errors", "proca",
+                                                                  "units"])]
 
 
 def test_importing_the_cli_registers_the_kernel_modules_unexecuted():

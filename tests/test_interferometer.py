@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etherdrift import cli, interferometer
+from etherdrift import _record, cli, interferometer
+from etherdrift._record import MAX_SCAN_STEPS, _rows, _table
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
 from etherdrift.abphase import fresnel_momentum
-from etherdrift.interferometer import (MAX_SCAN_STEPS, SCAN_COLUMNS, InterferometerConfig,
-                                       _cos_deg, _rows, _scan_blocks, _scan_cos, _scan_row,
-                                       _fringes, _table, angle_scan, delay_exact,
-                                       delay_first_order, improvement_factor, min_detectable_u,
-                                       rotation_signal)
+from etherdrift.interferometer import (SCAN_COLUMNS, InterferometerConfig, _cos_deg,
+                                       _scan_blocks, _scan_cos, _scan_row, _fringes,
+                                       angle_scan, delay_exact, delay_first_order,
+                                       improvement_factor, min_detectable_u, rotation_signal)
 from etherdrift.kinematics import (CompositionLaw, compose_lab_speed, fresnel_drag_coefficient,
                                    fresnel_speed)
 from etherdrift.proca import ProcaCylinderConfig, _profile_rule
@@ -259,7 +259,7 @@ def test_angle_scan_forms_the_rows_it_is_given(monkeypatch):
     for steps in [*range(2, 41), 4099, 4100, 8192]:
         whole = angle_scan(cfg, steps)
         for block in (1, 3, 4096):
-            monkeypatch.setattr(interferometer, "_SCAN_BLOCK", block)
+            monkeypatch.setattr(_record, "_SCAN_BLOCK", block)
             monkeypatch.setattr(interferometer, "angle_scan", recorded)
             formed.clear()
             blocks = _scan_blocks(cfg, steps)
@@ -579,7 +579,7 @@ def test_table_drivers_give_the_same_doubles_and_refusal(columns, bad, first, mo
     # same doubles bit for bit, -0.0 of row 0 included, for the whole table
     # and for any rows start to stop; and the same refusal, of the first
     # non-finite cell in row-major order, not the first in column order
-    monkeypatch.setattr(interferometer, "_SCAN_BLOCK", 3)
+    monkeypatch.setattr(_record, "_SCAN_BLOCK", 3)
     rule = _synthetic_rule(columns, {})
     rows = np.array(list(_rows(rule, 11)))
     table = _table(rule, columns, 0, 11)
