@@ -42,10 +42,13 @@ _scan_blocks, whose distinct rows _table forms: a row past steps // 2
 has a non-finite cell only where its mirror has one.  A scan holds at
 most _record.MAX_SCAN_STEPS rows, and a configuration whose drift
 reaches the light speed of an arm is refused, so no delay divides by
-zero.  The rotation signal is formed from the drift parts of the inverse
-speeds, not as the difference of two nearly equal delays, and every
-n1^2 - n2^2 as (n1 - n2)(n1 + n2), which does not cancel for
-near-vacuum indices.
+zero.  The rotation signal is one closed form of the arms' half-turn
+swings, not the difference of two nearly equal delays or swings.  Like
+every n1^2 - n2^2 here, its own is the factor (n1 - n2)(n1 + n2), so the
+signal is within 8 ulp of the exact value for close and near-vacuum
+indices alike.  That holds away from the zeros of its other factors,
+near which its error follows the signal's own condition
+(rotation_signal).
 """
 
 import math
@@ -200,32 +203,45 @@ class RotationSignal(Record):
                      ("first-order rotation signal", self.first_order))
 
 
-def _half_turn_swing(n: float, u: float, e_f: float) -> float:
-    """Change 1/w(u) - 1/w(-u) of an arm's inverse lab speed on the half turn.
-
-    With _drift's delta and its denominator D(u) = c/n - (1 - k) u, the swing
-    is delta(u) - delta(-u) = 2u (n^2 - 1)/n^2 [(1 - e_f) - e_f (1 - k)(u/c)^2]
-    / (D(u) D(-u)), the static n/c term cancelled in closed form.
-    """
-    n2m1, k = _drag(n, e_f)
-    drift = (1.0 - k) * u
-    bracket = (1.0 - e_f) - e_f * (1.0 - k) * (u / c) * (u / c)
-    return 2.0 * u * (n2m1 / (n * n)) * bracket / ((c / n - drift) * (c / n + drift))
-
-
 def rotation_signal(config: InterferometerConfig) -> RotationSignal:
     """Delay variation on the half turn, dt = Dt(0) - Dt(180).
 
-    The exact value is L times the difference of the arms' half-turn
-    swings; no two nearly equal delays are subtracted, so it holds to
-    rounding for any u.  It is returned alongside the closed first-order
-    form 2 (u/c)(n1^2 - n2^2)(L/c)(1 - e_f); they agree to O((u/c)^2).
+    The exact value is L times the difference of the arms' swings
+    delta(u) - delta(-u) (_drift), in one closed form that carries
+    n1^2 - n2^2 as the factor (n1 - n2)(n1 + n2), so close indices do not
+    cancel.  With a = 1 - e_f, beta = u/c, r = 1 - k = a + e_f/n^2 and
+    x = beta n r, the drift an arm does not carry over its light speed c/n,
+
+        dt = L (2u/c^2)(n1 - n2)(n1 + n2)(1 - beta^2)(a - e_f beta^2 r1 r2)
+             / ((1 - x1^2)(1 - x2^2)).
+
+    It is within 8 ulp of the exact value wherever none of its three
+    factors a - e_f beta^2 r1 r2 and 1 - x^2 cancels.  The first has its
+    zero where the signal changes sign (at large e_f), the others at an
+    arm's light speed; near them the error follows the signal's own
+    condition: within 2 + 2K ulp, K the sum over the three factors of
+    (s + t)/|s - t| for a factor s - t, 3 where none cancels (measured on
+    seeded draws of close and distant indices, any e_f and |u| up to
+    2e8 m/s).  A drift within rounding of an arm's light speed, |x| >= 1,
+    is refused.  The exact value is returned alongside the closed
+    first-order form 2 (u/c)(n1^2 - n2^2)(L/c)(1 - e_f); they agree to
+    O((u/c)^2).
     """
     n1 = config.n1
     n2 = config.n2
     u = config.u
     e_f = config.e_f
-    exact = config.L * (_half_turn_swing(n1, u, e_f) - _half_turn_swing(n2, u, e_f))
+    a = 1.0 - e_f
+    beta = u / c
+    r1, r2 = (a + e_f / (n * n) for n in (n1, n2))
+    x1, x2 = beta * n1 * r1, beta * n2 * r2
+    for arm, n, x in ((1, n1, x1), (2, n2, x2)):
+        if not abs(x) < 1.0:
+            raise DomainError(f"drift speed u = {u} m/s is within rounding of the light speed "
+                              f"in arm {arm} (n{arm} = {n}): no rotation signal is formed there")
+    p = (1.0 - beta) * (1.0 + beta) * (a - e_f * (beta * beta) * r1 * r2)
+    q = (1.0 - x1 * x1) * (1.0 - x2 * x2)
+    exact = config.L * (2.0 * u / (c * c)) * ((n1 - n2) * (n1 + n2)) * p / q
     first = 2.0 * (u / c) * ((n1 - n2) * (n1 + n2)) * (config.L / c) * (1.0 - e_f)
     return RotationSignal(exact, first)
 

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import os
+import random
 import re
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _exact
 from etherdrift import _record, cli, interferometer
 from etherdrift._record import MAX_SCAN_STEPS, _rows, _table
 from etherdrift.errors import DegenerateConfigError, DomainError, InputError
@@ -89,13 +91,28 @@ def test_first_order_reversal_is_sign_flip_of_u():
         assert delay_first_order(cfg, theta + 180.0) == delay_first_order(flipped, theta)
 
 
+def _rotation_bound(cfg):
+    """rotation_signal's stated bound in ulp, 2 + 2K: K sums (s + t)/|s - t|
+    over its factors s - t, a - e_f beta^2 r1 r2, 1 - x1^2 and 1 - x2^2,
+    so the bound is 8 ulp where none of them cancels."""
+    a, beta = 1.0 - cfg.e_f, cfg.u / C
+    r1, r2 = (a + cfg.e_f / (n * n) for n in (cfg.n1, cfg.n2))
+    factors = [(a, cfg.e_f * beta * beta * r1 * r2), (1.0, (beta * cfg.n1 * r1) ** 2),
+               (1.0, (beta * cfg.n2 * r2) ** 2)]
+    return 2.0 + 2.0 * sum((s + t) / abs(s - t) if s != t else math.inf for s, t in factors)
+
+
 def test_rotation_signal_frozen():
-    signal = rotation_signal(config())
+    cfg = config()
+    signal = rotation_signal(cfg)
+    exact = _exact.rotation_signal(cfg)
     # 2(u/c)(n1^2-n2^2)(L/c) for the decimal indices, and Dt(0) - Dt(180) for
     # their nearest doubles, 50-digit arithmetic; the doubles move the
     # difference by 1.1e-13 relative
     assert signal.first_order == pytest.approx(2.2260789671464744e-17, rel=1e-14)
-    assert signal.exact == pytest.approx(2.2260789671710323e-17, rel=1e-13)
+    assert float(exact) == 2.2260789671710323e-17
+    # none of the closed form's factors cancels here
+    assert _exact.ulps(signal.exact, exact) <= 8.0
     assert signal.exact == pytest.approx(signal.first_order, rel=1e-6)
 
 
@@ -122,6 +139,46 @@ def test_rotation_signal_identical_arms_bitwise_zero():
 def test_rotation_signal_full_drag_cancels_first_order():
     signal = rotation_signal(config(e_f=1.0))
     assert signal.first_order == 0.0
+
+
+def _rotation_draws(rng, count):
+    """count valid devices of close or distant indices: n2 - 1 log-uniform
+    in [1e-5, 3], n1/n2 - 1 of either sign and of size log-uniform in
+    [1e-12, 0.1], |u| log-uniform in [1e-3, 2e8] m/s, and e_f 0, 1 or
+    uniform in turn.  A draw the config refuses is drawn again."""
+    drawn = []
+    while len(drawn) < count:
+        n2 = 1.0 + 10.0 ** rng.uniform(-5.0, math.log10(3.0))
+        n1 = n2 * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -1.0))
+        u = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, math.log10(2e8))
+        e_f = (0.0, 1.0, rng.random())[len(drawn) % 3]
+        with contextlib.suppress(DomainError):
+            drawn.append(config(n1=n1, n2=n2, u=u, e_f=e_f))
+    return drawn
+
+
+def test_rotation_signal_is_within_its_stated_bound_on_seeded_draws():
+    # the difference of the arms' swings was up to 1.5e14 ulp off on these
+    # draws, where close indices cancel; the closed form carries n1 - n2
+    for cfg in _rotation_draws(random.Random("rotation-signal"), 4000):
+        error = _exact.ulps(rotation_signal(cfg).exact, _exact.rotation_signal(cfg))
+        assert error <= _rotation_bound(cfg), cfg
+
+
+def test_rotation_signal_of_indices_whose_squares_multiply_past_the_double_range():
+    # n1^2 n2^2 = 4e400: the closed form takes each arm's factors apart
+    cfg = config(n1=1e100, n2=2e100, u=1e-93, e_f=0.5)
+    exact = _exact.rotation_signal(cfg)
+    assert _exact.ulps(rotation_signal(cfg).exact, exact) <= _rotation_bound(cfg)
+
+
+def test_rotation_signal_refuses_a_drift_within_rounding_of_an_arms_light_speed():
+    # the config's check keeps c/n1 - (1 - k1) u positive in its own
+    # rounding, but x1 = (u/c) n1 (1 - k1) rounds to 1, where the signal's
+    # denominator 1 - x1^2 vanishes
+    cfg = config(n1=1.7, n2=1.0, u=262029397.73778918, e_f=0.5)
+    with pytest.raises(DomainError, match=r"light speed in arm 1 \(n1 = 1.7\)"):
+        rotation_signal(cfg)
 
 
 def test_min_detectable_u_frozen_and_inverts_forward_formula():
@@ -339,17 +396,17 @@ def _rotation_reference(cfg):
 @pytest.mark.parametrize("n1, n2", [(1.0006, 1.0001), (1.5, 1.0), (1.00029, 1.33),
                                     (1.0003, 1.00029)])
 def test_rotation_signal_exact_matches_mpmath(law, n1, n2):
-    # relative error in units of the arm-difference condition number; the
-    # difference of two delays was 100 % off at 1 um/s
-    kappa = (n1 * n1 + n2 * n2 - 2.0) / abs(n1 * n1 - n2 * n2)
+    # within the stated bound, in ulp of the 50-digit value; the difference
+    # of two delays was 100 % off at 1 um/s, and the difference of the arms'
+    # swings up to 159 ulp, at 1.0003/1.00029
     for e_f in (0.0, 0.5, 0.9, 0.999):
         for magnitude in (1e-6, 1e-3, 1.0, 1e3, 1e5, 1e7):
             for u in (magnitude, -magnitude):
                 cfg = config(n1=n1, n2=n2, L=2.0, u=u, composition=law, e_f=e_f)
                 reference = _rotation_reference(cfg)
                 got = rotation_signal(cfg).exact
-                error = float(abs((mpmath.mpf(got) - reference) / reference))
-                assert error <= 1e-14 * kappa, (e_f, u, error / kappa)
+                error = float(abs(mpmath.mpf(got) - reference)) / math.ulp(float(reference))
+                assert error <= _rotation_bound(cfg), (e_f, u, error)
 
 
 def _folded_angle(k, steps):

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import _exact
 from etherdrift.errors import DomainError
 from etherdrift.kinematics import (CompositionLaw, compose_lab_speed,
                                    effective_fresnel_speed,
@@ -33,6 +34,18 @@ def test_drag_coefficient_matches_mpmath_near_vacuum():
             n = 1.0 + 10.0 ** e
             exact = 1 - 1 / mpmath.mpf(n) ** 2
             assert abs(fresnel_drag_coefficient(n) - exact) <= 5 * 2.0 ** -53 * exact, n
+
+
+def test_drag_coefficient_within_4_ulp_of_the_exact_value():
+    # its docstring's bound, against the exact 1 - 1/n^2 over n - 1
+    # log-uniform in [1e-15, 1e3] with both ends, and past 2^53, where n - 1
+    # rounds too; about half the draws are 0.5 ulp or more off
+    rng = random.Random("drag-coefficient")
+    exponents = [-15.0, 3.0, *(rng.uniform(-15.0, 3.0) for _ in range(20000))]
+    draws = [1.0 + 10.0 ** e for e in exponents]
+    for n in [*draws, 2.0 ** 53, 2.0 ** 53 + 2.0, 1e200]:
+        exact = _exact.fresnel_drag_coefficient(n)
+        assert _exact.ulps(fresnel_drag_coefficient(n), exact) <= 4.0, n
 
 
 def test_drag_coefficient_monotone():
