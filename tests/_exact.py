@@ -11,6 +11,7 @@ double's distance from one.
 import math
 from fractions import Fraction
 
+from etherdrift.kinematics import CompositionLaw
 from etherdrift.units import c
 
 C = Fraction(c)
@@ -27,12 +28,32 @@ def fresnel_drag_coefficient(n: float) -> Fraction:
     return 1 - 1 / (n * n)
 
 
+def effective_fresnel_speed(n, u, e_f) -> Fraction:
+    """c/n + e_f (1 - 1/n^2) u; fresnel_speed at e_f = 1."""
+    n, u, e_f = Fraction(n), Fraction(u), Fraction(e_f)
+    return C / n + e_f * (1 - 1 / (n * n)) * u
+
+
+def compose_lab_speed(v_rest, u, law: CompositionLaw) -> Fraction:
+    """Einstein w = (v - u)/(1 - u v/c^2), Tangherlini w = (v - u)/(1 - u^2/c^2);
+    v_rest may be a Fraction, such as the exact c/n of the n-forms."""
+    v, u = Fraction(v_rest), Fraction(u)
+    if law is CompositionLaw.EINSTEIN:
+        return (v - u) / (1 - u * v / (C * C))
+    return (v - u) / (1 - u * u / (C * C))
+
+
+def composed_speed(n, u, law: CompositionLaw) -> Fraction:
+    """einstein_composed_speed and tangherlini_composed_speed: the lab
+    speed of the exact c/n."""
+    return compose_lab_speed(C / Fraction(n), u, law)
+
+
 def _drift(n: Fraction, u: Fraction, e_f: Fraction) -> Fraction:
     """delta = 1/w - n/c of an arm at drift u: w the Einstein-law lab
-    speed (v - u)/(1 - u v/c^2) of the partially dragged rest-frame speed
-    v = c/n + e_f (1 - 1/n^2) u."""
-    v = C / n + e_f * (1 - 1 / (n * n)) * u
-    return (1 - u * v / (C * C)) / (v - u) - n / C
+    speed of the partially dragged rest-frame speed v = c/n + e_f (1 - 1/n^2) u."""
+    w = compose_lab_speed(effective_fresnel_speed(n, u, e_f), u, CompositionLaw.EINSTEIN)
+    return 1 / w - n / C
 
 
 def rotation_signal(config) -> Fraction:

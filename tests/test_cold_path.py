@@ -91,7 +91,7 @@ print(json.dumps({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue
                   "loaded": [name for name in ("numpy", "numpy.polynomial", "hashlib",
                                                "dataclasses", "inspect", "numbers",
                                                "argparse", "gettext", "locale",
-                                               "etherdrift._g17")
+                                               "fractions", "decimal", "etherdrift._g17")
                              if name in sys.modules],
                   "executed": sorted(name for name, module in sys.modules.items()
                                      if name.startswith("etherdrift.")
@@ -129,9 +129,11 @@ EXECUTED = {
     "version": [],
 }
 
-#: the standard-library modules the records used to pull in, and numbers,
-#: which only a path or grid of numpy scalars needs
-SKIPPED = ["dataclasses", "inspect", "numbers"]
+#: the standard-library modules the records used to pull in; numbers,
+#: which only a path or grid of numpy scalars needs; and fractions and the
+#: decimal it imports, which no exact form needs: the speeds and phases
+#: formed exactly are formed in plain ints
+SKIPPED = ["dataclasses", "inspect", "numbers", "fractions", "decimal"]
 
 #: argparse and the modules it imports to translate its messages
 ARGPARSE = ["argparse", "gettext", "locale"]
@@ -161,7 +163,7 @@ def _scalar_report(name):
 def _imported_by_package():
     return _fresh("import json, sys, etherdrift\n"
                   "print(json.dumps([name for name in ('numpy', 'dataclasses', 'inspect',\n"
-                  "                                    'numbers')\n"
+                  "                                    'numbers', 'fractions', 'decimal')\n"
                   "                  if name in sys.modules]))")
 
 
