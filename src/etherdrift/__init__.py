@@ -29,8 +29,7 @@ from .units import (MODERN, PAPER, PhysicalConstants, UnitSystem, get_constants,
 #: kernel module -> the public names the package re-exports from it
 _KERNELS = {
     "kinematics": ("CompositionLaw", "compose_lab_speed", "effective_fresnel_speed",
-                   "einstein_composed_speed", "fresnel_drag_coefficient", "fresnel_speed",
-                   "tangherlini_composed_speed"),
+                   "einstein_composed_speed", "fresnel_speed", "tangherlini_composed_speed"),
     "interferometer": ("SCAN_COLUMNS", "InterferometerConfig", "RotationSignal",
                        "angle_scan", "delay_exact", "delay_first_order",
                        "improvement_factor", "min_detectable_u", "rotation_signal"),

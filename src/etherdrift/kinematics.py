@@ -52,19 +52,6 @@ def _index_ratio(n: float, u: float) -> tuple:
     return n.as_integer_ratio()
 
 
-def fresnel_drag_coefficient(n: float) -> float:
-    """Drag coefficient 1 - 1/n^2; zero in vacuum, approaching 1 as n grows.
-
-    Formed as ((n - 1)/n)((n + 1)/n), which does not cancel for n near 1,
-    where 1 - 1/n^2 does, and forms no n^2 to overflow for large n.  It
-    rounds at most four times (n - 1 is exact below 2^53, and above it the
-    value rounds to within an ulp of 1): within 4 ulp of 1 - 1/n^2 for
-    every n, and at most 2.7 ulp over 200000 seeded draws of n - 1
-    log-uniform in [1e-15, 1e3]."""
-    _check_index(n)
-    return ((n - 1.0) / n) * ((n + 1.0) / n)
-
-
 def fresnel_speed(n: float, u: float) -> float:
     """Fully dragged speed c/n + (1 - 1/n^2) u in the preferred frame,
     correctly rounded."""

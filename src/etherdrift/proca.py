@@ -26,14 +26,23 @@ the pointwise values by construction, bit for bit: the array form of the
 scaled I0 sums each element's series term for term, and every exp,
 element by element, is math.exp, since numpy's differs from libm's in the
 last bit.
+
+The phase correction is rational in its double inputs and pi, and the
+bound is the square root of such a ratio, so both come from one exact
+integer form of the phase per unit m_gamma^2, _phase_per_m2, and each is
+correctly rounded once: the phase by units._quotient, the bound by
+units._root_quotient.  Nothing cancels as rho nears R, and no product of
+the inputs is formed in floats, to overflow or to lose bits on the way.
 """
 
 import math
-import sys
 
 from ._record import Record, _check_steps, _rows, check_finite
 from .errors import DomainError, InputError
-from .units import PhysicalConstants, inverse_length_to_mass
+from .units import PhysicalConstants, _quotient, _root_quotient, inverse_length_to_mass
+
+#: pi to 40 decimals, as one integer ratio: math.pi is 1.2e-16 below it
+_PI = (31415926535897932384626433832795028841972, 10 ** 40)
 
 
 def _scaled_I0(x, xp=math):
@@ -233,32 +242,49 @@ def potential_profile(cfg: ProcaCylinderConfig, m_gamma: float, steps: int,
     return _rows(_profile_rule(cfg, m_gamma, steps, variant), steps)
 
 
+def _phase_per_m2(R, rho, V, tau, constants: PhysicalConstants) -> tuple:
+    """The phase per unit m_gamma^2, pi (R^2 - rho^2) V tau/(4 Phi_0), as
+    integers (num, den), den > 0, exactly: (R^2 - rho^2) as
+    (r g - h s)(r g + h s)/(s g)^2 for R = r/s and rho = h/g, and pi as _PI."""
+    (r, s), (h, g), (v, w), (t, u), (f, k) = (
+        x.as_integer_ratio() for x in (R, rho, V, tau, constants.flux_quantum))
+    return (_PI[0] * (r * g - h * s) * (r * g + h * s) * v * t * k,
+            4 * _PI[1] * (s * g) ** 2 * w * u * f)
+
+
 def mass_phase_correction(cfg: ProcaCylinderConfig, m_gamma: float,
                           constants: PhysicalConstants) -> float:
-    """Extra scalar phase -(e m_gamma^2/4)(rho^2 - R^2) V tau / hbar.
+    """Extra scalar phase -(e m_gamma^2/4)(rho^2 - R^2) V tau / hbar,
+    correctly rounded.
 
     Positive for a beam inside the cylinder; vanishes with m_gamma.  The
     coupling e/hbar is the profile's charge_over_hbar = pi/Phi_0, which is
-    what makes this the exact algebraic partner of invert_bound.
+    what makes this the exact algebraic partner of invert_bound.  Formed
+    as _phase_per_m2 times p^2/q^2 for m_gamma = p/q, and rounded once: a
+    phase beyond the double range is refused, however large m_gamma^2 is.
     """
     _check_mass(m_gamma)
-    m2 = m_gamma * m_gamma
-    phase = (-(constants.charge_over_hbar * m2 / 4.0) * (cfg.rho * cfg.rho - cfg.R * cfg.R)
-             * cfg.V * cfg.tau)
-    if not math.isfinite(phase):
+    (num, den), (p, q) = (_phase_per_m2(cfg.R, cfg.rho, cfg.V, cfg.tau, constants),
+                          m_gamma.as_integer_ratio())
+    try:
+        return _quotient(num * p * p, den * q * q)[0]
+    except OverflowError:
         raise DomainError(f"the mass phase correction is not finite at R = {cfg.R} m, "
                           f"rho = {cfg.rho} m, V = {cfg.V} V, tau = {cfg.tau} s and "
-                          f"m_gamma = {m_gamma}")
-    return phase
+                          f"m_gamma = {m_gamma}") from None
 
 
 def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> float:
-    """Compton-range bound m_gamma^{-1} = (R/2) sqrt(pi V tau/(epsilon Phi_0)), in cm.
+    """Compton-range bound m_gamma^{-1} = (R/2) sqrt(pi V tau/(epsilon Phi_0)), in cm,
+    correctly rounded.
 
     Algebraic inversion of mass_phase_correction at rho = 0 (the beam runs
-    near the axis).  Evaluated in SI and converted to cm at the end; scales
-    as R, sqrt(V), sqrt(tau) and 1/sqrt(epsilon).  The phase of any mass stays
-    below (e/hbar) V tau, so a resolution epsilon at or above it has no bound.
+    near the axis): the root sqrt(10^4 num d/(den e)) of its exact form
+    num/den per unit m_gamma^2 over epsilon = e/d, with 10^4 for m^2 to
+    cm^2, rounded once.  Scales as R, sqrt(V), sqrt(tau) and
+    1/sqrt(epsilon).  The phase of any mass stays below (e/hbar) V tau, so
+    a resolution epsilon at or above it has no bound; a range beyond the
+    double range is refused.
     """
     if cfg.V * cfg.tau <= 0.0:
         raise DomainError("bound inversion needs V * tau > 0")
@@ -267,18 +293,13 @@ def invert_bound(cfg: ProcaCylinderConfig, constants: PhysicalConstants) -> floa
         raise DomainError(f"phase resolution epsilon = {cfg.epsilon} rad is at least "
                           f"(e/hbar) V tau = {largest} rad, the largest phase any "
                           "photon mass gives")
-    phi, pi_v_tau = constants.flux_quantum, math.pi * cfg.V * cfg.tau
-    eps_phi = cfg.epsilon * phi
-    # a subnormal epsilon Phi_0 has lost bits, and 0 all of them
-    ratio = pi_v_tau / eps_phi if eps_phi >= sys.float_info.min else math.inf
-    if ratio < math.inf:
-        range_cm = 0.5 * cfg.R * math.sqrt(ratio) * 100.0
-    else:  # epsilon Phi_0 is not a normal double, or the ratio overflows: split the root
-        range_cm = 0.5 * cfg.R * math.sqrt(pi_v_tau / phi) / math.sqrt(cfg.epsilon) * 100.0
-    if not range_cm < math.inf:
+    (num, den), (e, d) = (_phase_per_m2(cfg.R, 0.0, cfg.V, cfg.tau, constants),
+                          cfg.epsilon.as_integer_ratio())
+    try:
+        return _root_quotient(10 ** 4 * num * d, den * e)
+    except OverflowError:
         raise DomainError(f"the Compton range overflows at V = {cfg.V} V, tau = {cfg.tau} s, "
-                          f"R = {cfg.R} m and epsilon = {cfg.epsilon}")
-    return range_cm
+                          f"R = {cfg.R} m and epsilon = {cfg.epsilon}") from None
 
 
 def time_of_flight(length: float, speed: float) -> float:

@@ -119,6 +119,22 @@ def _quotient(num: int, den: int) -> tuple:
     return hi, (num * g - h * den) / (den * g)
 
 
+def _root_quotient(num: int, den: int) -> float:
+    """sqrt(num/den), for integers num >= 0 and den > 0, correctly rounded.
+
+    The quotient is scaled by 4^k until its integer root r has at least 55
+    bits.  Doubled, with its last bit set where r was inexact, it then
+    rounds as twice the exact root does: every rounding midpoint of a
+    number of 56 bits or more is even, and 2r + 1 lies strictly between
+    the same two even integers as twice an inexact root.  Int true
+    division rounds it once, so the overflow rule is _quotient's: a root
+    that rounds beyond the largest double raises OverflowError."""
+    k = max(0, (den.bit_length() - num.bit_length() + 112) // 2)
+    num <<= 2 * k
+    root = math.isqrt(num // den)
+    return (2 * root + (root * root * den != num)) / (1 << (k + 1))
+
+
 def inverse_length_to_mass(range_cm: float) -> float:
     """Photon mass in grams equivalent to a Yukawa range in cm.
 

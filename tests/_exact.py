@@ -22,12 +22,6 @@ def ulps(x: float, q: Fraction) -> float:
     return float(abs(Fraction(x) - q) / Fraction(math.ulp(float(q))))
 
 
-def fresnel_drag_coefficient(n: float) -> Fraction:
-    """1 - 1/n^2."""
-    n = Fraction(n)
-    return 1 - 1 / (n * n)
-
-
 def effective_fresnel_speed(n, u, e_f) -> Fraction:
     """c/n + e_f (1 - 1/n^2) u; fresnel_speed at e_f = 1."""
     n, u, e_f = Fraction(n), Fraction(u), Fraction(e_f)

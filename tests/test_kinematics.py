@@ -1,6 +1,4 @@
-import random
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -8,49 +6,9 @@ import _exact
 from etherdrift.errors import DomainError
 from etherdrift.kinematics import (CompositionLaw, compose_lab_speed,
                                    effective_fresnel_speed,
-                                   einstein_composed_speed,
-                                   fresnel_drag_coefficient, fresnel_speed,
+                                   einstein_composed_speed, fresnel_speed,
                                    tangherlini_composed_speed)
 from etherdrift.units import c as C
-
-
-def test_drag_coefficient_endpoints():
-    assert fresnel_drag_coefficient(1.0) == 0.0
-    assert fresnel_drag_coefficient(1e9) == pytest.approx(1.0, abs=1e-12)
-    # no n^2 is formed, so none overflows
-    assert fresnel_drag_coefficient(1e200) == 1.0
-    # 1 - 1/1.33^2, 50-digit arithmetic
-    assert fresnel_drag_coefficient(1.33) == pytest.approx(0.43467691785855616, rel=1e-15)
-
-
-def test_drag_coefficient_matches_mpmath_near_vacuum():
-    # n - 1 log-uniform over [1e-12, 10], with both ends: the rarefied gases
-    # near n = 1, where 1 - 1/n^2 cancels, through dense media.  (n - 1) is
-    # exact for n <= 2 and rounded once above; (n + 1), the two quotients
-    # and their product are rounded once each: at most 5 errors of 2^-53
-    rng = random.Random("near-vacuum")
-    with mpmath.workdps(50):
-        for e in [-12.0, 1.0, *(rng.uniform(-12.0, 1.0) for _ in range(2000))]:
-            n = 1.0 + 10.0 ** e
-            exact = 1 - 1 / mpmath.mpf(n) ** 2
-            assert abs(fresnel_drag_coefficient(n) - exact) <= 5 * 2.0 ** -53 * exact, n
-
-
-def test_drag_coefficient_within_4_ulp_of_the_exact_value():
-    # its docstring's bound, against the exact 1 - 1/n^2 over n - 1
-    # log-uniform in [1e-15, 1e3] with both ends, and past 2^53, where n - 1
-    # rounds too; about half the draws are 0.5 ulp or more off
-    rng = random.Random("drag-coefficient")
-    exponents = [-15.0, 3.0, *(rng.uniform(-15.0, 3.0) for _ in range(20000))]
-    draws = [1.0 + 10.0 ** e for e in exponents]
-    for n in [*draws, 2.0 ** 53, 2.0 ** 53 + 2.0, 1e200]:
-        exact = _exact.fresnel_drag_coefficient(n)
-        assert _exact.ulps(fresnel_drag_coefficient(n), exact) <= 4.0, n
-
-
-def test_drag_coefficient_monotone():
-    values = [fresnel_drag_coefficient(n) for n in np.linspace(1.0, 3.0, 40)]
-    assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_fresnel_speed_values():
@@ -160,7 +118,7 @@ def test_composed_speeds_positive_below_c():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        fresnel_drag_coefficient(0.5)
+        fresnel_speed(0.5, 10.0)
     with pytest.raises(DomainError):
         fresnel_speed(1.33, C)
     with pytest.raises(DomainError):
@@ -168,7 +126,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         einstein_composed_speed(1.0, 1.5 * C)
     with pytest.raises(DomainError):
-        fresnel_drag_coefficient(-2.0)
+        fresnel_speed(-2.0, 10.0)
     with pytest.raises(DomainError, match="unknown composition law"):
         compose_lab_speed(C / 1.5, 10.0, "einstein")
     # u v_rest = c^2 exactly: the Einstein lab speed is infinite

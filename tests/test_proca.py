@@ -342,9 +342,9 @@ def test_bound_closure_round_trip():
 
 
 def test_invert_bound_frozen_both_profiles():
-    # (R/2) sqrt(pi V tau/(eps Phi0)) in cm, 50-digit arithmetic
-    assert invert_bound(REFERENCE, PAPER) == pytest.approx(3.7215466620391035e13, rel=1e-14)
-    assert invert_bound(REFERENCE, MODERN) == pytest.approx(3.7207962345167440e13, rel=1e-14)
+    # (R/2) sqrt(pi V tau/(eps Phi0)) in cm, 50-digit arithmetic, correctly rounded
+    assert invert_bound(REFERENCE, PAPER) == 37215466620391.04
+    assert invert_bound(REFERENCE, MODERN) == 37207962345167.44
 
 
 def test_invert_bound_scalings():
@@ -370,10 +370,23 @@ def test_invert_bound_beyond_the_double_range_is_refused(R, V, tau):
         invert_bound(ProcaCylinderConfig(R=R, V=V, tau=tau), PAPER)
 
 
+def _bound_is_correctly_rounded(cfg, constants):
+    """The squares of the bound's two rounding midpoints bracket the exact
+    range squared, 10^4 (R/2)^2 pi V tau/(epsilon Phi_0) in cm^2, at 60 digits."""
+    y = invert_bound(cfg, constants)
+    with mpmath.workdps(60):
+        exact = (10 ** 4 * mpmath.mpf(cfg.R) ** 2 / 4 * mpmath.pi * mpmath.mpf(cfg.V)
+                 * mpmath.mpf(cfg.tau) / (mpmath.mpf(cfg.epsilon)
+                                          * mpmath.mpf(constants.flux_quantum)))
+        below, above = ((mpmath.mpf(y) + mpmath.mpf(math.nextafter(y, way))) / 2
+                        for way in (0.0, math.inf))
+        return below ** 2 <= exact <= above ** 2
+
+
 def test_invert_bound_where_epsilon_phi0_is_subnormal_matches_mpmath():
-    # epsilon Phi_0 below the smallest normal double has lost bits: the
-    # quotient took 5.2630617598572773e+148 here, 4.9e-10 off.  The split
-    # root is within 1.6 ulp of 50-digit mpmath over these draws
+    # epsilon Phi_0 below the smallest normal double has lost bits: a float
+    # quotient took 5.2630617598572773e+148 here, 4.9e-10 off.  The root of
+    # the exact integer form is within 0.5 ulp of 50-digit mpmath
     cfg = ProcaCylinderConfig(R=27 / 100, V=1e-10, tau=1e-10, epsilon=1e-300)
     assert invert_bound(cfg, PAPER) == 5.263061762460022e+148
     rng = np.random.default_rng(3703)
@@ -386,13 +399,15 @@ def test_invert_bound_where_epsilon_phi0_is_subnormal_matches_mpmath():
             exact = (mpmath.mpf(cfg.R) / 2 * 100
                      * mpmath.sqrt(mpmath.pi * mpmath.mpf(cfg.V) * mpmath.mpf(cfg.tau)
                                    / (mpmath.mpf(eps) * mpmath.mpf(constants.flux_quantum))))
-            error = abs(mpmath.mpf(invert_bound(cfg, constants)) / exact - 1)
-        assert error <= 2 * 2.2e-16, (cfg, float(error))
+            error = abs(mpmath.mpf(invert_bound(cfg, constants)) - exact)
+        assert error <= 0.5 * math.ulp(float(exact)), (cfg, float(error))
 
 
-def test_invert_bound_keeps_its_quotient_where_epsilon_phi0_is_normal():
-    # from the smallest epsilon whose product is a normal double upward,
-    # the range is the quotient's, digit for digit
+def test_invert_bound_is_correctly_rounded_where_epsilon_phi0_is_normal():
+    # from the smallest epsilon whose product is a normal double upward.  A
+    # float quotient, 0.5 R sqrt(pi V tau/(eps Phi_0)) 100, took
+    # 5.2630617624600226e48 at eps = 1e-100, where 5.263061762460022e48 is
+    # correctly rounded
     phi = PAPER.flux_quantum
     smallest = 2.2250738585072014e-308 / phi
     while smallest * phi < 2.2250738585072014e-308:
@@ -401,8 +416,9 @@ def test_invert_bound_keeps_its_quotient_where_epsilon_phi0_is_normal():
     assert below * phi < 2.2250738585072014e-308 <= smallest * phi
     for eps in (float(smallest), 1e-290, 1e-100, 1e-6):
         cfg = ProcaCylinderConfig(R=0.27, V=1e-10, tau=1e-10, epsilon=eps)
-        quotient = 0.5 * cfg.R * math.sqrt(math.pi * cfg.V * cfg.tau / (eps * phi)) * 100.0
-        assert invert_bound(cfg, PAPER) == quotient
+        assert _bound_is_correctly_rounded(cfg, PAPER), eps
+    cfg = ProcaCylinderConfig(R=0.27, V=1e-10, tau=1e-10, epsilon=1e-100)
+    assert invert_bound(cfg, PAPER) == 5.263061762460022e48
 
 
 def test_time_of_flight():

@@ -25,7 +25,7 @@ from etherdrift import (CompositionLaw, ConvergenceRow, EtherdriftError, Fresnel
                         compose_lab_speed, convergence_study, cylinder_potential_exact,
                         cylinder_potential_expansion, delay_exact, delay_first_order,
                         effective_fresnel_speed, einstein_composed_speed,
-                        fresnel_drag_coefficient, fresnel_momentum, fresnel_speed,
+                        fresnel_momentum, fresnel_speed,
                         get_constants, improvement_factor,
                         integrate_field_momentum, inverse_length_to_mass, invert_bound,
                         mass_phase_correction, min_detectable_u, phase_line_integral,
@@ -146,7 +146,6 @@ CASES = {
     "delay_first_order": Call(delay_first_order, CONFIG, 30.0),
     "effective_fresnel_speed": Call(effective_fresnel_speed, 1.33, 30.0, 0.5),
     "einstein_composed_speed": Call(einstein_composed_speed, 1.33, 30.0),
-    "fresnel_drag_coefficient": Call(fresnel_drag_coefficient, 1.33),
     "fresnel_momentum": Call(fresnel_momentum, OMEGA, 1.33, (10.0, -5.0, 3.0)),
     "fresnel_speed": Call(fresnel_speed, 1.33, 30.0),
     "get_constants": Call(get_constants, "modern"),

@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "bessel_I0", "bounds_registry", "compose_lab_speed",
     "convergence_study", "cylinder_potential_exact", "cylinder_potential_expansion",
     "delay_exact", "delay_first_order", "effective_fresnel_speed",
-    "einstein_composed_speed", "fresnel_drag_coefficient", "fresnel_momentum",
+    "einstein_composed_speed", "fresnel_momentum",
     "fresnel_speed", "get_constants", "improvement_factor",
     "integrate_field_momentum", "inverse_length_to_mass", "invert_bound",
     "mass_phase_correction", "min_detectable_u", "phase_line_integral",
